@@ -77,11 +77,8 @@ from .maintain import (
 from .retrieve import (
     Query,
     RetrievalResult,
-    VectorIndex,
     answer_procedure,
     classify,
-    index_search,
-    index_upsert,
     make_query,
     retrieve,
     score_logic,

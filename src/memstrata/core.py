@@ -9,7 +9,7 @@ feature-hasher, not a neural model; real embedders plug in behind the same
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Protocol
 
 import numpy as np
@@ -180,31 +180,13 @@ class Config:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "alpha": self.alpha,
-            "beta_ema": self.beta_ema,
-            "tau_verify": self.tau_verify,
-            "delta_gate": self.delta_gate,
-            "sigma_support": self.sigma_support,
-            "theta_retrieve": self.theta_retrieve,
-            "tau_pos": self.tau_pos,
-            "tau_neg": self.tau_neg,
-            "tau_align": self.tau_align,
-            "tau_anchor": self.tau_anchor,
-            "layer_weights": {q: dict(w) for q, w in self.layer_weights.items()},
-            "pool_trigger": self.pool_trigger,
-            "max_path_len": self.max_path_len,
-            "max_paths": self.max_paths,
-            "action_verbs": list(self.action_verbs),
-            "verifier": self.verifier,
-            "goal_namer": self.goal_namer,
-        }
+        d = asdict(self)
+        d["action_verbs"] = list(self.action_verbs)
+        return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        known = set(cls().to_dict())
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
@@ -213,14 +195,6 @@ class Config:
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
-
-
-_INT_KEYS = {"dim", "pool_trigger", "max_path_len", "max_paths"}
-_FLOAT_KEYS = {
-    "alpha", "beta_ema", "tau_verify", "delta_gate", "sigma_support",
-    "theta_retrieve", "tau_pos", "tau_neg", "tau_align", "tau_anchor",
-}
-_STR_KEYS = {"verifier", "goal_namer"}
 
 
 def parse_layer_weights(text: str) -> dict:
@@ -256,6 +230,16 @@ def format_layer_weights(weights: dict) -> str:
     return ";".join(blocks)
 
 
+# Config-file value parsers, keyed by the annotation of the Config field.
+_VALUE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "dict": parse_layer_weights,
+    "tuple": lambda value: tuple(v.strip() for v in value.split(",") if v.strip()),
+}
+
+
 def load_config(path: str) -> Config:
     """Load a flat ``key = value`` config file.
 
@@ -268,6 +252,7 @@ def load_config(path: str) -> Config:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
+    field_types = {f.name: f.type for f in fields(Config)}
     data: dict = {}
     saw_version = False
     for lineno, raw in enumerate(lines, start=1):
@@ -288,19 +273,11 @@ def load_config(path: str) -> Config:
             continue
         if key in data:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        parse = _VALUE_PARSERS.get(field_types.get(key))
+        if parse is None:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in _INT_KEYS:
-                data[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                data[key] = float(value)
-            elif key in _STR_KEYS:
-                data[key] = value
-            elif key == "layer_weights":
-                data[key] = parse_layer_weights(value)
-            elif key == "action_verbs":
-                data[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            data[key] = parse(value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     if not saw_version:

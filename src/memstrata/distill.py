@@ -245,7 +245,5 @@ def distill(store, episode_ids=None) -> list[int]:
             steps=tuple(pattern.steps),
         )
         store.logic[logic_id] = node
-        store.index.upsert(("logic", logic_id, "goal"), i_goal)
-        store.index.upsert(("logic", logic_id, "step"), i_step)
         created.append(logic_id)
     return created

@@ -211,11 +211,7 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     )
     for old_id in (id_a, id_b):
         del store.logic[old_id]
-        store.index.remove(("logic", old_id, "goal"))
-        store.index.remove(("logic", old_id, "step"))
     store.logic[logic_id] = node
-    store.index.upsert(("logic", logic_id, "goal"), node.i_goal)
-    store.index.upsert(("logic", logic_id, "step"), node.i_step)
     return FusionReport(logic_id, (id_a, id_b), alignment, before, _total_count(fused_dag))
 
 

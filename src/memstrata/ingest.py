@@ -9,6 +9,7 @@ percept in the same record or to an anchor that already exists.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -106,6 +107,21 @@ def parse_mentions(text: str) -> list[str]:
 # -- record parsing ---------------------------------------------------------
 
 
+# Plain int/float only: numpy scalars would make the snapshot unwritable.
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    """A non-boolean int or float whose float value is finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def record_from_dict(obj: dict) -> ObservationRecord:
     """Build a record from one decoded JSONL object, validating shape."""
     try:
@@ -114,12 +130,12 @@ def record_from_dict(obj: dict) -> ObservationRecord:
         t = obj["t"]
     except (KeyError, TypeError) as exc:
         raise MalformedRecord(f"record missing required field: {exc}") from None
-    if not isinstance(rec_id, int):
+    if not _is_int(rec_id):
         raise MalformedRecord(f"record id must be an integer, got {rec_id!r}")
     if not isinstance(video, str) or not video:
         raise MalformedRecord(f"record video must be a nonempty string, got {video!r}")
-    if not isinstance(t, (int, float)):
-        raise MalformedRecord(f"record t must be a number, got {t!r}")
+    if not _is_finite_number(t):
+        raise MalformedRecord(f"record t must be a finite number, got {t!r}")
 
     descriptions = []
     for d in obj.get("descriptions", []):
@@ -156,9 +172,15 @@ def record_from_dict(obj: dict) -> ObservationRecord:
             raise MalformedRecord(f"percept kind must be face|voice, got {kind!r}")
         if not isinstance(hint, str) or not hint:
             raise MalformedRecord("percept hint must be a nonempty string")
-        if not isinstance(vec, list) or not all(isinstance(x, (int, float)) for x in vec):
+        if not isinstance(vec, list) or not all(type(x) in (int, float) for x in vec):
             raise MalformedRecord("percept vector must be a list of numbers")
-        percepts.append(Percept(kind, np.asarray(vec, dtype=np.float64), hint))
+        try:
+            arr = np.asarray(vec, dtype=np.float64)
+        except OverflowError:
+            raise MalformedRecord(f"percept vector for {hint!r} overflows a float") from None
+        if not np.isfinite(arr).all():
+            raise MalformedRecord(f"percept vector for {hint!r} has a non-finite value")
+        percepts.append(Percept(kind, arr, hint))
 
     return ObservationRecord(rec_id, video, float(t), descriptions, conclusions, percepts)
 
@@ -243,13 +265,6 @@ def resolve_anchor(store, percept: Percept) -> int:
     return anchor_id
 
 
-def _anchor_by_label(store, label: str) -> int | None:
-    for anchor_id in sorted(store.anchors):
-        if store.anchors[anchor_id].label == label:
-            return anchor_id
-    return None
-
-
 def consolidate_semantic(store, ctype: str, text: str, anchors: set) -> list:
     """Reinforce, weaken, or insert one abstracted-knowledge item.
 
@@ -281,14 +296,12 @@ def consolidate_semantic(store, ctype: str, text: str, anchors: set) -> list:
             events.append(("weakened", worst_id))
             if node.weight <= 0:
                 del store.semantic[worst_id]
-                store.index.remove(("sem", worst_id))
                 events.append(("pruned", worst_id))
 
     node_id = store.next_node_id
     store.next_node_id += 1
     node = SemanticNode(node_id, ctype, text, v, set(anchors), weight=1)
     store.semantic[node_id] = node
-    store.index.upsert(("sem", node_id), v)
     events.append(("created", node_id))
     return events
 
@@ -300,6 +313,10 @@ def ingest_observation(store, rec: ObservationRecord):
     error leaves the store untouched. Returns (new episodic ids, semantic
     event log).
     """
+    if not _is_int(rec.id):
+        raise MalformedRecord(f"record id must be an integer, got {rec.id!r}")
+    if not _is_finite_number(rec.t):
+        raise MalformedRecord(f"record t must be a finite number, got {rec.t!r}")
     if rec.id in store.observations:
         raise DuplicateObservation(f"observation {rec.id} already ingested")
     last_t = store.video_clock.get(rec.video)
@@ -315,13 +332,15 @@ def ingest_observation(store, rec: ObservationRecord):
             raise DimensionMismatch(
                 f"percept vector has shape {p.vector.shape}, store dim is {store.config.dim}"
             )
+        if not np.isfinite(p.vector).all():
+            raise MalformedRecord(f"percept vector for {p.hint!r} has a non-finite value")
 
     percept_hints = {p.hint for p in rec.percepts}
     for text in [d.text for d in rec.descriptions] + [c.text for c in rec.conclusions]:
         for mention in parse_mentions(text):
             if mention in percept_hints:
                 continue
-            if _anchor_by_label(store, mention) is None:
+            if store.anchor_by_label(mention) is None:
                 raise DanglingMention(f"@{mention} has no percept hint and no existing anchor")
 
     # Validation done; mutations start here.
@@ -336,7 +355,7 @@ def ingest_observation(store, rec: ObservationRecord):
             if mention in hint_map:
                 found.add(hint_map[mention])
             else:
-                found.add(_anchor_by_label(store, mention))
+                found.add(store.anchor_by_label(mention))
         return found
 
     episodic_ids = []
@@ -356,7 +375,6 @@ def ingest_observation(store, rec: ObservationRecord):
             attrs=dict(desc.attrs),
         )
         store.episodic[node_id] = node
-        store.index.upsert(("epi", node_id), v)
         episodic_ids.append(node_id)
 
     events = []

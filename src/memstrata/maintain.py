@@ -133,8 +133,6 @@ def apply_observation(store, rec) -> UpdateReport:
         report.matched, report.similarity = logic_id, sim
         node = store.logic[logic_id]
         ema_update(node, o_vec, store.config.beta_ema)
-        store.index.upsert(("logic", logic_id, "goal"), node.i_goal)
-        store.index.upsert(("logic", logic_id, "step"), node.i_step)
         report.ema_applied = True
 
         _apply_pairs(node.dag, action_labels, attr_source, report)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import cosine
 from .dag import Constraint
-from .errors import DimensionMismatch, InvalidInput
+from .errors import InvalidInput
 from .symbolic import _character_nodes, constrained_paths
 
 CONSTRAINT_CUES = (
@@ -144,66 +144,6 @@ def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalRe
         if q.qtype == "character" and q.person is not None:
             context.character_nodes = [n.id for n in _character_nodes(store, q.person)]
     return RetrievalResult(ranked, context)
-
-
-class VectorIndex:
-    """Exact cosine top-k index over all layer vectors.
-
-    Plain matrix scan: exact by construction, fine up to ~1e5 vectors.
-    Upsert replaces the vector stored under the same id.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._vectors: dict = {}
-        self._matrix = None
-        self._ids = None
-
-    def __len__(self):
-        return len(self._vectors)
-
-    def __contains__(self, key):
-        return key in self._vectors
-
-    def get(self, key):
-        return self._vectors.get(key)
-
-    def upsert(self, key, vector: np.ndarray) -> None:
-        if vector.shape != (self.dim,):
-            raise DimensionMismatch(f"index expects dim {self.dim}, got shape {vector.shape}")
-        self._vectors[key] = np.array(vector, dtype=np.float64)
-        self._matrix = None
-
-    def remove(self, key) -> None:
-        self._vectors.pop(key, None)
-        self._matrix = None
-
-    def search(self, q_vec: np.ndarray, k: int):
-        if q_vec.shape != (self.dim,):
-            raise DimensionMismatch(f"index expects dim {self.dim}, got shape {q_vec.shape}")
-        if not self._vectors or k < 1:
-            return []
-        if self._matrix is None:
-            self._ids = sorted(self._vectors)
-            self._matrix = np.stack([self._vectors[key] for key in self._ids])
-        qn = float(np.linalg.norm(q_vec))
-        if qn == 0.0:
-            sims = np.zeros(len(self._ids))
-        else:
-            norms = np.linalg.norm(self._matrix, axis=1)
-            dots = self._matrix @ q_vec
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sims = np.where(norms > 0.0, dots / (norms * qn), 0.0)
-        order = sorted(range(len(self._ids)), key=lambda i: (-sims[i], self._ids[i]))
-        return [(self._ids[i], float(sims[i])) for i in order[:k]]
-
-
-def index_upsert(store, key, vector: np.ndarray) -> None:
-    store.index.upsert(key, vector)
-
-
-def index_search(store, q_vec: np.ndarray, k: int):
-    return store.index.search(q_vec, k)
 
 
 @dataclass

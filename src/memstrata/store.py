@@ -1,4 +1,4 @@
-"""The memory store: three node layers, anchors, index, persistence.
+"""The memory store: three node layers, anchors, persistence.
 
 One store is one snapshot file. Snapshots are canonical JSON: keys sorted,
 collections ordered by id, floats in Python's shortest round-trip decimal
@@ -27,7 +27,7 @@ from .ingest import (
     ingest_observation,
 )
 from .maintain import PoolEntry, apply_observation
-from .retrieve import VectorIndex, make_query, retrieve
+from .retrieve import make_query, retrieve
 
 SNAPSHOT_VERSION = 1
 
@@ -50,7 +50,6 @@ class MemoryStore:
         self.observations: dict[int, ObservationMeta] = {}
         self.video_clock: dict[str, float] = {}
         self.pool: list[PoolEntry] = []
-        self.index = VectorIndex(self.config.dim)
         self.next_node_id = 1
         self.next_anchor_id = 1
         self.next_logic_id = 1
@@ -185,8 +184,6 @@ def check_store(store: MemoryStore) -> list[str]:
             v.append(f"episodic {node_id}: dangling anchor reference")
         if not np.array_equal(node.v_e, store.embed(node.d)):
             v.append(f"episodic {node_id}: v_e is not embed(d)")
-        if not np.array_equal(store.index.get(("epi", node_id)), node.v_e):
-            v.append(f"episodic {node_id}: index out of sync")
 
     for node_id, node in sorted(store.semantic.items()):
         if node.weight < 1:
@@ -195,8 +192,6 @@ def check_store(store: MemoryStore) -> list[str]:
             v.append(f"semantic {node_id}: dangling anchor reference")
         if not np.array_equal(node.v_s, store.embed(node.attrs)):
             v.append(f"semantic {node_id}: v_s is not embed(attrs)")
-        if not np.array_equal(store.index.get(("sem", node_id)), node.v_s):
-            v.append(f"semantic {node_id}: index out of sync")
 
     for logic_id, node in sorted(store.logic.items()):
         for violation in check_valid(node.dag):
@@ -214,8 +209,6 @@ def check_store(store: MemoryStore) -> list[str]:
         for slot, vec in (("goal", node.i_goal), ("step", node.i_step)):
             if vec.shape != (dim,):
                 v.append(f"logic {logic_id}: i_{slot} dim {vec.shape}")
-            elif not np.array_equal(store.index.get(("logic", logic_id, slot)), vec):
-                v.append(f"logic {logic_id}: index i_{slot} out of sync")
         for src in sorted(node.dag.adj):
             outs = node.dag.adj[src]
             if not outs:
@@ -223,10 +216,6 @@ def check_store(store: MemoryStore) -> list[str]:
             total = sum(transition_prob(node.dag, src, dst) for dst in sorted(outs))
             if abs(total - 1.0) > 1e-9:
                 v.append(f"logic {logic_id}: transition probs at {src} sum to {total}")
-
-    expected_index = len(store.episodic) + len(store.semantic) + 2 * len(store.logic)
-    if len(store.index) != expected_index:
-        v.append(f"index holds {len(store.index)} vectors, expected {expected_index}")
 
     for obs_id, meta in sorted(store.observations.items()):
         for ep_id in meta.episodes:
@@ -393,7 +382,6 @@ def store_from_dict(data: dict) -> MemoryStore:
                 action=e["action"], outcome=e["outcome"], attrs=dict(e["attrs"]),
             )
             store.episodic[node.id] = node
-            store.index.upsert(("epi", node.id), node.v_e)
         for s in data["semantic"]:
             node = SemanticNode(
                 id=s["id"], type=s["type"], attrs=s["attrs"],
@@ -401,7 +389,6 @@ def store_from_dict(data: dict) -> MemoryStore:
                 anchors=set(s["anchors"]), weight=s["weight"],
             )
             store.semantic[node.id] = node
-            store.index.upsert(("sem", node.id), node.v_s)
         for l in data["logic"]:
             node = LogicNode(
                 id=l["id"], c=l["c"],
@@ -414,8 +401,6 @@ def store_from_dict(data: dict) -> MemoryStore:
                 steps=tuple(l["steps"]),
             )
             store.logic[node.id] = node
-            store.index.upsert(("logic", node.id, "goal"), node.i_goal)
-            store.index.upsert(("logic", node.id, "step"), node.i_step)
         for p in data["pool"]:
             store.pool.append(
                 PoolEntry(p["observation"], np.asarray(p["vector"], dtype=np.float64),

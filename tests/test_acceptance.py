@@ -378,23 +378,21 @@ def test_criterion_8_retrieval_ranking_contract():
             inits = [it.score_init for it in result.ranked if it.layer == layer]
             assert inits == sorted(inits, reverse=True)
 
-    from memstrata import VectorIndex
+    # 1e4 random episodic vectors; theta below -1 makes every node a candidate.
+    from memstrata import EpisodicNode, Query
 
     dim = 64
-    idx = VectorIndex(dim)
-    vectors = {}
+    big = MemoryStore(Config(dim=dim, theta_retrieve=-2.0))
     for i in range(10_000):
-        v = rng.normal(size=dim)
-        idx.upsert(("r", i), v)
-        vectors[("r", i)] = v
+        big.episodic[i] = EpisodicNode(id=i, t=0.0, d="", v_e=rng.normal(size=dim), video="r")
     for _ in range(5):
         q = rng.normal(size=dim)
-        got = idx.search(q, 10)
-        scan = sorted(((cosine(q, v), key) for key, v in vectors.items()),
+        got = retrieve(big, Query("oracle", q, "factual"), 10).ranked
+        scan = sorted(((cosine(q, n.v_e), n.id) for n in big.episodic.values()),
                       key=lambda pair: (-pair[0], pair[1]))[:10]
-        assert [k for k, _ in got] == [k for _, k in scan]
-        assert all(abs(s - e[0]) <= 1e-12 for (_, s), e in zip(got, scan))
-    _report(8, "(alpha boundaries, order preservation, 1e4-vector index oracle)")
+        assert [(it.layer, it.node_id) for it in got] == [("epi", i) for _, i in scan]
+        assert all(abs(it.score_final - s) <= 1e-12 for it, (s, _) in zip(got, scan))
+    _report(8, "(alpha boundaries, order preservation, 1e4-vector retrieve oracle)")
 
 
 # -- criteria 9 and 10: end-to-end fixture + round-count analogue ----------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -125,6 +126,24 @@ def test_config_file_round_trip(tmp_path):
     cfg = load_config(str(path))
     assert cfg.dim == 32
     assert cfg.alpha == 0.25
+
+    cfg = Config(
+        dim=32, alpha=0.25, beta_ema=0.8, tau_verify=0.125, delta_gate=0.375,
+        sigma_support=0.5, theta_retrieve=0.1, tau_pos=0.9, tau_neg=0.2,
+        tau_align=0.7, tau_anchor=0.65,
+        layer_weights={"factual": {"epi": 1.25, "sem": 0.5, "logic": 0.75},
+                       "constraint": {"epi": 0.5, "sem": 1.0, "logic": 2.0},
+                       "character": {"epi": 0.25, "sem": 1.5, "logic": 1.75}},
+        pool_trigger=7, max_path_len=32, max_paths=500,
+        action_verbs=("chop", "stir", "plate"), verifier="external", goal_namer="external",
+    )
+    default = Config()
+    assert [f.name for f in fields(Config)
+            if getattr(cfg, f.name) == getattr(default, f.name)] == []
+    path.write_text(dump_config(cfg))
+    loaded = load_config(str(path))
+    assert loaded == cfg
+    assert loaded.to_dict() == cfg.to_dict()
 
 
 def test_config_file_requires_version_header(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from memstrata import (
     record_from_dict,
     resolve_anchor,
 )
+from memstrata.store import snapshot_dict
 from conftest import one_hot
 
 
@@ -250,10 +253,48 @@ def test_record_from_dict_accepts_string_and_object_descriptions():
     {"id": 1, "video": "v", "t": 0, "descriptions": [{"text": "x", "outcome": "maybe"}]},
     {"id": 1, "video": "v", "t": 0, "percepts": [{"kind": "gait", "vector": [1.0], "hint": "h"}]},
     {"id": 1, "video": "v", "t": 0, "percepts": [{"kind": "face", "vector": "no", "hint": "h"}]},
+    {"id": True, "video": "v", "t": 0},
+    {"id": 1, "video": "v", "t": True},
+    {"id": 1, "video": "v", "t": float("nan")},
+    {"id": 1, "video": "v", "t": float("inf")},
+    {"id": 1, "video": "v", "t": 10 ** 400},
+    {"id": 1, "video": "v", "t": 0,
+     "percepts": [{"kind": "face", "vector": [float("nan"), 0.0], "hint": "h"}]},
+    {"id": 1, "video": "v", "t": 0,
+     "percepts": [{"kind": "face", "vector": [float("-inf"), 0.0], "hint": "h"}]},
+    {"id": 1, "video": "v", "t": 0,
+     "percepts": [{"kind": "face", "vector": [10 ** 400, 0.0], "hint": "h"}]},
+    {"id": 1, "video": "v", "t": 0,
+     "percepts": [{"kind": "face", "vector": [True, 0.0], "hint": "h"}]},
 ])
 def test_record_from_dict_rejects_malformed(obj):
     with pytest.raises(MalformedRecord):
         record_from_dict(obj)
+
+
+def test_ingest_rejects_bad_api_record_fields_unchanged():
+    store = small_store(dim=4)
+    store.ingest(ObservationRecord(1, "v", 1.0, [Description("@jack chop the fruit")], [],
+                                   [Percept("face", one_hot(0, 4), "jack")]))
+    before = json.dumps(snapshot_dict(store), sort_keys=True)
+    nan_face = np.array([np.nan, 0.0, 0.0, 0.0])
+    for rec in (
+        ObservationRecord(2, "v", 2.0, [Description("@jack mix")], [],
+                          [Percept("face", nan_face, "jack")]),
+        ObservationRecord(2, "v", float("nan"), [Description("mix")], [], []),
+        ObservationRecord(2, "v", float("inf"), [Description("mix")], [], []),
+        ObservationRecord(True, "v", 2.0, [Description("mix")], [], []),
+        # numpy scalars are refused: json cannot write them into a snapshot
+        ObservationRecord(np.int64(2), "v", 2.0, [Description("mix")], [], []),
+        ObservationRecord(2, "v", np.float32(2.0), [Description("mix")], [], []),
+    ):
+        with pytest.raises(MalformedRecord):
+            store.ingest(rec)
+    assert json.dumps(snapshot_dict(store), sort_keys=True) == before
+    assert store.check() == []
+    # The clock still guards the source after the refused NaN timestamp.
+    with pytest.raises(MalformedRecord):
+        store.ingest(ObservationRecord(3, "v", 0.0, [Description("mix")], [], []))
 
 
 def test_read_observation_lines_requires_header():

@@ -8,11 +8,8 @@ from memstrata import (
     MemoryStore,
     ObservationRecord,
     Predicate,
-    VectorIndex,
     answer_procedure,
     classify,
-    index_search,
-    index_upsert,
     make_query,
     retrieve,
     score_logic,
@@ -120,12 +117,9 @@ def test_retrieve_constraint_boosts_logic_over_tied_episodic():
     store = MemoryStore(Config(dim=4))
     tied = np.array([0.5, np.sqrt(0.75), 0.0, 0.0])
     store.episodic[1] = EpisodicNode(id=1, t=0.0, d="x", v_e=tied.copy(), video="v")
-    store.index.upsert(("epi", 1), tied)
     node = LogicNode(id=1, c="g", i_goal=tied.copy(), i_step=tied.copy(),
                      dag=ProceduralDag.single_path(["x"]), episodic_links={1}, steps=("x",))
     store.logic[1] = node
-    store.index.upsert(("logic", 1, "goal"), node.i_goal)
-    store.index.upsert(("logic", 1, "step"), node.i_step)
 
     q = Query("synthetic", np.array([1.0, 0.0, 0.0, 0.0]), "constraint")
     result = retrieve(store, q, 5)
@@ -213,64 +207,6 @@ def test_alpha_boundaries_match_single_term_argmax():
         top_a0 = max(ids, key=lambda i: (score_logic(q, store.logic[i], 0.0), -i))
         assert top_a1 == by_goal
         assert top_a0 == by_step
-
-
-# -- vector index ------------------------------------------------------------------
-
-
-def test_index_empty_search():
-    idx = VectorIndex(4)
-    assert idx.search(np.ones(4), 3) == []
-
-
-def test_index_insert_then_exact_hit():
-    idx = VectorIndex(4)
-    v = np.array([0.5, 0.5, 0.0, 0.0])
-    idx.upsert(("epi", 1), v)
-    [(key, sim)] = idx.search(v, 1)
-    assert key == ("epi", 1)
-    assert sim == pytest.approx(1.0, abs=1e-12)
-
-
-def test_index_upsert_replaces():
-    idx = VectorIndex(2)
-    idx.upsert(("epi", 1), np.array([1.0, 0.0]))
-    idx.upsert(("epi", 1), np.array([0.0, 1.0]))
-    assert len(idx) == 1
-    [(key, sim)] = idx.search(np.array([0.0, 1.0]), 1)
-    assert sim == pytest.approx(1.0)
-
-
-def test_index_matches_linear_scan_oracle():
-    rng = np.random.default_rng(12)
-    dim = 16
-    idx = VectorIndex(dim)
-    vectors = {}
-    for i in range(100):
-        v = rng.normal(size=dim)
-        key = ("epi", i)
-        idx.upsert(key, v)
-        vectors[key] = v
-    for _ in range(20):
-        q = rng.normal(size=dim)
-        got = idx.search(q, 5)
-        from memstrata.core import cosine
-
-        scored = sorted(
-            ((cosine(q, v), key) for key, v in vectors.items()),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        expected = [(key, pytest.approx(sim, abs=1e-12)) for sim, key in scored[:5]]
-        assert [(k, s) for k, s in got] == [(k, s) for k, s in expected]
-
-
-def test_index_store_wiring():
-    store = ready_store()
-    v = store.episodic[1].v_e
-    results = index_search(store, v, 3)
-    assert results[0][0] == ("epi", 1)
-    index_upsert(store, ("extra", 1), np.ones(512))
-    assert ("extra", 1) in store.index
 
 
 # -- procedural answering (round-count analogue) ------------------------------------

@@ -102,14 +102,11 @@ def wrap_in_store(dag, goal_text="wrapped procedure"):
     from memstrata import EpisodicNode
 
     store.episodic[1] = EpisodicNode(id=1, t=0.0, d="seed", v_e=store.embed("seed"), video="v")
-    store.index.upsert(("epi", 1), store.episodic[1].v_e)
     node = LogicNode(
         id=1, c=goal_text, i_goal=store.embed(goal_text),
         i_step=store.embed(goal_text), dag=dag, episodic_links={1},
         steps=tuple(sorted(dag.step_labels())))
     store.logic[1] = node
-    store.index.upsert(("logic", 1, "goal"), node.i_goal)
-    store.index.upsert(("logic", 1, "step"), node.i_step)
     return store
 
 
