@@ -107,7 +107,8 @@ def parse_mentions(text: str) -> list[str]:
 # -- record parsing ---------------------------------------------------------
 
 
-# Plain int/float only: numpy scalars would make the snapshot unwritable.
+# isinstance rather than numbers.Number: np.int64 and np.float32 are refused
+# because json cannot write them into a snapshot (np.float64 subclasses float).
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -178,8 +179,6 @@ def record_from_dict(obj: dict) -> ObservationRecord:
             arr = np.asarray(vec, dtype=np.float64)
         except OverflowError:
             raise MalformedRecord(f"percept vector for {hint!r} overflows a float") from None
-        if not np.isfinite(arr).all():
-            raise MalformedRecord(f"percept vector for {hint!r} has a non-finite value")
         percepts.append(Percept(kind, arr, hint))
 
     return ObservationRecord(rec_id, video, float(t), descriptions, conclusions, percepts)

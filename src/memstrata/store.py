@@ -168,8 +168,8 @@ def check_store(store: MemoryStore) -> list[str]:
         if anchor.centroid_face is None and anchor.centroid_voice is None:
             v.append(f"anchor {anchor_id}: no centroid")
         for name, c in (("face", anchor.centroid_face), ("voice", anchor.centroid_voice)):
-            if c is not None and c.shape != (dim,):
-                v.append(f"anchor {anchor_id}: {name} centroid dim {c.shape}")
+            if c is not None and (c.shape != (dim,) or not np.isfinite(c).all()):
+                v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
         if anchor.count != anchor.face_count + anchor.voice_count:
             v.append(f"anchor {anchor_id}: count mismatch")
     if sum(a.count for a in store.anchors.values()) != store.percept_count:
@@ -207,8 +207,8 @@ def check_store(store: MemoryStore) -> list[str]:
             if node.anchors != anchor_union:
                 v.append(f"logic {logic_id}: anchors not the union over evidence")
         for slot, vec in (("goal", node.i_goal), ("step", node.i_step)):
-            if vec.shape != (dim,):
-                v.append(f"logic {logic_id}: i_{slot} dim {vec.shape}")
+            if vec.shape != (dim,) or not np.isfinite(vec).all():
+                v.append(f"logic {logic_id}: i_{slot} is not {dim} finite floats")
         for src in sorted(node.dag.adj):
             outs = node.dag.adj[src]
             if not outs:
@@ -230,6 +230,8 @@ def check_store(store: MemoryStore) -> list[str]:
     for entry in store.pool:
         if entry.observation_id not in store.observations:
             v.append(f"pool entry references unknown observation {entry.observation_id}")
+        if entry.vector.shape != (dim,) or not np.isfinite(entry.vector).all():
+            v.append(f"pool entry {entry.observation_id}: vector is not {dim} finite floats")
     return v
 
 

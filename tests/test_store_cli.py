@@ -94,6 +94,21 @@ def test_dangling_reference_rejected(tmp_path):
         MemoryStore.load(path)
 
 
+@pytest.mark.parametrize("section,field", [
+    ("logic", "i_goal"), ("logic", "i_step"), ("anchors", "face"), ("pool", "vector")])
+def test_non_finite_snapshot_vector_rejected(tmp_path, section, field):
+    path = str(tmp_path / "snap.json")
+    ready_store().save(path)
+    data = json.loads(open(path).read())
+    if section == "pool":
+        data["pool"] = [{"observation": data["observations"][0]["id"],
+                         "vector": list(data["logic"][0]["i_goal"]), "actions": []}]
+    data[section][0][field][0] = float("nan")
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CorruptSnapshot, match="finite floats"):
+        MemoryStore.load(path)
+
+
 def test_bad_version_rejected(tmp_path):
     path = str(tmp_path / "snap.json")
     open(path, "w").write('{"version": 99}')
