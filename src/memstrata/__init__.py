@@ -36,6 +36,7 @@ from .errors import (
     DanglingMention,
     DimensionMismatch,
     DuplicateObservation,
+    EmbedderMismatch,
     FusionCycle,
     InvalidDag,
     InvalidInput,

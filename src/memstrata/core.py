@@ -80,15 +80,28 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class Embedder(Protocol):
-    """Text -> vector map; must be deterministic for fixed text."""
+    """Text -> vector map; must be deterministic for fixed text.
+
+    Snapshots record ``embedder_identity``: an optional ``name`` attribute,
+    else the class's import path, and ``dim``.
+    """
 
     dim: int
 
     def embed(self, text: str) -> np.ndarray: ...
 
 
+def embedder_identity(embedder) -> dict:
+    """``{"name", "dim"}`` naming the text -> vector map a snapshot needs."""
+    cls = type(embedder)
+    name = getattr(embedder, "name", None) or f"{cls.__module__}.{cls.__qualname__}"
+    return {"name": name, "dim": embedder.dim}
+
+
 class HashingEmbedder:
     """Default deterministic embedder over ``embed_default``."""
+
+    name = "hashing-fnv1a64"
 
     def __init__(self, dim: int):
         self.dim = dim

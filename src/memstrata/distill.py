@@ -7,12 +7,15 @@ DAG + dual index vectors.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import tokenize
 from .dag import ProceduralDag, assert_valid, enumerate_paths
+from .errors import InvalidInput
 
 # Tokens skipped when looking for the object of a verb. Not linguistics,
 # just enough to turn "chops the fruit" into chop_fruit deterministically.
@@ -184,6 +187,13 @@ def _covered_by_existing(steps, store) -> bool:
     return False
 
 
+def _related(store, steps) -> list:
+    # Verification evidence: every episodic node whose action is a step.
+    step_set = set(steps)
+    return [store.episodic[i] for i in sorted(store.episodic)
+            if store.episodic[i].action in step_set]
+
+
 def distill(store, episode_ids=None) -> list[int]:
     """Run the full distillation pipeline; returns new LogicNode ids.
 
@@ -196,24 +206,30 @@ def distill(store, episode_ids=None) -> list[int]:
     candidates = prefixspan(sequences, store.config.sigma_support)
     candidates.sort(key=lambda p: (-p.support, -len(p.steps), p.steps))
 
+    # Every candidate is scored before the first node is created, so a bad
+    # score leaves the store unchanged. The verifier's inputs do not depend
+    # on the nodes created below.
     verifier = store.verifier_fn
     goal_namer = store.goal_namer_fn
-    created = []
+    scored = []
     for pattern in candidates:
-        step_set = set(pattern.steps)
-        if len(step_set) != len(pattern.steps):
+        if len(set(pattern.steps)) != len(pattern.steps):
             continue  # repeated action cannot form an acyclic step graph
-        related = [
-            store.episodic[i]
-            for i in sorted(store.episodic)
-            if store.episodic[i].action in step_set
-        ]
-        score = verifier(pattern, related)
+        score = verifier(pattern, _related(store, pattern.steps))
+        if isinstance(score, bool) or not isinstance(score, numbers.Real) \
+                or not math.isfinite(score):
+            raise InvalidInput(f"verifier scored {pattern.steps} {score!r}; "
+                               "expected a finite real number")
+        scored.append((pattern, float(score)))
+
+    created = []
+    for pattern, score in scored:
         if score <= store.config.tau_verify:
             continue
         if _covered_by_existing(pattern.steps, store):
             continue
 
+        related = _related(store, pattern.steps)
         dag = ProceduralDag.single_path(pattern.steps)
         for step in pattern.steps:
             node = dag.nodes[step]

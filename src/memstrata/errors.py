@@ -73,5 +73,9 @@ class CorruptSnapshot(MemoryEngineError):
     """Snapshot failed validation; message carries the first violation."""
 
 
+class EmbedderMismatch(MemoryEngineError):
+    """Snapshot was written with another embedder than the one loading it."""
+
+
 class StoreLocked(MemoryEngineError):
     """Another writer holds the store's advisory lock."""

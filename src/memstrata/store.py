@@ -1,9 +1,11 @@
 """The memory store: three node layers, anchors, persistence.
 
 One store is one snapshot file. Snapshots are canonical JSON: keys sorted,
-collections ordered by id, floats in Python's shortest round-trip decimal
-form, so two saves of the same in-memory state are byte-identical and a
-load reproduces every vector bit-for-bit.
+no whitespace, collections ordered by id, floats in Python's shortest
+round-trip decimal form, so two saves of the same in-memory state are
+byte-identical and a load reproduces every vector bit-for-bit. Episodic and
+semantic vectors are a function of their text, so the snapshot records the
+embedder's identity instead of the vectors, and a load recomputes them.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import os
 
 import numpy as np
 
-from .core import Config, HashingEmbedder
+from .core import Config, HashingEmbedder, embedder_identity
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
 from .distill import LogicNode, default_goal_name, verify_default
-from .errors import ConfigError, CorruptSnapshot, SnapshotIoError
+from .errors import ConfigError, CorruptSnapshot, EmbedderMismatch, SnapshotIoError
 from .ingest import (
     OUTCOMES,
+    _is_finite_number,
     EntityAnchor,
     EpisodicNode,
     ObservationMeta,
@@ -29,7 +32,7 @@ from .ingest import (
 from .maintain import PoolEntry, apply_observation
 from .retrieve import make_query, retrieve
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class MemoryStore:
@@ -105,18 +108,33 @@ class MemoryStore:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str) -> None:
-        payload = json.dumps(snapshot_dict(self), sort_keys=True, indent=1)
+        """Write the snapshot atomically and durably: the temp file is synced
+        before it replaces ``path``, and the directory after."""
+        try:
+            payload = json.dumps(snapshot_dict(self), sort_keys=True,
+                                 separators=(",", ":"), allow_nan=False)
+        except (TypeError, ValueError) as exc:
+            raise SnapshotIoError(f"cannot encode snapshot {path}: {exc}") from exc
         tmp = path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(payload)
                 fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
+            dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
         except OSError as exc:
             raise SnapshotIoError(f"cannot write snapshot {path}: {exc}") from exc
 
     @classmethod
-    def load(cls, path: str) -> "MemoryStore":
+    def load(cls, path: str, embedder=None) -> "MemoryStore":
+        """Read a snapshot; ``embedder`` must be the one the store was built
+        with (default: a ``HashingEmbedder`` of the snapshot's dim)."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -126,7 +144,7 @@ class MemoryStore:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CorruptSnapshot(f"snapshot is not valid JSON: {exc}") from None
-        return store_from_dict(data)
+        return store_from_dict(data, embedder)
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -178,6 +196,8 @@ def check_store(store: MemoryStore) -> list[str]:
     for node_id, node in sorted(store.episodic.items()):
         if node_id >= store.next_node_id:
             v.append(f"episodic {node_id}: id beyond counter")
+        if not _is_finite_number(node.t):
+            v.append(f"episodic {node_id}: t {node.t!r} is not a finite number")
         if node.outcome not in OUTCOMES:
             v.append(f"episodic {node_id}: bad outcome {node.outcome!r}")
         if not node.anchors <= set(store.anchors):
@@ -194,6 +214,17 @@ def check_store(store: MemoryStore) -> list[str]:
             v.append(f"semantic {node_id}: v_s is not embed(attrs)")
 
     for logic_id, node in sorted(store.logic.items()):
+        scalars = [("score", node.score)]
+        for label, dag_node in node.dag.nodes.items():
+            scalars += [(f"{label} success_alpha", dag_node.success_alpha),
+                        (f"{label} success_beta", dag_node.success_beta)]
+        for src, dst, stat in node.dag.edges():
+            scalars += [(f"{src}->{dst} count", stat.count), (f"{src}->{dst} gamma", stat.gamma)]
+        bad = [f"logic {logic_id}: {name} {x!r} is not a finite number"
+               for name, x in scalars if not _is_finite_number(x)]
+        if bad:
+            v.extend(bad)
+            continue  # the DAG checks below compare these numbers
         for violation in check_valid(node.dag):
             v.append(f"logic {logic_id}: {violation}")
         if not node.episodic_links:
@@ -225,6 +256,10 @@ def check_store(store: MemoryStore) -> list[str]:
             elif node.video != meta.video:
                 v.append(f"observation {obs_id}: episode {ep_id} video mismatch")
 
+    for video, t in sorted(store.video_clock.items()):
+        if not _is_finite_number(t):
+            v.append(f"video_clock {video!r}: {t!r} is not a finite number")
+
     if len(store.pool) >= store.config.pool_trigger:
         v.append("candidate pool at or beyond trigger without distillation")
     for entry in store.pool:
@@ -239,7 +274,7 @@ def check_store(store: MemoryStore) -> list[str]:
 
 
 def _vec(arr) -> list:
-    return [float(x) for x in arr]
+    return np.asarray(arr, dtype=np.float64).tolist()
 
 
 def _dag_dict(dag: ProceduralDag) -> dict:
@@ -280,6 +315,7 @@ def _dag_from_dict(data: dict) -> ProceduralDag:
 def snapshot_dict(store: MemoryStore) -> dict:
     return {
         "version": SNAPSHOT_VERSION,
+        "embedder": embedder_identity(store.embedder),
         "config": store.config.to_dict(),
         "counters": {
             "node": store.next_node_id,
@@ -309,7 +345,6 @@ def snapshot_dict(store: MemoryStore) -> dict:
                 "action": n.action,
                 "outcome": n.outcome,
                 "attrs": n.attrs,
-                "v": _vec(n.v_e),
             }
             for _, n in sorted(store.episodic.items())
         ],
@@ -320,7 +355,6 @@ def snapshot_dict(store: MemoryStore) -> dict:
                 "attrs": n.attrs,
                 "anchors": sorted(n.anchors),
                 "weight": n.weight,
-                "v": _vec(n.v_s),
             }
             for _, n in sorted(store.semantic.items())
         ],
@@ -354,13 +388,39 @@ def snapshot_dict(store: MemoryStore) -> dict:
     }
 
 
-def store_from_dict(data: dict) -> MemoryStore:
-    if not isinstance(data, dict) or data.get("version") != SNAPSHOT_VERSION:
-        raise CorruptSnapshot(f"unsupported snapshot version {data.get('version')!r}"
+def _embedded(store: MemoryStore, entry: dict, key: str, version: int, what: str) -> np.ndarray:
+    """The vector of ``entry[key]``, recomputed; a version 1 snapshot's
+    stored copy in ``entry["v"]`` must equal it bit for bit."""
+    text = entry[key]
+    if not isinstance(text, str):
+        raise CorruptSnapshot(f"{what} {entry['id']}: {key} is not a string")
+    vec = store.embed(text)
+    if version == 1 and not np.array_equal(np.asarray(entry["v"], dtype=np.float64), vec):
+        raise CorruptSnapshot(f"{what} {entry['id']}: stored vector is not embed({key})")
+    return vec
+
+
+def store_from_dict(data: dict, embedder=None) -> MemoryStore:
+    """Rebuild a store from a version 1 or 2 snapshot dict.
+
+    Episodic and semantic vectors are recomputed with ``embedder`` (default:
+    a ``HashingEmbedder`` of the snapshot's dim). A version 2 snapshot
+    names the embedder it was written with, and any other is refused; a
+    version 1 snapshot names none, but stores the vectors, and each must
+    equal its recomputed value.
+    """
+    version = data.get("version") if isinstance(data, dict) else None
+    if version not in (1, SNAPSHOT_VERSION):
+        raise CorruptSnapshot(f"unsupported snapshot version {version!r}"
                               if isinstance(data, dict) else "snapshot is not an object")
     try:
         config = Config.from_dict(data["config"])
-        store = MemoryStore(config)
+        store = MemoryStore(config, embedder)
+        if version != 1 and data["embedder"] != embedder_identity(store.embedder):
+            raise EmbedderMismatch(
+                f"snapshot was written with embedder {data['embedder']!r}, not with the "
+                f"loading embedder {embedder_identity(store.embedder)!r}; pass the "
+                "store's embedder to load()")
         store.next_node_id = data["counters"]["node"]
         store.next_anchor_id = data["counters"]["anchor"]
         store.next_logic_id = data["counters"]["logic"]
@@ -379,7 +439,7 @@ def store_from_dict(data: dict) -> MemoryStore:
         for e in data["episodic"]:
             node = EpisodicNode(
                 id=e["id"], t=e["t"], d=e["d"],
-                v_e=np.asarray(e["v"], dtype=np.float64),
+                v_e=_embedded(store, e, "d", version, "episodic"),
                 video=e["video"], anchors=set(e["anchors"]),
                 action=e["action"], outcome=e["outcome"], attrs=dict(e["attrs"]),
             )
@@ -387,7 +447,7 @@ def store_from_dict(data: dict) -> MemoryStore:
         for s in data["semantic"]:
             node = SemanticNode(
                 id=s["id"], type=s["type"], attrs=s["attrs"],
-                v_s=np.asarray(s["v"], dtype=np.float64),
+                v_s=_embedded(store, s, "attrs", version, "semantic"),
                 anchors=set(s["anchors"]), weight=s["weight"],
             )
             store.semantic[node.id] = node
@@ -410,7 +470,7 @@ def store_from_dict(data: dict) -> MemoryStore:
             )
         for o in data["observations"]:
             store.observations[o["id"]] = ObservationMeta(o["video"], list(o["episodes"]))
-        store.video_clock = {k: float(t) for k, t in data.get("video_clock", {}).items()}
+        store.video_clock = dict(data["video_clock"])
     except CorruptSnapshot:
         raise
     except ConfigError as exc:

@@ -1,13 +1,16 @@
 """The benchmark's traced mode must find every engine name it wraps.
 
 ``bench/tracing.py`` patches functions by ``owner.__dict__[attr]``, so a
-renamed or deleted engine function breaks ``bench/run.py --trace 1``. This
-test installs and removes the tracer so that such a break shows here.
+renamed or deleted engine function breaks ``bench/run.py --trace 1``. These
+tests install and remove the tracer, and save, load and retrieve under it,
+so that such a break shows here.
 """
 
 import importlib
 import sys
 from pathlib import Path
+
+from conftest import fruit_salad_store
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = ("cli", "core", "dag", "distill", "fuse", "ingest", "maintain",
@@ -26,15 +29,18 @@ def _namespaces():
     return {owner: dict(vars(owner)) for owner in owners}
 
 
-def test_tracer_install_then_uninstall_restores_engine():
+def _tracer():
     sys.path.insert(0, str(BENCH))
     try:
         from tracing import Tracer
     finally:
         sys.path.remove(str(BENCH))
+    return Tracer()
 
+
+def test_tracer_install_then_uninstall_restores_engine():
     before = _namespaces()
-    tracer = Tracer()
+    tracer = _tracer()
     tracer.install()
     try:
         assert _module("retrieve").cosine is not _module("core").cosine
@@ -46,3 +52,25 @@ def test_tracer_install_then_uninstall_restores_engine():
         assert after[owner].keys() == names.keys(), owner
         changed = [k for k, v in names.items() if after[owner][k] is not v]
         assert changed == [], (owner, changed)
+
+
+def test_traced_save_load_retrieve(tmp_path):
+    # Traced mode swaps store.py's ``json`` for a namespace holding only
+    # dumps, loads and JSONDecodeError; save and load must stay inside it.
+    tracer = _tracer()
+    store = fruit_salad_store(dim=64)
+    store.distill()
+    path = str(tmp_path / "snap.json")
+    query = "How should Jack make the fruit salad?"
+    tracer.install()
+    try:
+        store.save(path)
+        loaded = _module("store").MemoryStore.load(path)
+        ranked = loaded.retrieve(query, k=5).ranked
+    finally:
+        tracer.uninstall()
+    assert [(i.layer, i.node_id, i.score_final) for i in ranked] == \
+           [(i.layer, i.node_id, i.score_final) for i in store.retrieve(query, k=5).ranked]
+    _, _, calls = tracer.totals()
+    assert calls["store.encode"] >= 1 and calls["store.decode"] >= 1
+    assert calls["store.save"] == calls["store.load"] == calls["retrieve.retrieve"] == 1

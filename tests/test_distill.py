@@ -1,12 +1,15 @@
 import itertools
+import json
 import random
 
 import numpy as np
+import pytest
 
 from memstrata import (
     ActionSequence,
     Config,
     Description,
+    InvalidInput,
     MemoryStore,
     ObservationRecord,
     Pattern,
@@ -16,6 +19,7 @@ from memstrata import (
     verify_default,
 )
 from memstrata.dag import GOAL, START
+from memstrata.store import snapshot_dict
 from conftest import fruit_salad_store, random_corpus, simple_chain_store
 
 VERBS = ("chop", "mix", "serve")
@@ -267,3 +271,31 @@ def test_distill_custom_goal_namer():
     node = store.logic[store.distill()[0]]
     assert node.c.startswith("do ")
     assert np.array_equal(node.i_goal, store.embed(node.c))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "0.9", None, True])
+def test_distill_refuses_bad_verifier_score_unchanged(bad):
+    # fruit salad mines the full procedure first, then its fragments; the
+    # bad score on the last candidate must stop the node for the first.
+    store = fruit_salad_store()
+    calls = []
+
+    def verifier(pattern, related):
+        calls.append(pattern.steps)
+        return bad if len(pattern.steps) == 2 else pattern.support
+    store.set_verifier(verifier)
+    before = json.dumps(snapshot_dict(store), sort_keys=True)
+    with pytest.raises(InvalidInput, match="finite real number"):
+        store.distill()
+    assert len(calls[0]) == 3 and len(calls[-1]) == 2
+    assert store.logic == {} and store.next_logic_id == 1
+    assert json.dumps(snapshot_dict(store), sort_keys=True) == before
+
+
+def test_distill_verifier_numpy_score_stored_as_float(tmp_path):
+    # json cannot write an np.float32; the node keeps a plain float
+    store = fruit_salad_store()
+    store.set_verifier(lambda pattern, related: np.float32(pattern.support))
+    node = store.logic[store.distill()[0]]
+    assert type(node.score) is float and node.score == 0.75
+    store.save(str(tmp_path / "snap.json"))

@@ -1,10 +1,21 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
-from memstrata import Config, CorruptSnapshot, Description, MemoryStore, ObservationRecord
+from memstrata import (
+    Conclusion,
+    Config,
+    CorruptSnapshot,
+    Description,
+    EmbedderMismatch,
+    HashingEmbedder,
+    MemoryStore,
+    ObservationRecord,
+    SnapshotIoError,
+)
 from memstrata.cli import run_cli
 from memstrata.core import dump_config
 from conftest import fruit_salad_store, jsonl_lines
@@ -73,6 +84,15 @@ def test_save_load_save_byte_identical(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_save_load_save_byte_identical_with_integer_timestamps(tmp_path):
+    store = MemoryStore(Config(dim=8))
+    store.ingest(ObservationRecord(1, "v", 0, [Description("chop the fruit")], [], []))
+    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    store.save(p1)
+    MemoryStore.load(p1).save(p2)
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
 def test_truncated_snapshot_rejected(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
@@ -106,6 +126,156 @@ def test_non_finite_snapshot_vector_rejected(tmp_path, section, field):
     data[section][0][field][0] = float("nan")
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CorruptSnapshot, match="finite floats"):
+        MemoryStore.load(path)
+
+
+def _first_edge(data):
+    return data["logic"][0]["dag"]["edges"][0]
+
+
+@pytest.mark.parametrize("where,value", [
+    (lambda d: (d["episodic"][0], "t"), float("nan")),
+    (lambda d: (d["logic"][0], "score"), float("nan")),
+    (lambda d: (d["logic"][0]["dag"]["nodes"][1], "success_alpha"), float("nan")),
+    (lambda d: (d["logic"][0]["dag"]["nodes"][1], "success_beta"), float("inf")),
+    (lambda d: (_first_edge(d), "count"), float("nan")),
+    (lambda d: (_first_edge(d), "count"), "3"),
+    (lambda d: (_first_edge(d), "gamma"), float("inf")),
+    (lambda d: (d["video_clock"], "v1"), float("nan")),
+], ids=["episodic-t", "logic-score", "dag-success_alpha", "dag-success_beta",
+        "edge-count", "edge-count-str", "edge-gamma", "video_clock"])
+def test_non_finite_snapshot_scalar_rejected(tmp_path, where, value):
+    path = str(tmp_path / "snap.json")
+    ready_store().save(path)
+    data = json.loads(open(path).read())
+    entry, key = where(data)
+    entry[key] = value
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CorruptSnapshot, match="is not a finite number"):
+        MemoryStore.load(path)
+
+
+def test_save_refuses_non_finite_value_with_typed_error(tmp_path):
+    path = str(tmp_path / "snap.json")
+    store = ready_store()
+    store.logic[1].score = float("nan")
+    with pytest.raises(SnapshotIoError, match="cannot encode"):
+        store.save(path)
+    assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
+
+
+def test_save_syncs_file_then_directory(tmp_path, monkeypatch):
+    path = str(tmp_path / "snap.json")
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        # the file is synced before it replaces the snapshot, the
+        # directory after
+        synced.append((stat.S_ISDIR(st.st_mode), st.st_ino, os.path.exists(path)))
+        real_fsync(fd)
+    monkeypatch.setattr(os, "fsync", fsync)
+    ready_store().save(path)
+    assert synced == [(False, os.stat(path).st_ino, False),
+                      (True, os.stat(str(tmp_path)).st_ino, True)]
+
+
+# -- snapshot v2: recomputed vectors and the embedder record -------------------
+
+
+class WordLengthEmbedder:
+    """A custom embedder: 1.0 per token at index len(token) mod dim."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def embed(self, text):
+        v = np.zeros(self.dim)
+        for token in text.split():
+            v[len(token) % self.dim] += 1.0
+        n = np.linalg.norm(v)
+        return v / n if n else v
+
+
+def _custom_store():
+    store = MemoryStore(Config(dim=16), embedder=WordLengthEmbedder(16))
+    for rid, (video, text) in enumerate([
+            ("v1", "chop the fruit"), ("v1", "mix the fruit"), ("v2", "chop the fruit"),
+            ("v2", "mix the fruit"), ("v2", "serve the salad bowl")], start=1):
+        store.ingest(ObservationRecord(
+            rid, video, float(rid), [Description(text)],
+            [Conclusion("knowledge", "bowls are in the kitchen")] if rid == 5 else [], []))
+    store.distill()
+    assert store.logic and store.semantic
+    return store
+
+
+def _ranking(store, query):
+    return [(i.layer, i.node_id, repr(i.score_final)) for i in store.retrieve(query, k=10).ranked]
+
+
+def test_custom_embedder_store_reloads_with_its_embedder(tmp_path):
+    path = str(tmp_path / "snap.json")
+    store = _custom_store()
+    store.save(path)
+    loaded = MemoryStore.load(path, embedder=WordLengthEmbedder(16))
+    for query in ("chop fruit", "where are the bowls?", "serve the salad"):
+        assert _ranking(loaded, query) == _ranking(store, query)
+    assert loaded.check() == []
+
+
+def test_custom_embedder_store_refused_without_its_embedder(tmp_path):
+    path = str(tmp_path / "snap.json")
+    _custom_store().save(path)
+    with pytest.raises(EmbedderMismatch) as err:
+        MemoryStore.load(path)
+    message = str(err.value)
+    assert "test_store_cli.WordLengthEmbedder" in message
+    assert HashingEmbedder.name in message
+
+
+def test_v2_snapshot_names_embedder_and_stores_no_text_vectors(tmp_path):
+    path = str(tmp_path / "snap.json")
+    ready_store().save(path)
+    text = open(path).read()
+    assert "\n" not in text[:-1] and text.endswith("\n")
+    data = json.loads(text)
+    assert data["version"] == 2
+    assert data["embedder"] == {"name": "hashing-fnv1a64", "dim": 512}
+    assert data["episodic"] and data["semantic"]
+    assert all("v" not in entry for entry in data["episodic"] + data["semantic"])
+
+
+# snapshot_v1_dim8.json was written by the version 1 writer from a
+# Config(dim=8) store: three sources of "@jack chop the fruit", "@jack mix the
+# fruit in a bowl", "@jack serve the salad" (a face percept on the first, the
+# conclusion "@jack is a careful cook" on the last), then distill().
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v1_dim8.json")
+
+
+def test_v1_snapshot_loads_and_saves_as_v2(tmp_path):
+    store = MemoryStore.load(V1_FIXTURE)
+    assert store.check() == []
+    stats = store.stats()
+    assert (stats["episodic"], stats["semantic"], stats["logic"]) == (9, 1, 1)
+    v1 = json.loads(open(V1_FIXTURE).read())
+    for entry in v1["episodic"]:
+        assert store.episodic[entry["id"]].v_e.tolist() == entry["v"]
+    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    store.save(p1)
+    assert json.loads(open(p1).read())["version"] == 2
+    MemoryStore.load(p1).save(p2)
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("section", ["episodic", "semantic"])
+def test_v1_snapshot_with_tampered_vector_rejected(tmp_path, section):
+    path = str(tmp_path / "snap.json")
+    data = json.loads(open(V1_FIXTURE).read())
+    data[section][0]["v"][0] += 0.5
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CorruptSnapshot, match="stored vector is not embed"):
         MemoryStore.load(path)
 
 
