@@ -75,8 +75,7 @@ def align_nodes(g1: ProceduralDag, g2: ProceduralDag, embedder, tau_align: float
         size = max(len(steps1), len(steps2))
         sim = np.zeros((size, size))
         for i, v1 in enumerate(vecs1):
-            for j, v2 in enumerate(vecs2):
-                sim[i, j] = cosine(v1, v2)
+            sim[i, :len(vecs2)] = cosine(v1, vecs2)
         matched1, matched2 = set(), set()
         step_pairs = []
         for row, col in _lexicographic_optimal_assignment(sim):
@@ -227,14 +226,11 @@ def auto_fuse(store) -> list:
         ids = sorted(store.logic)
         candidate = None
         for i, id_a in enumerate(ids):
-            for id_b in ids[i + 1:]:
-                if (id_a, id_b) in failed:
-                    continue
-                sim = cosine(store.logic[id_a].i_goal, store.logic[id_b].i_goal)
-                if sim >= store.config.tau_align:
-                    candidate = (id_a, id_b)
-                    break
-            if candidate:
+            rest = [id_b for id_b in ids[i + 1:] if (id_a, id_b) not in failed]
+            sims = cosine(store.logic[id_a].i_goal, [store.logic[id_b].i_goal for id_b in rest])
+            hits = np.flatnonzero(sims >= store.config.tau_align)
+            if hits.size:
+                candidate = (id_a, rest[hits[0]])
                 break
         if candidate is None:
             return reports

@@ -226,39 +226,23 @@ def resolve_anchor(store, percept: Percept) -> int:
         raise DimensionMismatch(
             f"percept vector has shape {percept.vector.shape}, store dim is {store.config.dim}"
         )
-    best_id, best_sim = None, -2.0
-    for anchor_id in sorted(store.anchors):
-        anchor = store.anchors[anchor_id]
-        centroid = anchor.centroid_face if percept.kind == "face" else anchor.centroid_voice
-        if centroid is None:
-            continue
-        sim = cosine(percept.vector, centroid)
-        if sim > best_sim:
-            best_id, best_sim = anchor_id, sim
-
-    if best_id is not None and best_sim >= store.config.tau_anchor:
+    centroid, count = f"centroid_{percept.kind}", f"{percept.kind}_count"
+    ids = [i for i in sorted(store.anchors) if getattr(store.anchors[i], centroid) is not None]
+    sims = cosine(percept.vector, [getattr(store.anchors[i], centroid) for i in ids])
+    if ids and sims.max() >= store.config.tau_anchor:
+        best_id = ids[int(np.argmax(sims))]
         anchor = store.anchors[best_id]
-        if percept.kind == "face":
-            k = anchor.face_count
-            anchor.centroid_face = (anchor.centroid_face * k + percept.vector) / (k + 1)
-            anchor.face_count += 1
-        else:
-            k = anchor.voice_count
-            anchor.centroid_voice = (anchor.centroid_voice * k + percept.vector) / (k + 1)
-            anchor.voice_count += 1
+        k = getattr(anchor, count)
+        setattr(anchor, centroid, (getattr(anchor, centroid) * k + percept.vector) / (k + 1))
+        setattr(anchor, count, k + 1)
         anchor.count += 1
         store.percept_count += 1
         return best_id
 
     anchor_id = store.next_anchor_id
     store.next_anchor_id += 1
-    anchor = EntityAnchor(anchor_id, percept.hint, count=1)
-    if percept.kind == "face":
-        anchor.centroid_face = percept.vector.copy()
-        anchor.face_count = 1
-    else:
-        anchor.centroid_voice = percept.vector.copy()
-        anchor.voice_count = 1
+    anchor = EntityAnchor(anchor_id, percept.hint, count=1,
+                          **{centroid: percept.vector.copy(), count: 1})
     store.anchors[anchor_id] = anchor
     store.percept_count += 1
     return anchor_id
@@ -275,21 +259,16 @@ def consolidate_semantic(store, ctype: str, text: str, anchors: set) -> list:
     """
     v = store.embed(text)
     events = []
-    candidates = [
-        node for node in store.semantic.values() if anchors <= node.anchors
-    ]
-    if candidates:
-        scored = sorted(
-            ((cosine(v, node.v_s), node.id) for node in candidates),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        best_sim, best_id = scored[0]
-        if best_sim > store.config.tau_pos:
+    ids = [i for i in sorted(store.semantic) if anchors <= store.semantic[i].anchors]
+    if ids:
+        sims = cosine(v, [store.semantic[i].v_s for i in ids])
+        best_id = ids[int(np.argmax(sims))]
+        if sims.max() > store.config.tau_pos:
             store.semantic[best_id].weight += 1
             events.append(("reinforced", best_id))
             return events
-        worst_sim, worst_id = min(scored, key=lambda pair: (pair[0], pair[1]))
-        if worst_sim < store.config.tau_neg:
+        worst_id = ids[int(np.argmin(sims))]
+        if sims.min() < store.config.tau_neg:
             node = store.semantic[worst_id]
             node.weight -= 1
             events.append(("weakened", worst_id))

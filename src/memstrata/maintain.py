@@ -48,13 +48,13 @@ def match_logic(store, o_vec: np.ndarray):
 
     Ties break toward the lowest LogicId.
     """
-    best = None
-    for logic_id in sorted(store.logic):
-        node = store.logic[logic_id]
-        sim = max(cosine(o_vec, node.i_goal), cosine(o_vec, node.i_step))
-        if best is None or sim > best[1]:
-            best = (logic_id, sim)
-    return best
+    ids = sorted(store.logic)
+    if not ids:
+        return None
+    sims = np.maximum(cosine(o_vec, [store.logic[i].i_goal for i in ids]),
+                      cosine(o_vec, [store.logic[i].i_step for i in ids]))
+    best = int(np.argmax(sims))
+    return ids[best], float(sims[best])
 
 
 def ema_update(node, o_vec: np.ndarray, beta: float) -> None:

@@ -110,19 +110,20 @@ def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalRe
     store.retrieval_calls += 1
     theta = store.config.theta_retrieve
     weights = store.config.layer_weights[q.qtype]
-    items = []
-
-    def consider(layer, node_id, score_init):
-        if score_init > theta:
-            items.append(RankedItem(layer, node_id, score_init, score_init * weights[layer]))
-
-    for node_id in sorted(store.episodic):
-        consider("epi", node_id, cosine(q.q_vec, store.episodic[node_id].v_e))
-    for node_id in sorted(store.semantic):
-        consider("sem", node_id, cosine(q.q_vec, store.semantic[node_id].v_s))
+    epi_ids, sem_ids = sorted(store.episodic), sorted(store.semantic)
+    layers = [
+        ("epi", epi_ids, cosine(q.q_vec, [store.episodic[i].v_e for i in epi_ids])),
+        ("sem", sem_ids, cosine(q.q_vec, [store.semantic[i].v_s for i in sem_ids])),
+    ]
     if include_logic:
-        for node_id in sorted(store.logic):
-            consider("logic", node_id, score_logic(q.q_vec, store.logic[node_id], store.config.alpha))
+        logic_ids = sorted(store.logic)
+        layers.append(("logic", logic_ids, np.array(
+            [score_logic(q.q_vec, store.logic[i], store.config.alpha) for i in logic_ids])))
+    items = []
+    for layer, ids, scores in layers:
+        for hit in np.flatnonzero(scores > theta):
+            score = float(scores[hit])
+            items.append(RankedItem(layer, ids[hit], score, score * weights[layer]))
 
     items.sort(key=lambda it: (-it.score_final, _LAYER_RANK[it.layer], it.node_id))
     ranked = items[:k]

@@ -471,14 +471,13 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         for o in data["observations"]:
             store.observations[o["id"]] = ObservationMeta(o["video"], list(o["episodes"]))
         store.video_clock = dict(data["video_clock"])
+        violations = check_store(store)
     except CorruptSnapshot:
         raise
     except ConfigError as exc:
         raise CorruptSnapshot(f"snapshot config invalid: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptSnapshot(f"snapshot structure invalid: {exc!r}") from None
-
-    violations = check_store(store)
     if violations:
         raise CorruptSnapshot(violations[0])
     return store

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import cosine
 from .dag import (
     GOAL,
@@ -42,16 +44,15 @@ class ProcedureEvidence:
 def _resolve_goal_node(store, goal: str):
     """Logic node with max cosine(embed(goal), i_goal); lowest id on ties."""
     goal_vec = store.embed(goal)
-    best = None
-    for logic_id in sorted(store.logic):
-        sim = cosine(goal_vec, store.logic[logic_id].i_goal)
-        if best is None or sim > best[1]:
-            best = (logic_id, sim)
-    if best is None:
+    ids = sorted(store.logic)
+    if not ids:
         raise NoMatch("logic layer is empty")
-    if best[1] < store.config.theta_retrieve:
-        raise NoMatch(f"best goal similarity {best[1]:.6f} below threshold")
-    return store.logic[best[0]], best[1]
+    sims = cosine(goal_vec, [store.logic[i].i_goal for i in ids])
+    best = int(np.argmax(sims))
+    sim = float(sims[best])
+    if sim < store.config.theta_retrieve:
+        raise NoMatch(f"best goal similarity {sim:.6f} below threshold")
+    return store.logic[ids[best]], sim
 
 
 def constrained_paths(dag: ProceduralDag, constraint: Constraint | None,

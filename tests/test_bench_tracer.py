@@ -10,6 +10,8 @@ import importlib
 import sys
 from pathlib import Path
 
+from memstrata import Description, ObservationRecord, auto_fuse, query_step_sequence
+from memstrata.core import cosine
 from conftest import fruit_salad_store
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -74,3 +76,34 @@ def test_traced_save_load_retrieve(tmp_path):
     _, _, calls = tracer.totals()
     assert calls["store.encode"] >= 1 and calls["store.decode"] >= 1
     assert calls["store.save"] == calls["store.load"] == calls["retrieve.retrieve"] == 1
+
+
+def test_traced_lifecycle_counts_every_layer_scan():
+    # Each layer calls its own module's ``cosine``, so that a traced run
+    # attributes every scan to the layer that makes it.
+    tracer = _tracer()
+    tracer.install()
+    try:
+        store = fruit_salad_store(dim=64, extra_sources=False)
+        store.distill()
+        rid = 100
+        for video in ("w1", "w2", "w3"):
+            for t, text in enumerate(["@jack chop the fruit", "@jack blend the fruit",
+                                      "@jack serve the salad"]):
+                rid += 1
+                store.ingest(ObservationRecord(rid, video, float(t), [Description(text)], [], []))
+        store.distill()
+        goals = [node.i_goal for node in store.logic.values()]
+        assert len(goals) == 2 and cosine(*goals) >= store.config.tau_align
+        rec = ObservationRecord(200, "w4", 0.0, [Description("@jack chop the fruit"),
+                                                 Description("@jack mix the fruit")], [], [])
+        store.ingest(rec)
+        store.apply(rec)
+        store.retrieve("How should Jack make the fruit salad?", k=5)
+        query_step_sequence(store, store.logic[min(store.logic)].c)
+        assert len(auto_fuse(store)) == 1
+    finally:
+        tracer.uninstall()
+    calls = {layer: tracer.counts[f"{layer}.cosine.calls"]
+             for layer in ("ingest", "maintain", "fuse", "retrieve", "symbolic")}
+    assert all(n > 0 for n in calls.values()), calls

@@ -6,6 +6,7 @@ import pytest
 
 from memstrata import Config, ConfigError, DimensionMismatch, cosine, embed_default
 from memstrata.core import (
+    COSINE_BLOCK,
     HashingEmbedder,
     dump_config,
     fnv1a64,
@@ -83,6 +84,44 @@ def test_cosine_symmetry_and_range():
         b /= np.linalg.norm(b)
         assert cosine(a, b) == cosine(b, a)
         assert -1.0 - 1e-9 <= cosine(a, b) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("n", [0, 1, COSINE_BLOCK - 1, COSINE_BLOCK, COSINE_BLOCK + 1,
+                               2 * COSINE_BLOCK + 1])
+def test_cosine_list_matches_pairwise(n):
+    rng = np.random.default_rng(n)
+    q = rng.normal(size=24)
+    rows = [rng.normal(size=24) for _ in range(n)]
+    got = cosine(q, rows)
+    assert isinstance(got, np.ndarray) and got.shape == (n,)
+    assert np.all(np.abs(got - np.array([cosine(q, v) for v in rows])) <= 1e-12)
+
+
+def test_cosine_list_zero_row_and_zero_query():
+    rows = [np.array([1.0, 2.0, 3.0]), np.zeros(3), np.array([-1.0, 0.0, 2.0])]
+    assert cosine(np.array([1.0, 0.0, 0.0]), rows)[1] == 0.0
+    assert np.array_equal(cosine(np.zeros(3), rows), np.zeros(3))
+
+
+def test_cosine_list_identical_rows_bit_identical():
+    rng = np.random.default_rng(11)
+    q = rng.normal(size=33)
+    v = rng.normal(size=33)
+    rows = [rng.normal(size=33) for _ in range(2 * COSINE_BLOCK)]
+    # copies at the start, inside a block, on both sides of a block edge and last
+    at = [0, 41, COSINE_BLOCK - 1, COSINE_BLOCK, 2 * COSINE_BLOCK - 1]
+    for i in at:
+        rows[i] = v.copy()
+    got = cosine(q, rows)
+    assert len({got[i].tobytes() for i in at}) == 1
+
+
+def test_cosine_list_dimension_mismatch():
+    rows = [np.zeros(3)] * (COSINE_BLOCK + 1) + [np.zeros(4)]
+    with pytest.raises(DimensionMismatch):
+        cosine(np.ones(3), rows)
+    with pytest.raises(DimensionMismatch):
+        cosine(np.ones(3), [np.ones(4)])
 
 
 def test_config_defaults_are_paper_values():

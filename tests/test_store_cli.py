@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import stat
@@ -12,12 +13,14 @@ from memstrata import (
     Description,
     EmbedderMismatch,
     HashingEmbedder,
+    MemoryEngineError,
     MemoryStore,
     ObservationRecord,
     SnapshotIoError,
 )
 from memstrata.cli import run_cli
 from memstrata.core import dump_config
+from memstrata.store import store_from_dict
 from conftest import fruit_salad_store, jsonl_lines
 
 
@@ -153,6 +156,63 @@ def test_non_finite_snapshot_scalar_rejected(tmp_path, where, value):
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CorruptSnapshot, match="is not a finite number"):
         MemoryStore.load(path)
+
+
+@pytest.mark.parametrize("where", [
+    lambda d: (d["anchors"][0], "face_count"),
+    lambda d: (d["semantic"][0], "weight"),
+    lambda d: (d["counters"], "node"),
+    lambda d: (d["episodic"][0], "id"),
+    lambda d: (d["observations"][0], "id"),
+], ids=["anchor-face_count", "semantic-weight", "counter-node", "episodic-id",
+        "observation-id"])
+def test_mistyped_snapshot_number_rejected(tmp_path, where):
+    # The invariant sweep compares these numbers; a string must be refused
+    # as a corrupt snapshot, not escape as a TypeError.
+    path = str(tmp_path / "snap.json")
+    ready_store().save(path)
+    data = json.loads(open(path).read())
+    entry, key = where(data)
+    entry[key] = "x"
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CorruptSnapshot):
+        MemoryStore.load(path)
+
+
+def _leaf_paths(value, path=()):
+    """Paths to every scalar and every empty list or object in ``value``."""
+    if isinstance(value, (dict, list)) and value:
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        for key in keys:
+            yield from _leaf_paths(value[key], path + (key,))
+    else:
+        yield path
+
+
+def test_snapshot_mutation_sweep_raises_only_typed_errors(tmp_path):
+    path = str(tmp_path / "snap.json")
+    store = fruit_salad_store(dim=32)
+    store.distill()
+    store.save(path)
+    base = json.loads(open(path).read())
+    escaped = []
+    for where in _leaf_paths(base):
+        for value in ("x", None, [], {}, -1, 2**70, 1.5, True):
+            data = copy.deepcopy(base)
+            entry = data
+            for key in where[:-1]:
+                entry = entry[key]
+            entry[where[-1]] = value
+            try:
+                violations = store_from_dict(data).check()
+            except MemoryEngineError:
+                continue
+            except Exception as exc:
+                escaped.append((where, value, repr(exc)))
+                continue
+            if violations:
+                escaped.append((where, value, violations[0]))
+    assert escaped == []
 
 
 def test_save_refuses_non_finite_value_with_typed_error(tmp_path):
