@@ -330,9 +330,6 @@ def run_cli(argv) -> int:
                 return 2
             out.append("check: ok")
 
-    except StoreLocked as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryEngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

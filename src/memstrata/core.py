@@ -8,6 +8,7 @@ feature-hasher, not a neural model; real embedders plug in behind the same
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Protocol
@@ -37,6 +38,22 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _FNV_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+# isinstance rather than numbers.Number: np.int64 and np.float32 are refused
+# because json cannot write them into a snapshot (np.float64 subclasses float).
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    """A non-boolean int or float whose float value is finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def tokenize(text: str) -> list[str]:
@@ -176,30 +193,29 @@ class Config:
     goal_namer: str = "default"
 
     def validate(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ConfigError(f"dim must be a positive integer, got {self.dim!r}")
+        # Types first, so that every range comparison below is between numbers.
+        for name in ("dim", "pool_trigger", "max_path_len", "max_paths"):
+            x = getattr(self, name)
+            if not _is_int(x) or x < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {x!r}")
+        for name in ("alpha", "beta_ema", "sigma_support", "tau_verify", "delta_gate",
+                     "theta_retrieve", "tau_pos", "tau_neg", "tau_align", "tau_anchor"):
+            x = getattr(self, name)
+            if not _is_finite_number(x):
+                raise ConfigError(f"{name} must be a finite number, got {x!r}")
         for name in ("alpha", "beta_ema"):
             x = getattr(self, name)
             if not 0.0 <= x <= 1.0:
                 raise ConfigError(f"{name} must lie in [0,1], got {x!r}")
         if not 0.0 < self.sigma_support <= 1.0:
             raise ConfigError(f"sigma_support must lie in (0,1], got {self.sigma_support!r}")
-        for name in ("tau_verify", "delta_gate", "theta_retrieve",
-                     "tau_pos", "tau_neg", "tau_align", "tau_anchor"):
-            x = getattr(self, name)
-            if not np.isfinite(x):
-                raise ConfigError(f"{name} must be finite, got {x!r}")
-        for name in ("pool_trigger", "max_path_len", "max_paths"):
-            x = getattr(self, name)
-            if not isinstance(x, int) or x < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {x!r}")
         if set(self.layer_weights) != set(QUERY_TYPES):
             raise ConfigError(f"layer_weights must cover exactly {QUERY_TYPES}")
         for qt, per_layer in self.layer_weights.items():
             if set(per_layer) != set(LAYERS):
                 raise ConfigError(f"layer_weights[{qt}] must cover exactly {LAYERS}")
             for layer, w in per_layer.items():
-                if not (np.isfinite(w) and w >= 0.0):
+                if not (_is_finite_number(w) and w >= 0.0):
                     raise ConfigError(f"layer_weights[{qt}][{layer}] must be >= 0, got {w!r}")
         if self.verifier not in ("default", "external"):
             raise ConfigError(f"verifier must be 'default' or 'external', got {self.verifier!r}")

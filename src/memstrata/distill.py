@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import tokenize
-from .dag import ProceduralDag, assert_valid, enumerate_paths
+from .dag import GOAL, START, ProceduralDag, assert_valid
+from .dag import enumerate_paths  # noqa: F401 -- bench/tracing.py wraps this name
 from .errors import InvalidInput
 
 # Tokens skipped when looking for the object of a verb. Not linguistics,
@@ -106,11 +107,6 @@ def extract_action_sequences(store, episode_ids=None) -> list[ActionSequence]:
     return sequences
 
 
-def _is_subsequence(small, big) -> bool:
-    it = iter(big)
-    return all(step in it for step in small)
-
-
 def prefixspan(sequences, sigma: float) -> list[Pattern]:
     """All length>=2 subsequence patterns with support >= sigma.
 
@@ -176,22 +172,22 @@ def _normalized_mean(vectors) -> np.ndarray:
 
 
 def _covered_by_existing(steps, store) -> bool:
-    # Skip candidates already represented: equal to, or a subsequence of,
-    # a label path of an existing logic node's DAG.
-    for logic_id in sorted(store.logic):
-        node = store.logic[logic_id]
-        for path in enumerate_paths(node.dag, store.config.max_paths, store.config.max_path_len):
-            inner = tuple(path[1:-1])
-            if steps == inner or _is_subsequence(steps, inner):
-                return True
+    # Coverage by reachability: skip candidates that are a subsequence of a
+    # label path of an existing logic node's DAG. Every step node lies on a
+    # START -> GOAL path (check_valid), so for distinct steps that holds
+    # exactly when each step is a step node and reaches the next one.
+    for node in store.logic.values():
+        dag = node.dag
+        if all(s in dag.nodes and s not in (START, GOAL) for s in steps) \
+                and all(dag.has_path(a, b) for a, b in zip(steps, steps[1:])):
+            return True
     return False
 
 
-def _related(store, steps) -> list:
-    # Verification evidence: every episodic node whose action is a step.
-    step_set = set(steps)
-    return [store.episodic[i] for i in sorted(store.episodic)
-            if store.episodic[i].action in step_set]
+def _related(by_action, steps) -> list:
+    # Verification evidence: every episodic node whose action is a step,
+    # in ascending id.
+    return sorted((e for step in steps for e in by_action[step]), key=lambda e: e.id)
 
 
 def distill(store, episode_ids=None) -> list[int]:
@@ -204,6 +200,8 @@ def distill(store, episode_ids=None) -> list[int]:
     """
     sequences = extract_action_sequences(store, episode_ids)
     candidates = prefixspan(sequences, store.config.sigma_support)
+    if not candidates:
+        return []
     candidates.sort(key=lambda p: (-p.support, -len(p.steps), p.steps))
 
     # Every candidate is scored before the first node is created, so a bad
@@ -211,11 +209,16 @@ def distill(store, episode_ids=None) -> list[int]:
     # on the nodes created below.
     verifier = store.verifier_fn
     goal_namer = store.goal_namer_fn
+    # Evidence index: each mined action -> its episodic nodes, store-wide.
+    by_action = {action: [] for seq in sequences for action in seq.actions}
+    for ep in store.episodic.values():
+        if ep.action in by_action:
+            by_action[ep.action].append(ep)
     scored = []
     for pattern in candidates:
         if len(set(pattern.steps)) != len(pattern.steps):
             continue  # repeated action cannot form an acyclic step graph
-        score = verifier(pattern, _related(store, pattern.steps))
+        score = verifier(pattern, _related(by_action, pattern.steps))
         if isinstance(score, bool) or not isinstance(score, numbers.Real) \
                 or not math.isfinite(score):
             raise InvalidInput(f"verifier scored {pattern.steps} {score!r}; "
@@ -229,13 +232,11 @@ def distill(store, episode_ids=None) -> list[int]:
         if _covered_by_existing(pattern.steps, store):
             continue
 
-        related = _related(store, pattern.steps)
+        related = _related(by_action, pattern.steps)
         dag = ProceduralDag.single_path(pattern.steps)
         for step in pattern.steps:
             node = dag.nodes[step]
-            for ep in sorted(
-                (e for e in related if e.action == step), key=lambda e: (e.t, e.id)
-            ):
+            for ep in sorted(by_action[step], key=lambda e: (e.t, e.id)):
                 for key, value in ep.attrs.items():
                     node.attrs.setdefault(key, value)
                 if ep.outcome == "success":

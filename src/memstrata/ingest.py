@@ -9,13 +9,12 @@ percept in the same record or to an anchor that already exists.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import cosine
+from .core import _is_finite_number, _is_int, cosine
 from .distill import extract_action
 from .errors import (
     DanglingMention,
@@ -105,22 +104,6 @@ def parse_mentions(text: str) -> list[str]:
 
 
 # -- record parsing ---------------------------------------------------------
-
-
-# isinstance rather than numbers.Number: np.int64 and np.float32 are refused
-# because json cannot write them into a snapshot (np.float64 subclasses float).
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite_number(x) -> bool:
-    """A non-boolean int or float whose float value is finite."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
 
 
 def record_from_dict(obj: dict) -> ObservationRecord:

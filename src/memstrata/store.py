@@ -16,13 +16,12 @@ import os
 
 import numpy as np
 
-from .core import Config, HashingEmbedder, embedder_identity
+from .core import Config, HashingEmbedder, _is_finite_number, embedder_identity
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
 from .distill import LogicNode, default_goal_name, verify_default
 from .errors import ConfigError, CorruptSnapshot, EmbedderMismatch, SnapshotIoError
 from .ingest import (
     OUTCOMES,
-    _is_finite_number,
     EntityAnchor,
     EpisodicNode,
     ObservationMeta,

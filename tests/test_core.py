@@ -145,6 +145,39 @@ def test_config_rejects_out_of_range():
         Config(pool_trigger=0).validate()
 
 
+INT_KNOBS = ("dim", "pool_trigger", "max_path_len", "max_paths")
+FLOAT_KNOBS = ("alpha", "beta_ema", "sigma_support", "tau_verify", "delta_gate",
+               "theta_retrieve", "tau_pos", "tau_neg", "tau_align", "tau_anchor")
+# Fields with a range that a huge number falls outside.
+BOUNDED = ("alpha", "beta_ema", "sigma_support")
+HUGE, BIG = 10**400, 2**70  # beyond float range; a finite float
+
+
+def _config_with(name, value):
+    cfg = Config()
+    if name.startswith("layer_weights"):
+        cfg.layer_weights["factual"]["logic"] = value
+    else:
+        setattr(cfg, name, value)
+    return cfg
+
+
+@pytest.mark.parametrize("name", INT_KNOBS + FLOAT_KNOBS + ("layer_weights.factual.logic",))
+def test_config_refuses_non_numbers_with_config_error(name):
+    # Every numeric knob is type-checked before its range: no TypeError
+    # escapes. A huge int is a finite number, so only a range refuses it.
+    for value in ["x", None, HUGE, BIG, True, False, float("nan"), float("inf"),
+                  np.int64(3), np.float32(0.5)]:
+        accepted = (name in INT_KNOBS and (value is HUGE or value is BIG)
+                    or name not in INT_KNOBS + BOUNDED and value is BIG)
+        cfg = _config_with(name, value)
+        if accepted:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match=name.split(".")[0]):
+                cfg.validate()
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         Config.from_dict({"dim": 8, "mystery_knob": 1})

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,17 +11,24 @@ from memstrata import (
     Config,
     Description,
     InvalidInput,
+    LogicNode,
     MemoryStore,
     ObservationRecord,
+    PathExplosion,
     Pattern,
+    ProceduralDag,
+    check_valid,
+    enumerate_paths,
     extract_action,
     extract_action_sequences,
     prefixspan,
     verify_default,
 )
 from memstrata.dag import GOAL, START
+from memstrata.distill import _covered_by_existing, distill
 from memstrata.store import snapshot_dict
 from conftest import fruit_salad_store, random_corpus, simple_chain_store
+from test_symbolic import brute_force_paths, random_dag
 
 VERBS = ("chop", "mix", "serve")
 
@@ -299,3 +307,132 @@ def test_distill_verifier_numpy_score_stored_as_float(tmp_path):
     node = store.logic[store.distill()[0]]
     assert type(node.score) is float and node.score == 0.75
     store.save(str(tmp_path / "snap.json"))
+
+
+# -- cover check and verification evidence ----------------------------------------
+
+
+def _is_subsequence(small, big) -> bool:
+    it = iter(big)
+    return all(step in it for step in small)
+
+
+def test_covered_by_existing_matches_path_enumeration_oracle():
+    # Covered means: a subsequence of the step labels of some START -> GOAL
+    # path of some logic DAG, found here by enumerating every path.
+    rng = random.Random(606)
+    covered = 0
+    for _ in range(300):
+        dags = [random_dag(rng) for _ in range(rng.randint(1, 2))]
+        assert all(check_valid(dag) == [] for dag in dags)
+        store = SimpleNamespace(logic={i: SimpleNamespace(dag=d) for i, d in enumerate(dags)},
+                                config=Config())
+        inner = [p[1:-1] for dag in dags for p in brute_force_paths(dag)]
+        labels = sorted({label for dag in dags for label in dag.step_labels()})
+        pool = labels + ["zz_foreign", START, GOAL]
+        for _ in range(20):
+            steps = tuple(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+            if rng.random() < 0.5:  # DAG labels only, so that cover is common
+                steps = tuple(rng.sample(labels, rng.randint(1, min(4, len(labels)))))
+            expected = any(_is_subsequence(steps, path) for path in inner)
+            assert _covered_by_existing(steps, store) == expected, (steps, inner)
+            covered += expected
+    assert covered > 500
+
+
+def _ladder_dag(rungs):
+    """START, then ``rungs`` layers of two nodes each fully joined, then GOAL."""
+    dag = ProceduralDag()
+    prev = [START]
+    for i in range(rungs):
+        layer = [f"rung{i}_{side}" for side in "ab"]
+        for label in layer:
+            dag.add_node(label)
+            for src in prev:
+                dag.add_edge(src, label)
+        prev = layer
+    for src in prev:
+        dag.add_edge(src, GOAL)
+    return dag
+
+
+def _ladder_store(texts):
+    store = MemoryStore(Config(dim=128, action_verbs=("nonexistentverb",), max_paths=4))
+    v = store.embed("ladder")
+    store.logic[1] = LogicNode(id=1, c="ladder", i_goal=v, i_step=v.copy(), dag=_ladder_dag(3))
+    store.next_logic_id = 2
+    rid = 0
+    for video in ("s1", "s2"):
+        for ti, text in enumerate(texts):
+            rid += 1
+            store.ingest(ObservationRecord(rid, video, float(ti), [Description(text)], [], []))
+    return store
+
+
+def test_distill_beside_a_dag_over_max_paths():
+    # The ladder has 8 START -> GOAL paths, over max_paths = 4, and distill
+    # must not raise PathExplosion beside it. rung0_a -> rung2_b lies on a
+    # ladder path; alpha_one and beta_two are not ladder steps.
+    with pytest.raises(PathExplosion):
+        enumerate_paths(_ladder_dag(3), max_paths=4)
+    store = _ladder_store(["rung0 a", "alpha one", "rung2 b", "beta two"])
+    created = store.distill()
+    assert [store.logic[i].steps for i in created] == [
+        ("rung0_a", "alpha_one", "rung2_b", "beta_two")]
+    assert store.distill() == []
+    assert _ladder_store(["rung0 a", "rung2 b"]).distill() == []
+
+
+def _random_store(rng):
+    # Sources ingested interleaved, so ids and timestamps disagree across
+    # sources; equal timestamps, two-description records and descriptions
+    # with no action too.
+    store = MemoryStore(Config(dim=32, action_verbs=("nonexistentverb",),
+                               sigma_support=rng.choice([0.3, 0.5])))
+    queues = [[(f"v{k}", float(i // 2), a) for i, a in enumerate(actions)]
+              for k, actions in enumerate(random_corpus(rng, max_sequences=5, max_len=6))]
+    rid = 0
+    while any(queues):
+        video, t, action = rng.choice([q for q in queues if q]).pop(0)
+        rid += 1
+        texts = [action] + rng.choice([[], [], [""], ["c"]])
+        store.ingest(ObservationRecord(
+            rid, video, t,
+            [Description(x, {"tool": rng.choice("ab"), rng.choice("pq"): rid},
+                         rng.choice(["success", "failure"])) for x in texts],
+            [], []))
+    return store
+
+
+def test_verifier_sees_every_episodic_node_of_its_steps_in_id_order():
+    rng = random.Random(707)
+    calls = 0
+    for _ in range(60):
+        store = _random_store(rng)
+        seen = []
+
+        def verifier(pattern, related):
+            seen.append((pattern.steps, [e.id for e in related]))
+            return verify_default(pattern, related)
+        store.set_verifier(verifier)
+        # The candidate pool mines a subset; evidence is still store-wide.
+        all_ids = sorted(store.episodic)
+        pooled = rng.sample(all_ids, len(all_ids) // 2) if rng.random() < 0.5 else None
+        created = distill(store, pooled)
+        for steps, ids in seen:
+            expected = [i for i in sorted(store.episodic)
+                        if store.episodic[i].action in set(steps)]
+            assert ids == expected, steps
+        calls += len(seen)
+        for logic_id in created:
+            node = store.logic[logic_id]
+            evidence = [e for e in store.episodic.values() if e.action in node.steps]
+            assert node.episodic_links == {e.id for e in evidence}
+            for step in node.steps:
+                mine = sorted((e for e in evidence if e.action == step), key=lambda e: (e.t, e.id))
+                stats = node.dag.nodes[step]
+                assert stats.attrs == {k: v for e in reversed(mine) for k, v in e.attrs.items()}
+                assert stats.success_alpha == 1 + sum(e.outcome == "success" for e in mine)
+                assert stats.success_beta == 1 + sum(e.outcome != "success" for e in mine)
+        assert store.check() == []
+    assert calls > 100
