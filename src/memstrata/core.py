@@ -8,7 +8,9 @@ feature-hasher, not a neural model; real embedders plug in behind the same
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Protocol
@@ -31,6 +33,15 @@ DEFAULT_ACTION_VERBS = (
     "wash", "stir", "boil", "fry", "bake", "grab", "place", "open",
     "close", "pick", "put", "add", "wipe", "fold", "assemble", "attach",
 )
+
+# The largest embedding dimension a Config accepts. Every text becomes a
+# dense vector of dim floats, 512 KiB at this bound; far larger dims fail
+# only at the first embed, with a numpy error or an allocation of terabytes.
+MAX_DIM = 65536
+
+_QUERY_TYPE_SET = frozenset(QUERY_TYPES)
+_LAYER_SET = frozenset(LAYERS)
+_STR = frozenset((str,))
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -61,6 +72,9 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+# Bounded, so a stream of distinct tokens cannot grow it without limit; a
+# pure function of its argument, so a hit returns what a miss computes.
+@functools.lru_cache(maxsize=1 << 14)
 def fnv1a64(token: str) -> int:
     h = _FNV_OFFSET
     for b in token.encode("utf-8"):
@@ -85,18 +99,27 @@ def embed_default(text: str, d: int) -> np.ndarray:
     return v
 
 
-# Rows the list form of ``cosine`` copies at a time: a whole
-# 5,000-node layer at once raised peak memory by about a tenth.
+# Rows the list form of ``cosine`` copies at a time, and the rows of one
+# ``RowBlock`` chunk: a whole 5,000-node layer at once raised peak memory
+# by about a tenth.
 COSINE_BLOCK = 256
+
+
+def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the cosine of ``a`` (of norm ``na``) with each row of ``rows``
+    into ``out``; a zero row, or a zero ``a``, leaves its entry alone."""
+    den = na * np.sqrt(np.vecdot(rows, rows))
+    np.divide(np.vecdot(rows, a), den, out=out, where=den > 0)
 
 
 def cosine(a: np.ndarray, b):
     """Cosine similarity; defined as 0 when either vector has zero norm.
 
-    A list ``b`` gives an array of one cosine per vector. ``np.vecdot``
-    takes each row's dot product with BLAS, as ``np.dot`` does, so each
-    cosine depends on its vector alone: equal vectors score equal, and on
-    an id-sorted list ``np.argmax`` gives ties to the lowest id.
+    A list ``b``, or a 2-D array ``b`` of rows, gives an array of one cosine
+    per vector. ``np.vecdot`` takes each row's dot product with BLAS, as
+    ``np.dot`` does, so each cosine depends on its vector alone: equal
+    vectors score equal, the two forms agree bit for bit, and on an
+    id-sorted list ``np.argmax`` gives ties to the lowest id.
     """
     if not isinstance(b, np.ndarray):
         out, na = np.zeros(len(b)), float(np.linalg.norm(a))
@@ -107,8 +130,13 @@ def cosine(a: np.ndarray, b):
                 raise DimensionMismatch(f"cosine over shape {a.shape} vs a row of another shape")
             rows = buf[:len(block)]
             rows[...] = block  # twice as fast as np.stack into a new array
-            den = na * np.sqrt(np.vecdot(rows, rows))
-            np.divide(np.vecdot(rows, a), den, out=out[start:start + len(block)], where=den > 0)
+            _row_cosines(a, na, rows, out[start:start + len(block)])
+        return out
+    if b.ndim == 2 and a.ndim == 1:
+        if b.shape[1] != a.shape[0]:
+            raise DimensionMismatch(f"cosine over shape {a.shape} vs rows of shape {b.shape}")
+        out = np.zeros(len(b))
+        _row_cosines(a, float(np.linalg.norm(a)), b, out)
         return out
     if a.shape != b.shape:
         raise DimensionMismatch(f"cosine over shapes {a.shape} vs {b.shape}")
@@ -117,6 +145,53 @@ def cosine(a: np.ndarray, b):
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+class RowBlock:
+    """Float64 rows of one width, each owned by an id, in chunks of
+    ``COSINE_BLOCK`` rows.
+
+    The block grows by whole chunks, so a row never moves: ``append``
+    returns a view of the row, which stays the row for the block's life,
+    and ``chunks()`` hands each filled chunk to the row form of ``cosine``
+    without a copy. ``ids`` and ``rows`` list the owners and the row views
+    in row order. A deep copy copies the rows once and maps each old view
+    to the new one in ``memo``, so owners copied after the block hold
+    views of the copy.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.ids: list = []
+        self.rows: list = []
+        self._chunks: list = []
+
+    def append(self, owner, vector) -> np.ndarray:
+        if np.shape(vector) != (self.width,):  # a row assignment would broadcast it
+            raise DimensionMismatch(f"a row of shape {np.shape(vector)} in rows of width {self.width}")
+        n = len(self.rows)
+        if n % COSINE_BLOCK == 0:
+            # Fresh anonymous pages turn resident only when a row on them is
+            # written, so the unfilled rows of a chunk take no memory; chunks
+            # from np.empty reused heap pages and raised peak RSS by 0.3-1.7 MB.
+            pages = mmap.mmap(-1, COSINE_BLOCK * self.width * 8)
+            self._chunks.append(np.frombuffer(pages).reshape(COSINE_BLOCK, self.width))
+        row = self._chunks[-1][n % COSINE_BLOCK]
+        row[...] = vector
+        self.ids.append(owner)
+        self.rows.append(row)
+        return row
+
+    def chunks(self) -> list:
+        """The filled rows of each chunk, as 2-D views, in row order."""
+        last = len(self.rows) - (len(self._chunks) - 1) * COSINE_BLOCK
+        return self._chunks[:-1] + [self._chunks[-1][:last]] if self._chunks else []
+
+    def __deepcopy__(self, memo) -> "RowBlock":
+        new = memo[id(self)] = RowBlock(self.width)
+        for owner, row in zip(self.ids, self.rows):
+            memo[id(row)] = new.append(owner, row)
+        return new
 
 
 class Embedder(Protocol):
@@ -198,6 +273,8 @@ class Config:
             x = getattr(self, name)
             if not _is_int(x) or x < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {x!r}")
+        if self.dim > MAX_DIM:
+            raise ConfigError(f"dim must be at most {MAX_DIM}, got {self.dim!r}")
         for name in ("alpha", "beta_ema", "sigma_support", "tau_verify", "delta_gate",
                      "theta_retrieve", "tau_pos", "tau_neg", "tau_align", "tau_anchor"):
             x = getattr(self, name)
@@ -209,11 +286,12 @@ class Config:
                 raise ConfigError(f"{name} must lie in [0,1], got {x!r}")
         if not 0.0 < self.sigma_support <= 1.0:
             raise ConfigError(f"sigma_support must lie in (0,1], got {self.sigma_support!r}")
-        if set(self.layer_weights) != set(QUERY_TYPES):
-            raise ConfigError(f"layer_weights must cover exactly {QUERY_TYPES}")
-        for qt, per_layer in self.layer_weights.items():
-            if set(per_layer) != set(LAYERS):
-                raise ConfigError(f"layer_weights[{qt}] must cover exactly {LAYERS}")
+        weights = self.layer_weights
+        if not isinstance(weights, dict) or weights.keys() != _QUERY_TYPE_SET:
+            raise ConfigError(f"layer_weights must map exactly {QUERY_TYPES} to weights")
+        for qt, per_layer in weights.items():
+            if not isinstance(per_layer, dict) or per_layer.keys() != _LAYER_SET:
+                raise ConfigError(f"layer_weights[{qt}] must map exactly {LAYERS} to weights")
             for layer, w in per_layer.items():
                 if not (_is_finite_number(w) and w >= 0.0):
                     raise ConfigError(f"layer_weights[{qt}][{layer}] must be >= 0, got {w!r}")
@@ -221,8 +299,11 @@ class Config:
             raise ConfigError(f"verifier must be 'default' or 'external', got {self.verifier!r}")
         if self.goal_namer not in ("default", "external"):
             raise ConfigError(f"goal_namer must be 'default' or 'external', got {self.goal_namer!r}")
-        if not self.action_verbs or any(not v for v in self.action_verbs):
-            raise ConfigError("action_verbs must be a non-empty list of non-empty verbs")
+        verbs = self.action_verbs
+        if not (type(verbs) is tuple and verbs and _STR.issuperset(map(type, verbs))
+                and all(verbs)):
+            raise ConfigError(f"action_verbs must be a non-empty tuple of non-empty strings, "
+                              f"got {verbs!r}")
 
     def copy(self) -> "Config":
         return replace(

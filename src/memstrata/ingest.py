@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _is_finite_number, _is_int, cosine
+from .core import RowBlock, _is_finite_number, _is_int, cosine
 from .distill import extract_action
 from .errors import (
     DanglingMention,
@@ -27,6 +27,9 @@ _MENTION_RE = re.compile(r"@([\w-]+)")
 
 OUTCOMES = ("success", "failure")
 PERCEPT_KINDS = ("face", "voice")
+# What a percept vector may hold: json gives ints and floats; a bool, a
+# string or a nested value is refused.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 @dataclass
@@ -61,6 +64,10 @@ class ObservationRecord:
 
 @dataclass
 class EntityAnchor:
+    """A recurring person; each centroid is the running mean of the
+    percepts of its kind assigned to it, held as a view of the anchor's row
+    in the store's ``CentroidRows``."""
+
     id: int
     label: str
     centroid_face: np.ndarray | None = None
@@ -156,7 +163,7 @@ def record_from_dict(obj: dict) -> ObservationRecord:
             raise MalformedRecord(f"percept kind must be face|voice, got {kind!r}")
         if not isinstance(hint, str) or not hint:
             raise MalformedRecord("percept hint must be a nonempty string")
-        if not isinstance(vec, list) or not all(type(x) in (int, float) for x in vec):
+        if not isinstance(vec, list) or not _NUMBER_TYPES.issuperset(map(type, vec)):
             raise MalformedRecord("percept vector must be a list of numbers")
         try:
             arr = np.asarray(vec, dtype=np.float64)
@@ -198,34 +205,68 @@ def read_observations(path: str) -> list[ObservationRecord]:
 # -- operations --------------------------------------------------------------
 
 
+class CentroidRows:
+    """The store's anchor centroids: one ``RowBlock`` per percept kind, its
+    rows in anchor id order, so that ``np.argmax`` over a scan gives ties to
+    the lowest id. ``anchor.centroid_<kind>`` is a view of its row.
+
+    ``size`` is the size of ``store.anchors`` the rows hold; when the dict
+    has another size, anchors came in other than through ``resolve_anchor``
+    (a caller inserted some), and ``resolve_anchor`` builds the rows again.
+    """
+
+    def __init__(self, anchors: dict, dim: int):
+        self.blocks = {kind: RowBlock(dim) for kind in PERCEPT_KINDS}
+        self.size = 0
+        for anchor_id in sorted(anchors):
+            self.add(anchors[anchor_id])
+
+    def add(self, anchor: EntityAnchor) -> None:
+        """Copy the anchor's centroids into new rows and point it at them."""
+        for kind, block in self.blocks.items():
+            slot = f"centroid_{kind}"
+            centroid = getattr(anchor, slot)
+            if centroid is not None:
+                setattr(anchor, slot, block.append(anchor.id, centroid))
+        self.size += 1
+
+
 def resolve_anchor(store, percept: Percept) -> int:
     """Assign a percept to the closest same-kind anchor, or create one.
 
     The winning anchor's centroid becomes the running mean of its assigned
-    vectors. A new anchor is seeded whenever the best similarity falls
-    below tau_anchor (or no same-kind centroid exists).
+    vectors, written into its row. A new anchor is seeded whenever the best
+    similarity falls below tau_anchor (or no same-kind centroid exists).
     """
     if percept.vector.shape != (store.config.dim,):
         raise DimensionMismatch(
             f"percept vector has shape {percept.vector.shape}, store dim is {store.config.dim}"
         )
-    centroid, count = f"centroid_{percept.kind}", f"{percept.kind}_count"
-    ids = [i for i in sorted(store.anchors) if getattr(store.anchors[i], centroid) is not None]
-    sims = cosine(percept.vector, [getattr(store.anchors[i], centroid) for i in ids])
-    if ids and sims.max() >= store.config.tau_anchor:
-        best_id = ids[int(np.argmax(sims))]
-        anchor = store.anchors[best_id]
-        k = getattr(anchor, count)
-        setattr(anchor, centroid, (getattr(anchor, centroid) * k + percept.vector) / (k + 1))
-        setattr(anchor, count, k + 1)
-        anchor.count += 1
-        store.percept_count += 1
-        return best_id
+    rows = store.centroid_rows
+    if rows is None or rows.size != len(store.anchors):  # the first percept, or see CentroidRows
+        rows = store.centroid_rows = CentroidRows(store.anchors, store.config.dim)
+    block = rows.blocks[percept.kind]
+    count = f"{percept.kind}_count"
+    if block.ids:
+        sims = np.concatenate([cosine(percept.vector, chunk) for chunk in block.chunks()])
+        best = int(np.argmax(sims))
+        if sims[best] >= store.config.tau_anchor:
+            anchor = store.anchors[block.ids[best]]
+            k = getattr(anchor, count)
+            centroid = block.rows[best]
+            centroid *= k
+            centroid += percept.vector
+            centroid /= k + 1
+            setattr(anchor, count, k + 1)
+            anchor.count += 1
+            store.percept_count += 1
+            return anchor.id
 
     anchor_id = store.next_anchor_id
     store.next_anchor_id += 1
     anchor = EntityAnchor(anchor_id, percept.hint, count=1,
-                          **{centroid: percept.vector.copy(), count: 1})
+                          **{f"centroid_{percept.kind}": percept.vector, count: 1})
+    rows.add(anchor)
     store.anchors[anchor_id] = anchor
     store.percept_count += 1
     return anchor_id

@@ -19,9 +19,17 @@ import numpy as np
 from .core import Config, HashingEmbedder, _is_finite_number, embedder_identity
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
 from .distill import LogicNode, default_goal_name, verify_default
-from .errors import ConfigError, CorruptSnapshot, EmbedderMismatch, SnapshotIoError
+from .errors import (
+    ConfigError,
+    CorruptSnapshot,
+    DimensionMismatch,
+    EmbedderMismatch,
+    SnapshotIoError,
+)
 from .ingest import (
     OUTCOMES,
+    PERCEPT_KINDS,
+    CentroidRows,
     EntityAnchor,
     EpisodicNode,
     ObservationMeta,
@@ -42,10 +50,12 @@ class MemoryStore:
     """
 
     def __init__(self, config: Config | None = None, embedder=None):
-        self.config = (config or Config()).copy()
-        self.config.validate()
+        config = config or Config()
+        config.validate()
+        self.config = config.copy()
         self.embedder = embedder if embedder is not None else HashingEmbedder(self.config.dim)
         self.anchors: dict[int, EntityAnchor] = {}
+        self.centroid_rows: CentroidRows | None = None  # built at the first percept
         self.episodic: dict[int, EpisodicNode] = {}
         self.semantic: dict[int, SemanticNode] = {}
         self.logic: dict[int, LogicNode] = {}
@@ -102,7 +112,11 @@ class MemoryStore:
         return None
 
     def clone(self) -> "MemoryStore":
-        return copy.deepcopy(self)
+        # The rows first: their copy maps each centroid view to its new row,
+        # so the copied anchors hold views of the copied rows, not copies.
+        memo: dict = {}
+        copy.deepcopy(self.centroid_rows, memo)
+        return copy.deepcopy(self, memo)
 
     # -- persistence ----------------------------------------------------------
 
@@ -181,14 +195,25 @@ def check_store(store: MemoryStore) -> list[str]:
         v.append(f"config: {exc}")
 
     dim = store.config.dim
+    rows = {kind: {} for kind in PERCEPT_KINDS}
+    if store.centroid_rows is not None:
+        for kind, block in store.centroid_rows.blocks.items():
+            rows[kind] = dict(zip(block.ids, block.rows))
     for anchor_id, anchor in sorted(store.anchors.items()):
+        if anchor_id >= store.next_anchor_id:
+            v.append(f"anchor {anchor_id}: id beyond counter")
         if anchor.centroid_face is None and anchor.centroid_voice is None:
             v.append(f"anchor {anchor_id}: no centroid")
         for name, c in (("face", anchor.centroid_face), ("voice", anchor.centroid_voice)):
             if c is not None and (c.shape != (dim,) or not np.isfinite(c).all()):
                 v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
+            if c is not None and rows[name].pop(anchor_id, None) is not c:
+                v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
         if anchor.count != anchor.face_count + anchor.voice_count:
             v.append(f"anchor {anchor_id}: count mismatch")
+    for kind, left in rows.items():
+        if left:
+            v.append(f"{kind} centroid rows of anchors without a {kind} centroid: {sorted(left)}")
     if sum(a.count for a in store.anchors.values()) != store.percept_count:
         v.append("anchor counts do not sum to ingested percepts")
 
@@ -435,6 +460,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 voice_count=a["voice_count"],
             )
             store.anchors[anchor.id] = anchor
+        store.centroid_rows = CentroidRows(store.anchors, config.dim)
         for e in data["episodic"]:
             node = EpisodicNode(
                 id=e["id"], t=e["t"], d=e["d"],
@@ -475,7 +501,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         raise
     except ConfigError as exc:
         raise CorruptSnapshot(f"snapshot config invalid: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise CorruptSnapshot(f"snapshot structure invalid: {exc!r}") from None
     if violations:
         raise CorruptSnapshot(violations[0])

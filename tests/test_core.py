@@ -4,10 +4,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from memstrata import Config, ConfigError, DimensionMismatch, cosine, embed_default
+from memstrata import Config, ConfigError, DimensionMismatch, MemoryStore, cosine, embed_default
 from memstrata.core import (
     COSINE_BLOCK,
+    MAX_DIM,
     HashingEmbedder,
+    RowBlock,
     dump_config,
     fnv1a64,
     load_config,
@@ -39,6 +41,46 @@ def test_embed_three_tokens_at_frozen_fnv_indices():
     assert sorted(np.nonzero(v)[0].tolist()) == [65, 148, 227]
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
     assert fnv1a64("cut") == 17706455096944067299
+
+
+def _fnv1a64_reference(token):
+    """FNV-1a, 64-bit, from its definition: xor each UTF-8 byte, multiply."""
+    h = 14695981039346656037
+    for byte in token.encode("utf-8"):
+        h = ((h ^ byte) * 1099511628211) % 2**64
+    return h
+
+
+def _embed_reference(tokens, d):
+    v = np.zeros(d)
+    for tok in tokens:
+        v[_fnv1a64_reference(tok) % d] += 1.0
+    n = float(np.linalg.norm(v))
+    return v / n if n > 0.0 else v
+
+
+def test_embed_matches_a_pure_python_fnv_before_and_after_the_memo_bound():
+    rng = random.Random(3)
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+    def tokens(n):
+        return ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12))) for _ in range(n)]
+
+    def check(texts):
+        for words in texts:
+            assert np.array_equal(embed_default(" ".join(words), 97), _embed_reference(words, 97))
+
+    early = [tokens(rng.randint(0, 5)) for _ in range(300)]
+    check(early)
+    for tok in ("é", "naïve", "日本", "a\x00b", ""):
+        assert fnv1a64(tok) == _fnv1a64_reference(tok)
+    bound = fnv1a64.cache_info().maxsize
+    flood = tokens(bound + 2000)
+    check([flood[i:i + 4] for i in range(0, len(flood), 4)])
+    info = fnv1a64.cache_info()
+    assert info.currsize == bound and info.misses > bound
+    check(early)  # evicted by now, so computed again
+    check([flood[-400:][i:i + 4] for i in range(0, 400, 4)])  # still held
 
 
 def test_tokenize_splits_non_alphanumeric_runs():
@@ -124,6 +166,52 @@ def test_cosine_list_dimension_mismatch():
         cosine(np.ones(3), [np.ones(4)])
 
 
+@pytest.mark.parametrize("n", [0, 1, COSINE_BLOCK - 1, COSINE_BLOCK, COSINE_BLOCK + 1,
+                               2 * COSINE_BLOCK + 1])
+def test_cosine_rows_form_is_the_list_form_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    q = rng.normal(size=24)
+    vectors = [rng.normal(size=24) for _ in range(n)]
+    if n > 2:
+        vectors[n // 2] = np.zeros(24)
+    block = RowBlock(24)
+    views = [block.append(10 * i, v) for i, v in enumerate(vectors)]
+    assert block.ids == [10 * i for i in range(n)] and block.rows == views
+    assert all(np.array_equal(r, v) for r, v in zip(block.rows, vectors))
+    want = cosine(q, vectors).tobytes()
+    chunks = block.chunks()
+    assert len(chunks) == -(-n // COSINE_BLOCK)
+    assert all(np.shares_memory(c, block.rows[k * COSINE_BLOCK]) for k, c in enumerate(chunks))
+    got = np.concatenate([cosine(q, c) for c in chunks]) if chunks else np.zeros(0)
+    assert got.tobytes() == want
+    assert cosine(q, np.array(vectors).reshape(n, 24)).tobytes() == want
+    assert np.array_equal(cosine(np.zeros(24), np.ones((n, 24))), np.zeros(n))
+
+
+def test_row_block_rows_stay_put_and_deep_copy_to_new_rows():
+    import copy
+
+    block = RowBlock(3)
+    first = block.append(1, [1.0, 2.0, 3.0])
+    for i in range(2, 2 * COSINE_BLOCK + 11):
+        block.append(i, np.full(3, float(i)))
+    assert [len(c) for c in block.chunks()] == [COSINE_BLOCK, COSINE_BLOCK, 10]
+    first += 1.0  # a view: the row sees the write, however many chunks came after
+    assert block.chunks()[0][0].tolist() == [2.0, 3.0, 4.0]
+    holder = {"block": block, "first": first}
+    twin = copy.deepcopy(holder)
+    assert twin["first"] is twin["block"].rows[0] and twin["block"].ids == block.ids
+    assert [len(c) for c in twin["block"].chunks()] == [COSINE_BLOCK, COSINE_BLOCK, 10]
+    assert np.array_equal(np.concatenate(twin["block"].chunks()), np.concatenate(block.chunks()))
+    twin["first"][...] = 0.0
+    assert first.tolist() == [2.0, 3.0, 4.0] and twin["block"].chunks()[0][0].tolist() == [0.0] * 3
+
+
+def test_cosine_rows_form_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        cosine(np.ones(3), np.ones((2, 4)))
+
+
 def test_config_defaults_are_paper_values():
     cfg = Config()
     assert cfg.dim == 512
@@ -149,33 +237,53 @@ INT_KNOBS = ("dim", "pool_trigger", "max_path_len", "max_paths")
 FLOAT_KNOBS = ("alpha", "beta_ema", "sigma_support", "tau_verify", "delta_gate",
                "theta_retrieve", "tau_pos", "tau_neg", "tau_align", "tau_anchor")
 # Fields with a range that a huge number falls outside.
-BOUNDED = ("alpha", "beta_ema", "sigma_support")
+BOUNDED = ("alpha", "beta_ema", "sigma_support", "dim")
 HUGE, BIG = 10**400, 2**70  # beyond float range; a finite float
+# Structured fields and values of the wrong structure for each.
+STRUCTURED = {
+    "layer_weights": [None, 5, True, float("nan"), "x", [], {"factual": 5},
+                      {q: 5 for q in ("factual", "constraint", "character")},
+                      {q: {"epi": 1.0, "sem": 1.0} for q in ("factual", "constraint", "character")}],
+    "action_verbs": [5, True, float("nan"), None, "x", "chop", (1, 2), ("chop", 2),
+                     ("chop", ""), (), ["chop"], ("chop", b"mix"), ("chop", None)],
+}
 
 
 def _config_with(name, value):
     cfg = Config()
-    if name.startswith("layer_weights"):
+    if name.startswith("layer_weights."):
         cfg.layer_weights["factual"]["logic"] = value
     else:
         setattr(cfg, name, value)
     return cfg
 
 
-@pytest.mark.parametrize("name", INT_KNOBS + FLOAT_KNOBS + ("layer_weights.factual.logic",))
+@pytest.mark.parametrize("name", INT_KNOBS + FLOAT_KNOBS + ("layer_weights.factual.logic",)
+                         + tuple(STRUCTURED))
 def test_config_refuses_non_numbers_with_config_error(name):
     # Every numeric knob is type-checked before its range: no TypeError
-    # escapes. A huge int is a finite number, so only a range refuses it.
-    for value in ["x", None, HUGE, BIG, True, False, float("nan"), float("inf"),
-                  np.int64(3), np.float32(0.5)]:
-        accepted = (name in INT_KNOBS and (value is HUGE or value is BIG)
-                    or name not in INT_KNOBS + BOUNDED and value is BIG)
+    # escapes. A huge int is a finite number, so only a range refuses it;
+    # dim has an upper bound. A structured field of another structure is
+    # refused the same way, and MemoryStore refuses it before copying it.
+    values = STRUCTURED.get(name, ["x", None, HUGE, BIG, True, False, float("nan"),
+                                   float("inf"), np.int64(3), np.float32(0.5)])
+    for value in values:
+        accepted = (name in INT_KNOBS + FLOAT_KNOBS + ("layer_weights.factual.logic",)
+                    and name not in BOUNDED and (value is BIG or value is HUGE and name in INT_KNOBS))
         cfg = _config_with(name, value)
         if accepted:
             cfg.validate()
         else:
             with pytest.raises(ConfigError, match=name.split(".")[0]):
                 cfg.validate()
+            with pytest.raises(ConfigError, match=name.split(".")[0]):
+                MemoryStore(cfg)
+
+
+def test_config_dim_bound():
+    Config(dim=MAX_DIM).validate()
+    with pytest.raises(ConfigError, match="dim"):
+        Config(dim=MAX_DIM + 1).validate()
 
 
 def test_config_rejects_unknown_keys():

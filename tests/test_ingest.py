@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from memstrata import (
     record_from_dict,
     resolve_anchor,
 )
+from memstrata.core import COSINE_BLOCK
+from memstrata.ingest import EntityAnchor
 from memstrata.store import snapshot_dict
 from conftest import one_hot
 
@@ -83,6 +87,115 @@ def test_anchor_count_conservation():
         v = rng.normal(size=16)
         resolve_anchor(store, Percept(kind, v / np.linalg.norm(v), f"p{i}"))
     assert sum(a.count for a in store.anchors.values()) == n == store.percept_count
+
+
+# -- the centroid rows ----------------------------------------------------------
+
+
+def _percept_records(seed, n, dim=16, people=80):
+    """Records of one description and a noisy face (for some people also a
+    voice) percept each; at tau_anchor 0.95 most people get their own
+    anchor, and repeats update them."""
+    rng = np.random.default_rng(seed)
+    faces, voices = rng.normal(size=(people, dim)), rng.normal(size=(people, dim))
+    records = []
+    for rid in range(1, n + 1):
+        p = int(rng.integers(people))
+        percepts = [Percept("face", faces[p] + 0.02 * rng.normal(size=dim), f"p{p}")]
+        if p % 3 == 0:
+            percepts.append(Percept("voice", voices[p] + 0.02 * rng.normal(size=dim), f"p{p}"))
+        records.append(ObservationRecord(rid, "v", float(rid), [Description(f"@p{p} chop the fruit")],
+                                         [Conclusion("character", f"@p{p} is careful")], percepts))
+    return records
+
+
+def _built(records):
+    store = small_store(tau_anchor=0.95)
+    for rec in records:
+        store.ingest(rec)
+    return store
+
+
+def _snapshot_bytes(store):
+    return json.dumps(snapshot_dict(store), sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_clone_is_independent_of_the_original():
+    records = _percept_records(1, 900, people=400)
+    store = _built(records[:600])
+    assert len(store.centroid_rows.blocks["face"].ids) > COSINE_BLOCK  # more than one chunk
+    before = _snapshot_bytes(store)
+    centroids = {i: (a.centroid_face.copy() if a.centroid_face is not None else None,
+                     a.centroid_voice.copy() if a.centroid_voice is not None else None)
+                 for i, a in store.anchors.items()}
+    twin = store.clone()
+    for rec in records[600:]:
+        twin.ingest(rec)
+    assert twin.check() == [] and store.check() == []
+    assert _snapshot_bytes(store) == before
+    for i, (face, voice) in centroids.items():
+        for kept, now in ((face, store.anchors[i].centroid_face),
+                          (voice, store.anchors[i].centroid_voice)):
+            assert (kept is None and now is None) or np.array_equal(kept, now)
+    # The clone, and the original after it, each go on as an uninterrupted build.
+    straight = _snapshot_bytes(_built(records))
+    assert _snapshot_bytes(twin) == straight
+    for rec in records[600:]:
+        store.ingest(rec)
+    assert _snapshot_bytes(store) == straight
+
+
+def test_resume_from_a_snapshot_equals_an_uninterrupted_build(tmp_path):
+    records = _percept_records(2, 400)
+    _built(records).save(str(tmp_path / "straight.json"))
+    _built(records[:170]).save(str(tmp_path / "part.json"))
+    resumed = MemoryStore.load(str(tmp_path / "part.json"))
+    for rec in records[170:]:
+        resumed.ingest(rec)
+    resumed.save(str(tmp_path / "resumed.json"))
+    digest = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("straight.json", "resumed.json")]
+    assert digest[0] == digest[1]
+
+
+def test_check_reports_a_centroid_that_is_not_its_row():
+    store = _built(_percept_records(3, 60))
+    assert store.check() == []
+    faced = store.centroid_rows.blocks["face"].ids[1]
+    anchor = store.anchors[faced]
+    anchor.centroid_face = anchor.centroid_face.copy()  # equal values, not the row
+    assert store.check() == [f"anchor {faced}: face centroid is not its row of the face rows"]
+
+    store = _built(_percept_records(3, 60))
+    rows = store.centroid_rows.blocks["face"].rows
+    rows[0], rows[1] = rows[1], rows[0]  # each anchor's view sits at the other's row
+    assert store.check() == [f"anchor {i}: face centroid is not its row of the face rows"
+                             for i in store.centroid_rows.blocks["face"].ids[:2]]
+
+    store = _built(_percept_records(3, 60))
+    voiced = store.centroid_rows.blocks["voice"].ids[0]
+    store.anchors[voiced].centroid_voice = None
+    store.anchors[voiced].centroid_face = one_hot(0, 16)
+    assert store.check() == [
+        f"anchor {voiced}: face centroid is not its row of the face rows",
+        f"voice centroid rows of anchors without a voice centroid: [{voiced}]"]
+
+
+def test_anchors_inserted_by_a_caller_join_the_rows_at_the_next_percept():
+    store = small_store()
+    store.anchors[1] = EntityAnchor(1, "jack", centroid_face=one_hot(0, 16), count=1, face_count=1)
+    store.next_anchor_id, store.percept_count = 2, 1
+    assert store.check() == ["anchor 1: face centroid is not its row of the face rows"]
+    assert resolve_anchor(store, Percept("face", one_hot(0, 16), "jack")) == 1
+    assert store.check() == []
+    # once more, now that the rows exist
+    store.anchors[2] = EntityAnchor(2, "tom", centroid_face=one_hot(1, 16), count=1, face_count=1)
+    store.next_anchor_id, store.percept_count = 3, 3
+    assert resolve_anchor(store, Percept("face", one_hot(1, 16), "tom")) == 2
+    assert store.check() == []
+    face = store.centroid_rows.blocks["face"]
+    assert face.ids == [1, 2]
+    assert all(store.anchors[i].centroid_face is row for i, row in zip(face.ids, face.rows))
 
 
 # -- ingest -------------------------------------------------------------------
@@ -266,6 +379,37 @@ def test_record_from_dict_accepts_string_and_object_descriptions():
 def test_record_from_dict_rejects_malformed(obj):
     with pytest.raises(MalformedRecord):
         record_from_dict(obj)
+
+
+def _old_percept_check(vec):
+    """The per-element check the C-level pass replaced."""
+    return all(type(x) in (int, float) for x in vec)
+
+
+@pytest.mark.parametrize("bad", [True, False, "1", None, [1.0], {"x": 1.0}, np.float64(1.0)])
+def test_record_from_dict_refuses_non_number_percept_entries(bad):
+    for at in (0, 4, 8):
+        vec = [0.5, 1, -2.0, 0, 3.25, 7, 0.0, -1, 2.5]
+        vec[at] = bad
+        assert not _old_percept_check(vec)
+        with pytest.raises(MalformedRecord, match="list of numbers"):
+            record_from_dict({"id": 1, "video": "v", "t": 0,
+                              "percepts": [{"kind": "face", "vector": vec, "hint": "h"}]})
+
+
+def test_percept_check_matches_the_per_element_check():
+    rng = random.Random(5)
+    pool = [0, 1, -3, 2**70, 0.5, -0.0, 1e300, True, False, "0", None, [], {}, np.float64(0.5)]
+    for _ in range(400):
+        vec = [rng.choice(pool[:7]) for _ in range(rng.randint(0, 6))]
+        if vec and rng.random() < 0.5:
+            vec[rng.randrange(len(vec))] = rng.choice(pool)
+        obj = {"id": 1, "video": "v", "t": 0, "percepts": [{"kind": "face", "vector": vec, "hint": "h"}]}
+        if _old_percept_check(vec):
+            assert record_from_dict(obj).percepts[0].vector.tolist() == [float(x) for x in vec]
+        else:
+            with pytest.raises(MalformedRecord):
+                record_from_dict(obj)
 
 
 def test_ingest_rejects_bad_api_record_fields_unchanged():

@@ -132,6 +132,20 @@ def test_non_finite_snapshot_vector_rejected(tmp_path, section, field):
         MemoryStore.load(path)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("face", 5), ("face", 1.5), ("face", "nested"), ("face", "short"), ("voice", 0.25)])
+def test_snapshot_centroid_of_another_shape_rejected(tmp_path, field, value):
+    # A centroid is copied into its row: nothing may broadcast into one.
+    path = str(tmp_path / "snap.json")
+    ready_store().save(path)
+    data = json.loads(open(path).read())
+    face = data["anchors"][0]["face"]
+    data["anchors"][0][field] = {"nested": [face], "short": face[:-1]}.get(value, value)
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CorruptSnapshot):
+        MemoryStore.load(path)
+
+
 def _first_edge(data):
     return data["logic"][0]["dag"]["edges"][0]
 
