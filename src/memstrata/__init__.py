@@ -68,13 +68,7 @@ from .ingest import (
     record_from_dict,
     resolve_anchor,
 )
-from .maintain import (
-    UpdateReport,
-    apply_observation,
-    ema_update,
-    match_logic,
-    rebuild_vs_incremental_check,
-)
+from .maintain import UpdateReport, apply_observation, ema_update, match_logic
 from .retrieve import (
     Query,
     RetrievalResult,

@@ -210,7 +210,7 @@ def embedder_identity(embedder) -> dict:
     """``{"name", "dim"}`` naming the text -> vector map a snapshot needs."""
     cls = type(embedder)
     name = getattr(embedder, "name", None) or f"{cls.__module__}.{cls.__qualname__}"
-    return {"name": name, "dim": embedder.dim}
+    return {"name": name, "dim": getattr(embedder, "dim", None)}
 
 
 class HashingEmbedder:

@@ -122,7 +122,11 @@ def fuse(g1: ProceduralDag, g2: ProceduralDag, embedder, tau_align: float = 0.8)
         if violations:
             raise InvalidInput(f"{name} input DAG invalid: {violations[0]}")
 
-    alignment = align_nodes(g1, g2, embedder, tau_align)
+    return _fuse_aligned(g1, g2, align_nodes(g1, g2, embedder, tau_align))
+
+
+def _fuse_aligned(g1: ProceduralDag, g2: ProceduralDag, alignment: Alignment) -> ProceduralDag:
+    """``fuse`` of two valid DAGs under their alignment."""
     mapping2 = {l2: l1 for l1, l2, _ in alignment.pairs}
 
     fused = ProceduralDag()
@@ -193,7 +197,7 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     a, b = store.logic[id_a], store.logic[id_b]
     alignment = align_nodes(a.dag, b.dag, store.embedder, store.config.tau_align)
     before = _total_count(a.dag) + _total_count(b.dag)
-    fused_dag = fuse(a.dag, b.dag, store.embedder, store.config.tau_align)
+    fused_dag = _fuse_aligned(a.dag, b.dag, alignment)  # a store's DAGs are valid
 
     logic_id = store.next_logic_id
     store.next_logic_id += 1

@@ -113,6 +113,13 @@ def parse_mentions(text: str) -> list[str]:
 # -- record parsing ---------------------------------------------------------
 
 
+def _list_field(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise MalformedRecord(f"record {key} must be a list, got {value!r}")
+    return value
+
+
 def record_from_dict(obj: dict) -> ObservationRecord:
     """Build a record from one decoded JSONL object, validating shape."""
     try:
@@ -129,7 +136,7 @@ def record_from_dict(obj: dict) -> ObservationRecord:
         raise MalformedRecord(f"record t must be a finite number, got {t!r}")
 
     descriptions = []
-    for d in obj.get("descriptions", []):
+    for d in _list_field(obj, "descriptions"):
         if isinstance(d, str):
             descriptions.append(Description(d))
         elif isinstance(d, dict) and isinstance(d.get("text"), str):
@@ -144,7 +151,7 @@ def record_from_dict(obj: dict) -> ObservationRecord:
             raise MalformedRecord(f"bad description entry: {d!r}")
 
     conclusions = []
-    for c in obj.get("conclusions", []):
+    for c in _list_field(obj, "conclusions"):
         if isinstance(c, dict) and isinstance(c.get("type"), str) and isinstance(c.get("text"), str):
             conclusions.append(Conclusion(c["type"], c["text"]))
         elif isinstance(c, (list, tuple)) and len(c) == 2:
@@ -153,7 +160,7 @@ def record_from_dict(obj: dict) -> ObservationRecord:
             raise MalformedRecord(f"bad conclusion entry: {c!r}")
 
     percepts = []
-    for p in obj.get("percepts", []):
+    for p in _list_field(obj, "percepts"):
         if not isinstance(p, dict):
             raise MalformedRecord(f"bad percept entry: {p!r}")
         kind = p.get("kind")

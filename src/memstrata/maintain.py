@@ -160,47 +160,3 @@ def apply_observation(store, rec) -> UpdateReport:
         report.pool_size = 0
     return report
 
-
-def rebuild_vs_incremental_check(store, records) -> bool:
-    """Streaming vs batch equality of symbolic statistics.
-
-    Streams the records through apply_observation on one copy of the
-    store, then replays the recorded per-record effects (matched node,
-    action pairs, pool events) onto a second copy with EMA disabled, and
-    compares edge sets, counts, and gammas exactly. EMA'd index vectors
-    are excluded by construction: they are order-dependent by design.
-    """
-    streamed = store.clone()
-    reports = [apply_observation(streamed, rec) for rec in records]
-
-    batch = store.clone()
-    pooled_episodes: set = set()
-    by_id = {rec.id: rec for rec in records}
-    for report in reports:
-        rec = by_id[report.record_id]
-        actions, attr_source = _record_actions(batch, rec)
-        action_labels = [a for a, _ in actions]
-        if report.matched is not None:
-            node = batch.logic[report.matched]
-            replay = UpdateReport(record_id=rec.id)
-            _apply_pairs(node.dag, action_labels, attr_source, replay)
-            meta = batch.observations[rec.id]
-            node.episodic_links.update(meta.episodes)
-            for ep_id in meta.episodes:
-                node.anchors.update(batch.episodic[ep_id].anchors)
-        elif report.pooled:
-            pooled_episodes.update(batch.observations[rec.id].episodes)
-            if report.distilled:
-                distill(batch, episode_ids=pooled_episodes)
-                pooled_episodes.clear()
-
-    if sorted(streamed.logic) != sorted(batch.logic):
-        return False
-    for logic_id in streamed.logic:
-        a = streamed.logic[logic_id].dag
-        b = batch.logic[logic_id].dag
-        edges_a = {(s, d): (e.count, e.gamma) for s, d, e in a.edges()}
-        edges_b = {(s, d): (e.count, e.gamma) for s, d, e in b.edges()}
-        if edges_a != edges_b:
-            return False
-    return True

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .core import Config, HashingEmbedder, _is_finite_number, embedder_identity
+from .core import Config, HashingEmbedder, _is_finite_number, _is_int, embedder_identity
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
 from .distill import LogicNode, default_goal_name, verify_default
 from .errors import (
@@ -53,7 +53,11 @@ class MemoryStore:
         config = config or Config()
         config.validate()
         self.config = config.copy()
-        self.embedder = embedder if embedder is not None else HashingEmbedder(self.config.dim)
+        if embedder is None:
+            embedder = HashingEmbedder(self.config.dim)
+        elif not _is_int(dim := getattr(embedder, "dim", None)) or dim != self.config.dim:
+            raise ConfigError(f"embedder dim {dim!r} is not the config dim {self.config.dim}")
+        self.embedder = embedder
         self.anchors: dict[int, EntityAnchor] = {}
         self.centroid_rows: CentroidRows | None = None  # built at the first percept
         self.episodic: dict[int, EpisodicNode] = {}
@@ -195,6 +199,14 @@ def check_store(store: MemoryStore) -> list[str]:
         v.append(f"config: {exc}")
 
     dim = store.config.dim
+
+    def check_vector(owner: str, x) -> None:
+        # The one rule for every stored vector, whichever code or embedder
+        # made it: a float ndarray of shape (dim,) with only finite entries.
+        if not (isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.shape == (dim,)
+                and np.isfinite(x).all()):
+            v.append(f"{owner} is not {dim} finite floats")
+
     rows = {kind: {} for kind in PERCEPT_KINDS}
     if store.centroid_rows is not None:
         for kind, block in store.centroid_rows.blocks.items():
@@ -205,10 +217,10 @@ def check_store(store: MemoryStore) -> list[str]:
         if anchor.centroid_face is None and anchor.centroid_voice is None:
             v.append(f"anchor {anchor_id}: no centroid")
         for name, c in (("face", anchor.centroid_face), ("voice", anchor.centroid_voice)):
-            if c is not None and (c.shape != (dim,) or not np.isfinite(c).all()):
-                v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
-            if c is not None and rows[name].pop(anchor_id, None) is not c:
-                v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
+            if c is not None:
+                check_vector(f"anchor {anchor_id}: {name} centroid", c)
+                if rows[name].pop(anchor_id, None) is not c:
+                    v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
         if anchor.count != anchor.face_count + anchor.voice_count:
             v.append(f"anchor {anchor_id}: count mismatch")
     for kind, left in rows.items():
@@ -217,6 +229,7 @@ def check_store(store: MemoryStore) -> list[str]:
     if sum(a.count for a in store.anchors.values()) != store.percept_count:
         v.append("anchor counts do not sum to ingested percepts")
 
+    anchor_ids = set(store.anchors)
     for node_id, node in sorted(store.episodic.items()):
         if node_id >= store.next_node_id:
             v.append(f"episodic {node_id}: id beyond counter")
@@ -224,19 +237,18 @@ def check_store(store: MemoryStore) -> list[str]:
             v.append(f"episodic {node_id}: t {node.t!r} is not a finite number")
         if node.outcome not in OUTCOMES:
             v.append(f"episodic {node_id}: bad outcome {node.outcome!r}")
-        if not node.anchors <= set(store.anchors):
+        if not node.anchors <= anchor_ids:
             v.append(f"episodic {node_id}: dangling anchor reference")
-        if not np.array_equal(node.v_e, store.embed(node.d)):
-            v.append(f"episodic {node_id}: v_e is not embed(d)")
+        check_vector(f"episodic {node_id}: v_e", node.v_e)
 
     for node_id, node in sorted(store.semantic.items()):
         if node.weight < 1:
             v.append(f"semantic {node_id}: weight {node.weight} below 1")
-        if not node.anchors <= set(store.anchors):
+        if not node.anchors <= anchor_ids:
             v.append(f"semantic {node_id}: dangling anchor reference")
-        if not np.array_equal(node.v_s, store.embed(node.attrs)):
-            v.append(f"semantic {node_id}: v_s is not embed(attrs)")
+        check_vector(f"semantic {node_id}: v_s", node.v_s)
 
+    episodic_ids = set(store.episodic)
     for logic_id, node in sorted(store.logic.items()):
         scalars = [("score", node.score)]
         for label, dag_node in node.dag.nodes.items():
@@ -253,7 +265,7 @@ def check_store(store: MemoryStore) -> list[str]:
             v.append(f"logic {logic_id}: {violation}")
         if not node.episodic_links:
             v.append(f"logic {logic_id}: no episodic evidence")
-        if not node.episodic_links <= set(store.episodic):
+        if not node.episodic_links <= episodic_ids:
             v.append(f"logic {logic_id}: dangling episodic link")
         else:
             anchor_union = set()
@@ -261,9 +273,8 @@ def check_store(store: MemoryStore) -> list[str]:
                 anchor_union |= store.episodic[ep_id].anchors
             if node.anchors != anchor_union:
                 v.append(f"logic {logic_id}: anchors not the union over evidence")
-        for slot, vec in (("goal", node.i_goal), ("step", node.i_step)):
-            if vec.shape != (dim,) or not np.isfinite(vec).all():
-                v.append(f"logic {logic_id}: i_{slot} is not {dim} finite floats")
+        check_vector(f"logic {logic_id}: i_goal", node.i_goal)
+        check_vector(f"logic {logic_id}: i_step", node.i_step)
         for src in sorted(node.dag.adj):
             outs = node.dag.adj[src]
             if not outs:
@@ -289,8 +300,7 @@ def check_store(store: MemoryStore) -> list[str]:
     for entry in store.pool:
         if entry.observation_id not in store.observations:
             v.append(f"pool entry references unknown observation {entry.observation_id}")
-        if entry.vector.shape != (dim,) or not np.isfinite(entry.vector).all():
-            v.append(f"pool entry {entry.observation_id}: vector is not {dim} finite floats")
+        check_vector(f"pool entry {entry.observation_id}: vector", entry.vector)
     return v
 
 
@@ -439,12 +449,16 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                               if isinstance(data, dict) else "snapshot is not an object")
     try:
         config = Config.from_dict(data["config"])
-        store = MemoryStore(config, embedder)
-        if version != 1 and data["embedder"] != embedder_identity(store.embedder):
+        if embedder is None:
+            embedder = HashingEmbedder(config.dim)
+        # The identity first: a store of another embedder is refused as
+        # such, before MemoryStore refuses the embedder's dim.
+        if version != 1 and data["embedder"] != embedder_identity(embedder):
             raise EmbedderMismatch(
                 f"snapshot was written with embedder {data['embedder']!r}, not with the "
-                f"loading embedder {embedder_identity(store.embedder)!r}; pass the "
+                f"loading embedder {embedder_identity(embedder)!r}; pass the "
                 "store's embedder to load()")
+        store = MemoryStore(config, embedder)
         store.next_node_id = data["counters"]["node"]
         store.next_anchor_id = data["counters"]["anchor"]
         store.next_logic_id = data["counters"]["logic"]

@@ -25,7 +25,6 @@ from memstrata import (
     fuse,
     pool_beta,
     prefixspan,
-    rebuild_vs_incremental_check,
     retrieve,
     make_query,
     score_logic,
@@ -41,6 +40,7 @@ from memstrata.symbolic import (
     query_step_sequence,
 )
 from conftest import fruit_salad_store, jsonl_lines, one_hot, random_corpus
+from maintain_model import apply_against_model
 from test_distill import brute_force_patterns
 from test_symbolic import brute_force_paths, random_constraint, random_dag, wrap_in_store
 
@@ -323,9 +323,13 @@ MAINT_LINES = [
 
 
 def test_criterion_7_incremental_equals_batch():
+    # apply_observation against a plain-dict reference model
+    # (tests/maintain_model.py) that shares no code with memstrata.maintain.
     start = time.monotonic()
     rng = random.Random(77)
-    for trial in range(50):
+    seen = dict.fromkeys(("matched", "incremented", "expanded_edges", "start_repairs",
+                          "goal_repairs", "rejected", "failures", "pool_fired"), 0)
+    for _ in range(200):
         store = fruit_salad_store()
         store.distill()
         store.config.pool_trigger = rng.choice([2, 3, 1000])
@@ -336,14 +340,26 @@ def test_criterion_7_incremental_equals_batch():
             lines = [rng.choice(MAINT_LINES) for _ in range(rng.randint(1, 4))]
             if rng.random() < 0.3:
                 lines = ["mix the fruit", "chop the fruit"] + lines  # cycle bait
-            rec = ObservationRecord(rid, f"m{rid}", 0.0,
-                                    [Description(t) for t in lines], [], [])
+            rec = ObservationRecord(rid, f"m{rid}", 0.0, [
+                Description(t, outcome="failure" if rng.random() < 0.3 else "success")
+                for t in lines], [], [])
             store.ingest(rec)
             records.append(rec)
-        assert rebuild_vs_incremental_check(store, records) is True
+        mismatches, reports = apply_against_model(store, records)
+        assert mismatches == []
+        for rec, report in zip(records, reports):  # what the sequences exercised
+            seen["matched"] += report.matched is not None
+            seen["pool_fired"] += report.pooled and report.pool_size == 0
+            seen["failures"] += report.matched is not None and any(
+                d.outcome == "failure" for d in rec.descriptions)
+            seen["start_repairs"] += sum(src == START for src, _ in report.repaired_edges)
+            seen["goal_repairs"] += sum(dst == GOAL for _, dst in report.repaired_edges)
+            for key in ("incremented", "expanded_edges", "rejected"):
+                seen[key] += len(getattr(report, key))
+    assert all(seen.values()), seen
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
-    _report(7, f"(50 record sequences incl. cycle rejections, {elapsed:.1f}s)")
+    _report(7, f"(200 record sequences against a reference model, {seen}, {elapsed:.1f}s)")
 
 
 # -- criterion 8: retrieval ranking contract -----------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -262,6 +263,28 @@ def test_fuse_logic_nodes_replaces_pair():
     }
     assert node.episodic_links  # union of both evidence sets
     assert store.check() == []
+
+
+def test_fuse_logic_nodes_aligns_once_and_builds_fuse_result(monkeypatch):
+    fuse_module = importlib.import_module("memstrata.fuse")  # not the function
+    store = two_procedure_store()
+    a, b = store.logic[1].dag.copy(), store.logic[2].dag.copy()
+    expected = fuse(a, b, store.embedder, store.config.tau_align)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return align_nodes(*args)
+    monkeypatch.setattr(fuse_module, "align_nodes", counted)
+    report = fuse_logic_nodes(store, 1, 2)
+    assert len(calls) == 1
+    fused = store.logic[report.new_id].dag
+    assert {(s, d): (e.count, e.gamma) for s, d, e in fused.edges()} == \
+        {(s, d): (e.count, e.gamma) for s, d, e in expected.edges()}
+    assert {label: (n.attrs, n.success_alpha, n.success_beta)
+            for label, n in fused.nodes.items()} == \
+        {label: (n.attrs, n.success_alpha, n.success_beta)
+         for label, n in expected.nodes.items()}
 
 
 def test_auto_fuse_uses_goal_similarity_trigger():

@@ -381,6 +381,66 @@ def test_record_from_dict_rejects_malformed(obj):
         record_from_dict(obj)
 
 
+@pytest.mark.parametrize("key", ["descriptions", "conclusions", "percepts"])
+@pytest.mark.parametrize("value", [5, None, "chop", {"text": "chop"}, True, 1.5])
+def test_record_from_dict_refuses_record_containers_that_are_not_lists(key, value):
+    with pytest.raises(MalformedRecord, match=f"{key} must be a list"):
+        record_from_dict({"id": 1, "video": "v", "t": 0, key: value})
+
+
+FULL_RECORD = {
+    "id": 7, "video": "v", "t": 1.5,
+    "descriptions": ["@jack chop the fruit",
+                     {"text": "@jack mix the fruit", "attrs": {"tool": "bowl", "n": 2},
+                      "outcome": "failure"}],
+    "conclusions": [{"type": "character", "text": "@jack is careful"},
+                    ["knowledge", "bowls are downstairs"]],
+    "percepts": [{"kind": "face", "hint": "jack", "vector": [1.0, 0, 0, 0]}],
+}
+
+
+def _all_paths(value, path=()):
+    """Paths to every value in ``value``, containers included."""
+    if path:
+        yield path
+    if isinstance(value, (dict, list)):
+        for key in (sorted(value) if isinstance(value, dict) else range(len(value))):
+            yield from _all_paths(value[key], path + (key,))
+
+
+def test_record_mutation_sweep_raises_only_typed_errors():
+    # Every value of a full record, leaf or container, replaced in turn:
+    # parsing and then ingesting either succeed with a clean store or raise
+    # a MemoryEngineError that leaves the store as it was.
+    from memstrata import MemoryEngineError
+
+    base = small_store(dim=4)
+    base.ingest(ObservationRecord(1, "v", 0.0, [Description("@ana wash the bowl")], [],
+                                  [Percept("voice", one_hot(1, 4), "ana")]))
+    before = json.dumps(snapshot_dict(base), sort_keys=True)
+    escaped = []
+    for where in _all_paths(FULL_RECORD):
+        for value in ("x", None, [], {}, -1, 2**70, 1.5, True):
+            obj = json.loads(json.dumps(FULL_RECORD))
+            entry = obj
+            for key in where[:-1]:
+                entry = entry[key]
+            entry[where[-1]] = value
+            store = base.clone()
+            try:
+                store.ingest(record_from_dict(obj))
+            except MemoryEngineError:
+                if json.dumps(snapshot_dict(store), sort_keys=True) != before:
+                    escaped.append((where, value, "store changed"))
+                continue
+            except Exception as exc:
+                escaped.append((where, value, repr(exc)))
+                continue
+            if store.check():
+                escaped.append((where, value, store.check()[0]))
+    assert escaped == []
+
+
 def _old_percept_check(vec):
     """The per-element check the C-level pass replaced."""
     return all(type(x) in (int, float) for x in vec)

@@ -12,9 +12,9 @@ from memstrata import (
     check_valid,
     ema_update,
     match_logic,
-    rebuild_vs_incremental_check,
 )
 from conftest import fruit_salad_store
+from maintain_model import apply_against_model
 
 MAINT_VERBS = ("chop", "mix", "serve", "wash", "blend")
 
@@ -260,12 +260,12 @@ def test_pool_trigger_runs_distillation():
     assert new_node.steps == ("grab_towel", "wash_window")
 
 
-def test_rebuild_matches_incremental_empty():
+def test_reference_model_matches_apply_empty():
     store = maintained_store()
-    assert rebuild_vs_incremental_check(store, []) is True
+    assert apply_against_model(store, []) == ([], [])
 
 
-def test_rebuild_matches_incremental_with_expansion_and_rejection():
+def test_reference_model_matches_apply_with_expansion_and_rejection():
     store = maintained_store()
     records = []
     specs = [
@@ -279,4 +279,7 @@ def test_rebuild_matches_incremental_with_expansion_and_rejection():
         rec = record(400 + i, video, float(i), texts)
         store.ingest(rec)
         records.append(rec)
-    assert rebuild_vs_incremental_check(store, records) is True
+    mismatches, reports = apply_against_model(store, records)
+    assert mismatches == []
+    assert reports[2].rejected == [("mix_fruit", "chop_fruit")]
+    assert reports[3].pooled and reports[4].expanded_edges

@@ -9,6 +9,7 @@ import pytest
 from memstrata import (
     Conclusion,
     Config,
+    ConfigError,
     CorruptSnapshot,
     Description,
     EmbedderMismatch,
@@ -307,6 +308,95 @@ def test_custom_embedder_store_refused_without_its_embedder(tmp_path):
     message = str(err.value)
     assert "test_store_cli.WordLengthEmbedder" in message
     assert HashingEmbedder.name in message
+
+
+class CountingEmbedder(HashingEmbedder):
+    """The default embedding, under its own name, counting its calls."""
+
+    name = "counting-hash"
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return super().embed(text)
+
+
+def test_load_embeds_each_text_once(tmp_path):
+    path = str(tmp_path / "snap.json")
+    store = fruit_salad_store(dim=64)
+    store.distill()
+    store.embedder = CountingEmbedder(64)
+    store.save(path)
+    embedder = CountingEmbedder(64)
+    loaded = MemoryStore.load(path, embedder=embedder)
+    assert embedder.calls == len(loaded.episodic) + len(loaded.semantic) > 0
+
+
+def test_load_with_an_embedder_of_another_dim_is_a_mismatch(tmp_path):
+    path = str(tmp_path / "snap.json")
+    _custom_store().save(path)
+    for embedder in (WordLengthEmbedder(8), HashingEmbedder(8), object()):
+        with pytest.raises(EmbedderMismatch):
+            MemoryStore.load(path, embedder=embedder)
+
+
+@pytest.mark.parametrize("dim", [None, 8, 16.0, "16", True])
+def test_store_refuses_an_embedder_of_another_dim(dim):
+    embedder = WordLengthEmbedder(16)
+    if dim is None:
+        del embedder.dim
+    else:
+        embedder.dim = dim
+    with pytest.raises(ConfigError, match="embedder dim"):
+        MemoryStore(Config(dim=16), embedder=embedder)
+
+
+class FixedOutputEmbedder:
+    """Declares the store's dim, then returns ``output`` for every text."""
+
+    def __init__(self, dim, output):
+        self.dim = dim
+        self.output = output
+
+    def embed(self, text):
+        return self.output
+
+
+@pytest.mark.parametrize("output", [np.ones(3) / np.sqrt(3), np.full(8, np.nan)],
+                         ids=["3-vector", "nan"])
+def test_check_reports_a_bad_embedder_after_ingest_and_retrieve(output):
+    store = MemoryStore(Config(dim=8, action_verbs=("chop", "mix")),
+                        embedder=FixedOutputEmbedder(8, output))
+    for rid, video in enumerate(("v1", "v2"), start=1):
+        store.ingest(ObservationRecord(
+            rid, video, 0.0, [Description("chop the fruit"), Description("mix the fruit")],
+            [Conclusion("knowledge", "fruit is sweet")], []))
+    store.distill()
+    store.retrieve("chop the fruit")
+    violations = store.check()
+    assert any("v_e is not 8 finite floats" in x for x in violations)
+    assert any("v_s is not 8 finite floats" in x for x in violations)
+
+
+@pytest.mark.parametrize("output", [
+    None, "text", 1.0, [0.0] * 8, np.zeros(8, dtype=np.int64), np.zeros(8, dtype=complex),
+    np.zeros(8, dtype=object), np.zeros((8, 1)), np.zeros((1, 8)), np.full(8, np.inf),
+    np.float64(0.5), np.zeros(0)])
+def test_check_reports_any_embedder_output_that_is_not_a_vector(output):
+    store = MemoryStore(Config(dim=8), embedder=FixedOutputEmbedder(8, output))
+    store.ingest(ObservationRecord(1, "v1", 0.0, [Description("chop the fruit")], [], []))
+    assert store.check() == ["episodic 1: v_e is not 8 finite floats"]
+
+
+def test_check_accepts_any_finite_float_vector():
+    # The rule is shape, dtype kind and finiteness: no norm, no sparsity.
+    for output in (np.zeros(8), np.full(8, 1e300), np.arange(8, dtype=np.float32)):
+        store = MemoryStore(Config(dim=8), embedder=FixedOutputEmbedder(8, output))
+        store.ingest(ObservationRecord(1, "v1", 0.0, [Description("chop the fruit")], [], []))
+        assert store.check() == []
 
 
 def test_v2_snapshot_names_embedder_and_stores_no_text_vectors(tmp_path):
