@@ -13,6 +13,7 @@ from memstrata import (
     Description,
     MemoryStore,
     ObservationRecord,
+    closed_patterns,
     extract_action_sequences,
     prefixspan,
     success_rate,
@@ -47,9 +48,15 @@ for seq in extract_action_sequences(store):
 # ---------------------------------------------------------------
 # 2. Step 2: sequential pattern mining (order matters)
 # ---------------------------------------------------------------
-print("\nmined patterns (support >= 0.3):")
+print("\nfrequent subsequences (support >= 0.3):")
 for p in prefixspan(extract_action_sequences(store), 0.3):
     print(f"  {list(p.steps)} support={p.support:.3f} from {p.supporting_videos}")
+
+# Distill offers the verifier only the closed ones: no longer pattern with
+# distinct steps contains them at the same support.
+print("closed patterns, the verifier's candidates:")
+for p in closed_patterns(extract_action_sequences(store), 0.3):
+    print(f"  {list(p.steps)} support={p.support:.3f}")
 
 # ---------------------------------------------------------------
 # 3. Steps 3-5: verify, build the DAG, compute index vectors

@@ -24,6 +24,7 @@ from .distill import (
     ActionSequence,
     LogicNode,
     Pattern,
+    closed_patterns,
     distill,
     extract_action,
     extract_action_sequences,

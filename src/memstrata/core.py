@@ -384,6 +384,8 @@ def load_config(path: str) -> Config:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
 
     field_types = {f.name: f.type for f in fields(Config)}
     data: dict = {}

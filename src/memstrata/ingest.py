@@ -9,6 +9,7 @@ percept in the same record or to an anchor that already exists.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -113,6 +114,22 @@ def parse_mentions(text: str) -> list[str]:
 # -- record parsing ---------------------------------------------------------
 
 
+def _has_non_finite(value) -> bool:
+    """Whether a float json cannot write (NaN, +-Infinity) lies anywhere in
+    ``value``, through nested dicts, lists and tuples (each visited once,
+    so an API value that contains itself ends the walk)."""
+    stack, seen = [value], set()
+    while stack:
+        value = stack.pop()
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                return True
+        elif isinstance(value, (dict, list, tuple)) and id(value) not in seen:
+            seen.add(id(value))
+            stack.extend(value.values() if isinstance(value, dict) else value)
+    return False
+
+
 def _list_field(obj: dict, key: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
@@ -154,8 +171,8 @@ def record_from_dict(obj: dict) -> ObservationRecord:
     for c in _list_field(obj, "conclusions"):
         if isinstance(c, dict) and isinstance(c.get("type"), str) and isinstance(c.get("text"), str):
             conclusions.append(Conclusion(c["type"], c["text"]))
-        elif isinstance(c, (list, tuple)) and len(c) == 2:
-            conclusions.append(Conclusion(str(c[0]), str(c[1])))
+        elif isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(x, str) for x in c):
+            conclusions.append(Conclusion(c[0], c[1]))
         else:
             raise MalformedRecord(f"bad conclusion entry: {c!r}")
 
@@ -206,7 +223,10 @@ def read_observation_lines(lines) -> list[ObservationRecord]:
 
 def read_observations(path: str) -> list[ObservationRecord]:
     with open(path, "r", encoding="utf-8") as fh:
-        return read_observation_lines(fh)
+        try:
+            return read_observation_lines(fh)
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"{path} is not UTF-8: {exc}") from None
 
 
 # -- operations --------------------------------------------------------------
@@ -336,6 +356,8 @@ def ingest_observation(store, rec: ObservationRecord):
     for desc in rec.descriptions:
         if desc.outcome not in OUTCOMES:
             raise MalformedRecord(f"bad outcome {desc.outcome!r}")
+        if _has_non_finite(desc.attrs):
+            raise MalformedRecord(f"attrs of {desc.text!r} hold a non-finite number")
     for p in rec.percepts:
         if p.vector.shape != (store.config.dim,):
             raise DimensionMismatch(

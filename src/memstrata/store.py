@@ -157,6 +157,8 @@ class MemoryStore:
                 text = fh.read()
         except OSError as exc:
             raise SnapshotIoError(f"cannot read snapshot {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CorruptSnapshot(f"snapshot {path} is not UTF-8: {exc}") from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

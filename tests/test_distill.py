@@ -25,9 +25,10 @@ from memstrata import (
     verify_default,
 )
 from memstrata.dag import GOAL, START
-from memstrata.distill import _covered_by_existing, distill
+from memstrata.distill import _covered_by_existing, closed_patterns, distill
 from memstrata.store import snapshot_dict
 from conftest import fruit_salad_store, random_corpus, simple_chain_store
+from distill_model import every_distinct_step_pattern, reference_distill
 from test_symbolic import brute_force_paths, random_dag
 
 VERBS = ("chop", "mix", "serve")
@@ -180,6 +181,102 @@ def test_prefixspan_support_antimonotone():
                         assert mined[sub] >= support - 1e-12
 
 
+# -- closed patterns -------------------------------------------------------------
+
+
+def _is_subsequence(small, big) -> bool:
+    it = iter(big)
+    return all(step in it for step in small)
+
+
+def closed_by_filter(sequences, sigma):
+    """prefixspan's patterns with distinct steps and no distinct-step proper
+    super-pattern of equal support, in prefixspan's order."""
+    mined = every_distinct_step_pattern(sequences, sigma)
+    return [p for p in mined
+            if not any(q.support == p.support and len(q.steps) > len(p.steps)
+                       and _is_subsequence(p.steps, q.steps) for q in mined)]
+
+
+def test_closed_patterns_match_filtered_prefixspan_on_repeat_heavy_corpora():
+    # Alphabets of 2-6 letters, so that most corpora repeat actions within a
+    # sequence; order and supporting videos included.
+    rng = random.Random(4004)
+    with_repeats = 0
+    for _ in range(2000):
+        corpus = random_corpus(rng, max_sequences=7, max_len=rng.randint(2, 8),
+                               alphabet=rng.randint(2, 6))
+        sigma = rng.choice([0.2, 0.3, 0.5, 0.75, 1.0])
+        sequences = [ActionSequence(f"v{i}", s) for i, s in enumerate(corpus)]
+        assert closed_patterns(sequences, sigma) == closed_by_filter(sequences, sigma), corpus
+        with_repeats += any(len(set(s)) < len(s) for s in corpus)
+    assert with_repeats > 1000
+
+
+def test_closed_patterns_ignore_super_patterns_with_a_repeated_action():
+    # a -> b -> a holds both a -> b and b -> a at equal support, but it
+    # repeats an action, so both stay closed and both become nodes.
+    sequences = seqs(["a", "b", "a"], ["a", "b", "a"])
+    assert [p.steps for p in closed_patterns(sequences, 1.0)] == [("a", "b"), ("b", "a")]
+    store = simple_chain_store(actions=("alpha_one", "beta_two", "alpha_one"))
+    assert [store.logic[i].steps for i in store.distill()] == [
+        ("alpha_one", "beta_two"), ("beta_two", "alpha_one")]
+
+
+def test_verifier_is_offered_only_closed_patterns():
+    # Fruit salad's fragments have the full procedure's support, so the
+    # verifier never sees them.
+    store = fruit_salad_store()
+    calls = []
+    store.set_verifier(lambda pattern, related: calls.append(pattern.steps) or pattern.support)
+    store.distill()
+    assert calls == [("chop_fruit", "mix_fruit", "serve_salad")]
+
+
+def _repeat_heavy_records(rng):
+    # Up to six sources over a 2-6-letter alphabet, ingested interleaved.
+    corpus = random_corpus(rng, max_sequences=6, max_len=7, alphabet=rng.randint(2, 6))
+    queues = [[(f"v{k}", float(i), action) for i, action in enumerate(actions)]
+              for k, actions in enumerate(corpus)]
+    records = []
+    while any(queues):
+        video, t, action = rng.choice([q for q in queues if q]).pop(0)
+        records.append(ObservationRecord(
+            len(records) + 1, video, t,
+            [Description(action, {"tool": rng.choice("ab")}, rng.choice(["success", "failure"]))],
+            [], []))
+    return records
+
+
+def test_distill_matches_the_prefixspan_reference_on_random_stores():
+    # Each store is distilled two or three times, on pool subsets and on
+    # the whole store, with records ingested in between; the closed miner
+    # and the old candidate loop must create the same ids at every call and
+    # leave byte-identical snapshots.
+    rng = random.Random(5005)
+    created = 0
+    for _ in range(2000):
+        records = _repeat_heavy_records(rng)
+        config = Config(dim=16, action_verbs=("nonexistentverb",),
+                        sigma_support=rng.choice([0.2, 0.3, 0.5, 0.75]))
+        stores = [MemoryStore(config), MemoryStore(config)]
+        cuts = sorted(rng.sample(range(1, len(records) + 1), min(2, len(records)))) + [len(records)]
+        done = 0
+        for cut in cuts:
+            for store in stores:
+                for rec in records[done:cut]:
+                    store.ingest(rec)
+            done = cut
+            ids = sorted(stores[0].episodic)
+            pooled = rng.sample(ids, rng.randint(1, len(ids))) if rng.random() < 0.5 else None
+            new = distill(stores[0], pooled)
+            assert new == reference_distill(stores[1], pooled)
+            created += len(new)
+        assert json.dumps(snapshot_dict(stores[0]), sort_keys=True) == \
+            json.dumps(snapshot_dict(stores[1]), sort_keys=True)
+    assert created > 1000
+
+
 # -- verification ---------------------------------------------------------------
 
 
@@ -283,19 +380,22 @@ def test_distill_custom_goal_namer():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "0.9", None, True])
 def test_distill_refuses_bad_verifier_score_unchanged(bad):
-    # fruit salad mines the full procedure first, then its fragments; the
-    # bad score on the last candidate must stop the node for the first.
+    # A fourth source that stops after mixing: the fragment chop -> mix has
+    # support 4/5 and is offered before the full procedure (3/5); the bad
+    # score on that last candidate must stop the node for the first.
     store = fruit_salad_store()
+    for rid, (t, text) in enumerate([(0.0, "chop the fruit"), (1.0, "mix the fruit")], start=100):
+        store.ingest(ObservationRecord(rid, "v4", t, [Description(text)], [], []))
     calls = []
 
     def verifier(pattern, related):
         calls.append(pattern.steps)
-        return bad if len(pattern.steps) == 2 else pattern.support
+        return bad if len(pattern.steps) == 3 else pattern.support
     store.set_verifier(verifier)
     before = json.dumps(snapshot_dict(store), sort_keys=True)
     with pytest.raises(InvalidInput, match="finite real number"):
         store.distill()
-    assert len(calls[0]) == 3 and len(calls[-1]) == 2
+    assert calls == [("chop_fruit", "mix_fruit"), ("chop_fruit", "mix_fruit", "serve_salad")]
     assert store.logic == {} and store.next_logic_id == 1
     assert json.dumps(snapshot_dict(store), sort_keys=True) == before
 
@@ -310,11 +410,6 @@ def test_distill_verifier_numpy_score_stored_as_float(tmp_path):
 
 
 # -- cover check and verification evidence ----------------------------------------
-
-
-def _is_subsequence(small, big) -> bool:
-    it = iter(big)
-    return all(step in it for step in small)
 
 
 def test_covered_by_existing_matches_path_enumeration_oracle():
@@ -407,7 +502,7 @@ def _random_store(rng):
 def test_verifier_sees_every_episodic_node_of_its_steps_in_id_order():
     rng = random.Random(707)
     calls = 0
-    for _ in range(60):
+    for _ in range(150):
         store = _random_store(rng)
         seen = []
 

@@ -375,6 +375,8 @@ def test_record_from_dict_accepts_string_and_object_descriptions():
      "percepts": [{"kind": "face", "vector": [10 ** 400, 0.0], "hint": "h"}]},
     {"id": 1, "video": "v", "t": 0,
      "percepts": [{"kind": "face", "vector": [True, 0.0], "hint": "h"}]},
+    {"id": 1, "video": "v", "t": 0, "conclusions": [[5, None]]},
+    {"id": 1, "video": "v", "t": 0, "conclusions": [["knowledge", 5]]},
 ])
 def test_record_from_dict_rejects_malformed(obj):
     with pytest.raises(MalformedRecord):
@@ -482,7 +484,11 @@ def test_ingest_rejects_bad_api_record_fields_unchanged():
     jsonl = read_observation_lines(['{"version": 1}'] + [
         '{"id": 2, "video": "v", "t": 2, "descriptions": ["@jack mix"], '
         '"percepts": [{"kind": "face", "vector": [%s, 0, 0, 0], "hint": "jack"}]}' % x
-        for x in ("NaN", "-Infinity")])
+        for x in ("NaN", "-Infinity")] + [
+        '{"id": 2, "video": "v", "t": 2, "descriptions": '
+        '[{"text": "mix", "attrs": %s}]}' % attrs
+        for attrs in ('{"k": NaN}', '{"k": Infinity}', '{"k": [1, [2, -Infinity]]}',
+                      '{"k": "x", "m": {"n": [{"o": NaN}]}}')])
     for rec in jsonl + [
         ObservationRecord(2, "v", 2.0, [Description("@jack mix")], [],
                           [Percept("face", nan_face, "jack")]),

@@ -14,10 +14,13 @@ from memstrata import (
     Description,
     EmbedderMismatch,
     HashingEmbedder,
+    MalformedRecord,
     MemoryEngineError,
     MemoryStore,
     ObservationRecord,
     SnapshotIoError,
+    load_config,
+    read_observations,
 )
 from memstrata.cli import run_cli
 from memstrata.core import dump_config
@@ -638,6 +641,33 @@ def test_cli_exit_codes(tmp_path, obs_file, capsys):
     run_cli(["--store", store_dir, "ingest", obs_file])
     capsys.readouterr()
     assert run_cli(["--store", store_dir, "ingest", obs_file]) == 2
+
+
+@pytest.mark.parametrize("input_file", ["config", "observations", "snapshot"])
+def test_non_utf8_input_is_a_typed_error(tmp_path, obs_file, capsys, input_file):
+    # A Latin-1 byte in each file the engine reads: the loader raises its
+    # typed error and the CLI reports it without a traceback.
+    store_dir = tmp_path / "store"
+    if input_file == "config":
+        path = tmp_path / "engine.conf"
+        path.write_bytes(b"version = 1\n# caf\xe9\n")
+        args, error, load = ["--config", str(path), "stats"], ConfigError, load_config
+    elif input_file == "observations":
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"version": 1}\n{"id": 1, "video": "caf\xe9", "t": 0.0}\n')
+        args, error, load = ["ingest", str(path)], MalformedRecord, read_observations
+    else:
+        assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
+        path = store_dir / "snapshot.json"
+        path.write_bytes(path.read_bytes().replace(b"fruit", b"fr\xfcit"))
+        args, error, load = ["stats"], CorruptSnapshot, MemoryStore.load
+    with pytest.raises(error, match="not UTF-8"):
+        load(str(path))
+    capsys.readouterr()
+    assert run_cli(["--store", str(store_dir)] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_lock_blocks_writers(tmp_path, obs_file, capsys):
