@@ -8,7 +8,9 @@ error, 2 data error. Every output block starts with a format version line.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import os
+import socket
 import sys
 
 from .core import Config, load_config
@@ -123,21 +125,72 @@ def _save_store(store: MemoryStore, args) -> None:
 
 
 class _WriterLock:
+    """An ``O_EXCL`` lock file that names its writer as ``pid host``.
+
+    A lock left by a writer that is provably gone -- on this host, and
+    ``os.kill(pid, 0)`` finds no such process -- is broken; an empty,
+    foreign or live lock raises ``StoreLocked``. A writer breaks a lock only
+    while it holds an ``flock`` on it, so that of two writers that find the
+    same dead lock only one breaks it.
+    """
+
     def __init__(self, store_dir: str):
         self.path = os.path.join(store_dir, LOCK_NAME)
+
+    def _create(self) -> int:
+        try:
+            return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise StoreLocked(f"store is locked by another writer: {self.path}") from None
 
     def __enter__(self):
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreLocked(f"store is locked by another writer: {self.path}") from None
+            self.fd = self._create()
+        except StoreLocked:
+            if not self._break_dead_lock():
+                raise
+            self.fd = self._create()
+        os.write(self.fd, f"{os.getpid()} {socket.gethostname()}".encode())
         return self
+
+    def _break_dead_lock(self) -> bool:
+        """Remove the lock if its writer is provably gone; True if removed."""
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+        except OSError:
+            return False  # unreadable, or released meanwhile
+        try:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                same_file = os.path.samestat(os.fstat(fd), os.stat(self.path))
+            except (BlockingIOError, FileNotFoundError):
+                return False  # another writer is breaking it, or it is gone
+            if not (same_file and _owner_is_gone(os.read(fd, 1024))):
+                return False
+            os.unlink(self.path)
+            return True
+        finally:
+            os.close(fd)
 
     def __exit__(self, *exc):
         os.close(self.fd)
         os.unlink(self.path)
         return False
+
+
+def _owner_is_gone(owner: bytes) -> bool:
+    """True when ``owner`` names a process of this host that no longer exists."""
+    pid, _, host = owner.decode("utf-8", "replace").partition(" ")
+    if not (pid.isascii() and pid.isdigit() and host == socket.gethostname()):
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):  # another user's process; not a pid
+        pass
+    return False
 
 
 def _fmt(x: float) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import cosine
 from .dag import GOAL, START, ProceduralDag, check_valid
@@ -28,34 +27,119 @@ class Alignment:
     unmatched2: list = field(default_factory=list)
 
 
-def _optimal_total(sim: np.ndarray) -> float:
-    if sim.size == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(-sim)
-    return float(sim[rows, cols].sum())
+def _augment(sim: list, u: list, v: list, row_of: list, row: int, cols: list) -> None:
+    """Match the free ``row`` along one shortest augmenting path over ``cols``.
+
+    One Jonker-Volgenant step (Computing 38, 1987) on the reduced costs
+    ``-sim[i][j] - u[i] - v[j]``, which are >= 0 for every matched row:
+    Dijkstra from ``row`` to the nearest free column of ``cols``, then a flip
+    along the path. ``row_of[j]`` is column j's row, or -1 when free. ``u``,
+    ``v`` and ``row_of`` change in place; the duals stay feasible and every
+    matched pair stays tight, so a matching built by these steps is optimal.
+    """
+    inf = float("inf")
+    size = len(v)
+    dist = [inf] * size
+    via = [-1] * size  # the column whose row reached j; -1 for ``row`` itself
+    todo = list(cols)
+    reached = []
+    i, prev = row, -1
+    while True:
+        sim_i, u_i = sim[i], u[i]
+        delta, nearest = inf, -1
+        for j in todo:
+            d = -sim_i[j] - u_i - v[j]
+            if d < dist[j]:
+                dist[j], via[j] = d, prev
+            if dist[j] < delta:
+                delta, nearest = dist[j], j
+        u[row] += delta
+        for j in reached:
+            u[row_of[j]] += delta
+            v[j] -= delta
+        for j in todo:
+            dist[j] -= delta
+        todo.remove(nearest)
+        reached.append(nearest)
+        if row_of[nearest] < 0:
+            break
+        i, prev = row_of[nearest], nearest
+    j = nearest
+    while j >= 0:
+        prev = via[j]
+        row_of[j] = row if prev < 0 else row_of[prev]
+        j = prev
+
+
+def _solve(sim: list) -> tuple:
+    """Max-total assignment of a square matrix (Kuhn's Hungarian method).
+
+    Returns ``(col_of, u, v)``: row i takes column ``col_of[i]``, and the
+    duals satisfy ``u[i] + v[j] <= -sim[i][j]`` with equality on every
+    matched pair. O(n^3) on Python lists: fusion aligns a few dozen steps
+    at most.
+    """
+    size = len(sim)
+    u, v, row_of = [0.0] * size, [0.0] * size, [-1] * size
+    cols = list(range(size))
+    for row in range(size):
+        _augment(sim, u, v, row_of, row, cols)
+    col_of = [0] * size
+    for col, row in enumerate(row_of):
+        col_of[row] = col
+    return col_of, u, v
+
+
+# ``bench/tracing.py`` counts ``fuse.assignment_solves`` through this name.
+linear_sum_assignment = _solve
 
 
 def _lexicographic_optimal_assignment(sim: np.ndarray) -> list:
     """Max-total assignment on a square matrix, lexicographically smallest.
 
-    Rows are fixed in order; for each row the smallest column preserving
-    optimality wins. Rows and columns are pre-sorted by label, so the
-    result breaks ties by (label1, label2) as required.
+    Rows are fixed in order; for each row the smallest column ``c`` with
+    ``sim[row, c] + opt(rest) >= target - _EPS`` wins, where ``target`` is
+    the optimal total less the similarities already fixed. Rows and columns
+    are pre-sorted by label, so the result breaks ties by (label1, label2)
+    as required.
+
+    One solve gives an optimal matching of the rest and its duals. The
+    matched column always qualifies (forcing it loses nothing), and the
+    reduced cost of any other column bounds from below what forcing it
+    loses, so only a column whose reduced cost is within ``_EPS`` of zero
+    needs the exact test: one augmenting path re-matches the row that held
+    it.
     """
-    size = sim.shape[0]
-    remaining_rows = list(range(size))
+    sim = sim.tolist()
+    size = len(sim)
+    col_of, u, v = linear_sum_assignment(sim)
+    row_of = [0] * size
+    for row, col in enumerate(col_of):
+        row_of[col] = row
+    target = sum(sim[row][col] for row, col in enumerate(col_of))
     remaining_cols = list(range(size))
-    target = _optimal_total(sim)
     assignment = []
-    for row in list(remaining_rows):
-        remaining_rows.remove(row)
-        for col in list(remaining_cols):
-            rest = sim[np.ix_(remaining_rows, [c for c in remaining_cols if c != col])]
-            if sim[row, col] + _optimal_total(rest) >= target - _EPS:
-                assignment.append((row, col))
-                remaining_cols.remove(col)
-                target -= sim[row, col]
+    for row in range(size):
+        sim_row, matched = sim[row], col_of[row]
+        for col in remaining_cols:
+            if col == matched:
                 break
+            if -sim_row[col] - u[row] - v[col] > _EPS:
+                continue  # forcing col loses more than _EPS
+            rest_cols = [c for c in remaining_cols if c != col]
+            t_u, t_v, t_row_of = u[:], v[:], row_of[:]
+            t_row_of[matched] = -1
+            _augment(sim, t_u, t_v, t_row_of, row_of[col], rest_cols)
+            t_col_of = {t_row_of[c]: c for c in rest_cols}
+            rest = sum(sim[r][t_col_of[r]] for r in range(row + 1, size))
+            if sim_row[col] + rest >= target - _EPS:
+                u, v, row_of = t_u, t_v, t_row_of
+                for r, c in t_col_of.items():
+                    col_of[r] = c
+                break
+        assignment.append((row, col))
+        remaining_cols.remove(col)
+        target -= sim_row[col]
     return assignment
 
 

@@ -347,6 +347,34 @@ def test_config_file_rejects_out_of_range(tmp_path):
         load_config(str(path))
 
 
+BAD_CONFIG_VALUES = ("", "nan", "inf", "-1", "1e400", "true", "0x10", "x" * 10_000, "9" * 10_000)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Config)])
+def test_load_config_sweep_returns_valid_config_or_config_error(tmp_path, name):
+    # Each bad value goes in as the field's whole value and, for the
+    # structured fields, as one weight or one verb; each file is written
+    # plain, after a good line for the same key, and with CRLF endings.
+    path = tmp_path / "engine.conf"
+    default = dict(line.split(" = ", 1) for line in dump_config(Config()).splitlines())
+    for bad in BAD_CONFIG_VALUES:
+        values = [bad]
+        if name == "layer_weights":
+            values.append(default[name].replace("=1", "=" + bad, 1))
+        if name == "action_verbs":
+            values.append(default[name].replace(",", "," + bad + ",", 1))
+        for value in values:
+            for lines in (["version = 1", f"{name} = {value}"],
+                          ["version = 1", f"{name} = {default[name]}", f"{name} = {value}"]):
+                for ending in ("\n", "\r\n"):
+                    path.write_bytes(ending.join(lines).encode() + ending.encode())
+                    try:
+                        cfg = load_config(str(path))
+                    except ConfigError:
+                        continue
+                    cfg.validate()
+
+
 def test_embed_statistical_neighborhood():
     # Shared tokens raise similarity; disjoint token sets are orthogonal
     # unless buckets collide, which d=512 avoids for these words.

@@ -1,7 +1,11 @@
 import copy
+import fcntl
 import json
 import os
+import socket
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,10 +23,11 @@ from memstrata import (
     MemoryStore,
     ObservationRecord,
     SnapshotIoError,
+    StoreLocked,
     load_config,
     read_observations,
 )
-from memstrata.cli import run_cli
+from memstrata.cli import _WriterLock, run_cli
 from memstrata.core import dump_config
 from memstrata.store import store_from_dict
 from conftest import fruit_salad_store, jsonl_lines
@@ -679,6 +684,55 @@ def test_cli_lock_blocks_writers(tmp_path, obs_file, capsys):
     assert "locked" in err
     (store_dir / ".lock").unlink()
     assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
+
+
+def _dead_pid():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=60)  # reaped: no process has this pid now
+    return child.pid
+
+
+@pytest.mark.parametrize("owner, broken", [
+    (lambda: f"{_dead_pid()} {socket.gethostname()}", True),
+    (lambda: f"{os.getpid()} {socket.gethostname()}", False),  # live
+    (lambda: f"{_dead_pid()} not-{socket.gethostname()}", False),  # foreign host
+    (lambda: "", False),
+    (lambda: f"0 {socket.gethostname()}", False),
+    (lambda: f"{10 ** 30} {socket.gethostname()}", False),
+    (lambda: f"-{_dead_pid()} {socket.gethostname()}", False),
+], ids=["dead", "live", "foreign-host", "empty", "pid-0", "pid-overflow", "pid-negative"])
+def test_cli_lock_broken_only_when_writer_is_gone(tmp_path, obs_file, capsys, owner, broken):
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    lock = store_dir / ".lock"
+    lock.write_text(owner())
+    assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == (0 if broken else 2)
+    assert lock.exists() is not broken
+    assert ("locked" in capsys.readouterr().err) is not broken
+
+
+def test_cli_lock_not_broken_twice(tmp_path, obs_file, capsys):
+    # A writer that finds the dead lock while another holds it under flock
+    # (mid-break) must not break it as well.
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    lock = store_dir / ".lock"
+    lock.write_text(f"{_dead_pid()} {socket.gethostname()}")
+    with open(lock) as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 2
+        assert lock.exists()
+    assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
+
+
+def test_cli_lock_names_its_writer_and_blocks_a_second(tmp_path):
+    store_dir = tmp_path / "store"
+    with _WriterLock(str(store_dir)):
+        assert (store_dir / ".lock").read_text() == f"{os.getpid()} {socket.gethostname()}"
+        with pytest.raises(StoreLocked):
+            with _WriterLock(str(store_dir)):
+                pass
+    assert not (store_dir / ".lock").exists()
 
 
 def test_cli_config_applies_to_new_store(tmp_path, capsys):
