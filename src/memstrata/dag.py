@@ -145,24 +145,19 @@ class ProceduralDag:
         return deg
 
     def topological_order(self) -> list[str] | None:
-        """Kahn's algorithm; None when the graph has a cycle."""
+        """Kahn's algorithm: some topological order (callers need no
+        particular one), or None when the graph has a cycle."""
         deg = self.in_degrees()
-        ready = sorted(label for label, d in deg.items() if d == 0)
+        ready = [label for label, d in deg.items() if d == 0]
         order = []
         while ready:
-            v = ready.pop(0)
+            v = ready.pop()
             order.append(v)
-            inserted = False
-            for dst in sorted(self.adj[v]):
+            for dst in self.adj[v]:
                 deg[dst] -= 1
                 if deg[dst] == 0:
                     ready.append(dst)
-                    inserted = True
-            if inserted:
-                ready.sort()
-        if len(order) != len(self.nodes):
-            return None
-        return order
+        return order if len(order) == len(self.nodes) else None
 
 
 # -- operations -----------------------------------------------------------

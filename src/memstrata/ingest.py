@@ -393,12 +393,11 @@ def ingest_observation(store, rec: ObservationRecord):
     for desc in rec.descriptions:
         node_id = store.next_node_id
         store.next_node_id += 1
-        v = store.embed(desc.text)
         node = EpisodicNode(
             id=node_id,
             t=rec.t,
             d=desc.text,
-            v_e=v,
+            v_e=store.text_vector(desc.text),
             video=rec.video,
             anchors=mention_anchors(desc.text),
             action=extract_action(desc.text, store.config.action_verbs),

@@ -5,7 +5,9 @@ no whitespace, collections ordered by id, floats in Python's shortest
 round-trip decimal form, so two saves of the same in-memory state are
 byte-identical and a load reproduces every vector bit-for-bit. Episodic and
 semantic vectors are a function of their text, so the snapshot records the
-embedder's identity instead of the vectors, and a load recomputes them.
+embedder's identity instead of the vectors, and a load recomputes them:
+each distinct episodic text once, since nodes with equal text share one
+vector.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ class MemoryStore:
         self.anchors: dict[int, EntityAnchor] = {}
         self.centroid_rows: CentroidRows | None = None  # built at the first percept
         self.episodic: dict[int, EpisodicNode] = {}
+        self.text_vectors: dict[str, np.ndarray] = {}  # each episodic text's one v_e
         self.semantic: dict[int, SemanticNode] = {}
         self.logic: dict[int, LogicNode] = {}
         self.observations: dict[int, ObservationMeta] = {}
@@ -91,6 +94,13 @@ class MemoryStore:
     def embed(self, text: str) -> np.ndarray:
         return self.embedder.embed(text)
 
+    def text_vector(self, text: str) -> np.ndarray:
+        """The vector every episodic node with this text holds, embedded once."""
+        vec = self.text_vectors.get(text)
+        if vec is None:
+            vec = self.text_vectors[text] = self.embed(text)
+        return vec
+
     def ingest(self, rec):
         return ingest_observation(self, rec)
 
@@ -118,6 +128,7 @@ class MemoryStore:
     def clone(self) -> "MemoryStore":
         # The rows first: their copy maps each centroid view to its new row,
         # so the copied anchors hold views of the copied rows, not copies.
+        # The same memo keeps nodes with equal text on one copied vector.
         memo: dict = {}
         copy.deepcopy(self.centroid_rows, memo)
         return copy.deepcopy(self, memo)
@@ -242,6 +253,8 @@ def check_store(store: MemoryStore) -> list[str]:
         if not node.anchors <= anchor_ids:
             v.append(f"episodic {node_id}: dangling anchor reference")
         check_vector(f"episodic {node_id}: v_e", node.v_e)
+        if store.text_vectors.get(node.d) is not node.v_e:
+            v.append(f"episodic {node_id}: v_e is not the store's vector for its text")
 
     for node_id, node in sorted(store.semantic.items()):
         if node.weight < 1:
@@ -424,13 +437,13 @@ def snapshot_dict(store: MemoryStore) -> dict:
     }
 
 
-def _embedded(store: MemoryStore, entry: dict, key: str, version: int, what: str) -> np.ndarray:
-    """The vector of ``entry[key]``, recomputed; a version 1 snapshot's
-    stored copy in ``entry["v"]`` must equal it bit for bit."""
+def _embedded(embed, entry: dict, key: str, version: int, what: str) -> np.ndarray:
+    """The vector of ``entry[key]`` from ``embed``; a version 1 snapshot's
+    stored copy in ``entry["v"]`` must equal it bit for bit, for every node."""
     text = entry[key]
     if not isinstance(text, str):
         raise CorruptSnapshot(f"{what} {entry['id']}: {key} is not a string")
-    vec = store.embed(text)
+    vec = embed(text)
     if version == 1 and not np.array_equal(np.asarray(entry["v"], dtype=np.float64), vec):
         raise CorruptSnapshot(f"{what} {entry['id']}: stored vector is not embed({key})")
     return vec
@@ -480,7 +493,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         for e in data["episodic"]:
             node = EpisodicNode(
                 id=e["id"], t=e["t"], d=e["d"],
-                v_e=_embedded(store, e, "d", version, "episodic"),
+                v_e=_embedded(store.text_vector, e, "d", version, "episodic"),
                 video=e["video"], anchors=set(e["anchors"]),
                 action=e["action"], outcome=e["outcome"], attrs=dict(e["attrs"]),
             )
@@ -488,7 +501,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         for s in data["semantic"]:
             node = SemanticNode(
                 id=s["id"], type=s["type"], attrs=s["attrs"],
-                v_s=_embedded(store, s, "attrs", version, "semantic"),
+                v_s=_embedded(store.embed, s, "attrs", version, "semantic"),
                 anchors=set(s["anchors"]), weight=s["weight"],
             )
             store.semantic[node.id] = node

@@ -23,7 +23,7 @@ from memstrata import (
 from memstrata.core import COSINE_BLOCK
 from memstrata.ingest import EntityAnchor
 from memstrata.store import snapshot_dict
-from conftest import one_hot
+from conftest import fruit_salad_store, one_hot
 
 
 def small_store(dim=16, **overrides):
@@ -256,6 +256,47 @@ def test_episodic_vectors_recomputable_and_append_only():
     for node_id, node in before.items():
         assert store.episodic[node_id] is node
         assert np.array_equal(node.v_e, store.embed(node.d))
+
+
+def _vector_per_text(store):
+    """Each episodic text's vector, after asserting that every node with the
+    text holds that one array object and that it is the store's."""
+    by_text = {}
+    for node in store.episodic.values():
+        assert by_text.setdefault(node.d, node.v_e) is node.v_e
+        assert store.text_vectors[node.d] is node.v_e
+    assert store.text_vectors.keys() == by_text.keys()
+    return by_text
+
+
+def test_nodes_with_equal_text_share_one_vector(tmp_path):
+    store = fruit_salad_store(dim=64)  # three sources of the same three texts
+    store.distill()
+    built = _vector_per_text(store)
+    assert len(built) < len(store.episodic)
+    path = str(tmp_path / "snap.json")
+    store.save(path)
+    loaded = MemoryStore.load(path)
+    assert _vector_per_text(loaded).keys() == built.keys()
+    twin = store.clone()
+    for text, vec in _vector_per_text(twin).items():
+        assert vec is not built[text] and np.array_equal(vec, built[text])
+    ids, _ = twin.ingest(ObservationRecord(
+        100, "v4", 0.0, [Description("@jack chop the fruit"), Description("@jack peel the fruit")], [], []))
+    assert twin.episodic[ids[0]].v_e is twin.text_vectors["@jack chop the fruit"]
+    _vector_per_text(twin)
+    assert _vector_per_text(store).keys() == built.keys()
+    assert store.check() == [] and loaded.check() == [] and twin.check() == []
+
+
+def test_check_reports_a_vector_that_is_not_its_texts():
+    store = fruit_salad_store(dim=64)
+    assert store.check() == []
+    first, repeat = [i for i, n in sorted(store.episodic.items()) if n.d == "@jack chop the fruit"][:2]
+    store.episodic[repeat].v_e = store.episodic[first].v_e.copy()  # equal values, not the text's
+    store.episodic[first].d = "@jack chop the fruits"  # a text the store holds no vector for
+    assert store.check() == [f"episodic {i}: v_e is not the store's vector for its text"
+                             for i in (first, repeat)]
 
 
 # -- semantic consolidation ---------------------------------------------------

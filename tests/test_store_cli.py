@@ -340,7 +340,9 @@ def test_load_embeds_each_text_once(tmp_path):
     store.save(path)
     embedder = CountingEmbedder(64)
     loaded = MemoryStore.load(path, embedder=embedder)
-    assert embedder.calls == len(loaded.episodic) + len(loaded.semantic) > 0
+    texts = {node.d for node in loaded.episodic.values()}
+    assert len(texts) < len(loaded.episodic)
+    assert embedder.calls == len(texts) + len(loaded.semantic)
 
 
 def test_load_with_an_embedder_of_another_dim_is_a_mismatch(tmp_path):
@@ -448,6 +450,18 @@ def test_v1_snapshot_with_tampered_vector_rejected(tmp_path, section):
     data[section][0]["v"][0] += 0.5
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CorruptSnapshot, match="stored vector is not embed"):
+        MemoryStore.load(path)
+
+
+def test_v1_snapshot_with_a_tampered_repeat_rejected(tmp_path):
+    # A text's vector is embedded once, but every node's stored copy is compared.
+    path = str(tmp_path / "snap.json")
+    data = json.loads(open(V1_FIXTURE).read())
+    first = data["episodic"][0]
+    repeat = next(e for e in data["episodic"][1:] if e["d"] == first["d"])
+    repeat["v"][0] += 0.5
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CorruptSnapshot, match=f"episodic {repeat['id']}: stored vector is not embed"):
         MemoryStore.load(path)
 
 

@@ -343,6 +343,41 @@ def test_expected_steps_monte_carlo_oracle():
     assert goal_reach_probability(dag, START) == pytest.approx(estimate, abs=0.02)
 
 
+def _shuffled(dag, rng):
+    """The same DAG with its nodes and edges inserted in a random order."""
+    dup = ProceduralDag()
+    labels = dag.step_labels()
+    rng.shuffle(labels)
+    for label in labels:
+        dup.add_node(label, dag.nodes[label].attrs)
+    edges = list(dag.edges())
+    rng.shuffle(edges)
+    for src, dst, stat in edges:
+        dup.add_edge(src, dst, stat.count, stat.gamma)
+    return dup
+
+
+def test_expected_steps_match_a_memoised_recursion_bit_for_bit():
+    rng = random.Random(11)
+    for _ in range(300):
+        dag = _shuffled(random_dag(rng), rng)
+        order = dag.topological_order()
+        assert sorted(order) == sorted(dag.nodes)
+        assert all(order.index(src) < order.index(dst) for src, dst, _ in dag.edges())
+        memo = {GOAL: 0.0}
+
+        def expected(v):
+            if v not in memo:
+                memo[v] = 1.0 + sum(transition_prob(dag, v, dst) * expected(dst)
+                                    for dst in sorted(dag.adj[v]))
+            return memo[v]
+
+        for label in dag.nodes:
+            assert goal_reach_probability(dag, label) == expected(label)
+    dag.add_edge(GOAL, START)
+    assert dag.topological_order() is None
+
+
 def test_expected_steps_invalid_inputs():
     from memstrata import InvalidDag
 
