@@ -312,22 +312,22 @@ def enumerate_paths(dag: ProceduralDag, max_paths: int = 10000, max_path_len: in
     Raises PathExplosion when a path exceeds max_path_len nodes or more
     than max_paths paths exist. Deterministic for a fixed DAG.
     """
+    kids = {u: sorted(outs) for u, outs in dag.adj.items()}  # sorted once, not once per visit
     paths: list[list[str]] = []
-
-    def walk(path):
-        v = path[-1]
+    path, children = [], []  # the walk so far, without v; children[i]: path[i]'s not yet walked
+    v = START if START in dag.nodes else None
+    while v is not None:
         if v == GOAL:
             if len(paths) >= max_paths:
                 raise PathExplosion(f"more than {max_paths} START->GOAL paths")
-            paths.append(list(path))
-            return
-        if len(path) >= max_path_len:
+            paths.append(path + [v])
+        elif len(path) + 1 >= max_path_len:
             raise PathExplosion(f"path longer than {max_path_len} nodes")
-        for child in sorted(dag.adj.get(v, ())):
-            path.append(child)
-            walk(path)
+        else:
+            path.append(v)
+            children.append(iter(kids.get(v, ())))
+        v = None
+        while children and (v := next(children[-1], None)) is None:
+            children.pop()
             path.pop()
-
-    if START in dag.nodes:
-        walk([START])
     return paths

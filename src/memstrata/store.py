@@ -1,26 +1,29 @@
 """The memory store: three node layers, anchors, persistence.
 
 One store is one snapshot file. Snapshots are canonical JSON: keys sorted,
-no whitespace, collections ordered by id, floats in Python's shortest
+no whitespace, collections ordered by id, scalar floats in Python's shortest
 round-trip decimal form, so two saves of the same in-memory state are
-byte-identical and a load reproduces every vector bit-for-bit. Episodic and
-semantic vectors are a function of their text, so the snapshot records the
-embedder's identity instead of the vectors, and a load recomputes them:
-each distinct episodic text once, since nodes with equal text share one
-vector.
+byte-identical. A stored vector is one base64 string, a little-endian mask of
+its entries with non-zero bits and then those entries as little-endian
+float64, so a load reproduces it bit for bit. Nothing a load can derive is
+stored: a load recomputes text vectors with the embedder the snapshot names,
+and each episode's action with ``extract_action`` (once per distinct text),
+and takes each episode's video from the one observation that lists it.
 """
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import os
+from collections import Counter
 
 import numpy as np
 
 from .core import Config, HashingEmbedder, _is_finite_number, _is_int, embedder_identity
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
-from .distill import LogicNode, default_goal_name, verify_default
+from .distill import LogicNode, default_goal_name, extract_action, verify_default
 from .errors import (
     ConfigError,
     CorruptSnapshot,
@@ -41,7 +44,7 @@ from .ingest import (
 from .maintain import PoolEntry, apply_observation
 from .retrieve import make_query, retrieve
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class MemoryStore:
@@ -138,6 +141,10 @@ class MemoryStore:
     def save(self, path: str) -> None:
         """Write the snapshot atomically and durably: the temp file is synced
         before it replaces ``path``, and the directory after."""
+        listed = Counter((i, meta.video) for meta in self.observations.values() for i in meta.episodes)
+        if listed != Counter((i, node.video) for i, node in self.episodic.items()):
+            raise SnapshotIoError(f"cannot save {path}: an episode is not listed by exactly "
+                                  "one observation of its video")
         try:
             payload = json.dumps(snapshot_dict(self), sort_keys=True,
                                  separators=(",", ":"), allow_nan=False)
@@ -243,6 +250,8 @@ def check_store(store: MemoryStore) -> list[str]:
         v.append("anchor counts do not sum to ingested percepts")
 
     anchor_ids = set(store.anchors)
+    listings = Counter(ep_id for meta in store.observations.values() for ep_id in meta.episodes)
+    first_of_text: dict = {}
     for node_id, node in sorted(store.episodic.items()):
         if node_id >= store.next_node_id:
             v.append(f"episodic {node_id}: id beyond counter")
@@ -252,9 +261,12 @@ def check_store(store: MemoryStore) -> list[str]:
             v.append(f"episodic {node_id}: bad outcome {node.outcome!r}")
         if not node.anchors <= anchor_ids:
             v.append(f"episodic {node_id}: dangling anchor reference")
-        check_vector(f"episodic {node_id}: v_e", node.v_e)
+        if first_of_text.setdefault(node.d, node_id) == node_id and node.d in store.text_vectors:
+            check_vector(f"episodic {node_id}: v_e", store.text_vectors[node.d])  # once per text
         if store.text_vectors.get(node.d) is not node.v_e:
             v.append(f"episodic {node_id}: v_e is not the store's vector for its text")
+        if listings[node_id] != 1:
+            v.append(f"episodic {node_id}: listed {listings[node_id]} times by observations, not once")
 
     for node_id, node in sorted(store.semantic.items()):
         if node.weight < 1:
@@ -322,8 +334,28 @@ def check_store(store: MemoryStore) -> list[str]:
 # -- snapshot encode / decode ------------------------------------------------
 
 
-def _vec(arr) -> list:
-    return np.asarray(arr, dtype=np.float64).tolist()
+def _vec(arr) -> str:
+    """A vector as base64 of its non-zero mask, then its non-zero entries."""
+    a = np.asarray(arr, dtype="<f8")
+    mask = a.view("<u8") != 0  # by bit pattern, so -0.0 is kept
+    return base64.b64encode(np.packbits(mask, bitorder="little").tobytes()
+                            + a[mask].tobytes()).decode("ascii")
+
+
+def _vec_from(text, dim: int, what: str) -> np.ndarray:
+    """The ``dim`` floats that ``_vec`` encoded as ``text``, bit for bit."""
+    try:
+        raw = base64.b64decode(text)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raw = b""
+    head = (dim + 7) // 8
+    mask = np.unpackbits(np.frombuffer(raw[:head], np.uint8), bitorder="little").astype(bool)
+    if (base64.b64encode(raw).decode("ascii") != text or len(raw) < head or mask[dim:].any()
+            or len(raw) - head != 8 * int(mask.sum())):
+        raise CorruptSnapshot(f"{what} is not the canonical base64 of {dim} floats")
+    vec = np.zeros(dim)
+    vec[mask[:dim]] = np.frombuffer(raw, "<f8", offset=head)
+    return vec
 
 
 def _dag_dict(dag: ProceduralDag) -> dict:
@@ -389,9 +421,7 @@ def snapshot_dict(store: MemoryStore) -> dict:
                 "id": n.id,
                 "t": n.t,
                 "d": n.d,
-                "video": n.video,
                 "anchors": sorted(n.anchors),
-                "action": n.action,
                 "outcome": n.outcome,
                 "attrs": n.attrs,
             }
@@ -450,16 +480,16 @@ def _embedded(embed, entry: dict, key: str, version: int, what: str) -> np.ndarr
 
 
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
-    """Rebuild a store from a version 1 or 2 snapshot dict.
+    """Rebuild a store from a version 1, 2 or 3 snapshot dict.
 
     Episodic and semantic vectors are recomputed with ``embedder`` (default:
-    a ``HashingEmbedder`` of the snapshot's dim). A version 2 snapshot
-    names the embedder it was written with, and any other is refused; a
-    version 1 snapshot names none, but stores the vectors, and each must
-    equal its recomputed value.
+    a ``HashingEmbedder`` of the snapshot's dim), which must be the one a
+    version 2 or 3 snapshot names. Version 1 names none but stores the
+    vectors, and versions 1 and 2 store each episode's action and video:
+    each stored copy must equal its recomputed value.
     """
     version = data.get("version") if isinstance(data, dict) else None
-    if version not in (1, SNAPSHOT_VERSION):
+    if not _is_int(version) or version not in (1, 2, SNAPSHOT_VERSION):
         raise CorruptSnapshot(f"unsupported snapshot version {version!r}"
                               if isinstance(data, dict) else "snapshot is not an object")
     try:
@@ -474,6 +504,8 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 f"loading embedder {embedder_identity(embedder)!r}; pass the "
                 "store's embedder to load()")
         store = MemoryStore(config, embedder)
+        def vector(x, what):
+            return np.asarray(x, dtype=np.float64) if version < 3 else _vec_from(x, config.dim, what)
         store.next_node_id = data["counters"]["node"]
         store.next_anchor_id = data["counters"]["anchor"]
         store.next_logic_id = data["counters"]["logic"]
@@ -482,21 +514,31 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             anchor = EntityAnchor(
                 id=a["id"],
                 label=a["label"],
-                centroid_face=None if a["face"] is None else np.asarray(a["face"], dtype=np.float64),
-                centroid_voice=None if a["voice"] is None else np.asarray(a["voice"], dtype=np.float64),
+                centroid_face=None if a["face"] is None else vector(
+                    a["face"], f"anchor {a['id']} face"),
+                centroid_voice=None if a["voice"] is None else vector(
+                    a["voice"], f"anchor {a['id']} voice"),
                 count=a["count"],
                 face_count=a["face_count"],
                 voice_count=a["voice_count"],
             )
             store.anchors[anchor.id] = anchor
         store.centroid_rows = CentroidRows(store.anchors, config.dim)
+        for o in data["observations"]:
+            store.observations[o["id"]] = ObservationMeta(o["video"], list(o["episodes"]))
+        video_of = {i: meta.video for meta in store.observations.values() for i in meta.episodes}
+        actions: dict[str, str | None] = {}  # each distinct text's action
         for e in data["episodic"]:
+            v_e = _embedded(store.text_vector, e, "d", version, "episodic")
+            if e["d"] not in actions:
+                actions[e["d"]] = extract_action(e["d"], config.action_verbs)
             node = EpisodicNode(
-                id=e["id"], t=e["t"], d=e["d"],
-                v_e=_embedded(store.text_vector, e, "d", version, "episodic"),
-                video=e["video"], anchors=set(e["anchors"]),
-                action=e["action"], outcome=e["outcome"], attrs=dict(e["attrs"]),
+                id=e["id"], t=e["t"], d=e["d"], v_e=v_e, video=video_of.get(e["id"]),
+                anchors=set(e["anchors"]), action=actions[e["d"]], outcome=e["outcome"],
+                attrs=dict(e["attrs"]),
             )
+            if version < 3 and (e["action"], e["video"]) != (node.action, node.video):
+                raise CorruptSnapshot(f"episodic {node.id}: stored action or video is not derived")
             store.episodic[node.id] = node
         for s in data["semantic"]:
             node = SemanticNode(
@@ -508,8 +550,8 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         for l in data["logic"]:
             node = LogicNode(
                 id=l["id"], c=l["c"],
-                i_goal=np.asarray(l["i_goal"], dtype=np.float64),
-                i_step=np.asarray(l["i_step"], dtype=np.float64),
+                i_goal=vector(l["i_goal"], f"logic {l['id']} i_goal"),
+                i_step=vector(l["i_step"], f"logic {l['id']} i_step"),
                 dag=_dag_from_dict(l["dag"]),
                 episodic_links=set(l["episodic_links"]),
                 anchors=set(l["anchors"]),
@@ -519,11 +561,9 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             store.logic[node.id] = node
         for p in data["pool"]:
             store.pool.append(
-                PoolEntry(p["observation"], np.asarray(p["vector"], dtype=np.float64),
+                PoolEntry(p["observation"], vector(p["vector"], f"pool entry {p['observation']}"),
                           tuple(p["actions"]))
             )
-        for o in data["observations"]:
-            store.observations[o["id"]] = ObservationMeta(o["video"], list(o["episodes"]))
         store.video_clock = dict(data["video_clock"])
         violations = check_store(store)
     except CorruptSnapshot:

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from memstrata import (
+    GOAL,
+    START,
     Conclusion,
     Config,
     Description,
     MemoryStore,
     ObservationRecord,
     Percept,
+    ProceduralDag,
 )
 
 FRUIT_VERBS = ("chop", "mix", "serve", "wash", "blend", "grab", "pour", "slice")
@@ -22,6 +25,23 @@ def one_hot(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim)
     v[index] = 1.0
     return v
+
+
+def ladder_dag(rungs: int) -> ProceduralDag:
+    """START, then ``rungs`` layers of two nodes each fully joined, then GOAL:
+    2 ** rungs START -> GOAL paths of rungs + 2 nodes."""
+    dag = ProceduralDag()
+    prev = [START]
+    for i in range(rungs):
+        layer = [f"rung{i}_{side}" for side in "ab"]
+        for label in layer:
+            dag.add_node(label)
+            for src in prev:
+                dag.add_edge(src, label)
+        prev = layer
+    for src in prev:
+        dag.add_edge(src, GOAL)
+    return dag
 
 
 def fruit_salad_store(dim: int = 512, extra_sources: bool = True) -> MemoryStore:

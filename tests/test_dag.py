@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from memstrata import (
     transition_prob,
 )
 from memstrata.dag import record_trial
+from conftest import ladder_dag
 
 
 def branch_dag(n_b=3.0, n_c=1.0, gamma=0.0):
@@ -180,6 +183,44 @@ def test_enumerate_paths_orders_and_guards():
         enumerate_paths(dag, max_paths=1)
     with pytest.raises(PathExplosion):
         enumerate_paths(dag, max_path_len=2)
+
+
+def test_enumerate_paths_leaves_no_garbage_cycle():
+    # A failed or successful call must free its paths without the cycle
+    # collector, which a recursive closure referring to itself would need.
+    ladder, line = ladder_dag(12), branch_dag()
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            enumerate_paths(ladder, max_paths=1000)
+        except PathExplosion:
+            pass
+        else:
+            raise AssertionError("the ladder has 4096 paths")
+        assert gc.collect() == 0
+        assert len(enumerate_paths(line)) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_enumerate_paths_matches_a_recursive_walk():
+    def recursive(dag, path, out):
+        if path[-1] == GOAL:
+            out.append(list(path))
+        for child in sorted(dag.adj.get(path[-1], ())):
+            recursive(dag, path + [child], out)
+        return out
+
+    for dag in (ladder_dag(1), ladder_dag(5), branch_dag()):
+        assert enumerate_paths(dag) == recursive(dag, [START], [])
+    assert enumerate_paths(ladder_dag(5), max_path_len=7) == recursive(ladder_dag(5), [START], [])
+    with pytest.raises(PathExplosion, match="longer than 6"):
+        enumerate_paths(ladder_dag(5), max_path_len=6)
+    with pytest.raises(PathExplosion, match="longer than 1 "):
+        enumerate_paths(branch_dag(), max_path_len=1)
+    assert enumerate_paths(ProceduralDag()) == []
 
 
 def test_copy_is_deep():

@@ -27,7 +27,7 @@ from memstrata import (
 from memstrata.dag import GOAL, START
 from memstrata.distill import _covered_by_existing, closed_patterns, distill
 from memstrata.store import snapshot_dict
-from conftest import fruit_salad_store, random_corpus, simple_chain_store
+from conftest import fruit_salad_store, ladder_dag, random_corpus, simple_chain_store
 from distill_model import every_distinct_step_pattern, reference_distill
 from test_symbolic import brute_force_paths, random_dag
 
@@ -435,26 +435,10 @@ def test_covered_by_existing_matches_path_enumeration_oracle():
     assert covered > 500
 
 
-def _ladder_dag(rungs):
-    """START, then ``rungs`` layers of two nodes each fully joined, then GOAL."""
-    dag = ProceduralDag()
-    prev = [START]
-    for i in range(rungs):
-        layer = [f"rung{i}_{side}" for side in "ab"]
-        for label in layer:
-            dag.add_node(label)
-            for src in prev:
-                dag.add_edge(src, label)
-        prev = layer
-    for src in prev:
-        dag.add_edge(src, GOAL)
-    return dag
-
-
 def _ladder_store(texts):
     store = MemoryStore(Config(dim=128, action_verbs=("nonexistentverb",), max_paths=4))
     v = store.embed("ladder")
-    store.logic[1] = LogicNode(id=1, c="ladder", i_goal=v, i_step=v.copy(), dag=_ladder_dag(3))
+    store.logic[1] = LogicNode(id=1, c="ladder", i_goal=v, i_step=v.copy(), dag=ladder_dag(3))
     store.next_logic_id = 2
     rid = 0
     for video in ("s1", "s2"):
@@ -469,7 +453,7 @@ def test_distill_beside_a_dag_over_max_paths():
     # must not raise PathExplosion beside it. rung0_a -> rung2_b lies on a
     # ladder path; alpha_one and beta_two are not ladder steps.
     with pytest.raises(PathExplosion):
-        enumerate_paths(_ladder_dag(3), max_paths=4)
+        enumerate_paths(ladder_dag(3), max_paths=4)
     store = _ladder_store(["rung0 a", "alpha one", "rung2 b", "beta two"])
     created = store.distill()
     assert [store.logic[i].steps for i in created] == [

@@ -1,14 +1,18 @@
+import base64
 import copy
 import fcntl
 import json
 import os
 import socket
 import stat
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memstrata import (
     Conclusion,
@@ -17,6 +21,7 @@ from memstrata import (
     CorruptSnapshot,
     Description,
     EmbedderMismatch,
+    EpisodicNode,
     HashingEmbedder,
     MalformedRecord,
     MemoryEngineError,
@@ -29,7 +34,8 @@ from memstrata import (
 )
 from memstrata.cli import _WriterLock, run_cli
 from memstrata.core import dump_config
-from memstrata.store import store_from_dict
+from memstrata import store as store_module
+from memstrata.store import snapshot_dict, store_from_dict
 from conftest import fruit_salad_store, jsonl_lines
 
 
@@ -37,6 +43,27 @@ def ready_store():
     store = fruit_salad_store()
     store.distill()
     return store
+
+
+# The version 3 vector encoding, written out from its definition: base64 of a
+# little-endian bitmask of the entries whose bit pattern is non-zero, then
+# those entries as little-endian float64.
+
+
+def encode_vector(values) -> str:
+    entries = [struct.pack("<d", x) for x in values]
+    mask = bytearray((len(entries) + 7) // 8)
+    for i, entry in enumerate(entries):
+        if entry != bytes(8):
+            mask[i // 8] |= 1 << (i % 8)
+    return base64.b64encode(bytes(mask) + b"".join(e for e in entries if e != bytes(8))).decode()
+
+
+def decode_vector(text: str, dim: int) -> list:
+    raw = base64.b64decode(text)
+    head = (dim + 7) // 8
+    values = iter(struct.unpack(f"<{(len(raw) - head) // 8}d", raw[head:]))
+    return [next(values) if raw[i // 8] >> (i % 8) & 1 else 0.0 for i in range(dim)]
 
 
 # -- snapshots -----------------------------------------------------------------
@@ -134,8 +161,10 @@ def test_non_finite_snapshot_vector_rejected(tmp_path, section, field):
     data = json.loads(open(path).read())
     if section == "pool":
         data["pool"] = [{"observation": data["observations"][0]["id"],
-                         "vector": list(data["logic"][0]["i_goal"]), "actions": []}]
-    data[section][0][field][0] = float("nan")
+                         "vector": data["logic"][0]["i_goal"], "actions": []}]
+    vec = decode_vector(data[section][0][field], data["config"]["dim"])
+    vec[0] = float("nan")
+    data[section][0][field] = encode_vector(vec)
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CorruptSnapshot, match="finite floats"):
         MemoryStore.load(path)
@@ -236,6 +265,43 @@ def test_snapshot_mutation_sweep_raises_only_typed_errors(tmp_path):
             if violations:
                 escaped.append((where, value, violations[0]))
     assert escaped == []
+
+
+def _add_bare_episode(store):
+    node_id = store.next_node_id
+    store.next_node_id += 1
+    store.episodic[node_id] = EpisodicNode(
+        id=node_id, t=9.0, d="@jack chop the fruit", v_e=store.text_vector("@jack chop the fruit"),
+        video="v1", action="chop_fruit")
+    return node_id, 0
+
+
+def _list_an_episode_twice(store):
+    store.observations[1].episodes.append(store.observations[1].episodes[0])
+    return store.observations[1].episodes[0], 2
+
+
+@pytest.mark.parametrize("plant", [_add_bare_episode, _list_an_episode_twice])
+def test_episode_not_listed_by_exactly_one_observation_is_reported_and_not_saved(tmp_path, plant):
+    # The snapshot stores no episode's video: a load takes it from the one
+    # observation that lists the episode, so no other store may be saved.
+    path = str(tmp_path / "snap.json")
+    store = ready_store()
+    node_id, times = plant(store)
+    assert store.check() == [f"episodic {node_id}: listed {times} times by observations, not once"]
+    with pytest.raises(SnapshotIoError, match="not listed by exactly one observation"):
+        store.save(path)
+    assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
+
+
+def test_episode_of_another_video_than_its_observation_is_not_saved(tmp_path):
+    path = str(tmp_path / "snap.json")
+    store = ready_store()
+    store.episodic[1].video = "elsewhere"
+    assert store.check() == ["observation 1: episode 1 video mismatch"]
+    with pytest.raises(SnapshotIoError, match="not listed by exactly one observation of its video"):
+        store.save(path)
+    assert not os.path.exists(path)
 
 
 def test_save_refuses_non_finite_value_with_typed_error(tmp_path):
@@ -401,6 +467,16 @@ def test_check_reports_any_embedder_output_that_is_not_a_vector(output):
     assert store.check() == ["episodic 1: v_e is not 8 finite floats"]
 
 
+def test_check_applies_the_vector_rule_once_per_text():
+    # Nodes with equal text share one vector; the rule names the first node.
+    store = MemoryStore(Config(dim=8), embedder=FixedOutputEmbedder(8, np.full(8, np.nan)))
+    for rid in (1, 2):
+        store.ingest(ObservationRecord(rid, "v1", float(rid), [Description("chop the fruit")], [], []))
+    store.ingest(ObservationRecord(3, "v1", 3.0, [Description("mix the fruit")], [], []))
+    assert store.check() == ["episodic 1: v_e is not 8 finite floats",
+                             "episodic 3: v_e is not 8 finite floats"]
+
+
 def test_check_accepts_any_finite_float_vector():
     # The rule is shape, dtype kind and finiteness: no norm, no sparsity.
     for output in (np.zeros(8), np.full(8, 1e300), np.arange(8, dtype=np.float32)):
@@ -409,16 +485,23 @@ def test_check_accepts_any_finite_float_vector():
         assert store.check() == []
 
 
-def test_v2_snapshot_names_embedder_and_stores_no_text_vectors(tmp_path):
+def test_v3_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     path = str(tmp_path / "snap.json")
-    ready_store().save(path)
+    store = ready_store()
+    store.save(path)
     text = open(path).read()
     assert "\n" not in text[:-1] and text.endswith("\n")
     data = json.loads(text)
-    assert data["version"] == 2
+    assert data["version"] == 3
     assert data["embedder"] == {"name": "hashing-fnv1a64", "dim": 512}
     assert data["episodic"] and data["semantic"]
     assert all("v" not in entry for entry in data["episodic"] + data["semantic"])
+    assert all("action" not in entry and "video" not in entry for entry in data["episodic"])
+    # every stored vector is the v3 encoding of the store's own floats
+    node, anchor = store.logic[1], store.anchors[1]
+    assert data["logic"][0]["i_goal"] == encode_vector(node.i_goal.tolist())
+    assert data["logic"][0]["i_step"] == encode_vector(node.i_step.tolist())
+    assert data["anchors"][0]["face"] == encode_vector(anchor.centroid_face.tolist())
 
 
 # snapshot_v1_dim8.json was written by the version 1 writer from a
@@ -428,17 +511,19 @@ def test_v2_snapshot_names_embedder_and_stores_no_text_vectors(tmp_path):
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v1_dim8.json")
 
 
-def test_v1_snapshot_loads_and_saves_as_v2(tmp_path):
+def test_v1_snapshot_loads_and_saves_as_v3(tmp_path):
     store = MemoryStore.load(V1_FIXTURE)
     assert store.check() == []
     stats = store.stats()
     assert (stats["episodic"], stats["semantic"], stats["logic"]) == (9, 1, 1)
     v1 = json.loads(open(V1_FIXTURE).read())
     for entry in v1["episodic"]:
-        assert store.episodic[entry["id"]].v_e.tolist() == entry["v"]
+        node = store.episodic[entry["id"]]
+        assert node.v_e.tolist() == entry["v"]
+        assert (node.action, node.video) == (entry["action"], entry["video"])
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     store.save(p1)
-    assert json.loads(open(p1).read())["version"] == 2
+    assert json.loads(open(p1).read())["version"] == 3
     MemoryStore.load(p1).save(p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
@@ -465,11 +550,102 @@ def test_v1_snapshot_with_a_tampered_repeat_rejected(tmp_path):
         MemoryStore.load(path)
 
 
+# snapshot_v2_dim8.json was written by the version 2 writer from a
+# Config(dim=8, delta_gate=0.9) store: three sources of "@jack chop the
+# fruit", "@jack mix the fruit in a bowl", "@jack serve the salad" (each with
+# attrs {"step": i}; a face percept of another vector on each source's first,
+# the conclusion "@jack is a careful cook" on each last), then distill(); then
+# source v4 (chop, mix, "walk the dog") ingested and applied (matched, EMA),
+# and source v5 ("wash the car", "dry the car") ingested and applied (pooled).
+V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v2_dim8.json")
+
+
+def test_v2_snapshot_loads_and_saves_as_v3(tmp_path):
+    v2 = json.loads(open(V2_FIXTURE).read())
+    store = MemoryStore.load(V2_FIXTURE)
+    assert store.check() == []
+    stats = store.stats()
+    assert (stats["anchors"], stats["episodic"], stats["logic"], stats["pool"]) == (1, 14, 1, 1)
+    for entry in v2["episodic"]:
+        node = store.episodic[entry["id"]]
+        assert (node.action, node.video) == (entry["action"], entry["video"])
+    assert store.anchors[1].centroid_face.tolist() == v2["anchors"][0]["face"]
+    assert store.logic[1].i_goal.tolist() == v2["logic"][0]["i_goal"]
+    assert store.pool[0].vector.tolist() == v2["pool"][0]["vector"]
+    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    store.save(p1)
+    assert json.loads(open(p1).read())["version"] == 3
+    loaded = MemoryStore.load(p1)
+    assert snapshot_dict(loaded) == snapshot_dict(store)
+    assert [(n.action, n.video) for n in loaded.episodic.values()] == \
+           [(n.action, n.video) for n in store.episodic.values()]
+    loaded.save(p2)
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("key,value", [("action", "wash_car"), ("action", None), ("video", "v2")])
+def test_v2_snapshot_with_tampered_derived_field_rejected(tmp_path, key, value):
+    path = str(tmp_path / "snap.json")
+    data = json.loads(open(V2_FIXTURE).read())
+    data["episodic"][0][key] = value
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CorruptSnapshot, match="episodic 1: stored action or video"):
+        MemoryStore.load(path)
+
+
+SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1.5, np.inf, np.nan])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 600), st.integers(0, 2**32 - 1), st.sampled_from(["dense", "sparse", "special"]))
+def test_vector_encoding_is_bit_exact_and_refuses_every_other_string(dim, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":  # every bit pattern: subnormals, inf and NaN payloads included
+        vec = np.frombuffer(rng.bytes(8 * dim), dtype="<f8").astype(np.float64)
+    elif kind == "sparse":
+        vec = np.zeros(dim)
+        at = rng.choice(dim, size=min(dim, 6), replace=False)
+        vec[at] = rng.choice(SPECIAL_FLOATS, size=len(at)) * rng.choice([1.0, 0.1], size=len(at))
+    else:
+        vec = rng.choice(SPECIAL_FLOATS, size=dim)
+    text = store_module._vec(vec)
+    assert text == encode_vector(vec.tolist())
+    back = store_module._vec_from(text, dim, "v")
+    assert back.dtype == np.float64 and back.shape == (dim,)
+    assert back.view(np.uint64).tolist() == vec.view(np.uint64).tolist()
+    raw = base64.b64decode(text)
+    head = (dim + 7) // 8
+    zero_at = next((i for i in range(dim) if not raw[i // 8] >> (i % 8) & 1), None)
+    bad = [text[:-4], text[:-1], text + "=", text + "AAAA",
+           base64.b64encode(raw + bytes(8)).decode(), base64.b64encode(raw[:-8]).decode(),
+           "!" + text[1:], "\u00e9" + text[1:], 5, None, [0.0] * dim]
+    if dim % 8:  # a mask bit past the last entry, with a value for it
+        stray = raw[:head - 1] + bytes([raw[head - 1] | 0x80]) + raw[head:] + struct.pack("<d", 1.0)
+        bad.append(base64.b64encode(stray).decode())
+    if zero_at is not None:  # a mask bit on a zero entry, with no value for it
+        flipped = bytearray(raw)
+        flipped[zero_at // 8] |= 1 << (zero_at % 8)
+        bad.append(base64.b64encode(bytes(flipped)).decode())
+    for other in bad:
+        with pytest.raises(CorruptSnapshot):
+            store_module._vec_from(other, dim, "v")
+
+
 def test_bad_version_rejected(tmp_path):
     path = str(tmp_path / "snap.json")
     open(path, "w").write('{"version": 99}')
     with pytest.raises(CorruptSnapshot):
         MemoryStore.load(path)
+
+
+@pytest.mark.parametrize("version", [True, 2.0, "3"])
+def test_version_of_another_type_rejected(version):
+    # true == 1 and 2.0 == 2 in Python: a version must be an int, not just equal one.
+    for fixture in (V1_FIXTURE, V2_FIXTURE):
+        data = json.loads(open(fixture).read())
+        data["version"] = version
+        with pytest.raises(CorruptSnapshot, match="unsupported snapshot version"):
+            store_from_dict(data)
 
 
 def test_out_of_range_config_rejected(tmp_path):
