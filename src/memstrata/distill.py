@@ -14,6 +14,7 @@ import numbers
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -62,13 +63,15 @@ class LogicNode:
     steps: tuple = ()
 
 
-def _match_verb(token: str, verbs) -> str | None:
+@lru_cache(maxsize=8)
+def _verb_forms(verbs: tuple) -> dict:
+    """Each inflected form of each lexicon verb -> the verb; the first verb
+    in lexicon order that has a form wins."""
+    forms: dict = {}
     for verb in verbs:
-        if token == verb:
-            return verb
-        if token.startswith(verb) and token[len(verb):] in _VERB_SUFFIXES:
-            return verb
-    return None
+        for suffix in _VERB_SUFFIXES:
+            forms.setdefault(verb + suffix, verb)
+    return forms
 
 
 def extract_action(text: str, verbs) -> str | None:
@@ -82,8 +85,9 @@ def extract_action(text: str, verbs) -> str | None:
     tokens = tokenize(text)
     if not tokens:
         return None
+    forms = _verb_forms(tuple(verbs))
     for i, token in enumerate(tokens):
-        verb = _match_verb(token, verbs)
+        verb = forms.get(token)
         if verb is None:
             continue
         for nxt in tokens[i + 1:]:

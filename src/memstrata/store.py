@@ -5,10 +5,12 @@ no whitespace, collections ordered by id, scalar floats in Python's shortest
 round-trip decimal form, so two saves of the same in-memory state are
 byte-identical. A stored vector is one base64 string, a little-endian mask of
 its entries with non-zero bits and then those entries as little-endian
-float64, so a load reproduces it bit for bit. Nothing a load can derive is
-stored: a load recomputes text vectors with the embedder the snapshot names,
-and each episode's action with ``extract_action`` (once per distinct text),
-and takes each episode's video from the one observation that lists it.
+float64, so a load reproduces it bit for bit. Each distinct episodic text
+and attrs object is stored once, in a table a row per node indexes; a load
+refuses all but the canonical tables. Nothing a load can derive is stored: a
+load recomputes text vectors with the embedder the snapshot names, and each
+episode's action with ``extract_action`` (once per distinct text), and takes
+each episode's video from the one observation that lists it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .ingest import (
 from .maintain import PoolEntry, apply_observation
 from .retrieve import make_query, retrieve
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class MemoryStore:
@@ -145,6 +147,10 @@ class MemoryStore:
         if listed != Counter((i, node.video) for i, node in self.episodic.items()):
             raise SnapshotIoError(f"cannot save {path}: an episode is not listed by exactly "
                                   "one observation of its video")
+        actions = _text_actions(self)
+        if any(node.action != actions[node.d] for node in self.episodic.values()):
+            raise SnapshotIoError(f"cannot save {path}: an episode's action is not the one "
+                                  "config.action_verbs gives its text")
         try:
             payload = json.dumps(snapshot_dict(self), sort_keys=True,
                                  separators=(",", ":"), allow_nan=False)
@@ -210,6 +216,12 @@ class MemoryStore:
 # -- global invariant sweep -----------------------------------------------
 
 
+def _text_actions(store: MemoryStore) -> dict:
+    """Each distinct episodic text's action, as a load derives it."""
+    verbs = store.config.action_verbs
+    return {d: extract_action(d, verbs) for d in {node.d for node in store.episodic.values()}}
+
+
 def check_store(store: MemoryStore) -> list[str]:
     """Global invariant sweep; returns all violations (empty means healthy)."""
     v: list[str] = []
@@ -217,6 +229,7 @@ def check_store(store: MemoryStore) -> list[str]:
         store.config.validate()
     except ConfigError as exc:
         v.append(f"config: {exc}")
+    actions = {} if v else _text_actions(store)  # only from valid verbs
 
     dim = store.config.dim
 
@@ -263,8 +276,10 @@ def check_store(store: MemoryStore) -> list[str]:
             v.append(f"episodic {node_id}: dangling anchor reference")
         if first_of_text.setdefault(node.d, node_id) == node_id and node.d in store.text_vectors:
             check_vector(f"episodic {node_id}: v_e", store.text_vectors[node.d])  # once per text
-        if store.text_vectors.get(node.d) is not node.v_e:
+        if store.text_vectors.get(node.d) is not node.v_e:  # one report: v_e, else action
             v.append(f"episodic {node_id}: v_e is not the store's vector for its text")
+        elif node.d in actions and node.action != actions[node.d]:
+            v.append(f"episodic {node_id}: action {node.action!r} is not the one its text gives")
         if listings[node_id] != 1:
             v.append(f"episodic {node_id}: listed {listings[node_id]} times by observations, not once")
 
@@ -416,17 +431,9 @@ def snapshot_dict(store: MemoryStore) -> dict:
             }
             for _, a in sorted(store.anchors.items())
         ],
-        "episodic": [
-            {
-                "id": n.id,
-                "t": n.t,
-                "d": n.d,
-                "anchors": sorted(n.anchors),
-                "outcome": n.outcome,
-                "attrs": n.attrs,
-            }
-            for _, n in sorted(store.episodic.items())
-        ],
+        "episodic": _episodic_tables(
+            (n.id, n.t, n.d, sorted(n.anchors), n.outcome, n.attrs)
+            for _, n in sorted(store.episodic.items())),
         "semantic": [
             {
                 "id": n.id,
@@ -459,12 +466,74 @@ def snapshot_dict(store: MemoryStore) -> dict:
             }
             for e in store.pool
         ],
-        "observations": [
-            {"id": obs_id, "video": m.video, "episodes": list(m.episodes)}
-            for obs_id, m in sorted(store.observations.items())
-        ],
+        "observations": [[obs_id, m.video, list(m.episodes)]
+                         for obs_id, m in sorted(store.observations.items())],
         "video_clock": dict(sorted(store.video_clock.items())),
     }
+
+
+def _episodic_tables(rows) -> dict:
+    """The episodic layer as version 4 stores it: each distinct text, and each
+    attrs of distinct canonical JSON, once in order of first use, and one
+    ``[id, t, text, anchors, outcome, attrs]`` row per node indexing both."""
+    texts, attrs, nodes = {}, {}, []  # attrs: canonical JSON -> (index, attrs)
+    by_repr: dict = {}  # equal reprs are equal JSON, and a repr is the cheaper key
+    for node_id, t, d, anchors, outcome, a in rows:
+        at = by_repr.get(key := repr(a))
+        if at is None:
+            at = by_repr[key] = attrs.setdefault(json.dumps(a, sort_keys=True), (len(attrs), a))[0]
+        nodes.append([node_id, t, texts.setdefault(d, len(texts)), anchors, outcome, at])
+    return {"texts": list(texts), "attrs": [a for _, a in attrs.values()], "nodes": nodes}
+
+
+def _as_v4(data: dict, version: int, store: MemoryStore) -> tuple:
+    """A version 1-3 snapshot's episodic and observation lists as the version
+    4 tables. Version 1 stores each node's vector and versions 1 and 2 its
+    action and video: every stored copy must equal what a load derives."""
+    video_of = {i: o["video"] for o in data["observations"] for i in o["episodes"]}
+    for e in data["episodic"] if version < 3 else ():
+        _embedded(store.text_vector, e, "d", version, "episodic")
+        if (e["action"], e["video"]) != (extract_action(e["d"], store.config.action_verbs),
+                                         video_of.get(e["id"])):
+            raise CorruptSnapshot(f"episodic {e['id']}: stored action or video is not derived")
+    episodic = _episodic_tables((e["id"], e["t"], e["d"], e["anchors"], e["outcome"], e["attrs"])
+                                for e in data["episodic"])
+    return episodic, [[o["id"], o["video"], o["episodes"]] for o in data["observations"]]
+
+
+def _refuse_unless_first_uses(indexes: list, keys: list, what: str) -> None:
+    """Refuse unless a table's entries, by ``keys``, are distinct, and the
+    indexes into it are ints whose first uses are 0, 1, ... to its last."""
+    # ints by type first: true and 1.0 would pass for 1 in the dict
+    if (not set(map(type, indexes)) <= {int} or len(set(keys)) != len(keys)
+            or list(dict.fromkeys(indexes)) != list(range(len(keys)))):
+        raise CorruptSnapshot(f"episodic {what} table is not each distinct {what} once, "
+                              "in order of first use")
+
+
+def _add_episodic(store: MemoryStore, tables: dict, observations: list) -> None:
+    """Build the episodic nodes and observations from the version 4 tables,
+    deriving each text's vector and action once. Anything but the canonical
+    tables of some store is refused."""
+    texts, attrs, rows = tables["texts"], tables["attrs"], tables["nodes"]
+    for what, table, width in (("episodic", rows, 6), ("observation", observations, 3)):
+        ids = [row[0] for row in table if isinstance(row, list) and len(row) == width]
+        if len(ids) != len(table) or not set(map(type, ids)) <= {int} or ids != sorted(set(ids)):
+            raise CorruptSnapshot(f"{what} rows are not {width} fields each in increasing id order")
+    if not (all(isinstance(d, str) for d in texts) and all(isinstance(a, dict) for a in attrs)):
+        raise CorruptSnapshot("episodic texts are not all strings, or attrs not all objects")
+    _refuse_unless_first_uses([row[2] for row in rows], texts, "text")
+    _refuse_unless_first_uses([row[5] for row in rows],
+                              [json.dumps(a, sort_keys=True) for a in attrs], "attrs")
+    for obs_id, video, episodes in observations:
+        store.observations[obs_id] = ObservationMeta(video, list(episodes))
+    video_of = {i: meta.video for meta in store.observations.values() for i in meta.episodes}
+    vectors = [store.text_vector(d) for d in texts]
+    actions = [extract_action(d, store.config.action_verbs) for d in texts]
+    for node_id, t, text, anchors, outcome, at in rows:
+        store.episodic[node_id] = EpisodicNode(
+            id=node_id, t=t, d=texts[text], v_e=vectors[text], video=video_of.get(node_id),
+            anchors=set(anchors), action=actions[text], outcome=outcome, attrs=dict(attrs[at]))
 
 
 def _embedded(embed, entry: dict, key: str, version: int, what: str) -> np.ndarray:
@@ -480,16 +549,17 @@ def _embedded(embed, entry: dict, key: str, version: int, what: str) -> np.ndarr
 
 
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
-    """Rebuild a store from a version 1, 2 or 3 snapshot dict.
+    """Rebuild a store from a version 1, 2, 3 or 4 snapshot dict.
 
     Episodic and semantic vectors are recomputed with ``embedder`` (default:
     a ``HashingEmbedder`` of the snapshot's dim), which must be the one a
-    version 2 or 3 snapshot names. Version 1 names none but stores the
+    version 2, 3 or 4 snapshot names. Version 1 names none but stores the
     vectors, and versions 1 and 2 store each episode's action and video:
-    each stored copy must equal its recomputed value.
+    each stored copy must equal its recomputed value. Versions 1-3 are
+    first rewritten as version 4's episodic and observation tables.
     """
     version = data.get("version") if isinstance(data, dict) else None
-    if not _is_int(version) or version not in (1, 2, SNAPSHOT_VERSION):
+    if not _is_int(version) or version not in (1, 2, 3, SNAPSHOT_VERSION):
         raise CorruptSnapshot(f"unsupported snapshot version {version!r}"
                               if isinstance(data, dict) else "snapshot is not an object")
     try:
@@ -524,22 +594,8 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             )
             store.anchors[anchor.id] = anchor
         store.centroid_rows = CentroidRows(store.anchors, config.dim)
-        for o in data["observations"]:
-            store.observations[o["id"]] = ObservationMeta(o["video"], list(o["episodes"]))
-        video_of = {i: meta.video for meta in store.observations.values() for i in meta.episodes}
-        actions: dict[str, str | None] = {}  # each distinct text's action
-        for e in data["episodic"]:
-            v_e = _embedded(store.text_vector, e, "d", version, "episodic")
-            if e["d"] not in actions:
-                actions[e["d"]] = extract_action(e["d"], config.action_verbs)
-            node = EpisodicNode(
-                id=e["id"], t=e["t"], d=e["d"], v_e=v_e, video=video_of.get(e["id"]),
-                anchors=set(e["anchors"]), action=actions[e["d"]], outcome=e["outcome"],
-                attrs=dict(e["attrs"]),
-            )
-            if version < 3 and (e["action"], e["video"]) != (node.action, node.video):
-                raise CorruptSnapshot(f"episodic {node.id}: stored action or video is not derived")
-            store.episodic[node.id] = node
+        _add_episodic(store, *(_as_v4(data, version, store) if version < SNAPSHOT_VERSION
+                               else (data["episodic"], data["observations"])))
         for s in data["semantic"]:
             node = SemanticNode(
                 id=s["id"], type=s["type"], attrs=s["attrs"],

@@ -25,7 +25,8 @@ from memstrata import (
     verify_default,
 )
 from memstrata.dag import GOAL, START
-from memstrata.distill import _covered_by_existing, closed_patterns, distill
+from memstrata.core import tokenize
+from memstrata.distill import _STOPWORDS, _covered_by_existing, closed_patterns, distill
 from memstrata.store import snapshot_dict
 from conftest import fruit_salad_store, ladder_dag, random_corpus, simple_chain_store
 from distill_model import every_distinct_step_pattern, reference_distill
@@ -68,6 +69,52 @@ def test_extract_action_skips_stopwords():
 
 def test_extract_action_verb_alone():
     assert extract_action("Jack serves", VERBS) == "serve"
+
+
+def reference_match_verb(token, verbs):
+    """The verb match before the lookup map: each verb tested in lexicon order."""
+    for verb in verbs:
+        if token == verb or (token.startswith(verb)
+                             and token[len(verb):] in ("", "s", "es", "ed", "d", "ing")):
+            return verb
+    return None
+
+
+def reference_extract_action(text, verbs):
+    tokens = tokenize(text)
+    for i, token in enumerate(tokens):
+        verb = reference_match_verb(token, verbs)
+        if verb is not None:
+            rest = [t for t in tokens[i + 1:] if t not in _STOPWORDS]
+            return f"{verb}_{rest[0]}" if rest else verb
+    return "_".join(tokens) or None
+
+
+def _tokens_for(verbs):
+    forms = [verb + suffix for verb in verbs for suffix in ("", "s", "es", "ed", "d", "ing")]
+    return forms + ["", "s", "ed", "x", "chopp", "choppe", "addeds", "mixs", "adde"]
+
+
+def test_extract_action_by_lookup_matches_the_verb_loop_on_the_default_lexicon():
+    verbs = Config().action_verbs
+    tokens = _tokens_for(verbs)
+    assert len(set(tokens) - {"", "s", "ed"}) >= 144
+    for token in tokens:
+        for text in (token, f"Jack {token} the fruit", f"{token} {token} bowl"):
+            assert extract_action(text, verbs) == reference_extract_action(text, verbs), text
+
+
+def test_extract_action_by_lookup_takes_the_first_of_overlapping_verbs():
+    assert extract_action("jack adds salt", ("add", "adds")) == "add_salt"
+    assert extract_action("jack adds salt", ("adds", "add")) == "adds_salt"
+    rng = random.Random(13)
+    pool = ["add", "adds", "added", "adde", "s", "es", "e", "chop", "chops", "cho", "mix",
+            "mixes", "mi", "pour", "pours", "d"]
+    for _ in range(300):
+        verbs = tuple(rng.sample(pool, rng.randint(1, 6)))
+        for token in _tokens_for(pool):
+            text = f"he {token} the salt"
+            assert extract_action(text, verbs) == reference_extract_action(text, verbs), (text, verbs)
 
 
 def test_extract_action_fallback_full_description():

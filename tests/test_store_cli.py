@@ -36,7 +36,7 @@ from memstrata.cli import _WriterLock, run_cli
 from memstrata.core import dump_config
 from memstrata import store as store_module
 from memstrata.store import snapshot_dict, store_from_dict
-from conftest import fruit_salad_store, jsonl_lines
+from conftest import FRUIT_VERBS, fruit_salad_store, jsonl_lines
 
 
 def ready_store():
@@ -160,7 +160,7 @@ def test_non_finite_snapshot_vector_rejected(tmp_path, section, field):
     ready_store().save(path)
     data = json.loads(open(path).read())
     if section == "pool":
-        data["pool"] = [{"observation": data["observations"][0]["id"],
+        data["pool"] = [{"observation": data["observations"][0][0],
                          "vector": data["logic"][0]["i_goal"], "actions": []}]
     vec = decode_vector(data[section][0][field], data["config"]["dim"])
     vec[0] = float("nan")
@@ -189,7 +189,7 @@ def _first_edge(data):
 
 
 @pytest.mark.parametrize("where,value", [
-    (lambda d: (d["episodic"][0], "t"), float("nan")),
+    (lambda d: (d["episodic"]["nodes"][0], 1), float("nan")),
     (lambda d: (d["logic"][0], "score"), float("nan")),
     (lambda d: (d["logic"][0]["dag"]["nodes"][1], "success_alpha"), float("nan")),
     (lambda d: (d["logic"][0]["dag"]["nodes"][1], "success_beta"), float("inf")),
@@ -214,8 +214,8 @@ def test_non_finite_snapshot_scalar_rejected(tmp_path, where, value):
     lambda d: (d["anchors"][0], "face_count"),
     lambda d: (d["semantic"][0], "weight"),
     lambda d: (d["counters"], "node"),
-    lambda d: (d["episodic"][0], "id"),
-    lambda d: (d["observations"][0], "id"),
+    lambda d: (d["episodic"]["nodes"][0], 0),
+    lambda d: (d["observations"][0], 0),
 ], ids=["anchor-face_count", "semantic-weight", "counter-node", "episodic-id",
         "observation-id"])
 def test_mistyped_snapshot_number_rejected(tmp_path, where):
@@ -485,18 +485,29 @@ def test_check_accepts_any_finite_float_vector():
         assert store.check() == []
 
 
-def test_v3_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
+def test_v4_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.save(path)
     text = open(path).read()
     assert "\n" not in text[:-1] and text.endswith("\n")
     data = json.loads(text)
-    assert data["version"] == 3
+    assert data["version"] == 4
     assert data["embedder"] == {"name": "hashing-fnv1a64", "dim": 512}
-    assert data["episodic"] and data["semantic"]
-    assert all("v" not in entry for entry in data["episodic"] + data["semantic"])
-    assert all("action" not in entry and "video" not in entry for entry in data["episodic"])
+    assert data["episodic"]["nodes"] and data["semantic"]
+    assert all("v" not in entry for entry in data["semantic"])
+    # each distinct text and attrs once, in first-use order, then one
+    # [id, t, text, anchors, outcome, attrs] row per node: no vector, action or video
+    nodes = [node for _, node in sorted(store.episodic.items())]
+    texts = list(dict.fromkeys(node.d for node in nodes))
+    attrs = [json.loads(a) for a in dict.fromkeys(json.dumps(node.attrs, sort_keys=True)
+                                                  for node in nodes)]
+    assert len(texts) < len(nodes) and len(attrs) < len(nodes)
+    assert data["episodic"] == {"texts": texts, "attrs": attrs, "nodes": [
+        [n.id, n.t, texts.index(n.d), sorted(n.anchors), n.outcome, attrs.index(n.attrs)]
+        for n in nodes]}
+    assert data["observations"] == [[i, meta.video, meta.episodes]
+                                    for i, meta in sorted(store.observations.items())]
     # every stored vector is the v3 encoding of the store's own floats
     node, anchor = store.logic[1], store.anchors[1]
     assert data["logic"][0]["i_goal"] == encode_vector(node.i_goal.tolist())
@@ -511,7 +522,7 @@ def test_v3_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v1_dim8.json")
 
 
-def test_v1_snapshot_loads_and_saves_as_v3(tmp_path):
+def test_v1_snapshot_loads_and_saves_as_v4(tmp_path):
     store = MemoryStore.load(V1_FIXTURE)
     assert store.check() == []
     stats = store.stats()
@@ -523,7 +534,7 @@ def test_v1_snapshot_loads_and_saves_as_v3(tmp_path):
         assert (node.action, node.video) == (entry["action"], entry["video"])
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     store.save(p1)
-    assert json.loads(open(p1).read())["version"] == 3
+    assert json.loads(open(p1).read())["version"] == 4
     MemoryStore.load(p1).save(p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
@@ -560,7 +571,7 @@ def test_v1_snapshot_with_a_tampered_repeat_rejected(tmp_path):
 V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v2_dim8.json")
 
 
-def test_v2_snapshot_loads_and_saves_as_v3(tmp_path):
+def test_v2_snapshot_loads_and_saves_as_v4(tmp_path):
     v2 = json.loads(open(V2_FIXTURE).read())
     store = MemoryStore.load(V2_FIXTURE)
     assert store.check() == []
@@ -574,7 +585,7 @@ def test_v2_snapshot_loads_and_saves_as_v3(tmp_path):
     assert store.pool[0].vector.tolist() == v2["pool"][0]["vector"]
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     store.save(p1)
-    assert json.loads(open(p1).read())["version"] == 3
+    assert json.loads(open(p1).read())["version"] == 4
     loaded = MemoryStore.load(p1)
     assert snapshot_dict(loaded) == snapshot_dict(store)
     assert [(n.action, n.video) for n in loaded.episodic.values()] == \
@@ -591,6 +602,194 @@ def test_v2_snapshot_with_tampered_derived_field_rejected(tmp_path, key, value):
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CorruptSnapshot, match="episodic 1: stored action or video"):
         MemoryStore.load(path)
+
+
+# snapshot_v3_dim8.json was written by the version 3 writer from the v2
+# fixture's recipe: a Config(dim=8, delta_gate=0.9) store, three sources of
+# "@jack chop the fruit", "@jack mix the fruit in a bowl", "@jack serve the
+# salad" at t 0, 1, 2 (attrs {"step": i}; on each source's first a "jack"
+# face percept, of [0,0,0,1,0,0,0,0], [0,.6,0,.8,0,0,0,0] and
+# [0,0,0,.9,.1,0,1e-310,0] in turn; the character conclusion "@jack is a
+# careful cook" on each last), then distill(); then source v4 (chop, mix,
+# "walk the dog") ingested and applied (matched, EMA), and source v5 ("wash
+# the car", "dry the car") ingested and applied (pooled).
+V3_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v3_dim8.json")
+
+
+def test_v3_snapshot_loads_and_saves_as_v4(tmp_path):
+    v3 = json.loads(open(V3_FIXTURE).read())
+    assert v3["version"] == 3
+    store = MemoryStore.load(V3_FIXTURE)
+    assert store.check() == []
+    stats = store.stats()
+    assert (stats["anchors"], stats["episodic"], stats["logic"], stats["pool"]) == (1, 14, 1, 1)
+    for entry in v3["episodic"]:
+        node = store.episodic[entry["id"]]
+        assert (node.t, node.d, sorted(node.anchors), node.outcome, node.attrs) == \
+               (entry["t"], entry["d"], entry["anchors"], entry["outcome"], entry["attrs"])
+    assert {i: (m.video, m.episodes) for i, m in store.observations.items()} == \
+           {o["id"]: (o["video"], o["episodes"]) for o in v3["observations"]}
+    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    store.save(p1)
+    v4 = json.loads(open(p1).read())
+    assert v4["version"] == 4
+    assert len(v4["episodic"]["texts"]) == 6 and len(v4["episodic"]["attrs"]) == 4
+    # everything outside the episodic layer and the observations is as in v3
+    for key in set(v3) - {"version", "episodic", "observations"}:
+        assert v4[key] == v3[key], key
+    loaded = MemoryStore.load(p1)
+    assert snapshot_dict(loaded) == snapshot_dict(store)
+    loaded.save(p2)
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def _retable(data, column, key):
+    """Rebuild the episodic table that row field ``column`` indexes (2: texts,
+    5: attrs) in first-use order, with ``key(position, value)`` deciding which
+    rows share an entry."""
+    tables = data["episodic"]
+    name = {2: "texts", 5: "attrs"}[column]
+    values = [tables[name][row[column]] for row in tables["nodes"]]
+    first: dict = {}
+    tables[name] = []
+    for position, (row, value) in enumerate(zip(tables["nodes"], values)):
+        row[column] = first.setdefault(key(position, value), len(tables[name]))
+        if row[column] == len(tables[name]):
+            tables[name].append(value)
+
+
+def _repeat_position(data, column):
+    seen, rows = set(), data["episodic"]["nodes"]
+    return next(i for i, row in enumerate(rows) if row[column] in seen or seen.add(row[column]))
+
+
+def _index(column, value):
+    def plant(data):
+        data["episodic"]["nodes"][_repeat_position(data, column)][column] = value(data)
+    return plant
+
+
+def _duplicate_entry(column, reorder=False):
+    # the first repeat gets an entry of its own, equal to the one it repeats
+    def plant(data):
+        at = _repeat_position(data, column)
+        _retable(data, column, lambda position, value: (
+            position == at, json.dumps(value, sort_keys=True)))
+        if reorder:  # the same keys in another order: {"tool": .., "n": 1}, {"n": 1, "tool": ..}
+            attrs, k = data["episodic"]["attrs"], data["episodic"]["nodes"][at][5]
+            attrs[attrs.index(attrs[k])]["n"] = 1
+            attrs[k] = {"n": 1, **attrs[k]}
+    return plant
+
+
+def _unused_entry(name, entry):
+    def plant(data):
+        data["episodic"][name].append(entry)
+    return plant
+
+
+def _swap_first_uses(column):
+    # the first two entries trade places, and every index with them
+    def plant(data):
+        tables = data["episodic"]
+        name = {2: "texts", 5: "attrs"}[column]
+        tables[name][:2] = tables[name][1::-1]
+        for row in tables["nodes"]:
+            row[column] = {0: 1, 1: 0}.get(row[column], row[column])
+    return plant
+
+
+def _row_width(section, change):
+    def plant(data):
+        rows = data["episodic"]["nodes"] if section == "episodic" else data["observations"]
+        change(rows[0])
+    return plant
+
+
+def _swap_rows(section):
+    def plant(data):
+        rows = data["episodic"]["nodes"] if section == "episodic" else data["observations"]
+        rows[:2] = rows[1::-1]
+    return plant
+
+
+TEXTS, ATTRS = "episodic text table", "episodic attrs table"
+EPISODIC_ROWS, OBSERVATION_ROWS = "episodic rows", "observation rows"
+
+
+@pytest.mark.parametrize("plant,match", [
+    (_index(2, lambda d: -1), TEXTS), (_index(2, lambda d: True), TEXTS),
+    (_index(2, lambda d: 1.0), TEXTS), (_index(2, lambda d: len(d["episodic"]["texts"])), TEXTS),
+    (_index(2, lambda d: "0"), TEXTS), (_index(5, lambda d: -1), ATTRS),
+    (_index(5, lambda d: True), ATTRS), (_index(5, lambda d: len(d["episodic"]["attrs"])), ATTRS),
+    (_duplicate_entry(2), TEXTS), (_duplicate_entry(5), ATTRS),
+    (_duplicate_entry(5, reorder=True), ATTRS),
+    (_unused_entry("texts", "an unused text"), TEXTS), (_unused_entry("attrs", {"unused": 1}), ATTRS),
+    (_swap_first_uses(2), TEXTS), (_swap_first_uses(5), ATTRS),
+    (_row_width("episodic", lambda row: row.append(0)), EPISODIC_ROWS),
+    (_row_width("episodic", list.pop), EPISODIC_ROWS),
+    (_row_width("observation", lambda row: row.append(0)), OBSERVATION_ROWS),
+    (_row_width("observation", list.pop), OBSERVATION_ROWS),
+    (_swap_rows("episodic"), EPISODIC_ROWS), (_swap_rows("observation"), OBSERVATION_ROWS),
+], ids=["text-minus-one", "text-true", "text-float", "text-past-end", "text-string",
+        "attrs-minus-one", "attrs-true", "attrs-past-end", "text-duplicate", "attrs-duplicate",
+        "attrs-duplicate-reordered", "text-unused", "attrs-unused", "text-out-of-order",
+        "attrs-out-of-order", "episodic-row-7", "episodic-row-5", "observation-row-4",
+        "observation-row-2", "episodic-rows-swapped", "observation-rows-swapped"])
+def test_non_canonical_v4_tables_rejected(plant, match):
+    # One store state, one file: no other tables for the same nodes load.
+    store = ready_store()
+    data = json.loads(json.dumps(snapshot_dict(store)))
+    assert snapshot_dict(store_from_dict(copy.deepcopy(data))) == data
+    plant(data)
+    with pytest.raises(CorruptSnapshot, match=match):
+        store_from_dict(data)
+
+
+def test_v4_attrs_are_one_entry_per_canonical_json(tmp_path):
+    # 1, 1.0 and true are distinct JSON; key order, nested too, is not.
+    path = str(tmp_path / "snap.json")
+    store = MemoryStore(Config(dim=8))
+    attrs = [{"n": 1}, {"n": 1.0}, {"n": True}, {"n": 1},
+             {"a": {"x": 1, "y": [2]}, "b": 0}, {"b": 0, "a": {"y": [2], "x": 1}}]
+    for rid, a in enumerate(attrs, start=1):
+        store.ingest(ObservationRecord(rid, "v", float(rid), [Description("chop the fruit", a)],
+                                       [], []))
+    store.save(path)
+    tables = json.loads(open(path).read())["episodic"]
+    assert tables["texts"] == ["chop the fruit"]
+    assert [row[5] for row in tables["nodes"]] == [0, 1, 2, 0, 3, 3]
+    loaded = MemoryStore.load(path)
+    assert [repr(loaded.episodic[i].attrs) for i in sorted(loaded.episodic)][:4] == \
+           ["{'n': 1}", "{'n': 1.0}", "{'n': True}", "{'n': 1}"]
+    assert snapshot_dict(loaded) == snapshot_dict(store)
+
+
+def test_store_whose_action_verbs_changed_after_ingest_is_reported_and_not_saved(
+        tmp_path, monkeypatch):
+    # A load derives each action from the store's verbs, so a store whose
+    # actions came from other verbs would load as another store.
+    path = str(tmp_path / "snap.json")
+    store = fruit_salad_store(dim=32)
+    store.distill()
+    store.config.action_verbs = ("serve",)
+    calls = []
+    real = store_module.extract_action
+    monkeypatch.setattr(store_module, "extract_action",
+                        lambda text, verbs: calls.append(text) or real(text, verbs))
+    moved = [(i, n.action) for i, n in sorted(store.episodic.items())
+             if n.action in ("chop_fruit", "mix_fruit")]
+    assert len(moved) == 6
+    assert store.check() == [f"episodic {i}: action {action!r} is not the one its text gives"
+                             for i, action in moved]
+    assert sorted(calls) == sorted({n.d for n in store.episodic.values()})  # once per text
+    with pytest.raises(SnapshotIoError, match="action is not the one config.action_verbs gives"):
+        store.save(path)
+    assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
+    store.config.action_verbs = FRUIT_VERBS
+    assert store.check() == []
+    store.save(path)
+    assert MemoryStore.load(path).episodic[1].action == "chop_fruit"
 
 
 SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1.5, np.inf, np.nan])
