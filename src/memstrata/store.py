@@ -5,21 +5,27 @@ no whitespace, collections ordered by id, scalar floats in Python's shortest
 round-trip decimal form, so two saves of the same in-memory state are
 byte-identical. A stored vector is one base64 string, a little-endian mask of
 its entries with non-zero bits and then those entries as little-endian
-float64, so a load reproduces it bit for bit. Each distinct episodic text
-and attrs object is stored once, in a table a row per node indexes; a load
-refuses all but the canonical tables. Nothing a load can derive is stored: a
-load recomputes text vectors with the embedder the snapshot names, and each
-episode's action with ``extract_action`` (once per distinct text), and takes
-each episode's video from the one observation that lists it.
+float64, so a load reproduces it bit for bit. Each observation is a row that
+holds its episodic nodes, with their one shared ``t``; each distinct episodic
+text and attrs object is stored once, in a table the node rows index. Id
+lists are strictly increasing, evidence links are gap-coded and DAGs are
+rows, and a load refuses all but the canonical form. Nothing a load can
+derive is stored: a load recomputes text vectors with the embedder the
+snapshot names, each episode's action with ``extract_action`` (once per
+distinct text), anchor counts from the face and voice counts, the percept
+count from those, and each logic node's anchors from its evidence.
 """
 
 from __future__ import annotations
 
 import base64
 import copy
+import gc
 import json
 import os
 from collections import Counter
+from itertools import accumulate, chain
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -31,6 +37,7 @@ from .errors import (
     CorruptSnapshot,
     DimensionMismatch,
     EmbedderMismatch,
+    MissingEdge,
     SnapshotIoError,
 )
 from .ingest import (
@@ -46,7 +53,7 @@ from .ingest import (
 from .maintain import PoolEntry, apply_observation
 from .retrieve import make_query, retrieve
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 
 class MemoryStore:
@@ -143,14 +150,9 @@ class MemoryStore:
     def save(self, path: str) -> None:
         """Write the snapshot atomically and durably: the temp file is synced
         before it replaces ``path``, and the directory after."""
-        listed = Counter((i, meta.video) for meta in self.observations.values() for i in meta.episodes)
-        if listed != Counter((i, node.video) for i, node in self.episodic.items()):
-            raise SnapshotIoError(f"cannot save {path}: an episode is not listed by exactly "
-                                  "one observation of its video")
-        actions = _text_actions(self)
-        if any(node.action != actions[node.d] for node in self.episodic.values()):
-            raise SnapshotIoError(f"cannot save {path}: an episode's action is not the one "
-                                  "config.action_verbs gives its text")
+        fault = _unwritable(self)
+        if fault:
+            raise SnapshotIoError(f"cannot save {path}: {fault}")
         try:
             payload = json.dumps(snapshot_dict(self), sort_keys=True,
                                  separators=(",", ":"), allow_nan=False)
@@ -183,11 +185,15 @@ class MemoryStore:
             raise SnapshotIoError(f"cannot read snapshot {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CorruptSnapshot(f"snapshot {path} is not UTF-8: {exc}") from None
+        collecting = gc.isenabled()
+        gc.disable()  # a load's containers all stay live, so a collection would free none
         try:
-            data = json.loads(text)
+            return store_from_dict(json.loads(text), embedder)
         except json.JSONDecodeError as exc:
             raise CorruptSnapshot(f"snapshot is not valid JSON: {exc}") from None
-        return store_from_dict(data, embedder)
+        finally:
+            if collecting:
+                gc.enable()
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -222,22 +228,55 @@ def _text_actions(store: MemoryStore) -> dict:
     return {d: extract_action(d, verbs) for d in {node.d for node in store.episodic.values()}}
 
 
-def check_store(store: MemoryStore) -> list[str]:
-    """Global invariant sweep; returns all violations (empty means healthy)."""
+def _evidence_anchors(store: MemoryStore, links) -> set:
+    """The union of the anchors of the episodes ``links`` names, as a load derives it."""
+    return set().union(*[node.anchors for node in map(store.episodic.get, links) if node])
+
+
+def _underived(store: MemoryStore) -> list[str]:
+    """Each field a load derives that ``store`` holds otherwise: anchor counts, the
+    percept count, an observation's one ``t`` (by ``repr``) and logic anchors."""
+    v = [f"anchor {i}: count mismatch" for i, a in sorted(store.anchors.items())
+         if a.count != a.face_count + a.voice_count]
+    if sum(a.count for a in store.anchors.values()) != store.percept_count:
+        v.append("anchor counts do not sum to ingested percepts")
+    v += [f"observation {i}: episodes do not share one t" for i, m in sorted(store.observations.items())
+          if len(m.episodes) > 1 and len({repr(store.episodic[e].t) for e in m.episodes
+                                          if e in store.episodic}) > 1]
+    return v + [f"logic {i}: anchors not the union over evidence"
+                for i, node in sorted(store.logic.items())
+                if node.episodic_links <= store.episodic.keys()
+                and node.anchors != _evidence_anchors(store, node.episodic_links)]
+
+
+def _unwritable(store: MemoryStore) -> str:
+    """Why a load of the snapshot would not give ``store`` back, or ''."""
+    listed = Counter((i, meta.video) for meta in store.observations.values() for i in meta.episodes)
+    if listed != Counter((i, node.video) for i, node in store.episodic.items()):
+        return "an episode is not listed by exactly one observation of its video"
+    actions = _text_actions(store)
+    if any(node.action != actions[node.d] for node in store.episodic.values()):
+        return "an episode's action is not the one config.action_verbs gives its text"
+    return next(iter(_underived(store)), "")
+
+
+def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
+    """Global invariant sweep; returns all violations (empty means healthy). A load
+    that just derived the actions and the fields of ``_underived`` skips them."""
     v: list[str] = []
     try:
         store.config.validate()
     except ConfigError as exc:
         v.append(f"config: {exc}")
-    actions = {} if v else _text_actions(store)  # only from valid verbs
+    actions = _text_actions(store) if derived and not v else {}  # only from valid verbs
 
     dim = store.config.dim
 
     def check_vector(owner: str, x) -> None:
-        # The one rule for every stored vector, whichever code or embedder
-        # made it: a float ndarray of shape (dim,) with only finite entries.
+        # The one rule for every stored vector, whichever code or embedder made it: a float
+        # ndarray of shape (dim,) with only finite entries (a finite x·x proves it, cheaply).
         if not (isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.shape == (dim,)
-                and np.isfinite(x).all()):
+                and (x.dot(x) < np.inf or np.isfinite(x).all())):
             v.append(f"{owner} is not {dim} finite floats")
 
     rows = {kind: {} for kind in PERCEPT_KINDS}
@@ -254,13 +293,9 @@ def check_store(store: MemoryStore) -> list[str]:
                 check_vector(f"anchor {anchor_id}: {name} centroid", c)
                 if rows[name].pop(anchor_id, None) is not c:
                     v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
-        if anchor.count != anchor.face_count + anchor.voice_count:
-            v.append(f"anchor {anchor_id}: count mismatch")
     for kind, left in rows.items():
         if left:
             v.append(f"{kind} centroid rows of anchors without a {kind} centroid: {sorted(left)}")
-    if sum(a.count for a in store.anchors.values()) != store.percept_count:
-        v.append("anchor counts do not sum to ingested percepts")
 
     anchor_ids = set(store.anchors)
     listings = Counter(ep_id for meta in store.observations.values() for ep_id in meta.episodes)
@@ -309,12 +344,6 @@ def check_store(store: MemoryStore) -> list[str]:
             v.append(f"logic {logic_id}: no episodic evidence")
         if not node.episodic_links <= episodic_ids:
             v.append(f"logic {logic_id}: dangling episodic link")
-        else:
-            anchor_union = set()
-            for ep_id in node.episodic_links:
-                anchor_union |= store.episodic[ep_id].anchors
-            if node.anchors != anchor_union:
-                v.append(f"logic {logic_id}: anchors not the union over evidence")
         check_vector(f"logic {logic_id}: i_goal", node.i_goal)
         check_vector(f"logic {logic_id}: i_step", node.i_step)
         for src in sorted(node.dag.adj):
@@ -343,7 +372,7 @@ def check_store(store: MemoryStore) -> list[str]:
         if entry.observation_id not in store.observations:
             v.append(f"pool entry references unknown observation {entry.observation_id}")
         check_vector(f"pool entry {entry.observation_id}: vector", entry.vector)
-    return v
+    return v + _underived(store) if derived else v
 
 
 # -- snapshot encode / decode ------------------------------------------------
@@ -373,42 +402,44 @@ def _vec_from(text, dim: int, what: str) -> np.ndarray:
     return vec
 
 
-def _dag_dict(dag: ProceduralDag) -> dict:
+def _dag_rows(dag: ProceduralDag) -> dict:
+    """``[label, attrs, success_alpha, success_beta]`` rows, START, the sorted
+    steps, GOAL; ``[src, dst, count, gamma]`` rows sorted by ``(src, dst)``."""
     labels = [START] + sorted(dag.step_labels()) + [GOAL]
     return {
-        "nodes": [
-            {
-                "label": label,
-                "attrs": dag.nodes[label].attrs,
-                "success_alpha": dag.nodes[label].success_alpha,
-                "success_beta": dag.nodes[label].success_beta,
-            }
-            for label in labels
-        ],
-        "edges": [
-            {"src": src, "dst": dst, "count": stat.count, "gamma": stat.gamma}
-            for src, dst, stat in sorted(dag.edges(), key=lambda e: (e[0], e[1]))
-        ],
+        "nodes": [[label, dag.nodes[label].attrs, dag.nodes[label].success_alpha,
+                   dag.nodes[label].success_beta] for label in labels],
+        "edges": [[src, dst, stat.count, stat.gamma]
+                  for src, dst, stat in sorted(dag.edges(), key=lambda e: (e[0], e[1]))],
     }
 
 
-def _dag_from_dict(data: dict) -> ProceduralDag:
+def _dag_from_rows(data: dict) -> ProceduralDag:
+    nodes, edges = data["nodes"], data["edges"]
+    if not all(type(row) is list and len(row) == 4 for row in nodes + edges):
+        raise CorruptSnapshot("dag rows are not 4 fields each")
+    labels, keys = [row[0] for row in nodes], [(row[0], row[1]) for row in edges]
+    if labels != [START, *sorted(set(labels[1:-1]) - {START, GOAL}), GOAL] or keys != sorted(set(keys)):
+        raise CorruptSnapshot("dag rows are not START, the sorted steps, GOAL, then sorted edges")
     dag = ProceduralDag.__new__(ProceduralDag)
-    dag.nodes = {}
-    dag.adj = {}
-    for entry in data["nodes"]:
-        dag.add_node(
-            entry["label"], entry.get("attrs", {}),
-            entry["success_alpha"], entry["success_beta"],
-        )
-    for entry in data["edges"]:
-        if entry["src"] not in dag.nodes or entry["dst"] not in dag.nodes:
-            raise CorruptSnapshot(f"dag edge endpoint missing: {entry['src']}->{entry['dst']}")
-        dag.add_edge(entry["src"], entry["dst"], entry["count"], entry["gamma"])
+    dag.nodes, dag.adj = {}, {}
+    for label, attrs, success_alpha, success_beta in nodes:
+        dag.add_node(label, {**attrs}, success_alpha, success_beta)  # ** takes only an object
+    for src, dst, count, gamma in edges:
+        dag.add_edge(src, dst, count, gamma)
     return dag
 
 
+def _gaps(ids: list) -> list:
+    """Increasing ids as the first, then the gap to each next one."""
+    return [b - a for a, b in zip([0] + ids, ids)]
+
+
 def snapshot_dict(store: MemoryStore) -> dict:
+    observations, episodic = _observation_rows(
+        (obs_id, m.video, [(n.id, n.t, n.d, sorted(n.anchors), n.outcome, n.attrs)
+                           for n in map(store.episodic.__getitem__, m.episodes)])
+        for obs_id, m in sorted(store.observations.items()))
     return {
         "version": SNAPSHOT_VERSION,
         "embedder": embedder_identity(store.embedder),
@@ -418,22 +449,13 @@ def snapshot_dict(store: MemoryStore) -> dict:
             "anchor": store.next_anchor_id,
             "logic": store.next_logic_id,
         },
-        "percept_count": store.percept_count,
         "anchors": [
-            {
-                "id": a.id,
-                "label": a.label,
-                "count": a.count,
-                "face_count": a.face_count,
-                "voice_count": a.voice_count,
-                "face": None if a.centroid_face is None else _vec(a.centroid_face),
-                "voice": None if a.centroid_voice is None else _vec(a.centroid_voice),
-            }
+            {"id": a.id, "label": a.label, "face_count": a.face_count, "voice_count": a.voice_count,
+             "face": None if a.centroid_face is None else _vec(a.centroid_face),
+             "voice": None if a.centroid_voice is None else _vec(a.centroid_voice)}
             for _, a in sorted(store.anchors.items())
         ],
-        "episodic": _episodic_tables(
-            (n.id, n.t, n.d, sorted(n.anchors), n.outcome, n.attrs)
-            for _, n in sorted(store.episodic.items())),
+        "episodic": episodic,
         "semantic": [
             {
                 "id": n.id,
@@ -445,17 +467,9 @@ def snapshot_dict(store: MemoryStore) -> dict:
             for _, n in sorted(store.semantic.items())
         ],
         "logic": [
-            {
-                "id": n.id,
-                "c": n.c,
-                "score": n.score,
-                "steps": list(n.steps),
-                "episodic_links": sorted(n.episodic_links),
-                "anchors": sorted(n.anchors),
-                "i_goal": _vec(n.i_goal),
-                "i_step": _vec(n.i_step),
-                "dag": _dag_dict(n.dag),
-            }
+            {"id": n.id, "c": n.c, "score": n.score, "steps": list(n.steps),
+             "episodic_links": _gaps(sorted(n.episodic_links)),
+             "i_goal": _vec(n.i_goal), "i_step": _vec(n.i_step), "dag": _dag_rows(n.dag)}
             for _, n in sorted(store.logic.items())
         ],
         "pool": [
@@ -466,42 +480,92 @@ def snapshot_dict(store: MemoryStore) -> dict:
             }
             for e in store.pool
         ],
-        "observations": [[obs_id, m.video, list(m.episodes)]
-                         for obs_id, m in sorted(store.observations.items())],
+        "observations": observations,
         "video_clock": dict(sorted(store.video_clock.items())),
     }
 
 
-def _episodic_tables(rows) -> dict:
-    """The episodic layer as version 4 stores it: each distinct text, and each
-    attrs of distinct canonical JSON, once in order of first use, and one
-    ``[id, t, text, anchors, outcome, attrs]`` row per node indexing both."""
-    texts, attrs, nodes = {}, {}, []  # attrs: canonical JSON -> (index, attrs)
+def _observation_rows(observations) -> tuple:
+    """``(id, video, [(id, t, text, anchors, outcome, attrs), ...])`` as version 5 rows,
+    ``[id, video, t or null, [[id, text, anchors, outcome, attrs], ...]]``, and the tables
+    of each distinct text, and attrs of distinct canonical JSON, in order of first use."""
+    texts, attrs, rows = {}, {}, []  # attrs: canonical JSON -> (index, attrs)
     by_repr: dict = {}  # equal reprs are equal JSON, and a repr is the cheaper key
-    for node_id, t, d, anchors, outcome, a in rows:
-        at = by_repr.get(key := repr(a))
-        if at is None:
-            at = by_repr[key] = attrs.setdefault(json.dumps(a, sort_keys=True), (len(attrs), a))[0]
-        nodes.append([node_id, t, texts.setdefault(d, len(texts)), anchors, outcome, at])
-    return {"texts": list(texts), "attrs": [a for _, a in attrs.values()], "nodes": nodes}
+    for obs_id, video, nodes in observations:
+        episodes = []
+        for node_id, _, d, anchors, outcome, a in nodes:
+            at = by_repr.get(key := repr(a))
+            if at is None:
+                at = by_repr[key] = attrs.setdefault(json.dumps(a, sort_keys=True), (len(attrs), a))[0]
+            episodes.append([node_id, texts.setdefault(d, len(texts)), anchors,
+                             OUTCOMES.index(outcome), at])
+        rows.append([obs_id, video, nodes[0][1] if nodes else None, episodes])
+    return rows, {"texts": list(texts), "attrs": [a for _, a in attrs.values()]}
 
 
-def _as_v4(data: dict, version: int, store: MemoryStore) -> tuple:
-    """A version 1-3 snapshot's episodic and observation lists as the version
-    4 tables. Version 1 stores each node's vector and versions 1 and 2 its
-    action and video: every stored copy must equal what a load derives."""
-    video_of = {i: o["video"] for o in data["observations"] for i in o["episodes"]}
-    for e in data["episodic"] if version < 3 else ():
-        _embedded(store.text_vector, e, "d", version, "episodic")
-        if (e["action"], e["video"]) != (extract_action(e["d"], store.config.action_verbs),
-                                         video_of.get(e["id"])):
-            raise CorruptSnapshot(f"episodic {e['id']}: stored action or video is not derived")
-    episodic = _episodic_tables((e["id"], e["t"], e["d"], e["anchors"], e["outcome"], e["attrs"])
-                                for e in data["episodic"])
-    return episodic, [[o["id"], o["video"], o["episodes"]] for o in data["observations"]]
+def _as_v5(data: dict, version: int, store: MemoryStore) -> dict:
+    """A version 1-4 snapshot as version 5. Version 1 stores node vectors, versions 1-2
+    actions and videos, and all four anchor counts, the percept count, logic anchors and
+    node ``t``s: every stored copy must equal what a load derives."""
+    if version < 4:
+        _increasing([[e["id"] for e in data["episodic"]]], "episodic ids")
+        nodes = {e["id"]: (e["id"], e["t"], e["d"], e["anchors"], e["outcome"], e["attrs"])
+                 for e in data["episodic"]}
+        observations = [(o["id"], o["video"], o["episodes"]) for o in data["observations"]]
+        video_of = {i: video for _, video, episodes in observations for i in episodes}
+        for e in data["episodic"] if version < 3 else ():
+            _embedded(store.text_vector, e, "d", version, "episodic")
+            if (e["action"], e["video"]) != (extract_action(e["d"], store.config.action_verbs),
+                                             video_of.get(e["id"])):
+                raise CorruptSnapshot(f"episodic {e['id']}: stored action or video is not derived")
+    else:
+        texts, attrs = data["episodic"]["texts"], data["episodic"]["attrs"]
+        rows = _rows(data["episodic"]["nodes"], 6, "episodic")
+        observations = _rows(data["observations"], 3, "observation")
+        _refuse_unless_first_uses([row[2] for row in rows], texts, "text")
+        _refuse_unless_first_uses([row[5] for row in rows],
+                                  [json.dumps(a, sort_keys=True) for a in attrs], "attrs")
+        nodes = {i: (i, t, texts[d], anchors, outcome, attrs[a])
+                 for i, t, d, anchors, outcome, a in rows}
+    if repr(sorted(i for o in observations for i in o[2])) != repr(sorted(nodes)):  # true is not 1
+        raise CorruptSnapshot("an episode is not listed by exactly one observation")
+    listed = [(obs_id, video, [nodes[i] for i in ids]) for obs_id, video, ids in observations]
+    if any(len({repr(node[1]) for node in nodes_of}) > 1 for _, _, nodes_of in listed):
+        raise CorruptSnapshot("the episodes of an observation do not share one stored t")
+    counts = [a["face_count"] + a["voice_count"] for a in data["anchors"]]
+    stored = [a["count"] for a in data["anchors"]] + [data["percept_count"]]
+    if repr(stored) != repr(counts + [sum(counts)]):  # by repr: true is not 1, nor 3.0 3
+        raise CorruptSnapshot("a stored anchor count or percept_count is not the derived sum")
+    logic = []
+    for l in data["logic"]:
+        links = l["episodic_links"]
+        _increasing([links, l["anchors"]], f"logic {l['id']} episodic links or anchors")
+        if l["anchors"] != sorted(set().union(*(nodes[i][3] for i in links if i in nodes))):
+            raise CorruptSnapshot(f"logic {l['id']}: stored anchors are not its evidence's")
+        logic.append(dict(l, episodic_links=_gaps(links), dag={
+            "nodes": [[n["label"], n.get("attrs", {}), n["success_alpha"], n["success_beta"]]
+                      for n in l["dag"]["nodes"]],
+            "edges": [[e["src"], e["dst"], e["count"], e["gamma"]] for e in l["dag"]["edges"]]}))
+    observations, episodic = _observation_rows(listed)
+    return dict(data, episodic=episodic, observations=observations, logic=logic)
 
 
-def _refuse_unless_first_uses(indexes: list, keys: list, what: str) -> None:
+def _increasing(lists: list, what: str) -> None:
+    """Refuse unless each of ``lists`` is a list of ints (not true or 1.0), strictly increasing."""
+    if not (set(map(type, lists)) <= {list} and set(map(type, chain.from_iterable(lists))) <= {int}
+            and all(all(map(lt, ids, ids[1:])) for ids in lists if len(ids) > 1)):
+        raise CorruptSnapshot(f"{what} are not ints in strictly increasing order")
+
+
+def _rows(table, width: int, what: str) -> list:
+    """``table`` if it is rows of ``width`` fields in strictly increasing int id order."""
+    if not (type(table) is list and set(map(type, table)) <= {list} and set(map(len, table)) <= {width}):
+        raise CorruptSnapshot(f"{what} rows are not {width} fields each")
+    _increasing([[row[0] for row in table]], f"the {what} rows' ids")
+    return table
+
+
+def _refuse_unless_first_uses(indexes, keys: list, what: str) -> None:
     """Refuse unless a table's entries, by ``keys``, are distinct, and the
     indexes into it are ints whose first uses are 0, 1, ... to its last."""
     # ints by type first: true and 1.0 would pass for 1 in the dict
@@ -511,29 +575,39 @@ def _refuse_unless_first_uses(indexes: list, keys: list, what: str) -> None:
                               "in order of first use")
 
 
-def _add_episodic(store: MemoryStore, tables: dict, observations: list) -> None:
-    """Build the episodic nodes and observations from the version 4 tables,
+def _add_observations(store: MemoryStore, tables: dict, observations: list) -> None:
+    """Build the observations and their episodic nodes from version 5 rows,
     deriving each text's vector and action once. Anything but the canonical
-    tables of some store is refused."""
-    texts, attrs, rows = tables["texts"], tables["attrs"], tables["nodes"]
-    for what, table, width in (("episodic", rows, 6), ("observation", observations, 3)):
-        ids = [row[0] for row in table if isinstance(row, list) and len(row) == width]
-        if len(ids) != len(table) or not set(map(type, ids)) <= {int} or ids != sorted(set(ids)):
-            raise CorruptSnapshot(f"{what} rows are not {width} fields each in increasing id order")
+    rows and tables of some store is refused."""
+    texts, attrs = tables["texts"], tables["attrs"]
     if not (all(isinstance(d, str) for d in texts) and all(isinstance(a, dict) for a in attrs)):
         raise CorruptSnapshot("episodic texts are not all strings, or attrs not all objects")
-    _refuse_unless_first_uses([row[2] for row in rows], texts, "text")
-    _refuse_unless_first_uses([row[5] for row in rows],
-                              [json.dumps(a, sort_keys=True) for a in attrs], "attrs")
-    for obs_id, video, episodes in observations:
-        store.observations[obs_id] = ObservationMeta(video, list(episodes))
-    video_of = {i: meta.video for meta in store.observations.values() for i in meta.episodes}
+    rows = [row for observation in _rows(observations, 4, "observation") for row in observation[3]]
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {5}):
+        raise CorruptSnapshot("episode rows are not 5 fields each")
+    if bad := next((o for o in observations if type(o[3]) is not list
+                    or (o[2] is None) != (not o[3])), None):
+        raise CorruptSnapshot(f"observation {bad[0]}: t {bad[2]!r} is not null exactly when it "
+                              "lists no episodes")
+    _, text_at, anchors, outcomes, attrs_at = zip(*rows) if rows else ((),) * 5
+    _increasing(anchors, "episodic anchors")
+    if not (set(map(type, outcomes)) <= {int} and set(outcomes) <= set(range(len(OUTCOMES)))):
+        raise CorruptSnapshot(f"episodic outcomes are not indexes into {OUTCOMES}")
+    _refuse_unless_first_uses(text_at, texts, "text")
+    _refuse_unless_first_uses(attrs_at, [json.dumps(a, sort_keys=True) for a in attrs], "attrs")
     vectors = [store.text_vector(d) for d in texts]
     actions = [extract_action(d, store.config.action_verbs) for d in texts]
-    for node_id, t, text, anchors, outcome, at in rows:
-        store.episodic[node_id] = EpisodicNode(
-            id=node_id, t=t, d=texts[text], v_e=vectors[text], video=video_of.get(node_id),
-            anchors=set(anchors), action=actions[text], outcome=outcome, attrs=dict(attrs[at]))
+    nodes = {}
+    for obs_id, video, t, episodes in observations:
+        store.observations[obs_id] = ObservationMeta(video, list(map(itemgetter(0), episodes)))
+        for node_id, text, anchors, outcome, at in episodes:  # fields in declaration order
+            nodes[node_id] = EpisodicNode(node_id, t, texts[text], vectors[text], video,
+                                          set(anchors), actions[text], OUTCOMES[outcome],
+                                          dict(attrs[at]))
+    _increasing([m.episodes for m in store.observations.values()], "the episode ids of an observation")
+    if len(nodes) != len(rows):
+        raise CorruptSnapshot("an episode is listed by two observations")
+    store.episodic = {i: nodes[i] for i in sorted(nodes)}  # in id order, as ingest made them
 
 
 def _embedded(embed, entry: dict, key: str, version: int, what: str) -> np.ndarray:
@@ -549,17 +623,16 @@ def _embedded(embed, entry: dict, key: str, version: int, what: str) -> np.ndarr
 
 
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
-    """Rebuild a store from a version 1, 2, 3 or 4 snapshot dict.
+    """Rebuild a store from a version 1-5 snapshot dict.
 
     Episodic and semantic vectors are recomputed with ``embedder`` (default:
     a ``HashingEmbedder`` of the snapshot's dim), which must be the one a
-    version 2, 3 or 4 snapshot names. Version 1 names none but stores the
-    vectors, and versions 1 and 2 store each episode's action and video:
-    each stored copy must equal its recomputed value. Versions 1-3 are
-    first rewritten as version 4's episodic and observation tables.
+    version 2-5 snapshot names. Versions 1-4 are first rewritten as version
+    5; each copy they store of a field version 5 derives (version 1 names no
+    embedder but stores the vectors) must equal its derived value.
     """
     version = data.get("version") if isinstance(data, dict) else None
-    if not _is_int(version) or version not in (1, 2, 3, SNAPSHOT_VERSION):
+    if not _is_int(version) or version not in range(1, SNAPSHOT_VERSION + 1):
         raise CorruptSnapshot(f"unsupported snapshot version {version!r}"
                               if isinstance(data, dict) else "snapshot is not an object")
     try:
@@ -574,12 +647,15 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 f"loading embedder {embedder_identity(embedder)!r}; pass the "
                 "store's embedder to load()")
         store = MemoryStore(config, embedder)
+        if version < SNAPSHOT_VERSION:
+            data = _as_v5(data, version, store)
         def vector(x, what):
             return np.asarray(x, dtype=np.float64) if version < 3 else _vec_from(x, config.dim, what)
         store.next_node_id = data["counters"]["node"]
         store.next_anchor_id = data["counters"]["anchor"]
         store.next_logic_id = data["counters"]["logic"]
-        store.percept_count = data["percept_count"]
+        for section in ("anchors", "semantic", "logic"):
+            _increasing([[entry["id"] for entry in data[section]]], f"{section} ids")
         for a in data["anchors"]:
             anchor = EntityAnchor(
                 id=a["id"],
@@ -588,14 +664,15 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                     a["face"], f"anchor {a['id']} face"),
                 centroid_voice=None if a["voice"] is None else vector(
                     a["voice"], f"anchor {a['id']} voice"),
-                count=a["count"],
+                count=a["face_count"] + a["voice_count"],
                 face_count=a["face_count"],
                 voice_count=a["voice_count"],
             )
             store.anchors[anchor.id] = anchor
+        store.percept_count = sum(a.count for a in store.anchors.values())
         store.centroid_rows = CentroidRows(store.anchors, config.dim)
-        _add_episodic(store, *(_as_v4(data, version, store) if version < SNAPSHOT_VERSION
-                               else (data["episodic"], data["observations"])))
+        _add_observations(store, data["episodic"], data["observations"])
+        _increasing([s["anchors"] for s in data["semantic"]], "semantic anchors")
         for s in data["semantic"]:
             node = SemanticNode(
                 id=s["id"], type=s["type"], attrs=s["attrs"],
@@ -604,13 +681,16 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             )
             store.semantic[node.id] = node
         for l in data["logic"]:
+            gaps = l["episodic_links"]  # a gap below 1 or not an int: not increasing
+            links = list(accumulate(gaps)) if set(map(type, gaps)) <= {int} else gaps
+            _increasing([links], f"logic {l['id']} episodic links")
             node = LogicNode(
                 id=l["id"], c=l["c"],
                 i_goal=vector(l["i_goal"], f"logic {l['id']} i_goal"),
                 i_step=vector(l["i_step"], f"logic {l['id']} i_step"),
-                dag=_dag_from_dict(l["dag"]),
-                episodic_links=set(l["episodic_links"]),
-                anchors=set(l["anchors"]),
+                dag=_dag_from_rows(l["dag"]),
+                episodic_links=set(links),
+                anchors=_evidence_anchors(store, links),
                 score=l["score"],
                 steps=tuple(l["steps"]),
             )
@@ -621,12 +701,12 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                           tuple(p["actions"]))
             )
         store.video_clock = dict(data["video_clock"])
-        violations = check_store(store)
+        violations = check_store(store, derived=False)  # derived above
     except CorruptSnapshot:
         raise
     except ConfigError as exc:
         raise CorruptSnapshot(f"snapshot config invalid: {exc}") from None
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch, MissingEdge) as exc:
         raise CorruptSnapshot(f"snapshot structure invalid: {exc!r}") from None
     if violations:
         raise CorruptSnapshot(violations[0])

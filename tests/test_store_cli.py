@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memstrata import (
+    GOAL,
+    START,
     Conclusion,
     Config,
     ConfigError,
@@ -35,6 +37,7 @@ from memstrata import (
 from memstrata.cli import _WriterLock, run_cli
 from memstrata.core import dump_config
 from memstrata import store as store_module
+from memstrata.ingest import OUTCOMES
 from memstrata.store import snapshot_dict, store_from_dict
 from conftest import FRUIT_VERBS, fruit_salad_store, jsonl_lines
 
@@ -189,13 +192,13 @@ def _first_edge(data):
 
 
 @pytest.mark.parametrize("where,value", [
-    (lambda d: (d["episodic"]["nodes"][0], 1), float("nan")),
+    (lambda d: (d["observations"][0], 2), float("nan")),
     (lambda d: (d["logic"][0], "score"), float("nan")),
-    (lambda d: (d["logic"][0]["dag"]["nodes"][1], "success_alpha"), float("nan")),
-    (lambda d: (d["logic"][0]["dag"]["nodes"][1], "success_beta"), float("inf")),
-    (lambda d: (_first_edge(d), "count"), float("nan")),
-    (lambda d: (_first_edge(d), "count"), "3"),
-    (lambda d: (_first_edge(d), "gamma"), float("inf")),
+    (lambda d: (d["logic"][0]["dag"]["nodes"][1], 2), float("nan")),
+    (lambda d: (d["logic"][0]["dag"]["nodes"][1], 3), float("inf")),
+    (lambda d: (_first_edge(d), 2), float("nan")),
+    (lambda d: (_first_edge(d), 2), "3"),
+    (lambda d: (_first_edge(d), 3), float("inf")),
     (lambda d: (d["video_clock"], "v1"), float("nan")),
 ], ids=["episodic-t", "logic-score", "dag-success_alpha", "dag-success_beta",
         "edge-count", "edge-count-str", "edge-gamma", "video_clock"])
@@ -214,7 +217,7 @@ def test_non_finite_snapshot_scalar_rejected(tmp_path, where, value):
     lambda d: (d["anchors"][0], "face_count"),
     lambda d: (d["semantic"][0], "weight"),
     lambda d: (d["counters"], "node"),
-    lambda d: (d["episodic"]["nodes"][0], 0),
+    lambda d: (d["observations"][0][3][0], 0),
     lambda d: (d["observations"][0], 0),
 ], ids=["anchor-face_count", "semantic-weight", "counter-node", "episodic-id",
         "observation-id"])
@@ -485,33 +488,48 @@ def test_check_accepts_any_finite_float_vector():
         assert store.check() == []
 
 
-def test_v4_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
+def test_v5_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.save(path)
     text = open(path).read()
     assert "\n" not in text[:-1] and text.endswith("\n")
     data = json.loads(text)
-    assert data["version"] == 4
+    assert data["version"] == 5
     assert data["embedder"] == {"name": "hashing-fnv1a64", "dim": 512}
-    assert data["episodic"]["nodes"] and data["semantic"]
+    assert data["observations"] and data["semantic"]
     assert all("v" not in entry for entry in data["semantic"])
-    # each distinct text and attrs once, in first-use order, then one
-    # [id, t, text, anchors, outcome, attrs] row per node: no vector, action or video
-    nodes = [node for _, node in sorted(store.episodic.items())]
+    # each distinct text and attrs once, in first-use order as the file lists
+    # the nodes, and each observation one [id, video, t, nodes] row holding
+    # [id, text, anchors, outcome, attrs] rows: no vector, action, video or own t
+    nodes = [store.episodic[i] for _, meta in sorted(store.observations.items())
+             for i in meta.episodes]
     texts = list(dict.fromkeys(node.d for node in nodes))
     attrs = [json.loads(a) for a in dict.fromkeys(json.dumps(node.attrs, sort_keys=True)
                                                   for node in nodes)]
     assert len(texts) < len(nodes) and len(attrs) < len(nodes)
-    assert data["episodic"] == {"texts": texts, "attrs": attrs, "nodes": [
-        [n.id, n.t, texts.index(n.d), sorted(n.anchors), n.outcome, attrs.index(n.attrs)]
-        for n in nodes]}
-    assert data["observations"] == [[i, meta.video, meta.episodes]
-                                    for i, meta in sorted(store.observations.items())]
+    assert data["episodic"] == {"texts": texts, "attrs": attrs}
+    assert data["observations"] == [
+        [i, meta.video, store.episodic[meta.episodes[0]].t if meta.episodes else None,
+         [[n.id, texts.index(n.d), sorted(n.anchors), OUTCOMES.index(n.outcome),
+           attrs.index(n.attrs)] for n in map(store.episodic.get, meta.episodes)]]
+        for i, meta in sorted(store.observations.items())]
+    # no anchor count, percept count or logic anchors; links as gaps; DAGs as rows
+    assert "percept_count" not in data and "count" not in data["anchors"][0]
+    node, logic = store.logic[1], data["logic"][0]
+    links = sorted(node.episodic_links)
+    assert "anchors" not in logic and len(links) > 1
+    assert logic["episodic_links"] == [links[0]] + [b - a for a, b in zip(links, links[1:])]
+    labels = [START] + sorted(node.dag.step_labels()) + [GOAL]
+    assert logic["dag"]["nodes"] == [
+        [label, node.dag.nodes[label].attrs, node.dag.nodes[label].success_alpha,
+         node.dag.nodes[label].success_beta] for label in labels]
+    assert logic["dag"]["edges"] == [[src, dst, stat.count, stat.gamma]
+                                     for src, dst, stat in sorted(node.dag.edges())]
     # every stored vector is the v3 encoding of the store's own floats
-    node, anchor = store.logic[1], store.anchors[1]
-    assert data["logic"][0]["i_goal"] == encode_vector(node.i_goal.tolist())
-    assert data["logic"][0]["i_step"] == encode_vector(node.i_step.tolist())
+    anchor = store.anchors[1]
+    assert logic["i_goal"] == encode_vector(node.i_goal.tolist())
+    assert logic["i_step"] == encode_vector(node.i_step.tolist())
     assert data["anchors"][0]["face"] == encode_vector(anchor.centroid_face.tolist())
 
 
@@ -522,7 +540,7 @@ def test_v4_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v1_dim8.json")
 
 
-def test_v1_snapshot_loads_and_saves_as_v4(tmp_path):
+def test_v1_snapshot_loads_and_saves_as_v5(tmp_path):
     store = MemoryStore.load(V1_FIXTURE)
     assert store.check() == []
     stats = store.stats()
@@ -534,7 +552,7 @@ def test_v1_snapshot_loads_and_saves_as_v4(tmp_path):
         assert (node.action, node.video) == (entry["action"], entry["video"])
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     store.save(p1)
-    assert json.loads(open(p1).read())["version"] == 4
+    assert json.loads(open(p1).read())["version"] == 5
     MemoryStore.load(p1).save(p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
@@ -571,7 +589,7 @@ def test_v1_snapshot_with_a_tampered_repeat_rejected(tmp_path):
 V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v2_dim8.json")
 
 
-def test_v2_snapshot_loads_and_saves_as_v4(tmp_path):
+def test_v2_snapshot_loads_and_saves_as_v5(tmp_path):
     v2 = json.loads(open(V2_FIXTURE).read())
     store = MemoryStore.load(V2_FIXTURE)
     assert store.check() == []
@@ -585,7 +603,7 @@ def test_v2_snapshot_loads_and_saves_as_v4(tmp_path):
     assert store.pool[0].vector.tolist() == v2["pool"][0]["vector"]
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     store.save(p1)
-    assert json.loads(open(p1).read())["version"] == 4
+    assert json.loads(open(p1).read())["version"] == 5
     loaded = MemoryStore.load(p1)
     assert snapshot_dict(loaded) == snapshot_dict(store)
     assert [(n.action, n.video) for n in loaded.episodic.values()] == \
@@ -616,7 +634,7 @@ def test_v2_snapshot_with_tampered_derived_field_rejected(tmp_path, key, value):
 V3_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v3_dim8.json")
 
 
-def test_v3_snapshot_loads_and_saves_as_v4(tmp_path):
+def test_v3_snapshot_loads_and_saves_as_v5(tmp_path):
     v3 = json.loads(open(V3_FIXTURE).read())
     assert v3["version"] == 3
     store = MemoryStore.load(V3_FIXTURE)
@@ -631,16 +649,67 @@ def test_v3_snapshot_loads_and_saves_as_v4(tmp_path):
            {o["id"]: (o["video"], o["episodes"]) for o in v3["observations"]}
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     store.save(p1)
-    v4 = json.loads(open(p1).read())
-    assert v4["version"] == 4
-    assert len(v4["episodic"]["texts"]) == 6 and len(v4["episodic"]["attrs"]) == 4
-    # everything outside the episodic layer and the observations is as in v3
-    for key in set(v3) - {"version", "episodic", "observations"}:
-        assert v4[key] == v3[key], key
+    v5 = json.loads(open(p1).read())
+    assert v5["version"] == 5
+    assert len(v5["episodic"]["texts"]) == 6 and len(v5["episodic"]["attrs"]) == 4
+    # the rest is as in v3 but for the fields v5 derives or writes as rows
+    for key in set(v3) - {"version", "episodic", "observations", "anchors", "percept_count",
+                          "logic"}:
+        assert v5[key] == v3[key], key
+    assert v5["anchors"] == [{k: v for k, v in a.items() if k != "count"} for a in v3["anchors"]]
+    for key in set(v3["logic"][0]) - {"anchors", "episodic_links", "dag"}:
+        assert v5["logic"][0][key] == v3["logic"][0][key], key
     loaded = MemoryStore.load(p1)
     assert snapshot_dict(loaded) == snapshot_dict(store)
     loaded.save(p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+# snapshot_v4_dim8.json was written by the version 4 writer from the v3
+# fixture's recipe above, record ids 1-9 for the three sources' lines, 10 for
+# source v4 and 11 for source v5; it is byte for byte the version 4 save of
+# the store loaded from snapshot_v3_dim8.json.
+V4_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v4_dim8.json")
+
+
+def test_v4_snapshot_loads_and_saves_as_v5(tmp_path):
+    v4 = json.loads(open(V4_FIXTURE).read())
+    assert v4["version"] == 4
+    store = MemoryStore.load(V4_FIXTURE)
+    assert store.check() == []
+    assert snapshot_dict(store) == snapshot_dict(MemoryStore.load(V3_FIXTURE))
+    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    store.save(p1)
+    assert json.loads(open(p1).read())["version"] == 5
+    loaded = MemoryStore.load(p1)
+    assert snapshot_dict(loaded) == snapshot_dict(store)
+    loaded.save(p2)
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def _v4_observation_of_three(data):
+    return next(row for row in data["observations"] if len(row[2]) == 3)
+
+
+def _v4_node(data, node_id):
+    return next(row for row in data["episodic"]["nodes"] if row[0] == node_id)
+
+
+@pytest.mark.parametrize("plant,match", [
+    (lambda d: d["anchors"][0].update(count=4), "anchor count or percept_count"),
+    (lambda d: d.update(percept_count=4), "anchor count or percept_count"),
+    (lambda d: d["logic"][0].update(anchors=[]), "logic 1: stored anchors"),
+    (lambda d: _v4_node(d, _v4_observation_of_three(d)[2][1]).__setitem__(1, 0.5),
+     "do not share one stored t"),
+    (lambda d: _v4_node(d, _v4_observation_of_three(d)[2][0]).__setitem__(1, 0),
+     "do not share one stored t"),
+], ids=["anchor-count", "percept_count", "logic-anchors", "node-t", "node-t-int"])
+def test_v4_snapshot_with_a_stored_field_v5_derives_otherwise_rejected(plant, match):
+    # 0 and 0.0 are one number but not one stored value.
+    data = json.loads(open(V4_FIXTURE).read())
+    plant(data)
+    with pytest.raises(CorruptSnapshot, match=match):
+        store_from_dict(data)
 
 
 def _retable(data, column, key):
@@ -738,9 +807,8 @@ EPISODIC_ROWS, OBSERVATION_ROWS = "episodic rows", "observation rows"
         "observation-row-2", "episodic-rows-swapped", "observation-rows-swapped"])
 def test_non_canonical_v4_tables_rejected(plant, match):
     # One store state, one file: no other tables for the same nodes load.
-    store = ready_store()
-    data = json.loads(json.dumps(snapshot_dict(store)))
-    assert snapshot_dict(store_from_dict(copy.deepcopy(data))) == data
+    data = json.loads(open(V4_FIXTURE).read())
+    assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=match):
         store_from_dict(data)
@@ -756,9 +824,9 @@ def test_v4_attrs_are_one_entry_per_canonical_json(tmp_path):
         store.ingest(ObservationRecord(rid, "v", float(rid), [Description("chop the fruit", a)],
                                        [], []))
     store.save(path)
-    tables = json.loads(open(path).read())["episodic"]
-    assert tables["texts"] == ["chop the fruit"]
-    assert [row[5] for row in tables["nodes"]] == [0, 1, 2, 0, 3, 3]
+    data = json.loads(open(path).read())
+    assert data["episodic"]["texts"] == ["chop the fruit"]
+    assert [node[4] for row in data["observations"] for node in row[3]] == [0, 1, 2, 0, 3, 3]
     loaded = MemoryStore.load(path)
     assert [repr(loaded.episodic[i].attrs) for i in sorted(loaded.episodic)][:4] == \
            ["{'n': 1}", "{'n': 1.0}", "{'n': True}", "{'n': 1}"]
