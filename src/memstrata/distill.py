@@ -58,7 +58,6 @@ class LogicNode:
     i_step: np.ndarray
     dag: ProceduralDag
     episodic_links: set = field(default_factory=set)
-    anchors: set = field(default_factory=set)
     score: float = 0.0
     steps: tuple = ()
 
@@ -405,7 +404,6 @@ def distill(store, episode_ids=None) -> list[int]:
             i_step=i_step,
             dag=dag,
             episodic_links={e.id for e in related},
-            anchors=set().union(*(e.anchors for e in related)) if related else set(),
             score=score,
             steps=tuple(pattern.steps),
         )

@@ -269,7 +269,7 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     """Replace two logic nodes by their fusion under the store's writer lock.
 
     The fused node keeps the first node's goal text; index vectors are the
-    component-wise mean of the inputs'; evidence links and anchors union.
+    component-wise mean of the inputs'; evidence links union.
     """
     from .distill import LogicNode
 
@@ -292,7 +292,6 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
         i_step=(a.i_step + b.i_step) / 2.0,
         dag=fused_dag,
         episodic_links=set(a.episodic_links) | set(b.episodic_links),
-        anchors=set(a.anchors) | set(b.anchors),
         score=max(a.score, b.score),
         steps=tuple(a.steps),
     )

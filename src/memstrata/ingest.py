@@ -73,9 +73,13 @@ class EntityAnchor:
     label: str
     centroid_face: np.ndarray | None = None
     centroid_voice: np.ndarray | None = None
-    count: int = 0
     face_count: int = 0
     voice_count: int = 0
+
+    @property
+    def count(self) -> int:
+        """The percepts assigned to the anchor, of both kinds."""
+        return self.face_count + self.voice_count
 
 
 @dataclass
@@ -285,17 +289,14 @@ def resolve_anchor(store, percept: Percept) -> int:
             centroid += percept.vector
             centroid /= k + 1
             setattr(anchor, count, k + 1)
-            anchor.count += 1
-            store.percept_count += 1
             return anchor.id
 
     anchor_id = store.next_anchor_id
     store.next_anchor_id += 1
-    anchor = EntityAnchor(anchor_id, percept.hint, count=1,
+    anchor = EntityAnchor(anchor_id, percept.hint,
                           **{f"centroid_{percept.kind}": percept.vector, count: 1})
     rows.add(anchor)
     store.anchors[anchor_id] = anchor
-    store.percept_count += 1
     return anchor_id
 
 

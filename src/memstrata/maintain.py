@@ -141,8 +141,6 @@ def apply_observation(store, rec) -> UpdateReport:
                 record_trial(node.dag, action, outcome == "success")
                 report.trials += 1
         node.episodic_links.update(meta.episodes)
-        for ep_id in meta.episodes:
-            node.anchors.update(store.episodic[ep_id].anchors)
         assert_valid(node.dag, "apply_observation")
         return report
 

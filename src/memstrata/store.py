@@ -11,9 +11,10 @@ text and attrs object is stored once, in a table the node rows index. Id
 lists are strictly increasing, evidence links are gap-coded and DAGs are
 rows, and a load refuses all but the canonical form. Nothing a load can
 derive is stored: a load recomputes text vectors with the embedder the
-snapshot names, each episode's action with ``extract_action`` (once per
-distinct text), anchor counts from the face and voice counts, the percept
-count from those, and each logic node's anchors from its evidence.
+snapshot names and each episode's action with ``extract_action`` (once per
+distinct text). Nor does a store hold what it can compute: an anchor's count
+and the percept count are sums of the face and voice counts, and the anchors
+of a procedure are those of its evidence.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ from .maintain import PoolEntry, apply_observation
 from .retrieve import make_query, retrieve
 
 SNAPSHOT_VERSION = 5
+# The sections of one type in every version: a load iterates them, so an empty
+# section of another type would load, and re-save as another file.
+_SECTION_TYPES = {"anchors": list, "semantic": list, "logic": list, "pool": list, "video_clock": dict}
 
 
 class MemoryStore:
@@ -84,11 +88,15 @@ class MemoryStore:
         self.next_node_id = 1
         self.next_anchor_id = 1
         self.next_logic_id = 1
-        self.percept_count = 0
         self.retrieval_calls = 0
         self.classifier = None
         self.verifier_fn = verify_default if self.config.verifier == "default" else None
         self.goal_namer_fn = default_goal_name if self.config.goal_namer == "default" else None
+
+    @property
+    def percept_count(self) -> int:
+        """The percepts ingested, as the anchors that took them count them."""
+        return sum(a.count for a in self.anchors.values())
 
     # -- plugin registration ----------------------------------------------
 
@@ -150,9 +158,9 @@ class MemoryStore:
     def save(self, path: str) -> None:
         """Write the snapshot atomically and durably: the temp file is synced
         before it replaces ``path``, and the directory after."""
-        fault = _unwritable(self)
-        if fault:
-            raise SnapshotIoError(f"cannot save {path}: {fault}")
+        faults = _underivable(self)
+        if faults:
+            raise SnapshotIoError(f"cannot save {path}: {faults[0]}")
         try:
             payload = json.dumps(snapshot_dict(self), sort_keys=True,
                                  separators=(",", ":"), allow_nan=False)
@@ -222,61 +230,59 @@ class MemoryStore:
 # -- global invariant sweep -----------------------------------------------
 
 
-def _text_actions(store: MemoryStore) -> dict:
-    """Each distinct episodic text's action, as a load derives it."""
-    verbs = store.config.action_verbs
-    return {d: extract_action(d, verbs) for d in {node.d for node in store.episodic.values()}}
-
-
-def _evidence_anchors(store: MemoryStore, links) -> set:
-    """The union of the anchors of the episodes ``links`` names, as a load derives it."""
-    return set().union(*[node.anchors for node in map(store.episodic.get, links) if node])
-
-
-def _underived(store: MemoryStore) -> list[str]:
-    """Each field a load derives that ``store`` holds otherwise: anchor counts, the
-    percept count, an observation's one ``t`` (by ``repr``) and logic anchors."""
-    v = [f"anchor {i}: count mismatch" for i, a in sorted(store.anchors.items())
-         if a.count != a.face_count + a.voice_count]
-    if sum(a.count for a in store.anchors.values()) != store.percept_count:
-        v.append("anchor counts do not sum to ingested percepts")
-    v += [f"observation {i}: episodes do not share one t" for i, m in sorted(store.observations.items())
-          if len(m.episodes) > 1 and len({repr(store.episodic[e].t) for e in m.episodes
-                                          if e in store.episodic}) > 1]
-    return v + [f"logic {i}: anchors not the union over evidence"
-                for i, node in sorted(store.logic.items())
-                if node.episodic_links <= store.episodic.keys()
-                and node.anchors != _evidence_anchors(store, node.episodic_links)]
-
-
-def _unwritable(store: MemoryStore) -> str:
-    """Why a load of the snapshot would not give ``store`` back, or ''."""
-    listed = Counter((i, meta.video) for meta in store.observations.values() for i in meta.episodes)
-    if listed != Counter((i, node.video) for i, node in store.episodic.items()):
-        return "an episode is not listed by exactly one observation of its video"
-    actions = _text_actions(store)
-    if any(node.action != actions[node.d] for node in store.episodic.values()):
-        return "an episode's action is not the one config.action_verbs gives its text"
-    return next(iter(_underived(store)), "")
+def _underivable(store: MemoryStore) -> list[str]:
+    """What a load derives that ``store`` holds otherwise, so that its snapshot would
+    load as another store: an episode not listed by exactly one observation of its
+    video, an action other than the one its text gives, or the episodes of one
+    observation without one ``t`` (by ``repr``). A load builds all of it, so ``save``
+    refuses such a store with the first of these, and ``check_store`` reports them."""
+    v: list[str] = []
+    try:
+        store.config.validate()
+    except ConfigError:
+        actions = {}  # only from valid verbs; check_store reports the config
+    else:
+        verbs = store.config.action_verbs
+        actions = {d: extract_action(d, verbs) for d in {node.d for node in store.episodic.values()}}
+    listings = Counter(ep_id for meta in store.observations.values() for ep_id in meta.episodes)
+    for node_id, node in sorted(store.episodic.items()):
+        if node.d in actions and node.action != actions[node.d]:
+            v.append(f"episodic {node_id}: action {node.action!r} is not the one its text gives")
+        if listings[node_id] != 1:
+            v.append(f"episodic {node_id}: listed {listings[node_id]} times by observations, not once")
+    for obs_id, meta in sorted(store.observations.items()):
+        for ep_id in meta.episodes:
+            node = store.episodic.get(ep_id)
+            if node is None:
+                v.append(f"observation {obs_id}: missing episode {ep_id}")
+            elif node.video != meta.video:
+                v.append(f"observation {obs_id}: episode {ep_id} video mismatch")
+        if len(meta.episodes) > 1 and len({repr(store.episodic[e].t) for e in meta.episodes
+                                           if e in store.episodic}) > 1:
+            v.append(f"observation {obs_id}: episodes do not share one t")
+    return v
 
 
 def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
-    """Global invariant sweep; returns all violations (empty means healthy). A load
-    that just derived the actions and the fields of ``_underived`` skips them."""
+    """Global invariant sweep; returns all violations (empty means healthy). A load,
+    which builds what ``_underivable`` checks, skips it with ``derived=False``."""
     v: list[str] = []
     try:
         store.config.validate()
     except ConfigError as exc:
         v.append(f"config: {exc}")
-    actions = _text_actions(store) if derived and not v else {}  # only from valid verbs
 
     dim = store.config.dim
 
     def check_vector(owner: str, x) -> None:
         # The one rule for every stored vector, whichever code or embedder made it: a float
-        # ndarray of shape (dim,) with only finite entries (a finite x·x proves it, cheaply).
-        if not (isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.shape == (dim,)
-                and (x.dot(x) < np.inf or np.isfinite(x).all())):
+        # ndarray of shape (dim,) with only finite entries (a finite x·x proves it, cheaply;
+        # a finite x whose x·x overflows falls through to the entry test).
+        ok = isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.shape == (dim,)
+        if ok:
+            with np.errstate(over="ignore"):
+                ok = x.dot(x) < np.inf or np.isfinite(x).all()
+        if not ok:
             v.append(f"{owner} is not {dim} finite floats")
 
     rows = {kind: {} for kind in PERCEPT_KINDS}
@@ -289,6 +295,10 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
         if anchor.centroid_face is None and anchor.centroid_voice is None:
             v.append(f"anchor {anchor_id}: no centroid")
         for name, c in (("face", anchor.centroid_face), ("voice", anchor.centroid_voice)):
+            k = getattr(anchor, f"{name}_count")
+            if not (_is_int(k) and (k >= 1 if c is not None else k == 0)):
+                v.append(f"anchor {anchor_id}: {name}_count {k!r} is not "
+                         + ("an int of at least 1" if c is not None else f"0 without a {name} centroid"))
             if c is not None:
                 check_vector(f"anchor {anchor_id}: {name} centroid", c)
                 if rows[name].pop(anchor_id, None) is not c:
@@ -298,7 +308,6 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v.append(f"{kind} centroid rows of anchors without a {kind} centroid: {sorted(left)}")
 
     anchor_ids = set(store.anchors)
-    listings = Counter(ep_id for meta in store.observations.values() for ep_id in meta.episodes)
     first_of_text: dict = {}
     for node_id, node in sorted(store.episodic.items()):
         if node_id >= store.next_node_id:
@@ -311,12 +320,8 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v.append(f"episodic {node_id}: dangling anchor reference")
         if first_of_text.setdefault(node.d, node_id) == node_id and node.d in store.text_vectors:
             check_vector(f"episodic {node_id}: v_e", store.text_vectors[node.d])  # once per text
-        if store.text_vectors.get(node.d) is not node.v_e:  # one report: v_e, else action
+        if store.text_vectors.get(node.d) is not node.v_e:
             v.append(f"episodic {node_id}: v_e is not the store's vector for its text")
-        elif node.d in actions and node.action != actions[node.d]:
-            v.append(f"episodic {node_id}: action {node.action!r} is not the one its text gives")
-        if listings[node_id] != 1:
-            v.append(f"episodic {node_id}: listed {listings[node_id]} times by observations, not once")
 
     for node_id, node in sorted(store.semantic.items()):
         if node.weight < 1:
@@ -354,14 +359,6 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             if abs(total - 1.0) > 1e-9:
                 v.append(f"logic {logic_id}: transition probs at {src} sum to {total}")
 
-    for obs_id, meta in sorted(store.observations.items()):
-        for ep_id in meta.episodes:
-            node = store.episodic.get(ep_id)
-            if node is None:
-                v.append(f"observation {obs_id}: missing episode {ep_id}")
-            elif node.video != meta.video:
-                v.append(f"observation {obs_id}: episode {ep_id} video mismatch")
-
     for video, t in sorted(store.video_clock.items()):
         if not _is_finite_number(t):
             v.append(f"video_clock {video!r}: {t!r} is not a finite number")
@@ -372,7 +369,7 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
         if entry.observation_id not in store.observations:
             v.append(f"pool entry references unknown observation {entry.observation_id}")
         check_vector(f"pool entry {entry.observation_id}: vector", entry.vector)
-    return v + _underived(store) if derived else v
+    return v + _underivable(store) if derived else v
 
 
 # -- snapshot encode / decode ------------------------------------------------
@@ -647,6 +644,9 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 f"loading embedder {embedder_identity(embedder)!r}; pass the "
                 "store's embedder to load()")
         store = MemoryStore(config, embedder)
+        for name, kind in _SECTION_TYPES.items():
+            if type(data[name]) is not kind:
+                raise CorruptSnapshot(f"snapshot section {name!r} is not a {kind.__name__}")
         if version < SNAPSHOT_VERSION:
             data = _as_v5(data, version, store)
         def vector(x, what):
@@ -664,12 +664,10 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                     a["face"], f"anchor {a['id']} face"),
                 centroid_voice=None if a["voice"] is None else vector(
                     a["voice"], f"anchor {a['id']} voice"),
-                count=a["face_count"] + a["voice_count"],
                 face_count=a["face_count"],
                 voice_count=a["voice_count"],
             )
             store.anchors[anchor.id] = anchor
-        store.percept_count = sum(a.count for a in store.anchors.values())
         store.centroid_rows = CentroidRows(store.anchors, config.dim)
         _add_observations(store, data["episodic"], data["observations"])
         _increasing([s["anchors"] for s in data["semantic"]], "semantic anchors")
@@ -690,7 +688,6 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 i_step=vector(l["i_step"], f"logic {l['id']} i_step"),
                 dag=_dag_from_rows(l["dag"]),
                 episodic_links=set(links),
-                anchors=_evidence_anchors(store, links),
                 score=l["score"],
                 steps=tuple(l["steps"]),
             )

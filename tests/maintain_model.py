@@ -23,7 +23,6 @@ def _node_state(node) -> dict:
         "steps": {label: [n.success_alpha, n.success_beta, dict(n.attrs)]
                   for label, n in dag.nodes.items()},
         "links": set(node.episodic_links),
-        "anchors": set(node.anchors),
     }
 
 
@@ -94,8 +93,6 @@ class MaintenanceModel:
                 expected["trials"] += 1
         episodes = store.observations[rec.id].episodes
         node["links"].update(episodes)
-        for ep_id in episodes:
-            node["anchors"].update(store.episodic[ep_id].anchors)
         return expected
 
     def mismatches(self, store) -> list:

@@ -176,6 +176,7 @@ def test_check_reports_a_centroid_that_is_not_its_row():
     voiced = store.centroid_rows.blocks["voice"].ids[0]
     store.anchors[voiced].centroid_voice = None
     store.anchors[voiced].centroid_face = one_hot(0, 16)
+    store.anchors[voiced].face_count, store.anchors[voiced].voice_count = 1, 0  # counts that fit
     assert store.check() == [
         f"anchor {voiced}: face centroid is not its row of the face rows",
         f"voice centroid rows of anchors without a voice centroid: [{voiced}]"]
@@ -183,14 +184,14 @@ def test_check_reports_a_centroid_that_is_not_its_row():
 
 def test_anchors_inserted_by_a_caller_join_the_rows_at_the_next_percept():
     store = small_store()
-    store.anchors[1] = EntityAnchor(1, "jack", centroid_face=one_hot(0, 16), count=1, face_count=1)
-    store.next_anchor_id, store.percept_count = 2, 1
+    store.anchors[1] = EntityAnchor(1, "jack", centroid_face=one_hot(0, 16), face_count=1)
+    store.next_anchor_id = 2
     assert store.check() == ["anchor 1: face centroid is not its row of the face rows"]
     assert resolve_anchor(store, Percept("face", one_hot(0, 16), "jack")) == 1
     assert store.check() == []
     # once more, now that the rows exist
-    store.anchors[2] = EntityAnchor(2, "tom", centroid_face=one_hot(1, 16), count=1, face_count=1)
-    store.next_anchor_id, store.percept_count = 3, 3
+    store.anchors[2] = EntityAnchor(2, "tom", centroid_face=one_hot(1, 16), face_count=1)
+    store.next_anchor_id = 3
     assert resolve_anchor(store, Percept("face", one_hot(1, 16), "tom")) == 2
     assert store.check() == []
     face = store.centroid_rows.blocks["face"]
@@ -296,7 +297,8 @@ def test_check_reports_a_vector_that_is_not_its_texts():
     store.episodic[repeat].v_e = store.episodic[first].v_e.copy()  # equal values, not the text's
     store.episodic[first].d = "@jack chop the fruits"  # a text the store holds no vector for
     assert store.check() == [f"episodic {i}: v_e is not the store's vector for its text"
-                             for i in (first, repeat)]
+                             for i in (first, repeat)] + [
+        f"episodic {first}: action 'chop_fruit' is not the one its text gives"]  # nor its action
 
 
 # -- semantic consolidation ---------------------------------------------------

@@ -97,9 +97,9 @@ def _ingested_store(rng, monkeypatch):
     cfg = store.config
     for i in range(1, 7):
         kind = rng.choice(("face", "voice"))
-        store.anchors[i] = EntityAnchor(i, rng.choice(("jack", "tom")), count=1, **{
+        store.anchors[i] = EntityAnchor(i, rng.choice(("jack", "tom")), **{
             f"centroid_{kind}": rng.choice(PERCEPTS).copy(), f"{kind}_count": 1})
-    store.next_anchor_id, store.percept_count = 7, 6
+    store.next_anchor_id = 7
     real_anchor, real_consolidate = ingest.resolve_anchor, ingest.consolidate_semantic
 
     def resolve_anchor(st, percept):

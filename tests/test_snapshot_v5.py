@@ -68,7 +68,8 @@ def test_shapes_store_saves_observations_in_id_order_with_their_nodes(tmp_path):
     assert data["logic"][0]["episodic_links"] == [1, 1, 1, 3, 1, 1, 2, 1, 1]
     loaded = MemoryStore.load(path)
     assert loaded.check() == []
-    assert loaded.percept_count == 6 and loaded.logic[1].anchors == {1, 2}
+    assert loaded.percept_count == 6
+    assert set().union(*(loaded.episodic[i].anchors for i in loaded.logic[1].episodic_links)) == {1, 2}
     assert [(n.t, n.video, n.outcome) for n in map(loaded.episodic.get, (6, 7, 8))] == \
            [(1.0, "v2", "success"), (1.0, "v2", "failure"), (1.0, "v2", "success")]
     assert snapshot_dict(loaded) == data
@@ -201,6 +202,50 @@ def test_repeated_or_unsorted_entry_of_an_older_snapshot_rejected(plant, match):
         store_from_dict(data)
 
 
+OLDER_FIXTURES = [os.path.join(os.path.dirname(__file__), "data", f"snapshot_v{v}_dim8.json")
+                  for v in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("section,other", [
+    ("anchors", {}), ("semantic", {}), ("logic", {}), ("pool", {}), ("video_clock", []),
+], ids=["anchors", "semantic", "logic", "pool", "video_clock"])
+def test_section_of_another_type_rejected_in_every_version(section, other):
+    # A load iterates each section, so an empty one of another type would
+    # load as empty and re-save as another file.
+    for data in [snapshot_dict(shapes_store())] + [json.loads(open(p).read()) for p in OLDER_FIXTURES]:
+        data[section] = other
+        with pytest.raises(CorruptSnapshot, match=f"snapshot section '{section}' is not a"):
+            store_from_dict(data)
+
+
+@pytest.mark.parametrize("kind,count,violation", [
+    ("face", True, "face_count True is not an int of at least 1"),
+    ("face", 1.0, "face_count 1.0 is not an int of at least 1"),
+    ("face", 2.5, "face_count 2.5 is not an int of at least 1"),
+    ("face", -1, "face_count -1 is not an int of at least 1"),
+    ("face", 0, "face_count 0 is not an int of at least 1"),
+    ("voice", 1, "voice_count 1 is not 0 without a voice centroid"),
+], ids=["true", "1.0", "2.5", "-1", "0", "voice-without-centroid"])
+def test_face_or_voice_count_no_ingest_gives_rejected(kind, count, violation):
+    # The anchor count and the percept count are sums of these: each counts the
+    # percepts its centroid is the mean of, so it is an int, at least 1 with
+    # that centroid and 0 without it.
+    data = json.loads(json.dumps(snapshot_dict(shapes_store())))
+    data["anchors"][0][f"{kind}_count"] = count
+    with pytest.raises(CorruptSnapshot, match=re.escape(f"anchor 1: {violation}")):
+        store_from_dict(data)
+
+
+def test_anchor_and_percept_counts_are_computed_not_held():
+    store = shapes_store()
+    anchor = store.anchors[1]
+    assert (anchor.count, store.percept_count) == (anchor.face_count + anchor.voice_count, 6)
+    with pytest.raises(AttributeError):
+        anchor.count = 5
+    with pytest.raises(AttributeError):
+        store.percept_count = 7
+
+
 def _t_of_one_episode(store):
     store.episodic[11].t = 1.5
 
@@ -209,29 +254,14 @@ def _t_of_another_type(store):
     store.episodic[11].t = 1  # equal to 1.0, but not the same JSON
 
 
-def _anchor_count(store):
-    store.anchors[1].count += 1
-
-
-def _percept_count(store):
-    store.percept_count += 1
-
-
-def _logic_anchors(store):
-    store.logic[1].anchors = {1}
-
-
 @pytest.mark.parametrize("plant,violations", [
     (_t_of_one_episode, ["observation 10: episodes do not share one t"]),
     (_t_of_another_type, ["observation 10: episodes do not share one t"]),
-    (_anchor_count, ["anchor 1: count mismatch", "anchor counts do not sum to ingested percepts"]),
-    (_percept_count, ["anchor counts do not sum to ingested percepts"]),
-    (_logic_anchors, ["logic 1: anchors not the union over evidence"]),
-], ids=["t", "t-int", "anchor-count", "percept_count", "logic-anchors"])
+], ids=["t", "t-int"])
 def test_store_that_v5_cannot_write_is_reported_and_not_saved(tmp_path, plant, violations):
-    # Version 5 stores one t per observation and derives the rest: a store
-    # that disagrees would load as another store. Save refuses it with the
-    # first violation check() reports.
+    # Version 5 stores one t per observation: a store whose nodes disagree
+    # would load as another store. Save refuses it with the first violation
+    # check() reports.
     path = str(tmp_path / "snap.json")
     store = shapes_store()
     plant(store)
@@ -242,18 +272,18 @@ def test_store_that_v5_cannot_write_is_reported_and_not_saved(tmp_path, plant, v
 
 
 def test_load_derives_each_action_and_logic_anchor_set_once(tmp_path, monkeypatch):
-    # The load's invariant sweep skips what the load has just derived.
+    # The load's invariant sweep skips what the load has just derived; a
+    # procedure's anchors are those of its evidence and held nowhere.
     path = str(tmp_path / "snap.json")
     shapes_store().save(path)
     calls = []
-    action, union = store_module.extract_action, store_module._evidence_anchors
+    action = store_module.extract_action
     monkeypatch.setattr(store_module, "extract_action",
                         lambda text, verbs: calls.append(text) or action(text, verbs))
-    monkeypatch.setattr(store_module, "_evidence_anchors",
-                        lambda store, links: calls.append(len(links)) or union(store, links))
     loaded = MemoryStore.load(path)
-    assert sorted(calls, key=str) == [9] + sorted(loaded.text_vectors)  # 1 logic node, 9 links
+    assert sorted(calls) == sorted(loaded.text_vectors)
     assert loaded.check() == []
+    assert not hasattr(loaded.logic[1], "anchors")
 
 
 def test_load_pauses_the_cycle_collector_and_restores_it(tmp_path, monkeypatch):
@@ -326,7 +356,7 @@ def _episodic_state(store):
     return ({i: (repr(n.t), n.d, n.video, n.anchors, n.action, n.outcome, repr(n.attrs))
              for i, n in store.episodic.items()},
             {i: (m.video, m.episodes) for i, m in store.observations.items()},
-            store.percept_count, {i: n.anchors for i, n in store.logic.items()})
+            store.percept_count)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100,
