@@ -225,7 +225,7 @@ class HashingEmbedder:
         return embed_default(text, self.dim)
 
 
-@dataclass
+@dataclass(slots=True)
 class Config:
     """Every scalar knob the engine uses, with validated ranges.
 

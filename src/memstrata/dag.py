@@ -16,7 +16,7 @@ START = "START"
 GOAL = "GOAL"
 
 
-@dataclass
+@dataclass(slots=True)
 class DagNode:
     label: str
     attrs: dict = field(default_factory=dict)
@@ -24,13 +24,13 @@ class DagNode:
     success_beta: float = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeStat:
     count: float = 0.0
     gamma: float = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Predicate:
     """One attribute test: (key, op, value).
 
@@ -51,7 +51,7 @@ class Predicate:
             raise ValueError(f"unknown predicate op {self.op!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Constraint:
     predicates: list = field(default_factory=list)
 

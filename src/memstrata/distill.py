@@ -35,20 +35,20 @@ _STOPWORDS = frozenset(
 _VERB_SUFFIXES = ("", "s", "es", "ed", "d", "ing")
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionSequence:
     video: str
     actions: list
 
 
-@dataclass
+@dataclass(slots=True)
 class Pattern:
     steps: tuple
     support: float
     supporting_videos: tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class LogicNode:
     """Distilled procedure: goal text, dual index vectors, DAG, evidence."""
 

@@ -18,7 +18,7 @@ from .errors import FusionCycle, InvalidInput, InvalidPrior
 _EPS = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class Alignment:
     """One-to-one step matching; START/GOAL align unconditionally."""
 
@@ -252,7 +252,7 @@ def _fuse_aligned(g1: ProceduralDag, g2: ProceduralDag, alignment: Alignment) ->
     return fused
 
 
-@dataclass
+@dataclass(slots=True)
 class FusionReport:
     new_id: int
     removed: tuple

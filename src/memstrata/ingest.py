@@ -12,11 +12,11 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .core import RowBlock, _is_finite_number, _is_int, cosine
-from .distill import extract_action
 from .errors import (
     DanglingMention,
     DimensionMismatch,
@@ -33,27 +33,27 @@ PERCEPT_KINDS = ("face", "voice")
 _NUMBER_TYPES = frozenset((int, float))
 
 
-@dataclass
+@dataclass(slots=True)
 class Description:
     text: str
     attrs: dict = field(default_factory=dict)
     outcome: str = "success"
 
 
-@dataclass
+@dataclass(slots=True)
 class Conclusion:
     type: str
     text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Percept:
     kind: str
     vector: np.ndarray
     hint: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ObservationRecord:
     id: int
     video: str
@@ -63,7 +63,7 @@ class ObservationRecord:
     percepts: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityAnchor:
     """A recurring person; each centroid is the running mean of the
     percepts of its kind assigned to it, held as a view of the anchor's row
@@ -82,30 +82,34 @@ class EntityAnchor:
         return self.face_count + self.voice_count
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodicNode:
+    """One described event. A store holds each distinct ``d``, ``action``, ``video``
+    and ``anchors`` once (``MemoryStore.text_entry``, ``MemoryStore.intern``), and
+    ``outcome`` as its ``OUTCOMES`` constant; ``attrs`` is the node's own dict."""
+
     id: int
     t: float
     d: str
     v_e: np.ndarray = None
     video: str = ""
-    anchors: set = field(default_factory=set)
+    anchors: frozenset = frozenset()
     action: str | None = None
     outcome: str = "success"
     attrs: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class SemanticNode:
     id: int
     type: str
     attrs: str = ""
     v_s: np.ndarray = None
-    anchors: set = field(default_factory=set)
+    anchors: frozenset = frozenset()
     weight: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class ObservationMeta:
     video: str
     episodes: list
@@ -300,7 +304,7 @@ def resolve_anchor(store, percept: Percept) -> int:
     return anchor_id
 
 
-def consolidate_semantic(store, ctype: str, text: str, anchors: set) -> list:
+def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset) -> list:
     """Reinforce, weaken, or insert one abstracted-knowledge item.
 
     Candidates are the semantic nodes whose anchor set covers the new
@@ -330,7 +334,7 @@ def consolidate_semantic(store, ctype: str, text: str, anchors: set) -> list:
 
     node_id = store.next_node_id
     store.next_node_id += 1
-    node = SemanticNode(node_id, ctype, text, v, set(anchors), weight=1)
+    node = SemanticNode(node_id, ctype, text, v, store.intern(frozenset(anchors)), weight=1)
     store.semantic[node_id] = node
     events.append(("created", node_id))
     return events
@@ -347,6 +351,8 @@ def ingest_observation(store, rec: ObservationRecord):
         raise MalformedRecord(f"record id must be an integer, got {rec.id!r}")
     if not _is_finite_number(rec.t):
         raise MalformedRecord(f"record t must be a finite number, got {rec.t!r}")
+    if not isinstance(rec.video, str) or not rec.video:
+        raise MalformedRecord(f"record video must be a nonempty string, got {rec.video!r}")
     if rec.id in store.observations:
         raise DuplicateObservation(f"observation {rec.id} already ingested")
     last_t = store.video_clock.get(rec.video)
@@ -367,53 +373,50 @@ def ingest_observation(store, rec: ObservationRecord):
         if not np.isfinite(p.vector).all():
             raise MalformedRecord(f"percept vector for {p.hint!r} has a non-finite value")
 
+    # Each text's mentions, parsed once; a mention that no percept of the record
+    # hints at names an existing anchor, which the percepts' new anchors cannot
+    # change: their labels are the hints, and their ids are above it.
     percept_hints = {p.hint for p in rec.percepts}
-    for text in [d.text for d in rec.descriptions] + [c.text for c in rec.conclusions]:
-        for mention in parse_mentions(text):
-            if mention in percept_hints:
-                continue
-            if store.anchor_by_label(mention) is None:
+    mentions = [parse_mentions(d.text) for d in rec.descriptions]
+    concluded = [parse_mentions(c.text) for c in rec.conclusions]
+    anchor_of: dict[str, int] = {}
+    for mention in chain.from_iterable(mentions + concluded):
+        if mention not in percept_hints and mention not in anchor_of:
+            anchor_id = anchor_of[mention] = store.anchor_by_label(mention)
+            if anchor_id is None:
                 raise DanglingMention(f"@{mention} has no percept hint and no existing anchor")
 
     # Validation done; mutations start here.
-    hint_map: dict[str, int] = {}
     for p in rec.percepts:
         anchor_id = resolve_anchor(store, p)
-        hint_map.setdefault(p.hint, anchor_id)
+        anchor_of.setdefault(p.hint, anchor_id)
 
-    def mention_anchors(text: str) -> set:
-        found = set()
-        for mention in parse_mentions(text):
-            if mention in hint_map:
-                found.add(hint_map[mention])
-            else:
-                found.add(store.anchor_by_label(mention))
-        return found
+    def anchors(found: list) -> frozenset:
+        return store.intern(frozenset(map(anchor_of.__getitem__, found)))
 
+    video = store.intern(rec.video)
     episodic_ids = []
-    for desc in rec.descriptions:
+    for desc, found in zip(rec.descriptions, mentions):
         node_id = store.next_node_id
         store.next_node_id += 1
-        node = EpisodicNode(
+        d, v_e, action = store.text_entry(desc.text)
+        store.episodic[node_id] = EpisodicNode(
             id=node_id,
             t=rec.t,
-            d=desc.text,
-            v_e=store.text_vector(desc.text),
-            video=rec.video,
-            anchors=mention_anchors(desc.text),
-            action=extract_action(desc.text, store.config.action_verbs),
-            outcome=desc.outcome,
-            attrs=dict(desc.attrs),
+            d=d,
+            v_e=v_e,
+            video=video,
+            anchors=anchors(found),
+            action=action,
+            outcome=OUTCOMES[OUTCOMES.index(desc.outcome)],
+            attrs=store.own_attrs(desc.attrs),
         )
-        store.episodic[node_id] = node
         episodic_ids.append(node_id)
 
     events = []
-    for concl in rec.conclusions:
-        events.extend(
-            consolidate_semantic(store, concl.type, concl.text, mention_anchors(concl.text))
-        )
+    for concl, found in zip(rec.conclusions, concluded):
+        events.extend(consolidate_semantic(store, concl.type, concl.text, anchors(found)))
 
-    store.observations[rec.id] = ObservationMeta(rec.video, list(episodic_ids))
-    store.video_clock[rec.video] = rec.t
+    store.observations[rec.id] = ObservationMeta(video, list(episodic_ids))
+    store.video_clock[video] = rec.t
     return episodic_ids, events

@@ -17,14 +17,14 @@ from .distill import distill, extract_action
 from .errors import DimensionMismatch, NotIngested
 
 
-@dataclass
+@dataclass(slots=True)
 class PoolEntry:
     observation_id: int
     vector: np.ndarray
     actions: tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateReport:
     """What one maintenance step did, one record at a time."""
 

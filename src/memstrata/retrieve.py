@@ -54,7 +54,7 @@ def classify(text: str, classifier=None) -> str:
     return "factual"
 
 
-@dataclass
+@dataclass(slots=True)
 class Query:
     text: str
     q_vec: np.ndarray
@@ -74,7 +74,7 @@ def make_query(store, text: str, qtype: str | None = None,
     return Query(text, store.embed(text), qtype, constraint, person)
 
 
-@dataclass
+@dataclass(slots=True)
 class RankedItem:
     layer: str
     node_id: int
@@ -82,7 +82,7 @@ class RankedItem:
     score_final: float
 
 
-@dataclass
+@dataclass(slots=True)
 class AnswerContext:
     """Evidence bundle for downstream answer generation."""
 
@@ -94,7 +94,7 @@ class AnswerContext:
     character_nodes: list | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalResult:
     ranked: list
     answer_context: AnswerContext
@@ -147,7 +147,7 @@ def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalRe
     return RetrievalResult(ranked, context)
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcedureAnswer:
     mode: str
     steps: tuple

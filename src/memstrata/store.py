@@ -79,7 +79,8 @@ class MemoryStore:
         self.anchors: dict[int, EntityAnchor] = {}
         self.centroid_rows: CentroidRows | None = None  # built at the first percept
         self.episodic: dict[int, EpisodicNode] = {}
-        self.text_vectors: dict[str, np.ndarray] = {}  # each episodic text's one v_e
+        self.texts: dict[str, tuple] = {}  # each episodic text's (d, v_e, action), see text_entry
+        self.interned: dict = {}  # see intern
         self.semantic: dict[int, SemanticNode] = {}
         self.logic: dict[int, LogicNode] = {}
         self.observations: dict[int, ObservationMeta] = {}
@@ -114,12 +115,26 @@ class MemoryStore:
     def embed(self, text: str) -> np.ndarray:
         return self.embedder.embed(text)
 
-    def text_vector(self, text: str) -> np.ndarray:
-        """The vector every episodic node with this text holds, embedded once."""
-        vec = self.text_vectors.get(text)
-        if vec is None:
-            vec = self.text_vectors[text] = self.embed(text)
-        return vec
+    def text_entry(self, text: str) -> tuple:
+        """``(d, v_e, action)``: the one str, vector and action that every episodic
+        node with this text holds, embedded and extracted once."""
+        entry = self.texts.get(text)
+        if entry is None:
+            entry = self.texts[text] = (text, self.embed(text), self.intern(
+                extract_action(text, self.config.action_verbs)))
+        return entry
+
+    def own_attrs(self, attrs: dict) -> dict:
+        """A node's own copy of ``attrs``, whose str keys and str values are the
+        store's one objects (see intern)."""
+        return {self.intern(k) if type(k) is str else k: self.intern(v) if type(v) is str else v
+                for k, v in attrs.items()}
+
+    def intern(self, value):
+        """The store's one object equal to ``value``, so that equal videos, actions,
+        attrs strings and anchor sets are held once. ``value`` is a str, None or a
+        frozenset of ids, never a number: 1, 1.0 and True are one key."""
+        return self.interned.setdefault(value, value)
 
     def ingest(self, rec):
         return ingest_observation(self, rec)
@@ -140,15 +155,14 @@ class MemoryStore:
         return retrieve(self, q, k, include_logic=include_logic)
 
     def anchor_by_label(self, label: str) -> int | None:
-        for anchor_id in sorted(self.anchors):
-            if self.anchors[anchor_id].label == label:
-                return anchor_id
-        return None
+        """The lowest id of an anchor with this label, or None."""
+        return min((i for i, anchor in self.anchors.items() if anchor.label == label), default=None)
 
     def clone(self) -> "MemoryStore":
         # The rows first: their copy maps each centroid view to its new row,
         # so the copied anchors hold views of the copied rows, not copies.
-        # The same memo keeps nodes with equal text on one copied vector.
+        # The same memo keeps each object that nodes share (a text's vector,
+        # an anchor set) one object in the copy.
         memo: dict = {}
         copy.deepcopy(self.centroid_rows, memo)
         return copy.deepcopy(self, memo)
@@ -158,7 +172,7 @@ class MemoryStore:
     def save(self, path: str) -> None:
         """Write the snapshot atomically and durably: the temp file is synced
         before it replaces ``path``, and the directory after."""
-        faults = _underivable(self)
+        faults = _config_faults(self.config) or _underivable(self)
         if faults:
             raise SnapshotIoError(f"cannot save {path}: {faults[0]}")
         try:
@@ -230,6 +244,16 @@ class MemoryStore:
 # -- global invariant sweep -----------------------------------------------
 
 
+def _config_faults(config: Config) -> list[str]:
+    """The violation of an invalid ``config``, as ``check()`` reports it and
+    ``save`` refuses it: a load would refuse the snapshot's config."""
+    try:
+        config.validate()
+    except ConfigError as exc:
+        return [f"config: {exc}"]
+    return []
+
+
 def _underivable(store: MemoryStore) -> list[str]:
     """What a load derives that ``store`` holds otherwise, so that its snapshot would
     load as another store: an episode not listed by exactly one observation of its
@@ -237,9 +261,7 @@ def _underivable(store: MemoryStore) -> list[str]:
     observation without one ``t`` (by ``repr``). A load builds all of it, so ``save``
     refuses such a store with the first of these, and ``check_store`` reports them."""
     v: list[str] = []
-    try:
-        store.config.validate()
-    except ConfigError:
+    if _config_faults(store.config):
         actions = {}  # only from valid verbs; check_store reports the config
     else:
         verbs = store.config.action_verbs
@@ -266,12 +288,7 @@ def _underivable(store: MemoryStore) -> list[str]:
 def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     """Global invariant sweep; returns all violations (empty means healthy). A load,
     which builds what ``_underivable`` checks, skips it with ``derived=False``."""
-    v: list[str] = []
-    try:
-        store.config.validate()
-    except ConfigError as exc:
-        v.append(f"config: {exc}")
-
+    v = _config_faults(store.config)
     dim = store.config.dim
 
     def check_vector(owner: str, x) -> None:
@@ -318,9 +335,10 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v.append(f"episodic {node_id}: bad outcome {node.outcome!r}")
         if not node.anchors <= anchor_ids:
             v.append(f"episodic {node_id}: dangling anchor reference")
-        if first_of_text.setdefault(node.d, node_id) == node_id and node.d in store.text_vectors:
-            check_vector(f"episodic {node_id}: v_e", store.text_vectors[node.d])  # once per text
-        if store.text_vectors.get(node.d) is not node.v_e:
+        entry = store.texts.get(node.d)
+        if first_of_text.setdefault(node.d, node_id) == node_id and entry is not None:
+            check_vector(f"episodic {node_id}: v_e", entry[1])  # once per text
+        if entry is None or entry[1] is not node.v_e:
             v.append(f"episodic {node_id}: v_e is not the store's vector for its text")
 
     for node_id, node in sorted(store.semantic.items()):
@@ -363,7 +381,8 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
         if not _is_finite_number(t):
             v.append(f"video_clock {video!r}: {t!r} is not a finite number")
 
-    if len(store.pool) >= store.config.pool_trigger:
+    trigger = store.config.pool_trigger  # a non-number is the config's violation
+    if isinstance(trigger, (int, float)) and len(store.pool) >= trigger:
         v.append("candidate pool at or beyond trigger without distillation")
     for entry in store.pool:
         if entry.observation_id not in store.observations:
@@ -511,7 +530,7 @@ def _as_v5(data: dict, version: int, store: MemoryStore) -> dict:
         observations = [(o["id"], o["video"], o["episodes"]) for o in data["observations"]]
         video_of = {i: video for _, video, episodes in observations for i in episodes}
         for e in data["episodic"] if version < 3 else ():
-            _embedded(store.text_vector, e, "d", version, "episodic")
+            _embedded(lambda d: store.text_entry(d)[1], e, "d", version, "episodic")
             if (e["action"], e["video"]) != (extract_action(e["d"], store.config.action_verbs),
                                              video_of.get(e["id"])):
                 raise CorruptSnapshot(f"episodic {e['id']}: stored action or video is not derived")
@@ -586,21 +605,24 @@ def _add_observations(store: MemoryStore, tables: dict, observations: list) -> N
                     or (o[2] is None) != (not o[3])), None):
         raise CorruptSnapshot(f"observation {bad[0]}: t {bad[2]!r} is not null exactly when it "
                               "lists no episodes")
+    if not all(type(o[1]) is str for o in observations):  # intern takes no number
+        raise CorruptSnapshot("observation videos are not all strings")
     _, text_at, anchors, outcomes, attrs_at = zip(*rows) if rows else ((),) * 5
     _increasing(anchors, "episodic anchors")
     if not (set(map(type, outcomes)) <= {int} and set(outcomes) <= set(range(len(OUTCOMES)))):
         raise CorruptSnapshot(f"episodic outcomes are not indexes into {OUTCOMES}")
     _refuse_unless_first_uses(text_at, texts, "text")
     _refuse_unless_first_uses(attrs_at, [json.dumps(a, sort_keys=True) for a in attrs], "attrs")
-    vectors = [store.text_vector(d) for d in texts]
-    actions = [extract_action(d, store.config.action_verbs) for d in texts]
+    entries = [store.text_entry(d) for d in texts]
+    attrs = [store.own_attrs(a) for a in attrs]
     nodes = {}
     for obs_id, video, t, episodes in observations:
+        video = store.intern(video)
         store.observations[obs_id] = ObservationMeta(video, list(map(itemgetter(0), episodes)))
         for node_id, text, anchors, outcome, at in episodes:  # fields in declaration order
-            nodes[node_id] = EpisodicNode(node_id, t, texts[text], vectors[text], video,
-                                          set(anchors), actions[text], OUTCOMES[outcome],
-                                          dict(attrs[at]))
+            d, v_e, action = entries[text]
+            nodes[node_id] = EpisodicNode(node_id, t, d, v_e, video, store.intern(frozenset(anchors)),
+                                          action, OUTCOMES[outcome], dict(attrs[at]))
     _increasing([m.episodes for m in store.observations.values()], "the episode ids of an observation")
     if len(nodes) != len(rows):
         raise CorruptSnapshot("an episode is listed by two observations")
@@ -675,7 +697,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             node = SemanticNode(
                 id=s["id"], type=s["type"], attrs=s["attrs"],
                 v_s=_embedded(store.embed, s, "attrs", version, "semantic"),
-                anchors=set(s["anchors"]), weight=s["weight"],
+                anchors=store.intern(frozenset(s["anchors"])), weight=s["weight"],
             )
             store.semantic[node.id] = node
         for l in data["logic"]:
@@ -693,11 +715,14 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             )
             store.logic[node.id] = node
         for p in data["pool"]:
+            if type(p["actions"]) is not list or not set(map(type, p["actions"])) <= {str}:
+                raise CorruptSnapshot(
+                    f"pool entry {p['observation']}: actions are not a list of strings")
             store.pool.append(
                 PoolEntry(p["observation"], vector(p["vector"], f"pool entry {p['observation']}"),
                           tuple(p["actions"]))
             )
-        store.video_clock = dict(data["video_clock"])
+        store.video_clock = {store.intern(video): t for video, t in data["video_clock"].items()}
         violations = check_store(store, derived=False)  # derived above
     except CorruptSnapshot:
         raise

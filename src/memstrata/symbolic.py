@@ -25,14 +25,14 @@ from .dag import (
 from .errors import InvalidDag, NoMatch, UnknownAnchor
 
 
-@dataclass
+@dataclass(slots=True)
 class PathResult:
     steps: tuple
     probability: float
     step_success: dict
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcedureEvidence:
     logic_id: int
     goal: str

@@ -265,8 +265,8 @@ def _vector_per_text(store):
     by_text = {}
     for node in store.episodic.values():
         assert by_text.setdefault(node.d, node.v_e) is node.v_e
-        assert store.text_vectors[node.d] is node.v_e
-    assert store.text_vectors.keys() == by_text.keys()
+        assert store.texts[node.d][1] is node.v_e
+    assert store.texts.keys() == by_text.keys()
     return by_text
 
 
@@ -284,7 +284,7 @@ def test_nodes_with_equal_text_share_one_vector(tmp_path):
         assert vec is not built[text] and np.array_equal(vec, built[text])
     ids, _ = twin.ingest(ObservationRecord(
         100, "v4", 0.0, [Description("@jack chop the fruit"), Description("@jack peel the fruit")], [], []))
-    assert twin.episodic[ids[0]].v_e is twin.text_vectors["@jack chop the fruit"]
+    assert twin.episodic[ids[0]].v_e is twin.texts["@jack chop the fruit"][1]
     _vector_per_text(twin)
     assert _vector_per_text(store).keys() == built.keys()
     assert store.check() == [] and loaded.check() == [] and twin.check() == []

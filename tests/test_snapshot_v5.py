@@ -168,6 +168,22 @@ def test_non_canonical_v5_rows_rejected(plant, match):
         store_from_dict(data)
 
 
+@pytest.mark.parametrize("actions", ["ab", ["a", 1], {"a": 1}, [None]],
+                         ids=["string", "int", "object", "null"])
+def test_pool_actions_not_a_list_of_strings_rejected(actions):
+    # A string or an object would load as the tuple of its characters or keys.
+    store = shapes_store()
+    rec = ObservationRecord(40, "v4", 1.0, [Description("walk to the store")], [], [])
+    store.ingest(rec)
+    assert store.apply(rec).pooled
+    data = json.loads(json.dumps(snapshot_dict(store)))
+    assert data["pool"][0]["actions"] == ["walk_to_the_store"]
+    assert snapshot_dict(store_from_dict(copy.deepcopy(data))) == data
+    data["pool"][0]["actions"] = actions
+    with pytest.raises(CorruptSnapshot, match="pool entry 40: actions are not a list of strings"):
+        store_from_dict(data)
+
+
 OLDER = {
     "dag-edge-repeated": (lambda d: _repeat(_dag(d, "edges"), 1), DAG_ROWS),
     "dag-node-repeated": (lambda d: _repeat(_dag(d, "nodes"), 1, success_alpha=9.0), DAG_ROWS),
@@ -281,7 +297,7 @@ def test_load_derives_each_action_and_logic_anchor_set_once(tmp_path, monkeypatc
     monkeypatch.setattr(store_module, "extract_action",
                         lambda text, verbs: calls.append(text) or action(text, verbs))
     loaded = MemoryStore.load(path)
-    assert sorted(calls) == sorted(loaded.text_vectors)
+    assert sorted(calls) == sorted(loaded.texts)
     assert loaded.check() == []
     assert not hasattr(loaded.logic[1], "anchors")
 

@@ -276,7 +276,7 @@ def _add_bare_episode(store):
     node_id = store.next_node_id
     store.next_node_id += 1
     store.episodic[node_id] = EpisodicNode(
-        id=node_id, t=9.0, d="@jack chop the fruit", v_e=store.text_vector("@jack chop the fruit"),
+        id=node_id, t=9.0, d="@jack chop the fruit", v_e=store.text_entry("@jack chop the fruit")[1],
         video="v1", action="chop_fruit")
     return node_id, 0
 
@@ -872,6 +872,23 @@ def test_store_whose_action_verbs_changed_after_ingest_is_reported_and_not_saved
     assert store.check() == []
     store.save(path)
     assert MemoryStore.load(path).episodic[1].action == "chop_fruit"
+
+
+@pytest.mark.parametrize("trigger", [0, "5"], ids=["zero", "string"])
+def test_store_whose_config_is_invalid_is_reported_and_not_saved(tmp_path, trigger):
+    # A load refuses an invalid config, so a save must not write one.
+    path = str(tmp_path / "snap.json")
+    store = fruit_salad_store(dim=32)
+    store.distill()
+    store.config.pool_trigger = trigger
+    violations = store.check()
+    assert violations[0] == f"config: pool_trigger must be a positive integer, got {trigger!r}"
+    with pytest.raises(SnapshotIoError, match=re.escape(violations[0])):
+        store.save(path)
+    assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
+    store.config.pool_trigger = 5
+    store.save(path)
+    assert MemoryStore.load(path).check() == []
 
 
 SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1.5, np.inf, np.nan])
