@@ -105,10 +105,12 @@ def embed_default(text: str, d: int) -> np.ndarray:
 COSINE_BLOCK = 256
 
 
-def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray) -> None:
+def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray,
+                 norms: np.ndarray | None = None) -> None:
     """Write the cosine of ``a`` (of norm ``na``) with each row of ``rows``
-    into ``out``; a zero row, or a zero ``a``, leaves its entry alone."""
-    den = na * np.sqrt(np.vecdot(rows, rows))
+    into ``out``; a zero row, or a zero ``a``, leaves its entry alone.
+    ``norms``, if given, are the rows' own, as ``RowBlock.renorm`` keeps them."""
+    den = na * (np.sqrt(np.vecdot(rows, rows)) if norms is None else norms)
     np.divide(np.vecdot(rows, a), den, out=out, where=den > 0)
 
 
@@ -149,15 +151,16 @@ def cosine(a: np.ndarray, b):
 
 class RowBlock:
     """Float64 rows of one width, each owned by an id, in chunks of
-    ``COSINE_BLOCK`` rows.
+    ``COSINE_BLOCK`` rows, with each row's norm kept beside it.
 
     The block grows by whole chunks, so a row never moves: ``append``
     returns a view of the row, which stays the row for the block's life,
     and ``chunks()`` hands each filled chunk to the row form of ``cosine``
     without a copy. ``ids`` and ``rows`` list the owners and the row views
-    in row order. A deep copy copies the rows once and maps each old view
-    to the new one in ``memo``, so owners copied after the block hold
-    views of the copy.
+    in row order. ``cosines`` scans with the kept norms, so whoever writes
+    a row through its view calls ``renorm`` after. A deep copy copies the
+    rows and norms once and maps each old view to the new one in ``memo``,
+    so owners copied after the block hold views of the copy.
     """
 
     def __init__(self, width: int):
@@ -165,6 +168,7 @@ class RowBlock:
         self.ids: list = []
         self.rows: list = []
         self._chunks: list = []
+        self._norms: list = []  # one array per chunk
 
     def append(self, owner, vector) -> np.ndarray:
         if np.shape(vector) != (self.width,):  # a row assignment would broadcast it
@@ -176,21 +180,47 @@ class RowBlock:
             # from np.empty reused heap pages and raised peak RSS by 0.3-1.7 MB.
             pages = mmap.mmap(-1, COSINE_BLOCK * self.width * 8)
             self._chunks.append(np.frombuffer(pages).reshape(COSINE_BLOCK, self.width))
+            self._norms.append(np.zeros(COSINE_BLOCK))
         row = self._chunks[-1][n % COSINE_BLOCK]
         row[...] = vector
         self.ids.append(owner)
         self.rows.append(row)
+        self.renorm(n)
         return row
+
+    def renorm(self, i: int) -> None:
+        """Keep the norm of row ``i`` again, after a write to it: the same
+        ``np.vecdot`` of the row with itself as a scan of the rows takes."""
+        row = self.rows[i]
+        with np.errstate(over="ignore"):  # a finite row's x·x may overflow
+            self._norms[i // COSINE_BLOCK][i % COSINE_BLOCK] = np.sqrt(np.vecdot(row, row))
+
+    def norms(self) -> np.ndarray:
+        """The kept norms, in row order."""
+        return np.concatenate(self._norms)[:len(self.rows)] if self._norms else np.zeros(0)
 
     def chunks(self) -> list:
         """The filled rows of each chunk, as 2-D views, in row order."""
         last = len(self.rows) - (len(self._chunks) - 1) * COSINE_BLOCK
         return self._chunks[:-1] + [self._chunks[-1][:last]] if self._chunks else []
 
+    def cosines(self, a: np.ndarray) -> np.ndarray:
+        """The cosine of ``a`` with each row, in row order, bit for bit as
+        the row form of ``cosine`` gives it."""
+        if a.shape != (self.width,):
+            raise DimensionMismatch(f"cosine over shape {a.shape} vs rows of width {self.width}")
+        out, na = np.zeros(len(self.rows)), float(np.linalg.norm(a))
+        for k, chunk in enumerate(self.chunks()):
+            _row_cosines(a, na, chunk, out[k * COSINE_BLOCK:k * COSINE_BLOCK + len(chunk)],
+                         self._norms[k][:len(chunk)])
+        return out
+
     def __deepcopy__(self, memo) -> "RowBlock":
         new = memo[id(self)] = RowBlock(self.width)
         for owner, row in zip(self.ids, self.rows):
             memo[id(row)] = new.append(owner, row)
+        for norms, kept in zip(new._norms, self._norms):
+            norms[...] = kept
         return new
 
 

@@ -283,7 +283,7 @@ def resolve_anchor(store, percept: Percept) -> int:
     block = rows.blocks[percept.kind]
     count = f"{percept.kind}_count"
     if block.ids:
-        sims = np.concatenate([cosine(percept.vector, chunk) for chunk in block.chunks()])
+        sims = block.cosines(percept.vector)
         best = int(np.argmax(sims))
         if sims[best] >= store.config.tau_anchor:
             anchor = store.anchors[block.ids[best]]
@@ -292,6 +292,7 @@ def resolve_anchor(store, percept: Percept) -> int:
             centroid *= k
             centroid += percept.vector
             centroid /= k + 1
+            block.renorm(best)
             setattr(anchor, count, k + 1)
             return anchor.id
 

@@ -55,8 +55,9 @@ from .maintain import PoolEntry, apply_observation
 from .retrieve import make_query, retrieve
 
 SNAPSHOT_VERSION = 5
-# The sections of one type in every version: a load iterates them, so an empty
-# section of another type would load, and re-save as another file.
+# The sections of one type in a version 5 snapshot, the one version a load reads:
+# a load iterates them, so an empty section of another type would load, and
+# re-save as another file.
 _SECTION_TYPES = {"anchors": list, "semantic": list, "logic": list, "pool": list, "video_clock": dict}
 
 
@@ -306,6 +307,11 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     if store.centroid_rows is not None:
         for kind, block in store.centroid_rows.blocks.items():
             rows[kind] = dict(zip(block.ids, block.rows))
+            with np.errstate(over="ignore"):  # by np.dot, not by the code that keeps them
+                norms = [np.sqrt(np.dot(row, row)) for row in chain.from_iterable(block.chunks())]
+            for anchor_id, kept, norm in zip(block.ids, block.norms().tolist(), norms):
+                if kept != norm and norm == norm:  # a NaN row is the vector rule's
+                    v.append(f"anchor {anchor_id}: kept {kind} norm is not its row's norm")
     for anchor_id, anchor in sorted(store.anchors.items()):
         if anchor_id >= store.next_anchor_id:
             v.append(f"anchor {anchor_id}: id beyond counter")
@@ -519,53 +525,6 @@ def _observation_rows(observations) -> tuple:
     return rows, {"texts": list(texts), "attrs": [a for _, a in attrs.values()]}
 
 
-def _as_v5(data: dict, version: int, store: MemoryStore) -> dict:
-    """A version 1-4 snapshot as version 5. Version 1 stores node vectors, versions 1-2
-    actions and videos, and all four anchor counts, the percept count, logic anchors and
-    node ``t``s: every stored copy must equal what a load derives."""
-    if version < 4:
-        _increasing([[e["id"] for e in data["episodic"]]], "episodic ids")
-        nodes = {e["id"]: (e["id"], e["t"], e["d"], e["anchors"], e["outcome"], e["attrs"])
-                 for e in data["episodic"]}
-        observations = [(o["id"], o["video"], o["episodes"]) for o in data["observations"]]
-        video_of = {i: video for _, video, episodes in observations for i in episodes}
-        for e in data["episodic"] if version < 3 else ():
-            _embedded(lambda d: store.text_entry(d)[1], e, "d", version, "episodic")
-            if (e["action"], e["video"]) != (extract_action(e["d"], store.config.action_verbs),
-                                             video_of.get(e["id"])):
-                raise CorruptSnapshot(f"episodic {e['id']}: stored action or video is not derived")
-    else:
-        texts, attrs = data["episodic"]["texts"], data["episodic"]["attrs"]
-        rows = _rows(data["episodic"]["nodes"], 6, "episodic")
-        observations = _rows(data["observations"], 3, "observation")
-        _refuse_unless_first_uses([row[2] for row in rows], texts, "text")
-        _refuse_unless_first_uses([row[5] for row in rows],
-                                  [json.dumps(a, sort_keys=True) for a in attrs], "attrs")
-        nodes = {i: (i, t, texts[d], anchors, outcome, attrs[a])
-                 for i, t, d, anchors, outcome, a in rows}
-    if repr(sorted(i for o in observations for i in o[2])) != repr(sorted(nodes)):  # true is not 1
-        raise CorruptSnapshot("an episode is not listed by exactly one observation")
-    listed = [(obs_id, video, [nodes[i] for i in ids]) for obs_id, video, ids in observations]
-    if any(len({repr(node[1]) for node in nodes_of}) > 1 for _, _, nodes_of in listed):
-        raise CorruptSnapshot("the episodes of an observation do not share one stored t")
-    counts = [a["face_count"] + a["voice_count"] for a in data["anchors"]]
-    stored = [a["count"] for a in data["anchors"]] + [data["percept_count"]]
-    if repr(stored) != repr(counts + [sum(counts)]):  # by repr: true is not 1, nor 3.0 3
-        raise CorruptSnapshot("a stored anchor count or percept_count is not the derived sum")
-    logic = []
-    for l in data["logic"]:
-        links = l["episodic_links"]
-        _increasing([links, l["anchors"]], f"logic {l['id']} episodic links or anchors")
-        if l["anchors"] != sorted(set().union(*(nodes[i][3] for i in links if i in nodes))):
-            raise CorruptSnapshot(f"logic {l['id']}: stored anchors are not its evidence's")
-        logic.append(dict(l, episodic_links=_gaps(links), dag={
-            "nodes": [[n["label"], n.get("attrs", {}), n["success_alpha"], n["success_beta"]]
-                      for n in l["dag"]["nodes"]],
-            "edges": [[e["src"], e["dst"], e["count"], e["gamma"]] for e in l["dag"]["edges"]]}))
-    observations, episodic = _observation_rows(listed)
-    return dict(data, episodic=episodic, observations=observations, logic=logic)
-
-
 def _increasing(lists: list, what: str) -> None:
     """Refuse unless each of ``lists`` is a list of ints (not true or 1.0), strictly increasing."""
     if not (set(map(type, lists)) <= {list} and set(map(type, chain.from_iterable(lists))) <= {int}
@@ -629,29 +588,16 @@ def _add_observations(store: MemoryStore, tables: dict, observations: list) -> N
     store.episodic = {i: nodes[i] for i in sorted(nodes)}  # in id order, as ingest made them
 
 
-def _embedded(embed, entry: dict, key: str, version: int, what: str) -> np.ndarray:
-    """The vector of ``entry[key]`` from ``embed``; a version 1 snapshot's
-    stored copy in ``entry["v"]`` must equal it bit for bit, for every node."""
-    text = entry[key]
-    if not isinstance(text, str):
-        raise CorruptSnapshot(f"{what} {entry['id']}: {key} is not a string")
-    vec = embed(text)
-    if version == 1 and not np.array_equal(np.asarray(entry["v"], dtype=np.float64), vec):
-        raise CorruptSnapshot(f"{what} {entry['id']}: stored vector is not embed({key})")
-    return vec
-
-
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
-    """Rebuild a store from a version 1-5 snapshot dict.
+    """Rebuild a store from a version 5 snapshot dict; every other version is
+    refused, as no reader of it is kept.
 
     Episodic and semantic vectors are recomputed with ``embedder`` (default:
-    a ``HashingEmbedder`` of the snapshot's dim), which must be the one a
-    version 2-5 snapshot names. Versions 1-4 are first rewritten as version
-    5; each copy they store of a field version 5 derives (version 1 names no
-    embedder but stores the vectors) must equal its derived value.
+    a ``HashingEmbedder`` of the snapshot's dim), which must be the one the
+    snapshot names.
     """
     version = data.get("version") if isinstance(data, dict) else None
-    if not _is_int(version) or version not in range(1, SNAPSHOT_VERSION + 1):
+    if not _is_int(version) or version != SNAPSHOT_VERSION:
         raise CorruptSnapshot(f"unsupported snapshot version {version!r}"
                               if isinstance(data, dict) else "snapshot is not an object")
     try:
@@ -660,7 +606,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             embedder = HashingEmbedder(config.dim)
         # The identity first: a store of another embedder is refused as
         # such, before MemoryStore refuses the embedder's dim.
-        if version != 1 and data["embedder"] != embedder_identity(embedder):
+        if data["embedder"] != embedder_identity(embedder):
             raise EmbedderMismatch(
                 f"snapshot was written with embedder {data['embedder']!r}, not with the "
                 f"loading embedder {embedder_identity(embedder)!r}; pass the "
@@ -669,47 +615,37 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         for name, kind in _SECTION_TYPES.items():
             if type(data[name]) is not kind:
                 raise CorruptSnapshot(f"snapshot section {name!r} is not a {kind.__name__}")
-        if version < SNAPSHOT_VERSION:
-            data = _as_v5(data, version, store)
-        def vector(x, what):
-            return np.asarray(x, dtype=np.float64) if version < 3 else _vec_from(x, config.dim, what)
         store.next_node_id = data["counters"]["node"]
         store.next_anchor_id = data["counters"]["anchor"]
         store.next_logic_id = data["counters"]["logic"]
         for section in ("anchors", "semantic", "logic"):
             _increasing([[entry["id"] for entry in data[section]]], f"{section} ids")
         for a in data["anchors"]:
-            anchor = EntityAnchor(
-                id=a["id"],
-                label=a["label"],
-                centroid_face=None if a["face"] is None else vector(
-                    a["face"], f"anchor {a['id']} face"),
-                centroid_voice=None if a["voice"] is None else vector(
-                    a["voice"], f"anchor {a['id']} voice"),
-                face_count=a["face_count"],
-                voice_count=a["voice_count"],
-            )
-            store.anchors[anchor.id] = anchor
+            face, voice = (None if a[kind] is None else
+                           _vec_from(a[kind], config.dim, f"anchor {a['id']} {kind}")
+                           for kind in ("face", "voice"))
+            store.anchors[a["id"]] = EntityAnchor(a["id"], a["label"], face, voice,
+                                                  a["face_count"], a["voice_count"])
         store.centroid_rows = CentroidRows(store.anchors, config.dim)
         _add_observations(store, data["episodic"], data["observations"])
         _increasing([s["anchors"] for s in data["semantic"]], "semantic anchors")
         for s in data["semantic"]:
-            node = SemanticNode(
-                id=s["id"], type=s["type"], attrs=s["attrs"],
-                v_s=_embedded(store.embed, s, "attrs", version, "semantic"),
-                anchors=store.intern(frozenset(s["anchors"])), weight=s["weight"],
-            )
-            store.semantic[node.id] = node
+            if not isinstance(s["attrs"], str):
+                raise CorruptSnapshot(f"semantic {s['id']}: attrs is not a string")
+            store.semantic[s["id"]] = SemanticNode(s["id"], s["type"], s["attrs"], store.embed(s["attrs"]),
+                                                   store.intern(frozenset(s["anchors"])), s["weight"])
+        episodic = store.episodic
         for l in data["logic"]:
             gaps = l["episodic_links"]  # a gap below 1 or not an int: not increasing
             links = list(accumulate(gaps)) if set(map(type, gaps)) <= {int} else gaps
             _increasing([links], f"logic {l['id']} episodic links")
             node = LogicNode(
                 id=l["id"], c=l["c"],
-                i_goal=vector(l["i_goal"], f"logic {l['id']} i_goal"),
-                i_step=vector(l["i_step"], f"logic {l['id']} i_step"),
+                i_goal=_vec_from(l["i_goal"], config.dim, f"logic {l['id']} i_goal"),
+                i_step=_vec_from(l["i_step"], config.dim, f"logic {l['id']} i_step"),
                 dag=_dag_from_rows(l["dag"]),
-                episodic_links=set(links),
+                # each link its node's id, as ingest links it; a dangling one stays for check_store
+                episodic_links={episodic[i].id if i in episodic else i for i in links},
                 score=l["score"],
                 steps=tuple(l["steps"]),
             )
@@ -719,7 +655,8 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 raise CorruptSnapshot(
                     f"pool entry {p['observation']}: actions are not a list of strings")
             store.pool.append(
-                PoolEntry(p["observation"], vector(p["vector"], f"pool entry {p['observation']}"),
+                PoolEntry(p["observation"],
+                          _vec_from(p["vector"], config.dim, f"pool entry {p['observation']}"),
                           tuple(p["actions"]))
             )
         store.video_clock = {store.intern(video): t for video, t in data["video_clock"].items()}

@@ -184,6 +184,7 @@ def test_cosine_rows_form_is_the_list_form_bit_for_bit(n):
     assert all(np.shares_memory(c, block.rows[k * COSINE_BLOCK]) for k, c in enumerate(chunks))
     got = np.concatenate([cosine(q, c) for c in chunks]) if chunks else np.zeros(0)
     assert got.tobytes() == want
+    assert block.cosines(q).tobytes() == want  # with the kept norms
     assert cosine(q, np.array(vectors).reshape(n, 24)).tobytes() == want
     assert np.array_equal(cosine(np.zeros(24), np.ones((n, 24))), np.zeros(n))
 

@@ -199,6 +199,45 @@ def test_anchors_inserted_by_a_caller_join_the_rows_at_the_next_percept():
     assert all(store.anchors[i].centroid_face is row for i, row in zip(face.ids, face.rows))
 
 
+def _stale_norms(store):
+    """The (kind, row) of each kept norm that is not, bit for bit, the norm
+    the row form of ``cosine`` computes for its row."""
+    stale = []
+    for kind, block in store.centroid_rows.blocks.items():
+        kept = block.norms().view(np.uint64)
+        fresh = [np.sqrt(np.vecdot(c, c)) for c in block.chunks()]
+        fresh = np.concatenate(fresh).view(np.uint64) if fresh else kept
+        stale += [(kind, int(i)) for i in np.flatnonzero(kept != fresh)]
+    return stale
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_kept_centroid_norms_stay_those_of_their_rows(tmp_path, seed):
+    # A scan takes each centroid's norm from beside its row; every write to a
+    # row, a clone and a load must leave it what the scan once computed.
+    records = _percept_records(seed, 500, people=400)  # two face chunks
+    store = _built(records[:250])
+    twin = store.clone()
+    assert _stale_norms(store) == _stale_norms(twin) == []
+    for rec in records[250:380]:
+        twin.ingest(rec)
+    assert _stale_norms(twin) == [] and _stale_norms(store) == []
+    path = str(tmp_path / "snap.json")
+    twin.save(path)
+    loaded = MemoryStore.load(path)
+    for rec in records[380:]:
+        loaded.ingest(rec)
+        twin.ingest(rec)
+    assert len(loaded.centroid_rows.blocks["face"].ids) > COSINE_BLOCK
+    assert _stale_norms(loaded) == [] and loaded.check() == []
+    assert _snapshot_bytes(loaded) == _snapshot_bytes(twin)
+    block = loaded.centroid_rows.blocks["face"]
+    block.rows[COSINE_BLOCK + 1] *= 2.0  # a write without renorm
+    assert _stale_norms(loaded) == [("face", COSINE_BLOCK + 1)]
+    assert loaded.check() == [f"anchor {block.ids[COSINE_BLOCK + 1]}: kept face norm is not "
+                              "its row's norm"]
+
+
 # -- ingest -------------------------------------------------------------------
 
 

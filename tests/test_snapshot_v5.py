@@ -1,7 +1,7 @@
-"""Snapshot version 5: the one canonical form a load accepts, the stores a
-save refuses, and a round-trip property over the record shapes version 5
-writes in a way of its own (no descriptions, mixed outcomes, record ids out
-of ingest order)."""
+"""Snapshot version 5, the only version a load reads: the one canonical form
+a load accepts, the stores a save refuses, and a round-trip property over the
+record shapes version 5 writes in a way of its own (no descriptions, mixed
+outcomes, record ids out of ingest order)."""
 
 import copy
 import gc
@@ -31,7 +31,7 @@ from memstrata.store import snapshot_dict, store_from_dict
 from conftest import FRUIT_VERBS, one_hot
 
 DIM = 32
-V3_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v3_dim8.json")
+V5_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v5_dim8.json")
 
 
 def shapes_store() -> MemoryStore:
@@ -121,6 +121,7 @@ CASES = {
     "observation-repeated": (lambda d: _repeat(d["observations"], 1), "observation rows' ids"),
     "episode-ids-swapped": (lambda d: _swap_ids(_nodes(d)), EPISODE_IDS),
     "episode-id-repeated": (lambda d: _set(_nodes(d), 1, 0, _nodes(d)[0][0]), EPISODE_IDS),
+    "episode-id-true": (lambda d: _set(_nodes(d), 0, 0, True), EPISODE_IDS),
     "episode-in-two-observations": (
         lambda d: d["observations"].append([40, "v3", 1.0, [list(_nodes(d)[0])]]),
         "an episode is listed by two observations"),
@@ -184,51 +185,13 @@ def test_pool_actions_not_a_list_of_strings_rejected(actions):
         store_from_dict(data)
 
 
-OLDER = {
-    "dag-edge-repeated": (lambda d: _repeat(_dag(d, "edges"), 1), DAG_ROWS),
-    "dag-node-repeated": (lambda d: _repeat(_dag(d, "nodes"), 1, success_alpha=9.0), DAG_ROWS),
-    "semantic-repeated": (lambda d: _repeat(d["semantic"], 0, weight=1), "semantic " + SECTION_ORDER),
-    "logic-repeated": (lambda d: _repeat(d["logic"], 0, score=0.5), "logic " + SECTION_ORDER),
-    # the repeat's counts are summed into the percepts a load derives
-    "anchors-repeated": (lambda d: _repeat(d["anchors"], 0, label="jill"), "percept_count"),
-    "links-unsorted": (lambda d: d["logic"][0]["episodic_links"].reverse(), "logic 1 episodic links"),
-    "links-repeated": (lambda d: d["logic"][0]["episodic_links"].append(13), "logic 1 episodic links"),
-    "node-anchors-repeated": (lambda d: d["episodic"][0].update(anchors=[1, 1]),
-                              "episodic anchors are not"),
-    "episodic-repeated": (lambda d: _repeat(d["episodic"], 0), "episodic ids"),
-    "episodic-swapped": (lambda d: _swap(d["episodic"]), "episodic ids"),
-    "episode-true": (lambda d: d["observations"][0].update(episodes=[True]),
-                     "an episode is not listed by exactly one observation"),
-    "link-true": (lambda d: d["logic"][0]["episodic_links"].__setitem__(0, True),
-                  "logic 1 episodic links"),
-    "logic-anchor-true": (lambda d: d["logic"][0].update(anchors=[True]), "logic 1 episodic links"),
-    # equal to the derived value, but not the same JSON
-    "anchor-count-float": (lambda d: d["anchors"][0].update(count=3.0), "anchor count"),
-    "percept_count-float": (lambda d: d.update(percept_count=3.0), "percept_count"),
-}
-
-
-@pytest.mark.parametrize("plant,match", OLDER.values(), ids=OLDER.keys())
-def test_repeated_or_unsorted_entry_of_an_older_snapshot_rejected(plant, match):
-    # Versions 1-4 load through the version 5 builder, so they meet the same
-    # rules: no entry is merged, dropped, overwritten or sorted on the way in.
-    data = json.loads(open(V3_FIXTURE).read())
-    plant(data)
-    with pytest.raises(CorruptSnapshot, match=match):
-        store_from_dict(data)
-
-
-OLDER_FIXTURES = [os.path.join(os.path.dirname(__file__), "data", f"snapshot_v{v}_dim8.json")
-                  for v in (1, 2, 3, 4)]
-
-
 @pytest.mark.parametrize("section,other", [
     ("anchors", {}), ("semantic", {}), ("logic", {}), ("pool", {}), ("video_clock", []),
 ], ids=["anchors", "semantic", "logic", "pool", "video_clock"])
 def test_section_of_another_type_rejected_in_every_version(section, other):
     # A load iterates each section, so an empty one of another type would
     # load as empty and re-save as another file.
-    for data in [snapshot_dict(shapes_store())] + [json.loads(open(p).read()) for p in OLDER_FIXTURES]:
+    for data in (snapshot_dict(shapes_store()), json.loads(open(V5_FIXTURE).read())):
         data[section] = other
         with pytest.raises(CorruptSnapshot, match=f"snapshot section '{section}' is not a"):
             store_from_dict(data)

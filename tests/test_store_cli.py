@@ -547,208 +547,88 @@ def test_v5_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     assert data["anchors"][0]["face"] == encode_vector(anchor.centroid_face.tolist())
 
 
-# snapshot_v1_dim8.json was written by the version 1 writer from a
-# Config(dim=8) store: three sources of "@jack chop the fruit", "@jack mix the
-# fruit in a bowl", "@jack serve the salad" (a face percept on the first, the
-# conclusion "@jack is a careful cook" on the last), then distill().
-V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v1_dim8.json")
-
-
-def test_v1_snapshot_loads_and_saves_as_v5(tmp_path):
-    store = MemoryStore.load(V1_FIXTURE)
-    assert store.check() == []
-    stats = store.stats()
-    assert (stats["episodic"], stats["semantic"], stats["logic"]) == (9, 1, 1)
-    v1 = json.loads(open(V1_FIXTURE).read())
-    for entry in v1["episodic"]:
-        node = store.episodic[entry["id"]]
-        assert node.v_e.tolist() == entry["v"]
-        assert (node.action, node.video) == (entry["action"], entry["video"])
-    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    store.save(p1)
-    assert json.loads(open(p1).read())["version"] == 5
-    MemoryStore.load(p1).save(p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-
-
-@pytest.mark.parametrize("section", ["episodic", "semantic"])
-def test_v1_snapshot_with_tampered_vector_rejected(tmp_path, section):
-    path = str(tmp_path / "snap.json")
-    data = json.loads(open(V1_FIXTURE).read())
-    data[section][0]["v"][0] += 0.5
-    open(path, "w").write(json.dumps(data))
-    with pytest.raises(CorruptSnapshot, match="stored vector is not embed"):
-        MemoryStore.load(path)
-
-
-def test_v1_snapshot_with_a_tampered_repeat_rejected(tmp_path):
-    # A text's vector is embedded once, but every node's stored copy is compared.
-    path = str(tmp_path / "snap.json")
-    data = json.loads(open(V1_FIXTURE).read())
-    first = data["episodic"][0]
-    repeat = next(e for e in data["episodic"][1:] if e["d"] == first["d"])
-    repeat["v"][0] += 0.5
-    open(path, "w").write(json.dumps(data))
-    with pytest.raises(CorruptSnapshot, match=f"episodic {repeat['id']}: stored vector is not embed"):
-        MemoryStore.load(path)
-
-
-# snapshot_v2_dim8.json was written by the version 2 writer from a
+# snapshot_v5_dim8.json was written by the version 5 writer from a
 # Config(dim=8, delta_gate=0.9) store: three sources of "@jack chop the
-# fruit", "@jack mix the fruit in a bowl", "@jack serve the salad" (each with
-# attrs {"step": i}; a face percept of another vector on each source's first,
-# the conclusion "@jack is a careful cook" on each last), then distill(); then
-# source v4 (chop, mix, "walk the dog") ingested and applied (matched, EMA),
-# and source v5 ("wash the car", "dry the car") ingested and applied (pooled).
-V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v2_dim8.json")
+# fruit", "@jack mix the fruit in a bowl", "@jack serve the salad" at t 0, 1,
+# 2 (record ids 1-9, attrs {"step": i}; on each source's first a "jack" face
+# percept, of [0,0,0,1,0,0,0,0], [0,.6,0,.8,0,0,0,0] and
+# [0,0,0,.9,.1,0,1e-310,0] in turn; the character conclusion "@jack is a
+# careful cook" on each last), then distill(); then source v4 (record 10:
+# chop, mix, "walk the dog") ingested and applied (matched, EMA), and source
+# v5 (record 11: "wash the car", "dry the car") ingested and applied (pooled).
+# It pins the version 5 bytes across changes to the code that writes them.
+V5_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v5_dim8.json")
 
 
-def test_v2_snapshot_loads_and_saves_as_v5(tmp_path):
-    v2 = json.loads(open(V2_FIXTURE).read())
-    store = MemoryStore.load(V2_FIXTURE)
+def test_v5_fixture_loads_and_saves_byte_identically(tmp_path):
+    store = MemoryStore.load(V5_FIXTURE)
     assert store.check() == []
     stats = store.stats()
     assert (stats["anchors"], stats["episodic"], stats["logic"], stats["pool"]) == (1, 14, 1, 1)
-    for entry in v2["episodic"]:
-        node = store.episodic[entry["id"]]
-        assert (node.action, node.video) == (entry["action"], entry["video"])
-    assert store.anchors[1].centroid_face.tolist() == v2["anchors"][0]["face"]
-    assert store.logic[1].i_goal.tolist() == v2["logic"][0]["i_goal"]
-    assert store.pool[0].vector.tolist() == v2["pool"][0]["vector"]
-    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    store.save(p1)
-    assert json.loads(open(p1).read())["version"] == 5
-    loaded = MemoryStore.load(p1)
-    assert snapshot_dict(loaded) == snapshot_dict(store)
-    assert [(n.action, n.video) for n in loaded.episodic.values()] == \
-           [(n.action, n.video) for n in store.episodic.values()]
-    loaded.save(p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-
-
-@pytest.mark.parametrize("key,value", [("action", "wash_car"), ("action", None), ("video", "v2")])
-def test_v2_snapshot_with_tampered_derived_field_rejected(tmp_path, key, value):
     path = str(tmp_path / "snap.json")
-    data = json.loads(open(V2_FIXTURE).read())
-    data["episodic"][0][key] = value
-    open(path, "w").write(json.dumps(data))
-    with pytest.raises(CorruptSnapshot, match="episodic 1: stored action or video"):
+    store.save(path)
+    assert open(path, "rb").read() == open(V5_FIXTURE, "rb").read()
+
+
+# snapshot_v{1,2,3,4}_dim8.json were written by the version 1-4 writers from
+# this recipe or a shorter form of it. No reader of those versions is kept:
+# each is refused by its number, as an unknown one is.
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_snapshot_of_an_older_version_refused_by_its_number(version):
+    path = os.path.join(os.path.dirname(__file__), "data", f"snapshot_v{version}_dim8.json")
+    assert json.loads(open(path).read())["version"] == version
+    with pytest.raises(CorruptSnapshot, match=f"^unsupported snapshot version {version}$"):
         MemoryStore.load(path)
 
 
-# snapshot_v3_dim8.json was written by the version 3 writer from the v2
-# fixture's recipe: a Config(dim=8, delta_gate=0.9) store, three sources of
-# "@jack chop the fruit", "@jack mix the fruit in a bowl", "@jack serve the
-# salad" at t 0, 1, 2 (attrs {"step": i}; on each source's first a "jack"
-# face percept, of [0,0,0,1,0,0,0,0], [0,.6,0,.8,0,0,0,0] and
-# [0,0,0,.9,.1,0,1e-310,0] in turn; the character conclusion "@jack is a
-# careful cook" on each last), then distill(); then source v4 (chop, mix,
-# "walk the dog") ingested and applied (matched, EMA), and source v5 ("wash
-# the car", "dry the car") ingested and applied (pooled).
-V3_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v3_dim8.json")
-
-
-def test_v3_snapshot_loads_and_saves_as_v5(tmp_path):
-    v3 = json.loads(open(V3_FIXTURE).read())
-    assert v3["version"] == 3
-    store = MemoryStore.load(V3_FIXTURE)
-    assert store.check() == []
-    stats = store.stats()
-    assert (stats["anchors"], stats["episodic"], stats["logic"], stats["pool"]) == (1, 14, 1, 1)
-    for entry in v3["episodic"]:
-        node = store.episodic[entry["id"]]
-        assert (node.t, node.d, sorted(node.anchors), node.outcome, node.attrs) == \
-               (entry["t"], entry["d"], entry["anchors"], entry["outcome"], entry["attrs"])
-    assert {i: (m.video, m.episodes) for i, m in store.observations.items()} == \
-           {o["id"]: (o["video"], o["episodes"]) for o in v3["observations"]}
-    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    store.save(p1)
-    v5 = json.loads(open(p1).read())
-    assert v5["version"] == 5
-    assert len(v5["episodic"]["texts"]) == 6 and len(v5["episodic"]["attrs"]) == 4
-    # the rest is as in v3 but for the fields v5 derives or writes as rows
-    for key in set(v3) - {"version", "episodic", "observations", "anchors", "percept_count",
-                          "logic"}:
-        assert v5[key] == v3[key], key
-    assert v5["anchors"] == [{k: v for k, v in a.items() if k != "count"} for a in v3["anchors"]]
-    for key in set(v3["logic"][0]) - {"anchors", "episodic_links", "dag"}:
-        assert v5["logic"][0][key] == v3["logic"][0][key], key
-    loaded = MemoryStore.load(p1)
-    assert snapshot_dict(loaded) == snapshot_dict(store)
-    loaded.save(p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-
-
-# snapshot_v4_dim8.json was written by the version 4 writer from the v3
-# fixture's recipe above, record ids 1-9 for the three sources' lines, 10 for
-# source v4 and 11 for source v5; it is byte for byte the version 4 save of
-# the store loaded from snapshot_v3_dim8.json.
-V4_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v4_dim8.json")
-
-
-def test_v4_snapshot_loads_and_saves_as_v5(tmp_path):
-    v4 = json.loads(open(V4_FIXTURE).read())
-    assert v4["version"] == 4
-    store = MemoryStore.load(V4_FIXTURE)
-    assert store.check() == []
-    assert snapshot_dict(store) == snapshot_dict(MemoryStore.load(V3_FIXTURE))
-    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    store.save(p1)
-    assert json.loads(open(p1).read())["version"] == 5
-    loaded = MemoryStore.load(p1)
-    assert snapshot_dict(loaded) == snapshot_dict(store)
-    loaded.save(p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-
-
-def _v4_observation_of_three(data):
-    return next(row for row in data["observations"] if len(row[2]) == 3)
-
-
-def _v4_node(data, node_id):
-    return next(row for row in data["episodic"]["nodes"] if row[0] == node_id)
-
-
-@pytest.mark.parametrize("plant,match", [
-    (lambda d: d["anchors"][0].update(count=4), "anchor count or percept_count"),
-    (lambda d: d.update(percept_count=4), "anchor count or percept_count"),
-    (lambda d: d["logic"][0].update(anchors=[]), "logic 1: stored anchors"),
-    (lambda d: _v4_node(d, _v4_observation_of_three(d)[2][1]).__setitem__(1, 0.5),
-     "do not share one stored t"),
-    (lambda d: _v4_node(d, _v4_observation_of_three(d)[2][0]).__setitem__(1, 0),
-     "do not share one stored t"),
-], ids=["anchor-count", "percept_count", "logic-anchors", "node-t", "node-t-int"])
-def test_v4_snapshot_with_a_stored_field_v5_derives_otherwise_rejected(plant, match):
-    # 0 and 0.0 are one number but not one stored value.
-    data = json.loads(open(V4_FIXTURE).read())
-    plant(data)
-    with pytest.raises(CorruptSnapshot, match=match):
+def test_load_links_each_procedure_to_its_episodes_own_ids(tmp_path):
+    # As ingest links them: a loaded store holds each episode id once, not
+    # once more per link. Ids above 256, which Python does not cache.
+    path = str(tmp_path / "snap.json")
+    store = MemoryStore(Config(dim=32, action_verbs=FRUIT_VERBS))
+    for rid in range(1, 101):
+        store.ingest(ObservationRecord(rid, f"v{rid}", 0.0, [
+            Description("chop the fruit"), Description("mix the fruit"),
+            Description("serve the salad")], [], []))
+    store.distill()
+    store.save(path)
+    loaded = MemoryStore.load(path)
+    links = [i for node in loaded.logic.values() for i in node.episodic_links]
+    assert max(links) > 256
+    assert all(i is loaded.episodic[i].id for i in links)
+    data = json.loads(open(path).read())
+    data["logic"][0]["episodic_links"].append(10**6)  # a link to no episode
+    with pytest.raises(CorruptSnapshot, match="^logic 1: dangling episodic link$"):
         store_from_dict(data)
 
 
+def _episodes(data):
+    return [node for row in data["observations"] for node in row[3]]
+
+
 def _retable(data, column, key):
-    """Rebuild the episodic table that row field ``column`` indexes (2: texts,
-    5: attrs) in first-use order, with ``key(position, value)`` deciding which
-    rows share an entry."""
-    tables = data["episodic"]
-    name = {2: "texts", 5: "attrs"}[column]
-    values = [tables[name][row[column]] for row in tables["nodes"]]
+    """Rebuild the episodic table that episode row field ``column`` indexes
+    (1: texts, 4: attrs) in first-use order, with ``key(position, value)``
+    deciding which rows share an entry."""
+    tables, rows = data["episodic"], _episodes(data)
+    name = {1: "texts", 4: "attrs"}[column]
+    values = [tables[name][row[column]] for row in rows]
     first: dict = {}
     tables[name] = []
-    for position, (row, value) in enumerate(zip(tables["nodes"], values)):
+    for position, (row, value) in enumerate(zip(rows, values)):
         row[column] = first.setdefault(key(position, value), len(tables[name]))
         if row[column] == len(tables[name]):
             tables[name].append(value)
 
 
 def _repeat_position(data, column):
-    seen, rows = set(), data["episodic"]["nodes"]
+    seen, rows = set(), _episodes(data)
     return next(i for i, row in enumerate(rows) if row[column] in seen or seen.add(row[column]))
 
 
 def _index(column, value):
     def plant(data):
-        data["episodic"]["nodes"][_repeat_position(data, column)][column] = value(data)
+        _episodes(data)[_repeat_position(data, column)][column] = value(data)
     return plant
 
 
@@ -758,8 +638,8 @@ def _duplicate_entry(column, reorder=False):
         at = _repeat_position(data, column)
         _retable(data, column, lambda position, value: (
             position == at, json.dumps(value, sort_keys=True)))
-        if reorder:  # the same keys in another order: {"tool": .., "n": 1}, {"n": 1, "tool": ..}
-            attrs, k = data["episodic"]["attrs"], data["episodic"]["nodes"][at][5]
+        if reorder:  # the same keys in another order: {"step": .., "n": 1}, {"n": 1, "step": ..}
+            attrs, k = data["episodic"]["attrs"], _episodes(data)[at][4]
             attrs[attrs.index(attrs[k])]["n"] = 1
             attrs[k] = {"n": 1, **attrs[k]}
     return plant
@@ -775,60 +655,51 @@ def _swap_first_uses(column):
     # the first two entries trade places, and every index with them
     def plant(data):
         tables = data["episodic"]
-        name = {2: "texts", 5: "attrs"}[column]
+        name = {1: "texts", 4: "attrs"}[column]
         tables[name][:2] = tables[name][1::-1]
-        for row in tables["nodes"]:
+        for row in _episodes(data):
             row[column] = {0: 1, 1: 0}.get(row[column], row[column])
     return plant
 
 
 def _row_width(section, change):
     def plant(data):
-        rows = data["episodic"]["nodes"] if section == "episodic" else data["observations"]
-        change(rows[0])
-    return plant
-
-
-def _swap_rows(section):
-    def plant(data):
-        rows = data["episodic"]["nodes"] if section == "episodic" else data["observations"]
-        rows[:2] = rows[1::-1]
+        change(_episodes(data)[0] if section == "episode" else data["observations"][0])
     return plant
 
 
 TEXTS, ATTRS = "episodic text table", "episodic attrs table"
-EPISODIC_ROWS, OBSERVATION_ROWS = "episodic rows", "observation rows"
+EPISODE_ROWS, OBSERVATION_ROWS = "episode rows are not 5", "observation rows are not 4"
 
 
 @pytest.mark.parametrize("plant,match", [
-    (_index(2, lambda d: -1), TEXTS), (_index(2, lambda d: True), TEXTS),
-    (_index(2, lambda d: 1.0), TEXTS), (_index(2, lambda d: len(d["episodic"]["texts"])), TEXTS),
-    (_index(2, lambda d: "0"), TEXTS), (_index(5, lambda d: -1), ATTRS),
-    (_index(5, lambda d: True), ATTRS), (_index(5, lambda d: len(d["episodic"]["attrs"])), ATTRS),
-    (_duplicate_entry(2), TEXTS), (_duplicate_entry(5), ATTRS),
-    (_duplicate_entry(5, reorder=True), ATTRS),
+    (_index(1, lambda d: -1), TEXTS), (_index(1, lambda d: True), TEXTS),
+    (_index(1, lambda d: 1.0), TEXTS), (_index(1, lambda d: len(d["episodic"]["texts"])), TEXTS),
+    (_index(1, lambda d: "0"), TEXTS), (_index(4, lambda d: -1), ATTRS),
+    (_index(4, lambda d: True), ATTRS), (_index(4, lambda d: len(d["episodic"]["attrs"])), ATTRS),
+    (_duplicate_entry(1), TEXTS), (_duplicate_entry(4), ATTRS),
+    (_duplicate_entry(4, reorder=True), ATTRS),
     (_unused_entry("texts", "an unused text"), TEXTS), (_unused_entry("attrs", {"unused": 1}), ATTRS),
-    (_swap_first_uses(2), TEXTS), (_swap_first_uses(5), ATTRS),
-    (_row_width("episodic", lambda row: row.append(0)), EPISODIC_ROWS),
-    (_row_width("episodic", list.pop), EPISODIC_ROWS),
+    (_swap_first_uses(1), TEXTS), (_swap_first_uses(4), ATTRS),
+    (_row_width("episode", lambda row: row.append(0)), EPISODE_ROWS),
+    (_row_width("episode", list.pop), EPISODE_ROWS),
     (_row_width("observation", lambda row: row.append(0)), OBSERVATION_ROWS),
     (_row_width("observation", list.pop), OBSERVATION_ROWS),
-    (_swap_rows("episodic"), EPISODIC_ROWS), (_swap_rows("observation"), OBSERVATION_ROWS),
 ], ids=["text-minus-one", "text-true", "text-float", "text-past-end", "text-string",
         "attrs-minus-one", "attrs-true", "attrs-past-end", "text-duplicate", "attrs-duplicate",
         "attrs-duplicate-reordered", "text-unused", "attrs-unused", "text-out-of-order",
-        "attrs-out-of-order", "episodic-row-7", "episodic-row-5", "observation-row-4",
-        "observation-row-2", "episodic-rows-swapped", "observation-rows-swapped"])
-def test_non_canonical_v4_tables_rejected(plant, match):
+        "attrs-out-of-order", "episode-row-6", "episode-row-4", "observation-row-5",
+        "observation-row-3"])
+def test_non_canonical_v5_tables_rejected(plant, match):
     # One store state, one file: no other tables for the same nodes load.
-    data = json.loads(open(V4_FIXTURE).read())
+    data = json.loads(open(V5_FIXTURE).read())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=match):
         store_from_dict(data)
 
 
-def test_v4_attrs_are_one_entry_per_canonical_json(tmp_path):
+def test_attrs_are_one_entry_per_canonical_json(tmp_path):
     # 1, 1.0 and true are distinct JSON; key order, nested too, is not.
     path = str(tmp_path / "snap.json")
     store = MemoryStore(Config(dim=8))
@@ -936,14 +807,13 @@ def test_bad_version_rejected(tmp_path):
         MemoryStore.load(path)
 
 
-@pytest.mark.parametrize("version", [True, 2.0, "3"])
+@pytest.mark.parametrize("version", [True, 2.0, "3", 5.0])
 def test_version_of_another_type_rejected(version):
-    # true == 1 and 2.0 == 2 in Python: a version must be an int, not just equal one.
-    for fixture in (V1_FIXTURE, V2_FIXTURE):
-        data = json.loads(open(fixture).read())
-        data["version"] = version
-        with pytest.raises(CorruptSnapshot, match="unsupported snapshot version"):
-            store_from_dict(data)
+    # 5.0 == 5 in Python: a version must be the int, not just equal it.
+    data = json.loads(open(V5_FIXTURE).read())
+    data["version"] = version
+    with pytest.raises(CorruptSnapshot, match="unsupported snapshot version"):
+        store_from_dict(data)
 
 
 def test_out_of_range_config_rejected(tmp_path):
