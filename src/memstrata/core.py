@@ -109,7 +109,7 @@ def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray,
                  norms: np.ndarray | None = None) -> None:
     """Write the cosine of ``a`` (of norm ``na``) with each row of ``rows``
     into ``out``; a zero row, or a zero ``a``, leaves its entry alone.
-    ``norms``, if given, are the rows' own, as ``RowBlock.renorm`` keeps them."""
+    ``norms``, if given, are the rows' own, as a ``RowBlock`` keeps them."""
     den = na * (np.sqrt(np.vecdot(rows, rows)) if norms is None else norms)
     np.divide(np.vecdot(rows, a), den, out=out, where=den > 0)
 
@@ -117,12 +117,20 @@ def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray,
 def cosine(a: np.ndarray, b):
     """Cosine similarity; defined as 0 when either vector has zero norm.
 
-    A list ``b``, or a 2-D array ``b`` of rows, gives an array of one cosine
-    per vector. ``np.vecdot`` takes each row's dot product with BLAS, as
-    ``np.dot`` does, so each cosine depends on its vector alone: equal
-    vectors score equal, the two forms agree bit for bit, and on an
-    id-sorted list ``np.argmax`` gives ties to the lowest id.
+    A list ``b``, or a ``RowBlock`` ``b``, gives an array of one cosine per
+    vector; the block's rows are scanned in place, with their kept norms.
+    ``np.vecdot`` takes each row's dot product with BLAS, as ``np.dot``
+    does, so each cosine depends on its vector alone: equal vectors score
+    equal, the two forms agree bit for bit, and on an id-sorted list
+    ``np.argmax`` gives ties to the lowest id.
     """
+    if isinstance(b, RowBlock):
+        if a.shape != (b.width,):
+            raise DimensionMismatch(f"cosine over shape {a.shape} vs rows of width {b.width}")
+        out, na = np.zeros(len(b.rows)), float(np.linalg.norm(a))
+        for k, (rows, norms) in enumerate(zip(b.chunks(), b.norms())):
+            _row_cosines(a, na, rows, out[k * COSINE_BLOCK:k * COSINE_BLOCK + len(rows)], norms)
+        return out
     if not isinstance(b, np.ndarray):
         out, na = np.zeros(len(b)), float(np.linalg.norm(a))
         buf = np.empty((min(len(b), COSINE_BLOCK),) + a.shape)
@@ -133,12 +141,6 @@ def cosine(a: np.ndarray, b):
             rows = buf[:len(block)]
             rows[...] = block  # twice as fast as np.stack into a new array
             _row_cosines(a, na, rows, out[start:start + len(block)])
-        return out
-    if b.ndim == 2 and a.ndim == 1:
-        if b.shape[1] != a.shape[0]:
-            raise DimensionMismatch(f"cosine over shape {a.shape} vs rows of shape {b.shape}")
-        out = np.zeros(len(b))
-        _row_cosines(a, float(np.linalg.norm(a)), b, out)
         return out
     if a.shape != b.shape:
         raise DimensionMismatch(f"cosine over shapes {a.shape} vs {b.shape}")
@@ -155,12 +157,13 @@ class RowBlock:
 
     The block grows by whole chunks, so a row never moves: ``append``
     returns a view of the row, which stays the row for the block's life,
-    and ``chunks()`` hands each filled chunk to the row form of ``cosine``
-    without a copy. ``ids`` and ``rows`` list the owners and the row views
-    in row order. ``cosines`` scans with the kept norms, so whoever writes
-    a row through its view calls ``renorm`` after. A deep copy copies the
-    rows and norms once and maps each old view to the new one in ``memo``,
-    so owners copied after the block hold views of the copy.
+    and ``cosine(a, block)`` scans each filled chunk (``chunks()``) with its
+    kept norms (``norms()``) without a copy. ``ids`` and ``rows`` list
+    the owners and the row views in row order. Whoever writes a row through
+    its view calls ``renorm`` after, or scans use a stale norm (``check()``
+    reports one). A deep copy copies the rows and norms once and maps each
+    old view to the new one in ``memo``, so owners copied after the block
+    hold views of the copy.
     """
 
     def __init__(self, width: int):
@@ -195,25 +198,17 @@ class RowBlock:
         with np.errstate(over="ignore"):  # a finite row's x·x may overflow
             self._norms[i // COSINE_BLOCK][i % COSINE_BLOCK] = np.sqrt(np.vecdot(row, row))
 
-    def norms(self) -> np.ndarray:
-        """The kept norms, in row order."""
-        return np.concatenate(self._norms)[:len(self.rows)] if self._norms else np.zeros(0)
-
     def chunks(self) -> list:
         """The filled rows of each chunk, as 2-D views, in row order."""
-        last = len(self.rows) - (len(self._chunks) - 1) * COSINE_BLOCK
-        return self._chunks[:-1] + [self._chunks[-1][:last]] if self._chunks else []
+        return self._filled(self._chunks)
 
-    def cosines(self, a: np.ndarray) -> np.ndarray:
-        """The cosine of ``a`` with each row, in row order, bit for bit as
-        the row form of ``cosine`` gives it."""
-        if a.shape != (self.width,):
-            raise DimensionMismatch(f"cosine over shape {a.shape} vs rows of width {self.width}")
-        out, na = np.zeros(len(self.rows)), float(np.linalg.norm(a))
-        for k, chunk in enumerate(self.chunks()):
-            _row_cosines(a, na, chunk, out[k * COSINE_BLOCK:k * COSINE_BLOCK + len(chunk)],
-                         self._norms[k][:len(chunk)])
-        return out
+    def norms(self) -> list:
+        """The kept norms of each chunk's filled rows, in row order."""
+        return self._filled(self._norms)
+
+    def _filled(self, per_chunk: list) -> list:
+        last = len(self.rows) - (len(per_chunk) - 1) * COSINE_BLOCK
+        return per_chunk[:-1] + [per_chunk[-1][:last]] if per_chunk else []
 
     def __deepcopy__(self, memo) -> "RowBlock":
         new = memo[id(self)] = RowBlock(self.width)

@@ -283,7 +283,7 @@ def resolve_anchor(store, percept: Percept) -> int:
     block = rows.blocks[percept.kind]
     count = f"{percept.kind}_count"
     if block.ids:
-        sims = block.cosines(percept.vector)
+        sims = cosine(percept.vector, block)
         best = int(np.argmax(sims))
         if sims[best] >= store.config.tau_anchor:
             anchor = store.anchors[block.ids[best]]

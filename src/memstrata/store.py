@@ -309,7 +309,7 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             rows[kind] = dict(zip(block.ids, block.rows))
             with np.errstate(over="ignore"):  # by np.dot, not by the code that keeps them
                 norms = [np.sqrt(np.dot(row, row)) for row in chain.from_iterable(block.chunks())]
-            for anchor_id, kept, norm in zip(block.ids, block.norms().tolist(), norms):
+            for anchor_id, kept, norm in zip(block.ids, chain.from_iterable(block.norms()), norms):
                 if kept != norm and norm == norm:  # a NaN row is the vector rule's
                     v.append(f"anchor {anchor_id}: kept {kind} norm is not its row's norm")
     for anchor_id, anchor in sorted(store.anchors.items()):

@@ -182,11 +182,8 @@ def test_cosine_rows_form_is_the_list_form_bit_for_bit(n):
     chunks = block.chunks()
     assert len(chunks) == -(-n // COSINE_BLOCK)
     assert all(np.shares_memory(c, block.rows[k * COSINE_BLOCK]) for k, c in enumerate(chunks))
-    got = np.concatenate([cosine(q, c) for c in chunks]) if chunks else np.zeros(0)
-    assert got.tobytes() == want
-    assert block.cosines(q).tobytes() == want  # with the kept norms
-    assert cosine(q, np.array(vectors).reshape(n, 24)).tobytes() == want
-    assert np.array_equal(cosine(np.zeros(24), np.ones((n, 24))), np.zeros(n))
+    assert cosine(q, block).tobytes() == want  # in place, with the kept norms
+    assert np.array_equal(cosine(np.zeros(24), block), np.zeros(n))
 
 
 def test_row_block_rows_stay_put_and_deep_copy_to_new_rows():
@@ -209,8 +206,14 @@ def test_row_block_rows_stay_put_and_deep_copy_to_new_rows():
 
 
 def test_cosine_rows_form_dimension_mismatch():
+    block = RowBlock(4)
+    block.append(1, np.ones(4))
     with pytest.raises(DimensionMismatch):
-        cosine(np.ones(3), np.ones((2, 4)))
+        cosine(np.ones(3), block)
+    with pytest.raises(DimensionMismatch):
+        cosine(np.ones(3), RowBlock(4))
+    with pytest.raises(DimensionMismatch):
+        cosine(np.ones(4), np.ones((2, 4)))  # a 2-D array is not a row form
 
 
 def test_config_defaults_are_paper_values():

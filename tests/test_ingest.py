@@ -204,7 +204,7 @@ def _stale_norms(store):
     the row form of ``cosine`` computes for its row."""
     stale = []
     for kind, block in store.centroid_rows.blocks.items():
-        kept = block.norms().view(np.uint64)
+        kept = np.concatenate(block.norms() or [np.zeros(0)]).view(np.uint64)
         fresh = [np.sqrt(np.vecdot(c, c)) for c in block.chunks()]
         fresh = np.concatenate(fresh).view(np.uint64) if fresh else kept
         stale += [(kind, int(i)) for i in np.flatnonzero(kept != fresh)]
