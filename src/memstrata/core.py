@@ -105,12 +105,11 @@ def embed_default(text: str, d: int) -> np.ndarray:
 COSINE_BLOCK = 256
 
 
-def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray,
-                 norms: np.ndarray | None = None) -> None:
+def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray) -> None:
     """Write the cosine of ``a`` (of norm ``na``) with each row of ``rows``
-    into ``out``; a zero row, or a zero ``a``, leaves its entry alone.
-    ``norms``, if given, are the rows' own, as a ``RowBlock`` keeps them."""
-    den = na * (np.sqrt(np.vecdot(rows, rows)) if norms is None else norms)
+    into ``out``; a zero row, or a zero ``a``, leaves its entry alone."""
+    with np.errstate(over="ignore"):  # a finite row's x·x may overflow: cosine 0
+        den = na * np.sqrt(np.vecdot(rows, rows))
     np.divide(np.vecdot(rows, a), den, out=out, where=den > 0)
 
 
@@ -118,18 +117,18 @@ def cosine(a: np.ndarray, b):
     """Cosine similarity; defined as 0 when either vector has zero norm.
 
     A list ``b``, or a ``RowBlock`` ``b``, gives an array of one cosine per
-    vector; the block's rows are scanned in place, with their kept norms.
-    ``np.vecdot`` takes each row's dot product with BLAS, as ``np.dot``
-    does, so each cosine depends on its vector alone: equal vectors score
-    equal, the two forms agree bit for bit, and on an id-sorted list
-    ``np.argmax`` gives ties to the lowest id.
+    vector; a block's rows are scanned in place. ``np.vecdot`` takes each
+    row's dot product with BLAS, as ``np.dot`` does, so each cosine depends
+    on its vector alone: equal vectors score equal, the two forms agree bit
+    for bit, and on an id-sorted list ``np.argmax`` gives ties to the
+    lowest id.
     """
     if isinstance(b, RowBlock):
         if a.shape != (b.width,):
             raise DimensionMismatch(f"cosine over shape {a.shape} vs rows of width {b.width}")
         out, na = np.zeros(len(b.rows)), float(np.linalg.norm(a))
-        for k, (rows, norms) in enumerate(zip(b.chunks(), b.norms())):
-            _row_cosines(a, na, rows, out[k * COSINE_BLOCK:k * COSINE_BLOCK + len(rows)], norms)
+        for k, rows in enumerate(b.chunks()):
+            _row_cosines(a, na, rows, out[k * COSINE_BLOCK:k * COSINE_BLOCK + len(rows)])
         return out
     if not isinstance(b, np.ndarray):
         out, na = np.zeros(len(b)), float(np.linalg.norm(a))
@@ -153,17 +152,16 @@ def cosine(a: np.ndarray, b):
 
 class RowBlock:
     """Float64 rows of one width, each owned by an id, in chunks of
-    ``COSINE_BLOCK`` rows, with each row's norm kept beside it.
+    ``COSINE_BLOCK`` rows.
 
     The block grows by whole chunks, so a row never moves: ``append``
     returns a view of the row, which stays the row for the block's life,
-    and ``cosine(a, block)`` scans each filled chunk (``chunks()``) with its
-    kept norms (``norms()``) without a copy. ``ids`` and ``rows`` list
-    the owners and the row views in row order. Whoever writes a row through
-    its view calls ``renorm`` after, or scans use a stale norm (``check()``
-    reports one). A deep copy copies the rows and norms once and maps each
-    old view to the new one in ``memo``, so owners copied after the block
-    hold views of the copy.
+    and ``cosine(a, block)`` scans each filled chunk (``chunks()``) without
+    a copy, taking each row's norm from the row itself, so a write through
+    a view needs no further call. ``ids`` and ``rows`` list the owners and
+    the row views in row order. A deep copy copies the rows once and maps
+    each old view to the new one in ``memo``, so owners copied after the
+    block hold views of the copy.
     """
 
     def __init__(self, width: int):
@@ -171,7 +169,6 @@ class RowBlock:
         self.ids: list = []
         self.rows: list = []
         self._chunks: list = []
-        self._norms: list = []  # one array per chunk
 
     def append(self, owner, vector) -> np.ndarray:
         if np.shape(vector) != (self.width,):  # a row assignment would broadcast it
@@ -183,39 +180,21 @@ class RowBlock:
             # from np.empty reused heap pages and raised peak RSS by 0.3-1.7 MB.
             pages = mmap.mmap(-1, COSINE_BLOCK * self.width * 8)
             self._chunks.append(np.frombuffer(pages).reshape(COSINE_BLOCK, self.width))
-            self._norms.append(np.zeros(COSINE_BLOCK))
         row = self._chunks[-1][n % COSINE_BLOCK]
         row[...] = vector
         self.ids.append(owner)
         self.rows.append(row)
-        self.renorm(n)
         return row
-
-    def renorm(self, i: int) -> None:
-        """Keep the norm of row ``i`` again, after a write to it: the same
-        ``np.vecdot`` of the row with itself as a scan of the rows takes."""
-        row = self.rows[i]
-        with np.errstate(over="ignore"):  # a finite row's x·x may overflow
-            self._norms[i // COSINE_BLOCK][i % COSINE_BLOCK] = np.sqrt(np.vecdot(row, row))
 
     def chunks(self) -> list:
         """The filled rows of each chunk, as 2-D views, in row order."""
-        return self._filled(self._chunks)
-
-    def norms(self) -> list:
-        """The kept norms of each chunk's filled rows, in row order."""
-        return self._filled(self._norms)
-
-    def _filled(self, per_chunk: list) -> list:
-        last = len(self.rows) - (len(per_chunk) - 1) * COSINE_BLOCK
-        return per_chunk[:-1] + [per_chunk[-1][:last]] if per_chunk else []
+        last = len(self.rows) - (len(self._chunks) - 1) * COSINE_BLOCK
+        return self._chunks[:-1] + [self._chunks[-1][:last]] if self._chunks else []
 
     def __deepcopy__(self, memo) -> "RowBlock":
         new = memo[id(self)] = RowBlock(self.width)
         for owner, row in zip(self.ids, self.rows):
             memo[id(row)] = new.append(owner, row)
-        for norms, kept in zip(new._norms, self._norms):
-            norms[...] = kept
         return new
 
 

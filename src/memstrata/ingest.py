@@ -292,7 +292,6 @@ def resolve_anchor(store, percept: Percept) -> int:
             centroid *= k
             centroid += percept.vector
             centroid /= k + 1
-            block.renorm(best)
             setattr(anchor, count, k + 1)
             return anchor.id
 

@@ -58,7 +58,7 @@ def match_logic(store, o_vec: np.ndarray):
 
 
 def ema_update(node, o_vec: np.ndarray, beta: float) -> None:
-    """i <- beta*i + (1-beta)*o for both index vectors; no renormalization."""
+    """i <- beta*i + (1-beta)*o for both index vectors; the result is not normalized."""
     if o_vec.shape != node.i_goal.shape:
         raise DimensionMismatch(
             f"observation vector shape {o_vec.shape} vs index {node.i_goal.shape}"

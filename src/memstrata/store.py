@@ -59,6 +59,16 @@ SNAPSHOT_VERSION = 5
 # a load iterates them, so an empty section of another type would load, and
 # re-save as another file.
 _SECTION_TYPES = {"anchors": list, "semantic": list, "logic": list, "pool": list, "video_clock": dict}
+# The keys of each object of a version 5 snapshot, as snapshot_dict writes them: a load
+# reads no other key, so one more, or one fewer, would load and re-save as another file.
+_KEYS = {kind: frozenset(keys.split()) for kind, keys in (
+    ("top level", "version embedder config counters episodic observations " + " ".join(_SECTION_TYPES)),
+    ("counters", "node anchor logic"), ("episodic tables", "texts attrs"),
+    ("anchor", "id label face_count voice_count face voice"),
+    ("semantic node", "id type attrs anchors weight"),
+    ("logic node", "id c score steps episodic_links i_goal i_step dag"),
+    ("dag", "nodes edges"), ("pool entry", "observation vector actions"),
+)} | {"config": frozenset(Config().to_dict())}  # every Config field
 
 
 class MemoryStore:
@@ -291,6 +301,16 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     which builds what ``_underivable`` checks, skips it with ``derived=False``."""
     v = _config_faults(store.config)
     dim = store.config.dim
+    # Each counter is the id it hands out next, so no id of its kind may be at or beyond it.
+    counters = {"node": store.next_node_id, "anchor": store.next_anchor_id, "logic": store.next_logic_id}
+    v += [f"counter {name}: {c!r} is not a positive int"
+          for name, c in counters.items() if not (_is_int(c) and c >= 1)]
+    for kind, ids, c in (("anchor", store.anchors, counters["anchor"]),
+                         ("episodic", store.episodic, counters["node"]),
+                         ("semantic", store.semantic, counters["node"]),
+                         ("logic", store.logic, counters["logic"])):
+        if _is_int(c):  # one of another type is reported above, and bounds nothing
+            v += [f"{kind} {i}: id beyond counter" for i in sorted(i for i in ids if i >= c)]
 
     def check_vector(owner: str, x) -> None:
         # The one rule for every stored vector, whichever code or embedder made it: a float
@@ -307,14 +327,7 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     if store.centroid_rows is not None:
         for kind, block in store.centroid_rows.blocks.items():
             rows[kind] = dict(zip(block.ids, block.rows))
-            with np.errstate(over="ignore"):  # by np.dot, not by the code that keeps them
-                norms = [np.sqrt(np.dot(row, row)) for row in chain.from_iterable(block.chunks())]
-            for anchor_id, kept, norm in zip(block.ids, chain.from_iterable(block.norms()), norms):
-                if kept != norm and norm == norm:  # a NaN row is the vector rule's
-                    v.append(f"anchor {anchor_id}: kept {kind} norm is not its row's norm")
     for anchor_id, anchor in sorted(store.anchors.items()):
-        if anchor_id >= store.next_anchor_id:
-            v.append(f"anchor {anchor_id}: id beyond counter")
         if anchor.centroid_face is None and anchor.centroid_voice is None:
             v.append(f"anchor {anchor_id}: no centroid")
         for name, c in (("face", anchor.centroid_face), ("voice", anchor.centroid_voice)):
@@ -333,8 +346,6 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     anchor_ids = set(store.anchors)
     first_of_text: dict = {}
     for node_id, node in sorted(store.episodic.items()):
-        if node_id >= store.next_node_id:
-            v.append(f"episodic {node_id}: id beyond counter")
         if not _is_finite_number(node.t):
             v.append(f"episodic {node_id}: t {node.t!r} is not a finite number")
         if node.outcome not in OUTCOMES:
@@ -450,6 +461,13 @@ def _dag_from_rows(data: dict) -> ProceduralDag:
     for src, dst, count, gamma in edges:
         dag.add_edge(src, dst, count, gamma)
     return dag
+
+
+def _keyed(obj, kind: str) -> dict:
+    """``obj`` if it is an object with exactly the keys the writer gives a ``kind``."""
+    if type(obj) is dict and obj.keys() == _KEYS[kind]:
+        return obj
+    raise CorruptSnapshot(f"snapshot {kind}: not an object with exactly the keys {sorted(_KEYS[kind])}")
 
 
 def _gaps(ids: list) -> list:
@@ -601,7 +619,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         raise CorruptSnapshot(f"unsupported snapshot version {version!r}"
                               if isinstance(data, dict) else "snapshot is not an object")
     try:
-        config = Config.from_dict(data["config"])
+        config = Config.from_dict(_keyed(_keyed(data, "top level")["config"], "config"))
         if embedder is None:
             embedder = HashingEmbedder(config.dim)
         # The identity first: a store of another embedder is refused as
@@ -615,9 +633,13 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         for name, kind in _SECTION_TYPES.items():
             if type(data[name]) is not kind:
                 raise CorruptSnapshot(f"snapshot section {name!r} is not a {kind.__name__}")
-        store.next_node_id = data["counters"]["node"]
-        store.next_anchor_id = data["counters"]["anchor"]
-        store.next_logic_id = data["counters"]["logic"]
+        for section, kind in (("anchors", "anchor"), ("semantic", "semantic node"),
+                              ("logic", "logic node"), ("pool", "pool entry")):
+            for entry in data[section]:
+                _keyed(entry, kind)
+        counters = _keyed(data["counters"], "counters")
+        store.next_node_id, store.next_anchor_id, store.next_logic_id = (
+            counters["node"], counters["anchor"], counters["logic"])
         for section in ("anchors", "semantic", "logic"):
             _increasing([[entry["id"] for entry in data[section]]], f"{section} ids")
         for a in data["anchors"]:
@@ -627,7 +649,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             store.anchors[a["id"]] = EntityAnchor(a["id"], a["label"], face, voice,
                                                   a["face_count"], a["voice_count"])
         store.centroid_rows = CentroidRows(store.anchors, config.dim)
-        _add_observations(store, data["episodic"], data["observations"])
+        _add_observations(store, _keyed(data["episodic"], "episodic tables"), data["observations"])
         _increasing([s["anchors"] for s in data["semantic"]], "semantic anchors")
         for s in data["semantic"]:
             if not isinstance(s["attrs"], str):
@@ -643,7 +665,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 id=l["id"], c=l["c"],
                 i_goal=_vec_from(l["i_goal"], config.dim, f"logic {l['id']} i_goal"),
                 i_step=_vec_from(l["i_step"], config.dim, f"logic {l['id']} i_step"),
-                dag=_dag_from_rows(l["dag"]),
+                dag=_dag_from_rows(_keyed(l["dag"], "dag")),
                 # each link its node's id, as ingest links it; a dangling one stays for check_store
                 episodic_links={episodic[i].id if i in episodic else i for i in links},
                 score=l["score"],
@@ -661,8 +683,6 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             )
         store.video_clock = {store.intern(video): t for video, t in data["video_clock"].items()}
         violations = check_store(store, derived=False)  # derived above
-    except CorruptSnapshot:
-        raise
     except ConfigError as exc:
         raise CorruptSnapshot(f"snapshot config invalid: {exc}") from None
     except (KeyError, TypeError, ValueError, DimensionMismatch, MissingEdge) as exc:

@@ -182,7 +182,7 @@ def test_cosine_rows_form_is_the_list_form_bit_for_bit(n):
     chunks = block.chunks()
     assert len(chunks) == -(-n // COSINE_BLOCK)
     assert all(np.shares_memory(c, block.rows[k * COSINE_BLOCK]) for k, c in enumerate(chunks))
-    assert cosine(q, block).tobytes() == want  # in place, with the kept norms
+    assert cosine(q, block).tobytes() == want  # in place
     assert np.array_equal(cosine(np.zeros(24), block), np.zeros(n))
 
 

@@ -699,6 +699,80 @@ def test_non_canonical_v5_tables_rejected(plant, match):
         store_from_dict(data)
 
 
+def _put(*path_and_value):
+    *path, value = path_and_value
+
+    def plant(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return plant
+
+
+def _drop(*path):
+    def plant(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return plant
+
+
+KEY_PLANTS = {
+    "anchor-count": (_put("anchors", 0, "count", 3), "anchor"),
+    "percept_count": (_put("percept_count", 3), "top level"),
+    "logic-anchors": (_put("logic", 0, "anchors", [1]), "logic node"),
+    "semantic-v": (_put("semantic", 0, "v", "AA=="), "semantic node"),
+    "counters-extra": (_put("counters", "video", 1), "counters"),
+    "dag-extra": (_put("logic", 0, "dag", "paths", 2), "dag"),
+    "episodic-extra": (_put("episodic", "vectors", []), "episodic tables"),
+    "pool-extra": (_put("pool", 0, "t", 1.0), "pool entry"),
+    "config-alpha-missing": (_drop("config", "alpha"), "config"),
+}
+
+
+@pytest.mark.parametrize("plant,kind", KEY_PLANTS.values(), ids=KEY_PLANTS.keys())
+def test_object_with_keys_the_writer_does_not_write_rejected(plant, kind):
+    # A load reads only the keys the writer writes: any other would be dropped,
+    # and a missing config key defaulted, so the file would re-save as another.
+    data = json.loads(open(V5_FIXTURE).read())
+    assert store_from_dict(copy.deepcopy(data)).check() == []
+    plant(data)
+    with pytest.raises(CorruptSnapshot, match=f"^snapshot {kind}: not an object with exactly the keys"):
+        store_from_dict(data)
+
+
+COUNTER_PLANTS = {
+    "logic-counter-at-a-logic-id": (_put("counters", "logic", 1), "logic 1: id beyond counter"),
+    "semantic-id-at-the-node-counter": (_put("semantic", 0, "id", 16),
+                                        "semantic 16: id beyond counter"),
+    "node-counter-float": (_put("counters", "node", 16.0),
+                           "counter node: 16.0 is not a positive int"),
+    "anchor-counter-float": (_put("counters", "anchor", 2.0),
+                             "counter anchor: 2.0 is not a positive int"),
+}
+
+
+@pytest.mark.parametrize("plant,violation", COUNTER_PLANTS.values(), ids=COUNTER_PLANTS.keys())
+def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violation):
+    # The next distill, fuse or ingest takes its id from the counter: one at or
+    # below a held id overwrites that node, and a float one makes float ids.
+    data = json.loads(open(V5_FIXTURE).read())
+    assert data["counters"] == {"anchor": 2, "logic": 2, "node": 16}
+    plant(data)
+    with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
+        store_from_dict(data)
+
+
+@pytest.mark.parametrize("name", ["next_node_id", "next_anchor_id", "next_logic_id"])
+def test_check_reports_a_counter_that_is_not_a_positive_int(name):
+    store = MemoryStore.load(V5_FIXTURE)
+    counter = {"next_node_id": "node", "next_anchor_id": "anchor", "next_logic_id": "logic"}[name]
+    for value in (float(getattr(store, name)), True, "x", None):
+        twin = store.clone()
+        setattr(twin, name, value)
+        assert twin.check() == [f"counter {counter}: {value!r} is not a positive int"]
+
+
 def test_attrs_are_one_entry_per_canonical_json(tmp_path):
     # 1, 1.0 and true are distinct JSON; key order, nested too, is not.
     path = str(tmp_path / "snap.json")
