@@ -20,7 +20,8 @@ import numpy as np
 from memstrata import MemoryStore
 from memstrata.cli import run_cli
 
-workdir = tempfile.mkdtemp(prefix="memstrata-demo-")
+workspace = tempfile.TemporaryDirectory(prefix="memstrata-demo-")
+workdir = workspace.name
 store_dir = os.path.join(workdir, "store")
 obs_path = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
                         "fruit_salad.jsonl")
@@ -77,3 +78,5 @@ reloaded = MemoryStore.load(again)
 node_a, node_b = store.logic[1], reloaded.logic[1]
 print("EMA'd index vectors bit-equal:",
       np.array_equal(node_a.i_goal, node_b.i_goal))
+
+workspace.cleanup()

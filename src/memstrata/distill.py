@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -115,12 +116,31 @@ def extract_action_sequences(store, episode_ids=None) -> list[ActionSequence]:
     return sequences
 
 
+def _support_record(records: dict, key: tuple, n: int, videos) -> tuple:
+    """The one ``(support, supporting_videos)`` pair of a miner call for the
+    supporter set ``key`` (ascending sequence indices): every pattern with
+    that set shares its float and its tuple."""
+    record = records.get(key)
+    if record is None:
+        record = records[key] = (len(key) / n, tuple(sorted({videos[i] for i in key})))
+    return record
+
+
+def _sort_by_support(patterns: list) -> None:
+    # Descending support, then ascending steps, with no key tuple per
+    # pattern: two stable passes (reverse=True keeps ties in order). Steps
+    # are unique per pattern, so the order is total.
+    patterns.sort(key=attrgetter("steps"))
+    patterns.sort(key=attrgetter("support"), reverse=True)
+
+
 def prefixspan(sequences, sigma: float) -> list[Pattern]:
     """All length>=2 subsequence patterns with support >= sigma.
 
     ``p in S`` means p occurs as a possibly non-contiguous subsequence;
     each sequence counts at most once per pattern. Sorted by descending
-    support, then lexicographic steps.
+    support, then lexicographic steps. Patterns with the same supporting
+    sequences share one ``support`` and one ``supporting_videos`` object.
     """
     n = len(sequences)
     if n == 0:
@@ -128,10 +148,13 @@ def prefixspan(sequences, sigma: float) -> list[Pattern]:
     seqs = [list(s.actions) for s in sequences]
     videos = [s.video for s in sequences]
     min_count = max(1, int(np.ceil(sigma * n - 1e-9)))
+    records: dict = {}
     patterns = []
-
-    def grow(prefix, projected):
-        # projected: list of (sequence index, next scan position)
+    # Depth-first over prefixes; projected: (sequence index, next scan
+    # position) per supporting sequence, in ascending sequence index.
+    stack = [((), [(i, 0) for i in range(n)])]
+    while stack:
+        prefix, projected = stack.pop()
         occurrences: dict[str, list] = {}
         for seq_idx, pos in projected:
             seen_here = set()
@@ -142,23 +165,15 @@ def prefixspan(sequences, sigma: float) -> list[Pattern]:
                     continue
                 seen_here.add(item)
                 occurrences.setdefault(item, []).append((seq_idx, j + 1))
-        for item in sorted(occurrences):
-            supporters = occurrences[item]
+        for item, supporters in occurrences.items():
             if len(supporters) < min_count:
                 continue
             extended = prefix + (item,)
             if len(extended) >= 2:
-                patterns.append(
-                    Pattern(
-                        steps=extended,
-                        support=len(supporters) / n,
-                        supporting_videos=tuple(sorted({videos[i] for i, _ in supporters})),
-                    )
-                )
-            grow(extended, supporters)
-
-    grow((), [(i, 0) for i in range(n)])
-    patterns.sort(key=lambda p: (-p.support, p.steps))
+                key = tuple(seq_idx for seq_idx, _ in supporters)
+                patterns.append(Pattern(extended, *_support_record(records, key, n, videos)))
+            stack.append((extended, supporters))
+    _sort_by_support(patterns)
     return patterns
 
 
@@ -167,7 +182,7 @@ def closed_patterns(sequences, sigma: float) -> list[Pattern]:
 
     A pattern is kept when it has length >= 2, distinct steps, support >=
     sigma, and no proper super-sequence with distinct steps has the same
-    support. Sorted as ``prefixspan`` sorts.
+    support. Sorted, with support records shared, as ``prefixspan`` does.
 
     The search is BIDE (Wang & Han, ICDE 2004) restricted to distinct
     steps: a prefix is never extended by an action it holds. A pattern with
@@ -209,63 +224,68 @@ def closed_patterns(sequences, sigma: float) -> list[Pattern]:
         repeats.append(len(positions) < len(seq.actions))
         for item in positions:
             holders[item].add(idx)
+    records: dict = {}
     patterns = []
 
-    def grow(prefix, entries):
-        # Outside actions held by every supporter: the only insertable ones.
-        supporters = set(map(seq_of.__getitem__, entries))
-        common = [e for e in where[seq_of[entries[0]]]
-                  if e not in prefix and holders[e] >= supporters]
+    # The slot helpers read the prefix, entries and embedding caches of the
+    # node the loop below is visiting.
+    def leftmost(c):
+        if c not in firsts:
+            positions, pos, out = where[seq_of[c]], starts[seq_of[c]], []
+            for step in prefix:
+                occ = positions[step]
+                pos = occ[bisect_right(occ, pos)]
+                out.append(pos)
+            firsts[c] = out
+        return firsts[c]
+
+    def rightmost(c):
+        if c not in lasts:
+            positions, pos, out = where[seq_of[c]], end_of[c], []
+            for step in reversed(prefix):
+                occ = positions[step]
+                pos = occ[bisect_left(occ, pos) - 1]
+                out.append(pos)
+            out.reverse()
+            lasts[c] = out
+        return lasts[c]
+
+    def semi_maximum(c, occ) -> set:
+        left = leftmost(c)
+        return {bisect_left(left, pos) for pos in occ if pos < c}
+
+    def maximum(c, occ) -> set:
+        left, right, top = leftmost(c), rightmost(c), len(prefix) - 1
+        slots = set()
+        for pos in occ:
+            slots.update(range(bisect_right(right, pos), min(bisect_left(left, pos), top) + 1))
+        return slots
+
+    def inserted(item, slots_of) -> bool:
+        # Whether item fits the same slot in every supporter.
+        slots = None
+        for c in entries:
+            here = slots_of(c, where[seq_of[c]][item])
+            slots = here if slots is None else slots & here
+            if not slots:
+                return False
+        return True
+
+    def pruned(item) -> bool:
+        return inserted(item, semi_maximum) \
+            and sum(where[seq_of[c]][item][-1] > c for c in entries) < min_count
+
+    # Depth-first over prefixes, each with one entry per supporting sequence
+    # in ascending sequence order.
+    stack = [((), starts)]
+    while stack:
+        prefix, entries = stack.pop()
         firsts, lasts = {}, {}
-
-        def leftmost(c):
-            if c not in firsts:
-                positions, pos, out = where[seq_of[c]], starts[seq_of[c]], []
-                for step in prefix:
-                    occ = positions[step]
-                    pos = occ[bisect_right(occ, pos)]
-                    out.append(pos)
-                firsts[c] = out
-            return firsts[c]
-
-        def rightmost(c):
-            if c not in lasts:
-                positions, pos, out = where[seq_of[c]], end_of[c], []
-                for step in reversed(prefix):
-                    occ = positions[step]
-                    pos = occ[bisect_left(occ, pos) - 1]
-                    out.append(pos)
-                out.reverse()
-                lasts[c] = out
-            return lasts[c]
-
-        def semi_maximum(c, occ) -> set:
-            left = leftmost(c)
-            return {bisect_left(left, pos) for pos in occ if pos < c}
-
-        def maximum(c, occ) -> set:
-            left, right, top = leftmost(c), rightmost(c), len(prefix) - 1
-            slots = set()
-            for pos in occ:
-                slots.update(range(bisect_right(right, pos), min(bisect_left(left, pos), top) + 1))
-            return slots
-
-        def inserted(item, slots_of) -> bool:
-            # Whether item fits the same slot in every supporter.
-            slots = None
-            for c in entries:
-                here = slots_of(c, where[seq_of[c]][item])
-                slots = here if slots is None else slots & here
-                if not slots:
-                    return False
-            return True
-
-        def pruned(item) -> bool:
-            return inserted(item, semi_maximum) \
-                and sum(where[seq_of[c]][item][-1] > c for c in entries) < min_count
-
+        key = tuple(map(seq_of.__getitem__, entries))
+        # Outside actions held by every supporter: the only insertable ones.
+        common = [e for e in where[key[0]] if e not in prefix and holders[e].issuperset(key)]
         if prefix and any(pruned(e) for e in common):
-            return
+            continue
         children = defaultdict(list)
         for c in entries:
             after = range(c + 1, end_of[c])
@@ -279,17 +299,10 @@ def closed_patterns(sequences, sigma: float) -> list[Pattern]:
         count = len(entries)
         if len(prefix) >= 2 and all(len(occ) < count for occ in children.values()) \
                 and not any(inserted(e, maximum) for e in common):
-            patterns.append(Pattern(
-                steps=prefix,
-                support=count / n,
-                supporting_videos=tuple(sorted({videos[s] for s in supporters})),
-            ))
-        for item in sorted(children):
-            if len(children[item]) >= min_count:
-                grow(prefix + (item,), children[item])
-
-    grow((), starts)
-    patterns.sort(key=lambda p: (-p.support, p.steps))
+            patterns.append(Pattern(prefix, *_support_record(records, key, n, videos)))
+        stack.extend((prefix + (item,), occ) for item, occ in children.items()
+                     if len(occ) >= min_count)
+    _sort_by_support(patterns)
     return patterns
 
 

@@ -183,7 +183,7 @@ class MemoryStore:
     def save(self, path: str) -> None:
         """Write the snapshot atomically and durably: the temp file is synced
         before it replaces ``path``, and the directory after."""
-        faults = _config_faults(self.config) or _underivable(self)
+        faults = _config_faults(self.config) or _counter_faults(self) or _underivable(self)
         if faults:
             raise SnapshotIoError(f"cannot save {path}: {faults[0]}")
         try:
@@ -265,6 +265,14 @@ def _config_faults(config: Config) -> list[str]:
     return []
 
 
+def _counter_faults(store: MemoryStore) -> list[str]:
+    """Each counter that is not a positive int, as ``check()`` reports it and
+    ``save`` refuses it: a load would refuse the ids it hands out."""
+    counters = {"node": store.next_node_id, "anchor": store.next_anchor_id, "logic": store.next_logic_id}
+    return [f"counter {name}: {c!r} is not a positive int"
+            for name, c in counters.items() if not (_is_int(c) and c >= 1)]
+
+
 def _underivable(store: MemoryStore) -> list[str]:
     """What a load derives that ``store`` holds otherwise, so that its snapshot would
     load as another store: an episode not listed by exactly one observation of its
@@ -299,16 +307,13 @@ def _underivable(store: MemoryStore) -> list[str]:
 def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     """Global invariant sweep; returns all violations (empty means healthy). A load,
     which builds what ``_underivable`` checks, skips it with ``derived=False``."""
-    v = _config_faults(store.config)
+    v = _config_faults(store.config) + _counter_faults(store)
     dim = store.config.dim
     # Each counter is the id it hands out next, so no id of its kind may be at or beyond it.
-    counters = {"node": store.next_node_id, "anchor": store.next_anchor_id, "logic": store.next_logic_id}
-    v += [f"counter {name}: {c!r} is not a positive int"
-          for name, c in counters.items() if not (_is_int(c) and c >= 1)]
-    for kind, ids, c in (("anchor", store.anchors, counters["anchor"]),
-                         ("episodic", store.episodic, counters["node"]),
-                         ("semantic", store.semantic, counters["node"]),
-                         ("logic", store.logic, counters["logic"])):
+    for kind, ids, c in (("anchor", store.anchors, store.next_anchor_id),
+                         ("episodic", store.episodic, store.next_node_id),
+                         ("semantic", store.semantic, store.next_node_id),
+                         ("logic", store.logic, store.next_logic_id)):
         if _is_int(c):  # one of another type is reported above, and bounds nothing
             v += [f"{kind} {i}: id beyond counter" for i in sorted(i for i in ids if i >= c)]
 

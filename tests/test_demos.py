@@ -1,5 +1,6 @@
 """Every demo runs to its end as a user starts it, from the checkout with
-``PYTHONPATH=src``, and leaves no file in the checkout."""
+``PYTHONPATH=src``, and leaves no file in the checkout or in its temporary
+directory."""
 
 import os
 import subprocess
@@ -28,3 +29,4 @@ def test_demo_runs_and_leaves_no_file(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert _checkout_paths() - before == set()
+    assert os.listdir(tmp_path) == []

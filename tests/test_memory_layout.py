@@ -1,20 +1,42 @@
 """What a live store holds once: slotted engine records, and one object for
 each distinct episodic text, action, video, outcome and anchor set, whether
-the store was built by ingest, loaded from a snapshot or cloned."""
+the store was built by ingest, loaded from a snapshot or cloned. What an
+operation leaves behind: no cyclic garbage, and one support record per
+supporter set in a miner's output."""
 
 import dataclasses
+import gc
 import importlib
 import json
 import pkgutil
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import memstrata
-from memstrata import Config, EntityAnchor, EpisodicNode, MemoryStore, read_observation_lines
+from memstrata import (
+    START,
+    ActionSequence,
+    Config,
+    Description,
+    EntityAnchor,
+    EpisodicNode,
+    MemoryStore,
+    ObservationRecord,
+    aggregate_character_behaviors,
+    auto_fuse,
+    closed_patterns,
+    constrained_paths,
+    get_procedure_with_evidence,
+    goal_reach_probability,
+    prefixspan,
+    query_step_sequence,
+    read_observation_lines,
+)
 from memstrata import ingest as ingest_module
-from conftest import FRUIT_VERBS
+from conftest import FRUIT_VERBS, fruit_salad_store, random_corpus
 
 DIM = 16
 
@@ -124,3 +146,76 @@ def test_ingest_parses_each_text_once(monkeypatch):
                                             [0], True)]))
     store.ingest(rec)
     assert parsed == [TEXTS[0], TEXTS[2], CONCLUSIONS[0]]
+
+
+# -- what an operation leaves behind ----------------------------------------------
+
+
+def _pool_records(first_id: int) -> list:
+    # Two sources of one procedure that the fruit salad's node does not match.
+    return [ObservationRecord(first_id + k, f"later{k}", 0.0,
+                              [Description(text) for text in
+                               ("chop the fruit", "mix the fruit", "pour the juice")], [], [])
+            for k in range(2)]
+
+
+def test_no_operation_leaves_cyclic_garbage(tmp_path):
+    # What an operation builds is freed by refcount once it is dropped: a
+    # reference cycle would keep it, and all it holds, alive until the next
+    # full collection.
+    path = str(tmp_path / "snap.json")
+    rng = random.Random(19)
+    corpus = [ActionSequence(f"v{i}", actions)
+              for i, actions in enumerate(random_corpus(rng, max_sequences=6, max_len=10, alphabet=4))]
+
+    def run(name, operation, *args):
+        result = operation(*args)
+        assert gc.collect() == 0, name
+        return result
+
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        store = run("ingest", fruit_salad_store, 32)
+        assert run("distill", store.distill) == [1]
+        store.config.pool_trigger, store.config.delta_gate, store.config.tau_align = 2, 0.99, 0.5
+        records = _pool_records(100)
+        for rec in records:
+            run("ingest", store.ingest, rec)
+        reports = [run("apply", store.apply, rec) for rec in records]
+        assert reports[-1].distilled == [2]
+        assert run("auto_fuse", auto_fuse, store)
+        run("retrieve", store.retrieve, "how do I make the salad")
+        fused = store.logic[max(store.logic)]
+        run("query_step_sequence", query_step_sequence, store, fused.c)
+        run("get_procedure_with_evidence", get_procedure_with_evidence, store, fused.c)
+        run("aggregate_character_behaviors", aggregate_character_behaviors, store,
+            store.anchor_by_label("jack"))
+        run("goal_reach_probability", goal_reach_probability, fused.dag, START)
+        run("constrained_paths", constrained_paths, fused.dag, None)
+        run("save", store.save, path)
+        loaded = run("load", MemoryStore.load, path)
+        run("clone", loaded.clone)
+        assert run("prefixspan", prefixspan, corpus, 0.3)
+        assert run("closed_patterns", closed_patterns, corpus, 0.3)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("miner", [prefixspan, closed_patterns])
+def test_patterns_with_one_supporter_set_share_one_support_record(miner):
+    rng = random.Random(1919)
+    shared = 0
+    for _ in range(200):
+        corpus = random_corpus(rng, max_sequences=6, max_len=8, alphabet=rng.randint(2, 5))
+        sigma = rng.choice([0.2, 0.3, 0.5])
+        sequences = [ActionSequence(f"v{i}", actions) for i, actions in enumerate(corpus)]
+        by_videos = {}
+        for p in miner(sequences, sigma):
+            first = by_videos.setdefault(p.supporting_videos, p)
+            assert p.supporting_videos is first.supporting_videos
+            assert p.support is first.support
+            shared += p is not first
+    assert shared > 100

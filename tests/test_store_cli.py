@@ -773,6 +773,21 @@ def test_check_reports_a_counter_that_is_not_a_positive_int(name):
         assert twin.check() == [f"counter {counter}: {value!r} is not a positive int"]
 
 
+@pytest.mark.parametrize("name", ["next_node_id", "next_anchor_id", "next_logic_id"])
+def test_store_whose_counter_is_not_a_positive_int_is_reported_and_not_saved(tmp_path, name):
+    # A load refuses such a counter, so a save must not write one; an ingest
+    # first hands a float node counter's value out as an episode id.
+    path = str(tmp_path / "snap.json")
+    store = MemoryStore.load(V5_FIXTURE)
+    setattr(store, name, float(getattr(store, name)))
+    store.ingest(ObservationRecord(1000, "later", 0.0, [Description("chop the fruit")], [], []))
+    violation = store.check()[0]
+    assert violation.startswith(f"counter {name.split('_')[1]}: ")
+    with pytest.raises(SnapshotIoError, match=re.escape(violation)):
+        store.save(path)
+    assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
+
+
 def test_attrs_are_one_entry_per_canonical_json(tmp_path):
     # 1, 1.0 and true are distinct JSON; key order, nested too, is not.
     path = str(tmp_path / "snap.json")
