@@ -35,7 +35,7 @@ class Predicate:
     """One attribute test: (key, op, value).
 
     Ops: eq, neq, has, not_has, leq, geq, in, not_in. For in/not_in the
-    value is a list of alternatives. has/not_has ignore the value.
+    value is a list or tuple of alternatives. has/not_has ignore the value.
     """
 
     key: str
@@ -49,6 +49,9 @@ class Predicate:
             raise ValueError("predicate key must be a nonempty string")
         if self.op not in self.OPS:
             raise ValueError(f"unknown predicate op {self.op!r}")
+        if self.op in ("in", "not_in") and not isinstance(self.value, (list, tuple)):
+            # a string would be tested by its characters
+            raise ValueError(f"predicate {self.op} needs a list or tuple of values, got {self.value!r}")
 
 
 @dataclass(slots=True)

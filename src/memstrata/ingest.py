@@ -230,11 +230,13 @@ def read_observation_lines(lines) -> list[ObservationRecord]:
 
 
 def read_observations(path: str) -> list[ObservationRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return read_observation_lines(fh)
-        except UnicodeDecodeError as exc:
-            raise MalformedRecord(f"{path} is not UTF-8: {exc}") from None
+    except OSError as exc:
+        raise MalformedRecord(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"{path} is not UTF-8: {exc}") from None
 
 
 # -- operations --------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import cosine
+from .core import _is_int, cosine
 from .dag import Constraint
 from .errors import InvalidInput
 from .symbolic import _character_nodes, constrained_paths
@@ -107,6 +107,8 @@ def score_logic(q_vec: np.ndarray, node, alpha: float) -> float:
 
 def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalResult:
     """Two-stage retrieval over all three layers; deterministic top-k."""
+    if not (_is_int(k) and k >= 1):  # a negative k would slice off the last items
+        raise InvalidInput(f"k must be an int of at least 1, got {k!r}")
     store.retrieval_calls += 1
     theta = store.config.theta_retrieve
     weights = store.config.layer_weights[q.qtype]

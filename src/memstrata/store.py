@@ -23,10 +23,12 @@ import base64
 import copy
 import gc
 import json
+import math
 import os
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain
-from operator import itemgetter, lt
+from operator import attrgetter, is_, itemgetter, lt
 
 import numpy as np
 
@@ -181,15 +183,15 @@ class MemoryStore:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the snapshot atomically and durably: the temp file is synced
-        before it replaces ``path``, and the directory after."""
-        faults = _config_faults(self.config) or _counter_faults(self) or _underivable(self)
-        if faults:
-            raise SnapshotIoError(f"cannot save {path}: {faults[0]}")
+        """Refuse, with ``check()[0]``, a store that ``check()`` reports anything on; else write
+        the snapshot atomically and durably: the temp file is synced before it replaces
+        ``path``, and the directory after."""
+        if violations := check_store(self):
+            raise SnapshotIoError(f"cannot save {path}: {violations[0]}")
         try:
-            payload = json.dumps(snapshot_dict(self), sort_keys=True,
-                                 separators=(",", ":"), allow_nan=False)
-        except (TypeError, ValueError) as exc:
+            payload = json.dumps(snapshot_dict(self), sort_keys=True, separators=(",", ":"),
+                                 allow_nan=False, check_circular=False)  # that check: 1/4 of it
+        except (TypeError, ValueError, RecursionError) as exc:  # a cycle in attrs recurses
             raise SnapshotIoError(f"cannot encode snapshot {path}: {exc}") from exc
         tmp = path + ".tmp"
         try:
@@ -254,85 +256,67 @@ class MemoryStore:
 
 # -- global invariant sweep -----------------------------------------------
 
+# The one type of each field that a snapshot writes as it is, by section (an episode's d and
+# attrs, a str and a dict, are tested in check_store): a load refuses any other, or reads it back
+# as another value.
+_FIELD_TYPES = {"anchor": {"label": str}, "semantic": {"type": str, "attrs": str}, "logic": {"c": str}}
 
-def _config_faults(config: Config) -> list[str]:
-    """The violation of an invalid ``config``, as ``check()`` reports it and
-    ``save`` refuses it: a load would refuse the snapshot's config."""
+
+def _ids_in(ids, held) -> bool:
+    """Whether the set ``ids`` holds only ints (not bools or equal floats) that ``held`` holds."""
+    return set(map(type, ids)) <= {int} and ids <= held
+
+
+@np.errstate(over="ignore")  # a finite vector's x·x may overflow: see bad_vector
+def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
+    """Global invariant sweep; returns all violations (empty means healthy).
+
+    It is the one definition of a store that ``save`` writes, so it reports, and never raises
+    on, any value a caller has put in a field of the config, an anchor, a node, a DAG step or
+    edge, a pool entry, an observation, a counter or the clock. A load builds what the last
+    rules check, and skips them with ``derived=False``. A rule over the episodes or the
+    observations tests a whole column at once, and names the offenders only when that test fails.
+    """
+    config, v = store.config, []
     try:
         config.validate()
     except ConfigError as exc:
-        return [f"config: {exc}"]
-    return []
+        v.append(f"config: {exc}")
+    valid_config, dim = not v, config.dim
 
-
-def _counter_faults(store: MemoryStore) -> list[str]:
-    """Each counter that is not a positive int, as ``check()`` reports it and
-    ``save`` refuses it: a load would refuse the ids it hands out."""
-    counters = {"node": store.next_node_id, "anchor": store.next_anchor_id, "logic": store.next_logic_id}
-    return [f"counter {name}: {c!r} is not a positive int"
-            for name, c in counters.items() if not (_is_int(c) and c >= 1)]
-
-
-def _underivable(store: MemoryStore) -> list[str]:
-    """What a load derives that ``store`` holds otherwise, so that its snapshot would
-    load as another store: an episode not listed by exactly one observation of its
-    video, an action other than the one its text gives, or the episodes of one
-    observation without one ``t`` (by ``repr``). A load builds all of it, so ``save``
-    refuses such a store with the first of these, and ``check_store`` reports them."""
-    v: list[str] = []
-    if _config_faults(store.config):
-        actions = {}  # only from valid verbs; check_store reports the config
-    else:
-        verbs = store.config.action_verbs
-        actions = {d: extract_action(d, verbs) for d in {node.d for node in store.episodic.values()}}
-    listings = Counter(ep_id for meta in store.observations.values() for ep_id in meta.episodes)
-    for node_id, node in sorted(store.episodic.items()):
-        if node.d in actions and node.action != actions[node.d]:
-            v.append(f"episodic {node_id}: action {node.action!r} is not the one its text gives")
-        if listings[node_id] != 1:
-            v.append(f"episodic {node_id}: listed {listings[node_id]} times by observations, not once")
-    for obs_id, meta in sorted(store.observations.items()):
-        for ep_id in meta.episodes:
-            node = store.episodic.get(ep_id)
-            if node is None:
-                v.append(f"observation {obs_id}: missing episode {ep_id}")
-            elif node.video != meta.video:
-                v.append(f"observation {obs_id}: episode {ep_id} video mismatch")
-        if len(meta.episodes) > 1 and len({repr(store.episodic[e].t) for e in meta.episodes
-                                           if e in store.episodic}) > 1:
-            v.append(f"observation {obs_id}: episodes do not share one t")
-    return v
-
-
-def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
-    """Global invariant sweep; returns all violations (empty means healthy). A load,
-    which builds what ``_underivable`` checks, skips it with ``derived=False``."""
-    v = _config_faults(store.config) + _counter_faults(store)
-    dim = store.config.dim
-    # Each counter is the id it hands out next, so no id of its kind may be at or beyond it.
-    for kind, ids, c in (("anchor", store.anchors, store.next_anchor_id),
-                         ("episodic", store.episodic, store.next_node_id),
-                         ("semantic", store.semantic, store.next_node_id),
-                         ("logic", store.logic, store.next_logic_id)):
-        if _is_int(c):  # one of another type is reported above, and bounds nothing
-            v += [f"{kind} {i}: id beyond counter" for i in sorted(i for i in ids if i >= c)]
-
-    def check_vector(owner: str, x) -> None:
+    def bad_vector(x) -> bool:
         # The one rule for every stored vector, whichever code or embedder made it: a float
         # ndarray of shape (dim,) with only finite entries (a finite x·x proves it, cheaply;
         # a finite x whose x·x overflows falls through to the entry test).
-        ok = isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.shape == (dim,)
-        if ok:
-            with np.errstate(over="ignore"):
-                ok = x.dot(x) < np.inf or np.isfinite(x).all()
-        if not ok:
-            v.append(f"{owner} is not {dim} finite floats")
+        return not (isinstance(x, np.ndarray) and x.shape == (dim,) and x.dtype.kind == "f"
+                    and (math.isfinite(x.dot(x)) or np.isfinite(x).all()))
+
+    counters = {"node": store.next_node_id, "anchor": store.next_anchor_id, "logic": store.next_logic_id}
+    v += [f"counter {name}: {c!r} is not a positive int"
+          for name, c in counters.items() if not (_is_int(c) and c >= 1)]
+    ids, held = {}, {}  # each section's ids, sorted, and its nodes in that order
+    for kind, nodes, c in (("anchor", store.anchors, store.next_anchor_id),
+                           ("episodic", store.episodic, store.next_node_id),
+                           ("semantic", store.semantic, store.next_node_id),
+                           ("logic", store.logic, store.next_logic_id)):
+        if not set(map(type, nodes)) <= {int}:
+            return v + [f"{kind} ids are not all ints"]  # every rule below sorts them
+        ids[kind] = order = sorted(nodes)
+        held[kind] = values = list(map(nodes.__getitem__, order))
+        # Each counter is the id it hands out next, so no id of its kind may be at or beyond it.
+        if _is_int(c):  # one of another type is reported above, and bounds nothing
+            v += [f"{kind} {i}: id beyond counter" for i in order[bisect_left(order, c):]]
+        for field, field_type in _FIELD_TYPES.get(kind, {}).items():
+            column = list(map(attrgetter(field), values))
+            if not set(map(type, column)) <= {field_type}:
+                v += [f"{kind} {i}: {field} {x!r} is not a {field_type.__name__}"
+                      for i, x in zip(order, column) if type(x) is not field_type]
 
     rows = {kind: {} for kind in PERCEPT_KINDS}
     if store.centroid_rows is not None:
         for kind, block in store.centroid_rows.blocks.items():
             rows[kind] = dict(zip(block.ids, block.rows))
-    for anchor_id, anchor in sorted(store.anchors.items()):
+    for anchor_id, anchor in zip(ids["anchor"], held["anchor"]):
         if anchor.centroid_face is None and anchor.centroid_voice is None:
             v.append(f"anchor {anchor_id}: no centroid")
         for name, c in (("face", anchor.centroid_face), ("voice", anchor.centroid_voice)):
@@ -341,76 +325,165 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
                 v.append(f"anchor {anchor_id}: {name}_count {k!r} is not "
                          + ("an int of at least 1" if c is not None else f"0 without a {name} centroid"))
             if c is not None:
-                check_vector(f"anchor {anchor_id}: {name} centroid", c)
+                if bad_vector(c):
+                    v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
                 if rows[name].pop(anchor_id, None) is not c:
                     v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
     for kind, left in rows.items():
         if left:
             v.append(f"{kind} centroid rows of anchors without a {kind} centroid: {sorted(left)}")
 
-    anchor_ids = set(store.anchors)
-    first_of_text: dict = {}
-    for node_id, node in sorted(store.episodic.items()):
-        if not _is_finite_number(node.t):
-            v.append(f"episodic {node_id}: t {node.t!r} is not a finite number")
-        if node.outcome not in OUTCOMES:
-            v.append(f"episodic {node_id}: bad outcome {node.outcome!r}")
-        if not node.anchors <= anchor_ids:
-            v.append(f"episodic {node_id}: dangling anchor reference")
-        entry = store.texts.get(node.d)
-        if first_of_text.setdefault(node.d, node_id) == node_id and entry is not None:
-            check_vector(f"episodic {node_id}: v_e", entry[1])  # once per text
-        if entry is None or entry[1] is not node.v_e:
-            v.append(f"episodic {node_id}: v_e is not the store's vector for its text")
+    anchor_ids, ep_ids, nodes = store.anchors.keys(), ids["episodic"], held["episodic"]
+    ts, ds, anchor_sets = [n.t for n in nodes], [n.d for n in nodes], [n.anchors for n in nodes]
+    if not (set(map(type, ts)) <= {float} and math.isfinite(sum(ts))):  # a finite sum proves them
+        v += [f"episodic {i}: t {t!r} is not a finite number"
+              for i, t in zip(ep_ids, ts) if not _is_finite_number(t)]
+    if not (set(map(type, anchor_sets)) <= {frozenset}
+            and _ids_in(frozenset().union(*set(anchor_sets)), anchor_ids)):
+        v += [f"episodic {i}: anchors {a!r} are not a frozenset of anchor ids" for i, a in
+              zip(ep_ids, anchor_sets) if type(a) is not frozenset or not _ids_in(a, anchor_ids)]
+    strs = set(map(type, ds)) <= {str}  # a d of another type is reported below
+    texts = dict.fromkeys(ds if strs else (d for d in ds if type(d) is str))  # in order of first use
+    vec_of = {d: entry[1] for d, entry in store.texts.items()}
+    # the vector rule once per text, named by its first node
+    v += [f"episodic {ep_ids[ds.index(d)]}: v_e is not {dim} finite floats"
+          for d in texts if d in vec_of and bad_vector(vec_of[d])]
 
-    for node_id, node in sorted(store.semantic.items()):
-        if node.weight < 1:
-            v.append(f"semantic {node_id}: weight {node.weight} below 1")
-        if not node.anchors <= anchor_ids:
-            v.append(f"semantic {node_id}: dangling anchor reference")
-        check_vector(f"semantic {node_id}: v_s", node.v_s)
+    for node_id, node in zip(ids["semantic"], held["semantic"]):
+        if not (_is_int(node.weight) and node.weight >= 1):
+            v.append(f"semantic {node_id}: weight {node.weight!r} is not an int of at least 1")
+        if type(node.anchors) is not frozenset or not _ids_in(node.anchors, anchor_ids):
+            v.append(f"semantic {node_id}: anchors {node.anchors!r} are not a frozenset of anchor ids")
+        if bad_vector(node.v_s):
+            v.append(f"semantic {node_id}: v_s is not {dim} finite floats")
 
-    episodic_ids = set(store.episodic)
-    for logic_id, node in sorted(store.logic.items()):
+    # The evidence of all procedures at once first: its union is far smaller than the sum.
+    links = [node.episodic_links for node in held["logic"]]
+    linked = set(map(type, links)) <= {set} and _ids_in(set().union(*links), store.episodic.keys())
+    for logic_id, node in zip(ids["logic"], held["logic"]):
+        if type(node.steps) is not tuple or not set(map(type, node.steps)) <= {str}:
+            v.append(f"logic {logic_id}: steps {node.steps!r} are not a tuple of strings")
+        links = node.episodic_links
+        if not linked and (type(links) is not set or not set(map(type, links)) <= {int}):
+            v.append(f"logic {logic_id}: episodic links are not a set of ints")
+        elif not links:
+            v.append(f"logic {logic_id}: no episodic evidence")
+        elif not linked and not links <= store.episodic.keys():
+            v.append(f"logic {logic_id}: dangling episodic link")
+        v += [f"logic {logic_id}: {name} is not {dim} finite floats"
+              for name, x in (("i_goal", node.i_goal), ("i_step", node.i_step)) if bad_vector(x)]
+        dag = node.dag
+        if type(dag) is not ProceduralDag:
+            v.append(f"logic {logic_id}: dag {dag!r} is not a ProceduralDag")
+            continue
         scalars = [("score", node.score)]
-        for label, dag_node in node.dag.nodes.items():
+        for label, dag_node in dag.nodes.items():
+            if type(dag_node.attrs) is not dict:
+                v.append(f"logic {logic_id}: {label} attrs {dag_node.attrs!r} is not a dict")
             scalars += [(f"{label} success_alpha", dag_node.success_alpha),
                         (f"{label} success_beta", dag_node.success_beta)]
-        for src, dst, stat in node.dag.edges():
+        for src, dst, stat in dag.edges():
             scalars += [(f"{src}->{dst} count", stat.count), (f"{src}->{dst} gamma", stat.gamma)]
         bad = [f"logic {logic_id}: {name} {x!r} is not a finite number"
                for name, x in scalars if not _is_finite_number(x)]
         if bad:
             v.extend(bad)
             continue  # the DAG checks below compare these numbers
-        for violation in check_valid(node.dag):
+        for violation in check_valid(dag):
             v.append(f"logic {logic_id}: {violation}")
-        if not node.episodic_links:
-            v.append(f"logic {logic_id}: no episodic evidence")
-        if not node.episodic_links <= episodic_ids:
-            v.append(f"logic {logic_id}: dangling episodic link")
-        check_vector(f"logic {logic_id}: i_goal", node.i_goal)
-        check_vector(f"logic {logic_id}: i_step", node.i_step)
-        for src in sorted(node.dag.adj):
-            outs = node.dag.adj[src]
+        for src in sorted(dag.adj):
+            outs = dag.adj[src]
             if not outs:
                 continue
-            total = sum(transition_prob(node.dag, src, dst) for dst in sorted(outs))
+            total = sum(transition_prob(dag, src, dst) for dst in sorted(outs))
             if abs(total - 1.0) > 1e-9:
                 v.append(f"logic {logic_id}: transition probs at {src} sum to {total}")
 
-    for video, t in sorted(store.video_clock.items()):
-        if not _is_finite_number(t):
-            v.append(f"video_clock {video!r}: {t!r} is not a finite number")
+    times = list(store.video_clock.values())
+    if not set(map(type, store.video_clock)) <= {str}:
+        v.append("video_clock videos are not all strings")
+    elif not (set(map(type, times)) <= {float} and math.isfinite(sum(times))):
+        v += [f"video_clock {video!r}: {t!r} is not a finite number"
+              for video, t in sorted(store.video_clock.items()) if not _is_finite_number(t)]
 
-    trigger = store.config.pool_trigger  # a non-number is the config's violation
+    trigger = config.pool_trigger  # a non-number is the config's violation
     if isinstance(trigger, (int, float)) and len(store.pool) >= trigger:
         v.append("candidate pool at or beyond trigger without distillation")
     for entry in store.pool:
-        if entry.observation_id not in store.observations:
-            v.append(f"pool entry references unknown observation {entry.observation_id}")
-        check_vector(f"pool entry {entry.observation_id}: vector", entry.vector)
-    return v + _underivable(store) if derived else v
+        obs_id, actions = entry.observation_id, entry.actions
+        if not (_is_int(obs_id) and obs_id in store.observations):
+            v.append(f"pool entry references unknown observation {obs_id!r}")
+        if bad_vector(entry.vector):
+            v.append(f"pool entry {obs_id!r}: vector is not {dim} finite floats")
+        if type(actions) is not tuple or not set(map(type, actions)) <= {str}:
+            v.append(f"pool entry {obs_id!r}: actions {actions!r} are not a tuple of strings")
+    if not derived:
+        return v
+
+    # What a load builds: each node's id from its key; each episode's d, attrs and outcome from
+    # the tables, of their one type, and its v_e as its text's; and what it derives, so that a
+    # store that holds it otherwise would load as another: each action from its text (by valid
+    # verbs only: the config is reported above), each episode listed by exactly one observation,
+    # of its video, and the episodes of one observation with one t (by repr).
+    for kind, nodes_of_kind in held.items():
+        own = [n.id for n in nodes_of_kind]
+        if not set(map(type, own)) <= {int} or own != ids[kind]:
+            v += [f"{kind} {i}: id {x!r} is not its key"
+                  for i, x in zip(ids[kind], own) if type(x) is not int or x != i]
+    for name, column, field_type in (("d", ds, str), ("attrs", [n.attrs for n in nodes], dict)):
+        if not set(map(type, column)) <= {field_type}:
+            v += [f"episodic {i}: {name} {x!r} is not a {field_type.__name__}"
+                  for i, x in zip(ep_ids, column) if type(x) is not field_type]
+    outcomes = [n.outcome for n in nodes]
+    if not (set(map(type, outcomes)) <= {str} and set(outcomes) <= set(OUTCOMES)):
+        v += [f"episodic {i}: bad outcome {o!r}"
+              for i, o in zip(ep_ids, outcomes) if type(o) is not str or o not in OUTCOMES]
+    if not (strs and texts.keys() <= vec_of.keys()
+            and all(map(is_, map(vec_of.__getitem__, ds), [n.v_e for n in nodes]))):
+        v += [f"episodic {i}: v_e is not the store's vector for its text" for i, d, n in
+              zip(ep_ids, ds, nodes) if type(d) is not str or d not in vec_of or vec_of[d] is not n.v_e]
+    if valid_config:
+        action_of = {d: extract_action(d, config.action_verbs) for d in texts}  # once per text
+        actions = [n.action for n in nodes]
+        if not (strs and set(map(type, actions)) <= {str, type(None)}
+                and list(map(action_of.__getitem__, ds)) == actions):
+            v += [f"episodic {i}: action {a!r} is not the one its text gives"
+                  for i, d, a in zip(ep_ids, ds, actions)
+                  if type(d) is str and (type(a) not in (str, type(None)) or a != action_of[d])]
+    if not set(map(type, store.observations)) <= {int}:
+        return v + ["observation ids are not all ints"]  # the rules below sort them
+    obs_ids = sorted(store.observations)
+    metas = list(map(store.observations.__getitem__, obs_ids))
+    episodes = [m.episodes for m in metas]
+    if not set(map(type, episodes)) <= {list}:
+        return v + [f"observation {i}: episodes {e!r} are not a list"
+                    for i, e in zip(obs_ids, episodes) if type(e) is not list]  # the rules below walk them
+    listed = list(chain.from_iterable(episodes))
+    if set(map(type, listed)) <= {int} and sorted(listed) == ep_ids:  # each episode listed once
+        lens = np.fromiter(map(len, episodes), np.intp, len(episodes))
+        owner = np.repeat(np.arange(len(lens)), lens).tolist()  # each listed episode's observation
+        videos = [m.video for m in metas]
+        got = list(map(store.episodic.__getitem__, listed))
+        ts = [n.t for n in got]
+        firsts = (np.cumsum(lens) - lens)[owner].tolist()  # where its observation's episodes start
+        # One t object has one repr, so the videos and the t objects tested at once prove both rules.
+        if (all(map(is_, [n.video for n in got], map(videos.__getitem__, owner)))  # interned
+                and all(map(is_, ts, map(ts.__getitem__, firsts)))):
+            return v
+    else:
+        listings = Counter(e for e in listed if type(e) is int)
+        v += [f"episodic {i}: listed {listings[i]} times by observations, not once"
+              for i in ep_ids if listings[i] != 1]
+    for obs_id, meta in zip(obs_ids, metas):
+        found = [store.episodic.get(e) if type(e) is int else None for e in meta.episodes]
+        for ep_id, node in zip(meta.episodes, found):
+            if node is None:
+                v.append(f"observation {obs_id}: missing episode {ep_id!r}")
+            elif not (type(node.video) is type(meta.video) is str and node.video == meta.video):
+                v.append(f"observation {obs_id}: episode {ep_id} video mismatch")
+        if len({repr(node.t) for node in found if node is not None}) > 1:
+            v.append(f"observation {obs_id}: episodes do not share one t")
+    return v
 
 
 # -- snapshot encode / decode ------------------------------------------------
@@ -481,10 +554,7 @@ def _gaps(ids: list) -> list:
 
 
 def snapshot_dict(store: MemoryStore) -> dict:
-    observations, episodic = _observation_rows(
-        (obs_id, m.video, [(n.id, n.t, n.d, sorted(n.anchors), n.outcome, n.attrs)
-                           for n in map(store.episodic.__getitem__, m.episodes)])
-        for obs_id, m in sorted(store.observations.items()))
+    observations, episodic = _observation_rows(store)
     return {
         "version": SNAPSHOT_VERSION,
         "embedder": embedder_identity(store.embedder),
@@ -530,21 +600,22 @@ def snapshot_dict(store: MemoryStore) -> dict:
     }
 
 
-def _observation_rows(observations) -> tuple:
-    """``(id, video, [(id, t, text, anchors, outcome, attrs), ...])`` as version 5 rows,
-    ``[id, video, t or null, [[id, text, anchors, outcome, attrs], ...]]``, and the tables
-    of each distinct text, and attrs of distinct canonical JSON, in order of first use."""
+def _observation_rows(store: MemoryStore) -> tuple:
+    """The observations as version 5 rows, ``[id, video, t or null, [[id, text, anchors,
+    outcome, attrs], ...]]``, and the tables of each distinct text, and attrs of distinct
+    canonical JSON, in order of first use. Nodes with one anchor set share one sorted list."""
     texts, attrs, rows = {}, {}, []  # attrs: canonical JSON -> (index, attrs)
     by_repr: dict = {}  # equal reprs are equal JSON, and a repr is the cheaper key
-    for obs_id, video, nodes in observations:
-        episodes = []
-        for node_id, _, d, anchors, outcome, a in nodes:
-            at = by_repr.get(key := repr(a))
+    ordered = {a: sorted(a) for a in {n.anchors for n in store.episodic.values()}}  # each anchor set once
+    for obs_id, meta in sorted(store.observations.items()):
+        nodes, episodes = list(map(store.episodic.__getitem__, meta.episodes)), []
+        for n in nodes:
+            at = by_repr.get(key := repr(a := n.attrs))
             if at is None:
                 at = by_repr[key] = attrs.setdefault(json.dumps(a, sort_keys=True), (len(attrs), a))[0]
-            episodes.append([node_id, texts.setdefault(d, len(texts)), anchors,
-                             OUTCOMES.index(outcome), at])
-        rows.append([obs_id, video, nodes[0][1] if nodes else None, episodes])
+            episodes.append([n.id, texts.setdefault(n.d, len(texts)), ordered[n.anchors],
+                             OUTCOMES.index(n.outcome), at])
+        rows.append([obs_id, meta.video, nodes[0].t if nodes else None, episodes])
     return rows, {"texts": list(texts), "attrs": [a for _, a in attrs.values()]}
 
 
@@ -597,13 +668,13 @@ def _add_observations(store: MemoryStore, tables: dict, observations: list) -> N
     _refuse_unless_first_uses(attrs_at, [json.dumps(a, sort_keys=True) for a in attrs], "attrs")
     entries = [store.text_entry(d) for d in texts]
     attrs = [store.own_attrs(a) for a in attrs]
-    nodes = {}
+    nodes, intern = {}, store.interned.setdefault  # store.intern, without a call per node
     for obs_id, video, t, episodes in observations:
-        video = store.intern(video)
+        video = intern(video, video)
         store.observations[obs_id] = ObservationMeta(video, list(map(itemgetter(0), episodes)))
         for node_id, text, anchors, outcome, at in episodes:  # fields in declaration order
             d, v_e, action = entries[text]
-            nodes[node_id] = EpisodicNode(node_id, t, d, v_e, video, store.intern(frozenset(anchors)),
+            nodes[node_id] = EpisodicNode(node_id, t, d, v_e, video, intern(a := frozenset(anchors), a),
                                           action, OUTCOMES[outcome], dict(attrs[at]))
     _increasing([m.episodes for m in store.observations.values()], "the episode ids of an observation")
     if len(nodes) != len(rows):
@@ -657,9 +728,8 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         _add_observations(store, _keyed(data["episodic"], "episodic tables"), data["observations"])
         _increasing([s["anchors"] for s in data["semantic"]], "semantic anchors")
         for s in data["semantic"]:
-            if not isinstance(s["attrs"], str):
-                raise CorruptSnapshot(f"semantic {s['id']}: attrs is not a string")
-            store.semantic[s["id"]] = SemanticNode(s["id"], s["type"], s["attrs"], store.embed(s["attrs"]),
+            v_s = store.embed(s["attrs"]) if type(s["attrs"]) is str else None  # check_store reports it
+            store.semantic[s["id"]] = SemanticNode(s["id"], s["type"], s["attrs"], v_s,
                                                    store.intern(frozenset(s["anchors"])), s["weight"])
         episodic = store.episodic
         for l in data["logic"]:

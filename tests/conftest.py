@@ -20,6 +20,11 @@ from memstrata import (
 
 FRUIT_VERBS = ("chop", "mix", "serve", "wash", "blend", "grab", "pour", "slice")
 
+# What each mutation sweep puts, in turn, in every field it reaches: a string, null,
+# an empty list and object, a negative int, an int beyond float precision, a
+# fraction, a bool and NaN.
+MUTATION_VALUES = ("x", None, [], {}, -1, 2**70, 1.5, True, float("nan"))
+
 
 def one_hot(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim)

@@ -133,6 +133,15 @@ def test_satisfies_numeric_and_set_ops():
     assert not satisfies({"tool": "bowl"}, Constraint([Predicate("tool", "leq", "3")]))
 
 
+@pytest.mark.parametrize("op", ["in", "not_in"])
+@pytest.mark.parametrize("value", ["knife", 3, None, {"knife"}], ids=["str", "int", "none", "set"])
+def test_predicate_in_refuses_a_value_that_is_not_a_list_or_tuple(op, value):
+    # A string would be tested by its characters: "k" is in "knife".
+    with pytest.raises(ValueError, match=f"predicate {op} needs a list or tuple of values"):
+        Predicate("tool", op, value)
+    assert satisfies({"tool": "k"}, Constraint([Predicate("tool", op, ("k", "bowl"))])) is (op == "in")
+
+
 def test_satisfies_conjunction():
     attrs = {"tool": "bowl", "room": "kitchen"}
     c = Constraint([Predicate("tool", "eq", "bowl"), Predicate("room", "eq", "garage")])

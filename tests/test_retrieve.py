@@ -90,6 +90,17 @@ def test_score_logic_synthetic_sims():
     assert score_logic(np.array([0.0, 1.0]), node, 0.3) == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("k", [0, -1, True, 2.5, "5", None])
+def test_retrieve_refuses_a_k_that_is_not_a_positive_int_before_counting_the_call(k):
+    # k = -1 would slice off the last item, and True would pass for 1.
+    store = fruit_salad_store(dim=32)
+    for call in (lambda: retrieve(store, make_query(store, "chop the fruit"), k),
+                 lambda: store.retrieve("chop the fruit", k=k)):
+        with pytest.raises(InvalidInput, match=f"k must be an int of at least 1, got {k!r}"):
+            call()
+    assert store.retrieval_calls == 0
+
+
 def test_retrieve_empty_store():
     store = MemoryStore(Config(dim=16))
     result = store.retrieve("anything at all", k=5)

@@ -8,7 +8,9 @@ import gc
 import json
 import os
 import re
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from memstrata import (
     CorruptSnapshot,
     Description,
     DuplicateObservation,
+    MemoryEngineError,
     MemoryStore,
     ObservationRecord,
     Percept,
@@ -28,7 +31,7 @@ from memstrata import (
 from memstrata import store as store_module
 from memstrata.ingest import OUTCOMES
 from memstrata.store import snapshot_dict, store_from_dict
-from conftest import FRUIT_VERBS, one_hot
+from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot
 
 DIM = 32
 V5_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v5_dim8.json")
@@ -248,6 +251,115 @@ def test_store_that_v5_cannot_write_is_reported_and_not_saved(tmp_path, plant, v
     with pytest.raises(SnapshotIoError, match=re.escape(violations[0])):
         store.save(path)
     assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
+
+
+def _first_edge(store):
+    return next(iter(store.logic[1].dag.edges()))[2]
+
+
+@pytest.mark.parametrize("plant", [
+    lambda store: setattr(store.config, "pool_trigger", 0),
+    lambda store: setattr(store, "next_node_id", 0),
+    lambda store: setattr(store.episodic[1], "action", "stir_fruit"),
+    lambda store: store.logic[1].i_goal.__setitem__(0, np.nan),
+    lambda store: setattr(_first_edge(store), "count", -1.0),
+], ids=["config", "counter", "derived", "vector", "dag"])
+def test_refused_save_leaves_the_snapshot_it_would_replace_as_it_was(tmp_path, plant):
+    path = str(tmp_path / "snap.json")
+    store = shapes_store()
+    store.save(path)
+    before = open(path, "rb").read()
+    plant(store)
+    violations = store.check()
+    assert violations
+    with pytest.raises(SnapshotIoError, match=re.escape(violations[0]) + "$"):
+        store.save(path)
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["snap.json"]  # no temp file left
+
+
+def _reachable_fields(store) -> list:
+    """``(name, owner, key)`` of each field the live-store sweep sets: every config
+    field, both anchors' label and counts, every field of one episodic, one semantic and
+    one logic node, one DAG step's attrs and Beta parameters, one edge's statistics,
+    one observation's video and episodes, the three id counters and one video_clock
+    entry."""
+    dag = store.logic[1].dag
+    step = dag.nodes[sorted(dag.step_labels())[0]]
+    nodes = {"episodic": store.episodic[1], "semantic": store.semantic[min(store.semantic)],
+             "logic": store.logic[1]}
+    return ([(f"config {f.name}", store.config, f.name) for f in fields(Config)]
+            + [(f"anchor {i} {key}", store.anchors[i], key)
+               for i in (1, 2) for key in ("label", "face_count", "voice_count")]
+            + [(f"{kind} {f.name}", node, f.name) for kind, node in nodes.items() for f in fields(node)]
+            + [(f"dag step {key}", step, key) for key in ("attrs", "success_alpha", "success_beta")]
+            + [(f"dag edge {key}", _first_edge(store), key) for key in ("count", "gamma")]
+            + [(f"observation 10 {key}", store.observations[10], key) for key in ("video", "episodes")]
+            + [(key, store, key) for key in ("next_node_id", "next_anchor_id", "next_logic_id")]
+            + [("video_clock v1", store.video_clock, "v1")])
+
+
+def _breach(store, path: str):
+    """How ``store`` breaks the rule that a save writes exactly the stores ``check()``
+    passes, or None: ``check()`` returns a list; ``save`` refuses with a message that
+    ends with ``check()[0]`` when it is not empty, and otherwise writes a file that loads
+    with ``check() == []`` and re-saves byte-identically."""
+    try:
+        violations = store.check()
+    except Exception as exc:
+        return f"check raised {exc!r}"
+    try:
+        store.save(path)
+    except MemoryEngineError as exc:
+        return None if violations and str(exc).endswith(violations[0]) else f"save refused: {exc}"
+    except Exception as exc:
+        return f"save raised {exc!r}"
+    if violations:
+        return f"saved despite {violations[0]}"
+    try:
+        loaded = MemoryStore.load(path)
+    except MemoryEngineError as exc:
+        return f"load refused the file: {exc}"
+    if loaded.check():
+        return f"loaded as {loaded.check()[0]}"
+    first = open(path, "rb").read()
+    loaded.save(path)
+    return None if open(path, "rb").read() == first else "re-saved as another file"
+
+
+def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
+    # Each field _reachable_fields names, set in turn to each mutation value, then entry 0
+    # of each kind of stored vector that a snapshot keeps set to NaN and to inf.
+    path = str(tmp_path / "snap.json")
+    base = shapes_store()
+    breaches = []
+    for at in range(len(_reachable_fields(base))):
+        for value in MUTATION_VALUES:
+            store = base.clone()
+            name, owner, key = _reachable_fields(store)[at]
+            if isinstance(owner, dict):
+                owner[key] = copy.deepcopy(value)
+            else:
+                setattr(owner, key, copy.deepcopy(value))
+            if why := _breach(store, path):
+                breaches.append((name, value, why))
+    for name, vector in (("face centroid", lambda store: store.anchors[1].centroid_face),
+                         ("i_goal", lambda store: store.logic[1].i_goal),
+                         ("i_step", lambda store: store.logic[1].i_step)):
+        for value in (np.nan, np.inf):
+            store = base.clone()
+            vector(store)[0] = value
+            if why := _breach(store, path):
+                breaches.append((name, value, why))
+    assert breaches == []
+
+
+@pytest.mark.parametrize("field", ["t", "d", "video", "anchors", "action", "outcome", "attrs"])
+def test_check_reports_an_array_in_an_episode_field(field):
+    # An array compares elementwise, so a rule that compared one with == or in would raise.
+    store = shapes_store()
+    setattr(store.episodic[1], field, np.zeros(2))
+    assert store.check()
 
 
 def test_load_derives_each_action_and_logic_anchor_set_once(tmp_path, monkeypatch):

@@ -41,7 +41,7 @@ from memstrata.core import dump_config
 from memstrata import store as store_module
 from memstrata.ingest import OUTCOMES
 from memstrata.store import snapshot_dict, store_from_dict
-from conftest import FRUIT_VERBS, fruit_salad_store, jsonl_lines
+from conftest import FRUIT_VERBS, MUTATION_VALUES, fruit_salad_store, jsonl_lines
 
 
 def ready_store():
@@ -254,7 +254,7 @@ def test_snapshot_mutation_sweep_raises_only_typed_errors(tmp_path):
     base = json.loads(open(path).read())
     escaped = []
     for where in _leaf_paths(base):
-        for value in ("x", None, [], {}, -1, 2**70, 1.5, True):
+        for value in MUTATION_VALUES:
             data = copy.deepcopy(base)
             entry = data
             for key in where[:-1]:
@@ -313,7 +313,8 @@ def test_save_refuses_non_finite_value_with_typed_error(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.logic[1].score = float("nan")
-    with pytest.raises(SnapshotIoError, match="cannot encode"):
+    assert store.check() == ["logic 1: score nan is not a finite number"]
+    with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0]) + "$"):
         store.save(path)
     assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
 
@@ -1120,6 +1121,26 @@ def test_non_utf8_input_is_a_typed_error(tmp_path, obs_file, capsys, input_file)
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_observation_file_is_a_typed_error(tmp_path, capsys, where):
+    path = str(tmp_path / "missing.jsonl") if where == "missing" else str(tmp_path)
+    with pytest.raises(MalformedRecord, match=f"^cannot read {re.escape(path)}: "):
+        read_observations(path)
+    capsys.readouterr()
+    assert run_cli(["--store", str(tmp_path / "store"), "ingest", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cli_query_refuses_k_below_1(tmp_path, obs_file, capsys, k):
+    store_dir = str(tmp_path / "store")
+    assert run_cli(["--store", store_dir, "ingest", obs_file]) == 0
+    capsys.readouterr()
+    assert run_cli(["--store", store_dir, "query", "--text", "chop the fruit", "-k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: k must be an int of at least 1, got {k}\n"
 
 
 def test_cli_lock_blocks_writers(tmp_path, obs_file, capsys):
