@@ -59,6 +59,7 @@ from .ingest import (
     Description,
     EntityAnchor,
     EpisodicNode,
+    ObservationMeta,
     ObservationRecord,
     Percept,
     SemanticNode,

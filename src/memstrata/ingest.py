@@ -83,20 +83,32 @@ class EntityAnchor:
 
 
 @dataclass(slots=True)
+class ObservationMeta:
+    """One ingested record: its video, its episodes in order and their one ``t`` (or None)."""
+
+    video: str
+    episodes: list
+    t: float | None
+
+
+@dataclass(slots=True)
 class EpisodicNode:
-    """One described event. A store holds each distinct ``d``, ``action``, ``video``
-    and ``anchors`` once (``MemoryStore.text_entry``, ``MemoryStore.intern``), and
-    ``outcome`` as its ``OUTCOMES`` constant; ``attrs`` is the node's own dict."""
+    """One described event: ``text`` is its text's one ``(d, v_e, action)`` entry, ``obs`` the
+    observation that lists it (``d``, ``v_e``, ``action``, ``video`` and ``t`` read them), ``anchors``
+    the store's one such set, ``outcome`` an ``OUTCOMES`` constant and ``attrs`` the node's own."""
 
     id: int
-    t: float
-    d: str
-    v_e: np.ndarray = None
-    video: str = ""
+    text: tuple
+    obs: ObservationMeta
     anchors: frozenset = frozenset()
-    action: str | None = None
     outcome: str = "success"
     attrs: dict = field(default_factory=dict)
+
+    d = property(lambda self: self.text[0])
+    v_e = property(lambda self: self.text[1])
+    action = property(lambda self: self.text[2])
+    video = property(lambda self: self.obs.video)
+    t = property(lambda self: self.obs.t)
 
 
 @dataclass(slots=True)
@@ -109,12 +121,6 @@ class SemanticNode:
     weight: int = 1
 
 
-@dataclass(slots=True)
-class ObservationMeta:
-    video: str
-    episodes: list
-
-
 def parse_mentions(text: str) -> list[str]:
     return _MENTION_RE.findall(text)
 
@@ -122,20 +128,24 @@ def parse_mentions(text: str) -> list[str]:
 # -- record parsing ---------------------------------------------------------
 
 
-def _has_non_finite(value) -> bool:
-    """Whether a float json cannot write (NaN, +-Infinity) lies anywhere in
-    ``value``, through nested dicts, lists and tuples (each visited once,
-    so an API value that contains itself ends the walk)."""
-    stack, seen = [value], set()
-    while stack:
-        value = stack.pop()
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                return True
-        elif isinstance(value, (dict, list, tuple)) and id(value) not in seen:
-            seen.add(id(value))
-            stack.extend(value.values() if isinstance(value, dict) else value)
-    return False
+def _json_exact(dicts: list) -> bool:
+    """Whether json writes each of ``dicts`` and reads it back as it is: str keys, and str, int, bool,
+    None, finite float, list and dict values. Each container is walked once, so a cycle ends it."""
+    seen, lists = set(), []
+    while dicts or lists:
+        types = set(map(type, chain(chain.from_iterable(map(dict.values, dicts)), *lists)))
+        if not (set(map(type, chain.from_iterable(dicts))) <= {str}
+                and types <= {str, int, float, bool, type(None), list, dict}):
+            return False
+        if not types & {float, list, dict}:  # a level of str, int, bool and None ends the walk
+            return True
+        values = list(chain(chain.from_iterable(map(dict.values, dicts)), *lists))
+        if not all(map(math.isfinite, [x for x in values if type(x) is float])):
+            return False
+        nested = [x for x in values if type(x) in (list, dict) and id(x) not in seen]
+        seen.update(map(id, nested))
+        dicts, lists = [x for x in nested if type(x) is dict], [x for x in nested if type(x) is list]
+    return True
 
 
 def _list_field(obj: dict, key: str) -> list:
@@ -365,8 +375,8 @@ def ingest_observation(store, rec: ObservationRecord):
     for desc in rec.descriptions:
         if desc.outcome not in OUTCOMES:
             raise MalformedRecord(f"bad outcome {desc.outcome!r}")
-        if _has_non_finite(desc.attrs):
-            raise MalformedRecord(f"attrs of {desc.text!r} hold a non-finite number")
+        if type(desc.attrs) is not dict or not _json_exact([desc.attrs]):
+            raise MalformedRecord(f"attrs of {desc.text!r} hold what JSON cannot carry exactly")
     for p in rec.percepts:
         if p.vector.shape != (store.config.dim,):
             raise DimensionMismatch(
@@ -396,29 +406,18 @@ def ingest_observation(store, rec: ObservationRecord):
     def anchors(found: list) -> frozenset:
         return store.intern(frozenset(map(anchor_of.__getitem__, found)))
 
-    video = store.intern(rec.video)
-    episodic_ids = []
+    meta = ObservationMeta(store.intern(rec.video), [], rec.t if rec.descriptions else None)
     for desc, found in zip(rec.descriptions, mentions):
-        node_id = store.next_node_id
+        meta.episodes.append(node_id := store.next_node_id)
         store.next_node_id += 1
-        d, v_e, action = store.text_entry(desc.text)
         store.episodic[node_id] = EpisodicNode(
-            id=node_id,
-            t=rec.t,
-            d=d,
-            v_e=v_e,
-            video=video,
-            anchors=anchors(found),
-            action=action,
-            outcome=OUTCOMES[OUTCOMES.index(desc.outcome)],
-            attrs=store.own_attrs(desc.attrs),
-        )
-        episodic_ids.append(node_id)
+            node_id, store.text_entry(desc.text), meta, anchors(found),
+            OUTCOMES[OUTCOMES.index(desc.outcome)], store.own_attrs(desc.attrs))
 
     events = []
     for concl, found in zip(rec.conclusions, concluded):
         events.extend(consolidate_semantic(store, concl.type, concl.text, anchors(found)))
 
-    store.observations[rec.id] = ObservationMeta(video, list(episodic_ids))
-    store.video_clock[video] = rec.t
-    return episodic_ids, events
+    store.observations[rec.id] = meta
+    store.video_clock[meta.video] = rec.t
+    return list(meta.episodes), events

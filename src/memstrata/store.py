@@ -6,15 +6,15 @@ round-trip decimal form, so two saves of the same in-memory state are
 byte-identical. A stored vector is one base64 string, a little-endian mask of
 its entries with non-zero bits and then those entries as little-endian
 float64, so a load reproduces it bit for bit. Each observation is a row that
-holds its episodic nodes, with their one shared ``t``; each distinct episodic
-text and attrs object is stored once, in a table the node rows index. Id
-lists are strictly increasing, evidence links are gap-coded and DAGs are
-rows, and a load refuses all but the canonical form. Nothing a load can
-derive is stored: a load recomputes text vectors with the embedder the
-snapshot names and each episode's action with ``extract_action`` (once per
-distinct text). Nor does a store hold what it can compute: an anchor's count
-and the percept count are sums of the face and voice counts, and the anchors
-of a procedure are those of its evidence.
+holds its episodic nodes and their one ``t``; each distinct episodic text and
+attrs object is stored once, in a table the node rows index. Id lists are
+strictly increasing, evidence links are gap-coded and DAGs are rows, and a
+load refuses all but the canonical form. Nothing a load can derive is stored:
+a load recomputes each text's vector (with the snapshot's embedder) and action
+once. Nor does a store hold a copy of what it holds, or what it can compute:
+an episode reads its text, vector and action from its text entry and its video
+and ``t`` from its observation; anchor and percept counts are sums of the face
+and voice counts, and a procedure's anchors are those of its evidence.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import math
 import os
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain
-from operator import attrgetter, is_, itemgetter, lt
+from itertools import accumulate, chain, compress
+from operator import attrgetter, is_, itemgetter, lt, not_
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .ingest import (
     EpisodicNode,
     ObservationMeta,
     SemanticNode,
+    _json_exact,
     ingest_observation,
 )
 from .maintain import PoolEntry, apply_observation
@@ -129,8 +130,8 @@ class MemoryStore:
         return self.embedder.embed(text)
 
     def text_entry(self, text: str) -> tuple:
-        """``(d, v_e, action)``: the one str, vector and action that every episodic
-        node with this text holds, embedded and extracted once."""
+        """``(d, v_e, action)``: the one entry that every episodic node with this text
+        holds as its ``text``, embedded and extracted once."""
         entry = self.texts.get(text)
         if entry is None:
             entry = self.texts[text] = (text, self.embed(text), self.intern(
@@ -174,8 +175,8 @@ class MemoryStore:
     def clone(self) -> "MemoryStore":
         # The rows first: their copy maps each centroid view to its new row,
         # so the copied anchors hold views of the copied rows, not copies.
-        # The same memo keeps each object that nodes share (a text's vector,
-        # an anchor set) one object in the copy.
+        # The same memo keeps each object that nodes share (a text entry, an
+        # observation, an anchor set) one object in the copy.
         memo: dict = {}
         copy.deepcopy(self.centroid_rows, memo)
         return copy.deepcopy(self, memo)
@@ -223,7 +224,7 @@ class MemoryStore:
         collecting = gc.isenabled()
         gc.disable()  # a load's containers all stay live, so a collection would free none
         try:
-            return store_from_dict(json.loads(text), embedder)
+            return store_from_dict(json.loads(text, parse_constant=_refuse_constant), embedder)
         except json.JSONDecodeError as exc:
             raise CorruptSnapshot(f"snapshot is not valid JSON: {exc}") from None
         finally:
@@ -256,9 +257,8 @@ class MemoryStore:
 
 # -- global invariant sweep -----------------------------------------------
 
-# The one type of each field that a snapshot writes as it is, by section (an episode's d and
-# attrs, a str and a dict, are tested in check_store): a load refuses any other, or reads it back
-# as another value.
+# The one type of each field that a snapshot writes as it is, by section (episodic attrs and text
+# entries are tested in check_store): a load refuses any other, or reads it back as another value.
 _FIELD_TYPES = {"anchor": {"label": str}, "semantic": {"type": str, "attrs": str}, "logic": {"c": str}}
 
 
@@ -329,25 +329,21 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
                     v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
                 if rows[name].pop(anchor_id, None) is not c:
                     v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
-    for kind, left in rows.items():
-        if left:
-            v.append(f"{kind} centroid rows of anchors without a {kind} centroid: {sorted(left)}")
+    v += [f"{kind} centroid rows of anchors without a {kind} centroid: {sorted(left)}"
+          for kind, left in rows.items() if left]
 
     anchor_ids, ep_ids, nodes = store.anchors.keys(), ids["episodic"], held["episodic"]
-    ts, ds, anchor_sets = [n.t for n in nodes], [n.d for n in nodes], [n.anchors for n in nodes]
-    if not (set(map(type, ts)) <= {float} and math.isfinite(sum(ts))):  # a finite sum proves them
-        v += [f"episodic {i}: t {t!r} is not a finite number"
-              for i, t in zip(ep_ids, ts) if not _is_finite_number(t)]
+    anchor_sets = [n.anchors for n in nodes]
     if not (set(map(type, anchor_sets)) <= {frozenset}
             and _ids_in(frozenset().union(*set(anchor_sets)), anchor_ids)):
         v += [f"episodic {i}: anchors {a!r} are not a frozenset of anchor ids" for i, a in
               zip(ep_ids, anchor_sets) if type(a) is not frozenset or not _ids_in(a, anchor_ids)]
-    strs = set(map(type, ds)) <= {str}  # a d of another type is reported below
-    texts = dict.fromkeys(ds if strs else (d for d in ds if type(d) is str))  # in order of first use
-    vec_of = {d: entry[1] for d, entry in store.texts.items()}
-    # the vector rule once per text, named by its first node
-    v += [f"episodic {ep_ids[ds.index(d)]}: v_e is not {dim} finite floats"
-          for d in texts if d in vec_of and bad_vector(vec_of[d])]
+    # Each of the store's text entries once; a rule on one names the first node that holds it.
+    entries = [e for d, e in store.texts.items() if type(e) is tuple and len(e) == 3 and e[0] is d]
+    if bad := {id(e) for e in entries if bad_vector(e[1])}:
+        first = dict(zip([id(n.text) for n in reversed(nodes)], reversed(ep_ids)))  # entry -> node
+        v += [f"episodic {i}: v_e is not {dim} finite floats"
+              for i in sorted(first[e] for e in bad if e in first)]
 
     for node_id, node in zip(ids["semantic"], held["semantic"]):
         if not (_is_int(node.weight) and node.weight >= 1):
@@ -380,6 +376,8 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
         for label, dag_node in dag.nodes.items():
             if type(dag_node.attrs) is not dict:
                 v.append(f"logic {logic_id}: {label} attrs {dag_node.attrs!r} is not a dict")
+            elif not _json_exact([dag_node.attrs]):
+                v.append(f"logic {logic_id}: {label} attrs hold what JSON cannot carry exactly")
             scalars += [(f"{label} success_alpha", dag_node.success_alpha),
                         (f"{label} success_beta", dag_node.success_beta)]
         for src, dst, stat in dag.edges():
@@ -417,72 +415,69 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v.append(f"pool entry {obs_id!r}: vector is not {dim} finite floats")
         if type(actions) is not tuple or not set(map(type, actions)) <= {str}:
             v.append(f"pool entry {obs_id!r}: actions {actions!r} are not a tuple of strings")
+    if not set(map(type, store.observations)) <= {int}:
+        return v + ["observation ids are not all ints"]  # the rules below sort them
+    obs_ids = sorted(store.observations)
+    metas = list(map(store.observations.__getitem__, obs_ids))
+    episodes, ts = [m.episodes for m in metas], [m.t for m in metas]
+    if not set(map(type, episodes)) <= {list}:
+        return v + [f"observation {i}: episodes {e!r} are not a list"
+                    for i, e in zip(obs_ids, episodes) if type(e) is not list]  # the rules below walk them
+    timed = list(compress(ts, episodes))  # a finite sum proves them; the others are None
+    if not (set(map(type, timed)) <= {float} and math.isfinite(sum(timed))
+            and set(map(type, compress(ts, map(not_, episodes)))) <= {type(None)}):
+        v += [f"observation {i}: t {t!r} is not " + ("a finite number" if e else "None without episodes")
+              for i, t, e in zip(obs_ids, ts, episodes)
+              if (not _is_finite_number(t) if e else t is not None)]
+    if not set(map(type, map(attrgetter("video"), metas))) <= {str}:
+        v += [f"observation {i}: video {m.video!r} is not a str" for i, m in zip(obs_ids, metas)
+              if type(m.video) is not str]
     if not derived:
         return v
 
-    # What a load builds: each node's id from its key; each episode's d, attrs and outcome from
-    # the tables, of their one type, and its v_e as its text's; and what it derives, so that a
-    # store that holds it otherwise would load as another: each action from its text (by valid
-    # verbs only: the config is reported above), each episode listed by exactly one observation,
-    # of its video, and the episodes of one observation with one t (by repr).
+    # What a load builds, so that a store that holds it otherwise would load as another: each
+    # node's id from its key; each episode's outcome, and attrs that JSON carries; its text as the
+    # store's one entry for it, with the action its verbs give (once per entry, by valid verbs
+    # only: the config is reported above); and its observation as the one that lists it.
     for kind, nodes_of_kind in held.items():
         own = [n.id for n in nodes_of_kind]
         if not set(map(type, own)) <= {int} or own != ids[kind]:
             v += [f"{kind} {i}: id {x!r} is not its key"
                   for i, x in zip(ids[kind], own) if type(x) is not int or x != i]
-    for name, column, field_type in (("d", ds, str), ("attrs", [n.attrs for n in nodes], dict)):
-        if not set(map(type, column)) <= {field_type}:
-            v += [f"episodic {i}: {name} {x!r} is not a {field_type.__name__}"
-                  for i, x in zip(ep_ids, column) if type(x) is not field_type]
+    attrs = [n.attrs for n in nodes]
+    if not (set(map(type, attrs)) <= {dict} and _json_exact(attrs)):
+        v += [f"episodic {i}: attrs {x!r} is not a dict" if type(x) is not dict else
+              f"episodic {i}: attrs hold what JSON cannot carry exactly"
+              for i, x in zip(ep_ids, attrs) if type(x) is not dict or not _json_exact([x])]
     outcomes = [n.outcome for n in nodes]
     if not (set(map(type, outcomes)) <= {str} and set(outcomes) <= set(OUTCOMES)):
         v += [f"episodic {i}: bad outcome {o!r}"
               for i, o in zip(ep_ids, outcomes) if type(o) is not str or o not in OUTCOMES]
-    if not (strs and texts.keys() <= vec_of.keys()
-            and all(map(is_, map(vec_of.__getitem__, ds), [n.v_e for n in nodes]))):
-        v += [f"episodic {i}: v_e is not the store's vector for its text" for i, d, n in
-              zip(ep_ids, ds, nodes) if type(d) is not str or d not in vec_of or vec_of[d] is not n.v_e]
-    if valid_config:
-        action_of = {d: extract_action(d, config.action_verbs) for d in texts}  # once per text
-        actions = [n.action for n in nodes]
-        if not (strs and set(map(type, actions)) <= {str, type(None)}
-                and list(map(action_of.__getitem__, ds)) == actions):
-            v += [f"episodic {i}: action {a!r} is not the one its text gives"
-                  for i, d, a in zip(ep_ids, ds, actions)
-                  if type(d) is str and (type(a) not in (str, type(None)) or a != action_of[d])]
-    if not set(map(type, store.observations)) <= {int}:
-        return v + ["observation ids are not all ints"]  # the rules below sort them
-    obs_ids = sorted(store.observations)
-    metas = list(map(store.observations.__getitem__, obs_ids))
-    episodes = [m.episodes for m in metas]
-    if not set(map(type, episodes)) <= {list}:
-        return v + [f"observation {i}: episodes {e!r} are not a list"
-                    for i, e in zip(obs_ids, episodes) if type(e) is not list]  # the rules below walk them
+    own = set(map(id, entries))
+    if not own.issuperset(map(id, map(attrgetter("text"), nodes))):
+        v += [f"episodic {i}: text is not the store's entry for its text"
+              for i, n in zip(ep_ids, nodes) if id(n.text) not in own]
+    if valid_config and (wrong := {id(e) for e in entries if not (type(e[0]) is str and type(e[2]) in (
+            str, type(None)) and e[2] == extract_action(e[0], config.action_verbs))}):
+        v += [f"episodic {i}: action {n.action!r} is not the one its text gives"
+              for i, n in zip(ep_ids, nodes) if id(n.text) in wrong]
     listed = list(chain.from_iterable(episodes))
     if set(map(type, listed)) <= {int} and sorted(listed) == ep_ids:  # each episode listed once
         lens = np.fromiter(map(len, episodes), np.intp, len(episodes))
-        owner = np.repeat(np.arange(len(lens)), lens).tolist()  # each listed episode's observation
-        videos = [m.video for m in metas]
-        got = list(map(store.episodic.__getitem__, listed))
-        ts = [n.t for n in got]
-        firsts = (np.cumsum(lens) - lens)[owner].tolist()  # where its observation's episodes start
-        # One t object has one repr, so the videos and the t objects tested at once prove both rules.
-        if (all(map(is_, [n.video for n in got], map(videos.__getitem__, owner)))  # interned
-                and all(map(is_, ts, map(ts.__getitem__, firsts)))):
+        owners = map(metas.__getitem__, np.repeat(np.arange(len(lens)), lens).tolist())  # their listers
+        if all(map(is_, map(attrgetter("obs"), map(store.episodic.__getitem__, listed)), owners)):
             return v
     else:
         listings = Counter(e for e in listed if type(e) is int)
         v += [f"episodic {i}: listed {listings[i]} times by observations, not once"
               for i in ep_ids if listings[i] != 1]
     for obs_id, meta in zip(obs_ids, metas):
-        found = [store.episodic.get(e) if type(e) is int else None for e in meta.episodes]
-        for ep_id, node in zip(meta.episodes, found):
+        for ep_id in meta.episodes:
+            node = store.episodic.get(ep_id) if type(ep_id) is int else None
             if node is None:
                 v.append(f"observation {obs_id}: missing episode {ep_id!r}")
-            elif not (type(node.video) is type(meta.video) is str and node.video == meta.video):
-                v.append(f"observation {obs_id}: episode {ep_id} video mismatch")
-        if len({repr(node.t) for node in found if node is not None}) > 1:
-            v.append(f"observation {obs_id}: episodes do not share one t")
+            elif node.obs is not meta:
+                v.append(f"observation {obs_id}: episode {ep_id} does not hold it as its observation")
     return v
 
 
@@ -608,15 +603,19 @@ def _observation_rows(store: MemoryStore) -> tuple:
     by_repr: dict = {}  # equal reprs are equal JSON, and a repr is the cheaper key
     ordered = {a: sorted(a) for a in {n.anchors for n in store.episodic.values()}}  # each anchor set once
     for obs_id, meta in sorted(store.observations.items()):
-        nodes, episodes = list(map(store.episodic.__getitem__, meta.episodes)), []
-        for n in nodes:
+        episodes = []
+        for n in map(store.episodic.__getitem__, meta.episodes):
             at = by_repr.get(key := repr(a := n.attrs))
             if at is None:
                 at = by_repr[key] = attrs.setdefault(json.dumps(a, sort_keys=True), (len(attrs), a))[0]
-            episodes.append([n.id, texts.setdefault(n.d, len(texts)), ordered[n.anchors],
+            episodes.append([n.id, texts.setdefault(n.text[0], len(texts)), ordered[n.anchors],  # its d
                              OUTCOMES.index(n.outcome), at])
-        rows.append([obs_id, meta.video, nodes[0].t if nodes else None, episodes])
+        rows.append([obs_id, meta.video, meta.t, episodes])
     return rows, {"texts": list(texts), "attrs": [a for _, a in attrs.values()]}
+
+
+def _refuse_constant(name: str):  # NaN or Infinity: json reads them, and a save never writes them
+    raise CorruptSnapshot(f"snapshot holds {name}, which is not a finite number")
 
 
 def _increasing(lists: list, what: str) -> None:
@@ -645,9 +644,9 @@ def _refuse_unless_first_uses(indexes, keys: list, what: str) -> None:
 
 
 def _add_observations(store: MemoryStore, tables: dict, observations: list) -> None:
-    """Build the observations and their episodic nodes from version 5 rows,
-    deriving each text's vector and action once. Anything but the canonical
-    rows and tables of some store is refused."""
+    """Build the observations and their episodic nodes from version 5 rows, each text's
+    entry (vector and action) and each observation once, and each node pointing at both.
+    Anything but the canonical rows and tables of some store is refused."""
     texts, attrs = tables["texts"], tables["attrs"]
     if not (all(isinstance(d, str) for d in texts) and all(isinstance(a, dict) for a in attrs)):
         raise CorruptSnapshot("episodic texts are not all strings, or attrs not all objects")
@@ -665,17 +664,17 @@ def _add_observations(store: MemoryStore, tables: dict, observations: list) -> N
     if not (set(map(type, outcomes)) <= {int} and set(outcomes) <= set(range(len(OUTCOMES)))):
         raise CorruptSnapshot(f"episodic outcomes are not indexes into {OUTCOMES}")
     _refuse_unless_first_uses(text_at, texts, "text")
-    _refuse_unless_first_uses(attrs_at, [json.dumps(a, sort_keys=True) for a in attrs], "attrs")
+    _refuse_unless_first_uses(attrs_at, [json.dumps(a, sort_keys=True, allow_nan=False)  # no NaN
+                                         for a in attrs], "attrs")
     entries = [store.text_entry(d) for d in texts]
     attrs = [store.own_attrs(a) for a in attrs]
     nodes, intern = {}, store.interned.setdefault  # store.intern, without a call per node
     for obs_id, video, t, episodes in observations:
-        video = intern(video, video)
-        store.observations[obs_id] = ObservationMeta(video, list(map(itemgetter(0), episodes)))
+        meta = store.observations[obs_id] = ObservationMeta(
+            intern(video, video), list(map(itemgetter(0), episodes)), t)
         for node_id, text, anchors, outcome, at in episodes:  # fields in declaration order
-            d, v_e, action = entries[text]
-            nodes[node_id] = EpisodicNode(node_id, t, d, v_e, video, intern(a := frozenset(anchors), a),
-                                          action, OUTCOMES[outcome], dict(attrs[at]))
+            nodes[node_id] = EpisodicNode(node_id, entries[text], meta, intern(a := frozenset(anchors), a),
+                                          OUTCOMES[outcome], dict(attrs[at]))
     _increasing([m.episodes for m in store.observations.values()], "the episode ids of an observation")
     if len(nodes) != len(rows):
         raise CorruptSnapshot("an episode is listed by two observations")

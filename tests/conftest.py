@@ -32,6 +32,25 @@ def one_hot(index: int, dim: int) -> np.ndarray:
     return v
 
 
+class TableEmbedder:
+    """Gives each text the vector its table holds."""
+
+    def __init__(self, dim: int, table: dict):
+        self.dim = dim
+        self.table = table
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.table[text]
+
+
+def texts_store(config: Config, vectors: dict, video: str = "v") -> MemoryStore:
+    """A store of one observation whose episodes, ids 1, 2, ..., hold the texts of
+    ``vectors`` in order, each embedded as its vector."""
+    store = MemoryStore(config, TableEmbedder(config.dim, vectors))
+    store.ingest(ObservationRecord(1, video, 0.0, [Description(text) for text in vectors], [], []))
+    return store
+
+
 def ladder_dag(rungs: int) -> ProceduralDag:
     """START, then ``rungs`` layers of two nodes each fully joined, then GOAL:
     2 ** rungs START -> GOAL paths of rungs + 2 nodes."""

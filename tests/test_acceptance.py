@@ -39,7 +39,7 @@ from memstrata.symbolic import (
     goal_reach_probability,
     query_step_sequence,
 )
-from conftest import fruit_salad_store, jsonl_lines, one_hot, random_corpus
+from conftest import fruit_salad_store, jsonl_lines, one_hot, random_corpus, texts_store
 from maintain_model import apply_against_model
 from test_distill import brute_force_patterns
 from test_symbolic import brute_force_paths, random_constraint, random_dag, wrap_in_store
@@ -394,13 +394,14 @@ def test_criterion_8_retrieval_ranking_contract():
             inits = [it.score_init for it in result.ranked if it.layer == layer]
             assert inits == sorted(inits, reverse=True)
 
-    # 1e4 random episodic vectors; theta below -1 makes every node a candidate.
-    from memstrata import EpisodicNode, Query
+    # 1e4 random episodic vectors, one per distinct text, in a valid store; theta
+    # below -1 makes every node a candidate.
+    from memstrata import Query
 
     dim = 64
-    big = MemoryStore(Config(dim=dim, theta_retrieve=-2.0))
-    for i in range(10_000):
-        big.episodic[i] = EpisodicNode(id=i, t=0.0, d="", v_e=rng.normal(size=dim), video="r")
+    big = texts_store(Config(dim=dim, theta_retrieve=-2.0),
+                      {f"text {i}": rng.normal(size=dim) for i in range(10_000)}, "r")
+    assert len(big.episodic) == 10_000 and big.check() == []
     for _ in range(5):
         q = rng.normal(size=dim)
         got = retrieve(big, Query("oracle", q, "factual"), 10).ranked

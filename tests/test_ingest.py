@@ -326,11 +326,11 @@ def test_check_reports_a_vector_that_is_not_its_texts():
     store = fruit_salad_store(dim=64)
     assert store.check() == []
     first, repeat = [i for i, n in sorted(store.episodic.items()) if n.d == "@jack chop the fruit"][:2]
-    store.episodic[repeat].v_e = store.episodic[first].v_e.copy()  # equal values, not the text's
-    store.episodic[first].d = "@jack chop the fruits"  # a text the store holds no vector for
-    assert store.check() == [f"episodic {i}: v_e is not the store's vector for its text"
-                             for i in (first, repeat)] + [
-        f"episodic {first}: action 'chop_fruit' is not the one its text gives"]  # nor its action
+    d, v_e, action = store.episodic[first].text
+    store.episodic[repeat].text = (d, v_e.copy(), action)  # equal values, not the store's entry
+    store.episodic[first].text = (d + "s", v_e, action)  # a text the store holds no entry for
+    assert store.check() == [f"episodic {i}: text is not the store's entry for its text"
+                             for i in (first, repeat)]
 
 
 # -- semantic consolidation ---------------------------------------------------

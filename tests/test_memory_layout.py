@@ -24,6 +24,7 @@ from memstrata import (
     EntityAnchor,
     EpisodicNode,
     MemoryStore,
+    ObservationMeta,
     ObservationRecord,
     aggregate_character_behaviors,
     auto_fuse,
@@ -60,9 +61,29 @@ def test_no_engine_dataclass_gives_its_instances_a_dict():
                  if not all("__dict__" not in vars(k).get("__slots__", ("__dict__",))
                             for k in cls.__mro__[:-1])]
     assert with_dict == []
-    node = EpisodicNode(1, 0.0, "x")
+    node = EpisodicNode(1, ("x", None, None), ObservationMeta("v", [1], 0.0))
     with pytest.raises(AttributeError):
         node.note = "an ad-hoc attribute"
+
+
+def test_an_episode_holds_six_slots_and_shares_its_text_entry_and_observation(tmp_path):
+    # d, v_e and action are read from the store's one entry for the text, and
+    # video and t from the one observation that lists the episode.
+    assert EpisodicNode.__slots__ == ("id", "text", "obs", "anchors", "outcome", "attrs")
+    path = str(tmp_path / "snap.json")
+    store = fruit_salad_store(32)
+    store.distill()
+    store.config.pool_trigger, store.config.delta_gate = 3, 0.99
+    for rec in _pool_records(100):
+        store.ingest(rec)
+        store.apply(rec)
+    store.save(path)
+    for built in (store, MemoryStore.load(path), store.clone()):
+        nodes = list(built.episodic.values())
+        assert len({id(n.obs) for n in nodes}) == sum(bool(m.episodes) for m in built.observations.values())
+        assert len({id(n.text) for n in nodes}) == len(built.texts)
+        assert all(n.obs is built.observations[rid] for rid, m in built.observations.items()
+                   for n in map(built.episodic.get, m.episodes))
 
 
 def test_anchor_by_label_gives_the_lowest_id_in_any_dict_order():

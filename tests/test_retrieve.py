@@ -15,7 +15,7 @@ from memstrata import (
     score_logic,
 )
 from memstrata.errors import InvalidInput
-from conftest import fruit_salad_store
+from conftest import fruit_salad_store, texts_store
 
 
 def ready_store():
@@ -123,11 +123,10 @@ def test_retrieve_factual_weights_identity():
 def test_retrieve_constraint_boosts_logic_over_tied_episodic():
     # Exact tie at score_init 0.5: constraint weights {logic 1.5, epi 1.0}
     # must rank the logic node first (0.75 > 0.5).
-    from memstrata import EpisodicNode, LogicNode, ProceduralDag, Query
+    from memstrata import LogicNode, ProceduralDag, Query
 
-    store = MemoryStore(Config(dim=4))
     tied = np.array([0.5, np.sqrt(0.75), 0.0, 0.0])
-    store.episodic[1] = EpisodicNode(id=1, t=0.0, d="x", v_e=tied.copy(), video="v")
+    store = texts_store(Config(dim=4), {"x": tied.copy()})
     node = LogicNode(id=1, c="g", i_goal=tied.copy(), i_step=tied.copy(),
                      dag=ProceduralDag.single_path(["x"]), episodic_links={1}, steps=("x",))
     store.logic[1] = node

@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from memstrata import (
+    GOAL,
+    START,
     Conclusion,
     Config,
     CorruptSnapshot,
@@ -228,22 +230,37 @@ def test_anchor_and_percept_counts_are_computed_not_held():
         store.percept_count = 7
 
 
-def _t_of_one_episode(store):
-    store.episodic[11].t = 1.5
+def test_episode_fields_are_read_only_views_of_its_text_entry_and_observation():
+    # An episode holds its text entry and its observation, and no copy of
+    # them, so that its episodes cannot disagree on a t or a video.
+    store = shapes_store()
+    node = store.episodic[7]
+    assert node.text is store.texts["@ana and @jack mix the fruit"]
+    assert node.obs is store.observations[20]
+    assert (node.d, node.v_e, node.action) == (*node.text,)
+    assert (node.video, node.t) == ("v2", 1.0)
+    for name, value in (("d", "x"), ("v_e", np.zeros(DIM)), ("action", "x"), ("video", "v1"),
+                        ("t", 1.5), ("t", 1)):
+        with pytest.raises(AttributeError):
+            setattr(node, name, value)
 
 
-def _t_of_another_type(store):
-    store.episodic[11].t = 1  # equal to 1.0, but not the same JSON
+def _t_of_an_observation(store):
+    store.observations[10].t = float("nan")
+
+
+def _t_without_episodes(store):
+    store.observations[11].t = 1  # an observation that lists no episodes has no t
 
 
 @pytest.mark.parametrize("plant,violations", [
-    (_t_of_one_episode, ["observation 10: episodes do not share one t"]),
-    (_t_of_another_type, ["observation 10: episodes do not share one t"]),
+    (_t_of_an_observation, ["observation 10: t nan is not a finite number"]),
+    (_t_without_episodes, ["observation 11: t 1 is not None without episodes"]),
 ], ids=["t", "t-int"])
 def test_store_that_v5_cannot_write_is_reported_and_not_saved(tmp_path, plant, violations):
-    # Version 5 stores one t per observation: a store whose nodes disagree
-    # would load as another store. Save refuses it with the first violation
-    # check() reports.
+    # Version 5 stores one t per observation, null exactly when it lists no
+    # episodes: a store that holds another would load as another store. Save
+    # refuses it with the first violation check() reports.
     path = str(tmp_path / "snap.json")
     store = shapes_store()
     plant(store)
@@ -260,7 +277,7 @@ def _first_edge(store):
 @pytest.mark.parametrize("plant", [
     lambda store: setattr(store.config, "pool_trigger", 0),
     lambda store: setattr(store, "next_node_id", 0),
-    lambda store: setattr(store.episodic[1], "action", "stir_fruit"),
+    lambda store: setattr(store.config, "action_verbs", ("stir",)),
     lambda store: store.logic[1].i_goal.__setitem__(0, np.nan),
     lambda store: setattr(_first_edge(store), "count", -1.0),
 ], ids=["config", "counter", "derived", "vector", "dag"])
@@ -278,23 +295,37 @@ def test_refused_save_leaves_the_snapshot_it_would_replace_as_it_was(tmp_path, p
     assert os.listdir(tmp_path) == ["snap.json"]  # no temp file left
 
 
+def pooled_shapes_store() -> MemoryStore:
+    """shapes_store() with one pool entry, below the pool trigger: record 40, whose
+    one line matches no procedure."""
+    store = shapes_store()
+    rec = ObservationRecord(40, "v4", 1.0, [Description("walk to the store")], [], [])
+    store.ingest(rec)
+    assert store.apply(rec).pooled and len(store.pool) < store.config.pool_trigger
+    return store
+
+
 def _reachable_fields(store) -> list:
     """``(name, owner, key)`` of each field the live-store sweep sets: every config
     field, both anchors' label and counts, every field of one episodic, one semantic and
-    one logic node, one DAG step's attrs and Beta parameters, one edge's statistics,
-    one observation's video and episodes, the three id counters and one video_clock
-    entry."""
+    one logic node and of the pool entry, one DAG step's attrs and Beta parameters, a str
+    and an int key of the episode's and of that step's attrs, one edge's statistics, the
+    video, episodes and t of an observation with episodes and of one without, the three id
+    counters and one video_clock entry."""
     dag = store.logic[1].dag
     step = dag.nodes[sorted(dag.step_labels())[0]]
     nodes = {"episodic": store.episodic[1], "semantic": store.semantic[min(store.semantic)],
-             "logic": store.logic[1]}
+             "logic": store.logic[1], "pool entry": store.pool[0]}
     return ([(f"config {f.name}", store.config, f.name) for f in fields(Config)]
             + [(f"anchor {i} {key}", store.anchors[i], key)
                for i in (1, 2) for key in ("label", "face_count", "voice_count")]
             + [(f"{kind} {f.name}", node, f.name) for kind, node in nodes.items() for f in fields(node)]
             + [(f"dag step {key}", step, key) for key in ("attrs", "success_alpha", "success_beta")]
+            + [(f"{name} attrs[{key!r}]", attrs, key) for name, attrs in
+               (("episodic 1", store.episodic[1].attrs), ("dag step", step.attrs)) for key in ("tool", 1)]
             + [(f"dag edge {key}", _first_edge(store), key) for key in ("count", "gamma")]
-            + [(f"observation 10 {key}", store.observations[10], key) for key in ("video", "episodes")]
+            + [(f"observation {i} {key}", store.observations[i], key)
+               for i in (10, 11) for key in ("video", "episodes", "t")]
             + [(key, store, key) for key in ("next_node_id", "next_anchor_id", "next_logic_id")]
             + [("video_clock v1", store.video_clock, "v1")])
 
@@ -331,7 +362,7 @@ def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
     # Each field _reachable_fields names, set in turn to each mutation value, then entry 0
     # of each kind of stored vector that a snapshot keeps set to NaN and to inf.
     path = str(tmp_path / "snap.json")
-    base = shapes_store()
+    base = pooled_shapes_store()
     breaches = []
     for at in range(len(_reachable_fields(base))):
         for value in MUTATION_VALUES:
@@ -345,7 +376,8 @@ def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
                 breaches.append((name, value, why))
     for name, vector in (("face centroid", lambda store: store.anchors[1].centroid_face),
                          ("i_goal", lambda store: store.logic[1].i_goal),
-                         ("i_step", lambda store: store.logic[1].i_step)):
+                         ("i_step", lambda store: store.logic[1].i_step),
+                         ("pool vector", lambda store: store.pool[0].vector)):
         for value in (np.nan, np.inf):
             store = base.clone()
             vector(store)[0] = value
@@ -354,12 +386,124 @@ def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
     assert breaches == []
 
 
-@pytest.mark.parametrize("field", ["t", "d", "video", "anchors", "action", "outcome", "attrs"])
+@pytest.mark.parametrize("field", ["t", "d", "video", "anchors", "action", "outcome", "attrs",
+                                   "text", "obs", "v_e"])
 def test_check_reports_an_array_in_an_episode_field(field):
     # An array compares elementwise, so a rule that compared one with == or in would raise.
+    # An episode's d, v_e and action are its text entry's, and its video and t its observation's.
     store = shapes_store()
-    setattr(store.episodic[1], field, np.zeros(2))
+    node, array = store.episodic[1], np.zeros(2)
+    if field in ("d", "v_e", "action"):
+        node.text = tuple(array if name == field else x for name, x in zip(("d", "v_e", "action"), node.text))
+    elif field in ("video", "t"):
+        setattr(node.obs, field, array)
+    else:
+        setattr(node, field, array)
     assert store.check()
+
+
+# -- rules that no other test reaches: each plant breaks one rule, and only it -------
+
+
+def _no_evidence(store):
+    store.logic[1].episodic_links = set()
+
+
+def _video_clock_key_not_a_str(store):
+    store.video_clock[1] = 0.0
+
+
+def _pool_entry_of_an_unknown_observation(store):
+    store.pool[0].observation_id = 99
+
+
+def _pool_actions_a_list(store):
+    store.pool[0].actions = list(store.pool[0].actions)
+
+
+def _observation_id_not_an_int(store):
+    store.observations["50"] = store.observations.pop(40)  # and the pool entry's observation goes
+
+
+def _missing_episode(store):
+    store.observations[10].episodes.append(99)
+
+
+def _transition_sum_overflows(store):
+    # Each count is finite, but their sum is not, so each transition estimate is 0.
+    dag = store.logic[1].dag
+    dag.add_edge(START, GOAL)
+    for stat in dag.adj[START].values():
+        stat.count = 1e308
+
+
+@pytest.mark.parametrize("plant,violations", [
+    (_no_evidence, ["logic 1: no episodic evidence"]),
+    (_video_clock_key_not_a_str, ["video_clock videos are not all strings"]),
+    (_pool_entry_of_an_unknown_observation, ["pool entry references unknown observation 99"]),
+    (_pool_actions_a_list,
+     ["pool entry 40: actions ['walk_to_the_store'] are not a tuple of strings"]),
+    (_observation_id_not_an_int,
+     ["pool entry references unknown observation 40", "observation ids are not all ints"]),
+    (_missing_episode, ["observation 10: missing episode 99"]),
+    (_transition_sum_overflows, ["logic 1: transition probs at START sum to 0.0"]),
+], ids=["no-evidence", "video-clock-key", "pool-observation", "pool-actions", "observation-id",
+        "missing-episode", "transition-overflow"])
+def test_each_rule_no_other_test_reaches_reports_its_plant(tmp_path, plant, violations):
+    path = str(tmp_path / "snap.json")
+    store = pooled_shapes_store()
+    assert store.check() == []
+    plant(store)
+    assert store.check() == violations
+    with pytest.raises(SnapshotIoError, match=re.escape(violations[0]) + "$"):
+        store.save(path)
+
+
+# -- attrs that JSON cannot carry exactly ---------------------------------------------
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), (1, 2), {1: "a"}, [[float("-inf")]],
+                                   {"k": {2}}, np.float64(0.5)],
+                         ids=["nan", "inf", "tuple", "int-key", "nested-inf", "set", "numpy-float"])
+def test_check_reports_attrs_that_json_cannot_carry_exactly(tmp_path, value):
+    # json would refuse a non-finite float or a set, or read a tuple back as a list, an int
+    # key as a str and a numpy float as a float.
+    path = str(tmp_path / "snap.json")
+    store = shapes_store()
+    store.episodic[2].attrs["n"] = value
+    step = store.logic[1].dag.nodes["mix_fruit"]
+    step.attrs["n"] = value
+    assert store.check() == ["logic 1: mix_fruit attrs hold what JSON cannot carry exactly",
+                             "episodic 2: attrs hold what JSON cannot carry exactly"]
+    with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0]) + "$"):
+        store.save(path)
+    del store.episodic[2].attrs["n"], step.attrs["n"]
+    store.episodic[2].attrs[1] = "a"
+    assert store.check() == ["episodic 2: attrs hold what JSON cannot carry exactly"]
+
+
+def test_check_accepts_attrs_that_json_carries_and_a_cycle_ends_its_walk(tmp_path):
+    store = shapes_store()
+    shared = [1, 2.5, None, True, "x", {"deep": [{"er": -0.0}]}]
+    store.episodic[1].attrs.update(n=2**70, shared=shared, again=shared)
+    assert store.check() == []
+    # Each container is walked once, so the walk ends; check() does not look for a cycle,
+    # which json cannot write, and save refuses it as a snapshot it cannot encode.
+    shared.append(shared)
+    assert store.check() == []
+    with pytest.raises(SnapshotIoError, match="cannot encode"):
+        store.save(str(tmp_path / "snap.json"))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_load_refuses_a_non_finite_json_constant(tmp_path, constant):
+    path = str(tmp_path / "snap.json")
+    shapes_store().save(path)
+    text = open(path).read()
+    assert '{"tool":"bowl"}' in text
+    open(path, "w").write(text.replace('{"tool":"bowl"}', '{"tool":%s}' % constant, 1))
+    with pytest.raises(CorruptSnapshot, match=f"snapshot holds {constant}, which is not a finite number"):
+        MemoryStore.load(path)
 
 
 def test_load_derives_each_action_and_logic_anchor_set_once(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from memstrata import (
     MalformedRecord,
     MemoryEngineError,
     MemoryStore,
+    ObservationMeta,
     ObservationRecord,
     SnapshotIoError,
     StoreLocked,
@@ -246,14 +248,25 @@ def _leaf_paths(value, path=()):
         yield path
 
 
+def _attrs_keys(data):
+    """Paths to a new key in each attrs object: each of the episodic attrs table's, and
+    each DAG step's."""
+    yield from (("episodic", "attrs", i, "n") for i in range(len(data["episodic"]["attrs"])))
+    yield from (("logic", i, "dag", "nodes", j, 1, "n") for i, node in enumerate(data["logic"])
+                for j in range(len(node["dag"]["nodes"])))
+
+
 def test_snapshot_mutation_sweep_raises_only_typed_errors(tmp_path):
+    # Each leaf of a snapshot, and a new key in each attrs object, set in turn to each
+    # mutation value: a load refuses it with a typed error, or gives a store that passes
+    # check() and saves.
     path = str(tmp_path / "snap.json")
     store = fruit_salad_store(dim=32)
     store.distill()
     store.save(path)
     base = json.loads(open(path).read())
     escaped = []
-    for where in _leaf_paths(base):
+    for where in chain(_leaf_paths(base), _attrs_keys(base)):
         for value in MUTATION_VALUES:
             data = copy.deepcopy(base)
             entry = data
@@ -261,7 +274,8 @@ def test_snapshot_mutation_sweep_raises_only_typed_errors(tmp_path):
                 entry = entry[key]
             entry[where[-1]] = value
             try:
-                violations = store_from_dict(data).check()
+                loaded = store_from_dict(data)
+                violations = loaded.check()
             except MemoryEngineError:
                 continue
             except Exception as exc:
@@ -269,15 +283,19 @@ def test_snapshot_mutation_sweep_raises_only_typed_errors(tmp_path):
                 continue
             if violations:
                 escaped.append((where, value, violations[0]))
+                continue
+            try:
+                loaded.save(path)
+            except Exception as exc:
+                escaped.append((where, value, f"loaded, then save raised {exc!r}"))
     assert escaped == []
 
 
 def _add_bare_episode(store):
     node_id = store.next_node_id
     store.next_node_id += 1
-    store.episodic[node_id] = EpisodicNode(
-        id=node_id, t=9.0, d="@jack chop the fruit", v_e=store.text_entry("@jack chop the fruit")[1],
-        video="v1", action="chop_fruit")
+    store.episodic[node_id] = EpisodicNode(node_id, store.text_entry("@jack chop the fruit"),
+                                           store.observations[1])
     return node_id, 0
 
 
@@ -288,8 +306,8 @@ def _list_an_episode_twice(store):
 
 @pytest.mark.parametrize("plant", [_add_bare_episode, _list_an_episode_twice])
 def test_episode_not_listed_by_exactly_one_observation_is_reported_and_not_saved(tmp_path, plant):
-    # The snapshot stores no episode's video: a load takes it from the one
-    # observation that lists the episode, so no other store may be saved.
+    # The snapshot stores no episode's video or t: a load takes them from the
+    # one observation that lists the episode, so no other store may be saved.
     path = str(tmp_path / "snap.json")
     store = ready_store()
     node_id, times = plant(store)
@@ -302,8 +320,10 @@ def test_episode_not_listed_by_exactly_one_observation_is_reported_and_not_saved
 def test_episode_of_another_video_than_its_observation_is_not_saved(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
-    store.episodic[1].video = "elsewhere"
-    assert store.check() == ["observation 1: episode 1 video mismatch"]
+    meta = store.observations[1]
+    store.episodic[1].obs = ObservationMeta("elsewhere", meta.episodes, meta.t)
+    assert store.episodic[1].video == "elsewhere"
+    assert store.check() == ["observation 1: episode 1 does not hold it as its observation"]
     with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0])):
         store.save(path)
     assert not os.path.exists(path)

@@ -99,9 +99,7 @@ def wrap_in_store(dag, goal_text="wrapped procedure"):
     from memstrata import LogicNode
 
     store = MemoryStore(Config(dim=64))
-    from memstrata import EpisodicNode
-
-    store.episodic[1] = EpisodicNode(id=1, t=0.0, d="seed", v_e=store.embed("seed"), video="v")
+    store.ingest(ObservationRecord(1, "v", 0.0, [Description("seed")], [], []))
     node = LogicNode(
         id=1, c=goal_text, i_goal=store.embed(goal_text),
         i_step=store.embed(goal_text), dag=dag, episodic_links={1},
@@ -143,9 +141,7 @@ def test_get_procedure_tie_breaks_lowest_id():
     store = MemoryStore(Config(dim=16))
     v = np.zeros(16)
     v[0] = 1.0
-    from memstrata import EpisodicNode
-
-    store.episodic[1] = EpisodicNode(id=1, t=0.0, d="seed", v_e=store.embed("seed"), video="v")
+    store.ingest(ObservationRecord(1, "v", 0.0, [Description("seed")], [], []))
     for logic_id in (1, 2):
         store.logic[logic_id] = LogicNode(
             id=logic_id, c="same goal", i_goal=v.copy(), i_step=v.copy(),
