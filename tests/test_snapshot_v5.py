@@ -57,6 +57,16 @@ def shapes_store() -> MemoryStore:
     return store
 
 
+def pooled_shapes_store() -> MemoryStore:
+    """shapes_store() with one pool entry, below the pool trigger: record 40, whose
+    one line matches no procedure."""
+    store = shapes_store()
+    rec = ObservationRecord(40, "v4", 1.0, [Description("walk to the store")], [], [])
+    store.ingest(rec)
+    assert store.apply(rec).pooled and len(store.pool) < store.config.pool_trigger
+    return store
+
+
 def test_shapes_store_saves_observations_in_id_order_with_their_nodes(tmp_path):
     path = str(tmp_path / "snap.json")
     store = shapes_store()
@@ -178,11 +188,7 @@ def test_non_canonical_v5_rows_rejected(plant, match):
                          ids=["string", "int", "object", "null"])
 def test_pool_actions_not_a_list_of_strings_rejected(actions):
     # A string or an object would load as the tuple of its characters or keys.
-    store = shapes_store()
-    rec = ObservationRecord(40, "v4", 1.0, [Description("walk to the store")], [], [])
-    store.ingest(rec)
-    assert store.apply(rec).pooled
-    data = json.loads(json.dumps(snapshot_dict(store)))
+    data = json.loads(json.dumps(snapshot_dict(pooled_shapes_store())))
     assert data["pool"][0]["actions"] == ["walk_to_the_store"]
     assert snapshot_dict(store_from_dict(copy.deepcopy(data))) == data
     data["pool"][0]["actions"] = actions
@@ -293,16 +299,6 @@ def test_refused_save_leaves_the_snapshot_it_would_replace_as_it_was(tmp_path, p
         store.save(path)
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["snap.json"]  # no temp file left
-
-
-def pooled_shapes_store() -> MemoryStore:
-    """shapes_store() with one pool entry, below the pool trigger: record 40, whose
-    one line matches no procedure."""
-    store = shapes_store()
-    rec = ObservationRecord(40, "v4", 1.0, [Description("walk to the store")], [], [])
-    store.ingest(rec)
-    assert store.apply(rec).pooled and len(store.pool) < store.config.pool_trigger
-    return store
 
 
 def _reachable_fields(store) -> list:
