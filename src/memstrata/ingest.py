@@ -84,11 +84,11 @@ class EntityAnchor:
 
 @dataclass(slots=True)
 class ObservationMeta:
-    """One ingested record: its video, its episodes in order and their one ``t`` (or None)."""
+    """One ingested record: its video, its episodes in order and its ``t``, which they read."""
 
     video: str
     episodes: list
-    t: float | None
+    t: float
 
 
 @dataclass(slots=True)
@@ -130,8 +130,10 @@ def parse_mentions(text: str) -> list[str]:
 
 def _json_exact(dicts: list) -> bool:
     """Whether json writes each of ``dicts`` and reads it back as it is: str keys, and str, int, bool,
-    None, finite float, list and dict values. Each container is walked once, so a cycle ends it."""
-    seen, lists = set(), []
+    None, finite float, list and dict values, and no container that holds itself. The walk goes a
+    level at a time, each container once a level; a walk deeper than the distinct containers it has
+    met below ``dicts`` has gone round a cycle, while a shared container only repeats a level."""
+    seen, lists, depth = set(), [], 0
     while dicts or lists:
         types = set(map(type, chain(chain.from_iterable(map(dict.values, dicts)), *lists)))
         if not (set(map(type, chain.from_iterable(dicts))) <= {str}
@@ -142,8 +144,11 @@ def _json_exact(dicts: list) -> bool:
         values = list(chain(chain.from_iterable(map(dict.values, dicts)), *lists))
         if not all(map(math.isfinite, [x for x in values if type(x) is float])):
             return False
-        nested = [x for x in values if type(x) in (list, dict) and id(x) not in seen]
+        nested = list({id(x): x for x in values if type(x) in (list, dict)}.values())
         seen.update(map(id, nested))
+        depth += 1
+        if nested and depth > len(seen):  # a chain of more containers than there are
+            return False
         dicts, lists = [x for x in nested if type(x) is dict], [x for x in nested if type(x) is list]
     return True
 
@@ -367,17 +372,28 @@ def ingest_observation(store, rec: ObservationRecord):
         raise MalformedRecord(f"record video must be a nonempty string, got {rec.video!r}")
     if rec.id in store.observations:
         raise DuplicateObservation(f"observation {rec.id} already ingested")
-    last_t = store.video_clock.get(rec.video)
-    if last_t is not None and rec.t < last_t:
+    last = store.video_clock.get(rec.video)
+    if last is not None and rec.t < last.t:
         raise MalformedRecord(
-            f"timestamp {rec.t} for {rec.video!r} precedes previous {last_t}"
+            f"timestamp {rec.t} for {rec.video!r} precedes previous {last.t}"
         )
     for desc in rec.descriptions:
+        if type(desc.text) is not str:
+            raise MalformedRecord(f"description text must be a string, got {desc.text!r}")
         if desc.outcome not in OUTCOMES:
             raise MalformedRecord(f"bad outcome {desc.outcome!r}")
         if type(desc.attrs) is not dict or not _json_exact([desc.attrs]):
             raise MalformedRecord(f"attrs of {desc.text!r} hold what JSON cannot carry exactly")
+    for c in rec.conclusions:
+        if type(c.type) is not str or type(c.text) is not str:
+            raise MalformedRecord(f"conclusion type and text must be strings, got {c.type!r}, {c.text!r}")
     for p in rec.percepts:
+        if type(p.kind) is not str or p.kind not in PERCEPT_KINDS:
+            raise MalformedRecord(f"percept kind must be face|voice, got {p.kind!r}")
+        if type(p.hint) is not str or not p.hint:
+            raise MalformedRecord(f"percept hint must be a nonempty string, got {p.hint!r}")
+        if not (isinstance(p.vector, np.ndarray) and p.vector.dtype.kind in "iuf"):
+            raise MalformedRecord(f"percept vector for {p.hint!r} is not an array of numbers")
         if p.vector.shape != (store.config.dim,):
             raise DimensionMismatch(
                 f"percept vector has shape {p.vector.shape}, store dim is {store.config.dim}"
@@ -406,7 +422,7 @@ def ingest_observation(store, rec: ObservationRecord):
     def anchors(found: list) -> frozenset:
         return store.intern(frozenset(map(anchor_of.__getitem__, found)))
 
-    meta = ObservationMeta(store.intern(rec.video), [], rec.t if rec.descriptions else None)
+    meta = ObservationMeta(store.intern(rec.video), [], rec.t)
     for desc, found in zip(rec.descriptions, mentions):
         meta.episodes.append(node_id := store.next_node_id)
         store.next_node_id += 1
@@ -419,5 +435,5 @@ def ingest_observation(store, rec: ObservationRecord):
         events.extend(consolidate_semantic(store, concl.type, concl.text, anchors(found)))
 
     store.observations[rec.id] = meta
-    store.video_clock[meta.video] = rec.t
+    store.video_clock[meta.video] = meta
     return list(meta.episodes), events

@@ -1,20 +1,21 @@
 """The memory store: three node layers, anchors, persistence.
 
-One store is one snapshot file. Snapshots are canonical JSON: keys sorted,
-no whitespace, collections ordered by id, scalar floats in Python's shortest
+One store is one snapshot file. Snapshots are canonical JSON: keys sorted, no
+whitespace, collections ordered by id, scalar floats in Python's shortest
 round-trip decimal form, so two saves of the same in-memory state are
 byte-identical. A stored vector is one base64 string, a little-endian mask of
-its entries with non-zero bits and then those entries as little-endian
-float64, so a load reproduces it bit for bit. Each observation is a row that
-holds its episodic nodes and their one ``t``; each distinct episodic text and
-attrs object is stored once, in a table the node rows index. Id lists are
-strictly increasing, evidence links are gap-coded and DAGs are rows, and a
-load refuses all but the canonical form. Nothing a load can derive is stored:
-a load recomputes each text's vector (with the snapshot's embedder) and action
-once. Nor does a store hold a copy of what it holds, or what it can compute:
-an episode reads its text, vector and action from its text entry and its video
-and ``t`` from its observation; anchor and percept counts are sums of the face
-and voice counts, and a procedure's anchors are those of its evidence.
+its entries with non-zero bits and then those entries as little-endian float64,
+so a load reproduces it bit for bit. Observations and episodes are columns, one
+array per field, ids as differences; each distinct video, text, anchor set and
+attrs object is stored once, in a table the columns index. Id lists are
+strictly increasing, evidence links are gap-coded and DAGs are rows, and a load
+refuses all but the canonical form. Nothing a load can derive is stored: a load
+recomputes each text's vector (with the snapshot's embedder) and action once,
+and each video's clock as its latest observation. Nor does a store hold a copy
+of what it holds, or what it can compute: an episode reads its text, vector and
+action from its text entry and its video and ``t`` from its observation; anchor
+and percept counts are sums of the face and voice counts, and a procedure's
+anchors are those of its evidence.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import math
 import os
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain, compress
-from operator import attrgetter, is_, itemgetter, lt, not_
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, is_, le, lt
 
 import numpy as np
 
@@ -57,16 +58,19 @@ from .ingest import (
 from .maintain import PoolEntry, apply_observation
 from .retrieve import make_query, retrieve
 
-SNAPSHOT_VERSION = 5
-# The sections of one type in a version 5 snapshot, the one version a load reads:
+SNAPSHOT_VERSION = 6
+# The sections of one type in a version 6 snapshot, the one version a load reads:
 # a load iterates them, so an empty section of another type would load, and
 # re-save as another file.
-_SECTION_TYPES = {"anchors": list, "semantic": list, "logic": list, "pool": list, "video_clock": dict}
-# The keys of each object of a version 5 snapshot, as snapshot_dict writes them: a load
+_SECTION_TYPES = {"anchors": list, "semantic": list, "logic": list, "pool": list}
+# The keys of each object of a version 6 snapshot, as snapshot_dict writes them: a load
 # reads no other key, so one more, or one fewer, would load and re-save as another file.
+_OBSERVATION_COLUMNS = ("id", "video_at", "t", "episode_count")
+_EPISODE_COLUMNS = ("id", "text_at", "anchors_at", "outcome", "attrs_at")
 _KEYS = {kind: frozenset(keys.split()) for kind, keys in (
     ("top level", "version embedder config counters episodic observations " + " ".join(_SECTION_TYPES)),
-    ("counters", "node anchor logic"), ("episodic tables", "texts attrs"),
+    ("counters", "node anchor logic"), ("observations", "videos " + " ".join(_OBSERVATION_COLUMNS)),
+    ("episodic", "texts attrs anchors " + " ".join(_EPISODE_COLUMNS)),
     ("anchor", "id label face_count voice_count face voice"),
     ("semantic node", "id type attrs anchors weight"),
     ("logic node", "id c score steps episodic_links i_goal i_step dag"),
@@ -98,7 +102,7 @@ class MemoryStore:
         self.semantic: dict[int, SemanticNode] = {}
         self.logic: dict[int, LogicNode] = {}
         self.observations: dict[int, ObservationMeta] = {}
-        self.video_clock: dict[str, float] = {}
+        self.video_clock: dict[str, ObservationMeta] = {}  # each video's latest observation
         self.pool: list[PoolEntry] = []
         self.next_node_id = 1
         self.next_anchor_id = 1
@@ -397,13 +401,6 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             if abs(total - 1.0) > 1e-9:
                 v.append(f"logic {logic_id}: transition probs at {src} sum to {total}")
 
-    times = list(store.video_clock.values())
-    if not set(map(type, store.video_clock)) <= {str}:
-        v.append("video_clock videos are not all strings")
-    elif not (set(map(type, times)) <= {float} and math.isfinite(sum(times))):
-        v += [f"video_clock {video!r}: {t!r} is not a finite number"
-              for video, t in sorted(store.video_clock.items()) if not _is_finite_number(t)]
-
     trigger = config.pool_trigger  # a non-number is the config's violation
     if isinstance(trigger, (int, float)) and len(store.pool) >= trigger:
         v.append("candidate pool at or beyond trigger without distillation")
@@ -423,22 +420,27 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     if not set(map(type, episodes)) <= {list}:
         return v + [f"observation {i}: episodes {e!r} are not a list"
                     for i, e in zip(obs_ids, episodes) if type(e) is not list]  # the rules below walk them
-    timed = list(compress(ts, episodes))  # a finite sum proves them; the others are None
-    if not (set(map(type, timed)) <= {float} and math.isfinite(sum(timed))
-            and set(map(type, compress(ts, map(not_, episodes)))) <= {type(None)}):
-        v += [f"observation {i}: t {t!r} is not " + ("a finite number" if e else "None without episodes")
-              for i, t, e in zip(obs_ids, ts, episodes)
-              if (not _is_finite_number(t) if e else t is not None)]
-    if not set(map(type, map(attrgetter("video"), metas))) <= {str}:
-        v += [f"observation {i}: video {m.video!r} is not a str" for i, m in zip(obs_ids, metas)
-              if type(m.video) is not str]
+    faults = len(v)
+    if not (set(map(type, ts)) <= {float} and math.isfinite(sum(ts))):  # a finite sum proves them
+        v += [f"observation {i}: t {t!r} is not a finite number"
+              for i, t in zip(obs_ids, ts) if not _is_finite_number(t)]
+    videos = list(map(attrgetter("video"), metas))
+    if not set(map(type, videos)) <= {str}:
+        v += [f"observation {i}: video {x!r} is not a str"
+              for i, x in zip(obs_ids, videos) if type(x) is not str]
     if not derived:
         return v
 
-    # What a load builds, so that a store that holds it otherwise would load as another: each
-    # node's id from its key; each episode's outcome, and attrs that JSON carries; its text as the
-    # store's one entry for it, with the action its verbs give (once per entry, by valid verbs
-    # only: the config is reported above); and its observation as the one that lists it.
+    # What a load builds, so that a store holding it otherwise would load as another: the clock as each
+    # video's latest observation; each node's id from its key; each episode's outcome, and attrs JSON
+    # carries; its text as the store's one entry for it, with the action its verbs give (once per entry,
+    # by valid verbs only: the config is reported above); and its observation as the one listing it.
+    if len(v) == faults:  # the clock compares the t and the videos tested above
+        clock = store.video_clock  # each entry one of its video's observations, by identity, of top t
+        clocked = set(compress(videos, map(is_, map(clock.get, videos), metas)))
+        if not (len(clocked) == len(clock) == len(set(videos))
+                and all(map(le, ts, map(attrgetter("t"), map(clock.__getitem__, videos))))):
+            v.append("video_clock is not each video's latest observation")
     for kind, nodes_of_kind in held.items():
         own = [n.id for n in nodes_of_kind]
         if not set(map(type, own)) <= {int} or own != ids[kind]:
@@ -544,21 +546,23 @@ def _keyed(obj, kind: str) -> dict:
 
 
 def _gaps(ids: list) -> list:
-    """Increasing ids as the first, then the gap to each next one."""
+    """Ids as the first, then the difference to each next one: a gap, where they increase."""
     return [b - a for a, b in zip([0] + ids, ids)]
 
 
+def _sums(gaps: list) -> list:
+    """The ids that ``gaps`` gives, if they are ints; else ``gaps``, for a rule to refuse."""
+    return list(accumulate(gaps)) if set(map(type, gaps)) <= {int} else gaps
+
+
 def snapshot_dict(store: MemoryStore) -> dict:
-    observations, episodic = _observation_rows(store)
+    observations, episodic = _columns(store)
     return {
         "version": SNAPSHOT_VERSION,
         "embedder": embedder_identity(store.embedder),
         "config": store.config.to_dict(),
-        "counters": {
-            "node": store.next_node_id,
-            "anchor": store.next_anchor_id,
-            "logic": store.next_logic_id,
-        },
+        "counters": {"node": store.next_node_id, "anchor": store.next_anchor_id,
+                     "logic": store.next_logic_id},
         "anchors": [
             {"id": a.id, "label": a.label, "face_count": a.face_count, "voice_count": a.voice_count,
              "face": None if a.centroid_face is None else _vec(a.centroid_face),
@@ -566,52 +570,45 @@ def snapshot_dict(store: MemoryStore) -> dict:
             for _, a in sorted(store.anchors.items())
         ],
         "episodic": episodic,
-        "semantic": [
-            {
-                "id": n.id,
-                "type": n.type,
-                "attrs": n.attrs,
-                "anchors": sorted(n.anchors),
-                "weight": n.weight,
-            }
-            for _, n in sorted(store.semantic.items())
-        ],
+        "semantic": [{"id": n.id, "type": n.type, "attrs": n.attrs, "anchors": sorted(n.anchors),
+                      "weight": n.weight} for _, n in sorted(store.semantic.items())],
         "logic": [
             {"id": n.id, "c": n.c, "score": n.score, "steps": list(n.steps),
              "episodic_links": _gaps(sorted(n.episodic_links)),
              "i_goal": _vec(n.i_goal), "i_step": _vec(n.i_step), "dag": _dag_rows(n.dag)}
             for _, n in sorted(store.logic.items())
         ],
-        "pool": [
-            {
-                "observation": e.observation_id,
-                "vector": _vec(e.vector),
-                "actions": list(e.actions),
-            }
-            for e in store.pool
-        ],
+        "pool": [{"observation": e.observation_id, "vector": _vec(e.vector), "actions": list(e.actions)}
+                 for e in store.pool],
         "observations": observations,
-        "video_clock": dict(sorted(store.video_clock.items())),
     }
 
 
-def _observation_rows(store: MemoryStore) -> tuple:
-    """The observations as version 5 rows, ``[id, video, t or null, [[id, text, anchors,
-    outcome, attrs], ...]]``, and the tables of each distinct text, and attrs of distinct
-    canonical JSON, in order of first use. Nodes with one anchor set share one sorted list."""
-    texts, attrs, rows = {}, {}, []  # attrs: canonical JSON -> (index, attrs)
+def _columns(store: MemoryStore) -> tuple:
+    """The observations, in id order, and their episodes, in order, as version 6 columns, with
+    the tables of each distinct video, text, anchor set and attrs object of distinct canonical
+    JSON, in order of first use."""
+    obs_ids = sorted(store.observations)
+    metas = list(map(store.observations.__getitem__, obs_ids))
+    nodes = list(map(store.episodic.__getitem__, chain.from_iterable(m.episodes for m in metas)))
+    videos, texts, anchors, attrs = {}, {}, {}, {}  # attrs: canonical JSON -> (index, attrs)
     by_repr: dict = {}  # equal reprs are equal JSON, and a repr is the cheaper key
-    ordered = {a: sorted(a) for a in {n.anchors for n in store.episodic.values()}}  # each anchor set once
-    for obs_id, meta in sorted(store.observations.items()):
-        episodes = []
-        for n in map(store.episodic.__getitem__, meta.episodes):
-            at = by_repr.get(key := repr(a := n.attrs))
-            if at is None:
-                at = by_repr[key] = attrs.setdefault(json.dumps(a, sort_keys=True), (len(attrs), a))[0]
-            episodes.append([n.id, texts.setdefault(n.text[0], len(texts)), ordered[n.anchors],  # its d
-                             OUTCOMES.index(n.outcome), at])
-        rows.append([obs_id, meta.video, meta.t, episodes])
-    return rows, {"texts": list(texts), "attrs": [a for _, a in attrs.values()]}
+    attrs_at = []
+    for a in map(attrgetter("attrs"), nodes):
+        at = by_repr.get(key := repr(a))
+        if at is None:
+            at = by_repr[key] = attrs.setdefault(json.dumps(a, sort_keys=True), (len(attrs), a))[0]
+        attrs_at.append(at)
+    observations = {"id": _gaps(obs_ids), "t": [m.t for m in metas],
+                    "video_at": [videos.setdefault(m.video, len(videos)) for m in metas],
+                    "episode_count": [len(m.episodes) for m in metas]}
+    episodic = {"id": _gaps([n.id for n in nodes]), "outcome": [OUTCOMES.index(n.outcome) for n in nodes],
+                "text_at": [texts.setdefault(n.text[0], len(texts)) for n in nodes],  # by its d
+                "anchors_at": [anchors.setdefault(n.anchors, len(anchors)) for n in nodes],
+                "attrs_at": attrs_at}
+    return ({"videos": list(videos), **observations},
+            {"texts": list(texts), "attrs": [a for _, a in attrs.values()],
+             "anchors": list(map(sorted, anchors)), **episodic})
 
 
 def _refuse_constant(name: str):  # NaN or Infinity: json reads them, and a save never writes them
@@ -625,64 +622,64 @@ def _increasing(lists: list, what: str) -> None:
         raise CorruptSnapshot(f"{what} are not ints in strictly increasing order")
 
 
-def _rows(table, width: int, what: str) -> list:
-    """``table`` if it is rows of ``width`` fields in strictly increasing int id order."""
-    if not (type(table) is list and set(map(type, table)) <= {list} and set(map(len, table)) <= {width}):
-        raise CorruptSnapshot(f"{what} rows are not {width} fields each")
-    _increasing([[row[0] for row in table]], f"the {what} rows' ids")
-    return table
-
-
 def _refuse_unless_first_uses(indexes, keys: list, what: str) -> None:
     """Refuse unless a table's entries, by ``keys``, are distinct, and the
     indexes into it are ints whose first uses are 0, 1, ... to its last."""
     # ints by type first: true and 1.0 would pass for 1 in the dict
     if (not set(map(type, indexes)) <= {int} or len(set(keys)) != len(keys)
             or list(dict.fromkeys(indexes)) != list(range(len(keys)))):
-        raise CorruptSnapshot(f"episodic {what} table is not each distinct {what} once, "
-                              "in order of first use")
+        raise CorruptSnapshot(f"{what} table is not each distinct entry once, in order of first use")
 
 
-def _add_observations(store: MemoryStore, tables: dict, observations: list) -> None:
-    """Build the observations and their episodic nodes from version 5 rows, each text's
-    entry (vector and action) and each observation once, and each node pointing at both.
-    Anything but the canonical rows and tables of some store is refused."""
-    texts, attrs = tables["texts"], tables["attrs"]
-    if not (all(isinstance(d, str) for d in texts) and all(isinstance(a, dict) for a in attrs)):
-        raise CorruptSnapshot("episodic texts are not all strings, or attrs not all objects")
-    rows = [row for observation in _rows(observations, 4, "observation") for row in observation[3]]
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {5}):
-        raise CorruptSnapshot("episode rows are not 5 fields each")
-    if bad := next((o for o in observations if type(o[3]) is not list
-                    or (o[2] is None) != (not o[3])), None):
-        raise CorruptSnapshot(f"observation {bad[0]}: t {bad[2]!r} is not null exactly when it "
-                              "lists no episodes")
-    if not all(type(o[1]) is str for o in observations):  # intern takes no number
-        raise CorruptSnapshot("observation videos are not all strings")
-    _, text_at, anchors, outcomes, attrs_at = zip(*rows) if rows else ((),) * 5
-    _increasing(anchors, "episodic anchors")
+def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> None:
+    """Build the observations and their episodic nodes from version 6 columns, each table entry
+    once (a video, a text's entry with its vector and action, an anchor set, an attrs object), and
+    each node pointing at its entries and its observation. Anything but the canonical columns and
+    tables of some store is refused."""
+    texts, attrs, anchor_sets = tables["texts"], tables["attrs"], tables["anchors"]
+    videos = observations["videos"]
+    obs_columns = [observations[name] for name in _OBSERVATION_COLUMNS]
+    ep_columns = [tables[name] for name in _EPISODE_COLUMNS]
+    if not set(map(type, [texts, attrs, anchor_sets, videos, *obs_columns, *ep_columns])) <= {list}:
+        raise CorruptSnapshot("observation and episodic columns and tables are not all lists")
+    for what, columns in (("observation", obs_columns), ("episodic", ep_columns)):
+        if len(set(map(len, columns))) != 1:
+            raise CorruptSnapshot(f"{what} columns are not of one length")
+    if not (set(map(type, texts + videos)) <= {str} and set(map(type, attrs)) <= {dict}):
+        raise CorruptSnapshot("episodic texts and videos are not all strings, or attrs objects")
+    (obs_ids, video_at, ts, counts), (ep_ids, text_at, anchors_at, outcomes, attrs_at) = (
+        [_sums(obs_columns[0]), *obs_columns[1:]], [_sums(ep_columns[0]), *ep_columns[1:]])
+    _increasing([obs_ids], "observation ids")
+    if not (set(map(type, counts)) <= {int} and min(counts, default=0) >= 0
+            and sum(counts) == len(ep_ids)):
+        raise CorruptSnapshot("observation episode counts do not split the episodic columns")
+    _increasing(anchor_sets, "episodic anchors")
     if not (set(map(type, outcomes)) <= {int} and set(outcomes) <= set(range(len(OUTCOMES)))):
         raise CorruptSnapshot(f"episodic outcomes are not indexes into {OUTCOMES}")
-    _refuse_unless_first_uses(text_at, texts, "text")
+    _refuse_unless_first_uses(video_at, videos, "observation video")
+    _refuse_unless_first_uses(text_at, texts, "episodic text")
+    _refuse_unless_first_uses(anchors_at, list(map(tuple, anchor_sets)), "episodic anchors")
     _refuse_unless_first_uses(attrs_at, [json.dumps(a, sort_keys=True, allow_nan=False)  # no NaN
-                                         for a in attrs], "attrs")
-    entries = [store.text_entry(d) for d in texts]
-    attrs = [store.own_attrs(a) for a in attrs]
-    nodes, intern = {}, store.interned.setdefault  # store.intern, without a call per node
-    for obs_id, video, t, episodes in observations:
-        meta = store.observations[obs_id] = ObservationMeta(
-            intern(video, video), list(map(itemgetter(0), episodes)), t)
-        for node_id, text, anchors, outcome, at in episodes:  # fields in declaration order
-            nodes[node_id] = EpisodicNode(node_id, entries[text], meta, intern(a := frozenset(anchors), a),
-                                          OUTCOMES[outcome], dict(attrs[at]))
-    _increasing([m.episodes for m in store.observations.values()], "the episode ids of an observation")
-    if len(nodes) != len(rows):
+                                         for a in attrs], "episodic attrs")
+    intern = store.interned.setdefault  # store.intern, without a call per entry
+    videos = [intern(video, video) for video in videos]
+    anchor_sets = [intern(a := frozenset(ids), a) for ids in anchor_sets]
+    entries, attrs = [store.text_entry(d) for d in texts], [store.own_attrs(a) for a in attrs]
+    metas = [ObservationMeta(videos[at], ep_ids[end - n:end], t)
+             for at, t, n, end in zip(video_at, ts, counts, accumulate(counts))]
+    _increasing([m.episodes for m in metas], "the episode ids of an observation")
+    store.observations = dict(zip(obs_ids, metas))
+    nodes = dict(zip(ep_ids, map(  # fields in declaration order
+        EpisodicNode, ep_ids, map(entries.__getitem__, text_at),
+        chain.from_iterable(map(repeat, metas, counts)), map(anchor_sets.__getitem__, anchors_at),
+        map(OUTCOMES.__getitem__, outcomes), map(dict, map(attrs.__getitem__, attrs_at)))))
+    if len(nodes) != len(ep_ids):
         raise CorruptSnapshot("an episode is listed by two observations")
     store.episodic = {i: nodes[i] for i in sorted(nodes)}  # in id order, as ingest made them
 
 
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
-    """Rebuild a store from a version 5 snapshot dict; every other version is
+    """Rebuild a store from a version 6 snapshot dict; every other version is
     refused, as no reader of it is kept.
 
     Episodic and semantic vectors are recomputed with ``embedder`` (default:
@@ -724,7 +721,8 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             store.anchors[a["id"]] = EntityAnchor(a["id"], a["label"], face, voice,
                                                   a["face_count"], a["voice_count"])
         store.centroid_rows = CentroidRows(store.anchors, config.dim)
-        _add_observations(store, _keyed(data["episodic"], "episodic tables"), data["observations"])
+        _add_observations(store, _keyed(data["episodic"], "episodic"),
+                          _keyed(data["observations"], "observations"))
         _increasing([s["anchors"] for s in data["semantic"]], "semantic anchors")
         for s in data["semantic"]:
             v_s = store.embed(s["attrs"]) if type(s["attrs"]) is str else None  # check_store reports it
@@ -732,8 +730,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                                                    store.intern(frozenset(s["anchors"])), s["weight"])
         episodic = store.episodic
         for l in data["logic"]:
-            gaps = l["episodic_links"]  # a gap below 1 or not an int: not increasing
-            links = list(accumulate(gaps)) if set(map(type, gaps)) <= {int} else gaps
+            links = _sums(l["episodic_links"])  # a gap below 1 or not an int: not increasing
             _increasing([links], f"logic {l['id']} episodic links")
             node = LogicNode(
                 id=l["id"], c=l["c"],
@@ -755,12 +752,14 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                           _vec_from(p["vector"], config.dim, f"pool entry {p['observation']}"),
                           tuple(p["actions"]))
             )
-        store.video_clock = {store.intern(video): t for video, t in data["video_clock"].items()}
-        violations = check_store(store, derived=False)  # derived above
+        violations = check_store(store, derived=False)  # derived above, and the clock below
     except ConfigError as exc:
         raise CorruptSnapshot(f"snapshot config invalid: {exc}") from None
     except (KeyError, TypeError, ValueError, DimensionMismatch, MissingEdge) as exc:
         raise CorruptSnapshot(f"snapshot structure invalid: {exc!r}") from None
     if violations:
         raise CorruptSnapshot(violations[0])
+    for meta in store.observations.values():  # each video's latest, by t: the last of equal ones
+        if (last := store.video_clock.get(meta.video)) is None or last.t <= meta.t:
+            store.video_clock[meta.video] = meta
     return store

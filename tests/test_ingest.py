@@ -11,6 +11,7 @@ from memstrata import (
     Config,
     DanglingMention,
     Description,
+    DimensionMismatch,
     DuplicateObservation,
     MalformedRecord,
     MemoryStore,
@@ -581,6 +582,39 @@ def test_ingest_rejects_bad_api_record_fields_unchanged():
     # The clock still guards the source after the refused NaN timestamp.
     with pytest.raises(MalformedRecord):
         store.ingest(ObservationRecord(3, "v", 0.0, [Description("mix")], [], []))
+
+
+def _with_a_smell(rid):
+    # the face makes a new anchor if ingest starts mutating before it meets the smell
+    return ObservationRecord(rid, "v", 2.0, [Description("@ana mix the fruit")], [],
+                             [Percept("face", one_hot(1, 4), "ana"),
+                              Percept("smell", one_hot(2, 4), "bob")])
+
+
+@pytest.mark.parametrize("record,error", [
+    (_with_a_smell(2), MalformedRecord),
+    (ObservationRecord(2, "v", 2.0, [], [], [Percept("face", one_hot(1, 4), 5)]), MalformedRecord),
+    (ObservationRecord(2, "v", 2.0, [], [], [Percept("face", [0.0, 1.0, 0.0, 0.0], "ana")]),
+     MalformedRecord),
+    (ObservationRecord(2, "v", 2.0, [], [], [Percept("face", one_hot(1, 5), "ana")]),
+     DimensionMismatch),
+    (ObservationRecord(2, "v", 2.0, [Description(5)], [], []), MalformedRecord),
+    (ObservationRecord(2, "v", 2.0, [], [Conclusion("knowledge", 5)], []), MalformedRecord),
+    (ObservationRecord(2, "v", 2.0, [], [Conclusion(5, "bowls are downstairs")], []), MalformedRecord),
+], ids=["percept-kind", "percept-hint", "percept-vector", "percept-dim", "description-text",
+        "conclusion-text", "conclusion-type"])
+def test_ingest_refuses_a_bad_field_of_a_record_built_in_code_before_any_mutation(record, error):
+    # A record built in code skips record_from_dict: ingest checks each field itself, before
+    # the first mutation, where a bare KeyError, TypeError or AttributeError used to escape,
+    # or an int hint became an anchor label that no snapshot may hold.
+    store = small_store(dim=4)
+    store.ingest(ObservationRecord(1, "v", 1.0, [Description("@jack chop the fruit")], [],
+                                   [Percept("face", one_hot(0, 4), "jack")]))
+    before = json.dumps(snapshot_dict(store), sort_keys=True)
+    with pytest.raises(error):
+        store.ingest(record)
+    assert json.dumps(snapshot_dict(store), sort_keys=True) == before
+    assert store.check() == [] and len(store.anchors) == 1
 
 
 def test_read_observation_lines_requires_header():

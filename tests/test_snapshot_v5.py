@@ -1,6 +1,7 @@
-"""Snapshot version 5, the only version a load reads: the one canonical form
-a load accepts, the stores a save refuses, and a round-trip property over the
-record shapes version 5 writes in a way of its own (no descriptions, mixed
+"""Snapshot version 6, the only version a load reads (this file is named for
+version 5, the first whose rows these tests pinned): the one canonical form a
+load accepts, the stores a save refuses, and a round-trip property over the
+record shapes the snapshot writes in a way of its own (no descriptions, mixed
 outcomes, record ids out of ingest order)."""
 
 import copy
@@ -23,6 +24,7 @@ from memstrata import (
     CorruptSnapshot,
     Description,
     DuplicateObservation,
+    MalformedRecord,
     MemoryEngineError,
     MemoryStore,
     ObservationRecord,
@@ -36,7 +38,7 @@ from memstrata.store import snapshot_dict, store_from_dict
 from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot
 
 DIM = 32
-V5_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v5_dim8.json")
+V6_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v6_dim8.json")
 
 
 def shapes_store() -> MemoryStore:
@@ -72,14 +74,17 @@ def test_shapes_store_saves_observations_in_id_order_with_their_nodes(tmp_path):
     store = shapes_store()
     store.save(path)
     data = json.loads(open(path).read())
-    assert [row[:3] for row in data["observations"]] == [
-        [10, "v3", 1.0], [11, "v3", None], [20, "v2", 1.0], [21, "v2", None],
-        [30, "v1", 1.0], [31, "v1", None]]
-    assert data["observations"][2][3] == [[6, 0, [1], 0, 0], [7, 1, [1, 2], 1, 1],
-                                          [8, 2, [2], 0, 2]]
+    # Observations 10, 11, 20, 21, 30, 31 of v3, v2, v1, each with its own t; the three
+    # with descriptions list episodes 10-12, 6-8 and 1-3 (ingested from 30 down).
+    assert data["observations"] == {
+        "videos": ["v3", "v2", "v1"], "id": [10, 1, 9, 1, 9, 1], "video_at": [0, 0, 1, 1, 2, 2],
+        "t": [1.0, 2.0] * 3, "episode_count": [3, 0] * 3}
     assert data["episodic"] == {
         "texts": ["@jack chop the fruit", "@ana and @jack mix the fruit", "@ana serve the salad"],
-        "attrs": [{"tool": "knife"}, {"tool": "bowl"}, {}]}
+        "attrs": [{"tool": "knife"}, {"tool": "bowl"}, {}], "anchors": [[1], [1, 2], [2]],
+        "id": [10, 1, 1, -6, 1, 1, -7, 1, 1], "text_at": [0, 1, 2] * 3, "anchors_at": [0, 1, 2] * 3,
+        "outcome": [0, 0, 0, 0, 1, 0, 0, 0, 0], "attrs_at": [0, 1, 2] * 3}
+    assert "video_clock" not in data
     assert data["logic"][0]["episodic_links"] == [1, 1, 1, 3, 1, 1, 2, 1, 1]
     loaded = MemoryStore.load(path)
     assert loaded.check() == []
@@ -94,18 +99,18 @@ def _swap(rows, i=0, j=1):
     rows[i], rows[j] = rows[j], rows[i]
 
 
-def _swap_ids(rows):
-    rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
-
-
 def _repeat(rows, at, **changes):
     """Insert a copy of ``rows[at]`` after it, a dict entry with ``changes``."""
     row = rows[at]
     rows.insert(at + 1, dict(row, **changes) if isinstance(row, dict) else copy.deepcopy(row))
 
 
-def _nodes(data, obs=0):
-    return data["observations"][obs][3]
+def _observations(data, column):
+    return data["observations"][column]
+
+
+def _episodes(data, column):
+    return data["episodic"][column]
 
 
 def _links(data):
@@ -120,11 +125,37 @@ def _set(rows, at, column, value):
     rows[at][column] = value
 
 
+def _episode_in_two_observations(data):
+    # observation 40 of v3 at t 1.0 lists episode 10, which observation 10 lists
+    for column, value in (("id", 9), ("video_at", 0), ("t", 1.0), ("episode_count", 1)):
+        _observations(data, column).append(value)
+    for column, value in (("id", 10 - 3), ("text_at", 0), ("anchors_at", 0), ("outcome", 0),
+                          ("attrs_at", 0)):
+        _episodes(data, column).append(value)
+
+
+def _swap_first_uses(section, table, column):
+    # the first two entries of a table trade places, and every index with them
+    def plant(data):
+        data[section][table][:2] = data[section][table][1::-1]
+        data[section][column] = [{0: 1, 1: 0}.get(at, at) for at in data[section][column]]
+    return plant
+
+
+def _column(section, column, at, value):
+    def plant(data):
+        data[section][column][at] = value
+    return plant
+
+
 SECTION_ORDER = "ids are not ints in strictly increasing order"
 DAG_ROWS = "dag rows are not"
 OUTCOME = "episodic outcomes are not indexes into"
+OBSERVATION_IDS = "^observation ids are not ints in strictly increasing order$"
 EPISODE_IDS = "the episode ids of an observation are not ints in strictly increasing order"
 GAPS = "logic 1 episodic links are not ints in strictly increasing order"
+VIDEOS, ANCHORS = "^observation video table is not", "^episodic anchors table is not"
+COUNTS = "^observation episode counts do not split the episodic columns$"
 
 CASES = {
     "anchors-swapped": (lambda d: _swap(d["anchors"]), "anchors " + SECTION_ORDER),
@@ -132,24 +163,44 @@ CASES = {
     "semantic-swapped": (lambda d: _swap(d["semantic"]), "semantic " + SECTION_ORDER),
     "semantic-repeated": (lambda d: _repeat(d["semantic"], 0, weight=7), "semantic " + SECTION_ORDER),
     "logic-repeated": (lambda d: _repeat(d["logic"], 0, score=0.5), "logic " + SECTION_ORDER),
-    "observations-swapped": (lambda d: _swap(d["observations"]), "observation rows' ids"),
-    "observation-repeated": (lambda d: _repeat(d["observations"], 1), "observation rows' ids"),
-    "episode-ids-swapped": (lambda d: _swap_ids(_nodes(d)), EPISODE_IDS),
-    "episode-id-repeated": (lambda d: _set(_nodes(d), 1, 0, _nodes(d)[0][0]), EPISODE_IDS),
-    "episode-id-true": (lambda d: _set(_nodes(d), 0, 0, True), EPISODE_IDS),
-    "episode-in-two-observations": (
-        lambda d: d["observations"].append([40, "v3", 1.0, [list(_nodes(d)[0])]]),
-        "an episode is listed by two observations"),
-    "node-anchors-repeated": (lambda d: _set(_nodes(d), 0, 2, [1, 1]), "episodic anchors are not"),
-    "node-anchors-unsorted": (lambda d: _set(_nodes(d), 1, 2, [2, 1]), "episodic anchors are not"),
-    "node-anchors-true": (lambda d: _set(_nodes(d), 0, 2, [True]), "episodic anchors are not"),
+    # observation ids as gaps: 11 then 10 (a gap of -1), and 10 twice (a gap of 0)
+    "observations-swapped": (lambda d: _observations(d, "id").__setitem__(slice(0, 2), [11, -1]),
+                             OBSERVATION_IDS),
+    "observation-repeated": (_column("observations", "id", 1, 0), OBSERVATION_IDS),
+    "observation-id-true": (_column("observations", "id", 0, True), OBSERVATION_IDS),
+    "video-past-end": (_column("observations", "video_at", 1, 3), VIDEOS),
+    "video-true": (_column("observations", "video_at", 2, True), VIDEOS),
+    "video-out-of-order": (_swap_first_uses("observations", "videos", "video_at"), VIDEOS),
+    "video-unused": (lambda d: _observations(d, "videos").append("v9"), VIDEOS),
+    "video-not-a-string": (_column("observations", "videos", 0, 3),
+                           "^episodic texts and videos are not all strings"),
+    "count-short": (_column("observations", "episode_count", 0, 2), COUNTS),
+    "count-negative": (lambda d: _observations(d, "episode_count").__setitem__(slice(0, 2), [4, -1]),
+                       COUNTS),
+    "count-true": (_column("observations", "episode_count", 1, False), COUNTS),
+    # episode ids as differences: 11, 10, 12 (an id below the one before it in its
+    # observation), 10 twice, and true for 10
+    "episode-ids-swapped": (lambda d: _episodes(d, "id").__setitem__(slice(0, 3), [11, -1, 2]),
+                            EPISODE_IDS),
+    "episode-id-repeated": (lambda d: _episodes(d, "id").__setitem__(slice(1, 3), [0, 2]), EPISODE_IDS),
+    "episode-id-true": (_column("episodic", "id", 0, True), EPISODE_IDS),
+    "episode-in-two-observations": (_episode_in_two_observations,
+                                    "an episode is listed by two observations"),
+    "node-anchors-repeated": (_column("episodic", "anchors", 0, [1, 1]), "episodic anchors are not"),
+    "node-anchors-unsorted": (_column("episodic", "anchors", 1, [2, 1]), "episodic anchors are not"),
+    "node-anchors-true": (_column("episodic", "anchors", 0, [True]), "episodic anchors are not"),
+    "anchors-at-past-end": (_column("episodic", "anchors_at", 0, 3), ANCHORS),
+    "anchors-at-out-of-order": (_swap_first_uses("episodic", "anchors", "anchors_at"), ANCHORS),
+    "anchors-unused": (lambda d: _episodes(d, "anchors").append([]), ANCHORS),
+    "anchors-duplicate": (lambda d: (_episodes(d, "anchors").append([1]),
+                                     _episodes(d, "anchors_at").__setitem__(6, 3)), ANCHORS),
     "semantic-anchors-repeated": (lambda d: _set(d["semantic"], 1, "anchors", [2, 2]),
                                   "semantic anchors are not"),
-    "outcome-minus-one": (lambda d: _set(_nodes(d), 0, 3, -1), OUTCOME),
-    "outcome-past-end": (lambda d: _set(_nodes(d), 0, 3, len(OUTCOMES)), OUTCOME),
-    "outcome-true": (lambda d: _set(_nodes(d), 0, 3, True), OUTCOME),
-    "outcome-float": (lambda d: _set(_nodes(d), 0, 3, 0.0), OUTCOME),
-    "outcome-string": (lambda d: _set(_nodes(d), 0, 3, "success"), OUTCOME),
+    "outcome-minus-one": (_column("episodic", "outcome", 0, -1), OUTCOME),
+    "outcome-past-end": (_column("episodic", "outcome", 0, len(OUTCOMES)), OUTCOME),
+    "outcome-true": (_column("episodic", "outcome", 0, True), OUTCOME),
+    "outcome-float": (_column("episodic", "outcome", 0, 0.0), OUTCOME),
+    "outcome-string": (_column("episodic", "outcome", 0, "success"), OUTCOME),
     "gap-zero": (lambda d: _links(d).__setitem__(1, 0), GAPS),
     "gap-negative": (lambda d: _links(d).__setitem__(3, -1), GAPS),
     "gap-true": (lambda d: _links(d).__setitem__(1, True), GAPS),
@@ -165,12 +216,19 @@ CASES = {
     "dag-edges-swapped": (lambda d: _swap(_dag(d, "edges")), DAG_ROWS),
     "dag-node-attrs-null": (lambda d: _set(_dag(d, "nodes"), 1, 1, None), "not a mapping"),
     "dag-node-attrs-list": (lambda d: _set(_dag(d, "nodes"), 1, 1, []), "not a mapping"),
-    "t-null-with-episodes": (lambda d: _set(d["observations"], 0, 2, None),
-                             "observation 10: t None is not null exactly"),
-    "t-zero-without-episodes": (lambda d: _set(d["observations"], 1, 2, 0),
-                                "observation 11: t 0 is not null exactly"),
-    "t-without-episodes": (lambda d: _set(d["observations"], 1, 2, 2.0),
-                           "observation 11: t 2.0 is not null exactly"),
+    # every observation has its t, a finite number, with episodes (10) or without (11)
+    "t-null-with-episodes": (_column("observations", "t", 0, None),
+                             "^observation 10: t None is not a finite number$"),
+    "t-zero-without-episodes": (_column("observations", "t", 1, "0"),
+                                "^observation 11: t '0' is not a finite number$"),
+    "t-without-episodes": (_column("observations", "t", 1, None),
+                           "^observation 11: t None is not a finite number$"),
+    "t-inf": (_column("observations", "t", 0, float("inf")),
+              "^observation 10: t inf is not a finite number$"),
+    "observations-unknown-key": (lambda d: d["observations"].__setitem__("clock", []),
+                                 "^snapshot observations: not an object with exactly the keys"),
+    "episodic-unknown-key": (lambda d: d["episodic"].__setitem__("t", []),
+                             "^snapshot episodic: not an object with exactly the keys"),
 }
 
 
@@ -197,12 +255,12 @@ def test_pool_actions_not_a_list_of_strings_rejected(actions):
 
 
 @pytest.mark.parametrize("section,other", [
-    ("anchors", {}), ("semantic", {}), ("logic", {}), ("pool", {}), ("video_clock", []),
-], ids=["anchors", "semantic", "logic", "pool", "video_clock"])
+    ("anchors", {}), ("semantic", {}), ("logic", {}), ("pool", {}),
+], ids=["anchors", "semantic", "logic", "pool"])
 def test_section_of_another_type_rejected_in_every_version(section, other):
     # A load iterates each section, so an empty one of another type would
     # load as empty and re-save as another file.
-    for data in (snapshot_dict(shapes_store()), json.loads(open(V5_FIXTURE).read())):
+    for data in (snapshot_dict(shapes_store()), json.loads(open(V6_FIXTURE).read())):
         data[section] = other
         with pytest.raises(CorruptSnapshot, match=f"snapshot section '{section}' is not a"):
             store_from_dict(data)
@@ -255,17 +313,17 @@ def _t_of_an_observation(store):
     store.observations[10].t = float("nan")
 
 
-def _t_without_episodes(store):
-    store.observations[11].t = 1  # an observation that lists no episodes has no t
+def _t_a_bool(store):
+    store.observations[11].t = True  # an int to Python, but JSON writes it as true
 
 
 @pytest.mark.parametrize("plant,violations", [
     (_t_of_an_observation, ["observation 10: t nan is not a finite number"]),
-    (_t_without_episodes, ["observation 11: t 1 is not None without episodes"]),
+    (_t_a_bool, ["observation 11: t True is not a finite number"]),
 ], ids=["t", "t-int"])
 def test_store_that_v5_cannot_write_is_reported_and_not_saved(tmp_path, plant, violations):
-    # Version 5 stores one t per observation, null exactly when it lists no
-    # episodes: a store that holds another would load as another store. Save
+    # The snapshot stores each observation's t, a finite number, with episodes or
+    # without: a store that holds another would load as another store. Save
     # refuses it with the first violation check() reports.
     path = str(tmp_path / "snap.json")
     store = shapes_store()
@@ -405,8 +463,12 @@ def _no_evidence(store):
     store.logic[1].episodic_links = set()
 
 
-def _video_clock_key_not_a_str(store):
-    store.video_clock[1] = 0.0
+def _video_clock_key_not_a_video(store):
+    store.video_clock[1] = store.observations[10]
+
+
+def _video_clock_not_the_latest(store):
+    store.video_clock["v1"] = store.observations[30]  # v1's t 1.0, where record 31 has t 2.0
 
 
 def _pool_entry_of_an_unknown_observation(store):
@@ -435,7 +497,8 @@ def _transition_sum_overflows(store):
 
 @pytest.mark.parametrize("plant,violations", [
     (_no_evidence, ["logic 1: no episodic evidence"]),
-    (_video_clock_key_not_a_str, ["video_clock videos are not all strings"]),
+    (_video_clock_key_not_a_video, ["video_clock is not each video's latest observation"]),
+    (_video_clock_not_the_latest, ["video_clock is not each video's latest observation"]),
     (_pool_entry_of_an_unknown_observation, ["pool entry references unknown observation 99"]),
     (_pool_actions_a_list,
      ["pool entry 40: actions ['walk_to_the_store'] are not a tuple of strings"]),
@@ -443,8 +506,8 @@ def _transition_sum_overflows(store):
      ["pool entry references unknown observation 40", "observation ids are not all ints"]),
     (_missing_episode, ["observation 10: missing episode 99"]),
     (_transition_sum_overflows, ["logic 1: transition probs at START sum to 0.0"]),
-], ids=["no-evidence", "video-clock-key", "pool-observation", "pool-actions", "observation-id",
-        "missing-episode", "transition-overflow"])
+], ids=["no-evidence", "video-clock-key", "video-clock-not-latest", "pool-observation", "pool-actions",
+        "observation-id", "missing-episode", "transition-overflow"])
 def test_each_rule_no_other_test_reaches_reports_its_plant(tmp_path, plant, violations):
     path = str(tmp_path / "snap.json")
     store = pooled_shapes_store()
@@ -479,14 +542,47 @@ def test_check_reports_attrs_that_json_cannot_carry_exactly(tmp_path, value):
 
 
 def test_check_accepts_attrs_that_json_carries_and_ends_its_walk_on_a_cycle(tmp_path):
+    # A container held twice is written twice and read back equal; one that holds
+    # itself cannot be written, so check() reports it and save and ingest refuse it.
+    path = str(tmp_path / "snap.json")
     store = shapes_store()
     shared = [1, 2.5, None, True, "x", {"deep": [{"er": -0.0}]}]
     store.episodic[1].attrs.update(n=2**70, shared=shared, again=shared)
     assert store.check() == []
-    shared.append(shared)  # each container is walked once, so the walk ends
-    assert isinstance(store.check(), list)
-    with pytest.raises(SnapshotIoError):  # json cannot write a cycle
-        store.save(str(tmp_path / "snap.json"))
+    store.save(path)
+    shared[-1]["deep"].append(shared)  # a cycle three containers long
+    step = store.logic[1].dag.nodes["mix_fruit"]
+    step.attrs["self"] = step.attrs
+    assert store.check() == ["logic 1: mix_fruit attrs hold what JSON cannot carry exactly",
+                             "episodic 1: attrs hold what JSON cannot carry exactly"]
+    with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0]) + "$"):
+        store.save(path)
+    del step.attrs["self"], store.episodic[1].attrs["shared"], store.episodic[1].attrs["again"]
+    before = json.dumps(snapshot_dict(store))
+    with pytest.raises(MalformedRecord, match="hold what JSON cannot carry exactly"):
+        store.ingest(ObservationRecord(50, "v5", 0.0, [Description("chop the fruit", {"s": shared})],
+                                       [], []))
+    assert json.dumps(snapshot_dict(store)) == before and 50 not in store.observations
+
+
+def test_loaded_and_cloned_clocks_are_each_videos_latest_observation(tmp_path):
+    # Records 4 and 9 of v list episodes at t 1.0 and 2.0; record 6, ingested last, lists
+    # none, at t 3.0. It sets v's clock, though it is neither the first nor the last
+    # observation by id, and a clock of episodes alone would stop at 2.0.
+    path = str(tmp_path / "snap.json")
+    live = MemoryStore(Config(dim=DIM, action_verbs=FRUIT_VERBS))
+    for rid, t, lines in ((4, 1.0, ["chop the fruit"]), (9, 2.0, ["mix the fruit"]), (6, 3.0, [])):
+        live.ingest(ObservationRecord(rid, "v", t, [Description(line) for line in lines], [], []))
+    live.save(path)
+    forks = {"live": live, "loaded": MemoryStore.load(path), "cloned": live.clone()}
+    for name, fork in forks.items():
+        assert fork.video_clock == {"v": fork.observations[6]}, name
+        assert fork.video_clock["v"] is fork.observations[6], name
+        with pytest.raises(MalformedRecord, match=r"^timestamp 2\.5 for 'v' precedes previous 3\.0$"):
+            fork.ingest(ObservationRecord(10, "v", 2.5, [Description("serve the salad")], [], []))
+        fork.ingest(ObservationRecord(10, "v", 3.0, [Description("serve the salad")], [], []))
+        assert fork.check() == [] and fork.video_clock["v"] is fork.observations[10], name
+    assert len({json.dumps(snapshot_dict(fork), sort_keys=True) for fork in forks.values()}) == 1
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
@@ -580,11 +676,12 @@ def _run(store, op, records, clock):
 
 
 def _episodic_state(store):
-    """What a load must give back exactly: every node field, and each
-    observation's video and nodes in order."""
+    """What a load must give back exactly: every node field, each observation's
+    video, t and nodes in order, and each video's clock."""
     return ({i: (repr(n.t), n.d, n.video, n.anchors, n.action, n.outcome, repr(n.attrs))
              for i, n in store.episodic.items()},
-            {i: (m.video, m.episodes) for i, m in store.observations.items()},
+            {i: (m.video, repr(m.t), m.episodes) for i, m in store.observations.items()},
+            {video: repr(m.t) for video, m in store.video_clock.items()},
             store.percept_count)
 
 

@@ -167,7 +167,7 @@ def test_non_finite_snapshot_vector_rejected(tmp_path, section, field):
     ready_store().save(path)
     data = json.loads(open(path).read())
     if section == "pool":
-        data["pool"] = [{"observation": data["observations"][0][0],
+        data["pool"] = [{"observation": data["observations"]["id"][0],
                          "vector": data["logic"][0]["i_goal"], "actions": []}]
     vec = decode_vector(data[section][0][field], data["config"]["dim"])
     vec[0] = float("nan")
@@ -196,14 +196,15 @@ def _first_edge(data):
 
 
 @pytest.mark.parametrize("where,value", [
-    (lambda d: (d["observations"][0], 2), float("nan")),
+    (lambda d: (d["observations"]["t"], 0), float("nan")),
     (lambda d: (d["logic"][0], "score"), float("nan")),
     (lambda d: (d["logic"][0]["dag"]["nodes"][1], 2), float("nan")),
     (lambda d: (d["logic"][0]["dag"]["nodes"][1], 3), float("inf")),
     (lambda d: (_first_edge(d), 2), float("nan")),
     (lambda d: (_first_edge(d), 2), "3"),
     (lambda d: (_first_edge(d), 3), float("inf")),
-    (lambda d: (d["video_clock"], "v1"), float("nan")),
+    # v1's clock is its latest observation's t: record 3's, at t 2.0
+    (lambda d: (d["observations"]["t"], 2), float("nan")),
 ], ids=["episodic-t", "logic-score", "dag-success_alpha", "dag-success_beta",
         "edge-count", "edge-count-str", "edge-gamma", "video_clock"])
 def test_non_finite_snapshot_scalar_rejected(tmp_path, where, value):
@@ -221,8 +222,8 @@ def test_non_finite_snapshot_scalar_rejected(tmp_path, where, value):
     lambda d: (d["anchors"][0], "face_count"),
     lambda d: (d["semantic"][0], "weight"),
     lambda d: (d["counters"], "node"),
-    lambda d: (d["observations"][0][3][0], 0),
-    lambda d: (d["observations"][0], 0),
+    lambda d: (d["episodic"]["id"], 0),
+    lambda d: (d["observations"]["id"], 0),
 ], ids=["anchor-face_count", "semantic-weight", "counter-node", "episodic-id",
         "observation-id"])
 def test_mistyped_snapshot_number_rejected(tmp_path, where):
@@ -523,32 +524,41 @@ def test_load_of_a_finite_vector_whose_square_overflows_warns_nothing(tmp_path):
         assert MemoryStore.load(path, embedder=embedder).check() == []
 
 
-def test_v5_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
+def test_v6_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.save(path)
     text = open(path).read()
     assert "\n" not in text[:-1] and text.endswith("\n")
     data = json.loads(text)
-    assert data["version"] == 5
+    assert data["version"] == 6
     assert data["embedder"] == {"name": "hashing-fnv1a64", "dim": 512}
-    assert data["observations"] and data["semantic"]
+    assert data["observations"]["id"] and data["semantic"]
     assert all("v" not in entry for entry in data["semantic"])
-    # each distinct text and attrs once, in first-use order as the file lists
-    # the nodes, and each observation one [id, video, t, nodes] row holding
-    # [id, text, anchors, outcome, attrs] rows: no vector, action, video or own t
-    nodes = [store.episodic[i] for _, meta in sorted(store.observations.items())
-             for i in meta.episodes]
+    assert "video_clock" not in data  # each video's latest observation gives it
+    # each distinct video, text, anchor set and attrs once, in first-use order as the file
+    # lists the nodes, and one column per observation field and per episode field, ids as
+    # differences: no vector, action, video or own t
+    metas = [meta for _, meta in sorted(store.observations.items())]
+    nodes = [store.episodic[i] for meta in metas for i in meta.episodes]
+    videos = list(dict.fromkeys(meta.video for meta in metas))
     texts = list(dict.fromkeys(node.d for node in nodes))
+    anchors = list(dict.fromkeys(tuple(sorted(node.anchors)) for node in nodes))
     attrs = [json.loads(a) for a in dict.fromkeys(json.dumps(node.attrs, sort_keys=True)
                                                   for node in nodes)]
-    assert len(texts) < len(nodes) and len(attrs) < len(nodes)
-    assert data["episodic"] == {"texts": texts, "attrs": attrs}
-    assert data["observations"] == [
-        [i, meta.video, store.episodic[meta.episodes[0]].t if meta.episodes else None,
-         [[n.id, texts.index(n.d), sorted(n.anchors), OUTCOMES.index(n.outcome),
-           attrs.index(n.attrs)] for n in map(store.episodic.get, meta.episodes)]]
-        for i, meta in sorted(store.observations.items())]
+    assert len(texts) < len(nodes) and len(attrs) < len(nodes) and len(videos) < len(metas)
+    obs_ids, ep_ids = sorted(store.observations), [node.id for node in nodes]
+    assert data["observations"] == {
+        "videos": videos, "id": [b - a for a, b in zip([0] + obs_ids, obs_ids)],
+        "video_at": [videos.index(meta.video) for meta in metas], "t": [meta.t for meta in metas],
+        "episode_count": [len(meta.episodes) for meta in metas]}
+    assert data["episodic"] == {
+        "texts": texts, "attrs": attrs, "anchors": list(map(list, anchors)),
+        "id": [b - a for a, b in zip([0] + ep_ids, ep_ids)],
+        "text_at": [texts.index(n.d) for n in nodes],
+        "anchors_at": [anchors.index(tuple(sorted(n.anchors))) for n in nodes],
+        "outcome": [OUTCOMES.index(n.outcome) for n in nodes],
+        "attrs_at": [attrs.index(n.attrs) for n in nodes]}
     # no anchor count, percept count or logic anchors; links as gaps; DAGs as rows
     assert "percept_count" not in data and "count" not in data["anchors"][0]
     node, logic = store.logic[1], data["logic"][0]
@@ -568,7 +578,7 @@ def test_v5_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     assert data["anchors"][0]["face"] == encode_vector(anchor.centroid_face.tolist())
 
 
-# snapshot_v5_dim8.json was written by the version 5 writer from a
+# snapshot_v6_dim8.json was written by the version 6 writer from a
 # Config(dim=8, delta_gate=0.9) store: three sources of "@jack chop the
 # fruit", "@jack mix the fruit in a bowl", "@jack serve the salad" at t 0, 1,
 # 2 (record ids 1-9, attrs {"step": i}; on each source's first a "jack" face
@@ -577,24 +587,24 @@ def test_v5_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
 # careful cook" on each last), then distill(); then source v4 (record 10:
 # chop, mix, "walk the dog") ingested and applied (matched, EMA), and source
 # v5 (record 11: "wash the car", "dry the car") ingested and applied (pooled).
-# It pins the version 5 bytes across changes to the code that writes them.
-V5_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v5_dim8.json")
+# It pins the version 6 bytes across changes to the code that writes them.
+V6_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v6_dim8.json")
 
 
-def test_v5_fixture_loads_and_saves_byte_identically(tmp_path):
-    store = MemoryStore.load(V5_FIXTURE)
+def test_v6_fixture_loads_and_saves_byte_identically(tmp_path):
+    store = MemoryStore.load(V6_FIXTURE)
     assert store.check() == []
     stats = store.stats()
     assert (stats["anchors"], stats["episodic"], stats["logic"], stats["pool"]) == (1, 14, 1, 1)
     path = str(tmp_path / "snap.json")
     store.save(path)
-    assert open(path, "rb").read() == open(V5_FIXTURE, "rb").read()
+    assert open(path, "rb").read() == open(V6_FIXTURE, "rb").read()
 
 
-# snapshot_v{1,2,3,4}_dim8.json were written by the version 1-4 writers from
+# snapshot_v{1,2,3,4,5}_dim8.json were written by the version 1-5 writers from
 # this recipe or a shorter form of it. No reader of those versions is kept:
 # each is refused by its number, as an unknown one is.
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_snapshot_of_an_older_version_refused_by_its_number(version):
     path = os.path.join(os.path.dirname(__file__), "data", f"snapshot_v{version}_dim8.json")
     assert json.loads(open(path).read())["version"] == version
@@ -623,33 +633,31 @@ def test_load_links_each_procedure_to_its_episodes_own_ids(tmp_path):
         store_from_dict(data)
 
 
-def _episodes(data):
-    return [node for row in data["observations"] for node in row[3]]
+_TABLE_OF = {"text_at": "texts", "attrs_at": "attrs"}  # the episodic table an index column indexes
 
 
 def _retable(data, column, key):
-    """Rebuild the episodic table that episode row field ``column`` indexes
-    (1: texts, 4: attrs) in first-use order, with ``key(position, value)``
-    deciding which rows share an entry."""
-    tables, rows = data["episodic"], _episodes(data)
-    name = {1: "texts", 4: "attrs"}[column]
-    values = [tables[name][row[column]] for row in rows]
+    """Rebuild the episodic table that index column ``column`` indexes in first-use
+    order, with ``key(position, value)`` deciding which episodes share an entry."""
+    tables = data["episodic"]
+    name, indexes = _TABLE_OF[column], tables[column]
+    values = [tables[name][at] for at in indexes]
     first: dict = {}
     tables[name] = []
-    for position, (row, value) in enumerate(zip(rows, values)):
-        row[column] = first.setdefault(key(position, value), len(tables[name]))
-        if row[column] == len(tables[name]):
+    for position, value in enumerate(values):
+        indexes[position] = first.setdefault(key(position, value), len(tables[name]))
+        if indexes[position] == len(tables[name]):
             tables[name].append(value)
 
 
 def _repeat_position(data, column):
-    seen, rows = set(), _episodes(data)
-    return next(i for i, row in enumerate(rows) if row[column] in seen or seen.add(row[column]))
+    seen = set()
+    return next(i for i, at in enumerate(data["episodic"][column]) if at in seen or seen.add(at))
 
 
 def _index(column, value):
     def plant(data):
-        _episodes(data)[_repeat_position(data, column)][column] = value(data)
+        data["episodic"][column][_repeat_position(data, column)] = value(data)
     return plant
 
 
@@ -660,7 +668,7 @@ def _duplicate_entry(column, reorder=False):
         _retable(data, column, lambda position, value: (
             position == at, json.dumps(value, sort_keys=True)))
         if reorder:  # the same keys in another order: {"step": .., "n": 1}, {"n": 1, "step": ..}
-            attrs, k = data["episodic"]["attrs"], _episodes(data)[at][4]
+            attrs, k = data["episodic"]["attrs"], data["episodic"]["attrs_at"][at]
             attrs[attrs.index(attrs[k])]["n"] = 1
             attrs[k] = {"n": 1, **attrs[k]}
     return plant
@@ -676,36 +684,39 @@ def _swap_first_uses(column):
     # the first two entries trade places, and every index with them
     def plant(data):
         tables = data["episodic"]
-        name = {1: "texts", 4: "attrs"}[column]
+        name = _TABLE_OF[column]
         tables[name][:2] = tables[name][1::-1]
-        for row in _episodes(data):
-            row[column] = {0: 1, 1: 0}.get(row[column], row[column])
+        tables[column] = [{0: 1, 1: 0}.get(at, at) for at in tables[column]]
     return plant
 
 
-def _row_width(section, change):
+def _column_length(section, column, change):
     def plant(data):
-        change(_episodes(data)[0] if section == "episode" else data["observations"][0])
+        change(data[section][column])
     return plant
 
 
 TEXTS, ATTRS = "episodic text table", "episodic attrs table"
-EPISODE_ROWS, OBSERVATION_ROWS = "episode rows are not 5", "observation rows are not 4"
+EPISODE_COLUMNS = "^episodic columns are not of one length$"
+OBSERVATION_COLUMNS = "^observation columns are not of one length$"
 
 
 @pytest.mark.parametrize("plant,match", [
-    (_index(1, lambda d: -1), TEXTS), (_index(1, lambda d: True), TEXTS),
-    (_index(1, lambda d: 1.0), TEXTS), (_index(1, lambda d: len(d["episodic"]["texts"])), TEXTS),
-    (_index(1, lambda d: "0"), TEXTS), (_index(4, lambda d: -1), ATTRS),
-    (_index(4, lambda d: True), ATTRS), (_index(4, lambda d: len(d["episodic"]["attrs"])), ATTRS),
-    (_duplicate_entry(1), TEXTS), (_duplicate_entry(4), ATTRS),
-    (_duplicate_entry(4, reorder=True), ATTRS),
+    (_index("text_at", lambda d: -1), TEXTS), (_index("text_at", lambda d: True), TEXTS),
+    (_index("text_at", lambda d: 1.0), TEXTS),
+    (_index("text_at", lambda d: len(d["episodic"]["texts"])), TEXTS),
+    (_index("text_at", lambda d: "0"), TEXTS), (_index("attrs_at", lambda d: -1), ATTRS),
+    (_index("attrs_at", lambda d: True), ATTRS),
+    (_index("attrs_at", lambda d: len(d["episodic"]["attrs"])), ATTRS),
+    (_duplicate_entry("text_at"), TEXTS), (_duplicate_entry("attrs_at"), ATTRS),
+    (_duplicate_entry("attrs_at", reorder=True), ATTRS),
     (_unused_entry("texts", "an unused text"), TEXTS), (_unused_entry("attrs", {"unused": 1}), ATTRS),
-    (_swap_first_uses(1), TEXTS), (_swap_first_uses(4), ATTRS),
-    (_row_width("episode", lambda row: row.append(0)), EPISODE_ROWS),
-    (_row_width("episode", list.pop), EPISODE_ROWS),
-    (_row_width("observation", lambda row: row.append(0)), OBSERVATION_ROWS),
-    (_row_width("observation", list.pop), OBSERVATION_ROWS),
+    (_swap_first_uses("text_at"), TEXTS), (_swap_first_uses("attrs_at"), ATTRS),
+    # the *-row-* cases: a column one entry longer or shorter than the others of its section
+    (_column_length("episodic", "outcome", lambda column: column.append(0)), EPISODE_COLUMNS),
+    (_column_length("episodic", "attrs_at", list.pop), EPISODE_COLUMNS),
+    (_column_length("observations", "t", lambda column: column.append(0.0)), OBSERVATION_COLUMNS),
+    (_column_length("observations", "episode_count", list.pop), OBSERVATION_COLUMNS),
 ], ids=["text-minus-one", "text-true", "text-float", "text-past-end", "text-string",
         "attrs-minus-one", "attrs-true", "attrs-past-end", "text-duplicate", "attrs-duplicate",
         "attrs-duplicate-reordered", "text-unused", "attrs-unused", "text-out-of-order",
@@ -713,7 +724,7 @@ EPISODE_ROWS, OBSERVATION_ROWS = "episode rows are not 5", "observation rows are
         "observation-row-3"])
 def test_non_canonical_v5_tables_rejected(plant, match):
     # One store state, one file: no other tables for the same nodes load.
-    data = json.loads(open(V5_FIXTURE).read())
+    data = json.loads(open(V6_FIXTURE).read())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=match):
@@ -745,7 +756,9 @@ KEY_PLANTS = {
     "semantic-v": (_put("semantic", 0, "v", "AA=="), "semantic node"),
     "counters-extra": (_put("counters", "video", 1), "counters"),
     "dag-extra": (_put("logic", 0, "dag", "paths", 2), "dag"),
-    "episodic-extra": (_put("episodic", "vectors", []), "episodic tables"),
+    "episodic-extra": (_put("episodic", "vectors", []), "episodic"),
+    "observations-extra": (_put("observations", "clock", []), "observations"),
+    "video-clock": (_put("video_clock", {"v1": 2.0}), "top level"),  # a load derives the clock
     "pool-extra": (_put("pool", 0, "t", 1.0), "pool entry"),
     "config-alpha-missing": (_drop("config", "alpha"), "config"),
 }
@@ -755,7 +768,7 @@ KEY_PLANTS = {
 def test_object_with_keys_the_writer_does_not_write_rejected(plant, kind):
     # A load reads only the keys the writer writes: any other would be dropped,
     # and a missing config key defaulted, so the file would re-save as another.
-    data = json.loads(open(V5_FIXTURE).read())
+    data = json.loads(open(V6_FIXTURE).read())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^snapshot {kind}: not an object with exactly the keys"):
@@ -777,7 +790,7 @@ COUNTER_PLANTS = {
 def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violation):
     # The next distill, fuse or ingest takes its id from the counter: one at or
     # below a held id overwrites that node, and a float one makes float ids.
-    data = json.loads(open(V5_FIXTURE).read())
+    data = json.loads(open(V6_FIXTURE).read())
     assert data["counters"] == {"anchor": 2, "logic": 2, "node": 16}
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
@@ -786,7 +799,7 @@ def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violatio
 
 @pytest.mark.parametrize("name", ["next_node_id", "next_anchor_id", "next_logic_id"])
 def test_check_reports_a_counter_that_is_not_a_positive_int(name):
-    store = MemoryStore.load(V5_FIXTURE)
+    store = MemoryStore.load(V6_FIXTURE)
     counter = {"next_node_id": "node", "next_anchor_id": "anchor", "next_logic_id": "logic"}[name]
     for value in (float(getattr(store, name)), True, "x", None):
         twin = store.clone()
@@ -799,7 +812,7 @@ def test_store_whose_counter_is_not_a_positive_int_is_reported_and_not_saved(tmp
     # A load refuses such a counter, so a save must not write one; an ingest
     # first hands a float node counter's value out as an episode id.
     path = str(tmp_path / "snap.json")
-    store = MemoryStore.load(V5_FIXTURE)
+    store = MemoryStore.load(V6_FIXTURE)
     setattr(store, name, float(getattr(store, name)))
     store.ingest(ObservationRecord(1000, "later", 0.0, [Description("chop the fruit")], [], []))
     violation = store.check()[0]
@@ -821,7 +834,7 @@ def test_attrs_are_one_entry_per_canonical_json(tmp_path):
     store.save(path)
     data = json.loads(open(path).read())
     assert data["episodic"]["texts"] == ["chop the fruit"]
-    assert [node[4] for row in data["observations"] for node in row[3]] == [0, 1, 2, 0, 3, 3]
+    assert data["episodic"]["attrs_at"] == [0, 1, 2, 0, 3, 3]
     loaded = MemoryStore.load(path)
     assert [repr(loaded.episodic[i].attrs) for i in sorted(loaded.episodic)][:4] == \
            ["{'n': 1}", "{'n': 1.0}", "{'n': True}", "{'n': 1}"]
@@ -917,10 +930,10 @@ def test_bad_version_rejected(tmp_path):
         MemoryStore.load(path)
 
 
-@pytest.mark.parametrize("version", [True, 2.0, "3", 5.0])
+@pytest.mark.parametrize("version", [True, 2.0, "3", 5.0, 6.0])
 def test_version_of_another_type_rejected(version):
-    # 5.0 == 5 in Python: a version must be the int, not just equal it.
-    data = json.loads(open(V5_FIXTURE).read())
+    # 6.0 == 6 in Python: a version must be the int, not just equal it.
+    data = json.loads(open(V6_FIXTURE).read())
     data["version"] = version
     with pytest.raises(CorruptSnapshot, match="unsupported snapshot version"):
         store_from_dict(data)
