@@ -108,7 +108,8 @@ COSINE_BLOCK = 256
 def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray) -> None:
     """Write the cosine of ``a`` (of norm ``na``) with each row of ``rows``
     into ``out``; a zero row, or a zero ``a``, leaves its entry alone."""
-    with np.errstate(over="ignore"):  # a finite row's x·x may overflow: cosine 0
+    # A finite row's x·x may overflow: cosine 0, and 0 for a zero ``a`` (0·inf).
+    with np.errstate(over="ignore", invalid="ignore"):
         den = na * np.sqrt(np.vecdot(rows, rows))
     np.divide(np.vecdot(rows, a), den, out=out, where=den > 0)
 
@@ -117,11 +118,11 @@ def cosine(a: np.ndarray, b):
     """Cosine similarity; defined as 0 when either vector has zero norm.
 
     A list ``b``, or a ``RowBlock`` ``b``, gives an array of one cosine per
-    vector; a block's rows are scanned in place. ``np.vecdot`` takes each
-    row's dot product with BLAS, as ``np.dot`` does, so each cosine depends
-    on its vector alone: equal vectors score equal, the two forms agree bit
-    for bit, and on an id-sorted list ``np.argmax`` gives ties to the
-    lowest id.
+    vector; a block's rows are scanned in place. One vector ``b`` gives a
+    float, scored as a block of one row. ``np.vecdot`` takes each row's dot
+    product with BLAS, as ``np.dot`` does, so each cosine depends on its
+    vector alone: equal vectors score equal, the three forms agree bit for
+    bit, and on an id-sorted list ``np.argmax`` gives ties to the lowest id.
     """
     if isinstance(b, RowBlock):
         if a.shape != (b.width,):
@@ -143,11 +144,9 @@ def cosine(a: np.ndarray, b):
         return out
     if a.shape != b.shape:
         raise DimensionMismatch(f"cosine over shapes {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    out = np.zeros(1)
+    _row_cosines(a, float(np.linalg.norm(a)), b[np.newaxis], out)
+    return float(out[0])
 
 
 class RowBlock:

@@ -18,7 +18,8 @@ GOAL = "GOAL"
 
 @dataclass(slots=True)
 class DagNode:
-    label: str
+    """A step's statistics; its label is its key in ``ProceduralDag.nodes``."""
+
     attrs: dict = field(default_factory=dict)
     success_alpha: float = 1.0
     success_beta: float = 1.0
@@ -73,7 +74,7 @@ class ProceduralDag:
     def add_node(self, label, attrs=None, success_alpha=1.0, success_beta=1.0):
         if label in self.nodes:
             return self.nodes[label]
-        node = DagNode(label, dict(attrs or {}), success_alpha, success_beta)
+        node = DagNode(dict(attrs or {}), success_alpha, success_beta)
         self.nodes[label] = node
         self.adj[label] = {}
         return node
@@ -103,10 +104,8 @@ class ProceduralDag:
 
     def copy(self) -> "ProceduralDag":
         dup = ProceduralDag.__new__(ProceduralDag)
-        dup.nodes = {
-            label: DagNode(n.label, dict(n.attrs), n.success_alpha, n.success_beta)
-            for label, n in self.nodes.items()
-        }
+        dup.nodes = {label: DagNode(dict(n.attrs), n.success_alpha, n.success_beta)
+                     for label, n in self.nodes.items()}
         dup.adj = {
             src: {dst: EdgeStat(e.count, e.gamma) for dst, e in outs.items()}
             for src, outs in self.adj.items()

@@ -18,13 +18,6 @@ from .errors import DimensionMismatch, NotIngested
 
 
 @dataclass(slots=True)
-class PoolEntry:
-    observation_id: int
-    vector: np.ndarray
-    actions: tuple
-
-
-@dataclass(slots=True)
 class UpdateReport:
     """What one maintenance step did, one record at a time."""
 
@@ -123,8 +116,6 @@ def apply_observation(store, rec) -> UpdateReport:
         raise NotIngested(f"observation {rec.id} was never ingested")
 
     o_vec = store.embed(" ".join(d.text for d in rec.descriptions))
-    actions, attr_source = _record_actions(store, rec)
-    action_labels = [a for a, _ in actions]
     report = UpdateReport(record_id=rec.id)
 
     best = match_logic(store, o_vec)
@@ -132,10 +123,11 @@ def apply_observation(store, rec) -> UpdateReport:
         logic_id, sim = best
         report.matched, report.similarity = logic_id, sim
         node = store.logic[logic_id]
+        actions, attr_source = _record_actions(store, rec)
         ema_update(node, o_vec, store.config.beta_ema)
         report.ema_applied = True
 
-        _apply_pairs(node.dag, action_labels, attr_source, report)
+        _apply_pairs(node.dag, [a for a, _ in actions], attr_source, report)
         for action, outcome in actions:
             if action in node.dag.nodes and action not in (START, GOAL):
                 record_trial(node.dag, action, outcome == "success")
@@ -147,12 +139,10 @@ def apply_observation(store, rec) -> UpdateReport:
     report.pooled = True
     if best is not None:
         report.similarity = best[1]
-    store.pool.append(PoolEntry(rec.id, o_vec, tuple(action_labels)))
+    store.pool.append(rec.id)
     report.pool_size = len(store.pool)
     if len(store.pool) >= store.config.pool_trigger:
-        episode_ids = set()
-        for entry in store.pool:
-            episode_ids.update(store.observations[entry.observation_id].episodes)
+        episode_ids = set().union(*(store.observations[i].episodes for i in store.pool))
         report.distilled = distill(store, episode_ids=episode_ids)
         store.pool.clear()
         report.pool_size = 0

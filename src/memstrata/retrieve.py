@@ -102,7 +102,13 @@ class RetrievalResult:
 
 def score_logic(q_vec: np.ndarray, node, alpha: float) -> float:
     """alpha * cos(q, i_goal) + (1-alpha) * cos(q, i_step)."""
-    return alpha * cosine(q_vec, node.i_goal) + (1.0 - alpha) * cosine(q_vec, node.i_step)
+    return float(_logic_scores(q_vec, [node], alpha)[0])
+
+
+def _logic_scores(q_vec: np.ndarray, nodes: list, alpha: float) -> np.ndarray:
+    """``score_logic`` of each node, from one scan of the goal and one of the step indexes."""
+    return (alpha * cosine(q_vec, [n.i_goal for n in nodes])
+            + (1.0 - alpha) * cosine(q_vec, [n.i_step for n in nodes]))
 
 
 def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalResult:
@@ -119,8 +125,8 @@ def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalRe
     ]
     if include_logic:
         logic_ids = sorted(store.logic)
-        layers.append(("logic", logic_ids, np.array(
-            [score_logic(q.q_vec, store.logic[i], store.config.alpha) for i in logic_ids])))
+        layers.append(("logic", logic_ids, _logic_scores(
+            q.q_vec, [store.logic[i] for i in logic_ids], store.config.alpha)))
     items = []
     for layer, ids, scores in layers:
         for hit in np.flatnonzero(scores > theta):

@@ -14,8 +14,9 @@ recomputes each text's vector (with the snapshot's embedder) and action once,
 and each video's clock as its latest observation. Nor does a store hold a copy
 of what it holds, or what it can compute: an episode reads its text, vector and
 action from its text entry and its video and ``t`` from its observation; anchor
-and percept counts are sums of the face and voice counts, and a procedure's
-anchors are those of its evidence.
+and percept counts are sums of the face and voice counts, a procedure's
+anchors are those of its evidence, and the candidate pool is its records'
+observation ids.
 """
 
 from __future__ import annotations
@@ -55,15 +56,15 @@ from .ingest import (
     _json_exact,
     ingest_observation,
 )
-from .maintain import PoolEntry, apply_observation
+from .maintain import apply_observation
 from .retrieve import make_query, retrieve
 
-SNAPSHOT_VERSION = 6
-# The sections of one type in a version 6 snapshot, the one version a load reads:
+SNAPSHOT_VERSION = 7
+# The sections of one type in a version 7 snapshot, the one version a load reads:
 # a load iterates them, so an empty section of another type would load, and
 # re-save as another file.
 _SECTION_TYPES = {"anchors": list, "semantic": list, "logic": list, "pool": list}
-# The keys of each object of a version 6 snapshot, as snapshot_dict writes them: a load
+# The keys of each object of a version 7 snapshot, as snapshot_dict writes them: a load
 # reads no other key, so one more, or one fewer, would load and re-save as another file.
 _OBSERVATION_COLUMNS = ("id", "video_at", "t", "episode_count")
 _EPISODE_COLUMNS = ("id", "text_at", "anchors_at", "outcome", "attrs_at")
@@ -73,8 +74,7 @@ _KEYS = {kind: frozenset(keys.split()) for kind, keys in (
     ("episodic", "texts attrs anchors " + " ".join(_EPISODE_COLUMNS)),
     ("anchor", "id label face_count voice_count face voice"),
     ("semantic node", "id type attrs anchors weight"),
-    ("logic node", "id c score steps episodic_links i_goal i_step dag"),
-    ("dag", "nodes edges"), ("pool entry", "observation vector actions"),
+    ("logic node", "id c score steps episodic_links i_goal i_step dag"), ("dag", "nodes edges"),
 )} | {"config": frozenset(Config().to_dict())}  # every Config field
 
 
@@ -103,7 +103,7 @@ class MemoryStore:
         self.logic: dict[int, LogicNode] = {}
         self.observations: dict[int, ObservationMeta] = {}
         self.video_clock: dict[str, ObservationMeta] = {}  # each video's latest observation
-        self.pool: list[PoolEntry] = []
+        self.pool: list[int] = []  # the pooled observations' ids, in apply order
         self.next_node_id = 1
         self.next_anchor_id = 1
         self.next_logic_id = 1
@@ -404,14 +404,8 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     trigger = config.pool_trigger  # a non-number is the config's violation
     if isinstance(trigger, (int, float)) and len(store.pool) >= trigger:
         v.append("candidate pool at or beyond trigger without distillation")
-    for entry in store.pool:
-        obs_id, actions = entry.observation_id, entry.actions
-        if not (_is_int(obs_id) and obs_id in store.observations):
-            v.append(f"pool entry references unknown observation {obs_id!r}")
-        if bad_vector(entry.vector):
-            v.append(f"pool entry {obs_id!r}: vector is not {dim} finite floats")
-        if type(actions) is not tuple or not set(map(type, actions)) <= {str}:
-            v.append(f"pool entry {obs_id!r}: actions {actions!r} are not a tuple of strings")
+    v += [f"pool entry references unknown observation {i!r}"
+          for i in store.pool if not (_is_int(i) and i in store.observations)]
     if not set(map(type, store.observations)) <= {int}:
         return v + ["observation ids are not all ints"]  # the rules below sort them
     obs_ids = sorted(store.observations)
@@ -578,14 +572,13 @@ def snapshot_dict(store: MemoryStore) -> dict:
              "i_goal": _vec(n.i_goal), "i_step": _vec(n.i_step), "dag": _dag_rows(n.dag)}
             for _, n in sorted(store.logic.items())
         ],
-        "pool": [{"observation": e.observation_id, "vector": _vec(e.vector), "actions": list(e.actions)}
-                 for e in store.pool],
+        "pool": list(store.pool),
         "observations": observations,
     }
 
 
 def _columns(store: MemoryStore) -> tuple:
-    """The observations, in id order, and their episodes, in order, as version 6 columns, with
+    """The observations, in id order, and their episodes, in order, as version 7 columns, with
     the tables of each distinct video, text, anchor set and attrs object of distinct canonical
     JSON, in order of first use."""
     obs_ids = sorted(store.observations)
@@ -632,7 +625,7 @@ def _refuse_unless_first_uses(indexes, keys: list, what: str) -> None:
 
 
 def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> None:
-    """Build the observations and their episodic nodes from version 6 columns, each table entry
+    """Build the observations and their episodic nodes from version 7 columns, each table entry
     once (a video, a text's entry with its vector and action, an anchor set, an attrs object), and
     each node pointing at its entries and its observation. Anything but the canonical columns and
     tables of some store is refused."""
@@ -679,7 +672,7 @@ def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> N
 
 
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
-    """Rebuild a store from a version 6 snapshot dict; every other version is
+    """Rebuild a store from a version 7 snapshot dict; every other version is
     refused, as no reader of it is kept.
 
     Episodic and semantic vectors are recomputed with ``embedder`` (default:
@@ -706,7 +699,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             if type(data[name]) is not kind:
                 raise CorruptSnapshot(f"snapshot section {name!r} is not a {kind.__name__}")
         for section, kind in (("anchors", "anchor"), ("semantic", "semantic node"),
-                              ("logic", "logic node"), ("pool", "pool entry")):
+                              ("logic", "logic node")):
             for entry in data[section]:
                 _keyed(entry, kind)
         counters = _keyed(data["counters"], "counters")
@@ -743,15 +736,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 steps=tuple(l["steps"]),
             )
             store.logic[node.id] = node
-        for p in data["pool"]:
-            if type(p["actions"]) is not list or not set(map(type, p["actions"])) <= {str}:
-                raise CorruptSnapshot(
-                    f"pool entry {p['observation']}: actions are not a list of strings")
-            store.pool.append(
-                PoolEntry(p["observation"],
-                          _vec_from(p["vector"], config.dim, f"pool entry {p['observation']}"),
-                          tuple(p["actions"]))
-            )
+        store.pool = list(data["pool"])  # check_store reports an entry that is no observation's id
         violations = check_store(store, derived=False)  # derived above, and the clock below
     except ConfigError as exc:
         raise CorruptSnapshot(f"snapshot config invalid: {exc}") from None

@@ -41,7 +41,7 @@ def _reaches(edges: dict, src: str, dst: str) -> bool:
 class MaintenanceModel:
     def __init__(self, store):
         self.logic = {i: _node_state(node) for i, node in store.logic.items()}
-        self.pool = [(e.observation_id, tuple(e.actions)) for e in store.pool]
+        self.pool = list(store.pool)  # the pooled records' ids
 
     def apply(self, store, rec, matched) -> dict:
         """Fold one record into the model; returns the expected report fields."""
@@ -56,7 +56,7 @@ class MaintenanceModel:
                     "expanded_nodes": [], "expanded_edges": [], "repaired_edges": [],
                     "rejected": [], "trials": 0, "pool_size": 0, "distilled": []}
         if matched is None:
-            self.pool.append((rec.id, tuple(labels)))
+            self.pool.append(rec.id)
             expected["pool_size"] = len(self.pool)
             if len(self.pool) >= store.config.pool_trigger:
                 expected["distilled"] = sorted(set(store.logic) - set(self.logic))
@@ -103,9 +103,8 @@ class MaintenanceModel:
             got, want = _node_state(store.logic[i]), self.logic[i]
             found += [(f"logic {i} {key}", got[key], want[key])
                       for key in want if got[key] != want[key]]
-        pool = [(e.observation_id, tuple(e.actions)) for e in store.pool]
-        if pool != self.pool:
-            found.append(("pool", pool, self.pool))
+        if store.pool != self.pool:
+            found.append(("pool", list(store.pool), self.pool))
         return found
 
 

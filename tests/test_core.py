@@ -174,11 +174,13 @@ def test_cosine_rows_form_is_the_list_form_bit_for_bit(n):
     vectors = [rng.normal(size=24) for _ in range(n)]
     if n > 2:
         vectors[n // 2] = np.zeros(24)
+        vectors[n // 3] = np.full(24, 1e200)  # finite, but its x·x overflows: cosine 0
     block = RowBlock(24)
     views = [block.append(10 * i, v) for i, v in enumerate(vectors)]
     assert block.ids == [10 * i for i in range(n)] and block.rows == views
     assert all(np.array_equal(r, v) for r, v in zip(block.rows, vectors))
     want = cosine(q, vectors).tobytes()
+    assert np.array([cosine(q, v) for v in vectors]).tobytes() == want  # the single form
     chunks = block.chunks()
     assert len(chunks) == -(-n // COSINE_BLOCK)
     assert all(np.shares_memory(c, block.rows[k * COSINE_BLOCK]) for k, c in enumerate(chunks))

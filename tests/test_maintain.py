@@ -174,6 +174,16 @@ def test_apply_gating_pools_low_similarity():
     assert {(s, d): e.count for s, d, e in node.dag.edges()} == edges_before
 
 
+def test_a_pooled_record_is_its_observation_id():
+    # A pool-scoped distill reads only which observations wait, so the pool
+    # holds their ids, in apply order, and no vector or action of them.
+    store = maintained_store()
+    rec = record(101, "w1", 0.0, ["walk around the block"])
+    store.ingest(rec)
+    assert store.apply(rec).pooled
+    assert store.pool == [rec.id]
+
+
 def test_apply_expands_new_step_and_stays_valid():
     store = maintained_store()
     node = store.logic[1]

@@ -1,4 +1,4 @@
-"""Snapshot version 6, the only version a load reads (this file is named for
+"""Snapshot version 7, the only version a load reads (this file is named for
 version 5, the first whose rows these tests pinned): the one canonical form a
 load accepts, the stores a save refuses, and a round-trip property over the
 record shapes the snapshot writes in a way of its own (no descriptions, mixed
@@ -38,7 +38,7 @@ from memstrata.store import snapshot_dict, store_from_dict
 from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot
 
 DIM = 32
-V6_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v6_dim8.json")
+V7_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v7_dim8.json")
 
 
 def shapes_store() -> MemoryStore:
@@ -242,15 +242,21 @@ def test_non_canonical_v5_rows_rejected(plant, match):
         store_from_dict(data)
 
 
-@pytest.mark.parametrize("actions", ["ab", ["a", 1], {"a": 1}, [None]],
-                         ids=["string", "int", "object", "null"])
-def test_pool_actions_not_a_list_of_strings_rejected(actions):
-    # A string or an object would load as the tuple of its characters or keys.
-    data = json.loads(json.dumps(snapshot_dict(pooled_shapes_store())))
-    assert data["pool"][0]["actions"] == ["walk_to_the_store"]
-    assert snapshot_dict(store_from_dict(copy.deepcopy(data))) == data
-    data["pool"][0]["actions"] = actions
-    with pytest.raises(CorruptSnapshot, match="pool entry 40: actions are not a list of strings"):
+@pytest.mark.parametrize("entry", [True, 11.0, "11", 99, {"observation": 11}],
+                         ids=["true", "float", "string", "unknown", "object"])
+def test_snapshot_pool_entry_that_is_not_an_observation_id_rejected(entry):
+    # The pool is the ids of its observations: 11.0 would pass for 11, and true for 1,
+    # as an observation's key, and re-save as another file. A load refuses each with
+    # the violation check() reports on a store that holds it.
+    data = json.loads(open(V7_FIXTURE).read())
+    assert data["pool"] == [11]
+    store = store_from_dict(copy.deepcopy(data))
+    assert snapshot_dict(store) == data
+    store.pool[0] = entry
+    violation = f"pool entry references unknown observation {entry!r}"
+    assert store.check() == [violation]
+    data["pool"][0] = entry
+    with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
         store_from_dict(data)
 
 
@@ -260,7 +266,7 @@ def test_pool_actions_not_a_list_of_strings_rejected(actions):
 def test_section_of_another_type_rejected_in_every_version(section, other):
     # A load iterates each section, so an empty one of another type would
     # load as empty and re-save as another file.
-    for data in (snapshot_dict(shapes_store()), json.loads(open(V6_FIXTURE).read())):
+    for data in (snapshot_dict(shapes_store()), json.loads(open(V7_FIXTURE).read())):
         data[section] = other
         with pytest.raises(CorruptSnapshot, match=f"snapshot section '{section}' is not a"):
             store_from_dict(data)
@@ -362,18 +368,19 @@ def test_refused_save_leaves_the_snapshot_it_would_replace_as_it_was(tmp_path, p
 def _reachable_fields(store) -> list:
     """``(name, owner, key)`` of each field the live-store sweep sets: every config
     field, both anchors' label and counts, every field of one episodic, one semantic and
-    one logic node and of the pool entry, one DAG step's attrs and Beta parameters, a str
+    one logic node, the pool's entry, one DAG step's attrs and Beta parameters, a str
     and an int key of the episode's and of that step's attrs, one edge's statistics, the
     video, episodes and t of an observation with episodes and of one without, the three id
     counters and one video_clock entry."""
     dag = store.logic[1].dag
     step = dag.nodes[sorted(dag.step_labels())[0]]
     nodes = {"episodic": store.episodic[1], "semantic": store.semantic[min(store.semantic)],
-             "logic": store.logic[1], "pool entry": store.pool[0]}
+             "logic": store.logic[1]}
     return ([(f"config {f.name}", store.config, f.name) for f in fields(Config)]
             + [(f"anchor {i} {key}", store.anchors[i], key)
                for i in (1, 2) for key in ("label", "face_count", "voice_count")]
             + [(f"{kind} {f.name}", node, f.name) for kind, node in nodes.items() for f in fields(node)]
+            + [("pool entry", store.pool, 0)]
             + [(f"dag step {key}", step, key) for key in ("attrs", "success_alpha", "success_beta")]
             + [(f"{name} attrs[{key!r}]", attrs, key) for name, attrs in
                (("episodic 1", store.episodic[1].attrs), ("dag step", step.attrs)) for key in ("tool", 1)]
@@ -422,7 +429,7 @@ def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
         for value in MUTATION_VALUES:
             store = base.clone()
             name, owner, key = _reachable_fields(store)[at]
-            if isinstance(owner, dict):
+            if isinstance(owner, (dict, list)):
                 owner[key] = copy.deepcopy(value)
             else:
                 setattr(owner, key, copy.deepcopy(value))
@@ -430,8 +437,7 @@ def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
                 breaches.append((name, value, why))
     for name, vector in (("face centroid", lambda store: store.anchors[1].centroid_face),
                          ("i_goal", lambda store: store.logic[1].i_goal),
-                         ("i_step", lambda store: store.logic[1].i_step),
-                         ("pool vector", lambda store: store.pool[0].vector)):
+                         ("i_step", lambda store: store.logic[1].i_step)):
         for value in (np.nan, np.inf):
             store = base.clone()
             vector(store)[0] = value
@@ -472,11 +478,7 @@ def _video_clock_not_the_latest(store):
 
 
 def _pool_entry_of_an_unknown_observation(store):
-    store.pool[0].observation_id = 99
-
-
-def _pool_actions_a_list(store):
-    store.pool[0].actions = list(store.pool[0].actions)
+    store.pool[0] = 99
 
 
 def _observation_id_not_an_int(store):
@@ -500,13 +502,11 @@ def _transition_sum_overflows(store):
     (_video_clock_key_not_a_video, ["video_clock is not each video's latest observation"]),
     (_video_clock_not_the_latest, ["video_clock is not each video's latest observation"]),
     (_pool_entry_of_an_unknown_observation, ["pool entry references unknown observation 99"]),
-    (_pool_actions_a_list,
-     ["pool entry 40: actions ['walk_to_the_store'] are not a tuple of strings"]),
     (_observation_id_not_an_int,
      ["pool entry references unknown observation 40", "observation ids are not all ints"]),
     (_missing_episode, ["observation 10: missing episode 99"]),
     (_transition_sum_overflows, ["logic 1: transition probs at START sum to 0.0"]),
-], ids=["no-evidence", "video-clock-key", "video-clock-not-latest", "pool-observation", "pool-actions",
+], ids=["no-evidence", "video-clock-key", "video-clock-not-latest", "pool-observation",
         "observation-id", "missing-episode", "transition-overflow"])
 def test_each_rule_no_other_test_reaches_reports_its_plant(tmp_path, plant, violations):
     path = str(tmp_path / "snap.json")

@@ -161,14 +161,11 @@ def test_dangling_reference_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("section,field", [
-    ("logic", "i_goal"), ("logic", "i_step"), ("anchors", "face"), ("pool", "vector")])
+    ("logic", "i_goal"), ("logic", "i_step"), ("anchors", "face")])
 def test_non_finite_snapshot_vector_rejected(tmp_path, section, field):
     path = str(tmp_path / "snap.json")
     ready_store().save(path)
     data = json.loads(open(path).read())
-    if section == "pool":
-        data["pool"] = [{"observation": data["observations"]["id"][0],
-                         "vector": data["logic"][0]["i_goal"], "actions": []}]
     vec = decode_vector(data[section][0][field], data["config"]["dim"])
     vec[0] = float("nan")
     data[section][0][field] = encode_vector(vec)
@@ -524,14 +521,14 @@ def test_load_of_a_finite_vector_whose_square_overflows_warns_nothing(tmp_path):
         assert MemoryStore.load(path, embedder=embedder).check() == []
 
 
-def test_v6_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
+def test_v7_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.save(path)
     text = open(path).read()
     assert "\n" not in text[:-1] and text.endswith("\n")
     data = json.loads(text)
-    assert data["version"] == 6
+    assert data["version"] == 7
     assert data["embedder"] == {"name": "hashing-fnv1a64", "dim": 512}
     assert data["observations"]["id"] and data["semantic"]
     assert all("v" not in entry for entry in data["semantic"])
@@ -578,7 +575,7 @@ def test_v6_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     assert data["anchors"][0]["face"] == encode_vector(anchor.centroid_face.tolist())
 
 
-# snapshot_v6_dim8.json was written by the version 6 writer from a
+# snapshot_v7_dim8.json was written by the version 7 writer from a
 # Config(dim=8, delta_gate=0.9) store: three sources of "@jack chop the
 # fruit", "@jack mix the fruit in a bowl", "@jack serve the salad" at t 0, 1,
 # 2 (record ids 1-9, attrs {"step": i}; on each source's first a "jack" face
@@ -587,24 +584,27 @@ def test_v6_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
 # careful cook" on each last), then distill(); then source v4 (record 10:
 # chop, mix, "walk the dog") ingested and applied (matched, EMA), and source
 # v5 (record 11: "wash the car", "dry the car") ingested and applied (pooled).
-# It pins the version 6 bytes across changes to the code that writes them.
-V6_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v6_dim8.json")
+# It is snapshot_v6_dim8.json, the version 6 writer's file of that store, with
+# version 7 and the pool as the id of observation 11. It pins the version 7
+# bytes across changes to the code that writes them.
+V7_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v7_dim8.json")
 
 
-def test_v6_fixture_loads_and_saves_byte_identically(tmp_path):
-    store = MemoryStore.load(V6_FIXTURE)
+def test_v7_fixture_loads_and_saves_byte_identically(tmp_path):
+    store = MemoryStore.load(V7_FIXTURE)
     assert store.check() == []
     stats = store.stats()
     assert (stats["anchors"], stats["episodic"], stats["logic"], stats["pool"]) == (1, 14, 1, 1)
+    assert store.pool == [11]
     path = str(tmp_path / "snap.json")
     store.save(path)
-    assert open(path, "rb").read() == open(V6_FIXTURE, "rb").read()
+    assert open(path, "rb").read() == open(V7_FIXTURE, "rb").read()
 
 
-# snapshot_v{1,2,3,4,5}_dim8.json were written by the version 1-5 writers from
+# snapshot_v{1,2,3,4,5,6}_dim8.json were written by the version 1-6 writers from
 # this recipe or a shorter form of it. No reader of those versions is kept:
 # each is refused by its number, as an unknown one is.
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_snapshot_of_an_older_version_refused_by_its_number(version):
     path = os.path.join(os.path.dirname(__file__), "data", f"snapshot_v{version}_dim8.json")
     assert json.loads(open(path).read())["version"] == version
@@ -724,7 +724,7 @@ OBSERVATION_COLUMNS = "^observation columns are not of one length$"
         "observation-row-3"])
 def test_non_canonical_v5_tables_rejected(plant, match):
     # One store state, one file: no other tables for the same nodes load.
-    data = json.loads(open(V6_FIXTURE).read())
+    data = json.loads(open(V7_FIXTURE).read())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=match):
@@ -759,7 +759,6 @@ KEY_PLANTS = {
     "episodic-extra": (_put("episodic", "vectors", []), "episodic"),
     "observations-extra": (_put("observations", "clock", []), "observations"),
     "video-clock": (_put("video_clock", {"v1": 2.0}), "top level"),  # a load derives the clock
-    "pool-extra": (_put("pool", 0, "t", 1.0), "pool entry"),
     "config-alpha-missing": (_drop("config", "alpha"), "config"),
 }
 
@@ -768,7 +767,7 @@ KEY_PLANTS = {
 def test_object_with_keys_the_writer_does_not_write_rejected(plant, kind):
     # A load reads only the keys the writer writes: any other would be dropped,
     # and a missing config key defaulted, so the file would re-save as another.
-    data = json.loads(open(V6_FIXTURE).read())
+    data = json.loads(open(V7_FIXTURE).read())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^snapshot {kind}: not an object with exactly the keys"):
@@ -790,7 +789,7 @@ COUNTER_PLANTS = {
 def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violation):
     # The next distill, fuse or ingest takes its id from the counter: one at or
     # below a held id overwrites that node, and a float one makes float ids.
-    data = json.loads(open(V6_FIXTURE).read())
+    data = json.loads(open(V7_FIXTURE).read())
     assert data["counters"] == {"anchor": 2, "logic": 2, "node": 16}
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
@@ -799,7 +798,7 @@ def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violatio
 
 @pytest.mark.parametrize("name", ["next_node_id", "next_anchor_id", "next_logic_id"])
 def test_check_reports_a_counter_that_is_not_a_positive_int(name):
-    store = MemoryStore.load(V6_FIXTURE)
+    store = MemoryStore.load(V7_FIXTURE)
     counter = {"next_node_id": "node", "next_anchor_id": "anchor", "next_logic_id": "logic"}[name]
     for value in (float(getattr(store, name)), True, "x", None):
         twin = store.clone()
@@ -812,7 +811,7 @@ def test_store_whose_counter_is_not_a_positive_int_is_reported_and_not_saved(tmp
     # A load refuses such a counter, so a save must not write one; an ingest
     # first hands a float node counter's value out as an episode id.
     path = str(tmp_path / "snap.json")
-    store = MemoryStore.load(V6_FIXTURE)
+    store = MemoryStore.load(V7_FIXTURE)
     setattr(store, name, float(getattr(store, name)))
     store.ingest(ObservationRecord(1000, "later", 0.0, [Description("chop the fruit")], [], []))
     violation = store.check()[0]
@@ -930,10 +929,10 @@ def test_bad_version_rejected(tmp_path):
         MemoryStore.load(path)
 
 
-@pytest.mark.parametrize("version", [True, 2.0, "3", 5.0, 6.0])
+@pytest.mark.parametrize("version", [True, 2.0, "3", 5.0, 6.0, 7.0])
 def test_version_of_another_type_rejected(version):
-    # 6.0 == 6 in Python: a version must be the int, not just equal it.
-    data = json.loads(open(V6_FIXTURE).read())
+    # 7.0 == 7 in Python: a version must be the int, not just equal it.
+    data = json.loads(open(V7_FIXTURE).read())
     data["version"] = version
     with pytest.raises(CorruptSnapshot, match="unsupported snapshot version"):
         store_from_dict(data)
