@@ -93,7 +93,7 @@ def embed_default(text: str, d: int) -> np.ndarray:
     v = np.zeros(d, dtype=np.float64)
     for tok in tokenize(text):
         v[fnv1a64(tok) % d] += 1.0
-    n = float(np.linalg.norm(v))
+    n = norm(v)
     if n > 0.0:
         v /= n
     return v
@@ -105,12 +105,40 @@ def embed_default(text: str, d: int) -> np.ndarray:
 COSINE_BLOCK = 256
 
 
+_F8 = np.dtype(np.float64)
+
+
+def norm(a: np.ndarray) -> float:
+    """``float(np.linalg.norm(a))`` of a vector, bit for bit.
+
+    A contiguous float64 ``a`` takes numpy's own 1-D path, ``sqrt(a.dot(a))``,
+    without its dispatch. Any other goes through ``np.linalg.norm``: it casts
+    an int vector to float64 first (an int64 x·x would wrap), keeps a float32
+    one in float32, and copies a strided one, whose BLAS dot sums in another
+    order.
+    """
+    if a.dtype is _F8 and a.strides == (8,):
+        return math.sqrt(a.dot(a))
+    return float(np.linalg.norm(a))
+
+
+def finite_vector(x, dim: int) -> bool:
+    """The one rule for every vector the store keeps, whichever code or
+    embedder made it: a float ndarray of shape ``(dim,)`` with only finite
+    entries. A finite x·x proves them, cheaply; a finite ``x`` whose x·x
+    overflows falls through to the entry test. ``np.vdot`` takes the same
+    x·x as ``x.dot(x)`` but warns on no overflow."""
+    return (isinstance(x, np.ndarray) and x.shape == (dim,) and x.dtype.kind == "f"
+            and (math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())))
+
+
+# A finite row's x·x may overflow: cosine 0, and 0 for a zero ``a`` (0·inf). As a
+# decorator, errstate builds its state once, not on every call.
+@np.errstate(over="ignore", invalid="ignore")
 def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray) -> None:
     """Write the cosine of ``a`` (of norm ``na``) with each row of ``rows``
     into ``out``; a zero row, or a zero ``a``, leaves its entry alone."""
-    # A finite row's x·x may overflow: cosine 0, and 0 for a zero ``a`` (0·inf).
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = na * np.sqrt(np.vecdot(rows, rows))
+    den = na * np.sqrt(np.vecdot(rows, rows))
     np.divide(np.vecdot(rows, a), den, out=out, where=den > 0)
 
 
@@ -122,30 +150,40 @@ def cosine(a: np.ndarray, b):
     float, scored as a block of one row. ``np.vecdot`` takes each row's dot
     product with BLAS, as ``np.dot`` does, so each cosine depends on its
     vector alone: equal vectors score equal, the three forms agree bit for
-    bit, and on an id-sorted list ``np.argmax`` gives ties to the lowest id.
+    bit, and on an id-sorted list ``argmax`` gives ties to the lowest id.
+    The norm of ``a`` is ``norm(a)``. A list's vectors are copied a block at
+    a time; the copy refuses rows of unequal shapes, so only the first row
+    of each block needs a shape test, which also keeps a block of rows that
+    would broadcast (shape ``()`` or ``(1,)``) from passing.
     """
     if isinstance(b, RowBlock):
         if a.shape != (b.width,):
             raise DimensionMismatch(f"cosine over shape {a.shape} vs rows of width {b.width}")
-        out, na = np.zeros(len(b.rows)), float(np.linalg.norm(a))
+        out, na = np.zeros(len(b.rows)), norm(a)
+        if len(b._chunks) == 1:
+            _row_cosines(a, na, b._chunks[0][:len(b.rows)], out)
+            return out
         for k, rows in enumerate(b.chunks()):
             _row_cosines(a, na, rows, out[k * COSINE_BLOCK:k * COSINE_BLOCK + len(rows)])
         return out
     if not isinstance(b, np.ndarray):
-        out, na = np.zeros(len(b)), float(np.linalg.norm(a))
+        out, na = np.zeros(len(b)), norm(a)
         buf = np.empty((min(len(b), COSINE_BLOCK),) + a.shape)
         for start in range(0, len(b), COSINE_BLOCK):
             block = b[start:start + COSINE_BLOCK]
-            if any(v.shape != a.shape for v in block):
+            if np.shape(block[0]) != a.shape:
                 raise DimensionMismatch(f"cosine over shape {a.shape} vs a row of another shape")
             rows = buf[:len(block)]
-            rows[...] = block  # twice as fast as np.stack into a new array
+            try:
+                rows[...] = block  # twice as fast as np.stack into a new array
+            except ValueError:
+                raise DimensionMismatch(f"cosine over shape {a.shape} vs a row of another shape") from None
             _row_cosines(a, na, rows, out[start:start + len(block)])
         return out
     if a.shape != b.shape:
         raise DimensionMismatch(f"cosine over shapes {a.shape} vs {b.shape}")
     out = np.zeros(1)
-    _row_cosines(a, float(np.linalg.norm(a)), b[np.newaxis], out)
+    _row_cosines(a, norm(a), b[np.newaxis], out)
     return float(out[0])
 
 

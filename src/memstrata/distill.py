@@ -20,7 +20,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import tokenize
+from .core import norm, tokenize
 from .dag import GOAL, START, ProceduralDag, assert_valid
 from .dag import enumerate_paths  # noqa: F401 -- bench/tracing.py wraps this name
 from .errors import InvalidInput
@@ -319,8 +319,8 @@ def default_goal_name(pattern: Pattern) -> str:
 
 def _normalized_mean(vectors) -> np.ndarray:
     mean = np.mean(vectors, axis=0)
-    norm = float(np.linalg.norm(mean))
-    return mean / norm if norm > 0.0 else mean
+    n = norm(mean)
+    return mean / n if n > 0.0 else mean
 
 
 def _covered_by_existing(steps, store) -> bool:

@@ -128,6 +128,11 @@ def parse_mentions(text: str) -> list[str]:
 # -- record parsing ---------------------------------------------------------
 
 
+_KEY_TYPES = frozenset((str,))
+_JSON_TYPES = frozenset((str, int, float, bool, type(None), list, dict))
+_NESTING_TYPES = frozenset((float, list, dict))  # what a level's walk looks into
+
+
 def _json_exact(dicts: list) -> bool:
     """Whether json writes each of ``dicts`` and reads it back as it is: str keys, and str, int, bool,
     None, finite float, list and dict values, and no container that holds itself. The walk goes a
@@ -136,10 +141,9 @@ def _json_exact(dicts: list) -> bool:
     seen, lists, depth = set(), [], 0
     while dicts or lists:
         types = set(map(type, chain(chain.from_iterable(map(dict.values, dicts)), *lists)))
-        if not (set(map(type, chain.from_iterable(dicts))) <= {str}
-                and types <= {str, int, float, bool, type(None), list, dict}):
+        if not (_KEY_TYPES.issuperset(map(type, chain.from_iterable(dicts))) and types <= _JSON_TYPES):
             return False
-        if not types & {float, list, dict}:  # a level of str, int, bool and None ends the walk
+        if types.isdisjoint(_NESTING_TYPES):  # a level of str, int, bool and None ends the walk
             return True
         values = list(chain(chain.from_iterable(map(dict.values, dicts)), *lists))
         if not all(map(math.isfinite, [x for x in values if type(x) is float])):
@@ -210,10 +214,14 @@ def record_from_dict(obj: dict) -> ObservationRecord:
             raise MalformedRecord(f"percept kind must be face|voice, got {kind!r}")
         if not isinstance(hint, str) or not hint:
             raise MalformedRecord("percept hint must be a nonempty string")
-        if not isinstance(vec, list) or not _NUMBER_TYPES.issuperset(map(type, vec)):
+        if not isinstance(vec, list):
+            raise MalformedRecord("percept vector must be a list of numbers")
+        types = list(map(type, vec))
+        # A vector of floats only, as json gives one, passes on a count, faster than the set test.
+        if types.count(float) != len(types) and not _NUMBER_TYPES.issuperset(types):
             raise MalformedRecord("percept vector must be a list of numbers")
         try:
-            arr = np.asarray(vec, dtype=np.float64)
+            arr = np.fromiter(vec, np.float64, len(vec))
         except OverflowError:
             raise MalformedRecord(f"percept vector for {hint!r} overflows a float") from None
         percepts.append(Percept(kind, arr, hint))
@@ -259,7 +267,7 @@ def read_observations(path: str) -> list[ObservationRecord]:
 
 class CentroidRows:
     """The store's anchor centroids: one ``RowBlock`` per percept kind, its
-    rows in anchor id order, so that ``np.argmax`` over a scan gives ties to
+    rows in anchor id order, so that ``argmax`` over a scan gives ties to
     the lowest id. ``anchor.centroid_<kind>`` is a view of its row.
 
     ``size`` is the size of ``store.anchors`` the rows hold; when the dict
@@ -301,7 +309,7 @@ def resolve_anchor(store, percept: Percept) -> int:
     count = f"{percept.kind}_count"
     if block.ids:
         sims = cosine(percept.vector, block)
-        best = int(np.argmax(sims))
+        best = sims.argmax()
         if sims[best] >= store.config.tau_anchor:
             anchor = store.anchors[block.ids[best]]
             k = getattr(anchor, count)
@@ -332,16 +340,18 @@ def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset) -> li
     """
     v = store.embed(text)
     events = []
-    ids = [i for i in sorted(store.semantic) if anchors <= store.semantic[i].anchors]
+    ids = sorted([i for i, node in store.semantic.items() if anchors <= node.anchors])
     if ids:
         sims = cosine(v, [store.semantic[i].v_s for i in ids])
-        best_id = ids[int(np.argmax(sims))]
-        if sims.max() > store.config.tau_pos:
+        best = sims.argmax()
+        if sims[best] > store.config.tau_pos:
+            best_id = ids[best]
             store.semantic[best_id].weight += 1
             events.append(("reinforced", best_id))
             return events
-        worst_id = ids[int(np.argmin(sims))]
-        if sims.min() < store.config.tau_neg:
+        worst = sims.argmin()
+        if sims[worst] < store.config.tau_neg:
+            worst_id = ids[worst]
             node = store.semantic[worst_id]
             node.weight -= 1
             events.append(("weakened", worst_id))
@@ -398,7 +408,8 @@ def ingest_observation(store, rec: ObservationRecord):
             raise DimensionMismatch(
                 f"percept vector has shape {p.vector.shape}, store dim is {store.config.dim}"
             )
-        if not np.isfinite(p.vector).all():
+        # A finite x·x proves the entries finite; np.vdot warns on no overflow (see finite_vector).
+        if not (math.isfinite(np.vdot(p.vector, p.vector)) or np.isfinite(p.vector).all()):
             raise MalformedRecord(f"percept vector for {p.hint!r} has a non-finite value")
 
     # Each text's mentions, parsed once; a mention that no percept of the record
@@ -414,6 +425,18 @@ def ingest_observation(store, rec: ObservationRecord):
             if anchor_id is None:
                 raise DanglingMention(f"@{mention} has no percept hint and no existing anchor")
 
+    # Every vector the record adds, each new text's and each conclusion's, embedded
+    # before the first mutation: store.embed refuses one that is not dim finite floats.
+    # consolidate_semantic embeds its conclusion again (its four arguments are what
+    # tracing and tests wrap), so a conclusion is embedded here only when that can fail.
+    new_texts: dict = {}
+    for desc in rec.descriptions:
+        if desc.text not in store.texts and desc.text not in new_texts:
+            new_texts[desc.text] = store.embed(desc.text)
+    if rec.conclusions and not store.embedder_is_builtin:
+        for c in rec.conclusions:
+            store.embed(c.text)
+
     # Validation done; mutations start here.
     for p in rec.percepts:
         anchor_id = resolve_anchor(store, p)
@@ -427,7 +450,7 @@ def ingest_observation(store, rec: ObservationRecord):
         meta.episodes.append(node_id := store.next_node_id)
         store.next_node_id += 1
         store.episodic[node_id] = EpisodicNode(
-            node_id, store.text_entry(desc.text), meta, anchors(found),
+            node_id, store.text_entry(desc.text, new_texts.get(desc.text)), meta, anchors(found),
             OUTCOMES[OUTCOMES.index(desc.outcome)], store.own_attrs(desc.attrs))
 
     events = []

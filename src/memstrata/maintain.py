@@ -39,14 +39,16 @@ class UpdateReport:
 def match_logic(store, o_vec: np.ndarray):
     """Best logic node by max(cos to i_goal, cos to i_step); None if empty.
 
-    Ties break toward the lowest LogicId.
+    Ties break toward the lowest LogicId. One scan covers the goal indexes,
+    then the step indexes.
     """
     ids = sorted(store.logic)
     if not ids:
         return None
-    sims = np.maximum(cosine(o_vec, [store.logic[i].i_goal for i in ids]),
-                      cosine(o_vec, [store.logic[i].i_step for i in ids]))
-    best = int(np.argmax(sims))
+    nodes = [store.logic[i] for i in ids]
+    sims = cosine(o_vec, [n.i_goal for n in nodes] + [n.i_step for n in nodes])
+    sims = np.maximum(sims[:len(ids)], sims[len(ids):])
+    best = sims.argmax()
     return ids[best], float(sims[best])
 
 
@@ -139,7 +141,8 @@ def apply_observation(store, rec) -> UpdateReport:
     report.pooled = True
     if best is not None:
         report.similarity = best[1]
-    store.pool.append(rec.id)
+    if rec.id not in store.pool:  # a record applied again is pooled once
+        store.pool.append(rec.id)
     report.pool_size = len(store.pool)
     if len(store.pool) >= store.config.pool_trigger:
         episode_ids = set().union(*(store.observations[i].episodes for i in store.pool))

@@ -106,9 +106,9 @@ def score_logic(q_vec: np.ndarray, node, alpha: float) -> float:
 
 
 def _logic_scores(q_vec: np.ndarray, nodes: list, alpha: float) -> np.ndarray:
-    """``score_logic`` of each node, from one scan of the goal and one of the step indexes."""
-    return (alpha * cosine(q_vec, [n.i_goal for n in nodes])
-            + (1.0 - alpha) * cosine(q_vec, [n.i_step for n in nodes]))
+    """``score_logic`` of each node, from one scan of the goal indexes, then the step indexes."""
+    sims = cosine(q_vec, [n.i_goal for n in nodes] + [n.i_step for n in nodes])
+    return alpha * sims[:len(nodes)] + (1.0 - alpha) * sims[len(nodes):]
 
 
 def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalResult:

@@ -34,7 +34,14 @@ from operator import attrgetter, is_, le, lt
 
 import numpy as np
 
-from .core import Config, HashingEmbedder, _is_finite_number, _is_int, embedder_identity
+from .core import (
+    Config,
+    HashingEmbedder,
+    _is_finite_number,
+    _is_int,
+    embedder_identity,
+    finite_vector,
+)
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
 from .distill import LogicNode, default_goal_name, extract_action, verify_default
 from .errors import (
@@ -42,6 +49,7 @@ from .errors import (
     CorruptSnapshot,
     DimensionMismatch,
     EmbedderMismatch,
+    InvalidInput,
     MissingEdge,
     SnapshotIoError,
 )
@@ -130,16 +138,33 @@ class MemoryStore:
 
     # -- facade -------------------------------------------------------------
 
-    def embed(self, text: str) -> np.ndarray:
-        return self.embedder.embed(text)
+    @property
+    def embedder_is_builtin(self) -> bool:
+        """Whether the embedder is the built-in ``HashingEmbedder`` (not a subclass) of the
+        store's dim, whose vectors are ``dim`` finite floats by construction."""
+        return type(self.embedder) is HashingEmbedder and self.embedder.dim == self.config.dim
 
-    def text_entry(self, text: str) -> tuple:
+    def embed(self, text: str) -> np.ndarray:
+        """The embedder's vector for ``text``. Any embedder but the built-in one is an input
+        boundary: its vector is refused unless it is ``dim`` finite floats (``core.finite_vector``),
+        with ``DimensionMismatch`` for an array of another shape and ``InvalidInput`` otherwise,
+        so that no vector the store keeps breaks that rule."""
+        v = self.embedder.embed(text)
+        if not self.embedder_is_builtin and not finite_vector(v, self.config.dim):
+            if isinstance(v, np.ndarray) and v.shape != (self.config.dim,):
+                raise DimensionMismatch(f"embedder output for {text!r} has shape {v.shape}, "
+                                        f"store dim is {self.config.dim}")
+            raise InvalidInput(f"embedder output for {text!r} is not {self.config.dim} finite floats")
+        return v
+
+    def text_entry(self, text: str, vector=None) -> tuple:
         """``(d, v_e, action)``: the one entry that every episodic node with this text
-        holds as its ``text``, embedded and extracted once."""
+        holds as its ``text``, embedded and extracted once; ``vector``, when given, is
+        ``embed(text)`` already made."""
         entry = self.texts.get(text)
         if entry is None:
-            entry = self.texts[text] = (text, self.embed(text), self.intern(
-                extract_action(text, self.config.action_verbs)))
+            entry = self.texts[text] = (text, self.embed(text) if vector is None else vector,
+                                        self.intern(extract_action(text, self.config.action_verbs)))
         return entry
 
     def own_attrs(self, attrs: dict) -> dict:
@@ -271,7 +296,6 @@ def _ids_in(ids, held) -> bool:
     return set(map(type, ids)) <= {int} and ids <= held
 
 
-@np.errstate(over="ignore")  # a finite vector's x·x may overflow: see bad_vector
 def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     """Global invariant sweep; returns all violations (empty means healthy).
 
@@ -287,13 +311,6 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     except ConfigError as exc:
         v.append(f"config: {exc}")
     valid_config, dim = not v, config.dim
-
-    def bad_vector(x) -> bool:
-        # The one rule for every stored vector, whichever code or embedder made it: a float
-        # ndarray of shape (dim,) with only finite entries (a finite x·x proves it, cheaply;
-        # a finite x whose x·x overflows falls through to the entry test).
-        return not (isinstance(x, np.ndarray) and x.shape == (dim,) and x.dtype.kind == "f"
-                    and (math.isfinite(x.dot(x)) or np.isfinite(x).all()))
 
     counters = {"node": store.next_node_id, "anchor": store.next_anchor_id, "logic": store.next_logic_id}
     v += [f"counter {name}: {c!r} is not a positive int"
@@ -329,7 +346,7 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
                 v.append(f"anchor {anchor_id}: {name}_count {k!r} is not "
                          + ("an int of at least 1" if c is not None else f"0 without a {name} centroid"))
             if c is not None:
-                if bad_vector(c):
+                if not finite_vector(c, dim):
                     v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
                 if rows[name].pop(anchor_id, None) is not c:
                     v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
@@ -344,7 +361,7 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
               zip(ep_ids, anchor_sets) if type(a) is not frozenset or not _ids_in(a, anchor_ids)]
     # Each of the store's text entries once; a rule on one names the first node that holds it.
     entries = [e for d, e in store.texts.items() if type(e) is tuple and len(e) == 3 and e[0] is d]
-    if bad := {id(e) for e in entries if bad_vector(e[1])}:
+    if bad := {id(e) for e in entries if not finite_vector(e[1], dim)}:
         first = dict(zip([id(n.text) for n in reversed(nodes)], reversed(ep_ids)))  # entry -> node
         v += [f"episodic {i}: v_e is not {dim} finite floats"
               for i in sorted(first[e] for e in bad if e in first)]
@@ -354,7 +371,7 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v.append(f"semantic {node_id}: weight {node.weight!r} is not an int of at least 1")
         if type(node.anchors) is not frozenset or not _ids_in(node.anchors, anchor_ids):
             v.append(f"semantic {node_id}: anchors {node.anchors!r} are not a frozenset of anchor ids")
-        if bad_vector(node.v_s):
+        if not finite_vector(node.v_s, dim):
             v.append(f"semantic {node_id}: v_s is not {dim} finite floats")
 
     # The evidence of all procedures at once first: its union is far smaller than the sum.
@@ -371,7 +388,8 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
         elif not linked and not links <= store.episodic.keys():
             v.append(f"logic {logic_id}: dangling episodic link")
         v += [f"logic {logic_id}: {name} is not {dim} finite floats"
-              for name, x in (("i_goal", node.i_goal), ("i_step", node.i_step)) if bad_vector(x)]
+              for name, x in (("i_goal", node.i_goal), ("i_step", node.i_step))
+              if not finite_vector(x, dim)]
         dag = node.dag
         if type(dag) is not ProceduralDag:
             v.append(f"logic {logic_id}: dag {dag!r} is not a ProceduralDag")
@@ -406,6 +424,9 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
         v.append("candidate pool at or beyond trigger without distillation")
     v += [f"pool entry references unknown observation {i!r}"
           for i in store.pool if not (_is_int(i) and i in store.observations)]
+    pooled = [i for i in store.pool if type(i) is int]  # another is reported above
+    v += [f"pool entry {i} is listed {n} times, not once"
+          for i, n in Counter(pooled).items() if n > 1]
     if not set(map(type, store.observations)) <= {int}:
         return v + ["observation ids are not all ints"]  # the rules below sort them
     obs_ids = sorted(store.observations)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import cosine
 from .dag import (
     GOAL,
@@ -48,7 +46,7 @@ def _resolve_goal_node(store, goal: str):
     if not ids:
         raise NoMatch("logic layer is empty")
     sims = cosine(goal_vec, [store.logic[i].i_goal for i in ids])
-    best = int(np.argmax(sims))
+    best = sims.argmax()
     sim = float(sims[best])
     if sim < store.config.theta_retrieve:
         raise NoMatch(f"best goal similarity {sim:.6f} below threshold")

@@ -56,7 +56,8 @@ class MaintenanceModel:
                     "expanded_nodes": [], "expanded_edges": [], "repaired_edges": [],
                     "rejected": [], "trials": 0, "pool_size": 0, "distilled": []}
         if matched is None:
-            self.pool.append(rec.id)
+            if rec.id not in self.pool:  # a record applied again is pooled once
+                self.pool.append(rec.id)
             expected["pool_size"] = len(self.pool)
             if len(self.pool) >= store.config.pool_trigger:
                 expected["distilled"] = sorted(set(store.logic) - set(self.logic))

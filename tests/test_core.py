@@ -188,6 +188,71 @@ def test_cosine_rows_form_is_the_list_form_bit_for_bit(n):
     assert np.array_equal(cosine(np.zeros(24), block), np.zeros(n))
 
 
+def _norm_cases(d):
+    rng = np.random.default_rng(d)
+    wide = rng.normal(size=(d, 3))
+    return {
+        "float64": rng.normal(size=d),
+        "float32": rng.normal(size=d).astype(np.float32),
+        "int64": rng.integers(-9, 10, size=d),
+        "int64 whose x·x wraps": np.full(d, 2**62, dtype=np.int64),
+        "zero": np.zeros(d),
+        "x·x overflows": np.full(d, 1e200),
+        "strided": wide[:, 1],  # BLAS sums a strided dot in another order
+    }
+
+
+@pytest.mark.parametrize("d", [1, 24, 512])
+def test_norm_is_linalg_norm_bit_for_bit(d):
+    from memstrata.core import norm
+
+    with np.errstate(over="ignore"):  # linalg.norm warns on the overflowing x·x
+        for name, a in _norm_cases(d).items():
+            want = float(np.linalg.norm(a))
+            assert type(norm(a)) is float and norm(a).hex() == want.hex(), name
+
+
+def test_cosine_of_an_int_query_is_that_of_its_float_cast():
+    rng = np.random.default_rng(3)
+    rows = [rng.normal(size=24) for _ in range(5)]
+    block = RowBlock(24)
+    for i, row in enumerate(rows):
+        block.append(i, row)
+    for q in (rng.integers(-9, 10, size=24), np.full(24, 2**62, dtype=np.int64)):
+        want = cosine(q.astype(np.float64), rows).tobytes()
+        assert cosine(q, rows).tobytes() == want
+        assert cosine(q, block).tobytes() == want
+        assert np.array([cosine(q, r) for r in rows]).tobytes() == want
+
+
+@pytest.mark.parametrize("shape", [(1,), (), (1, 24)], ids=["(1,)", "()", "(1,d)"])
+@pytest.mark.parametrize("at", [0, 7, COSINE_BLOCK - 1, COSINE_BLOCK, COSINE_BLOCK + 7],
+                         ids=["first", "middle", "last", "second-first", "second-last"])
+def test_cosine_list_refuses_a_row_of_another_shape_anywhere(shape, at):
+    # Only a block's first row is shape-tested: the copy refuses rows of unequal
+    # shapes, and a block of broadcastable rows has that first row.
+    rng = np.random.default_rng(5)
+    n = COSINE_BLOCK + 8 if at >= COSINE_BLOCK else COSINE_BLOCK
+    rows = [rng.normal(size=24) for _ in range(n)]
+    rows[at] = np.ones(shape)
+    with pytest.raises(DimensionMismatch):
+        cosine(rng.normal(size=24), rows)
+    alone = rows[:at - at % COSINE_BLOCK] + [rows[at]]  # the bad row alone in its block
+    with pytest.raises(DimensionMismatch):
+        cosine(rng.normal(size=24), alone)
+
+
+def test_cosine_list_takes_a_plain_list_as_a_row():
+    # A row needs a shape, not a type: a list of floats scores as its array.
+    rng = np.random.default_rng(6)
+    q, rows = rng.normal(size=24), [rng.normal(size=24) for _ in range(3)]
+    want = cosine(q, rows).tobytes()
+    for at in range(3):
+        mixed = list(rows)
+        mixed[at] = rows[at].tolist()
+        assert cosine(q, mixed).tobytes() == want
+
+
 def test_row_block_rows_stay_put_and_deep_copy_to_new_rows():
     import copy
 

@@ -1,0 +1,89 @@
+"""A cross-commit pin on the engine's decisions and its stored bits.
+
+The bench's determinism check compares runs of the same code only, so nothing
+else holds the bits of a build fixed from one commit to the next. This test
+builds a seeded 300-record corpus from ``bench/gen.py``'s lifecycle inputs as
+the ``stream`` and ``recall`` workloads do (ingest 80%, distill, ingest and
+apply the rest, ``auto_fuse``), then pins the SHA-256 of its snapshot and the
+ids and score bits of five retrieves that reach all three layers.
+
+A change that moves one decision, or one ulp of a centroid, an index or a
+score, fails here; so does a BLAS kernel that sums a dot product in another
+order and flips a tie (ROADMAP item D). A change that moves them on purpose
+records new constants and says why.
+"""
+
+import hashlib
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from memstrata import Config, MemoryStore
+from memstrata.fuse import auto_fuse
+from memstrata.ingest import read_observation_lines
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+SNAPSHOT_SHA256 = "5f71f828760ac1447d46abe4421ca73dcd7dc21052cdf68def92101da3c517df"
+
+# query index in the generated list -> the ranked (layer, node id, score_final.hex()), k = 5
+RETRIEVES = {
+    0: [("epi", 22, "0x1.43d136248490fp-2"), ("epi", 127, "0x1.43d136248490fp-2"),
+        ("epi", 333, "0x1.43d136248490fp-2"), ("sem", 211, "0x1.12c49dd0cc1e8p-2"),
+        ("epi", 6, "0x1.08654a2d4f6dbp-2")],
+    8: [("epi", 12, "0x1.08654a2d4f6dcp-1"), ("epi", 22, "0x1.43d136248490fp-2"),
+        ("epi", 127, "0x1.43d136248490fp-2"), ("epi", 333, "0x1.43d136248490fp-2"),
+        ("sem", 8, "0x1.3d4659032c1d5p-2")],
+    12: [("logic", 3, "0x1.36c3f03af322ap+0"), ("logic", 4, "0x1.95b562692f5e8p-1"),
+         ("logic", 1, "0x1.90e1a30831294p-1"), ("logic", 2, "0x1.568785c1596b2p-1"),
+         ("epi", 371, "0x1.02061446ffa9ap-1")],
+    20: [("logic", 4, "0x1.80085b9c6b970p-2"), ("logic", 3, "0x1.536af19b5aa4bp-2"),
+         ("epi", 13, "0x1.314c3d92a9e92p-2"), ("epi", 17, "0x1.314c3d92a9e92p-2"),
+         ("epi", 29, "0x1.314c3d92a9e92p-2")],
+    28: [("logic", 3, "0x1.2d94a12a36ec2p-1"), ("logic", 4, "0x1.ffd53bc044ec2p-2"),
+         ("epi", 21, "0x1.f2581ddd9b72ep-2"), ("epi", 306, "0x1.f2581ddd9b72ep-2"),
+         ("epi", 332, "0x1.f2581ddd9b72ep-2")],
+}
+
+
+def _gen():
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    gen = _gen()
+    monkeypatch.setattr(gen, "RECORDS", 300)
+    monkeypatch.setattr(gen, "SESSIONS", 20)
+    inputs = gen.lifecycle_inputs(7)
+    records = read_observation_lines(inputs["lines"]())
+    cut = len(records) * 4 // 5
+    store = MemoryStore(Config())
+    for rec in records[:cut]:
+        store.ingest(rec)
+    store.distill()
+    for rec in records[cut:]:
+        store.ingest(rec)
+        store.apply(rec)
+    auto_fuse(store)
+    return store, inputs["queries"]
+
+
+def test_a_seeded_build_keeps_its_snapshot_bits(built, tmp_path):
+    store, _ = built
+    path = str(tmp_path / "pin.json")
+    store.save(path)
+    assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == SNAPSHOT_SHA256
+
+
+def test_a_seeded_build_keeps_its_rankings_and_score_bits(built):
+    store, queries = built
+    got = {i: [(it.layer, it.node_id, it.score_final.hex())
+               for it in store.retrieve(queries[i]["text"], k=5).ranked] for i in RETRIEVES}
+    assert got == RETRIEVES

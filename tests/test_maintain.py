@@ -184,6 +184,19 @@ def test_a_pooled_record_is_its_observation_id():
     assert store.pool == [rec.id]
 
 
+def test_a_record_applied_again_is_pooled_once():
+    # pool_trigger counts observations: one record applied three times waits as one,
+    # and no pool-scoped distill runs over it alone.
+    store = maintained_store()
+    store.config.pool_trigger = 3
+    rec = record(101, "w1", 0.0, ["grab a towel", "wash the window"])
+    store.ingest(rec)
+    reports = [store.apply(rec) for _ in range(3)]
+    assert all(r.pooled and not r.distilled for r in reports)
+    assert [r.pool_size for r in reports] == [1, 1, 1]
+    assert store.pool == [101] and store.check() == []
+
+
 def test_apply_expands_new_step_and_stays_valid():
     store = maintained_store()
     node = store.logic[1]

@@ -260,6 +260,18 @@ def test_snapshot_pool_entry_that_is_not_an_observation_id_rejected(entry):
         store_from_dict(data)
 
 
+def test_snapshot_pool_that_lists_an_observation_twice_rejected():
+    # apply pools a record once, so a repeated id is no store's pool.
+    data = json.loads(open(V7_FIXTURE).read())
+    store = store_from_dict(copy.deepcopy(data))
+    store.pool.append(11)
+    violation = "pool entry 11 is listed 2 times, not once"
+    assert store.check() == [violation]
+    data["pool"].append(11)
+    with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
+        store_from_dict(data)
+
+
 @pytest.mark.parametrize("section,other", [
     ("anchors", {}), ("semantic", {}), ("logic", {}), ("pool", {}),
 ], ids=["anchors", "semantic", "logic", "pool"])

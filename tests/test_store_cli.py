@@ -25,14 +25,17 @@ from memstrata import (
     ConfigError,
     CorruptSnapshot,
     Description,
+    DimensionMismatch,
     EmbedderMismatch,
     EpisodicNode,
     HashingEmbedder,
+    InvalidInput,
     MalformedRecord,
     MemoryEngineError,
     MemoryStore,
     ObservationMeta,
     ObservationRecord,
+    Percept,
     SnapshotIoError,
     StoreLocked,
     load_config,
@@ -465,17 +468,46 @@ class FixedOutputEmbedder:
         return self.output
 
 
+def _refusal(output):
+    """What ``store.embed`` raises for an embedder ``output`` that is not 8 finite floats."""
+    return DimensionMismatch if isinstance(output, np.ndarray) and output.shape != (8,) else InvalidInput
+
+
+def _plant_text_vector(store, text, vector):
+    """Put ``vector`` as the v_e of ``text``'s entry, which its nodes share."""
+    d, _, action = store.texts[text]
+    store.texts[text] = entry = (d, vector, action)
+    for node in store.episodic.values():
+        if node.d == text:
+            node.text = entry
+
+
+# The embedder's output is refused where the store takes it, before any mutation; a
+# store can then hold such a vector only by a caller's hand, and check() reports it.
+
+
 @pytest.mark.parametrize("output", [np.ones(3) / np.sqrt(3), np.full(8, np.nan)],
                          ids=["3-vector", "nan"])
 def test_check_reports_a_bad_embedder_after_ingest_and_retrieve(output):
-    store = MemoryStore(Config(dim=8, action_verbs=("chop", "mix")),
-                        embedder=FixedOutputEmbedder(8, output))
-    for rid, video in enumerate(("v1", "v2"), start=1):
-        store.ingest(ObservationRecord(
-            rid, video, 0.0, [Description("chop the fruit"), Description("mix the fruit")],
-            [Conclusion("knowledge", "fruit is sweet")], []))
+    cfg = Config(dim=8, action_verbs=("chop", "mix"))
+    records = [ObservationRecord(
+        rid, video, 0.0, [Description("chop the fruit"), Description("mix the fruit")],
+        [Conclusion("knowledge", "fruit is sweet")], []) for rid, video in enumerate(("v1", "v2"), start=1)]
+    store = MemoryStore(cfg, embedder=FixedOutputEmbedder(8, output))
+    with pytest.raises(_refusal(output)):
+        store.ingest(records[0])
+    with pytest.raises(_refusal(output)):
+        store.retrieve("chop the fruit")
+    assert not store.episodic and not store.texts and store.check() == []
+
+    store = MemoryStore(cfg)
+    for rec in records:
+        store.ingest(rec)
     store.distill()
     store.retrieve("chop the fruit")
+    assert store.check() == []
+    _plant_text_vector(store, "chop the fruit", output)
+    store.semantic[min(store.semantic)].v_s = output
     violations = store.check()
     assert any("v_e is not 8 finite floats" in x for x in violations)
     assert any("v_s is not 8 finite floats" in x for x in violations)
@@ -486,19 +518,70 @@ def test_check_reports_a_bad_embedder_after_ingest_and_retrieve(output):
     np.zeros(8, dtype=object), np.zeros((8, 1)), np.zeros((1, 8)), np.full(8, np.inf),
     np.float64(0.5), np.zeros(0)])
 def test_check_reports_any_embedder_output_that_is_not_a_vector(output):
+    rec = ObservationRecord(1, "v1", 0.0, [Description("chop the fruit")], [], [])
     store = MemoryStore(Config(dim=8), embedder=FixedOutputEmbedder(8, output))
-    store.ingest(ObservationRecord(1, "v1", 0.0, [Description("chop the fruit")], [], []))
+    with pytest.raises(_refusal(output)):
+        store.ingest(rec)
+    assert not store.episodic and store.check() == []
+    store = MemoryStore(Config(dim=8))
+    store.ingest(rec)
+    _plant_text_vector(store, "chop the fruit", output)
     assert store.check() == ["episodic 1: v_e is not 8 finite floats"]
 
 
 def test_check_applies_the_vector_rule_once_per_text():
     # Nodes with equal text share one vector; the rule names the first node.
-    store = MemoryStore(Config(dim=8), embedder=FixedOutputEmbedder(8, np.full(8, np.nan)))
+    store = MemoryStore(Config(dim=8))
     for rid in (1, 2):
         store.ingest(ObservationRecord(rid, "v1", float(rid), [Description("chop the fruit")], [], []))
     store.ingest(ObservationRecord(3, "v1", 3.0, [Description("mix the fruit")], [], []))
+    for text in ("chop the fruit", "mix the fruit"):
+        _plant_text_vector(store, text, np.full(8, np.nan))
     assert store.check() == ["episodic 1: v_e is not 8 finite floats",
                              "episodic 3: v_e is not 8 finite floats"]
+
+
+class OneTextEmbedder(HashingEmbedder):
+    """The hashing embedder but for ``text``: there it returns ``output``, or raises
+    when ``output`` is None."""
+
+    def __init__(self, dim, text, output):
+        super().__init__(dim)
+        self.text, self.output = text, output
+
+    def embed(self, text):
+        if text != self.text:
+            return super().embed(text)
+        if self.output is None:
+            raise RuntimeError(f"cannot embed {text!r}")
+        return self.output
+
+
+@pytest.mark.parametrize("text", ["@jack mix the fruit", "@jack likes fruit"],
+                         ids=["description", "conclusion"])
+@pytest.mark.parametrize("output", [np.ones(3) / np.sqrt(3), np.full(8, np.nan), None],
+                         ids=["3-vector", "nan", "raises"])
+def test_a_refused_ingest_leaves_the_store_as_it_was(tmp_path, text, output):
+    # The record's percept, its new episode and its conclusion would each change the
+    # store; a bad vector for its new text or its conclusion is refused before any of them.
+    store = MemoryStore(Config(dim=8, action_verbs=("chop", "mix")),
+                        embedder=OneTextEmbedder(8, text, output))
+    jack = np.eye(8)[3]
+    store.ingest(ObservationRecord(1, "v1", 0.0, [Description("@jack chop the fruit")],
+                                   [Conclusion("character", "@jack likes sweet things")],
+                                   [Percept("face", jack, "jack")]))
+    before = str(tmp_path / "before.json")
+    store.save(before)
+    rec = ObservationRecord(2, "v1", 1.0, [Description("@jack mix the fruit")],
+                            [Conclusion("character", "@jack likes fruit")],
+                            [Percept("face", jack, "jack")])
+    with pytest.raises(RuntimeError if output is None else _refusal(output)):
+        store.ingest(rec)
+    assert store.check() == []
+    after = str(tmp_path / "after.json")
+    store.save(after)
+    assert open(after, "rb").read() == open(before, "rb").read()
+    assert store.anchors[1].face_count == 1 and 2 not in store.observations
 
 
 def test_check_accepts_any_finite_float_vector():
