@@ -16,14 +16,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, is_
 
 import numpy as np
 
-from .core import norm, tokenize
+from .core import RowBlock, norm, tokenize
 from .dag import GOAL, START, ProceduralDag, assert_valid
 from .dag import enumerate_paths  # noqa: F401 -- bench/tracing.py wraps this name
 from .errors import InvalidInput
+from .ingest import action_postings
 
 # Tokens skipped when looking for the object of a verb. Not linguistics,
 # just enough to turn "chops the fruit" into chop_fruit deterministically.
@@ -61,6 +62,41 @@ class LogicNode:
     episodic_links: set = field(default_factory=set)
     score: float = 0.0
     steps: tuple = ()
+
+
+class LogicRows:
+    """The store's logic index vectors: one ``RowBlock`` of ``i_goal`` rows and
+    one of ``i_step`` rows, in ascending logic id, so that ``argmax`` over a
+    scan gives ties to the lowest id. A node's ``i_goal`` and ``i_step`` are
+    views of its rows, and ``ema_update`` writes through them."""
+
+    def __init__(self, dim: int):
+        self.goal, self.step = RowBlock(dim), RowBlock(dim)
+
+    def add(self, logic_id: int, node) -> None:
+        """Copy the node's index vectors into new rows and point it at them."""
+        node.i_goal = self.goal.append(logic_id, node.i_goal)
+        node.i_step = self.step.append(logic_id, node.i_step)
+
+
+def logic_rows(store) -> LogicRows:
+    """The store's ``LogicRows``, built again when they no longer describe
+    ``store.logic``: when its sorted ids do not begin with the rows' ids (a
+    node went, or came below the last), or a node's ``i_goal`` or ``i_step``
+    is not its row (a caller assigned one). Nodes above the rows' last id
+    (distill's, fusion's) get new rows."""
+    ids, rows = sorted(store.logic), store.logic_rows
+    nodes = list(map(store.logic.__getitem__, ids))
+    held = len(rows.goal.ids) if rows is not None else 0
+    if rows is None or ids[:held] != rows.goal.ids or not (
+            all(map(is_, map(attrgetter("i_goal"), nodes), rows.goal.rows))
+            and all(map(is_, map(attrgetter("i_step"), nodes), rows.step.rows))):
+        rows, held = LogicRows(store.config.dim), 0
+    store.logic_rows = None  # until every node has its rows: an add may raise
+    for logic_id, node in zip(ids[held:], nodes[held:]):
+        rows.add(logic_id, node)
+    store.logic_rows = rows
+    return rows
 
 
 @lru_cache(maxsize=8)
@@ -366,12 +402,10 @@ def distill(store, episode_ids=None) -> list[int]:
     verifier = store.verifier_fn
     goal_namer = store.goal_namer_fn
     # Evidence index: each mined action -> the ids of its episodic nodes,
-    # store-wide.
+    # store-wide, ascending.
     episodic = store.episodic
-    by_action = {action: [] for seq in sequences for action in seq.actions}
-    for ep in episodic.values():
-        if ep.action in by_action:
-            by_action[ep.action].append(ep.id)
+    postings = action_postings(store).lists
+    by_action = {action: postings.get(action, ()) for seq in sequences for action in seq.actions}
     scored = []
     for pattern in candidates:
         score = verifier(pattern, _related(episodic, by_action, pattern.steps))

@@ -8,11 +8,14 @@ percept in the same record or to an anchor that already exists.
 
 from __future__ import annotations
 
+import array
 import json
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter, mul
 
 import numpy as np
 
@@ -131,30 +134,55 @@ def parse_mentions(text: str) -> list[str]:
 _KEY_TYPES = frozenset((str,))
 _JSON_TYPES = frozenset((str, int, float, bool, type(None), list, dict))
 _NESTING_TYPES = frozenset((float, list, dict))  # what a level's walk looks into
+_CONTAINERS = (list, dict)
+
+# The most values one attrs object may write, a value inside a shared container counted once per
+# place the write reaches it: n nested levels of [x, x] are n containers, but write 2**n values.
+MAX_ATTRS_VALUES = 65536
 
 
-def _json_exact(dicts: list) -> bool:
-    """Whether json writes each of ``dicts`` and reads it back as it is: str keys, and str, int, bool,
-    None, finite float, list and dict values, and no container that holds itself. The walk goes a
-    level at a time, each container once a level; a walk deeper than the distinct containers it has
-    met below ``dicts`` has gone round a cycle, while a shared container only repeats a level."""
-    seen, lists, depth = set(), [], 0
-    while dicts or lists:
-        types = set(map(type, chain(chain.from_iterable(map(dict.values, dicts)), *lists)))
+def _attrs_fault(dicts: list) -> str | None:
+    """None when json writes each of ``dicts`` and reads it back as it is: str keys, and str, int, bool,
+    None, finite float, list and dict values, no container that holds itself, and at most
+    ``MAX_ATTRS_VALUES`` values written per dict; else what is wrong, as the end of a sentence about
+    the attrs. The walk goes a level at a time, each container once a level with the number of places
+    the write reaches it; a walk deeper than the distinct containers it has met below ``dicts`` has
+    gone round a cycle, while a shared container only repeats a level. Past the bound, a walk of
+    several dicts, whose counts below the top level are their sums, walks each dict alone."""
+    roots, lists, seen, depth = dicts, [], set(), 0
+    written = max(map(len, dicts)) if dicts else 0  # the top level: the largest of the dicts'
+    while True:
+        groups = [*map(dict.values, dicts), *lists]
+        types = set(map(type, chain.from_iterable(groups)))
         if not (_KEY_TYPES.issuperset(map(type, chain.from_iterable(dicts))) and types <= _JSON_TYPES):
-            return False
+            return "hold what JSON cannot carry exactly"
+        if written > MAX_ATTRS_VALUES:
+            if len(roots) > 1:
+                return next((fault for d in roots if (fault := _attrs_fault([d]))), None)
+            return f"write more than {MAX_ATTRS_VALUES} values"
         if types.isdisjoint(_NESTING_TYPES):  # a level of str, int, bool and None ends the walk
-            return True
-        values = list(chain(chain.from_iterable(map(dict.values, dicts)), *lists))
+            return None
+        values = list(chain.from_iterable(groups))
         if not all(map(math.isfinite, [x for x in values if type(x) is float])):
-            return False
-        nested = list({id(x): x for x in values if type(x) in (list, dict)}.values())
-        seen.update(map(id, nested))
+            return "hold what JSON cannot carry exactly"
+        if types.isdisjoint(_CONTAINERS):
+            return None
+        # Each container of the next level once, by id, with the places the write reaches it.
+        places = chain.from_iterable(map(repeat, reach, map(len, groups))) if depth else repeat(1)
+        nested, counts = {}, {}
+        for x, n in zip(values, places):
+            if type(x) in _CONTAINERS:
+                key = id(x)
+                nested[key] = x
+                counts[key] = counts.get(key, 0) + n
+        seen.update(nested)
         depth += 1
-        if nested and depth > len(seen):  # a chain of more containers than there are
-            return False
-        dicts, lists = [x for x in nested if type(x) is dict], [x for x in nested if type(x) is list]
-    return True
+        if depth > len(seen):  # a chain of more containers than there are
+            return "hold what JSON cannot carry exactly"
+        dicts = [x for x in nested.values() if type(x) is dict]
+        lists = [x for x in nested.values() if type(x) is list]
+        reach = [counts[id(x)] for x in dicts + lists]
+        written += sum(map(mul, reach, map(len, dicts + lists)))
 
 
 def _list_field(obj: dict, key: str) -> list:
@@ -164,8 +192,39 @@ def _list_field(obj: dict, key: str) -> list:
     return value
 
 
+def _number_vector(vec: list, hint: str) -> np.ndarray:
+    """A percept's list as float64, refused unless it holds ints and floats only."""
+    types = list(map(type, vec))
+    # A vector of floats only, as json gives one, passes on a count, faster than the set test.
+    if types.count(float) != len(types) and not _NUMBER_TYPES.issuperset(types):
+        raise MalformedRecord("percept vector must be a list of numbers")
+    try:
+        return np.fromiter(vec, np.float64, len(vec))
+    except OverflowError:
+        raise MalformedRecord(f"percept vector for {hint!r} overflows a float") from None
+
+
+def _json_vector(vec: list, hint: str) -> np.ndarray:
+    """``_number_vector`` of a list that ``json.loads`` made, converted in one C pass. The pass
+    refuses a str, None, a nested value and an int past float range, but takes a bool; json's
+    bools, true and false, become 1.0 and 0.0, so a vector holding either value, or one the pass
+    refuses, gets the per-element test, with its refusals and messages. (A caller's list may hold
+    a float subclass such as ``np.float64``, which the pass takes and the test refuses, so
+    ``record_from_dict`` always tests.)"""
+    try:
+        arr = np.frombuffer(array.array("d", vec))
+    except (TypeError, OverflowError):
+        return _number_vector(vec, hint)
+    return _number_vector(vec, hint) if ((arr == 0.0) | (arr == 1.0)).any() else arr
+
+
 def record_from_dict(obj: dict) -> ObservationRecord:
     """Build a record from one decoded JSONL object, validating shape."""
+    return _record(obj, _number_vector)
+
+
+def _record(obj: dict, vector) -> ObservationRecord:
+    """``record_from_dict``, with ``vector(list, hint)`` converting each percept vector."""
     try:
         rec_id = obj["id"]
         video = obj["video"]
@@ -216,15 +275,7 @@ def record_from_dict(obj: dict) -> ObservationRecord:
             raise MalformedRecord("percept hint must be a nonempty string")
         if not isinstance(vec, list):
             raise MalformedRecord("percept vector must be a list of numbers")
-        types = list(map(type, vec))
-        # A vector of floats only, as json gives one, passes on a count, faster than the set test.
-        if types.count(float) != len(types) and not _NUMBER_TYPES.issuperset(types):
-            raise MalformedRecord("percept vector must be a list of numbers")
-        try:
-            arr = np.fromiter(vec, np.float64, len(vec))
-        except OverflowError:
-            raise MalformedRecord(f"percept vector for {hint!r} overflows a float") from None
-        percepts.append(Percept(kind, arr, hint))
+        percepts.append(Percept(kind, vector(vec, hint), hint))
 
     return ObservationRecord(rec_id, video, float(t), descriptions, conclusions, percepts)
 
@@ -246,7 +297,7 @@ def read_observation_lines(lines) -> list[ObservationRecord]:
                 raise MalformedRecord('line 1: expected version header {"version": 1}')
             saw_header = True
             continue
-        records.append(record_from_dict(obj))
+        records.append(_record(obj, _json_vector))
     if not saw_header:
         raise MalformedRecord("missing observation version header")
     return records
@@ -329,18 +380,79 @@ def resolve_anchor(store, percept: Percept) -> int:
     return anchor_id
 
 
-def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset) -> list:
+class Postings:
+    """An inverted list of one node layer: ``lists`` maps each key to the ids of the nodes that
+    hold it, in the order the nodes came (ascending, as the engine makes them). ``size`` is the
+    count of nodes indexed; when the layer holds another count, nodes came or went other than
+    through the engine (a caller inserted or deleted some), and the postings are built again
+    (see ``semantic_postings``, ``action_postings``)."""
+
+    def __init__(self, nodes: dict, keys):
+        self.lists: defaultdict = defaultdict(list)
+        self.size = 0
+        for node_id in sorted(nodes):
+            self.add(node_id, keys(nodes[node_id]))
+
+    def add(self, node_id: int, keys) -> None:
+        """Index one node under each of ``keys``."""
+        for key in keys:
+            self.lists[key].append(node_id)
+        self.size += 1
+
+    def extend(self, node_ids: list, keys: list) -> None:
+        """Index each of ``node_ids`` under the one key at its place in ``keys``."""
+        for node_id, key in zip(node_ids, keys):
+            self.lists[key].append(node_id)
+        self.size += len(node_ids)
+
+    def remove(self, node_id: int, keys) -> None:
+        """Drop one node; a key it is not listed under (its keys changed in place) is skipped."""
+        for key in keys:
+            if node_id in (held := self.lists.get(key, ())):
+                held.remove(node_id)
+        self.size -= 1
+
+
+def semantic_postings(store) -> Postings:
+    """The store's postings from each anchor id to the semantic nodes whose anchor set holds it."""
+    postings = store.semantic_postings
+    if postings is None or postings.size != len(store.semantic):
+        postings = store.semantic_postings = Postings(store.semantic, attrgetter("anchors"))
+    return postings
+
+
+def action_postings(store) -> Postings:
+    """The store's postings from each action to the episodic nodes that have it, which ingest
+    appends to."""
+    postings = store.action_postings
+    if postings is None or postings.size != len(store.episodic):
+        postings = store.action_postings = Postings(store.episodic, lambda node: (node.action,))
+    return postings
+
+
+def semantic_candidates(store, anchors: frozenset) -> list:
+    """The ids of the semantic nodes whose anchor set covers ``anchors``, ascending: the
+    intersection of the anchors' postings, smallest first; every node for an empty set."""
+    if not anchors:
+        return sorted(store.semantic)
+    first, *rest = sorted([semantic_postings(store).lists.get(a, ()) for a in anchors], key=len)
+    return sorted(set(first).intersection(*rest))
+
+
+def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset, *, vector=None) -> list:
     """Reinforce, weaken, or insert one abstracted-knowledge item.
 
     Candidates are the semantic nodes whose anchor set covers the new
     item's anchors. The most similar candidate above tau_pos is reinforced
     (weight+1, no insert); otherwise the least similar candidate below
     tau_neg is weakened (weight-1, pruned at <= 0) before the new node is
-    inserted. Ties break toward the lowest node id.
+    inserted. Ties break toward the lowest node id. ``vector``, when given,
+    is ``store.embed(text)`` already made.
     """
-    v = store.embed(text)
+    v = store.embed(text) if vector is None else vector
     events = []
-    ids = sorted([i for i, node in store.semantic.items() if anchors <= node.anchors])
+    postings = semantic_postings(store)
+    ids = semantic_candidates(store, anchors)
     if ids:
         sims = cosine(v, [store.semantic[i].v_s for i in ids])
         best = sims.argmax()
@@ -357,12 +469,14 @@ def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset) -> li
             events.append(("weakened", worst_id))
             if node.weight <= 0:
                 del store.semantic[worst_id]
+                postings.remove(worst_id, node.anchors)
                 events.append(("pruned", worst_id))
 
     node_id = store.next_node_id
     store.next_node_id += 1
     node = SemanticNode(node_id, ctype, text, v, store.intern(frozenset(anchors)), weight=1)
     store.semantic[node_id] = node
+    postings.add(node_id, node.anchors)
     events.append(("created", node_id))
     return events
 
@@ -392,8 +506,10 @@ def ingest_observation(store, rec: ObservationRecord):
             raise MalformedRecord(f"description text must be a string, got {desc.text!r}")
         if desc.outcome not in OUTCOMES:
             raise MalformedRecord(f"bad outcome {desc.outcome!r}")
-        if type(desc.attrs) is not dict or not _json_exact([desc.attrs]):
+        if type(desc.attrs) is not dict:
             raise MalformedRecord(f"attrs of {desc.text!r} hold what JSON cannot carry exactly")
+        if desc.attrs and (fault := _attrs_fault([desc.attrs])):
+            raise MalformedRecord(f"attrs of {desc.text!r} {fault}")
     for c in rec.conclusions:
         if type(c.type) is not str or type(c.text) is not str:
             raise MalformedRecord(f"conclusion type and text must be strings, got {c.type!r}, {c.text!r}")
@@ -425,17 +541,14 @@ def ingest_observation(store, rec: ObservationRecord):
             if anchor_id is None:
                 raise DanglingMention(f"@{mention} has no percept hint and no existing anchor")
 
-    # Every vector the record adds, each new text's and each conclusion's, embedded
+    # Every vector the record adds, each new text's and each conclusion's, embedded once,
     # before the first mutation: store.embed refuses one that is not dim finite floats.
-    # consolidate_semantic embeds its conclusion again (its four arguments are what
-    # tracing and tests wrap), so a conclusion is embedded here only when that can fail.
     new_texts: dict = {}
     for desc in rec.descriptions:
         if desc.text not in store.texts and desc.text not in new_texts:
             new_texts[desc.text] = store.embed(desc.text)
-    if rec.conclusions and not store.embedder_is_builtin:
-        for c in rec.conclusions:
-            store.embed(c.text)
+    concluded_vectors = [store.embed(c.text) for c in rec.conclusions]
+    actions = action_postings(store)  # built first when missing or stale
 
     # Validation done; mutations start here.
     for p in rec.percepts:
@@ -452,10 +565,11 @@ def ingest_observation(store, rec: ObservationRecord):
         store.episodic[node_id] = EpisodicNode(
             node_id, store.text_entry(desc.text, new_texts.get(desc.text)), meta, anchors(found),
             OUTCOMES[OUTCOMES.index(desc.outcome)], store.own_attrs(desc.attrs))
+    actions.extend(meta.episodes, [store.texts[desc.text][2] for desc in rec.descriptions])
 
     events = []
-    for concl, found in zip(rec.conclusions, concluded):
-        events.extend(consolidate_semantic(store, concl.type, concl.text, anchors(found)))
+    for concl, found, v in zip(rec.conclusions, concluded, concluded_vectors):
+        events.extend(consolidate_semantic(store, concl.type, concl.text, anchors(found), vector=v))
 
     store.observations[rec.id] = meta
     store.video_clock[meta.video] = meta

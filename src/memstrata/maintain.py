@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import cosine
 from .dag import GOAL, START, ProceduralDag, assert_valid, record_trial
-from .distill import distill, extract_action
+from .distill import distill, extract_action, logic_rows
 from .errors import DimensionMismatch, NotIngested
 
 
@@ -39,27 +39,30 @@ class UpdateReport:
 def match_logic(store, o_vec: np.ndarray):
     """Best logic node by max(cos to i_goal, cos to i_step); None if empty.
 
-    Ties break toward the lowest LogicId. One scan covers the goal indexes,
-    then the step indexes.
+    Ties break toward the lowest LogicId. The goal rows and the step rows
+    of the store's ``LogicRows`` are scanned in place.
     """
-    ids = sorted(store.logic)
-    if not ids:
+    if not store.logic:
         return None
-    nodes = [store.logic[i] for i in ids]
-    sims = cosine(o_vec, [n.i_goal for n in nodes] + [n.i_step for n in nodes])
-    sims = np.maximum(sims[:len(ids)], sims[len(ids):])
+    rows = logic_rows(store)
+    sims = np.maximum(cosine(o_vec, rows.goal), cosine(o_vec, rows.step))
     best = sims.argmax()
-    return ids[best], float(sims[best])
+    return rows.goal.ids[best], float(sims[best])
 
 
 def ema_update(node, o_vec: np.ndarray, beta: float) -> None:
-    """i <- beta*i + (1-beta)*o for both index vectors; the result is not normalized."""
+    """i <- beta*i + (1-beta)*o for both index vectors; the result is not normalized.
+
+    Both are written in place, so a node's views of the store's logic rows
+    stay its rows; each new vector is computed whole before either write.
+    """
     if o_vec.shape != node.i_goal.shape:
         raise DimensionMismatch(
             f"observation vector shape {o_vec.shape} vs index {node.i_goal.shape}"
         )
-    node.i_goal = beta * node.i_goal + (1.0 - beta) * o_vec
-    node.i_step = beta * node.i_step + (1.0 - beta) * o_vec
+    pull = (1.0 - beta) * o_vec
+    goal, step = beta * node.i_goal + pull, beta * node.i_step + pull
+    node.i_goal[...], node.i_step[...] = goal, step
 
 
 def _apply_pairs(dag: ProceduralDag, actions, attr_source, report: UpdateReport) -> None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import _is_int, cosine
 from .dag import Constraint
+from .distill import logic_rows
 from .errors import InvalidInput
 from .symbolic import _character_nodes, constrained_paths
 
@@ -102,13 +103,12 @@ class RetrievalResult:
 
 def score_logic(q_vec: np.ndarray, node, alpha: float) -> float:
     """alpha * cos(q, i_goal) + (1-alpha) * cos(q, i_step)."""
-    return float(_logic_scores(q_vec, [node], alpha)[0])
+    return float(_logic_scores(q_vec, [node.i_goal], [node.i_step], alpha)[0])
 
 
-def _logic_scores(q_vec: np.ndarray, nodes: list, alpha: float) -> np.ndarray:
-    """``score_logic`` of each node, from one scan of the goal indexes, then the step indexes."""
-    sims = cosine(q_vec, [n.i_goal for n in nodes] + [n.i_step for n in nodes])
-    return alpha * sims[:len(nodes)] + (1.0 - alpha) * sims[len(nodes):]
+def _logic_scores(q_vec: np.ndarray, goals, steps, alpha: float) -> np.ndarray:
+    """``score_logic`` of each node, from a scan of the goal indexes and one of the step indexes."""
+    return alpha * cosine(q_vec, goals) + (1.0 - alpha) * cosine(q_vec, steps)
 
 
 def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalResult:
@@ -124,9 +124,9 @@ def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalRe
         ("sem", sem_ids, cosine(q.q_vec, [store.semantic[i].v_s for i in sem_ids])),
     ]
     if include_logic:
-        logic_ids = sorted(store.logic)
-        layers.append(("logic", logic_ids, _logic_scores(
-            q.q_vec, [store.logic[i] for i in logic_ids], store.config.alpha)))
+        rows = logic_rows(store)
+        layers.append(("logic", rows.goal.ids, _logic_scores(
+            q.q_vec, rows.goal, rows.step, store.config.alpha)))
     items = []
     for layer, ids, scores in layers:
         for hit in np.flatnonzero(scores > theta):

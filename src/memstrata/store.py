@@ -16,7 +16,10 @@ of what it holds, or what it can compute: an episode reads its text, vector and
 action from its text entry and its video and ``t`` from its observation; anchor
 and percept counts are sums of the face and voice counts, a procedure's
 anchors are those of its evidence, and the candidate pool is its records'
-observation ids.
+observation ids. Besides, it keeps what its scans read, built when first
+used and again once stale, and never stored: the anchor and action postings,
+and the logic rows, which own the logic index vectors (see ``Postings`` and
+``LogicRows``).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .core import (
     finite_vector,
 )
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
-from .distill import LogicNode, default_goal_name, extract_action, verify_default
+from .distill import LogicNode, LogicRows, default_goal_name, extract_action, verify_default
 from .errors import (
     ConfigError,
     CorruptSnapshot,
@@ -60,8 +63,9 @@ from .ingest import (
     EntityAnchor,
     EpisodicNode,
     ObservationMeta,
+    Postings,
     SemanticNode,
-    _json_exact,
+    _attrs_fault,
     ingest_observation,
 )
 from .maintain import apply_observation
@@ -109,6 +113,11 @@ class MemoryStore:
         self.interned: dict = {}  # see intern
         self.semantic: dict[int, SemanticNode] = {}
         self.logic: dict[int, LogicNode] = {}
+        # Kept, not stored: each is built at its first use and built again once it no
+        # longer describes its layer (see Postings and LogicRows).
+        self.semantic_postings: Postings | None = None  # anchor id -> semantic ids
+        self.action_postings: Postings | None = None  # action -> episodic ids
+        self.logic_rows: LogicRows | None = None  # i_goal and i_step rows, by logic id
         self.observations: dict[int, ObservationMeta] = {}
         self.video_clock: dict[str, ObservationMeta] = {}  # each video's latest observation
         self.pool: list[int] = []  # the pooled observations' ids, in apply order
@@ -202,12 +211,12 @@ class MemoryStore:
         return min((i for i, anchor in self.anchors.items() if anchor.label == label), default=None)
 
     def clone(self) -> "MemoryStore":
-        # The rows first: their copy maps each centroid view to its new row,
-        # so the copied anchors hold views of the copied rows, not copies.
-        # The same memo keeps each object that nodes share (a text entry, an
-        # observation, an anchor set) one object in the copy.
+        # The rows first: their copy maps each centroid or logic index view to
+        # its new row, so the copied anchors and logic nodes hold views of the
+        # copied rows, not copies. The same memo keeps each object that nodes
+        # share (a text entry, an observation, an anchor set) one object in the copy.
         memo: dict = {}
-        copy.deepcopy(self.centroid_rows, memo)
+        copy.deepcopy((self.centroid_rows, self.logic_rows), memo)
         return copy.deepcopy(self, memo)
 
     # -- persistence ----------------------------------------------------------
@@ -398,8 +407,8 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
         for label, dag_node in dag.nodes.items():
             if type(dag_node.attrs) is not dict:
                 v.append(f"logic {logic_id}: {label} attrs {dag_node.attrs!r} is not a dict")
-            elif not _json_exact([dag_node.attrs]):
-                v.append(f"logic {logic_id}: {label} attrs hold what JSON cannot carry exactly")
+            elif fault := _attrs_fault([dag_node.attrs]):
+                v.append(f"logic {logic_id}: {label} attrs {fault}")
             scalars += [(f"{label} success_alpha", dag_node.success_alpha),
                         (f"{label} success_beta", dag_node.success_beta)]
         for src, dst, stat in dag.edges():
@@ -462,10 +471,10 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v += [f"{kind} {i}: id {x!r} is not its key"
                   for i, x in zip(ids[kind], own) if type(x) is not int or x != i]
     attrs = [n.attrs for n in nodes]
-    if not (set(map(type, attrs)) <= {dict} and _json_exact(attrs)):
+    if not set(map(type, attrs)) <= {dict} or _attrs_fault(attrs):
         v += [f"episodic {i}: attrs {x!r} is not a dict" if type(x) is not dict else
-              f"episodic {i}: attrs hold what JSON cannot carry exactly"
-              for i, x in zip(ep_ids, attrs) if type(x) is not dict or not _json_exact([x])]
+              f"episodic {i}: attrs {fault}"
+              for i, x in zip(ep_ids, attrs) if type(x) is not dict or (fault := _attrs_fault([x]))]
     outcomes = [n.outcome for n in nodes]
     if not (set(map(type, outcomes)) <= {str} and set(outcomes) <= set(OUTCOMES)):
         v += [f"episodic {i}: bad outcome {o!r}"

@@ -20,6 +20,7 @@ from .dag import (
     success_rate,
     transition_prob,
 )
+from .distill import logic_rows
 from .errors import InvalidDag, NoMatch, UnknownAnchor
 
 
@@ -42,15 +43,15 @@ class ProcedureEvidence:
 def _resolve_goal_node(store, goal: str):
     """Logic node with max cosine(embed(goal), i_goal); lowest id on ties."""
     goal_vec = store.embed(goal)
-    ids = sorted(store.logic)
-    if not ids:
+    if not store.logic:
         raise NoMatch("logic layer is empty")
-    sims = cosine(goal_vec, [store.logic[i].i_goal for i in ids])
+    rows = logic_rows(store)
+    sims = cosine(goal_vec, rows.goal)
     best = sims.argmax()
     sim = float(sims[best])
     if sim < store.config.theta_retrieve:
         raise NoMatch(f"best goal similarity {sim:.6f} below threshold")
-    return store.logic[ids[best]], sim
+    return store.logic[rows.goal.ids[best]], sim
 
 
 def constrained_paths(dag: ProceduralDag, constraint: Constraint | None,

@@ -1,7 +1,10 @@
 """Shared fixture builders for the test suite."""
 
+import importlib
 import json
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,16 @@ FRUIT_VERBS = ("chop", "mix", "serve", "wash", "blend", "grab", "pour", "slice")
 # an empty list and object, a negative int, an int beyond float precision, a
 # fraction, a bool and NaN.
 MUTATION_VALUES = ("x", None, [], {}, -1, 2**70, 1.5, True, float("nan"))
+
+
+def bench_gen():
+    """The bench's seeded input generator, ``bench/gen.py``."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("gen")
+    finally:
+        sys.path.remove(bench)
 
 
 def one_hot(index: int, dim: int) -> np.ndarray:

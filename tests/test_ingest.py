@@ -13,6 +13,7 @@ from memstrata import (
     Description,
     DimensionMismatch,
     DuplicateObservation,
+    HashingEmbedder,
     MalformedRecord,
     MemoryStore,
     ObservationRecord,
@@ -25,7 +26,7 @@ from memstrata import (
 from memstrata.core import COSINE_BLOCK
 from memstrata.ingest import EntityAnchor
 from memstrata.store import snapshot_dict
-from conftest import fruit_salad_store, one_hot
+from conftest import bench_gen, fruit_salad_store, one_hot
 
 
 def small_store(dim=16, **overrides):
@@ -548,6 +549,53 @@ def test_percept_check_matches_the_per_element_check():
         else:
             with pytest.raises(MalformedRecord):
                 record_from_dict(obj)
+
+
+def test_jsonl_percept_conversion_matches_record_from_dict():
+    # read_observation_lines converts a vector json made in one C pass, and gives one that
+    # holds 0.0 or 1.0 (a json true or false converts to those), or that the pass refuses,
+    # to the per-element test: every bit, refusal and message is record_from_dict's.
+    rng = random.Random(6)
+    pool = [0.25, -1.5, 1e300, float("nan"), 2, -3, 0, 1, 0.0, 1.0, -0.0, 2**70, 10**400, True, False,
+            "0", None, [], {}]
+    for _ in range(600):
+        vec = [rng.choice(pool[:4]) for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 2)):
+            if vec:
+                vec[rng.randrange(len(vec))] = rng.choice(pool)
+        line = json.dumps({"id": 1, "video": "v", "t": 0,
+                           "percepts": [{"kind": "face", "vector": vec, "hint": "h"}]})
+        results = []
+        for parse in (lambda: record_from_dict(json.loads(line)),
+                      lambda: read_observation_lines(['{"version": 1}', line])[0]):
+            try:
+                arr = parse().percepts[0].vector
+                results.append((arr.dtype, arr.shape, arr.tobytes()))
+            except MalformedRecord as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], vec
+
+
+def test_ingest_embeds_each_new_text_and_each_conclusion_once(monkeypatch):
+    # A HashingEmbedder subclass is not the built-in embedder, so ingest embeds every
+    # vector before its first mutation to refuse a bad one; consolidate_semantic takes the
+    # conclusion's vector from it instead of embedding the text again.
+    class Counting(HashingEmbedder):
+        calls = 0
+
+        def embed(self, text):
+            self.calls += 1
+            return super().embed(text)
+
+    gen = bench_gen()
+    monkeypatch.setattr(gen, "RECORDS", 300)
+    monkeypatch.setattr(gen, "SESSIONS", 20)
+    records = read_observation_lines(gen.lifecycle_inputs(7)["lines"]())
+    store = MemoryStore(Config(), Counting(Config().dim))
+    for rec in records:
+        store.ingest(rec)
+    conclusions = sum(len(rec.conclusions) for rec in records)
+    assert conclusions > 0 and store.embedder.calls == len(store.texts) + conclusions
 
 
 def test_ingest_rejects_bad_api_record_fields_unchanged():

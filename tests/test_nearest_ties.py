@@ -118,12 +118,12 @@ def _ingested_store(rng, monkeypatch):
             assert got == new_id
         return got
 
-    def consolidate_semantic(st, ctype, text, anchors):
+    def consolidate_semantic(st, ctype, text, anchors, **kwargs):
         ids = [i for i in sorted(st.semantic) if anchors <= st.semantic[i].anchors]
         vectors = {i: (st.semantic[i].v_s,) for i in ids}
         weights = {i: st.semantic[i].weight for i in ids}
         new_id = st.next_node_id
-        events = real_consolidate(st, ctype, text, anchors)
+        events = real_consolidate(st, ctype, text, anchors, **kwargs)
         want = [("created", new_id)]
         if ids:
             v = st.embed(text)

@@ -33,7 +33,7 @@ from memstrata import (
     auto_fuse,
 )
 from memstrata import store as store_module
-from memstrata.ingest import OUTCOMES
+from memstrata.ingest import MAX_ATTRS_VALUES, OUTCOMES
 from memstrata.store import snapshot_dict, store_from_dict
 from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot
 
@@ -575,6 +575,57 @@ def test_check_accepts_attrs_that_json_carries_and_ends_its_walk_on_a_cycle(tmp_
         store.ingest(ObservationRecord(50, "v5", 0.0, [Description("chop the fruit", {"s": shared})],
                                        [], []))
     assert json.dumps(snapshot_dict(store)) == before and 50 not in store.observations
+
+
+def _doubled(levels: int):
+    """``levels`` nested lists, each holding the next twice: ``levels`` containers, whose
+    write emits 2 + 4 + ... + 2**levels values."""
+    x = 0
+    for _ in range(levels):
+        x = [x, x]
+    return x
+
+
+def test_attrs_are_bounded_by_the_values_a_write_emits(tmp_path):
+    # A value inside a shared container is written once per place it is reached, so
+    # sharing can make a few containers write 2**levels values. {"k": x} writes one value
+    # at the top, then x's.
+    path = str(tmp_path / "snap.json")
+    over = f"attrs write more than {MAX_ATTRS_VALUES} values"
+    store = shapes_store()
+    shared = [0] * 30000
+    at_bound = ({"k": [0] * (MAX_ATTRS_VALUES - 1)}, {"k": _doubled(15)},  # 2**16 - 1 values
+                {"a": shared, "b": shared})  # one container twice at one level: 60,002
+    for attrs in at_bound:
+        store.episodic[2].attrs = attrs
+        assert store.check() == [], attrs.keys()
+    store.save(path)
+    for attrs in ({"k": [0] * MAX_ATTRS_VALUES}, {"k": _doubled(16)}, {"a": shared, "b": shared, "c": shared}):
+        store.episodic[2].attrs = attrs
+        assert store.check() == [f"episodic 2: {over}"]
+        with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0]) + "$"):
+            store.save(path)
+    # A bomb of 40 levels is refused at once; so is one in a DAG step's attrs.
+    store.episodic[2].attrs = {"k": _doubled(40)}
+    step = store.logic[1].dag.nodes["mix_fruit"]
+    step.attrs["k"] = _doubled(40)
+    assert store.check() == [f"logic 1: mix_fruit {over}", f"episodic 2: {over}"]
+    # The bound is per attrs object: three episodes that together write 90,003 values pass.
+    store.episodic[2].attrs = {}
+    del step.attrs["k"]
+    for node_id in (1, 2, 3):
+        store.episodic[node_id].attrs = {"k": shared}
+    assert store.check() == []
+
+    before = json.dumps(snapshot_dict(store))
+    for attrs in ({"k": [0] * MAX_ATTRS_VALUES}, {"k": _doubled(40)}):
+        with pytest.raises(MalformedRecord, match=re.escape(f"attrs of 'chop the fruit' write more than "
+                                                            f"{MAX_ATTRS_VALUES} values") + "$"):
+            store.ingest(ObservationRecord(50, "v5", 0.0, [Description("chop the fruit", attrs)], [], []))
+    assert json.dumps(snapshot_dict(store)) == before and 50 not in store.observations
+    store.ingest(ObservationRecord(50, "v5", 0.0, [Description("chop the fruit", {"k": _doubled(15)})],
+                                   [], []))
+    assert store.check() == []
 
 
 def test_loaded_and_cloned_clocks_are_each_videos_latest_observation(tmp_path):
