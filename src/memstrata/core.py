@@ -9,6 +9,7 @@ feature-hasher, not a neural model; real embedders plug in behind the same
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import mmap
 import re
@@ -196,9 +197,7 @@ class RowBlock:
     and ``cosine(a, block)`` scans each filled chunk (``chunks()``) without
     a copy, taking each row's norm from the row itself, so a write through
     a view needs no further call. ``ids`` and ``rows`` list the owners and
-    the row views in row order. A deep copy copies the rows once and maps
-    each old view to the new one in ``memo``, so owners copied after the
-    block hold views of the copy.
+    the row views in row order.
     """
 
     def __init__(self, width: int):
@@ -228,11 +227,69 @@ class RowBlock:
         last = len(self.rows) - (len(self._chunks) - 1) * COSINE_BLOCK
         return self._chunks[:-1] + [self._chunks[-1][:last]] if self._chunks else []
 
-    def __deepcopy__(self, memo) -> "RowBlock":
-        new = memo[id(self)] = RowBlock(self.width)
-        for owner, row in zip(self.ids, self.rows):
-            memo[id(row)] = new.append(owner, row)
-        return new
+
+class Rows:
+    """Kept rows (see ``current``) of the fields ``prefix + key`` of a layer's nodes: ``blocks[key]``, in
+    ascending id (``argmax`` gives ties to the lowest); each field, unless None, is a view of its row."""
+
+    def __init__(self, nodes: dict, prefix: str, keys: tuple, dim: int):
+        self.version = getattr(nodes, "version", None)
+        self.blocks = {key: RowBlock(dim) for key in keys}
+        for node_id in sorted(nodes):
+            node = nodes[node_id]
+            for key, block in self.blocks.items():
+                if (vector := getattr(node, prefix + key)) is not None:
+                    setattr(node, prefix + key, block.append(node_id, vector))
+
+
+_next_version = itertools.count(1).__next__  # one counter for every layer, as PEP 509's
+
+
+class Layer(dict):
+    """A store's node layer: a ``dict`` that draws a new ``version`` at each write of its membership
+    (PEP 509's ``ma_version_tag``), no two layer states, a copy's included, sharing one. A loop over a
+    layer reads ``map(layer.__getitem__, ids)``: CPython specializes ``layer[i]`` for ``dict`` only."""
+
+    __slots__ = ("version",)
+
+    # The two writes every store makes often, at about half the cost of the wrapper below.
+    def __init__(self, *args, **kwargs):
+        try:
+            if args or kwargs:  # dict.__init__ of nothing writes nothing
+                dict.__init__(self, *args, **kwargs)
+        finally:  # as in _versioned
+            self.version = _next_version()
+
+    def __setitem__(self, key, value):
+        dict.__setitem__(self, key, value)
+        self.version = _next_version()
+
+    def __reduce__(self):  # a copy (copy, deepcopy, pickle) is a new layer, of a version of its own
+        return Layer, (), None, None, iter(self.items())
+
+
+def _versioned(write):
+    @functools.wraps(write)
+    def method(self, *args, **kwargs):
+        try:
+            return write(self, *args, **kwargs)
+        finally:  # also when it raises: an update may have written some items
+            self.version = _next_version()
+    return method
+
+
+for _name in ("__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"):
+    setattr(Layer, _name, _versioned(getattr(dict, _name)))
+
+
+def current(held, layer) -> bool:
+    """The one freshness rule of what a store keeps for its scans of ``layer``, never stored: a use takes
+    ``held`` only if it holds the layer's version (the one it was built from, or one that an engine write
+    set after updating both), and builds it again otherwise. None, and a non-``Layer``, have none."""
+    try:
+        return held.version == layer.version
+    except AttributeError:
+        return False
 
 
 class Embedder(Protocol):

@@ -16,11 +16,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter, is_
+from operator import attrgetter
 
 import numpy as np
 
-from .core import RowBlock, norm, tokenize
+from .core import Rows, current, norm, tokenize
 from .dag import GOAL, START, ProceduralDag, assert_valid
 from .dag import enumerate_paths  # noqa: F401 -- bench/tracing.py wraps this name
 from .errors import InvalidInput
@@ -64,38 +64,12 @@ class LogicNode:
     steps: tuple = ()
 
 
-class LogicRows:
-    """The store's logic index vectors: one ``RowBlock`` of ``i_goal`` rows and
-    one of ``i_step`` rows, in ascending logic id, so that ``argmax`` over a
-    scan gives ties to the lowest id. A node's ``i_goal`` and ``i_step`` are
-    views of its rows, and ``ema_update`` writes through them."""
-
-    def __init__(self, dim: int):
-        self.goal, self.step = RowBlock(dim), RowBlock(dim)
-
-    def add(self, logic_id: int, node) -> None:
-        """Copy the node's index vectors into new rows and point it at them."""
-        node.i_goal = self.goal.append(logic_id, node.i_goal)
-        node.i_step = self.step.append(logic_id, node.i_step)
-
-
-def logic_rows(store) -> LogicRows:
-    """The store's ``LogicRows``, built again when they no longer describe
-    ``store.logic``: when its sorted ids do not begin with the rows' ids (a
-    node went, or came below the last), or a node's ``i_goal`` or ``i_step``
-    is not its row (a caller assigned one). Nodes above the rows' last id
-    (distill's, fusion's) get new rows."""
-    ids, rows = sorted(store.logic), store.logic_rows
-    nodes = list(map(store.logic.__getitem__, ids))
-    held = len(rows.goal.ids) if rows is not None else 0
-    if rows is None or ids[:held] != rows.goal.ids or not (
-            all(map(is_, map(attrgetter("i_goal"), nodes), rows.goal.rows))
-            and all(map(is_, map(attrgetter("i_step"), nodes), rows.step.rows))):
-        rows, held = LogicRows(store.config.dim), 0
-    store.logic_rows = None  # until every node has its rows: an add may raise
-    for logic_id, node in zip(ids[held:], nodes[held:]):
-        rows.add(logic_id, node)
-    store.logic_rows = rows
+def logic_rows(store) -> Rows:
+    """The store's rows of each logic node's ``i_goal`` and ``i_step``, ``blocks["goal"]`` and
+    ``blocks["step"]``, which own them: ``ema_update`` writes through the nodes' views."""
+    rows = store.logic_rows
+    if not current(rows, store.logic):
+        rows = store.logic_rows = Rows(store.logic, "i_", ("goal", "step"), store.config.dim)
     return rows
 
 
@@ -138,7 +112,7 @@ def extract_action_sequences(store, episode_ids=None) -> list[ActionSequence]:
     nodes = (
         store.episodic.values()
         if episode_ids is None
-        else [store.episodic[i] for i in sorted(episode_ids)]
+        else list(map(store.episodic.__getitem__, sorted(episode_ids)))
     )
     by_video: dict[str, list] = {}
     for node in nodes:
@@ -378,7 +352,7 @@ def _covered_by_existing(steps, store) -> bool:
 def _related(episodic, by_action, steps) -> list:
     # Verification evidence: every episodic node whose action is a step,
     # in ascending id.
-    return [episodic[i] for i in sorted(chain.from_iterable(by_action[step] for step in steps))]
+    return list(map(episodic.__getitem__, sorted(chain.from_iterable(by_action[step] for step in steps))))
 
 
 def distill(store, episode_ids=None) -> list[int]:
@@ -428,7 +402,7 @@ def distill(store, episode_ids=None) -> list[int]:
         for step in pattern.steps:
             node = dag.nodes[step]
             if step not in chronological:
-                chronological[step] = sorted((episodic[i] for i in by_action[step]),
+                chronological[step] = sorted(map(episodic.__getitem__, by_action[step]),
                                              key=lambda e: (e.t, e.id))
             for ep in chronological[step]:
                 for key, value in ep.attrs.items():

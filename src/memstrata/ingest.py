@@ -19,7 +19,7 @@ from operator import attrgetter, mul
 
 import numpy as np
 
-from .core import RowBlock, _is_finite_number, _is_int, cosine
+from .core import Rows, _is_finite_number, _is_int, cosine, current
 from .errors import (
     DanglingMention,
     DimensionMismatch,
@@ -70,7 +70,7 @@ class ObservationRecord:
 class EntityAnchor:
     """A recurring person; each centroid is the running mean of the
     percepts of its kind assigned to it, held as a view of the anchor's row
-    in the store's ``CentroidRows``."""
+    in the store's ``centroid_rows``."""
 
     id: int
     label: str
@@ -316,32 +316,6 @@ def read_observations(path: str) -> list[ObservationRecord]:
 # -- operations --------------------------------------------------------------
 
 
-class CentroidRows:
-    """The store's anchor centroids: one ``RowBlock`` per percept kind, its
-    rows in anchor id order, so that ``argmax`` over a scan gives ties to
-    the lowest id. ``anchor.centroid_<kind>`` is a view of its row.
-
-    ``size`` is the size of ``store.anchors`` the rows hold; when the dict
-    has another size, anchors came in other than through ``resolve_anchor``
-    (a caller inserted some), and ``resolve_anchor`` builds the rows again.
-    """
-
-    def __init__(self, anchors: dict, dim: int):
-        self.blocks = {kind: RowBlock(dim) for kind in PERCEPT_KINDS}
-        self.size = 0
-        for anchor_id in sorted(anchors):
-            self.add(anchors[anchor_id])
-
-    def add(self, anchor: EntityAnchor) -> None:
-        """Copy the anchor's centroids into new rows and point it at them."""
-        for kind, block in self.blocks.items():
-            slot = f"centroid_{kind}"
-            centroid = getattr(anchor, slot)
-            if centroid is not None:
-                setattr(anchor, slot, block.append(anchor.id, centroid))
-        self.size += 1
-
-
 def resolve_anchor(store, percept: Percept) -> int:
     """Assign a percept to the closest same-kind anchor, or create one.
 
@@ -353,9 +327,9 @@ def resolve_anchor(store, percept: Percept) -> int:
         raise DimensionMismatch(
             f"percept vector has shape {percept.vector.shape}, store dim is {store.config.dim}"
         )
-    rows = store.centroid_rows
-    if rows is None or rows.size != len(store.anchors):  # the first percept, or see CentroidRows
-        rows = store.centroid_rows = CentroidRows(store.anchors, store.config.dim)
+    rows = store.centroid_rows  # the rows that own the centroids, a block per percept kind
+    if not current(rows, store.anchors):
+        rows = store.centroid_rows = Rows(store.anchors, "centroid_", PERCEPT_KINDS, store.config.dim)
     block = rows.blocks[percept.kind]
     count = f"{percept.kind}_count"
     if block.ids:
@@ -373,23 +347,21 @@ def resolve_anchor(store, percept: Percept) -> int:
 
     anchor_id = store.next_anchor_id
     store.next_anchor_id += 1
-    anchor = EntityAnchor(anchor_id, percept.hint,
-                          **{f"centroid_{percept.kind}": percept.vector, count: 1})
-    rows.add(anchor)
-    store.anchors[anchor_id] = anchor
+    store.anchors[anchor_id] = EntityAnchor(
+        anchor_id, percept.hint, **{f"centroid_{percept.kind}": block.append(anchor_id, percept.vector),
+                                    count: 1})
+    rows.version = getattr(store.anchors, "version", None)
     return anchor_id
 
 
 class Postings:
     """An inverted list of one node layer: ``lists`` maps each key to the ids of the nodes that
-    hold it, in the order the nodes came (ascending, as the engine makes them). ``size`` is the
-    count of nodes indexed; when the layer holds another count, nodes came or went other than
-    through the engine (a caller inserted or deleted some), and the postings are built again
-    (see ``semantic_postings``, ``action_postings``)."""
+    hold it, in the order the nodes came (ascending, as the engine makes them); kept, see
+    ``core.current``."""
 
     def __init__(self, nodes: dict, keys):
+        self.version = getattr(nodes, "version", None)
         self.lists: defaultdict = defaultdict(list)
-        self.size = 0
         for node_id in sorted(nodes):
             self.add(node_id, keys(nodes[node_id]))
 
@@ -397,26 +369,18 @@ class Postings:
         """Index one node under each of ``keys``."""
         for key in keys:
             self.lists[key].append(node_id)
-        self.size += 1
-
-    def extend(self, node_ids: list, keys: list) -> None:
-        """Index each of ``node_ids`` under the one key at its place in ``keys``."""
-        for node_id, key in zip(node_ids, keys):
-            self.lists[key].append(node_id)
-        self.size += len(node_ids)
 
     def remove(self, node_id: int, keys) -> None:
         """Drop one node; a key it is not listed under (its keys changed in place) is skipped."""
         for key in keys:
             if node_id in (held := self.lists.get(key, ())):
                 held.remove(node_id)
-        self.size -= 1
 
 
 def semantic_postings(store) -> Postings:
     """The store's postings from each anchor id to the semantic nodes whose anchor set holds it."""
     postings = store.semantic_postings
-    if postings is None or postings.size != len(store.semantic):
+    if not current(postings, store.semantic):
         postings = store.semantic_postings = Postings(store.semantic, attrgetter("anchors"))
     return postings
 
@@ -425,7 +389,7 @@ def action_postings(store) -> Postings:
     """The store's postings from each action to the episodic nodes that have it, which ingest
     appends to."""
     postings = store.action_postings
-    if postings is None or postings.size != len(store.episodic):
+    if not current(postings, store.episodic):
         postings = store.action_postings = Postings(store.episodic, lambda node: (node.action,))
     return postings
 
@@ -477,6 +441,7 @@ def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset, *, ve
     node = SemanticNode(node_id, ctype, text, v, store.intern(frozenset(anchors)), weight=1)
     store.semantic[node_id] = node
     postings.add(node_id, node.anchors)
+    postings.version = getattr(store.semantic, "version", None)
     events.append(("created", node_id))
     return events
 
@@ -562,10 +527,11 @@ def ingest_observation(store, rec: ObservationRecord):
     for desc, found in zip(rec.descriptions, mentions):
         meta.episodes.append(node_id := store.next_node_id)
         store.next_node_id += 1
-        store.episodic[node_id] = EpisodicNode(
-            node_id, store.text_entry(desc.text, new_texts.get(desc.text)), meta, anchors(found),
-            OUTCOMES[OUTCOMES.index(desc.outcome)], store.own_attrs(desc.attrs))
-    actions.extend(meta.episodes, [store.texts[desc.text][2] for desc in rec.descriptions])
+        entry = store.text_entry(desc.text, new_texts.get(desc.text))
+        store.episodic[node_id] = EpisodicNode(node_id, entry, meta, anchors(found),
+                                               OUTCOMES[OUTCOMES.index(desc.outcome)], store.own_attrs(desc.attrs))
+        actions.lists[entry[2]].append(node_id)
+    actions.version = getattr(store.episodic, "version", None)
 
     events = []
     for concl, found, v in zip(rec.conclusions, concluded, concluded_vectors):

@@ -40,14 +40,14 @@ def match_logic(store, o_vec: np.ndarray):
     """Best logic node by max(cos to i_goal, cos to i_step); None if empty.
 
     Ties break toward the lowest LogicId. The goal rows and the step rows
-    of the store's ``LogicRows`` are scanned in place.
+    of the store's ``logic_rows`` are scanned in place.
     """
     if not store.logic:
         return None
-    rows = logic_rows(store)
-    sims = np.maximum(cosine(o_vec, rows.goal), cosine(o_vec, rows.step))
+    goal, step = logic_rows(store).blocks.values()
+    sims = np.maximum(cosine(o_vec, goal), cosine(o_vec, step))
     best = sims.argmax()
-    return rows.goal.ids[best], float(sims[best])
+    return goal.ids[best], float(sims[best])
 
 
 def ema_update(node, o_vec: np.ndarray, beta: float) -> None:

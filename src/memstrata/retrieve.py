@@ -120,13 +120,12 @@ def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalRe
     weights = store.config.layer_weights[q.qtype]
     epi_ids, sem_ids = sorted(store.episodic), sorted(store.semantic)
     layers = [
-        ("epi", epi_ids, cosine(q.q_vec, [store.episodic[i].v_e for i in epi_ids])),
-        ("sem", sem_ids, cosine(q.q_vec, [store.semantic[i].v_s for i in sem_ids])),
+        ("epi", epi_ids, cosine(q.q_vec, [n.v_e for n in map(store.episodic.__getitem__, epi_ids)])),
+        ("sem", sem_ids, cosine(q.q_vec, [n.v_s for n in map(store.semantic.__getitem__, sem_ids)])),
     ]
     if include_logic:
-        rows = logic_rows(store)
-        layers.append(("logic", rows.goal.ids, _logic_scores(
-            q.q_vec, rows.goal, rows.step, store.config.alpha)))
+        goal, step = logic_rows(store).blocks.values()
+        layers.append(("logic", goal.ids, _logic_scores(q.q_vec, goal, step, store.config.alpha)))
     items = []
     for layer, ids, scores in layers:
         for hit in np.flatnonzero(scores > theta):

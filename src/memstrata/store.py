@@ -16,10 +16,9 @@ of what it holds, or what it can compute: an episode reads its text, vector and
 action from its text entry and its video and ``t`` from its observation; anchor
 and percept counts are sums of the face and voice counts, a procedure's
 anchors are those of its evidence, and the candidate pool is its records'
-observation ids. Besides, it keeps what its scans read, built when first
-used and again once stale, and never stored: the anchor and action postings,
-and the logic rows, which own the logic index vectors (see ``Postings`` and
-``LogicRows``).
+observation ids. Besides, it keeps what its scans read, never stored (see
+``core.current``): the rows that own the anchor centroids and the logic index
+vectors, and the anchor and action postings.
 """
 
 from __future__ import annotations
@@ -40,13 +39,16 @@ import numpy as np
 from .core import (
     Config,
     HashingEmbedder,
+    Layer,
+    Rows,
     _is_finite_number,
+    current,
     _is_int,
     embedder_identity,
     finite_vector,
 )
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
-from .distill import LogicNode, LogicRows, default_goal_name, extract_action, verify_default
+from .distill import LogicNode, default_goal_name, extract_action, verify_default
 from .errors import (
     ConfigError,
     CorruptSnapshot,
@@ -59,7 +61,6 @@ from .errors import (
 from .ingest import (
     OUTCOMES,
     PERCEPT_KINDS,
-    CentroidRows,
     EntityAnchor,
     EpisodicNode,
     ObservationMeta,
@@ -106,18 +107,17 @@ class MemoryStore:
         elif not _is_int(dim := getattr(embedder, "dim", None)) or dim != self.config.dim:
             raise ConfigError(f"embedder dim {dim!r} is not the config dim {self.config.dim}")
         self.embedder = embedder
-        self.anchors: dict[int, EntityAnchor] = {}
-        self.centroid_rows: CentroidRows | None = None  # built at the first percept
-        self.episodic: dict[int, EpisodicNode] = {}
+        self.anchors: Layer[int, EntityAnchor] = Layer()
+        self.episodic: Layer[int, EpisodicNode] = Layer()
         self.texts: dict[str, tuple] = {}  # each episodic text's (d, v_e, action), see text_entry
         self.interned: dict = {}  # see intern
-        self.semantic: dict[int, SemanticNode] = {}
-        self.logic: dict[int, LogicNode] = {}
-        # Kept, not stored: each is built at its first use and built again once it no
-        # longer describes its layer (see Postings and LogicRows).
+        self.semantic: Layer[int, SemanticNode] = Layer()
+        self.logic: Layer[int, LogicNode] = Layer()
+        # Kept, not stored, each built again at a use that finds its layer at another version
+        self.centroid_rows: Rows | None = None  # the anchor centroids' rows, by anchor id
         self.semantic_postings: Postings | None = None  # anchor id -> semantic ids
         self.action_postings: Postings | None = None  # action -> episodic ids
-        self.logic_rows: LogicRows | None = None  # i_goal and i_step rows, by logic id
+        self.logic_rows: Rows | None = None  # the i_goal and i_step rows, by logic id
         self.observations: dict[int, ObservationMeta] = {}
         self.video_clock: dict[str, ObservationMeta] = {}  # each video's latest observation
         self.pool: list[int] = []  # the pooled observations' ids, in apply order
@@ -211,13 +211,8 @@ class MemoryStore:
         return min((i for i, anchor in self.anchors.items() if anchor.label == label), default=None)
 
     def clone(self) -> "MemoryStore":
-        # The rows first: their copy maps each centroid or logic index view to
-        # its new row, so the copied anchors and logic nodes hold views of the
-        # copied rows, not copies. The same memo keeps each object that nodes
-        # share (a text entry, an observation, an anchor set) one object in the copy.
-        memo: dict = {}
-        copy.deepcopy((self.centroid_rows, self.logic_rows), memo)
-        return copy.deepcopy(self, memo)
+        # Its layers have versions of their own, so the copy builds its kept state again.
+        return copy.deepcopy(self)
 
     # -- persistence ----------------------------------------------------------
 
@@ -329,6 +324,8 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
                            ("episodic", store.episodic, store.next_node_id),
                            ("semantic", store.semantic, store.next_node_id),
                            ("logic", store.logic, store.next_logic_id)):
+        if type(nodes) is not Layer:  # whose writes no kept state could follow
+            v.append(f"{kind} layer is a {type(nodes).__name__}, not a Layer")
         if not set(map(type, nodes)) <= {int}:
             return v + [f"{kind} ids are not all ints"]  # every rule below sorts them
         ids[kind] = order = sorted(nodes)
@@ -342,10 +339,12 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
                 v += [f"{kind} {i}: {field} {x!r} is not a {field_type.__name__}"
                       for i, x in zip(order, column) if type(x) is not field_type]
 
-    rows = {kind: {} for kind in PERCEPT_KINDS}
-    if store.centroid_rows is not None:
-        for kind, block in store.centroid_rows.blocks.items():
-            rows[kind] = dict(zip(block.ids, block.rows))
+    # Each vector that kept rows own is its row while they are current (core.current); with no
+    # rows at all, no centroid is a row (the first percept and a load build them).
+    kept = {name: {key: dict(zip(block.ids, block.rows)) for key, block in rows.blocks.items()}
+            for name, rows, layer in (("anchor", store.centroid_rows, store.anchors),
+                                      ("logic", store.logic_rows, store.logic)) if current(rows, layer)}
+    rows = kept.get("anchor", {kind: {} for kind in PERCEPT_KINDS} if store.centroid_rows is None else None)
     for anchor_id, anchor in zip(ids["anchor"], held["anchor"]):
         if anchor.centroid_face is None and anchor.centroid_voice is None:
             v.append(f"anchor {anchor_id}: no centroid")
@@ -357,10 +356,10 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             if c is not None:
                 if not finite_vector(c, dim):
                     v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
-                if rows[name].pop(anchor_id, None) is not c:
+                if rows is not None and rows[name].pop(anchor_id, None) is not c:
                     v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
     v += [f"{kind} centroid rows of anchors without a {kind} centroid: {sorted(left)}"
-          for kind, left in rows.items() if left]
+          for kind, left in (rows or {}).items() if left]
 
     anchor_ids, ep_ids, nodes = store.anchors.keys(), ids["episodic"], held["episodic"]
     anchor_sets = [n.anchors for n in nodes]
@@ -396,9 +395,11 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v.append(f"logic {logic_id}: no episodic evidence")
         elif not linked and not links <= store.episodic.keys():
             v.append(f"logic {logic_id}: dangling episodic link")
-        v += [f"logic {logic_id}: {name} is not {dim} finite floats"
-              for name, x in (("i_goal", node.i_goal), ("i_step", node.i_step))
-              if not finite_vector(x, dim)]
+        for key, x in (("goal", node.i_goal), ("step", node.i_step)):
+            if not finite_vector(x, dim):
+                v.append(f"logic {logic_id}: i_{key} is not {dim} finite floats")
+            if "logic" in kept and kept["logic"][key].get(logic_id) is not x:
+                v.append(f"logic {logic_id}: i_{key} is not its row of the {key} rows")
         dag = node.dag
         if type(dag) is not ProceduralDag:
             v.append(f"logic {logic_id}: dag {dag!r} is not a ProceduralDag")
@@ -698,7 +699,7 @@ def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> N
         map(OUTCOMES.__getitem__, outcomes), map(dict, map(attrs.__getitem__, attrs_at)))))
     if len(nodes) != len(ep_ids):
         raise CorruptSnapshot("an episode is listed by two observations")
-    store.episodic = {i: nodes[i] for i in sorted(nodes)}  # in id order, as ingest made them
+    store.episodic = Layer(zip(order := sorted(nodes), map(nodes.__getitem__, order)))  # in id order
 
 
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
@@ -743,7 +744,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                            for kind in ("face", "voice"))
             store.anchors[a["id"]] = EntityAnchor(a["id"], a["label"], face, voice,
                                                   a["face_count"], a["voice_count"])
-        store.centroid_rows = CentroidRows(store.anchors, config.dim)
+        store.centroid_rows = Rows(store.anchors, "centroid_", PERCEPT_KINDS, config.dim)
         _add_observations(store, _keyed(data["episodic"], "episodic"),
                           _keyed(data["observations"], "observations"))
         _increasing([s["anchors"] for s in data["semantic"]], "semantic anchors")

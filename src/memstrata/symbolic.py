@@ -45,13 +45,13 @@ def _resolve_goal_node(store, goal: str):
     goal_vec = store.embed(goal)
     if not store.logic:
         raise NoMatch("logic layer is empty")
-    rows = logic_rows(store)
-    sims = cosine(goal_vec, rows.goal)
+    rows = logic_rows(store).blocks["goal"]
+    sims = cosine(goal_vec, rows)
     best = sims.argmax()
     sim = float(sims[best])
     if sim < store.config.theta_retrieve:
         raise NoMatch(f"best goal similarity {sim:.6f} below threshold")
-    return store.logic[rows.goal.ids[best]], sim
+    return store.logic[rows.ids[best]], sim
 
 
 def constrained_paths(dag: ProceduralDag, constraint: Constraint | None,
@@ -86,7 +86,7 @@ def get_procedure_with_evidence(store, goal: str) -> ProcedureEvidence:
     store.retrieval_calls += 1
     node, sim = _resolve_goal_node(store, goal)
     evidence = sorted(
-        (store.episodic[i] for i in node.episodic_links), key=lambda e: (e.t, e.id)
+        map(store.episodic.__getitem__, node.episodic_links), key=lambda e: (e.t, e.id)
     )
     return ProcedureEvidence(node.id, node.c, sim, node.dag.copy(), evidence)
 

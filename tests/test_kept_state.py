@@ -1,21 +1,25 @@
 """Property: the state a store keeps for its scans always describes its nodes.
 
-The store keeps, without storing them, postings from each anchor to the
-semantic nodes that hold it, postings from each action to its episodic
-nodes, and the logic index rows that each node's ``i_goal``/``i_step``
-views. Hypothesis draws sequences of ingest, apply, distill, auto_fuse,
-fuse, save/load, clone, hand-inserted episodic, semantic and logic nodes,
-and a caller's assignment of a logic node's ``i_goal`` or ``i_step``. After
-every step, ``consolidate_semantic``'s candidates, the evidence lists
-``distill`` reads, and the answers of ``match_logic``, retrieve's logic
-layer and ``_resolve_goal_node`` must equal a brute-force recomputation
-from the nodes alone, ids and score bits included.
+The store keeps, without storing them, the anchor centroid rows, postings
+from each anchor to the semantic nodes that hold it, postings from each
+action to its episodic nodes, and the logic index rows that each node's
+``i_goal``/``i_step`` views. Hypothesis draws sequences of ingest, apply,
+distill, auto_fuse, fuse, save/load, clone, hand-inserted episodic, semantic
+and logic nodes, a node replaced under its id on each of the four layers, a
+semantic or a logic node deleted and another inserted (which keeps the
+count), and a caller's write through a logic node's ``i_goal`` or ``i_step``
+view. After every step, the anchor scan, ``consolidate_semantic``'s
+candidates, the evidence lists ``distill`` reads, and the answers of
+``match_logic``, retrieve's logic layer and ``_resolve_goal_node`` must
+equal a brute-force recomputation from the nodes alone, ids and score bits
+included.
 """
 
 import importlib
 import os
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,12 +33,22 @@ from memstrata import (
     ObservationRecord,
     Percept,
     ProceduralDag,
+    SnapshotIoError,
     auto_fuse,
     cosine,
     fuse_logic_nodes,
 )
+from memstrata.core import current
 from memstrata.distill import LogicNode
-from memstrata.ingest import EpisodicNode, SemanticNode, action_postings, semantic_candidates
+from memstrata.ingest import (
+    EntityAnchor,
+    EpisodicNode,
+    SemanticNode,
+    action_postings,
+    consolidate_semantic,
+    resolve_anchor,
+    semantic_candidates,
+)
 from memstrata.retrieve import make_query
 from conftest import one_hot
 
@@ -53,7 +67,8 @@ CONFIG = dict(dim=DIM, action_verbs=VERBS, pool_trigger=3, tau_pos=0.9, tau_neg=
               theta_retrieve=0.1, tau_align=0.6)
 
 OPS = ("ingest", "ingest", "apply", "apply", "distill", "auto_fuse", "fuse", "reload", "clone",
-       "episodic", "semantic", "logic", "assign")
+       "episodic", "semantic", "logic", "assign", "replace", "swap", "swap_logic")
+LAYERS = ("anchors", "episodic", "semantic", "logic")
 ops = st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**32 - 1)), max_size=25)
 
 
@@ -102,23 +117,65 @@ def _step(store, op, rng, records, path):
         store.episodic[node_id] = EpisodicNode(node_id, store.text_entry(rng.choice(LINES)), meta)
         meta.episodes.append(node_id)
     elif op == "semantic":
-        text = rng.choice(FACTS)
-        anchors = frozenset(rng.sample(sorted(store.anchors), min(len(store.anchors), rng.randint(0, 2))))
-        node_id = store.next_node_id
-        store.next_node_id += 1
-        store.semantic[node_id] = SemanticNode(node_id, "knowledge", text, store.embed(text),
-                                               store.intern(anchors))
+        _insert_semantic(store, rng)
     elif op == "logic" and store.episodic:
-        goal, step = rng.choice(PROBES), rng.choice(LINES)
-        logic_id = store.next_logic_id
-        store.next_logic_id += 1
-        store.logic[logic_id] = LogicNode(
-            logic_id, goal, store.embed(goal), store.embed(step), ProceduralDag.single_path(["wash_bowl"]),
-            {rng.choice(sorted(store.episodic))}, 0.5, ("wash_bowl",))
-    elif op == "assign" and store.logic:
+        _insert_logic(store, rng)
+    elif op == "assign" and store.logic:  # a write through the view, as ema_update's
         node = store.logic[rng.choice(sorted(store.logic))]
-        setattr(node, rng.choice(("i_goal", "i_step")), store.embed(rng.choice(PROBES)))
+        getattr(node, rng.choice(("i_goal", "i_step")))[...] = store.embed(rng.choice(PROBES))
+    elif op == "replace":
+        for layer in LAYERS:
+            _replace(store, rng, layer)
+    elif op == "swap" and store.semantic:
+        del store.semantic[rng.choice(sorted(store.semantic))]
+        _insert_semantic(store, rng)
+    elif op == "swap_logic" and store.logic:
+        del store.logic[rng.choice(sorted(store.logic))]
+        _insert_logic(store, rng)
     return store
+
+
+def _anchor_set(store, rng) -> frozenset:
+    ids = rng.sample(sorted(store.anchors), min(len(store.anchors), rng.randint(0, 2)))
+    return store.intern(frozenset(ids))
+
+
+def _insert_semantic(store, rng):
+    text = rng.choice(FACTS)
+    node_id = store.next_node_id
+    store.next_node_id += 1
+    store.semantic[node_id] = SemanticNode(node_id, "knowledge", text, store.embed(text),
+                                           _anchor_set(store, rng))
+
+
+def _insert_logic(store, rng):
+    goal, step = rng.choice(PROBES), rng.choice(LINES)
+    logic_id = store.next_logic_id
+    store.next_logic_id += 1
+    store.logic[logic_id] = LogicNode(
+        logic_id, goal, store.embed(goal), store.embed(step), ProceduralDag.single_path(["wash_bowl"]),
+        {rng.choice(sorted(store.episodic))}, 0.5, ("wash_bowl",))
+
+
+def _replace(store, rng, layer):
+    """Put a new node under an existing id of ``layer``: another text, anchor set,
+    centroid or pair of index vectors, the rest as it was."""
+    nodes = getattr(store, layer)
+    if not nodes:
+        return
+    i = rng.choice(sorted(nodes))
+    old = nodes[i]
+    if layer == "anchors":
+        face = None if old.centroid_face is None else one_hot(rng.randrange(DIM), DIM)
+        nodes[i] = EntityAnchor(i, old.label, face, old.centroid_voice, old.face_count, old.voice_count)
+    elif layer == "episodic":
+        nodes[i] = EpisodicNode(i, store.text_entry(rng.choice(LINES)), old.obs, old.anchors,
+                                old.outcome, old.attrs)
+    elif layer == "semantic":
+        nodes[i] = SemanticNode(i, old.type, old.attrs, old.v_s, _anchor_set(store, rng), old.weight)
+    else:
+        nodes[i] = LogicNode(i, old.c, store.embed(rng.choice(PROBES)), store.embed(rng.choice(LINES)),
+                             old.dag, old.episodic_links, old.score, old.steps)
 
 
 def _first_best(scores: dict):
@@ -130,6 +187,15 @@ def _first_best(scores: dict):
 
 
 def _check_kept_state(store):
+    if current(store.centroid_rows, store.anchors):  # else resolve_anchor builds them again
+        rows = store.centroid_rows.blocks["face"]
+        faced = {i: a.centroid_face for i, a in store.anchors.items() if a.centroid_face is not None}
+        for j in range(DIM):
+            v = one_hot(j, DIM)
+            sims = cosine(v, rows)
+            got = (rows.ids[sims.argmax()], float(sims.max())) if rows.ids else None
+            assert got == _first_best({i: cosine(v, c) for i, c in faced.items()}), j
+
     semantic = store.semantic
     anchor_sets = {frozenset(), *map(frozenset, ([a] for a in store.anchors)),
                    frozenset(store.anchors), *(n.anchors for n in semantic.values())}
@@ -187,3 +253,72 @@ def test_kept_postings_and_logic_rows_describe_the_nodes(tmp_path_factory, seque
         store = _step(store, op, random.Random(seed), records, path)
         assert store.check() == [], op
         _check_kept_state(store)
+
+
+def test_a_swap_that_keeps_the_count_is_followed_live_cloned_and_loaded(tmp_path):
+    # Semantic node 2 (anchor 1) goes and node 5 (anchor 2) comes: the layer holds
+    # two nodes before and after, so only its version tells the postings apart.
+    store = MemoryStore(Config(dim=16))
+    for rid, person, fact in ((1, "a", "@a is tall"), (2, "b", "@b is short")):
+        store.ingest(ObservationRecord(rid, "v", float(rid), [Description("walk home")],
+                                       [Conclusion("knowledge", fact)],
+                                       [Percept("face", one_hot(rid, 16), person)]))
+    assert {i: set(n.anchors) for i, n in store.semantic.items()} == {2: {1}, 4: {2}}
+    del store.semantic[2]
+    store.semantic[5] = SemanticNode(5, "knowledge", "@b is very tall", store.embed("@b is very tall"),
+                                     store.intern(frozenset({2})))
+    store.next_node_id = 6
+    assert store.check() == []
+    path = str(tmp_path / "swap.json")
+    store.save(path)
+    stores = [store, store.clone(), MemoryStore.load(path)]
+    assert [semantic_candidates(s, frozenset({2})) for s in stores] == [[4, 5]] * 3
+    assert [consolidate_semantic(s, "knowledge", "@b is very tall", frozenset({2})) for s in stores] \
+        == [[("reinforced", 5)]] * 3
+
+
+def _built(path):
+    """A store with nodes on every layer, each kept structure built and current."""
+    store, rng, records = MemoryStore(Config(**CONFIG)), random.Random(3), []
+    for _ in range(12):
+        _step(store, "ingest", rng, records, path)
+    _step(store, "logic", rng, records, path)
+    assert all(getattr(store, name) for name in LAYERS)
+    _check_kept_state(store)
+    return store, rng
+
+
+def test_a_vector_assigned_over_its_row_is_reported_while_the_rows_are_current(tmp_path):
+    path = str(tmp_path / "snap.json")
+    store, rng = _built(path)
+    node = store.logic[1]
+    node.i_goal = node.i_goal.copy()  # equal values, not the row
+    assert store.check() == ["logic 1: i_goal is not its row of the goal rows"]
+    with pytest.raises(SnapshotIoError, match="i_goal is not its row"):
+        store.save(path)
+    _step(store, "swap_logic", rng, [], path)  # the rows are built again at the next use
+    assert store.check() == []
+    _check_kept_state(store)
+    assert store.check() == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_a_layer_rebound_to_a_dict_is_reported_and_never_taken_as_fresh(tmp_path, layer):
+    path = str(tmp_path / "snap.json")
+    store, rng = _built(path)
+
+    setattr(store, layer, dict(getattr(store, layer)))
+    kind = "anchor" if layer == "anchors" else layer
+    assert store.check() == [f"{kind} layer is a dict, not a Layer"]
+    with pytest.raises(SnapshotIoError, match=f"{kind} layer is a dict, not a Layer"):
+        store.save(path)
+    _check_kept_state(store)
+    for _ in range(4):  # a dict has no version that a replacement could move
+        _replace(store, rng, layer)
+        _check_kept_state(store)
+        # the anchor scan, through resolve_anchor, which moves the centroid it picks
+        v = one_hot(rng.randrange(DIM), DIM)
+        scores = {i: cosine(v, a.centroid_face) for i, a in store.anchors.items() if a.centroid_face is not None}
+        best = _first_best(scores)
+        want = best[0] if best and best[1] >= store.config.tau_anchor else store.next_anchor_id
+        assert resolve_anchor(store, Percept("face", v, "probe")) == want
