@@ -8,10 +8,10 @@ percept in the same record or to an anchor that already exists.
 
 from __future__ import annotations
 
-import array
 import json
 import math
 import re
+import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -134,6 +134,7 @@ def parse_mentions(text: str) -> list[str]:
 _KEY_TYPES = frozenset((str,))
 _JSON_TYPES = frozenset((str, int, float, bool, type(None), list, dict))
 _NESTING_TYPES = frozenset((float, list, dict))  # what a level's walk looks into
+_FLAT_TYPES = _JSON_TYPES - _NESTING_TYPES  # the values that end a walk at its first level
 _CONTAINERS = (list, dict)
 
 # The most values one attrs object may write, a value inside a shared container counted once per
@@ -192,6 +193,14 @@ def _list_field(obj: dict, key: str) -> list:
     return value
 
 
+def _packed(vec: list) -> np.ndarray:
+    """``vec`` as a new float64 array, filled in one C call: ``struct.error`` for an entry that
+    is not a float, an int or a bool (a str, None, a nested value) or an int past float range."""
+    arr = np.empty(len(vec))
+    struct.pack_into(f"{len(vec)}d", arr, 0, *vec)
+    return arr
+
+
 def _number_vector(vec: list, hint: str) -> np.ndarray:
     """A percept's list as float64, refused unless it holds ints and floats only."""
     types = list(map(type, vec))
@@ -199,21 +208,21 @@ def _number_vector(vec: list, hint: str) -> np.ndarray:
     if types.count(float) != len(types) and not _NUMBER_TYPES.issuperset(types):
         raise MalformedRecord("percept vector must be a list of numbers")
     try:
-        return np.fromiter(vec, np.float64, len(vec))
-    except OverflowError:
+        return _packed(vec)
+    except struct.error:  # of ints and floats, only an int past float range
         raise MalformedRecord(f"percept vector for {hint!r} overflows a float") from None
 
 
 def _json_vector(vec: list, hint: str) -> np.ndarray:
-    """``_number_vector`` of a list that ``json.loads`` made, converted in one C pass. The pass
-    refuses a str, None, a nested value and an int past float range, but takes a bool; json's
-    bools, true and false, become 1.0 and 0.0, so a vector holding either value, or one the pass
-    refuses, gets the per-element test, with its refusals and messages. (A caller's list may hold
-    a float subclass such as ``np.float64``, which the pass takes and the test refuses, so
+    """``_number_vector`` of a list that ``json.loads`` made, packed without its type test. The
+    pack refuses a str, None, a nested value and an int past float range, but takes a bool;
+    json's bools, true and false, become 1.0 and 0.0, so a vector holding either value, or one
+    the pack refuses, gets the type test, with its refusals and messages. (A caller's list may
+    hold a float subclass such as ``np.float64``, which the pack takes and the test refuses, so
     ``record_from_dict`` always tests.)"""
     try:
-        arr = np.frombuffer(array.array("d", vec))
-    except (TypeError, OverflowError):
+        arr = _packed(vec)
+    except struct.error:
         return _number_vector(vec, hint)
     return _number_vector(vec, hint) if ((arr == 0.0) | (arr == 1.0)).any() else arr
 
@@ -370,10 +379,11 @@ class Postings:
         for key in keys:
             self.lists[key].append(node_id)
 
-    def remove(self, node_id: int, keys) -> None:
-        """Drop one node; a key it is not listed under (its keys changed in place) is skipped."""
-        for key in keys:
-            if node_id in (held := self.lists.get(key, ())):
+    def remove(self, node_id: int) -> None:
+        """Drop one node from every list that holds it: the keys it was indexed under, which a
+        field assigned in place no longer tells (``check()`` reports such a node)."""
+        for held in self.lists.values():
+            if node_id in held:
                 held.remove(node_id)
 
 
@@ -433,7 +443,7 @@ def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset, *, ve
             events.append(("weakened", worst_id))
             if node.weight <= 0:
                 del store.semantic[worst_id]
-                postings.remove(worst_id, node.anchors)
+                postings.remove(worst_id)
                 events.append(("pruned", worst_id))
 
     node_id = store.next_node_id
@@ -473,7 +483,12 @@ def ingest_observation(store, rec: ObservationRecord):
             raise MalformedRecord(f"bad outcome {desc.outcome!r}")
         if type(desc.attrs) is not dict:
             raise MalformedRecord(f"attrs of {desc.text!r} hold what JSON cannot carry exactly")
-        if desc.attrs and (fault := _attrs_fault([desc.attrs])):
+        # A flat dict, str keys and str, int, bool or None values within the bound, is one the
+        # walk ends at its first level and accepts; any other walks.
+        attrs = desc.attrs
+        if not (len(attrs) <= MAX_ATTRS_VALUES and _KEY_TYPES.issuperset(map(type, attrs))
+                and _FLAT_TYPES.issuperset(map(type, attrs.values()))) \
+                and (fault := _attrs_fault([attrs])):
             raise MalformedRecord(f"attrs of {desc.text!r} {fault}")
     for c in rec.conclusions:
         if type(c.type) is not str or type(c.text) is not str:

@@ -381,6 +381,15 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v.append(f"semantic {node_id}: anchors {node.anchors!r} are not a frozenset of anchor ids")
         if not finite_vector(node.v_s, dim):
             v.append(f"semantic {node_id}: v_s is not {dim} finite floats")
+    # While the postings are current, each semantic node is listed under its anchors and no other
+    # key: an anchor set assigned in place is not followed (replace the node under its id).
+    if current(store.semantic_postings, store.semantic):
+        listed = {}
+        for anchor_id, held_ids in store.semantic_postings.lists.items():
+            for i in held_ids:
+                listed.setdefault(i, set()).add(anchor_id)
+        v += [f"semantic {i}: anchors are not its keys in the semantic postings"
+              for i, node in zip(ids["semantic"], held["semantic"]) if listed.get(i, set()) != node.anchors]
 
     # The evidence of all procedures at once first: its union is far smaller than the sum.
     links = [node.episodic_links for node in held["logic"]]

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import random
 import warnings
@@ -24,9 +25,11 @@ from memstrata import (
     resolve_anchor,
 )
 from memstrata.core import COSINE_BLOCK
-from memstrata.ingest import EntityAnchor
+from memstrata.ingest import MAX_ATTRS_VALUES, EntityAnchor, _attrs_fault, _number_vector
 from memstrata.store import snapshot_dict
 from conftest import bench_gen, fruit_salad_store, one_hot
+
+ingest = importlib.import_module("memstrata.ingest")
 
 
 def small_store(dim=16, **overrides):
@@ -574,6 +577,114 @@ def test_jsonl_percept_conversion_matches_record_from_dict():
             except MalformedRecord as exc:
                 results.append(str(exc))
         assert results[0] == results[1], vec
+
+
+def _percept_line(vec):
+    return json.dumps({"id": 1, "video": "v", "t": 0, "percepts": [{"kind": "face", "vector": vec, "hint": "h"}]})
+
+
+@pytest.mark.parametrize("at", [0, 255, 511])
+def test_jsonl_percept_conversion_at_full_dim_matches_record_from_dict(at):
+    # A 512-float vector as the bench writes one, with one entry replaced first, in the middle
+    # or last: both entry points give the same bits or the same refusal, and every vector they
+    # give is a C-contiguous, writable float64 array that owns its data.
+    rng = np.random.default_rng(at)
+    base = np.round(rng.standard_normal(512), 6).tolist()
+    for bad in (base[at], 0.25, True, False, "0", None, [], {}, [1.0], 0, 1, 0.0, 1.0, -0.0, 2**70,
+                10**400, float("nan"), float("-inf"), 1e308):
+        vec = list(base)
+        vec[at] = bad
+        line = _percept_line(vec)
+        results = []
+        for parse in (lambda: record_from_dict(json.loads(line)),
+                      lambda: read_observation_lines(['{"version": 1}', line])[0]):
+            try:
+                arr = parse().percepts[0].vector
+            except MalformedRecord as exc:
+                results.append(str(exc))
+                continue
+            assert arr.dtype == np.float64 and arr.shape == (512,), bad
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata, bad
+            results.append(arr.tobytes())
+        assert results[0] == results[1], bad
+        if type(bad) is float or type(bad) is int and abs(bad) < 2**1024:  # a float64 value
+            assert results[0] == np.array(vec, np.float64).tobytes(), bad
+        else:
+            assert results[0] in ("percept vector must be a list of numbers",
+                                  "percept vector for 'h' overflows a float"), bad
+
+
+def _flat(attrs):
+    """Whether ``attrs`` is a flat dict, the oracle's own test: str keys, str, int, bool or None
+    values, and no more keys than an attrs object may write."""
+    return (all(type(k) is str for k in attrs) and len(attrs) <= MAX_ATTRS_VALUES
+            and all(type(x) in (str, int, bool, type(None)) for x in attrs.values()))
+
+
+def test_ingest_refuses_attrs_as_the_full_walk_does():
+    # The full _attrs_fault walk is the oracle for each drawn attrs dict: a refusal carries its
+    # message and leaves the snapshot bytes as they were; an accepted dict is the node's.
+    rng = random.Random(27)
+    looped = {"a": 1}
+    looped["self"] = looped
+    leaves = ["x", "", 0, -7, 2**70, True, False, None]
+    odd = [0.5, -0.0, float("nan"), float("inf"), float("-inf"), [1, "y"], [[2.5, None]], {"n": 1},
+           {"n": [float("nan")]}, looped, (1, 2), {1, 2}, b"x", np.float64(1.0)]
+    cases = [{}, {f"k{i}": i for i in range(MAX_ATTRS_VALUES + 1)}, {f"k{i}": None for i in range(MAX_ATTRS_VALUES + 1)},
+             looped, {1: "x"}, {True: "x"}, {None: 1}, {"a": 1, 2.5: "x"}]
+    for _ in range(400):
+        attrs = {f"k{i}": rng.choice(leaves) for i in range(rng.randint(0, 5))}
+        if rng.random() < 0.5:
+            attrs[rng.choice([f"k{rng.randint(0, 5)}", 3, True, False, None, 1.5])] = rng.choice(leaves + odd)
+        cases.append(attrs)
+    cases.append({f"k{i}": i for i in range(MAX_ATTRS_VALUES)})  # last: each snapshot would write it
+    assert sum(map(_flat, cases)) > 100 and sum(not _flat(a) for a in cases) > 100
+
+    store = small_store(dim=4)
+    store.ingest(ObservationRecord(1, "v", 1.0, [Description("chop the fruit")], [], []))
+    for rid, attrs in enumerate(cases, start=2):
+        oracle = _attrs_fault([attrs])
+        assert oracle is None or not _flat(attrs), attrs.keys()
+        rec = ObservationRecord(rid, "v", float(rid), [Description("chop the fruit", attrs)], [], [])
+        if oracle is None:
+            (node_id,), _ = store.ingest(rec)
+            assert store.episodic[node_id].attrs == attrs
+            continue
+        before = json.dumps(snapshot_dict(store), sort_keys=True)
+        with pytest.raises(MalformedRecord) as refused:
+            store.ingest(rec)
+        assert str(refused.value) == f"attrs of 'chop the fruit' {oracle}"
+        assert json.dumps(snapshot_dict(store), sort_keys=True) == before
+    assert store.check() == []
+
+
+def test_a_generated_corpus_takes_the_fast_paths(monkeypatch):
+    # On the bench's seeded records, a percept vector goes through the per-element test only when
+    # it holds a rounded 0.0 (json's false reads as one), and no flat attrs dict is walked: a change
+    # that sends every record down the slow paths fails here.
+    gen = bench_gen()
+    monkeypatch.setattr(gen, "RECORDS", 300)
+    monkeypatch.setattr(gen, "SESSIONS", 20)
+    tested, walked = [], []
+
+    def number_vector(vec, hint):
+        tested.append(vec)
+        return _number_vector(vec, hint)
+
+    def attrs_fault(dicts):
+        walked.extend(dicts)
+        return _attrs_fault(dicts)
+
+    monkeypatch.setattr(ingest, "_number_vector", number_vector)
+    monkeypatch.setattr(ingest, "_attrs_fault", attrs_fault)
+    records = read_observation_lines(gen.lifecycle_inputs(7)["lines"]())
+    store = MemoryStore(Config())
+    for rec in records:
+        store.ingest(rec)
+    vectors = sum(len(rec.percepts) for rec in records)
+    flat = [d.attrs for rec in records for d in rec.descriptions if d.attrs and _flat(d.attrs)]
+    assert vectors > 300 and len(tested) < vectors / 100
+    assert len(flat) > 300 and [a for a in walked if _flat(a)] == []
 
 
 def test_ingest_embeds_each_new_text_and_each_conclusion_once(monkeypatch):

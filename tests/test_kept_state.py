@@ -277,6 +277,24 @@ def test_a_swap_that_keeps_the_count_is_followed_live_cloned_and_loaded(tmp_path
         == [[("reinforced", 5)]] * 3
 
 
+def test_anchors_assigned_in_place_are_reported_and_a_prune_leaves_no_stale_posting():
+    # The postings list node 1 under anchor 1 after its anchors are assigned in place: check()
+    # reports it, and the prune that removes it drops it from every list, so the next
+    # consolidate under anchor 1 meets no id that the layer no longer holds.
+    store = MemoryStore(Config(dim=16))
+    for i in (1, 2):
+        resolve_anchor(store, Percept("face", one_hot(i, 16), f"p{i}"))
+    assert consolidate_semantic(store, "trait", "alice is very tall", frozenset({1})) == [("created", 1)]
+    assert consolidate_semantic(store, "trait", "bob likes green tea", frozenset({2})) == [("created", 2)]
+    store.semantic[1].anchors = frozenset({2})
+    assert store.check() == ["semantic 1: anchors are not its keys in the semantic postings"]
+    assert consolidate_semantic(store, "trait", "zzz qqq", frozenset({1})) == \
+        [("weakened", 1), ("pruned", 1), ("created", 3)]
+    assert store.check() == []
+    assert consolidate_semantic(store, "trait", "zzz qqq", frozenset({1})) == [("reinforced", 3)]
+    assert [semantic_candidates(store, frozenset({a})) for a in (1, 2)] == [[3], [2]]
+
+
 def _built(path):
     """A store with nodes on every layer, each kept structure built and current."""
     store, rng, records = MemoryStore(Config(**CONFIG)), random.Random(3), []
