@@ -8,17 +8,20 @@ its entries with non-zero bits and then those entries as little-endian float64,
 so a load reproduces it bit for bit. Observations and episodes are columns, one
 array per field, ids as differences; each distinct video, text, anchor set and
 attrs object is stored once, in a table the columns index. Id lists are
-strictly increasing, evidence links are gap-coded and DAGs are rows, and a load
-refuses all but the canonical form. Nothing a load can derive is stored: a load
-recomputes each text's vector (with the snapshot's embedder) and action once,
-and each video's clock as its latest observation. Nor does a store hold a copy
-of what it holds, or what it can compute: an episode reads its text, vector and
-action from its text entry and its video and ``t`` from its observation; anchor
-and percept counts are sums of the face and voice counts, a procedure's
-anchors are those of its evidence, and the candidate pool is its records'
-observation ids. Besides, it keeps what its scans read, never stored (see
-``core.current``): the rows that own the anchor centroids and the logic index
-vectors, and the anchor and action postings.
+strictly increasing, evidence links are gap-coded and DAGs are rows. The id,
+video, count, anchor-set and outcome columns and each procedure's links write a
+maximal run of 3 or more equal ints as one ``[value, count]``; ``t``,
+``text_at`` and ``attrs_at`` stay plain, and fix the row counts a load expands
+runs to. A load refuses all but the canonical form. Nothing a load can derive
+is stored: a load recomputes each text's vector (with the snapshot's embedder)
+and action once, and each video's clock as its latest observation. Nor does a
+store hold a copy of what it holds, or what it can compute: an episode reads
+its text, vector and action from its text entry and its video and ``t`` from
+its observation; anchor and percept counts are sums of the face and voice
+counts, a procedure's anchors are those of its evidence, and the candidate pool
+is its records' observation ids. Besides, it keeps what its scans read, never
+stored (see ``core.current``): the rows that own the anchor centroids and the
+logic index vectors, and the anchor and action postings.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, repeat
-from operator import attrgetter, is_, le, lt
+from operator import attrgetter, is_, itemgetter, le, lt, sub
 
 import numpy as np
 
@@ -72,15 +75,16 @@ from .ingest import (
 from .maintain import apply_observation
 from .retrieve import make_query, retrieve
 
-SNAPSHOT_VERSION = 7
-# The sections of one type in a version 7 snapshot, the one version a load reads:
+SNAPSHOT_VERSION = 8
+# The sections of one type in a version 8 snapshot, the one version a load reads:
 # a load iterates them, so an empty section of another type would load, and
 # re-save as another file.
 _SECTION_TYPES = {"anchors": list, "semantic": list, "logic": list, "pool": list}
-# The keys of each object of a version 7 snapshot, as snapshot_dict writes them: a load
-# reads no other key, so one more, or one fewer, would load and re-save as another file.
 _OBSERVATION_COLUMNS = ("id", "video_at", "t", "episode_count")
 _EPISODE_COLUMNS = ("id", "text_at", "anchors_at", "outcome", "attrs_at")
+_PLAIN_COLUMNS = ("t", "text_at", "attrs_at")  # each column not named here is written as _runs
+# The keys of each object of a version 8 snapshot, as snapshot_dict writes them: a load
+# reads no other key, so one more, or one fewer, would load and re-save as another file.
 _KEYS = {kind: frozenset(keys.split()) for kind, keys in (
     ("top level", "version embedder config counters episodic observations " + " ".join(_SECTION_TYPES)),
     ("counters", "node anchor logic"), ("observations", "videos " + " ".join(_OBSERVATION_COLUMNS)),
@@ -211,8 +215,13 @@ class MemoryStore:
         return min((i for i, anchor in self.anchors.items() if anchor.label == label), default=None)
 
     def clone(self) -> "MemoryStore":
-        # Its layers have versions of their own, so the copy builds its kept state again.
-        return copy.deepcopy(self)
+        # Its layers have versions of their own, so the copy would build its kept state again: copy
+        # none of it, and build the centroid rows that a store with anchors holds, as a load does.
+        kept = (self.centroid_rows, self.semantic_postings, self.action_postings, self.logic_rows)
+        twin = copy.deepcopy(self, dict.fromkeys(map(id, kept)))
+        if self.centroid_rows is not None:
+            twin.centroid_rows = Rows(twin.anchors, "centroid_", PERCEPT_KINDS, twin.config.dim)
+        return twin
 
     # -- persistence ----------------------------------------------------------
 
@@ -489,10 +498,23 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     if not (set(map(type, outcomes)) <= {str} and set(outcomes) <= set(OUTCOMES)):
         v += [f"episodic {i}: bad outcome {o!r}"
               for i, o in zip(ep_ids, outcomes) if type(o) is not str or o not in OUTCOMES]
-    own = set(map(id, entries))
-    if not own.issuperset(map(id, map(attrgetter("text"), nodes))):
+    own, texts = set(map(id, entries)), list(map(attrgetter("text"), nodes))
+    if not own.issuperset(map(id, texts)):
         v += [f"episodic {i}: text is not the store's entry for its text"
               for i, n in zip(ep_ids, nodes) if id(n.text) not in own]
+    # While the action postings are current, each episode is listed once, under its action: a text
+    # assigned in place is not followed (replace the node under its id). One test, by id.
+    elif current(postings := store.action_postings, store.episodic):
+        lists = postings.lists
+        listed = list(chain.from_iterable(lists.values()))
+        if len(listed) != len(ep_ids) or dict(zip(ep_ids, map(itemgetter(2), texts))) != dict(
+                zip(listed, chain.from_iterable(map(repeat, lists, map(len, lists.values()))))):
+            keys = {}
+            for key, held_ids in lists.items():
+                for i in held_ids:
+                    keys.setdefault(i, []).append(key)
+            v += [f"episodic {i}: not listed once, under its action, in the action postings"
+                  for i, text in zip(ep_ids, texts) if keys.get(i) != [text[2]]]
     if valid_config and (wrong := {id(e) for e in entries if not (type(e[0]) is str and type(e[2]) in (
             str, type(None)) and e[2] == extract_action(e[0], config.action_verbs))}):
         v += [f"episodic {i}: action {n.action!r} is not the one its text gives"
@@ -581,12 +603,53 @@ def _keyed(obj, kind: str) -> dict:
 
 def _gaps(ids: list) -> list:
     """Ids as the first, then the difference to each next one: a gap, where they increase."""
-    return [b - a for a, b in zip([0] + ids, ids)]
+    return list(map(sub, ids, [0] + ids))
 
 
-def _sums(gaps: list) -> list:
-    """The ids that ``gaps`` gives, if they are ints; else ``gaps``, for a rule to refuse."""
-    return list(accumulate(gaps)) if set(map(type, gaps)) <= {int} else gaps
+def _same(ints: list) -> bytes:
+    """Byte ``i`` is 1 where ``ints[i] == ints[i + 1]``, else 0: compared as int64, or as the ints
+    they are past its range."""
+    try:
+        a = np.fromiter(ints, np.int64, len(ints))
+    except OverflowError:  # ids are unbounded
+        a = np.array(ints, object)
+    return (a[1:] == a[:-1]).tobytes()
+
+
+def _runs(ints: list) -> list:
+    """``ints`` with each maximal run of 3 or more equal values written as one ``[value, count]``
+    (the run-length coding of Abadi et al., SIGMOD 2006), every other int as it is."""
+    same, spelled, done = _same(ints) + b"\0", [], 0  # the last int ends a run
+    while (start := same.find(b"\1\1", done)) >= 0:  # a run of 3 or more from start
+        end = same.find(b"\0", start)  # to end, its last int
+        spelled += [*ints[done:start], [ints[start], end + 1 - start]]
+        done = end + 1
+    return spelled + ints[done:]
+
+
+def _unruns(column, most: int, what: str) -> list:
+    """The ints that ``_runs`` spelled as ``column``, refused unless it is what ``_runs`` writes:
+    ints (not true) and ``[value, count]`` pairs of ints, each count at least 3, no pair beside its
+    own value and no 3 equal ints in a row. The counts are summed before a pair is expanded: a
+    column that would spell more than ``most`` ints is refused."""
+    types = list(map(type, column)) if type(column) is list else [None]
+    at = list(compress(range(len(types)), map(is_, types, repeat(list))))  # where its pairs are
+    pairs = list(map(column.__getitem__, at))
+    values, counts = (flat := list(chain.from_iterable(pairs)))[::2], flat[1::2]
+    if not (set(types) <= {int, list} and set(map(len, pairs)) <= {2}
+            and set(map(type, flat)) <= {int} and min(counts, default=3) >= 3):
+        raise CorruptSnapshot(f"{what}: not ints and [value, count] pairs of a count of at least 3")
+    if len(column) - len(pairs) + sum(counts) > most:
+        raise CorruptSnapshot(f"{what}: more than {most} ints")
+    heads, ints, done = column.copy(), [], 0  # heads: each item's value
+    for i, value, count in zip(at, values, counts):
+        heads[i] = value
+        ints += column[done:i] + [value] * count
+        done = i + 1
+    same = b"\0" + _same(heads) + b"\0"  # same[i]: heads[i - 1] == heads[i]
+    if b"\1\1" in same or any(same[i] or same[i + 1] for i in at):
+        raise CorruptSnapshot(f"{what}: a run of 3 or more equal ints is not one maximal [value, count]")
+    return ints + column[done:]
 
 
 def snapshot_dict(store: MemoryStore) -> dict:
@@ -608,7 +671,7 @@ def snapshot_dict(store: MemoryStore) -> dict:
                       "weight": n.weight} for _, n in sorted(store.semantic.items())],
         "logic": [
             {"id": n.id, "c": n.c, "score": n.score, "steps": list(n.steps),
-             "episodic_links": _gaps(sorted(n.episodic_links)),
+             "episodic_links": _runs(_gaps(sorted(n.episodic_links))),
              "i_goal": _vec(n.i_goal), "i_step": _vec(n.i_step), "dag": _dag_rows(n.dag)}
             for _, n in sorted(store.logic.items())
         ],
@@ -618,9 +681,9 @@ def snapshot_dict(store: MemoryStore) -> dict:
 
 
 def _columns(store: MemoryStore) -> tuple:
-    """The observations, in id order, and their episodes, in order, as version 7 columns, with
+    """The observations, in id order, and their episodes, in order, as version 8 columns, with
     the tables of each distinct video, text, anchor set and attrs object of distinct canonical
-    JSON, in order of first use."""
+    JSON, in order of first use; every column but ``_PLAIN_COLUMNS`` as ``_runs``."""
     obs_ids = sorted(store.observations)
     metas = list(map(store.observations.__getitem__, obs_ids))
     nodes = list(map(store.episodic.__getitem__, chain.from_iterable(m.episodes for m in metas)))
@@ -632,12 +695,13 @@ def _columns(store: MemoryStore) -> tuple:
         if at is None:
             at = by_repr[key] = attrs.setdefault(json.dumps(a, sort_keys=True), (len(attrs), a))[0]
         attrs_at.append(at)
-    observations = {"id": _gaps(obs_ids), "t": [m.t for m in metas],
-                    "video_at": [videos.setdefault(m.video, len(videos)) for m in metas],
-                    "episode_count": [len(m.episodes) for m in metas]}
-    episodic = {"id": _gaps([n.id for n in nodes]), "outcome": [OUTCOMES.index(n.outcome) for n in nodes],
+    observations = {"id": _runs(_gaps(obs_ids)), "t": [m.t for m in metas],
+                    "video_at": _runs([videos.setdefault(m.video, len(videos)) for m in metas]),
+                    "episode_count": _runs([len(m.episodes) for m in metas])}
+    episodic = {"id": _runs(_gaps([n.id for n in nodes])),
+                "outcome": _runs([OUTCOMES.index(n.outcome) for n in nodes]),
                 "text_at": [texts.setdefault(n.text[0], len(texts)) for n in nodes],  # by its d
-                "anchors_at": [anchors.setdefault(n.anchors, len(anchors)) for n in nodes],
+                "anchors_at": _runs([anchors.setdefault(n.anchors, len(anchors)) for n in nodes]),
                 "attrs_at": attrs_at}
     return ({"videos": list(videos), **observations},
             {"texts": list(texts), "attrs": [a for _, a in attrs.values()],
@@ -655,6 +719,13 @@ def _increasing(lists: list, what: str) -> None:
         raise CorruptSnapshot(f"{what} are not ints in strictly increasing order")
 
 
+def _ids(gaps: list, what: str) -> list:
+    """The ids that ``gaps``, ints, give, refused unless every gap after the first is at least 1."""
+    if min(gaps[1:], default=1) < 1:
+        raise CorruptSnapshot(f"{what} are not ints in strictly increasing order")
+    return list(accumulate(gaps))
+
+
 def _refuse_unless_first_uses(indexes, keys: list, what: str) -> None:
     """Refuse unless a table's entries, by ``keys``, are distinct, and the
     indexes into it are ints whose first uses are 0, 1, ... to its last."""
@@ -665,29 +736,34 @@ def _refuse_unless_first_uses(indexes, keys: list, what: str) -> None:
 
 
 def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> None:
-    """Build the observations and their episodic nodes from version 7 columns, each table entry
+    """Build the observations and their episodic nodes from version 8 columns, each table entry
     once (a video, a text's entry with its vector and action, an anchor set, an attrs object), and
-    each node pointing at its entries and its observation. Anything but the canonical columns and
-    tables of some store is refused."""
+    each node pointing at its entries and its observation. Each run column is expanded (``_unruns``)
+    to at most its section's plain columns' length, ``t`` for the observations and ``text_at`` for
+    the episodes. Anything but the canonical columns and tables of some store is refused."""
     texts, attrs, anchor_sets = tables["texts"], tables["attrs"], tables["anchors"]
     videos = observations["videos"]
-    obs_columns = [observations[name] for name in _OBSERVATION_COLUMNS]
-    ep_columns = [tables[name] for name in _EPISODE_COLUMNS]
-    if not set(map(type, [texts, attrs, anchor_sets, videos, *obs_columns, *ep_columns])) <= {list}:
+    plain = [observations["t"], tables["text_at"], tables["attrs_at"]]
+    if not set(map(type, [texts, attrs, anchor_sets, videos, *plain])) <= {list}:
         raise CorruptSnapshot("observation and episodic columns and tables are not all lists")
-    for what, columns in (("observation", obs_columns), ("episodic", ep_columns)):
+    sections = []
+    for what, section, names, rows in (("observation", observations, _OBSERVATION_COLUMNS, plain[0]),
+                                       ("episodic", tables, _EPISODE_COLUMNS, plain[1])):
+        sections.append(columns := [section[name] if name in _PLAIN_COLUMNS else
+                                    _unruns(section[name], len(rows), f"{what} column {name!r}")
+                                    for name in names])
         if len(set(map(len, columns))) != 1:
             raise CorruptSnapshot(f"{what} columns are not of one length")
+    obs_columns, ep_columns = sections
     if not (set(map(type, texts + videos)) <= {str} and set(map(type, attrs)) <= {dict}):
         raise CorruptSnapshot("episodic texts and videos are not all strings, or attrs objects")
     (obs_ids, video_at, ts, counts), (ep_ids, text_at, anchors_at, outcomes, attrs_at) = (
-        [_sums(obs_columns[0]), *obs_columns[1:]], [_sums(ep_columns[0]), *ep_columns[1:]])
-    _increasing([obs_ids], "observation ids")
-    if not (set(map(type, counts)) <= {int} and min(counts, default=0) >= 0
-            and sum(counts) == len(ep_ids)):
+        [_ids(obs_columns[0], "observation ids"), *obs_columns[1:]],
+        [list(accumulate(ep_columns[0])), *ep_columns[1:]])  # tested per observation below
+    if not (min(counts, default=0) >= 0 and sum(counts) == len(ep_ids)):  # ints: _unruns
         raise CorruptSnapshot("observation episode counts do not split the episodic columns")
     _increasing(anchor_sets, "episodic anchors")
-    if not (set(map(type, outcomes)) <= {int} and set(outcomes) <= set(range(len(OUTCOMES)))):
+    if not set(outcomes) <= set(range(len(OUTCOMES))):
         raise CorruptSnapshot(f"episodic outcomes are not indexes into {OUTCOMES}")
     _refuse_unless_first_uses(video_at, videos, "observation video")
     _refuse_unless_first_uses(text_at, texts, "episodic text")
@@ -712,7 +788,7 @@ def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> N
 
 
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
-    """Rebuild a store from a version 7 snapshot dict; every other version is
+    """Rebuild a store from a version 8 snapshot dict; every other version is
     refused, as no reader of it is kept.
 
     Episodic and semantic vectors are recomputed with ``embedder`` (default:
@@ -763,15 +839,18 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                                                    store.intern(frozenset(s["anchors"])), s["weight"])
         episodic = store.episodic
         for l in data["logic"]:
-            links = _sums(l["episodic_links"])  # a gap below 1 or not an int: not increasing
-            _increasing([links], f"logic {l['id']} episodic links")
+            what = f"logic {l['id']} episodic links"
+            try:  # each link its node's id, as ingest links it
+                links = set(map(attrgetter("id"), map(episodic.__getitem__, _ids(
+                    _unruns(l["episodic_links"], len(episodic), what), what))))
+            except KeyError:
+                raise CorruptSnapshot(f"logic {l['id']}: dangling episodic link") from None
             node = LogicNode(
                 id=l["id"], c=l["c"],
                 i_goal=_vec_from(l["i_goal"], config.dim, f"logic {l['id']} i_goal"),
                 i_step=_vec_from(l["i_step"], config.dim, f"logic {l['id']} i_step"),
                 dag=_dag_from_rows(_keyed(l["dag"], "dag")),
-                # each link its node's id, as ingest links it; a dangling one stays for check_store
-                episodic_links={episodic[i].id if i in episodic else i for i in links},
+                episodic_links=links,
                 score=l["score"],
                 steps=tuple(l["steps"]),
             )

@@ -4,6 +4,7 @@ import importlib
 import json
 import random
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,21 @@ FRUIT_VERBS = ("chop", "mix", "serve", "wash", "blend", "grab", "pour", "slice")
 # an empty list and object, a negative int, an int beyond float precision, a
 # fraction, a bool and NaN.
 MUTATION_VALUES = ("x", None, [], {}, -1, 2**70, 1.5, True, float("nan"))
+
+
+def runs(ints) -> list:
+    """The version 8 snapshot spelling of an int column, by ``itertools.groupby``: each maximal
+    run of 3 or more equal ints as ``[value, count]``, every other int as it is."""
+    spelled = []
+    for value, group in groupby(ints):
+        count = len(list(group))
+        spelled += [[value, count]] if count >= 3 else [value] * count
+    return spelled
+
+
+def unruns(column) -> list:
+    """The ints that ``runs`` spelled as ``column``."""
+    return [v for x in column for v in ([x[0]] * x[1] if type(x) is list else [x])]
 
 
 def bench_gen():

@@ -295,6 +295,30 @@ def test_anchors_assigned_in_place_are_reported_and_a_prune_leaves_no_stale_post
     assert [semantic_candidates(store, frozenset({a})) for a in (1, 2)] == [[3], [2]]
 
 
+def test_an_episode_text_assigned_in_place_is_reported_and_not_saved(tmp_path):
+    # The action postings list episode 1 under chop_fruit after its text is assigned in place,
+    # so distill's evidence lists would be wrong: check() reports it, and save refuses the store;
+    # so, too, for an episode listed twice.
+    path = str(tmp_path / "snap.json")
+    store = MemoryStore(Config(dim=16, action_verbs=VERBS))
+    store.ingest(ObservationRecord(1, "v1", 0.0, [Description("chop the fruit"),
+                                                  Description("mix the fruit")], [], []))
+    assert dict(action_postings(store).lists) == {"chop_fruit": [1], "mix_fruit": [2]}
+    assert store.check() == []
+    store.episodic[1].text = store.text_entry("mix the bowl")
+    violation = "episodic 1: not listed once, under its action, in the action postings"
+    assert store.check() == [violation]
+    with pytest.raises(SnapshotIoError, match=violation):
+        store.save(path)
+    assert not os.path.exists(path)
+    store.episodic[1] = store.episodic[1]  # replaced under its id: the postings are built again
+    assert store.check() == []
+    assert dict(action_postings(store).lists) == {"mix_bowl": [1], "mix_fruit": [2]}
+    store.save(path)
+    action_postings(store).lists["mix_bowl"].append(1)  # under its action, twice
+    assert store.check() == [violation]
+
+
 def _built(path):
     """A store with nodes on every layer, each kept structure built and current."""
     store, rng, records = MemoryStore(Config(**CONFIG)), random.Random(3), []

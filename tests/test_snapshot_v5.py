@@ -1,4 +1,4 @@
-"""Snapshot version 7, the only version a load reads (this file is named for
+"""Snapshot version 8, the only version a load reads (this file is named for
 version 5, the first whose rows these tests pinned): the one canonical form a
 load accepts, the stores a save refuses, and a round-trip property over the
 record shapes the snapshot writes in a way of its own (no descriptions, mixed
@@ -9,6 +9,8 @@ import gc
 import json
 import os
 import re
+import resource
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -35,10 +37,10 @@ from memstrata import (
 from memstrata import store as store_module
 from memstrata.ingest import MAX_ATTRS_VALUES, OUTCOMES
 from memstrata.store import snapshot_dict, store_from_dict
-from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot
+from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot, runs, unruns
 
 DIM = 32
-V7_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v7_dim8.json")
+V8_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v8_dim8.json")
 
 
 def shapes_store() -> MemoryStore:
@@ -83,9 +85,9 @@ def test_shapes_store_saves_observations_in_id_order_with_their_nodes(tmp_path):
         "texts": ["@jack chop the fruit", "@ana and @jack mix the fruit", "@ana serve the salad"],
         "attrs": [{"tool": "knife"}, {"tool": "bowl"}, {}], "anchors": [[1], [1, 2], [2]],
         "id": [10, 1, 1, -6, 1, 1, -7, 1, 1], "text_at": [0, 1, 2] * 3, "anchors_at": [0, 1, 2] * 3,
-        "outcome": [0, 0, 0, 0, 1, 0, 0, 0, 0], "attrs_at": [0, 1, 2] * 3}
+        "outcome": [[0, 4], 1, [0, 4]], "attrs_at": [0, 1, 2] * 3}  # outcomes 0 0 0 0 1 0 0 0 0
     assert "video_clock" not in data
-    assert data["logic"][0]["episodic_links"] == [1, 1, 1, 3, 1, 1, 2, 1, 1]
+    assert data["logic"][0]["episodic_links"] == [[1, 3], 3, 1, 1, 2, 1, 1]  # gaps 1 1 1 3 1 1 2 1 1
     loaded = MemoryStore.load(path)
     assert loaded.check() == []
     assert loaded.percept_count == 6
@@ -125,13 +127,24 @@ def _set(rows, at, column, value):
     rows[at][column] = value
 
 
+RUN_COLUMNS = ("id", "video_at", "episode_count", "anchors_at", "outcome")
+
+
+def _respelled(section, column, change):
+    """Change a column or table; a run column as the ints it spells, spelled again as runs."""
+    if column not in RUN_COLUMNS:
+        return change(section[column])
+    change(ints := unruns(section[column]))
+    section[column] = runs(ints)
+
+
 def _episode_in_two_observations(data):
     # observation 40 of v3 at t 1.0 lists episode 10, which observation 10 lists
     for column, value in (("id", 9), ("video_at", 0), ("t", 1.0), ("episode_count", 1)):
-        _observations(data, column).append(value)
+        _respelled(data["observations"], column, lambda ints: ints.append(value))
     for column, value in (("id", 10 - 3), ("text_at", 0), ("anchors_at", 0), ("outcome", 0),
                           ("attrs_at", 0)):
-        _episodes(data, column).append(value)
+        _respelled(data["episodic"], column, lambda ints: ints.append(value))
 
 
 def _swap_first_uses(section, table, column):
@@ -144,7 +157,7 @@ def _swap_first_uses(section, table, column):
 
 def _column(section, column, at, value):
     def plant(data):
-        data[section][column][at] = value
+        _respelled(data[section], column, lambda ints: ints.__setitem__(at, value))
     return plant
 
 
@@ -157,6 +170,10 @@ GAPS = "logic 1 episodic links are not ints in strictly increasing order"
 VIDEOS, ANCHORS = "^observation video table is not", "^episodic anchors table is not"
 COUNTS = "^observation episode counts do not split the episodic columns$"
 
+
+def _not_runs(what):  # an int column holding what is neither an int nor a [value, count] pair
+    return f"^{re.escape(what)}: not ints and \\[value, count\\] pairs of a count of at least 3$"
+
 CASES = {
     "anchors-swapped": (lambda d: _swap(d["anchors"]), "anchors " + SECTION_ORDER),
     "anchors-repeated": (lambda d: _repeat(d["anchors"], 1, face_count=1), "anchors " + SECTION_ORDER),
@@ -167,9 +184,10 @@ CASES = {
     "observations-swapped": (lambda d: _observations(d, "id").__setitem__(slice(0, 2), [11, -1]),
                              OBSERVATION_IDS),
     "observation-repeated": (_column("observations", "id", 1, 0), OBSERVATION_IDS),
-    "observation-id-true": (_column("observations", "id", 0, True), OBSERVATION_IDS),
+    "observation-id-true": (_column("observations", "id", 0, True), _not_runs("observation column 'id'")),
     "video-past-end": (_column("observations", "video_at", 1, 3), VIDEOS),
-    "video-true": (_column("observations", "video_at", 2, True), VIDEOS),
+    "video-true": (_column("observations", "video_at", 2, True),
+                   _not_runs("observation column 'video_at'")),
     "video-out-of-order": (_swap_first_uses("observations", "videos", "video_at"), VIDEOS),
     "video-unused": (lambda d: _observations(d, "videos").append("v9"), VIDEOS),
     "video-not-a-string": (_column("observations", "videos", 0, 3),
@@ -177,13 +195,14 @@ CASES = {
     "count-short": (_column("observations", "episode_count", 0, 2), COUNTS),
     "count-negative": (lambda d: _observations(d, "episode_count").__setitem__(slice(0, 2), [4, -1]),
                        COUNTS),
-    "count-true": (_column("observations", "episode_count", 1, False), COUNTS),
+    "count-true": (_column("observations", "episode_count", 1, False),
+                   _not_runs("observation column 'episode_count'")),
     # episode ids as differences: 11, 10, 12 (an id below the one before it in its
     # observation), 10 twice, and true for 10
     "episode-ids-swapped": (lambda d: _episodes(d, "id").__setitem__(slice(0, 3), [11, -1, 2]),
                             EPISODE_IDS),
     "episode-id-repeated": (lambda d: _episodes(d, "id").__setitem__(slice(1, 3), [0, 2]), EPISODE_IDS),
-    "episode-id-true": (_column("episodic", "id", 0, True), EPISODE_IDS),
+    "episode-id-true": (_column("episodic", "id", 0, True), _not_runs("episodic column 'id'")),
     "episode-in-two-observations": (_episode_in_two_observations,
                                     "an episode is listed by two observations"),
     "node-anchors-repeated": (_column("episodic", "anchors", 0, [1, 1]), "episodic anchors are not"),
@@ -198,14 +217,15 @@ CASES = {
                                   "semantic anchors are not"),
     "outcome-minus-one": (_column("episodic", "outcome", 0, -1), OUTCOME),
     "outcome-past-end": (_column("episodic", "outcome", 0, len(OUTCOMES)), OUTCOME),
-    "outcome-true": (_column("episodic", "outcome", 0, True), OUTCOME),
-    "outcome-float": (_column("episodic", "outcome", 0, 0.0), OUTCOME),
-    "outcome-string": (_column("episodic", "outcome", 0, "success"), OUTCOME),
+    "outcome-true": (_column("episodic", "outcome", 0, True), _not_runs("episodic column 'outcome'")),
+    "outcome-float": (_column("episodic", "outcome", 0, 0.0), _not_runs("episodic column 'outcome'")),
+    "outcome-string": (_column("episodic", "outcome", 0, "success"),
+                       _not_runs("episodic column 'outcome'")),
     "gap-zero": (lambda d: _links(d).__setitem__(1, 0), GAPS),
     "gap-negative": (lambda d: _links(d).__setitem__(3, -1), GAPS),
-    "gap-true": (lambda d: _links(d).__setitem__(1, True), GAPS),
-    "gap-float": (lambda d: _links(d).__setitem__(1, 1.0), GAPS),
-    "first-link-true": (lambda d: _links(d).__setitem__(0, True), GAPS),
+    "gap-true": (lambda d: _links(d).__setitem__(1, True), _not_runs("logic 1 episodic links")),
+    "gap-float": (lambda d: _links(d).__setitem__(1, 1.0), _not_runs("logic 1 episodic links")),
+    "first-link-true": (lambda d: _links(d).__setitem__(0, True), _not_runs("logic 1 episodic links")),
     "dag-node-row-5": (lambda d: _dag(d, "nodes")[1].append(0), DAG_ROWS),
     "dag-edge-row-3": (lambda d: _dag(d, "edges")[0].pop(), DAG_ROWS),
     "dag-steps-swapped": (lambda d: _swap(_dag(d, "nodes"), 1, 2), DAG_ROWS),
@@ -248,7 +268,7 @@ def test_snapshot_pool_entry_that_is_not_an_observation_id_rejected(entry):
     # The pool is the ids of its observations: 11.0 would pass for 11, and true for 1,
     # as an observation's key, and re-save as another file. A load refuses each with
     # the violation check() reports on a store that holds it.
-    data = json.loads(open(V7_FIXTURE).read())
+    data = json.loads(open(V8_FIXTURE).read())
     assert data["pool"] == [11]
     store = store_from_dict(copy.deepcopy(data))
     assert snapshot_dict(store) == data
@@ -262,7 +282,7 @@ def test_snapshot_pool_entry_that_is_not_an_observation_id_rejected(entry):
 
 def test_snapshot_pool_that_lists_an_observation_twice_rejected():
     # apply pools a record once, so a repeated id is no store's pool.
-    data = json.loads(open(V7_FIXTURE).read())
+    data = json.loads(open(V8_FIXTURE).read())
     store = store_from_dict(copy.deepcopy(data))
     store.pool.append(11)
     violation = "pool entry 11 is listed 2 times, not once"
@@ -278,7 +298,7 @@ def test_snapshot_pool_that_lists_an_observation_twice_rejected():
 def test_section_of_another_type_rejected_in_every_version(section, other):
     # A load iterates each section, so an empty one of another type would
     # load as empty and re-save as another file.
-    for data in (snapshot_dict(shapes_store()), json.loads(open(V7_FIXTURE).read())):
+    for data in (snapshot_dict(shapes_store()), json.loads(open(V8_FIXTURE).read())):
         data[section] = other
         with pytest.raises(CorruptSnapshot, match=f"snapshot section '{section}' is not a"):
             store_from_dict(data)
@@ -765,3 +785,133 @@ def test_stores_of_empty_mixed_and_out_of_order_records_round_trip(tmp_path_fact
         assert _episodic_state(loaded) == _episodic_state(store)
         loaded.save(path)
         assert open(path, "rb").read() == first
+
+
+# -- run columns -------------------------------------------------------------
+
+# Int columns as runs of drawn lengths: long runs, alternations, negatives and ints past int64.
+run_ints = st.lists(st.tuples(st.integers(-3, 3) | st.integers(-2**70, 2**70), st.integers(1, 9)),
+                    max_size=30).map(lambda rs: [value for value, n in rs for _ in range(n)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(run_ints)
+def test_run_codec_spells_as_a_groupby_oracle_and_reads_back(ints):
+    spelled = store_module._runs(ints)
+    assert spelled == runs(ints)
+    assert store_module._unruns(json.loads(json.dumps(spelled)), len(ints), "c") == ints
+    if ints:  # the counts are summed before a pair is expanded
+        with pytest.raises(CorruptSnapshot, match=f"^c: more than {len(ints) - 1} ints$"):
+            store_module._unruns(spelled, len(ints) - 1, "c")
+
+
+# Records in blocks of one source, line count and outcome, so that every run column holds long runs
+# and alternations; record ids drawn apart (negative and past int64 too) and ingested in any order.
+record_blocks = st.lists(st.tuples(st.sampled_from(("v1", "v2", "v3")), st.integers(0, 3),
+                                   st.sampled_from(OUTCOMES), st.integers(1, 8)), min_size=1, max_size=8)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(record_blocks, st.data())
+def test_run_columns_round_trip_through_save_and_load(tmp_path_factory, blocks, data):
+    shapes = [(video, lines, outcome) for video, lines, outcome, n in blocks for _ in range(n)]
+    rids = data.draw(st.lists(st.integers(-2**70, 2**70) | st.integers(-20, 20),
+                              min_size=len(shapes), max_size=len(shapes), unique=True))
+    store = MemoryStore(Config(dim=DIM, action_verbs=FRUIT_VERBS))
+    for rid, (video, lines, outcome) in zip(rids, shapes):
+        store.ingest(ObservationRecord(rid, video, 0.0, [Description(text, {}, outcome)
+                                                         for text in LINES[:lines]], [], []))
+    store.distill()
+    path = os.path.join(tmp_path_factory.mktemp("runs"), "snap.json")
+    store.save(path)
+    text = open(path).read()
+    saved = json.loads(text)
+    # each run column is the oracle's spelling of the ints the store gives it
+    metas = [meta for _, meta in sorted(store.observations.items())]
+    nodes = [store.episodic[i] for meta in metas for i in meta.episodes]
+    videos, anchors = saved["observations"]["videos"], saved["episodic"]["anchors"]
+    gaps = lambda ids: [b - a for a, b in zip([0] + ids, ids)]
+    assert saved["observations"]["id"] == runs(gaps(sorted(store.observations)))
+    assert saved["observations"]["video_at"] == runs([videos.index(m.video) for m in metas])
+    assert saved["observations"]["episode_count"] == runs([len(m.episodes) for m in metas])
+    assert saved["episodic"]["id"] == runs(gaps([n.id for n in nodes]))
+    assert saved["episodic"]["anchors_at"] == runs([anchors.index(sorted(n.anchors)) for n in nodes])
+    assert saved["episodic"]["outcome"] == runs([OUTCOMES.index(n.outcome) for n in nodes])
+    assert [node["episodic_links"] for node in saved["logic"]] == [
+        runs(gaps(sorted(store.logic[node["id"]].episodic_links))) for node in saved["logic"]]
+    loaded = MemoryStore.load(path)
+    assert loaded.check() == []
+    assert _episodic_state(loaded) == _episodic_state(store)
+    loaded.save(path)
+    assert open(path).read() == text
+
+
+def _holder(data, section):
+    """The object that holds a section's columns: the first procedure's, for "logic"."""
+    return data[section] if section != "logic" else data["logic"][0]
+
+
+def _respell(source, section, column, spelling):
+    def plant(data):
+        _holder(data, section)[column] = spelling
+    return source, section, column, plant, spelling
+
+
+# One file per store state: each spelling below but the canonical one is refused, the ones
+# marked True although they spell the very ints the column holds.
+NON_CANONICAL = {
+    "count-2": (_respell("shapes", "observations", "video_at", [[0, 2], 1, 1, 2, 2]), True),
+    "count-2-in-links": (_respell("shapes", "logic", "episodic_links", [[1, 3], 3, [1, 2], 2, 1, 1]),
+                         True),
+    "count-0": (_respell("shapes", "episodic", "outcome", [[0, 4], [5, 0], 1, [0, 4]]), True),
+    "count-negative": (_respell("shapes", "episodic", "outcome", [[0, 4], [1, -1], 1, [0, 4]]), True),
+    "count-true": (_respell("shapes", "episodic", "outcome", [[0, 4], [1, True], [0, 4]]), True),
+    "count-float": (_respell("shapes", "episodic", "outcome", [[0, 4.0], 1, [0, 4]]), False),
+    "count-string": (_respell("shapes", "episodic", "outcome", [[0, "4"], 1, [0, 4]]), False),
+    "run-split-pair-then-int": (_respell("shapes", "episodic", "outcome", [[0, 3], 0, 1, [0, 4]]), True),
+    "run-split-int-then-pair": (_respell("shapes", "episodic", "outcome", [0, [0, 3], 1, [0, 4]]), True),
+    "run-split-two-pairs": (_respell("v8", "episodic", "anchors_at", [[0, 5], [0, 6], [1, 3]]), True),
+    "three-equal-ints": (_respell("v8", "episodic", "anchors_at", [[0, 11], 1, 1, 1]), True),
+    "pair-of-1": (_respell("shapes", "episodic", "outcome", [[0, 4], [1], [0, 4]]), False),
+    "pair-of-3": (_respell("shapes", "episodic", "outcome", [[0, 4, 0], 1, [0, 4]]), True),
+    "pair-in-text_at": (_respell("v8", "episodic", "text_at",
+                                 [[0, 1], 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 3, 4, 5]), True),
+    "pair-in-attrs_at": (_respell("v8", "episodic", "attrs_at", [0, 1, 2, 0, 1, 2, 0, 1, 2, [3, 5]]),
+                         True),
+    "pair-in-t": (_respell("v8", "observations", "t",
+                           [0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 1.0, 2.0, [0.0, 2]]), True),
+}
+
+
+@pytest.mark.parametrize("case,same_ints", NON_CANONICAL.values(), ids=NON_CANONICAL.keys())
+def test_non_canonical_runs_rejected(case, same_ints):
+    source, section, column, plant, spelling = case
+    data = (json.loads(json.dumps(snapshot_dict(shapes_store()))) if source == "shapes"
+            else json.loads(open(V8_FIXTURE).read()))
+    assert snapshot_dict(store_from_dict(copy.deepcopy(data))) == data
+    if same_ints:  # so only its spelling is at fault
+        assert unruns(spelling) == unruns(_holder(data, section)[column])
+    plant(data)
+    with pytest.raises(CorruptSnapshot):
+        store_from_dict(data)
+
+
+@pytest.mark.parametrize("section,column,spelling", [
+    ("episodic", "id", [[1, 10**12]]),
+    ("observations", "episode_count", [[10**9, 3], [1, 6], 3, 2]),  # 11 counts, as the file holds
+    ("logic", "episodic_links", [[1, 10**12]]),
+], ids=["episode-ids", "episode-counts", "links"])
+def test_a_run_is_refused_before_it_can_allocate(tmp_path, section, column, spelling):
+    # A small file cannot ask a load for 10**12 ints: a run column's counts are summed against
+    # the rows the file holds before a pair is expanded, and counts against its episodes.
+    data = json.loads(open(V8_FIXTURE).read())
+    _holder(data, section)[column] = spelling
+    path = str(tmp_path / "snap.json")
+    open(path, "w").write(json.dumps(data))
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
+    start = time.perf_counter()
+    with pytest.raises(CorruptSnapshot):
+        MemoryStore.load(path)
+    assert time.perf_counter() - start < 1.0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak < 32 * 1024

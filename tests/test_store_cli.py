@@ -46,7 +46,7 @@ from memstrata.core import dump_config
 from memstrata import store as store_module
 from memstrata.ingest import OUTCOMES
 from memstrata.store import snapshot_dict, store_from_dict
-from conftest import FRUIT_VERBS, MUTATION_VALUES, fruit_salad_store, jsonl_lines
+from conftest import FRUIT_VERBS, MUTATION_VALUES, fruit_salad_store, jsonl_lines, runs
 
 
 def ready_store():
@@ -604,21 +604,22 @@ def test_load_of_a_finite_vector_whose_square_overflows_warns_nothing(tmp_path):
         assert MemoryStore.load(path, embedder=embedder).check() == []
 
 
-def test_v7_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
+def test_v8_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.save(path)
     text = open(path).read()
     assert "\n" not in text[:-1] and text.endswith("\n")
     data = json.loads(text)
-    assert data["version"] == 7
+    assert data["version"] == 8
     assert data["embedder"] == {"name": "hashing-fnv1a64", "dim": 512}
     assert data["observations"]["id"] and data["semantic"]
     assert all("v" not in entry for entry in data["semantic"])
     assert "video_clock" not in data  # each video's latest observation gives it
     # each distinct video, text, anchor set and attrs once, in first-use order as the file
     # lists the nodes, and one column per observation field and per episode field, ids as
-    # differences: no vector, action, video or own t
+    # differences, each int column but text_at and attrs_at in runs: no vector, action, video
+    # or own t
     metas = [meta for _, meta in sorted(store.observations.items())]
     nodes = [store.episodic[i] for meta in metas for i in meta.episodes]
     videos = list(dict.fromkeys(meta.video for meta in metas))
@@ -629,22 +630,23 @@ def test_v7_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     assert len(texts) < len(nodes) and len(attrs) < len(nodes) and len(videos) < len(metas)
     obs_ids, ep_ids = sorted(store.observations), [node.id for node in nodes]
     assert data["observations"] == {
-        "videos": videos, "id": [b - a for a, b in zip([0] + obs_ids, obs_ids)],
-        "video_at": [videos.index(meta.video) for meta in metas], "t": [meta.t for meta in metas],
-        "episode_count": [len(meta.episodes) for meta in metas]}
+        "videos": videos, "id": runs([b - a for a, b in zip([0] + obs_ids, obs_ids)]),
+        "video_at": runs([videos.index(meta.video) for meta in metas]),
+        "t": [meta.t for meta in metas], "episode_count": runs([len(meta.episodes) for meta in metas])}
     assert data["episodic"] == {
         "texts": texts, "attrs": attrs, "anchors": list(map(list, anchors)),
-        "id": [b - a for a, b in zip([0] + ep_ids, ep_ids)],
+        "id": runs([b - a for a, b in zip([0] + ep_ids, ep_ids)]),
         "text_at": [texts.index(n.d) for n in nodes],
-        "anchors_at": [anchors.index(tuple(sorted(n.anchors))) for n in nodes],
-        "outcome": [OUTCOMES.index(n.outcome) for n in nodes],
+        "anchors_at": runs([anchors.index(tuple(sorted(n.anchors))) for n in nodes]),
+        "outcome": runs([OUTCOMES.index(n.outcome) for n in nodes]),
         "attrs_at": [attrs.index(n.attrs) for n in nodes]}
-    # no anchor count, percept count or logic anchors; links as gaps; DAGs as rows
+    assert any(type(x) is list for x in data["episodic"]["outcome"])  # a run, here
+    # no anchor count, percept count or logic anchors; links as gaps, in runs; DAGs as rows
     assert "percept_count" not in data and "count" not in data["anchors"][0]
     node, logic = store.logic[1], data["logic"][0]
     links = sorted(node.episodic_links)
     assert "anchors" not in logic and len(links) > 1
-    assert logic["episodic_links"] == [links[0]] + [b - a for a, b in zip(links, links[1:])]
+    assert logic["episodic_links"] == runs([links[0]] + [b - a for a, b in zip(links, links[1:])])
     labels = [START] + sorted(node.dag.step_labels()) + [GOAL]
     assert logic["dag"]["nodes"] == [
         [label, node.dag.nodes[label].attrs, node.dag.nodes[label].success_alpha,
@@ -658,36 +660,36 @@ def test_v7_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     assert data["anchors"][0]["face"] == encode_vector(anchor.centroid_face.tolist())
 
 
-# snapshot_v7_dim8.json was written by the version 7 writer from a
-# Config(dim=8, delta_gate=0.9) store: three sources of "@jack chop the
-# fruit", "@jack mix the fruit in a bowl", "@jack serve the salad" at t 0, 1,
-# 2 (record ids 1-9, attrs {"step": i}; on each source's first a "jack" face
-# percept, of [0,0,0,1,0,0,0,0], [0,.6,0,.8,0,0,0,0] and
-# [0,0,0,.9,.1,0,1e-310,0] in turn; the character conclusion "@jack is a
-# careful cook" on each last), then distill(); then source v4 (record 10:
-# chop, mix, "walk the dog") ingested and applied (matched, EMA), and source
-# v5 (record 11: "wash the car", "dry the car") ingested and applied (pooled).
-# It is snapshot_v6_dim8.json, the version 6 writer's file of that store, with
-# version 7 and the pool as the id of observation 11. It pins the version 7
-# bytes across changes to the code that writes them.
-V7_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v7_dim8.json")
+# snapshot_v8_dim8.json holds the store of snapshot_v7_dim8.json, which the
+# version 7 writer wrote from a Config(dim=8, delta_gate=0.9) store: three
+# sources of "@jack chop the fruit", "@jack mix the fruit in a bowl", "@jack
+# serve the salad" at t 0, 1, 2 (record ids 1-9, attrs {"step": i}; on each
+# source's first a "jack" face percept, of [0,0,0,1,0,0,0,0],
+# [0,.6,0,.8,0,0,0,0] and [0,0,0,.9,.1,0,1e-310,0] in turn; the character
+# conclusion "@jack is a careful cook" on each last), then distill(); then
+# source v4 (record 10: chop, mix, "walk the dog") ingested and applied
+# (matched, EMA), and source v5 (record 11: "wash the car", "dry the car")
+# ingested and applied (pooled).
+# It was loaded by the version 7 reader and saved by the version 8 writer, and
+# pins the version 8 bytes across changes to the code that writes them.
+V8_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v8_dim8.json")
 
 
-def test_v7_fixture_loads_and_saves_byte_identically(tmp_path):
-    store = MemoryStore.load(V7_FIXTURE)
+def test_v8_fixture_loads_and_saves_byte_identically(tmp_path):
+    store = MemoryStore.load(V8_FIXTURE)
     assert store.check() == []
     stats = store.stats()
     assert (stats["anchors"], stats["episodic"], stats["logic"], stats["pool"]) == (1, 14, 1, 1)
     assert store.pool == [11]
     path = str(tmp_path / "snap.json")
     store.save(path)
-    assert open(path, "rb").read() == open(V7_FIXTURE, "rb").read()
+    assert open(path, "rb").read() == open(V8_FIXTURE, "rb").read()
 
 
-# snapshot_v{1,2,3,4,5,6}_dim8.json were written by the version 1-6 writers from
+# snapshot_v{1,...,7}_dim8.json were written by the version 1-7 writers from
 # this recipe or a shorter form of it. No reader of those versions is kept:
 # each is refused by its number, as an unknown one is.
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_snapshot_of_an_older_version_refused_by_its_number(version):
     path = os.path.join(os.path.dirname(__file__), "data", f"snapshot_v{version}_dim8.json")
     assert json.loads(open(path).read())["version"] == version
@@ -711,7 +713,7 @@ def test_load_links_each_procedure_to_its_episodes_own_ids(tmp_path):
     assert max(links) > 256
     assert all(i is loaded.episodic[i].id for i in links)
     data = json.loads(open(path).read())
-    data["logic"][0]["episodic_links"].append(10**6)  # a link to no episode
+    data["logic"][0]["episodic_links"][-1] = 10**6  # the last link, to no episode
     with pytest.raises(CorruptSnapshot, match="^logic 1: dangling episodic link$"):
         store_from_dict(data)
 
@@ -795,8 +797,10 @@ OBSERVATION_COLUMNS = "^observation columns are not of one length$"
     (_duplicate_entry("attrs_at", reorder=True), ATTRS),
     (_unused_entry("texts", "an unused text"), TEXTS), (_unused_entry("attrs", {"unused": 1}), ATTRS),
     (_swap_first_uses("text_at"), TEXTS), (_swap_first_uses("attrs_at"), ATTRS),
-    # the *-row-* cases: a column one entry longer or shorter than the others of its section
-    (_column_length("episodic", "outcome", lambda column: column.append(0)), EPISODE_COLUMNS),
+    # the *-row-* cases: a column one entry longer or shorter than the others of its section; a
+    # run column (outcome) longer than them is refused before it is expanded
+    (_column_length("episodic", "outcome", lambda column: column.append(1)),
+     "^episodic column 'outcome': more than 14 ints$"),
     (_column_length("episodic", "attrs_at", list.pop), EPISODE_COLUMNS),
     (_column_length("observations", "t", lambda column: column.append(0.0)), OBSERVATION_COLUMNS),
     (_column_length("observations", "episode_count", list.pop), OBSERVATION_COLUMNS),
@@ -807,7 +811,7 @@ OBSERVATION_COLUMNS = "^observation columns are not of one length$"
         "observation-row-3"])
 def test_non_canonical_v5_tables_rejected(plant, match):
     # One store state, one file: no other tables for the same nodes load.
-    data = json.loads(open(V7_FIXTURE).read())
+    data = json.loads(open(V8_FIXTURE).read())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=match):
@@ -850,7 +854,7 @@ KEY_PLANTS = {
 def test_object_with_keys_the_writer_does_not_write_rejected(plant, kind):
     # A load reads only the keys the writer writes: any other would be dropped,
     # and a missing config key defaulted, so the file would re-save as another.
-    data = json.loads(open(V7_FIXTURE).read())
+    data = json.loads(open(V8_FIXTURE).read())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^snapshot {kind}: not an object with exactly the keys"):
@@ -872,7 +876,7 @@ COUNTER_PLANTS = {
 def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violation):
     # The next distill, fuse or ingest takes its id from the counter: one at or
     # below a held id overwrites that node, and a float one makes float ids.
-    data = json.loads(open(V7_FIXTURE).read())
+    data = json.loads(open(V8_FIXTURE).read())
     assert data["counters"] == {"anchor": 2, "logic": 2, "node": 16}
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
@@ -881,7 +885,7 @@ def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violatio
 
 @pytest.mark.parametrize("name", ["next_node_id", "next_anchor_id", "next_logic_id"])
 def test_check_reports_a_counter_that_is_not_a_positive_int(name):
-    store = MemoryStore.load(V7_FIXTURE)
+    store = MemoryStore.load(V8_FIXTURE)
     counter = {"next_node_id": "node", "next_anchor_id": "anchor", "next_logic_id": "logic"}[name]
     for value in (float(getattr(store, name)), True, "x", None):
         twin = store.clone()
@@ -894,7 +898,7 @@ def test_store_whose_counter_is_not_a_positive_int_is_reported_and_not_saved(tmp
     # A load refuses such a counter, so a save must not write one; an ingest
     # first hands a float node counter's value out as an episode id.
     path = str(tmp_path / "snap.json")
-    store = MemoryStore.load(V7_FIXTURE)
+    store = MemoryStore.load(V8_FIXTURE)
     setattr(store, name, float(getattr(store, name)))
     store.ingest(ObservationRecord(1000, "later", 0.0, [Description("chop the fruit")], [], []))
     violation = store.check()[0]
@@ -1012,10 +1016,10 @@ def test_bad_version_rejected(tmp_path):
         MemoryStore.load(path)
 
 
-@pytest.mark.parametrize("version", [True, 2.0, "3", 5.0, 6.0, 7.0])
+@pytest.mark.parametrize("version", [True, 2.0, "3", 5.0, 6.0, 7.0, 8.0])
 def test_version_of_another_type_rejected(version):
-    # 7.0 == 7 in Python: a version must be the int, not just equal it.
-    data = json.loads(open(V7_FIXTURE).read())
+    # 8.0 == 8 in Python: a version must be the int, not just equal it.
+    data = json.loads(open(V8_FIXTURE).read())
     data["version"] = version
     with pytest.raises(CorruptSnapshot, match="unsupported snapshot version"):
         store_from_dict(data)
