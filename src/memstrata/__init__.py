@@ -67,6 +67,7 @@ from .ingest import (
     ingest_observation,
     read_observation_lines,
     read_observations,
+    record_fault,
     record_from_dict,
     resolve_anchor,
 )

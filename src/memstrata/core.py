@@ -139,7 +139,8 @@ def finite_vector(x, dim: int) -> bool:
 def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray) -> None:
     """Write the cosine of ``a`` (of norm ``na``) with each row of ``rows``
     into ``out``; a zero row, or a zero ``a``, leaves its entry alone."""
-    den = na * np.sqrt(np.vecdot(rows, rows))
+    den = np.sqrt(np.vecdot(rows, rows))
+    den *= na  # in place: the product's bits are na * sqrt's
     np.divide(np.vecdot(rows, a), den, out=out, where=den > 0)
 
 

@@ -25,12 +25,14 @@ from .errors import (
     DimensionMismatch,
     DuplicateObservation,
     MalformedRecord,
+    MemoryEngineError,
 )
 
 _MENTION_RE = re.compile(r"@([\w-]+)")
 
 OUTCOMES = ("success", "failure")
 PERCEPT_KINDS = ("face", "voice")
+_COUNT_FIELDS = {kind: f"{kind}_count" for kind in PERCEPT_KINDS}  # EntityAnchor's field per kind
 # What a percept vector may hold: json gives ints and floats; a bool, a
 # string or a nested value is refused.
 _NUMBER_TYPES = frozenset((int, float))
@@ -137,6 +139,13 @@ _NESTING_TYPES = frozenset((float, list, dict))  # what a level's walk looks int
 _FLAT_TYPES = _JSON_TYPES - _NESTING_TYPES  # the values that end a walk at its first level
 _CONTAINERS = (list, dict)
 
+# Each part of a JSONL record: the keys it must hold, and the keys _record reads, the only ones it
+# takes. A record's own required keys are read first, with their own refusal.
+_KEYS = {"record": (frozenset(), frozenset(("id", "video", "t", "descriptions", "conclusions", "percepts"))),
+         "description": (frozenset(("text",)), frozenset(("text", "attrs", "outcome"))),
+         "conclusion": (frozenset(("type", "text")),) * 2,
+         "percept": (frozenset(), frozenset(("kind", "hint", "vector")))}
+
 # The most values one attrs object may write, a value inside a shared container counted once per
 # place the write reaches it: n nested levels of [x, x] are n containers, but write 2**n values.
 MAX_ATTRS_VALUES = 65536
@@ -186,11 +195,69 @@ def _attrs_fault(dicts: list) -> str | None:
         written += sum(map(mul, reach, map(len, dicts + lists)))
 
 
+def record_fault(rec: ObservationRecord, dim: int | None = None) -> MemoryEngineError | None:
+    """None when every value of ``rec`` is one a store may take, else the error to raise: every
+    rule on a record's own values. ``ingest_observation`` and ``apply_observation`` run it before
+    any mutation with the store's ``dim``, the shape each percept vector must have."""
+    if not _is_int(rec.id):
+        return MalformedRecord(f"record id must be an integer, got {rec.id!r}")
+    if not isinstance(rec.video, str) or not rec.video:
+        return MalformedRecord(f"record video must be a nonempty string, got {rec.video!r}")
+    if not _is_finite_number(rec.t):
+        return MalformedRecord(f"record t must be a finite number, got {rec.t!r}")
+    for name, cls in (("descriptions", Description), ("conclusions", Conclusion), ("percepts", Percept)):
+        entries = getattr(rec, name)
+        if type(entries) is not list or not {cls}.issuperset(map(type, entries)):
+            return MalformedRecord(f"record {name} must be a list of {cls.__name__}, got {entries!r}")
+    for desc in rec.descriptions:
+        text, attrs = desc.text, desc.attrs
+        if type(text) is not str:
+            return MalformedRecord(f"description text must be a string, got {text!r}")
+        if type(desc.outcome) is not str or desc.outcome not in OUTCOMES:
+            return MalformedRecord(f"bad outcome {desc.outcome!r}")
+        if type(attrs) is not dict:
+            return MalformedRecord(f"attrs of {text!r} must be an object, got {attrs!r}")
+        # A flat dict, str keys and str, int, bool or None values within the bound, is one the
+        # walk ends at its first level and accepts; any other walks.
+        if not (len(attrs) <= MAX_ATTRS_VALUES and _KEY_TYPES.issuperset(map(type, attrs))
+                and _FLAT_TYPES.issuperset(map(type, attrs.values()))) \
+                and (fault := _attrs_fault([attrs])):
+            return MalformedRecord(f"attrs of {text!r} {fault}")
+    for c in rec.conclusions:
+        if type(c.type) is not str or type(c.text) is not str:
+            return MalformedRecord(f"conclusion type and text must be strings, got {c.type!r}, {c.text!r}")
+    for p in rec.percepts:
+        vec = p.vector
+        if type(p.kind) is not str or p.kind not in PERCEPT_KINDS:
+            return MalformedRecord(f"percept kind must be face|voice, got {p.kind!r}")
+        if type(p.hint) is not str or not p.hint:
+            return MalformedRecord(f"percept hint must be a nonempty string, got {p.hint!r}")
+        if not (isinstance(vec, np.ndarray) and vec.dtype.kind in "iuf"):
+            return MalformedRecord(f"percept vector for {p.hint!r} is not an array of numbers")
+        if dim is not None and vec.shape != (dim,):
+            return DimensionMismatch(f"percept vector has shape {vec.shape}, store dim is {dim}")
+        # A finite x·x proves the entries finite; np.vdot warns on no overflow (see finite_vector).
+        if not (math.isfinite(np.vdot(vec, vec)) or np.isfinite(vec).all()):
+            return MalformedRecord(f"percept vector for {p.hint!r} has a non-finite value")
+    return None
+
+
 def _list_field(obj: dict, key: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
         raise MalformedRecord(f"record {key} must be a list, got {value!r}")
     return value
+
+
+def _entry(x, what: str) -> dict:
+    """``x``, a JSONL ``what``: an object that holds the keys a ``what`` must and no key that
+    ``_record`` would drop unread."""
+    required, known = _KEYS[what]
+    if not (isinstance(x, dict) and x.keys() >= required):
+        raise MalformedRecord(f"bad {what} entry: {x!r}")
+    if not known.issuperset(x):
+        raise MalformedRecord(f"{what} has unknown key {next(k for k in x if k not in known)!r}")
+    return x
 
 
 def _packed(vec: list) -> np.ndarray:
@@ -218,8 +285,8 @@ def _json_vector(vec: list, hint: str) -> np.ndarray:
     pack refuses a str, None, a nested value and an int past float range, but takes a bool;
     json's bools, true and false, become 1.0 and 0.0, so a vector holding either value, or one
     the pack refuses, gets the type test, with its refusals and messages. (A caller's list may
-    hold a float subclass such as ``np.float64``, which the pack takes and the test refuses, so
-    ``record_from_dict`` always tests.)"""
+    hold an object with ``__float__``, such as a ``Fraction`` or an ``np.float32``, which the
+    pack takes and the test refuses, so ``record_from_dict`` always tests.)"""
     try:
         arr = _packed(vec)
     except struct.error:
@@ -228,65 +295,33 @@ def _json_vector(vec: list, hint: str) -> np.ndarray:
 
 
 def record_from_dict(obj: dict) -> ObservationRecord:
-    """Build a record from one decoded JSONL object, validating shape."""
+    """Build a record from one decoded JSONL object, refused unless ``record_fault`` accepts it."""
     return _record(obj, _number_vector)
 
 
 def _record(obj: dict, vector) -> ObservationRecord:
-    """``record_from_dict``, with ``vector(list, hint)`` converting each percept vector."""
+    """``record_from_dict``, with ``vector(list, hint)`` converting each percept vector: the record
+    that ``obj``'s keys, lists and entries spell, refused unless ``record_fault`` accepts it."""
     try:
-        rec_id = obj["id"]
-        video = obj["video"]
-        t = obj["t"]
+        rec_id, video, t = obj["id"], obj["video"], obj["t"]
     except (KeyError, TypeError) as exc:
         raise MalformedRecord(f"record missing required field: {exc}") from None
-    if not _is_int(rec_id):
-        raise MalformedRecord(f"record id must be an integer, got {rec_id!r}")
-    if not isinstance(video, str) or not video:
-        raise MalformedRecord(f"record video must be a nonempty string, got {video!r}")
-    if not _is_finite_number(t):
-        raise MalformedRecord(f"record t must be a finite number, got {t!r}")
-
-    descriptions = []
-    for d in _list_field(obj, "descriptions"):
-        if isinstance(d, str):
-            descriptions.append(Description(d))
-        elif isinstance(d, dict) and isinstance(d.get("text"), str):
-            outcome = d.get("outcome", "success")
-            if outcome not in OUTCOMES:
-                raise MalformedRecord(f"bad outcome {outcome!r}")
-            attrs = d.get("attrs", {})
-            if not isinstance(attrs, dict):
-                raise MalformedRecord("description attrs must be an object")
-            descriptions.append(Description(d["text"], dict(attrs), outcome))
-        else:
-            raise MalformedRecord(f"bad description entry: {d!r}")
-
-    conclusions = []
-    for c in _list_field(obj, "conclusions"):
-        if isinstance(c, dict) and isinstance(c.get("type"), str) and isinstance(c.get("text"), str):
-            conclusions.append(Conclusion(c["type"], c["text"]))
-        elif isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(x, str) for x in c):
-            conclusions.append(Conclusion(c[0], c[1]))
-        else:
-            raise MalformedRecord(f"bad conclusion entry: {c!r}")
-
+    _entry(obj, "record")
+    descriptions = [Description(d) if isinstance(d, str) else Description(**_entry(d, "description"))
+                    for d in _list_field(obj, "descriptions")]
+    conclusions = [Conclusion(*c) if isinstance(c, (list, tuple)) and len(c) == 2
+                   else Conclusion(**_entry(c, "conclusion"))
+                   for c in _list_field(obj, "conclusions")]
     percepts = []
     for p in _list_field(obj, "percepts"):
-        if not isinstance(p, dict):
-            raise MalformedRecord(f"bad percept entry: {p!r}")
-        kind = p.get("kind")
-        hint = p.get("hint")
-        vec = p.get("vector")
-        if kind not in PERCEPT_KINDS:
-            raise MalformedRecord(f"percept kind must be face|voice, got {kind!r}")
-        if not isinstance(hint, str) or not hint:
-            raise MalformedRecord("percept hint must be a nonempty string")
+        hint, vec = _entry(p, "percept").get("hint"), p.get("vector")
         if not isinstance(vec, list):
             raise MalformedRecord("percept vector must be a list of numbers")
-        percepts.append(Percept(kind, vector(vec, hint), hint))
-
-    return ObservationRecord(rec_id, video, float(t), descriptions, conclusions, percepts)
+        percepts.append(Percept(p.get("kind"), vector(vec, hint), hint))
+    rec = ObservationRecord(rec_id, video, t, descriptions, conclusions, percepts)
+    if fault := record_fault(rec):
+        raise fault
+    return rec
 
 
 def read_observation_lines(lines) -> list[ObservationRecord]:
@@ -332,19 +367,15 @@ def resolve_anchor(store, percept: Percept) -> int:
     vectors, written into its row. A new anchor is seeded whenever the best
     similarity falls below tau_anchor (or no same-kind centroid exists).
     """
-    if percept.vector.shape != (store.config.dim,):
-        raise DimensionMismatch(
-            f"percept vector has shape {percept.vector.shape}, store dim is {store.config.dim}"
-        )
     rows = store.centroid_rows  # the rows that own the centroids, a block per percept kind
     if not current(rows, store.anchors):
         rows = store.centroid_rows = Rows(store.anchors, "centroid_", PERCEPT_KINDS, store.config.dim)
     block = rows.blocks[percept.kind]
-    count = f"{percept.kind}_count"
+    count = _COUNT_FIELDS[percept.kind]
     if block.ids:
         sims = cosine(percept.vector, block)
         best = sims.argmax()
-        if sims[best] >= store.config.tau_anchor:
+        if sims.item(best) >= store.config.tau_anchor:
             anchor = store.anchors[block.ids[best]]
             k = getattr(anchor, count)
             centroid = block.rows[best]
@@ -355,10 +386,10 @@ def resolve_anchor(store, percept: Percept) -> int:
             return anchor.id
 
     anchor_id = store.next_anchor_id
+    row = block.append(anchor_id, percept.vector)  # DimensionMismatch for a vector of another shape
     store.next_anchor_id += 1
-    store.anchors[anchor_id] = EntityAnchor(
-        anchor_id, percept.hint, **{f"centroid_{percept.kind}": block.append(anchor_id, percept.vector),
-                                    count: 1})
+    store.anchors[anchor_id] = EntityAnchor(anchor_id, percept.hint,
+                                            **{f"centroid_{percept.kind}": row, count: 1})
     rows.version = getattr(store.anchors, "version", None)
     return anchor_id
 
@@ -463,50 +494,14 @@ def ingest_observation(store, rec: ObservationRecord):
     error leaves the store untouched. Returns (new episodic ids, semantic
     event log).
     """
-    if not _is_int(rec.id):
-        raise MalformedRecord(f"record id must be an integer, got {rec.id!r}")
-    if not _is_finite_number(rec.t):
-        raise MalformedRecord(f"record t must be a finite number, got {rec.t!r}")
-    if not isinstance(rec.video, str) or not rec.video:
-        raise MalformedRecord(f"record video must be a nonempty string, got {rec.video!r}")
+    if fault := record_fault(rec, store.config.dim):
+        raise fault
+    t = float(rec.t)  # an int t is saved as the float a JSONL record's is
     if rec.id in store.observations:
         raise DuplicateObservation(f"observation {rec.id} already ingested")
     last = store.video_clock.get(rec.video)
-    if last is not None and rec.t < last.t:
-        raise MalformedRecord(
-            f"timestamp {rec.t} for {rec.video!r} precedes previous {last.t}"
-        )
-    for desc in rec.descriptions:
-        if type(desc.text) is not str:
-            raise MalformedRecord(f"description text must be a string, got {desc.text!r}")
-        if desc.outcome not in OUTCOMES:
-            raise MalformedRecord(f"bad outcome {desc.outcome!r}")
-        if type(desc.attrs) is not dict:
-            raise MalformedRecord(f"attrs of {desc.text!r} hold what JSON cannot carry exactly")
-        # A flat dict, str keys and str, int, bool or None values within the bound, is one the
-        # walk ends at its first level and accepts; any other walks.
-        attrs = desc.attrs
-        if not (len(attrs) <= MAX_ATTRS_VALUES and _KEY_TYPES.issuperset(map(type, attrs))
-                and _FLAT_TYPES.issuperset(map(type, attrs.values()))) \
-                and (fault := _attrs_fault([attrs])):
-            raise MalformedRecord(f"attrs of {desc.text!r} {fault}")
-    for c in rec.conclusions:
-        if type(c.type) is not str or type(c.text) is not str:
-            raise MalformedRecord(f"conclusion type and text must be strings, got {c.type!r}, {c.text!r}")
-    for p in rec.percepts:
-        if type(p.kind) is not str or p.kind not in PERCEPT_KINDS:
-            raise MalformedRecord(f"percept kind must be face|voice, got {p.kind!r}")
-        if type(p.hint) is not str or not p.hint:
-            raise MalformedRecord(f"percept hint must be a nonempty string, got {p.hint!r}")
-        if not (isinstance(p.vector, np.ndarray) and p.vector.dtype.kind in "iuf"):
-            raise MalformedRecord(f"percept vector for {p.hint!r} is not an array of numbers")
-        if p.vector.shape != (store.config.dim,):
-            raise DimensionMismatch(
-                f"percept vector has shape {p.vector.shape}, store dim is {store.config.dim}"
-            )
-        # A finite x·x proves the entries finite; np.vdot warns on no overflow (see finite_vector).
-        if not (math.isfinite(np.vdot(p.vector, p.vector)) or np.isfinite(p.vector).all()):
-            raise MalformedRecord(f"percept vector for {p.hint!r} has a non-finite value")
+    if last is not None and t < last.t:
+        raise MalformedRecord(f"timestamp {t} for {rec.video!r} precedes previous {last.t}")
 
     # Each text's mentions, parsed once; a mention that no percept of the record
     # hints at names an existing anchor, which the percepts' new anchors cannot
@@ -538,7 +533,7 @@ def ingest_observation(store, rec: ObservationRecord):
     def anchors(found: list) -> frozenset:
         return store.intern(frozenset(map(anchor_of.__getitem__, found)))
 
-    meta = ObservationMeta(store.intern(rec.video), [], rec.t)
+    meta = ObservationMeta(store.intern(rec.video), [], t)
     for desc, found in zip(rec.descriptions, mentions):
         meta.episodes.append(node_id := store.next_node_id)
         store.next_node_id += 1

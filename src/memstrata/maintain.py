@@ -15,6 +15,7 @@ from .core import cosine
 from .dag import GOAL, START, ProceduralDag, assert_valid, record_trial
 from .distill import distill, extract_action, logic_rows
 from .errors import DimensionMismatch, NotIngested
+from .ingest import record_fault
 
 
 @dataclass(slots=True)
@@ -115,12 +116,17 @@ def _record_actions(store, rec):
 
 
 def apply_observation(store, rec) -> UpdateReport:
-    """Algorithm phase 3 for one already-ingested record."""
+    """Algorithm phase 3 for one already-ingested record, refused before any mutation unless
+    ``record_fault`` accepts it."""
+    if fault := record_fault(rec, store.config.dim):
+        raise fault
     meta = store.observations.get(rec.id)
     if meta is None:
         raise NotIngested(f"observation {rec.id} was never ingested")
 
-    o_vec = store.embed(" ".join(d.text for d in rec.descriptions))
+    joined = " ".join(d.text for d in rec.descriptions)
+    entry = store.texts.get(joined)  # a one-description record's text was embedded at ingest
+    o_vec = store.embed(joined) if entry is None else entry[1]
     report = UpdateReport(record_id=rec.id)
 
     best = match_logic(store, o_vec)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from memstrata import (
     Config,
     Description,
     DimensionMismatch,
+    HashingEmbedder,
     MemoryStore,
     NotIngested,
     ObservationRecord,
@@ -13,6 +16,7 @@ from memstrata import (
     ema_update,
     match_logic,
 )
+from memstrata.store import snapshot_dict
 from conftest import fruit_salad_store
 from maintain_model import apply_against_model
 
@@ -139,6 +143,35 @@ def test_apply_requires_prior_ingest():
     store = maintained_store()
     with pytest.raises(NotIngested):
         apply_observation(store, record(999, "vx", 0.0, ["chop the fruit"]))
+
+
+def test_apply_embeds_no_text_that_ingest_embedded():
+    # A one-description record's joined text is its description's text, which ingest embedded:
+    # apply takes that vector, so only a record of several descriptions embeds its joined text.
+    # Embedders are deterministic, so the store saves the bytes it would have otherwise.
+    class Counting(HashingEmbedder):
+        def __init__(self, dim):
+            super().__init__(dim)
+            self.texts = []
+
+        def embed(self, text):
+            self.texts.append(text)
+            return super().embed(text)
+
+    stores = [maintained_store(), maintained_store()]
+    stores[1].embedder = Counting(512)
+    records = [record(20, "v7", 0.0, ["chop the fruit"]),
+               record(21, "v7", 1.0, ["chop the fruit", "mix the fruit in a bowl"]),
+               record(22, "v8", 0.0, ["@jack mix the fruit in a bowl"], ["failure"]),
+               record(23, "v8", 1.0, [])]
+    for store in stores:
+        for rec in records:
+            store.ingest(rec)
+    stores[1].embedder.texts.clear()
+    reports = [[store.apply(rec) for rec in records] for store in stores]
+    assert stores[1].embedder.texts == ["chop the fruit mix the fruit in a bowl", ""]
+    assert reports[0] == reports[1] and any(report.matched for report in reports[0])
+    assert json.dumps(snapshot_dict(stores[0])) == json.dumps(snapshot_dict(stores[1]))
 
 
 def test_apply_matching_record_increments_and_shifts_indexes():

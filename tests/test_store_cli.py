@@ -1203,6 +1203,28 @@ def test_cli_update_requires_prior_ingest(tmp_path, obs_file, capsys):
     assert run_cli(["--store", store_dir, "update", str(upd)]) == 2
 
 
+def test_cli_update_refuses_a_line_whose_attrs_json_cannot_carry(tmp_path, capsys):
+    # An ingested id whose update line holds NaN attrs: the reader refuses the file before any
+    # record is applied, so the saved snapshot keeps its bytes.
+    store_dir = str(tmp_path / "store")
+    obs = os.path.join(os.path.dirname(__file__), "data", "fruit_salad.jsonl")
+    assert run_cli(["--store", store_dir, "ingest", obs]) == 0
+    snapshot = os.path.join(store_dir, "snapshot.json")
+    with open(snapshot, "rb") as fh:
+        before = fh.read()
+    capsys.readouterr()
+    upd = tmp_path / "upd.jsonl"
+    upd.write_text(jsonl_lines([
+        {"id": 1, "video": "v1", "t": 0.0,
+         "descriptions": [{"text": "chop the fruit", "attrs": {"tool": float("nan")}}]}]))
+    assert "NaN" in upd.read_text()
+    assert run_cli(["--store", store_dir, "update", str(upd)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: attrs of 'chop the fruit' hold what JSON cannot carry exactly\n"
+    with open(snapshot, "rb") as fh:
+        assert fh.read() == before
+
+
 def test_cli_exit_codes(tmp_path, obs_file, capsys):
     store_dir = str(tmp_path / "store")
     with pytest.raises(SystemExit) as exc:
