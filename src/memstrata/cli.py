@@ -220,7 +220,7 @@ def _print_paths(paths, out):
 
 
 def _resolve_person(store, text: str) -> int:
-    if text.isdigit() and int(text) in store.anchors:
+    if text.isascii() and text.isdigit() and int(text) in store.anchors:  # "²".isdigit(), but no int
         return int(text)
     anchor_id = store.anchor_by_label(text)
     if anchor_id is None:

@@ -13,7 +13,8 @@ import itertools
 import math
 import mmap
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Protocol
 
 import numpy as np
@@ -42,6 +43,7 @@ MAX_DIM = 65536
 
 _QUERY_TYPE_SET = frozenset(QUERY_TYPES)
 _LAYER_SET = frozenset(LAYERS)
+_MAPPINGS = (dict, MappingProxyType)  # a Config's own layer_weights are read-only mappings
 _STR = frozenset((str,))
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -123,14 +125,20 @@ def norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def finite_entries(x: np.ndarray) -> bool:
+    """Whether every entry of the numeric array ``x`` is finite. A finite x·x
+    proves them, cheaply; a finite ``x`` whose x·x overflows falls through to
+    the entry test. ``np.vdot`` takes the same x·x as ``x.dot(x)`` but warns
+    on no overflow."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 def finite_vector(x, dim: int) -> bool:
     """The one rule for every vector the store keeps, whichever code or
     embedder made it: a float ndarray of shape ``(dim,)`` with only finite
-    entries. A finite x·x proves them, cheaply; a finite ``x`` whose x·x
-    overflows falls through to the entry test. ``np.vdot`` takes the same
-    x·x as ``x.dot(x)`` but warns on no overflow."""
+    entries."""
     return (isinstance(x, np.ndarray) and x.shape == (dim,) and x.dtype.kind == "f"
-            and (math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())))
+            and finite_entries(x))
 
 
 # A finite row's x·x may overflow: cosine 0, and 0 for a zero ``a`` (0·inf). As a
@@ -324,9 +332,12 @@ class HashingEmbedder:
         return embed_default(text, self.dim)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class Config:
-    """Every scalar knob the engine uses, with validated ranges.
+    """Every scalar knob the engine uses, with validated ranges. A Config is
+    set once: construction (``Config(...)``, ``dataclasses.replace``) raises
+    ``ConfigError`` for an invalid value, and no field, nor an entry of
+    ``layer_weights``, can be assigned afterwards.
 
     dim             embedding dimension d, fixed for the store's lifetime
     alpha           goal-vs-step blend for logic retrieval scores
@@ -338,7 +349,7 @@ class Config:
     tau_pos/tau_neg semantic reinforce / weaken thresholds
     tau_align       fusion node-alignment similarity threshold
     tau_anchor      entity-anchor clustering threshold
-    layer_weights   query-type -> layer -> re-ranking multiplier
+    layer_weights   query-type -> layer -> re-ranking multiplier, read-only
     pool_trigger    candidate-pool size that triggers distillation
     max_path_len / max_paths   path enumeration guards
     action_verbs    verb lexicon for action-label extraction
@@ -356,9 +367,7 @@ class Config:
     tau_neg: float = 0.3
     tau_align: float = 0.8
     tau_anchor: float = 0.75
-    layer_weights: dict = field(
-        default_factory=lambda: {q: dict(w) for q, w in DEFAULT_LAYER_WEIGHTS.items()}
-    )
+    layer_weights: dict = field(default_factory=lambda: DEFAULT_LAYER_WEIGHTS)
     pool_trigger: int = 5
     max_path_len: int = 64
     max_paths: int = 10000
@@ -366,7 +375,7 @@ class Config:
     verifier: str = "default"
     goal_namer: str = "default"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # Types first, so that every range comparison below is between numbers.
         for name in ("dim", "pool_trigger", "max_path_len", "max_paths"):
             x = getattr(self, name)
@@ -386,10 +395,10 @@ class Config:
         if not 0.0 < self.sigma_support <= 1.0:
             raise ConfigError(f"sigma_support must lie in (0,1], got {self.sigma_support!r}")
         weights = self.layer_weights
-        if not isinstance(weights, dict) or weights.keys() != _QUERY_TYPE_SET:
+        if not isinstance(weights, _MAPPINGS) or weights.keys() != _QUERY_TYPE_SET:
             raise ConfigError(f"layer_weights must map exactly {QUERY_TYPES} to weights")
         for qt, per_layer in weights.items():
-            if not isinstance(per_layer, dict) or per_layer.keys() != _LAYER_SET:
+            if not isinstance(per_layer, _MAPPINGS) or per_layer.keys() != _LAYER_SET:
                 raise ConfigError(f"layer_weights[{qt}] must map exactly {LAYERS} to weights")
             for layer, w in per_layer.items():
                 if not (_is_finite_number(w) and w >= 0.0):
@@ -403,16 +412,19 @@ class Config:
                 and all(verbs)):
             raise ConfigError(f"action_verbs must be a non-empty tuple of non-empty strings, "
                               f"got {verbs!r}")
+        # The config's own read-only copy, which no edit of the caller's mappings reaches.
+        object.__setattr__(self, "layer_weights", MappingProxyType(
+            {qt: MappingProxyType(dict(w)) for qt, w in weights.items()}))
 
-    def copy(self) -> "Config":
-        return replace(
-            self,
-            layer_weights={q: dict(w) for q, w in self.layer_weights.items()},
-            action_verbs=tuple(self.action_verbs),
-        )
+    def __deepcopy__(self, memo) -> "Config":
+        return self  # nothing in a Config can change
+
+    def __reduce__(self):  # a mappingproxy has no pickled form; the to_dict one has
+        return Config.from_dict, (self.to_dict(),)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["layer_weights"] = {qt: dict(w) for qt, w in self.layer_weights.items()}
         d["action_verbs"] = list(self.action_verbs)
         return d
 
@@ -423,10 +435,11 @@ class Config:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         if "action_verbs" in kwargs:
-            kwargs["action_verbs"] = tuple(kwargs["action_verbs"])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+            verbs = kwargs["action_verbs"]
+            if type(verbs) not in (list, tuple):  # tuple() would split a str, or take a dict's keys
+                raise ConfigError(f"action_verbs must be a list of non-empty strings, got {verbs!r}")
+            kwargs["action_verbs"] = tuple(verbs)
+        return cls(**kwargs)
 
 
 def parse_layer_weights(text: str) -> dict:

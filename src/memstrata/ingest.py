@@ -19,7 +19,7 @@ from operator import attrgetter, mul
 
 import numpy as np
 
-from .core import Rows, _is_finite_number, _is_int, cosine, current
+from .core import Rows, _is_finite_number, _is_int, cosine, current, finite_entries
 from .errors import (
     DanglingMention,
     DimensionMismatch,
@@ -96,11 +96,12 @@ class ObservationMeta:
     t: float
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class EpisodicNode:
-    """One described event: ``text`` is its text's one ``(d, v_e, action)`` entry, ``obs`` the
-    observation that lists it (``d``, ``v_e``, ``action``, ``video`` and ``t`` read them), ``anchors``
-    the store's one such set, ``outcome`` an ``OUTCOMES`` constant and ``attrs`` the node's own."""
+    """One described event, set once: ``text`` is its text's one ``(d, v_e, action)`` entry, ``obs``
+    the observation that lists it (``d``, ``v_e``, ``action``, ``video`` and ``t`` read them),
+    ``anchors`` the store's one such set, ``outcome`` an ``OUTCOMES`` constant and ``attrs`` the
+    node's own."""
 
     id: int
     text: tuple
@@ -116,8 +117,10 @@ class EpisodicNode:
     t = property(lambda self: self.obs.t)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class SemanticNode:
+    """One abstracted-knowledge item, set once: a reinforce or weaken puts a new node under its id."""
+
     id: int
     type: str
     attrs: str = ""
@@ -236,8 +239,7 @@ def record_fault(rec: ObservationRecord, dim: int | None = None) -> MemoryEngine
             return MalformedRecord(f"percept vector for {p.hint!r} is not an array of numbers")
         if dim is not None and vec.shape != (dim,):
             return DimensionMismatch(f"percept vector has shape {vec.shape}, store dim is {dim}")
-        # A finite x·x proves the entries finite; np.vdot warns on no overflow (see finite_vector).
-        if not (math.isfinite(np.vdot(vec, vec)) or np.isfinite(vec).all()):
+        if not finite_entries(vec):
             return MalformedRecord(f"percept vector for {p.hint!r} has a non-finite value")
     return None
 
@@ -337,7 +339,8 @@ def read_observation_lines(lines) -> list[ObservationRecord]:
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"line {lineno}: bad JSON: {exc}") from None
         if not saw_header:
-            if not (isinstance(obj, dict) and obj.get("version") == 1 and len(obj) == 1):
+            if not (isinstance(obj, dict) and _is_int(version := obj.get("version")) and version == 1
+                    and len(obj) == 1):
                 raise MalformedRecord('line 1: expected version header {"version": 1}')
             saw_header = True
             continue
@@ -410,12 +413,10 @@ class Postings:
         for key in keys:
             self.lists[key].append(node_id)
 
-    def remove(self, node_id: int) -> None:
-        """Drop one node from every list that holds it: the keys it was indexed under, which a
-        field assigned in place no longer tells (``check()`` reports such a node)."""
-        for held in self.lists.values():
-            if node_id in held:
-                held.remove(node_id)
+    def remove(self, node_id: int, keys) -> None:
+        """Drop one node from the list of each of ``keys``, the ones it was indexed under."""
+        for key in keys:
+            self.lists[key].remove(node_id)
 
 
 def semantic_postings(store) -> Postings:
@@ -463,18 +464,23 @@ def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset, *, ve
         best = sims.argmax()
         if sims[best] > store.config.tau_pos:
             best_id = ids[best]
-            store.semantic[best_id].weight += 1
+            node = store.semantic[best_id]
+            store.semantic[best_id] = SemanticNode(best_id, node.type, node.attrs, node.v_s, node.anchors,
+                                                   node.weight + 1)
+            postings.version = getattr(store.semantic, "version", None)  # its anchors are the same
             events.append(("reinforced", best_id))
             return events
         worst = sims.argmin()
         if sims[worst] < store.config.tau_neg:
             worst_id = ids[worst]
             node = store.semantic[worst_id]
-            node.weight -= 1
             events.append(("weakened", worst_id))
-            if node.weight <= 0:
+            if node.weight > 1:
+                store.semantic[worst_id] = SemanticNode(worst_id, node.type, node.attrs, node.v_s,
+                                                        node.anchors, node.weight - 1)
+            else:
                 del store.semantic[worst_id]
-                postings.remove(worst_id)
+                postings.remove(worst_id, node.anchors)
                 events.append(("pruned", worst_id))
 
     node_id = store.next_node_id

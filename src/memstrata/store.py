@@ -35,7 +35,7 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, repeat
-from operator import attrgetter, is_, itemgetter, le, lt, sub
+from operator import attrgetter, is_, le, lt, sub
 
 import numpy as np
 
@@ -103,13 +103,11 @@ class MemoryStore:
     """
 
     def __init__(self, config: Config | None = None, embedder=None):
-        config = config or Config()
-        config.validate()
-        self.config = config.copy()
+        self._config = config = config or Config()
         if embedder is None:
-            embedder = HashingEmbedder(self.config.dim)
-        elif not _is_int(dim := getattr(embedder, "dim", None)) or dim != self.config.dim:
-            raise ConfigError(f"embedder dim {dim!r} is not the config dim {self.config.dim}")
+            embedder = HashingEmbedder(config.dim)
+        elif not _is_int(dim := getattr(embedder, "dim", None)) or dim != config.dim:
+            raise ConfigError(f"embedder dim {dim!r} is not the config dim {config.dim}")
         self.embedder = embedder
         self.anchors: Layer[int, EntityAnchor] = Layer()
         self.episodic: Layer[int, EpisodicNode] = Layer()
@@ -130,8 +128,14 @@ class MemoryStore:
         self.next_logic_id = 1
         self.retrieval_calls = 0
         self.classifier = None
-        self.verifier_fn = verify_default if self.config.verifier == "default" else None
-        self.goal_namer_fn = default_goal_name if self.config.goal_namer == "default" else None
+        self.verifier_fn = verify_default if config.verifier == "default" else None
+        self.goal_namer_fn = default_goal_name if config.goal_namer == "default" else None
+
+    @property
+    def config(self) -> Config:
+        """The config the store was built or loaded with, fixed for its life: to use other
+        values, build a store with them."""
+        return self._config
 
     @property
     def percept_count(self) -> int:
@@ -313,17 +317,15 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     """Global invariant sweep; returns all violations (empty means healthy).
 
     It is the one definition of a store that ``save`` writes, so it reports, and never raises
-    on, any value a caller has put in a field of the config, an anchor, a node, a DAG step or
-    edge, a pool entry, an observation, a counter or the clock. A load builds what the last
+    on, any value a caller has put in a field of an anchor, a logic node, a DAG step or edge, a
+    pool entry, an observation, a counter or the clock, or in a node it built for a layer. What
+    construction guarantees is not tested: a store's config is valid and fixed, so each text
+    entry's action is the one its text gives, and an episodic or semantic node is set once (a new
+    node under its id is a layer write, which the kept postings follow). A load builds what the last
     rules check, and skips them with ``derived=False``. A rule over the episodes or the
     observations tests a whole column at once, and names the offenders only when that test fails.
     """
-    config, v = store.config, []
-    try:
-        config.validate()
-    except ConfigError as exc:
-        v.append(f"config: {exc}")
-    valid_config, dim = not v, config.dim
+    v, dim = [], store.config.dim
 
     counters = {"node": store.next_node_id, "anchor": store.next_anchor_id, "logic": store.next_logic_id}
     v += [f"counter {name}: {c!r} is not a positive int"
@@ -390,15 +392,6 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v.append(f"semantic {node_id}: anchors {node.anchors!r} are not a frozenset of anchor ids")
         if not finite_vector(node.v_s, dim):
             v.append(f"semantic {node_id}: v_s is not {dim} finite floats")
-    # While the postings are current, each semantic node is listed under its anchors and no other
-    # key: an anchor set assigned in place is not followed (replace the node under its id).
-    if current(store.semantic_postings, store.semantic):
-        listed = {}
-        for anchor_id, held_ids in store.semantic_postings.lists.items():
-            for i in held_ids:
-                listed.setdefault(i, set()).add(anchor_id)
-        v += [f"semantic {i}: anchors are not its keys in the semantic postings"
-              for i, node in zip(ids["semantic"], held["semantic"]) if listed.get(i, set()) != node.anchors]
 
     # The evidence of all procedures at once first: its union is far smaller than the sum.
     links = [node.episodic_links for node in held["logic"]]
@@ -447,8 +440,7 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             if abs(total - 1.0) > 1e-9:
                 v.append(f"logic {logic_id}: transition probs at {src} sum to {total}")
 
-    trigger = config.pool_trigger  # a non-number is the config's violation
-    if isinstance(trigger, (int, float)) and len(store.pool) >= trigger:
+    if len(store.pool) >= store.config.pool_trigger:
         v.append("candidate pool at or beyond trigger without distillation")
     v += [f"pool entry references unknown observation {i!r}"
           for i in store.pool if not (_is_int(i) and i in store.observations)]
@@ -476,8 +468,7 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
 
     # What a load builds, so that a store holding it otherwise would load as another: the clock as each
     # video's latest observation; each node's id from its key; each episode's outcome, and attrs JSON
-    # carries; its text as the store's one entry for it, with the action its verbs give (once per entry,
-    # by valid verbs only: the config is reported above); and its observation as the one listing it.
+    # carries; its text as the store's one entry for it; and its observation as the one listing it.
     if len(v) == faults:  # the clock compares the t and the videos tested above
         clock = store.video_clock  # each entry one of its video's observations, by identity, of top t
         clocked = set(compress(videos, map(is_, map(clock.get, videos), metas)))
@@ -498,27 +489,10 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     if not (set(map(type, outcomes)) <= {str} and set(outcomes) <= set(OUTCOMES)):
         v += [f"episodic {i}: bad outcome {o!r}"
               for i, o in zip(ep_ids, outcomes) if type(o) is not str or o not in OUTCOMES]
-    own, texts = set(map(id, entries)), list(map(attrgetter("text"), nodes))
-    if not own.issuperset(map(id, texts)):
+    own = set(map(id, entries))
+    if not own.issuperset(map(id, map(attrgetter("text"), nodes))):
         v += [f"episodic {i}: text is not the store's entry for its text"
               for i, n in zip(ep_ids, nodes) if id(n.text) not in own]
-    # While the action postings are current, each episode is listed once, under its action: a text
-    # assigned in place is not followed (replace the node under its id). One test, by id.
-    elif current(postings := store.action_postings, store.episodic):
-        lists = postings.lists
-        listed = list(chain.from_iterable(lists.values()))
-        if len(listed) != len(ep_ids) or dict(zip(ep_ids, map(itemgetter(2), texts))) != dict(
-                zip(listed, chain.from_iterable(map(repeat, lists, map(len, lists.values()))))):
-            keys = {}
-            for key, held_ids in lists.items():
-                for i in held_ids:
-                    keys.setdefault(i, []).append(key)
-            v += [f"episodic {i}: not listed once, under its action, in the action postings"
-                  for i, text in zip(ep_ids, texts) if keys.get(i) != [text[2]]]
-    if valid_config and (wrong := {id(e) for e in entries if not (type(e[0]) is str and type(e[2]) in (
-            str, type(None)) and e[2] == extract_action(e[0], config.action_verbs))}):
-        v += [f"episodic {i}: action {n.action!r} is not the one its text gives"
-              for i, n in zip(ep_ids, nodes) if id(n.text) in wrong]
     listed = list(chain.from_iterable(episodes))
     if set(map(type, listed)) <= {int} and sorted(listed) == ep_ids:  # each episode listed once
         lens = np.fromiter(map(len, episodes), np.intp, len(episodes))

@@ -97,13 +97,14 @@ def ladder_dag(rungs: int) -> ProceduralDag:
     return dag
 
 
-def fruit_salad_store(dim: int = 512, extra_sources: bool = True) -> MemoryStore:
+def fruit_salad_store(dim: int = 512, extra_sources: bool = True, **config) -> MemoryStore:
     """Three sources sharing chop->mix->serve, attrs tool=bowl on mix.
 
     With ``extra_sources`` the store also holds the broken-bowl and
-    store-has-bowls context episodes plus semantic conclusions.
+    store-has-bowls context episodes plus semantic conclusions. ``config``
+    sets other Config fields.
     """
-    cfg = Config(dim=dim, action_verbs=FRUIT_VERBS)
+    cfg = Config(dim=dim, action_verbs=FRUIT_VERBS, **config)
     store = MemoryStore(cfg)
     rid = 0
     for video in ("v1", "v2", "v3"):

@@ -330,9 +330,8 @@ def test_criterion_7_incremental_equals_batch():
     seen = dict.fromkeys(("matched", "incremented", "expanded_edges", "start_repairs",
                           "goal_repairs", "rejected", "failures", "pool_fired"), 0)
     for _ in range(200):
-        store = fruit_salad_store()
+        store = fruit_salad_store(pool_trigger=rng.choice([2, 3, 1000]))
         store.distill()
-        store.config.pool_trigger = rng.choice([2, 3, 1000])
         records = []
         rid = 5000
         for _ in range(rng.randint(2, 6)):

@@ -1,12 +1,13 @@
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from memstrata import Config, ConfigError, DimensionMismatch, MemoryStore, cosine, embed_default
+from memstrata import Config, ConfigError, DimensionMismatch, cosine, embed_default
 from memstrata.core import (
     COSINE_BLOCK,
+    DEFAULT_LAYER_WEIGHTS,
     MAX_DIM,
     HashingEmbedder,
     Layer,
@@ -369,13 +370,13 @@ def test_config_defaults_are_paper_values():
 
 def test_config_rejects_out_of_range():
     with pytest.raises(ConfigError):
-        Config(alpha=1.5).validate()
+        Config(alpha=1.5)
     with pytest.raises(ConfigError):
-        Config(sigma_support=0.0).validate()
+        Config(sigma_support=0.0)
     with pytest.raises(ConfigError):
-        Config(dim=0).validate()
+        Config(dim=0)
     with pytest.raises(ConfigError):
-        Config(pool_trigger=0).validate()
+        replace(Config(), pool_trigger=0)
 
 
 INT_KNOBS = ("dim", "pool_trigger", "max_path_len", "max_paths")
@@ -394,13 +395,13 @@ STRUCTURED = {
 }
 
 
-def _config_with(name, value):
-    cfg = Config()
+def _config_kwargs(name, value):
+    """The keyword arguments that give a Config ``value`` at ``name``, a field or one weight."""
     if name.startswith("layer_weights."):
-        cfg.layer_weights["factual"]["logic"] = value
-    else:
-        setattr(cfg, name, value)
-    return cfg
+        weights = {qt: dict(w) for qt, w in DEFAULT_LAYER_WEIGHTS.items()}
+        weights["factual"]["logic"] = value
+        return {"layer_weights": weights}
+    return {name: value}
 
 
 @pytest.mark.parametrize("name", INT_KNOBS + FLOAT_KNOBS + ("layer_weights.factual.logic",)
@@ -409,26 +410,26 @@ def test_config_refuses_non_numbers_with_config_error(name):
     # Every numeric knob is type-checked before its range: no TypeError
     # escapes. A huge int is a finite number, so only a range refuses it;
     # dim has an upper bound. A structured field of another structure is
-    # refused the same way, and MemoryStore refuses it before copying it.
+    # refused the same way, by construction and by dataclasses.replace.
     values = STRUCTURED.get(name, ["x", None, HUGE, BIG, True, False, float("nan"),
                                    float("inf"), np.int64(3), np.float32(0.5)])
     for value in values:
         accepted = (name in INT_KNOBS + FLOAT_KNOBS + ("layer_weights.factual.logic",)
                     and name not in BOUNDED and (value is BIG or value is HUGE and name in INT_KNOBS))
-        cfg = _config_with(name, value)
+        kwargs = _config_kwargs(name, value)
         if accepted:
-            cfg.validate()
+            assert replace(Config(), **kwargs) == Config(**kwargs)
         else:
             with pytest.raises(ConfigError, match=name.split(".")[0]):
-                cfg.validate()
+                Config(**kwargs)
             with pytest.raises(ConfigError, match=name.split(".")[0]):
-                MemoryStore(cfg)
+                replace(Config(), **kwargs)
 
 
 def test_config_dim_bound():
-    Config(dim=MAX_DIM).validate()
+    assert Config(dim=MAX_DIM).dim == MAX_DIM
     with pytest.raises(ConfigError, match="dim"):
-        Config(dim=MAX_DIM + 1).validate()
+        Config(dim=MAX_DIM + 1)
 
 
 def test_config_rejects_unknown_keys():
@@ -446,6 +447,8 @@ def test_layer_weights_parsing_round_trip():
 
 
 def test_config_file_round_trip(tmp_path):
+    import pickle
+
     path = tmp_path / "engine.conf"
     path.write_text(dump_config(Config(dim=32, alpha=0.25)))
     cfg = load_config(str(path))
@@ -469,6 +472,7 @@ def test_config_file_round_trip(tmp_path):
     loaded = load_config(str(path))
     assert loaded == cfg
     assert loaded.to_dict() == cfg.to_dict()
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 def test_config_file_requires_version_header(tmp_path):
@@ -517,7 +521,7 @@ def test_load_config_sweep_returns_valid_config_or_config_error(tmp_path, name):
                         cfg = load_config(str(path))
                     except ConfigError:
                         continue
-                    cfg.validate()
+                    assert Config.from_dict(cfg.to_dict()) == cfg  # valid, as it round-trips
 
 
 def test_embed_statistical_neighborhood():

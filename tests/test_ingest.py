@@ -4,6 +4,7 @@ import json
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,8 +334,9 @@ def test_check_reports_a_vector_that_is_not_its_texts():
     assert store.check() == []
     first, repeat = [i for i, n in sorted(store.episodic.items()) if n.d == "@jack chop the fruit"][:2]
     d, v_e, action = store.episodic[first].text
-    store.episodic[repeat].text = (d, v_e.copy(), action)  # equal values, not the store's entry
-    store.episodic[first].text = (d + "s", v_e, action)  # a text the store holds no entry for
+    # equal values, not the store's entry; then a text the store holds no entry for
+    store.episodic[repeat] = replace(store.episodic[repeat], text=(d, v_e.copy(), action))
+    store.episodic[first] = replace(store.episodic[first], text=(d + "s", v_e, action))
     assert store.check() == [f"episodic {i}: text is not the store's entry for its text"
                              for i in (first, repeat)]
 
@@ -784,6 +786,10 @@ def test_ingest_refuses_a_bad_field_of_a_record_built_in_code_before_any_mutatio
 def test_read_observation_lines_requires_header():
     with pytest.raises(MalformedRecord):
         read_observation_lines(['{"id": 1, "video": "v", "t": 0}'])
+    # As a snapshot's version: true and 1.0 equal 1, but are not the int a header writes.
+    for header in ('{"version": true}', '{"version": 1.0}', '{"version": "1"}'):
+        with pytest.raises(MalformedRecord, match="expected version header"):
+            read_observation_lines([header, '{"id": 1, "video": "v", "t": 0}'])
     records = read_observation_lines([
         '{"version": 1}', '{"id": 1, "video": "v", "t": 0, "descriptions": ["x y"]}'])
     assert len(records) == 1

@@ -23,9 +23,9 @@ from maintain_model import apply_against_model
 MAINT_VERBS = ("chop", "mix", "serve", "wash", "blend")
 
 
-def maintained_store():
-    """Fruit-salad store after distillation, ready for phase 3."""
-    store = fruit_salad_store()
+def maintained_store(**config):
+    """Fruit-salad store after distillation, ready for phase 3; ``config`` sets other Config fields."""
+    store = fruit_salad_store(**config)
     store.distill()
     return store
 
@@ -220,8 +220,7 @@ def test_a_pooled_record_is_its_observation_id():
 def test_a_record_applied_again_is_pooled_once():
     # pool_trigger counts observations: one record applied three times waits as one,
     # and no pool-scoped distill runs over it alone.
-    store = maintained_store()
-    store.config.pool_trigger = 3
+    store = maintained_store(pool_trigger=3)
     rec = record(101, "w1", 0.0, ["grab a towel", "wash the window"])
     store.ingest(rec)
     reports = [store.apply(rec) for _ in range(3)]
@@ -302,8 +301,7 @@ def test_apply_count_monotonicity():
 
 
 def test_pool_trigger_runs_distillation():
-    store = maintained_store()
-    store.config.pool_trigger = 3
+    store = maintained_store(pool_trigger=3)
     reports = []
     for i in range(3):
         rec = record(300 + i, f"p{i}", 0.0, ["grab a towel", "wash the window"])

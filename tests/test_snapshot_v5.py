@@ -11,7 +11,7 @@ import os
 import re
 import resource
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from memstrata import (
     START,
     Conclusion,
     Config,
+    ConfigError,
     CorruptSnapshot,
     Description,
     DuplicateObservation,
@@ -35,7 +36,7 @@ from memstrata import (
     auto_fuse,
 )
 from memstrata import store as store_module
-from memstrata.ingest import MAX_ATTRS_VALUES, OUTCOMES
+from memstrata.ingest import MAX_ATTRS_VALUES, OUTCOMES, EpisodicNode, SemanticNode
 from memstrata.store import snapshot_dict, store_from_dict
 from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot, runs, unruns
 
@@ -43,11 +44,12 @@ DIM = 32
 V8_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v8_dim8.json")
 
 
-def shapes_store() -> MemoryStore:
+def shapes_store(**config) -> MemoryStore:
     """Three sources of one three-line record each (record ids 30, 20, 10 in
     ingest order; the middle line names two people and fails on v2), each
-    followed by a record with no descriptions, then distill()."""
-    store = MemoryStore(Config(dim=DIM, action_verbs=FRUIT_VERBS))
+    followed by a record with no descriptions, then distill(). ``config`` sets
+    Config fields."""
+    store = MemoryStore(Config(**{"dim": DIM, "action_verbs": FRUIT_VERBS, **config}))
     for rid, video, outcome in ((30, "v1", "success"), (20, "v2", "failure"), (10, "v3", "success")):
         store.ingest(ObservationRecord(rid, video, 1.0, [
             Description("@jack chop the fruit", {"tool": "knife"}),
@@ -343,7 +345,8 @@ def test_episode_fields_are_read_only_views_of_its_text_entry_and_observation():
     assert (node.video, node.t) == ("v2", 1.0)
     for name, value in (("d", "x"), ("v_e", np.zeros(DIM)), ("action", "x"), ("video", "v1"),
                         ("t", 1.5), ("t", 1)):
-        with pytest.raises(AttributeError):
+        # A frozen slotted dataclass raises TypeError, not AttributeError, on Python 3.11.
+        with pytest.raises((AttributeError, TypeError)):
             setattr(node, name, value)
 
 
@@ -376,13 +379,22 @@ def _first_edge(store):
     return next(iter(store.logic[1].dag.edges()))[2]
 
 
+def _semantic_weight_zero(store):
+    node = store.semantic[min(store.semantic)]
+    store.semantic[node.id] = replace(node, weight=0)
+
+
+def _outcome_not_an_outcome(store):
+    store.episodic[1] = replace(store.episodic[1], outcome="maybe")
+
+
 @pytest.mark.parametrize("plant", [
-    lambda store: setattr(store.config, "pool_trigger", 0),
+    _semantic_weight_zero,
     lambda store: setattr(store, "next_node_id", 0),
-    lambda store: setattr(store.config, "action_verbs", ("stir",)),
+    _outcome_not_an_outcome,
     lambda store: store.logic[1].i_goal.__setitem__(0, np.nan),
     lambda store: setattr(_first_edge(store), "count", -1.0),
-], ids=["config", "counter", "derived", "vector", "dag"])
+], ids=["semantic", "counter", "derived", "vector", "dag"])
 def test_refused_save_leaves_the_snapshot_it_would_replace_as_it_was(tmp_path, plant):
     path = str(tmp_path / "snap.json")
     store = shapes_store()
@@ -398,9 +410,9 @@ def test_refused_save_leaves_the_snapshot_it_would_replace_as_it_was(tmp_path, p
 
 
 def _reachable_fields(store) -> list:
-    """``(name, owner, key)`` of each field the live-store sweep sets: every config
-    field, both anchors' label and counts, every field of one episodic, one semantic and
-    one logic node, the pool's entry, one DAG step's attrs and Beta parameters, a str
+    """``(name, owner, key)`` of each field the live-store sweep sets: both anchors' label
+    and counts, every field of one episodic, one semantic and one logic node (the first two
+    set once, so set by a new node under the id), the pool's entry, one DAG step's attrs and Beta parameters, a str
     and an int key of the episode's and of that step's attrs, one edge's statistics, the
     video, episodes and t of an observation with episodes and of one without, the three id
     counters and one video_clock entry."""
@@ -408,8 +420,7 @@ def _reachable_fields(store) -> list:
     step = dag.nodes[sorted(dag.step_labels())[0]]
     nodes = {"episodic": store.episodic[1], "semantic": store.semantic[min(store.semantic)],
              "logic": store.logic[1]}
-    return ([(f"config {f.name}", store.config, f.name) for f in fields(Config)]
-            + [(f"anchor {i} {key}", store.anchors[i], key)
+    return ([(f"anchor {i} {key}", store.anchors[i], key)
                for i in (1, 2) for key in ("label", "face_count", "voice_count")]
             + [(f"{kind} {f.name}", node, f.name) for kind, node in nodes.items() for f in fields(node)]
             + [("pool entry", store.pool, 0)]
@@ -453,7 +464,8 @@ def _breach(store, path: str):
 
 def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
     # Each field _reachable_fields names, set in turn to each mutation value, then entry 0
-    # of each kind of stored vector that a snapshot keeps set to NaN and to inf.
+    # of each kind of stored vector that a snapshot keeps set to NaN and to inf; and each
+    # config field, which is set once, by a store built with each value a Config takes.
     path = str(tmp_path / "snap.json")
     base = pooled_shapes_store()
     breaches = []
@@ -461,7 +473,10 @@ def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
         for value in MUTATION_VALUES:
             store = base.clone()
             name, owner, key = _reachable_fields(store)[at]
-            if isinstance(owner, (dict, list)):
+            if isinstance(owner, (EpisodicNode, SemanticNode)):
+                layer = store.episodic if isinstance(owner, EpisodicNode) else store.semantic
+                layer[owner.id] = replace(owner, **{key: copy.deepcopy(value)})
+            elif isinstance(owner, (dict, list)):
                 owner[key] = copy.deepcopy(value)
             else:
                 setattr(owner, key, copy.deepcopy(value))
@@ -475,6 +490,14 @@ def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
             vector(store)[0] = value
             if why := _breach(store, path):
                 breaches.append((name, value, why))
+    for name in [f.name for f in fields(Config)]:
+        for value in MUTATION_VALUES:
+            try:
+                store = shapes_store(**{name: copy.deepcopy(value)})
+            except ConfigError:
+                continue
+            if why := _breach(store, path):
+                breaches.append((f"config {name}", value, why))
     assert breaches == []
 
 
@@ -486,11 +509,12 @@ def test_check_reports_an_array_in_an_episode_field(field):
     store = shapes_store()
     node, array = store.episodic[1], np.zeros(2)
     if field in ("d", "v_e", "action"):
-        node.text = tuple(array if name == field else x for name, x in zip(("d", "v_e", "action"), node.text))
+        text = tuple(array if name == field else x for name, x in zip(("d", "v_e", "action"), node.text))
+        store.episodic[1] = replace(node, text=text)
     elif field in ("video", "t"):
         setattr(node.obs, field, array)
     else:
-        setattr(node, field, array)
+        store.episodic[1] = replace(node, **{field: array})
     assert store.check()
 
 
@@ -606,6 +630,11 @@ def _doubled(levels: int):
     return x
 
 
+def _put_attrs(store, node_id, attrs):
+    """Episode ``node_id`` with ``attrs``, put under its id: an episode is set once."""
+    store.episodic[node_id] = replace(store.episodic[node_id], attrs=attrs)
+
+
 def test_attrs_are_bounded_by_the_values_a_write_emits(tmp_path):
     # A value inside a shared container is written once per place it is reached, so
     # sharing can make a few containers write 2**levels values. {"k": x} writes one value
@@ -617,24 +646,24 @@ def test_attrs_are_bounded_by_the_values_a_write_emits(tmp_path):
     at_bound = ({"k": [0] * (MAX_ATTRS_VALUES - 1)}, {"k": _doubled(15)},  # 2**16 - 1 values
                 {"a": shared, "b": shared})  # one container twice at one level: 60,002
     for attrs in at_bound:
-        store.episodic[2].attrs = attrs
+        _put_attrs(store, 2, attrs)
         assert store.check() == [], attrs.keys()
     store.save(path)
     for attrs in ({"k": [0] * MAX_ATTRS_VALUES}, {"k": _doubled(16)}, {"a": shared, "b": shared, "c": shared}):
-        store.episodic[2].attrs = attrs
+        _put_attrs(store, 2, attrs)
         assert store.check() == [f"episodic 2: {over}"]
         with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0]) + "$"):
             store.save(path)
     # A bomb of 40 levels is refused at once; so is one in a DAG step's attrs.
-    store.episodic[2].attrs = {"k": _doubled(40)}
+    _put_attrs(store, 2, {"k": _doubled(40)})
     step = store.logic[1].dag.nodes["mix_fruit"]
     step.attrs["k"] = _doubled(40)
     assert store.check() == [f"logic 1: mix_fruit {over}", f"episodic 2: {over}"]
     # The bound is per attrs object: three episodes that together write 90,003 values pass.
-    store.episodic[2].attrs = {}
+    _put_attrs(store, 2, {})
     del step.attrs["k"]
     for node_id in (1, 2, 3):
-        store.episodic[node_id].attrs = {"k": shared}
+        _put_attrs(store, node_id, {"k": shared})
     assert store.check() == []
 
     before = json.dumps(snapshot_dict(store))

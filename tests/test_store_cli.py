@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import FrozenInstanceError, replace
 from itertools import chain
 
 import numpy as np
@@ -322,7 +323,7 @@ def test_episode_of_another_video_than_its_observation_is_not_saved(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     meta = store.observations[1]
-    store.episodic[1].obs = ObservationMeta("elsewhere", meta.episodes, meta.t)
+    store.episodic[1] = replace(store.episodic[1], obs=ObservationMeta("elsewhere", meta.episodes, meta.t))
     assert store.episodic[1].video == "elsewhere"
     assert store.check() == ["observation 1: episode 1 does not hold it as its observation"]
     with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0])):
@@ -474,12 +475,13 @@ def _refusal(output):
 
 
 def _plant_text_vector(store, text, vector):
-    """Put ``vector`` as the v_e of ``text``'s entry, which its nodes share."""
+    """Put ``vector`` as the v_e of ``text``'s entry, which its nodes share, each put
+    under its id with the new entry."""
     d, _, action = store.texts[text]
     store.texts[text] = entry = (d, vector, action)
-    for node in store.episodic.values():
+    for node_id, node in list(store.episodic.items()):
         if node.d == text:
-            node.text = entry
+            store.episodic[node_id] = replace(node, text=entry)
 
 
 # The embedder's output is refused where the store takes it, before any mutation; a
@@ -507,7 +509,8 @@ def test_check_reports_a_bad_embedder_after_ingest_and_retrieve(output):
     store.retrieve("chop the fruit")
     assert store.check() == []
     _plant_text_vector(store, "chop the fruit", output)
-    store.semantic[min(store.semantic)].v_s = output
+    node = store.semantic[min(store.semantic)]
+    store.semantic[node.id] = replace(node, v_s=output)
     violations = store.check()
     assert any("v_e is not 8 finite floats" in x for x in violations)
     assert any("v_s is not 8 finite floats" in x for x in violations)
@@ -927,48 +930,57 @@ def test_attrs_are_one_entry_per_canonical_json(tmp_path):
     assert snapshot_dict(loaded) == snapshot_dict(store)
 
 
-def test_store_whose_action_verbs_changed_after_ingest_is_reported_and_not_saved(
-        tmp_path, monkeypatch):
-    # A load derives each action from the store's verbs, so a store whose
-    # actions came from other verbs would load as another store.
+@pytest.mark.parametrize("verbs", ["chop", {"chop": 1, "mix": 2}, 5], ids=["str", "object", "int"])
+def test_a_snapshot_whose_action_verbs_are_not_a_list_is_refused(tmp_path, verbs):
+    # tuple() would split a string into its letters, or take an object's keys, and the store
+    # would re-save as another file.
+    path = str(tmp_path / "snap.json")
+    fruit_salad_store(dim=32).save(path)
+    data = json.loads(open(path).read())
+    data["config"]["action_verbs"] = verbs
+    with pytest.raises(ConfigError, match="action_verbs must be a list of non-empty strings"):
+        Config.from_dict(data["config"])
+    with pytest.raises(CorruptSnapshot, match="snapshot config invalid: action_verbs"):
+        store_from_dict(data)
+
+
+def test_a_stores_action_verbs_are_fixed_so_check_derives_no_action(tmp_path, monkeypatch):
+    # A load derives each action from the store's verbs, which no caller can change after
+    # ingest: check() re-derives none of them, and the store loads with the actions it held.
     path = str(tmp_path / "snap.json")
     store = fruit_salad_store(dim=32)
     store.distill()
-    store.config.action_verbs = ("serve",)
+    with pytest.raises(FrozenInstanceError):
+        store.config.action_verbs = ("serve",)
+    with pytest.raises(AttributeError):
+        store.config = replace(store.config, action_verbs=("serve",))
     calls = []
     real = store_module.extract_action
     monkeypatch.setattr(store_module, "extract_action",
                         lambda text, verbs: calls.append(text) or real(text, verbs))
-    moved = [(i, n.action) for i, n in sorted(store.episodic.items())
-             if n.action in ("chop_fruit", "mix_fruit")]
-    assert len(moved) == 6
-    assert store.check() == [f"episodic {i}: action {action!r} is not the one its text gives"
-                             for i, action in moved]
-    assert sorted(calls) == sorted({n.d for n in store.episodic.values()})  # once per text
-    with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0])):
-        store.save(path)
-    assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
-    store.config.action_verbs = FRUIT_VERBS
-    assert store.check() == []
+    assert store.check() == [] and calls == []
     store.save(path)
-    assert MemoryStore.load(path).episodic[1].action == "chop_fruit"
+    loaded = MemoryStore.load(path)
+    assert [n.action for n in loaded.episodic.values()] == [n.action for n in store.episodic.values()]
+    assert loaded.episodic[1].action == "chop_fruit"
 
 
 @pytest.mark.parametrize("trigger", [0, "5"], ids=["zero", "string"])
-def test_store_whose_config_is_invalid_is_reported_and_not_saved(tmp_path, trigger):
-    # A load refuses an invalid config, so a save must not write one.
+def test_an_invalid_config_is_refused_by_construction_and_by_load(tmp_path, trigger):
+    # No store can hold an invalid config, so none is saved; a snapshot that holds one is refused.
     path = str(tmp_path / "snap.json")
     store = fruit_salad_store(dim=32)
     store.distill()
-    store.config.pool_trigger = trigger
-    violations = store.check()
-    assert violations[0] == f"config: pool_trigger must be a positive integer, got {trigger!r}"
-    with pytest.raises(SnapshotIoError, match=re.escape(violations[0])):
-        store.save(path)
-    assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
-    store.config.pool_trigger = 5
+    message = f"pool_trigger must be a positive integer, got {trigger!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        replace(store.config, pool_trigger=trigger)
+    with pytest.raises(FrozenInstanceError):
+        store.config.pool_trigger = trigger
     store.save(path)
-    assert MemoryStore.load(path).check() == []
+    data = json.loads(open(path).read())
+    data["config"]["pool_trigger"] = trigger
+    with pytest.raises(CorruptSnapshot, match=re.escape(f"snapshot config invalid: {message}")):
+        store_from_dict(data)
 
 
 SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1.5, np.inf, np.nan])
@@ -1282,6 +1294,17 @@ def test_cli_query_refuses_k_below_1(tmp_path, obs_file, capsys, k):
     assert run_cli(["--store", store_dir, "query", "--text", "chop the fruit", "-k", k]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: k must be an int of at least 1, got {k}\n"
+
+
+@pytest.mark.parametrize("command", [["character"], ["query", "--text", "chop the fruit"]],
+                         ids=["character", "query"])
+def test_cli_person_of_digits_that_are_not_ascii_is_a_label(tmp_path, obs_file, capsys, command):
+    # "²".isdigit() holds, but int("²") raises: the argument is read as a label, which no anchor has.
+    store_dir = str(tmp_path / "store")
+    assert run_cli(["--store", store_dir, "ingest", obs_file]) == 0
+    capsys.readouterr()
+    assert run_cli(["--store", store_dir, *command, "--person", "\u00b2"]) == 2
+    assert capsys.readouterr().err == "error: no anchor named '\u00b2'\n"
 
 
 def test_cli_lock_blocks_writers(tmp_path, obs_file, capsys):

@@ -94,11 +94,12 @@ def random_constraint(rng):
     return Constraint(preds)
 
 
-def wrap_in_store(dag, goal_text="wrapped procedure"):
-    """Minimal store exposing one logic node around the given DAG."""
+def wrap_in_store(dag, goal_text="wrapped procedure", **config):
+    """Minimal store exposing one logic node around the given DAG; ``config`` sets other
+    Config fields."""
     from memstrata import LogicNode
 
-    store = MemoryStore(Config(dim=64))
+    store = MemoryStore(Config(dim=64, **config))
     store.ingest(ObservationRecord(1, "v", 0.0, [Description("seed")], [], []))
     node = LogicNode(
         id=1, c=goal_text, i_goal=store.embed(goal_text),
@@ -208,8 +209,7 @@ def test_path_explosion_guard():
         dag.add_edge(b, join)
         prev = join
     dag.add_edge(prev, GOAL)
-    store = wrap_in_store(dag)
-    store.config.max_paths = 1000
+    store = wrap_in_store(dag, max_paths=1000)
     with pytest.raises(PathExplosion):
         query_step_sequence(store, "wrapped procedure")
 
