@@ -9,7 +9,6 @@ feature-hasher, not a neural model; real embedders plug in behind the same
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import mmap
 import re
@@ -209,6 +208,8 @@ class RowBlock:
     the row views in row order.
     """
 
+    __slots__ = ("width", "ids", "rows", "_chunks")
+
     def __init__(self, width: int):
         self.width = width
         self.ids: list = []
@@ -237,68 +238,24 @@ class RowBlock:
         return self._chunks[:-1] + [self._chunks[-1][:last]] if self._chunks else []
 
 
-class Rows:
-    """Kept rows (see ``current``) of the fields ``prefix + key`` of a layer's nodes: ``blocks[key]``, in
-    ascending id (``argmax`` gives ties to the lowest); each field, unless None, is a view of its row."""
-
-    def __init__(self, nodes: dict, prefix: str, keys: tuple, dim: int):
-        self.version = getattr(nodes, "version", None)
-        self.blocks = {key: RowBlock(dim) for key in keys}
-        for node_id in sorted(nodes):
-            node = nodes[node_id]
-            for key, block in self.blocks.items():
-                if (vector := getattr(node, prefix + key)) is not None:
-                    setattr(node, prefix + key, block.append(node_id, vector))
+def kept_rows(nodes: dict, prefix: str, keys: tuple, dim: int) -> dict:
+    """The rows a store keeps of the fields ``prefix + key`` of a layer's nodes: a ``RowBlock`` per
+    key, in the layer's order, ascending id (``argmax`` gives ties to the lowest); each field,
+    unless None, becomes a view of its row."""
+    blocks = {}
+    for key in keys:  # a store builds these at its creation: no comprehension's frame
+        blocks[key] = RowBlock(dim)
+    for node_id, node in nodes.items():
+        add_rows(blocks, prefix, node_id, node)
+    return blocks
 
 
-_next_version = itertools.count(1).__next__  # one counter for every layer, as PEP 509's
-
-
-class Layer(dict):
-    """A store's node layer: a ``dict`` that draws a new ``version`` at each write of its membership
-    (PEP 509's ``ma_version_tag``), no two layer states, a copy's included, sharing one. A loop over a
-    layer reads ``map(layer.__getitem__, ids)``: CPython specializes ``layer[i]`` for ``dict`` only."""
-
-    __slots__ = ("version",)
-
-    # The two writes every store makes often, at about half the cost of the wrapper below.
-    def __init__(self, *args, **kwargs):
-        try:
-            if args or kwargs:  # dict.__init__ of nothing writes nothing
-                dict.__init__(self, *args, **kwargs)
-        finally:  # as in _versioned
-            self.version = _next_version()
-
-    def __setitem__(self, key, value):
-        dict.__setitem__(self, key, value)
-        self.version = _next_version()
-
-    def __reduce__(self):  # a copy (copy, deepcopy, pickle) is a new layer, of a version of its own
-        return Layer, (), None, None, iter(self.items())
-
-
-def _versioned(write):
-    @functools.wraps(write)
-    def method(self, *args, **kwargs):
-        try:
-            return write(self, *args, **kwargs)
-        finally:  # also when it raises: an update may have written some items
-            self.version = _next_version()
-    return method
-
-
-for _name in ("__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"):
-    setattr(Layer, _name, _versioned(getattr(dict, _name)))
-
-
-def current(held, layer) -> bool:
-    """The one freshness rule of what a store keeps for its scans of ``layer``, never stored: a use takes
-    ``held`` only if it holds the layer's version (the one it was built from, or one that an engine write
-    set after updating both), and builds it again otherwise. None, and a non-``Layer``, have none."""
-    try:
-        return held.version == layer.version
-    except AttributeError:
-        return False
+def add_rows(blocks: dict, prefix: str, node_id, node) -> None:
+    """Give ``node``, of an id above every other's, its rows: each field ``prefix + key``, unless
+    None, becomes a view of its row of ``blocks[key]``."""
+    for key, block in blocks.items():
+        if (vector := getattr(node, prefix + key)) is not None:
+            setattr(node, prefix + key, block.append(node_id, vector))
 
 
 class Embedder(Protocol):

@@ -20,11 +20,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import Rows, current, norm, tokenize
+from .core import add_rows, kept_rows, norm, tokenize
 from .dag import GOAL, START, ProceduralDag, assert_valid
 from .dag import enumerate_paths  # noqa: F401 -- bench/tracing.py wraps this name
 from .errors import InvalidInput
-from .ingest import action_postings
 
 # Tokens skipped when looking for the object of a verb. Not linguistics,
 # just enough to turn "chops the fruit" into chop_fruit deterministically.
@@ -64,13 +63,10 @@ class LogicNode:
     steps: tuple = ()
 
 
-def logic_rows(store) -> Rows:
-    """The store's rows of each logic node's ``i_goal`` and ``i_step``, ``blocks["goal"]`` and
-    ``blocks["step"]``, which own them: ``ema_update`` writes through the nodes' views."""
-    rows = store.logic_rows
-    if not current(rows, store.logic):
-        rows = store.logic_rows = Rows(store.logic, "i_", ("goal", "step"), store.config.dim)
-    return rows
+def logic_rows(logic: dict, dim: int) -> dict:
+    """The rows of each logic node's ``i_goal`` and ``i_step``, ``["goal"]`` and ``["step"]``, which
+    own them: ``ema_update`` writes through the nodes' views."""
+    return kept_rows(logic, "i_", ("goal", "step"), dim)
 
 
 @lru_cache(maxsize=8)
@@ -110,9 +106,9 @@ def extract_action(text: str, verbs) -> str | None:
 def extract_action_sequences(store, episode_ids=None) -> list[ActionSequence]:
     """Group episodic nodes by source, order by time, map to action labels."""
     nodes = (
-        store.episodic.values()
+        store._episodic.values()
         if episode_ids is None
-        else list(map(store.episodic.__getitem__, sorted(episode_ids)))
+        else list(map(store._episodic.__getitem__, sorted(episode_ids)))
     )
     by_video: dict[str, list] = {}
     for node in nodes:
@@ -341,7 +337,7 @@ def _covered_by_existing(steps, store) -> bool:
     if START in steps or GOAL in steps:
         return False
     wanted = set(steps)
-    for node in store.logic.values():
+    for node in store._logic.values():
         dag = node.dag
         if dag.nodes.keys() >= wanted \
                 and all(dag.has_path(a, b) for a, b in zip(steps, steps[1:])):
@@ -377,8 +373,8 @@ def distill(store, episode_ids=None) -> list[int]:
     goal_namer = store.goal_namer_fn
     # Evidence index: each mined action -> the ids of its episodic nodes,
     # store-wide, ascending.
-    episodic = store.episodic
-    postings = action_postings(store).lists
+    episodic = store._episodic
+    postings = store._action_postings
     by_action = {action: postings.get(action, ()) for seq in sequences for action in seq.actions}
     scored = []
     for pattern in candidates:
@@ -416,8 +412,8 @@ def distill(store, episode_ids=None) -> list[int]:
         c = goal_namer(pattern)
         i_goal = store.embed(c)
         i_step = _normalized_mean([store.embed(s) for s in pattern.steps])
-        logic_id = store.next_logic_id
-        store.next_logic_id += 1
+        logic_id = store._next_logic_id
+        store._next_logic_id += 1
         node = LogicNode(
             id=logic_id,
             c=c,
@@ -428,6 +424,7 @@ def distill(store, episode_ids=None) -> list[int]:
             score=score,
             steps=tuple(pattern.steps),
         )
-        store.logic[logic_id] = node
+        store._logic[logic_id] = node
+        add_rows(store._logic_rows, "i_", logic_id, node)
         created.append(logic_id)
     return created

@@ -269,22 +269,24 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     """Replace two logic nodes by their fusion under the store's writer lock.
 
     The fused node keeps the first node's goal text; index vectors are the
-    component-wise mean of the inputs'; evidence links union.
+    component-wise mean of the inputs'; evidence links union. The logic rows
+    are built again, as a load builds them, since a row cannot be deleted.
     """
-    from .distill import LogicNode
+    from .distill import LogicNode, logic_rows
 
+    logic = store._logic
     for logic_id in (id_a, id_b):
-        if logic_id not in store.logic:
+        if logic_id not in logic:
             raise InvalidInput(f"no logic node {logic_id}")
     if id_a == id_b:
         raise InvalidInput("cannot fuse a logic node with itself")
-    a, b = store.logic[id_a], store.logic[id_b]
+    a, b = logic[id_a], logic[id_b]
     alignment = align_nodes(a.dag, b.dag, store.embedder, store.config.tau_align)
     before = _total_count(a.dag) + _total_count(b.dag)
     fused_dag = _fuse_aligned(a.dag, b.dag, alignment)  # a store's DAGs are valid
 
-    logic_id = store.next_logic_id
-    store.next_logic_id += 1
+    logic_id = store._next_logic_id
+    store._next_logic_id += 1
     node = LogicNode(
         id=logic_id,
         c=a.c,
@@ -296,8 +298,9 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
         steps=tuple(a.steps),
     )
     for old_id in (id_a, id_b):
-        del store.logic[old_id]
-    store.logic[logic_id] = node
+        del logic[old_id]
+    logic[logic_id] = node
+    store._logic_rows = logic_rows(logic, store.config.dim)
     return FusionReport(logic_id, (id_a, id_b), alignment, before, _total_count(fused_dag))
 
 
@@ -309,12 +312,13 @@ def auto_fuse(store) -> list:
     """
     reports = []
     failed: set = set()
+    logic = store._logic
     while True:
-        ids = sorted(store.logic)
+        ids = sorted(logic)
         candidate = None
         for i, id_a in enumerate(ids):
             rest = [id_b for id_b in ids[i + 1:] if (id_a, id_b) not in failed]
-            sims = cosine(store.logic[id_a].i_goal, [store.logic[id_b].i_goal for id_b in rest])
+            sims = cosine(logic[id_a].i_goal, [logic[id_b].i_goal for id_b in rest])
             hits = np.flatnonzero(sims >= store.config.tau_align)
             if hits.size:
                 candidate = (id_a, rest[hits[0]])

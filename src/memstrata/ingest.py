@@ -15,11 +15,11 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import attrgetter, mul
+from operator import mul
 
 import numpy as np
 
-from .core import Rows, _is_finite_number, _is_int, cosine, current, finite_entries
+from .core import _is_finite_number, _is_int, cosine, finite_entries
 from .errors import (
     DanglingMention,
     DimensionMismatch,
@@ -72,7 +72,7 @@ class ObservationRecord:
 class EntityAnchor:
     """A recurring person; each centroid is the running mean of the
     percepts of its kind assigned to it, held as a view of the anchor's row
-    in the store's ``centroid_rows``."""
+    in the store's centroid rows."""
 
     id: int
     label: str
@@ -87,12 +87,13 @@ class EntityAnchor:
         return self.face_count + self.voice_count
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class ObservationMeta:
-    """One ingested record: its video, its episodes in order and its ``t``, which they read."""
+    """One ingested record, set once: its video, its episodes' ids in order and its ``t``, which
+    they read."""
 
     video: str
-    episodes: list
+    episodes: tuple
     t: float
 
 
@@ -370,16 +371,13 @@ def resolve_anchor(store, percept: Percept) -> int:
     vectors, written into its row. A new anchor is seeded whenever the best
     similarity falls below tau_anchor (or no same-kind centroid exists).
     """
-    rows = store.centroid_rows  # the rows that own the centroids, a block per percept kind
-    if not current(rows, store.anchors):
-        rows = store.centroid_rows = Rows(store.anchors, "centroid_", PERCEPT_KINDS, store.config.dim)
-    block = rows.blocks[percept.kind]
+    block = store._centroid_rows[percept.kind]  # the rows that own that kind's centroids
     count = _COUNT_FIELDS[percept.kind]
     if block.ids:
         sims = cosine(percept.vector, block)
         best = sims.argmax()
         if sims.item(best) >= store.config.tau_anchor:
-            anchor = store.anchors[block.ids[best]]
+            anchor = store._anchors[block.ids[best]]
             k = getattr(anchor, count)
             centroid = block.rows[best]
             centroid *= k
@@ -388,60 +386,30 @@ def resolve_anchor(store, percept: Percept) -> int:
             setattr(anchor, count, k + 1)
             return anchor.id
 
-    anchor_id = store.next_anchor_id
+    anchor_id = store._next_anchor_id
     row = block.append(anchor_id, percept.vector)  # DimensionMismatch for a vector of another shape
-    store.next_anchor_id += 1
-    store.anchors[anchor_id] = EntityAnchor(anchor_id, percept.hint,
-                                            **{f"centroid_{percept.kind}": row, count: 1})
-    rows.version = getattr(store.anchors, "version", None)
+    store._next_anchor_id += 1
+    store._anchors[anchor_id] = EntityAnchor(anchor_id, percept.hint,
+                                             **{f"centroid_{percept.kind}": row, count: 1})
     return anchor_id
 
 
-class Postings:
-    """An inverted list of one node layer: ``lists`` maps each key to the ids of the nodes that
-    hold it, in the order the nodes came (ascending, as the engine makes them); kept, see
-    ``core.current``."""
-
-    def __init__(self, nodes: dict, keys):
-        self.version = getattr(nodes, "version", None)
-        self.lists: defaultdict = defaultdict(list)
-        for node_id in sorted(nodes):
-            self.add(node_id, keys(nodes[node_id]))
-
-    def add(self, node_id: int, keys) -> None:
-        """Index one node under each of ``keys``."""
-        for key in keys:
-            self.lists[key].append(node_id)
-
-    def remove(self, node_id: int, keys) -> None:
-        """Drop one node from the list of each of ``keys``, the ones it was indexed under."""
-        for key in keys:
-            self.lists[key].remove(node_id)
-
-
-def semantic_postings(store) -> Postings:
-    """The store's postings from each anchor id to the semantic nodes whose anchor set holds it."""
-    postings = store.semantic_postings
-    if not current(postings, store.semantic):
-        postings = store.semantic_postings = Postings(store.semantic, attrgetter("anchors"))
-    return postings
-
-
-def action_postings(store) -> Postings:
-    """The store's postings from each action to the episodic nodes that have it, which ingest
-    appends to."""
-    postings = store.action_postings
-    if not current(postings, store.episodic):
-        postings = store.action_postings = Postings(store.episodic, lambda node: (node.action,))
-    return postings
+def postings(nodes: dict, keys) -> defaultdict:
+    """An inverted list of one node layer, which its store keeps: each key that ``keys(node)``
+    gives to the ids of the nodes that hold it, in the layer's order, ascending id."""
+    lists = defaultdict(list)
+    for node_id, node in nodes.items():
+        for key in keys(node):
+            lists[key].append(node_id)
+    return lists
 
 
 def semantic_candidates(store, anchors: frozenset) -> list:
     """The ids of the semantic nodes whose anchor set covers ``anchors``, ascending: the
     intersection of the anchors' postings, smallest first; every node for an empty set."""
     if not anchors:
-        return sorted(store.semantic)
-    first, *rest = sorted([semantic_postings(store).lists.get(a, ()) for a in anchors], key=len)
+        return sorted(store._semantic)
+    first, *rest = sorted([store._semantic_postings.get(a, ()) for a in anchors], key=len)
     return sorted(set(first).intersection(*rest))
 
 
@@ -457,38 +425,38 @@ def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset, *, ve
     """
     v = store.embed(text) if vector is None else vector
     events = []
-    postings = semantic_postings(store)
+    semantic, by_anchor = store._semantic, store._semantic_postings
     ids = semantic_candidates(store, anchors)
     if ids:
-        sims = cosine(v, [store.semantic[i].v_s for i in ids])
+        sims = cosine(v, [semantic[i].v_s for i in ids])
         best = sims.argmax()
         if sims[best] > store.config.tau_pos:
             best_id = ids[best]
-            node = store.semantic[best_id]
-            store.semantic[best_id] = SemanticNode(best_id, node.type, node.attrs, node.v_s, node.anchors,
-                                                   node.weight + 1)
-            postings.version = getattr(store.semantic, "version", None)  # its anchors are the same
+            node = semantic[best_id]
+            semantic[best_id] = SemanticNode(best_id, node.type, node.attrs, node.v_s, node.anchors,
+                                             node.weight + 1)  # of the same anchors: no posting moves
             events.append(("reinforced", best_id))
             return events
         worst = sims.argmin()
         if sims[worst] < store.config.tau_neg:
             worst_id = ids[worst]
-            node = store.semantic[worst_id]
+            node = semantic[worst_id]
             events.append(("weakened", worst_id))
             if node.weight > 1:
-                store.semantic[worst_id] = SemanticNode(worst_id, node.type, node.attrs, node.v_s,
-                                                        node.anchors, node.weight - 1)
+                semantic[worst_id] = SemanticNode(worst_id, node.type, node.attrs, node.v_s,
+                                                  node.anchors, node.weight - 1)
             else:
-                del store.semantic[worst_id]
-                postings.remove(worst_id, node.anchors)
+                del semantic[worst_id]
+                for a in node.anchors:
+                    by_anchor[a].remove(worst_id)
                 events.append(("pruned", worst_id))
 
-    node_id = store.next_node_id
-    store.next_node_id += 1
+    node_id = store._next_node_id
+    store._next_node_id += 1
     node = SemanticNode(node_id, ctype, text, v, store.intern(frozenset(anchors)), weight=1)
-    store.semantic[node_id] = node
-    postings.add(node_id, node.anchors)
-    postings.version = getattr(store.semantic, "version", None)
+    semantic[node_id] = node
+    for a in node.anchors:
+        by_anchor[a].append(node_id)
     events.append(("created", node_id))
     return events
 
@@ -503,9 +471,9 @@ def ingest_observation(store, rec: ObservationRecord):
     if fault := record_fault(rec, store.config.dim):
         raise fault
     t = float(rec.t)  # an int t is saved as the float a JSONL record's is
-    if rec.id in store.observations:
+    if rec.id in store._observations:
         raise DuplicateObservation(f"observation {rec.id} already ingested")
-    last = store.video_clock.get(rec.video)
+    last = store._video_clock.get(rec.video)
     if last is not None and t < last.t:
         raise MalformedRecord(f"timestamp {t} for {rec.video!r} precedes previous {last.t}")
 
@@ -526,10 +494,9 @@ def ingest_observation(store, rec: ObservationRecord):
     # before the first mutation: store.embed refuses one that is not dim finite floats.
     new_texts: dict = {}
     for desc in rec.descriptions:
-        if desc.text not in store.texts and desc.text not in new_texts:
+        if desc.text not in store._texts and desc.text not in new_texts:
             new_texts[desc.text] = store.embed(desc.text)
     concluded_vectors = [store.embed(c.text) for c in rec.conclusions]
-    actions = action_postings(store)  # built first when missing or stale
 
     # Validation done; mutations start here.
     for p in rec.percepts:
@@ -539,20 +506,20 @@ def ingest_observation(store, rec: ObservationRecord):
     def anchors(found: list) -> frozenset:
         return store.intern(frozenset(map(anchor_of.__getitem__, found)))
 
-    meta = ObservationMeta(store.intern(rec.video), [], t)
-    for desc, found in zip(rec.descriptions, mentions):
-        meta.episodes.append(node_id := store.next_node_id)
-        store.next_node_id += 1
+    first = store._next_node_id
+    store._next_node_id += len(rec.descriptions)
+    meta = ObservationMeta(store.intern(rec.video), tuple(range(first, store._next_node_id)), t)
+    actions = store._action_postings
+    for node_id, desc, found in zip(meta.episodes, rec.descriptions, mentions):
         entry = store.text_entry(desc.text, new_texts.get(desc.text))
-        store.episodic[node_id] = EpisodicNode(node_id, entry, meta, anchors(found),
-                                               OUTCOMES[OUTCOMES.index(desc.outcome)], store.own_attrs(desc.attrs))
-        actions.lists[entry[2]].append(node_id)
-    actions.version = getattr(store.episodic, "version", None)
+        store._episodic[node_id] = EpisodicNode(node_id, entry, meta, anchors(found),
+                                                OUTCOMES[OUTCOMES.index(desc.outcome)], store.own_attrs(desc.attrs))
+        actions[entry[2]].append(node_id)
 
     events = []
     for concl, found, v in zip(rec.conclusions, concluded, concluded_vectors):
         events.extend(consolidate_semantic(store, concl.type, concl.text, anchors(found), vector=v))
 
-    store.observations[rec.id] = meta
-    store.video_clock[meta.video] = meta
+    store._observations[rec.id] = meta
+    store._video_clock[meta.video] = meta
     return list(meta.episodes), events

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import cosine
 from .dag import GOAL, START, ProceduralDag, assert_valid, record_trial
-from .distill import distill, extract_action, logic_rows
+from .distill import distill, extract_action
 from .errors import DimensionMismatch, NotIngested
 from .ingest import record_fault
 
@@ -40,12 +40,12 @@ class UpdateReport:
 def match_logic(store, o_vec: np.ndarray):
     """Best logic node by max(cos to i_goal, cos to i_step); None if empty.
 
-    Ties break toward the lowest LogicId. The goal rows and the step rows
-    of the store's ``logic_rows`` are scanned in place.
+    Ties break toward the lowest LogicId. The store's goal rows and step
+    rows are scanned in place.
     """
-    if not store.logic:
+    if not store._logic:
         return None
-    goal, step = logic_rows(store).blocks.values()
+    goal, step = store._logic_rows.values()
     sims = np.maximum(cosine(o_vec, goal), cosine(o_vec, step))
     best = sims.argmax()
     return goal.ids[best], float(sims[best])
@@ -120,12 +120,12 @@ def apply_observation(store, rec) -> UpdateReport:
     ``record_fault`` accepts it."""
     if fault := record_fault(rec, store.config.dim):
         raise fault
-    meta = store.observations.get(rec.id)
+    meta = store._observations.get(rec.id)
     if meta is None:
         raise NotIngested(f"observation {rec.id} was never ingested")
 
     joined = " ".join(d.text for d in rec.descriptions)
-    entry = store.texts.get(joined)  # a one-description record's text was embedded at ingest
+    entry = store._texts.get(joined)  # a one-description record's text was embedded at ingest
     o_vec = store.embed(joined) if entry is None else entry[1]
     report = UpdateReport(record_id=rec.id)
 
@@ -133,7 +133,7 @@ def apply_observation(store, rec) -> UpdateReport:
     if best is not None and best[1] > store.config.delta_gate:
         logic_id, sim = best
         report.matched, report.similarity = logic_id, sim
-        node = store.logic[logic_id]
+        node = store._logic[logic_id]
         actions, attr_source = _record_actions(store, rec)
         ema_update(node, o_vec, store.config.beta_ema)
         report.ema_applied = True
@@ -150,13 +150,13 @@ def apply_observation(store, rec) -> UpdateReport:
     report.pooled = True
     if best is not None:
         report.similarity = best[1]
-    if rec.id not in store.pool:  # a record applied again is pooled once
-        store.pool.append(rec.id)
-    report.pool_size = len(store.pool)
-    if len(store.pool) >= store.config.pool_trigger:
-        episode_ids = set().union(*(store.observations[i].episodes for i in store.pool))
+    if rec.id not in store._pool:  # a record applied again is pooled once
+        store._pool += (rec.id,)
+    report.pool_size = len(store._pool)
+    if len(store._pool) >= store.config.pool_trigger:
+        episode_ids = set().union(*(store._observations[i].episodes for i in store._pool))
         report.distilled = distill(store, episode_ids=episode_ids)
-        store.pool.clear()
+        store._pool = ()
         report.pool_size = 0
     return report
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import _is_int, cosine
 from .dag import Constraint
-from .distill import logic_rows
 from .errors import InvalidInput
 from .symbolic import _character_nodes, constrained_paths
 
@@ -118,13 +117,13 @@ def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalRe
     store.retrieval_calls += 1
     theta = store.config.theta_retrieve
     weights = store.config.layer_weights[q.qtype]
-    epi_ids, sem_ids = sorted(store.episodic), sorted(store.semantic)
+    epi_ids, sem_ids = sorted(store._episodic), sorted(store._semantic)
     layers = [
-        ("epi", epi_ids, cosine(q.q_vec, [n.v_e for n in map(store.episodic.__getitem__, epi_ids)])),
-        ("sem", sem_ids, cosine(q.q_vec, [n.v_s for n in map(store.semantic.__getitem__, sem_ids)])),
+        ("epi", epi_ids, cosine(q.q_vec, [n.v_e for n in map(store._episodic.__getitem__, epi_ids)])),
+        ("sem", sem_ids, cosine(q.q_vec, [n.v_s for n in map(store._semantic.__getitem__, sem_ids)])),
     ]
     if include_logic:
-        goal, step = logic_rows(store).blocks.values()
+        goal, step = store._logic_rows.values()
         layers.append(("logic", goal.ids, _logic_scores(q.q_vec, goal, step, store.config.alpha)))
     items = []
     for layer, ids, scores in layers:
@@ -141,7 +140,7 @@ def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalRe
     if q.qtype in ("constraint", "character") and include_logic:
         top_logic = next((it for it in items if it.layer == "logic"), None)
         if top_logic is not None:
-            node = store.logic[top_logic.node_id]
+            node = store._logic[top_logic.node_id]
             context.top_logic = node.id
             context.procedure_goal = node.c
             if q.qtype == "constraint":
@@ -182,7 +181,7 @@ def answer_procedure(store, goal: str, use_logic: bool = True,
     current = None
     for item in result.ranked:
         if item.layer == "epi":
-            current = store.episodic[item.node_id]
+            current = store._episodic[item.node_id]
             break
     steps = []
     while current is not None:
@@ -193,7 +192,7 @@ def answer_procedure(store, goal: str, use_logic: bool = True,
         for item in hop.ranked:
             if item.layer != "epi":
                 continue
-            node = store.episodic[item.node_id]
+            node = store._episodic[item.node_id]
             if node.video != current.video:
                 continue
             if (node.t, node.id) <= (current.t, current.id):

@@ -20,8 +20,8 @@ its text, vector and action from its text entry and its video and ``t`` from
 its observation; anchor and percept counts are sums of the face and voice
 counts, a procedure's anchors are those of its evidence, and the candidate pool
 is its records' observation ids. Besides, it keeps what its scans read, never
-stored (see ``core.current``): the rows that own the anchor centroids and the
-logic index vectors, and the anchor and action postings.
+stored (see ``MemoryStore._build_kept``): the rows that own the anchor centroids
+and the logic index vectors, and the anchor and action postings.
 """
 
 from __future__ import annotations
@@ -33,25 +33,24 @@ import json
 import math
 import os
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from itertools import accumulate, chain, compress, repeat
-from operator import attrgetter, is_, le, lt, sub
+from operator import attrgetter, is_, lt, sub
+from types import MappingProxyType
 
 import numpy as np
 
 from .core import (
     Config,
     HashingEmbedder,
-    Layer,
-    Rows,
     _is_finite_number,
-    current,
     _is_int,
     embedder_identity,
     finite_vector,
+    kept_rows,
 )
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
-from .distill import LogicNode, default_goal_name, extract_action, verify_default
+from .distill import LogicNode, default_goal_name, extract_action, logic_rows, verify_default
 from .errors import (
     ConfigError,
     CorruptSnapshot,
@@ -67,10 +66,10 @@ from .ingest import (
     EntityAnchor,
     EpisodicNode,
     ObservationMeta,
-    Postings,
     SemanticNode,
     _attrs_fault,
     ingest_observation,
+    postings,
 )
 from .maintain import apply_observation
 from .retrieve import make_query, retrieve
@@ -93,6 +92,10 @@ _KEYS = {kind: frozenset(keys.split()) for kind, keys in (
     ("semantic node", "id type attrs anchors weight"),
     ("logic node", "id c score steps episodic_links i_goal i_step dag"), ("dag", "nodes edges"),
 )} | {"config": frozenset(Config().to_dict())}  # every Config field
+# What a store keeps for its scans, never stored: built by _build_kept, and never copied; the
+# postings index each semantic node by its anchors and each episode by its action.
+_KEPT = frozenset(("_centroid_rows", "_logic_rows", "_semantic_postings", "_action_postings"))
+_ANCHORS, _ACTION = attrgetter("anchors"), lambda node: (node.text[2],)
 
 
 class MemoryStore:
@@ -100,6 +103,14 @@ class MemoryStore:
 
     Single-writer discipline: ingest, distill, maintenance, and fusion are
     serialized by the caller; reads may run concurrently between writes.
+
+    Sealed: a caller reads the state, and only the engine writes it. Each of
+    ``anchors``, ``episodic``, ``semantic``, ``logic``, ``texts``,
+    ``observations`` and ``video_clock`` is a read-only view
+    (``types.MappingProxyType``) of a private dict, ``pool`` is a tuple and the
+    id counters are read-only properties, so a caller's write raises
+    ``TypeError`` or ``AttributeError``. Each engine write keeps what the store
+    keeps for its scans current in the same call.
     """
 
     def __init__(self, config: Config | None = None, embedder=None):
@@ -109,23 +120,17 @@ class MemoryStore:
         elif not _is_int(dim := getattr(embedder, "dim", None)) or dim != config.dim:
             raise ConfigError(f"embedder dim {dim!r} is not the config dim {config.dim}")
         self.embedder = embedder
-        self.anchors: Layer[int, EntityAnchor] = Layer()
-        self.episodic: Layer[int, EpisodicNode] = Layer()
-        self.texts: dict[str, tuple] = {}  # each episodic text's (d, v_e, action), see text_entry
-        self.interned: dict = {}  # see intern
-        self.semantic: Layer[int, SemanticNode] = Layer()
-        self.logic: Layer[int, LogicNode] = Layer()
-        # Kept, not stored, each built again at a use that finds its layer at another version
-        self.centroid_rows: Rows | None = None  # the anchor centroids' rows, by anchor id
-        self.semantic_postings: Postings | None = None  # anchor id -> semantic ids
-        self.action_postings: Postings | None = None  # action -> episodic ids
-        self.logic_rows: Rows | None = None  # the i_goal and i_step rows, by logic id
-        self.observations: dict[int, ObservationMeta] = {}
-        self.video_clock: dict[str, ObservationMeta] = {}  # each video's latest observation
-        self.pool: list[int] = []  # the pooled observations' ids, in apply order
-        self.next_node_id = 1
-        self.next_anchor_id = 1
-        self.next_logic_id = 1
+        self._anchors: dict[int, EntityAnchor] = {}
+        self._episodic: dict[int, EpisodicNode] = {}
+        self._texts: dict[str, tuple] = {}  # each episodic text's (d, v_e, action), see text_entry
+        self._interned: dict = {}  # see intern
+        self._semantic: dict[int, SemanticNode] = {}
+        self._logic: dict[int, LogicNode] = {}
+        self._observations: dict[int, ObservationMeta] = {}
+        self._video_clock: dict[str, ObservationMeta] = {}  # each video's latest observation
+        self._pool: tuple = ()  # the pooled observations' ids, in apply order
+        self._next_node_id = self._next_anchor_id = self._next_logic_id = 1
+        self._build_kept()
         self.retrieval_calls = 0
         self.classifier = None
         self.verifier_fn = verify_default if config.verifier == "default" else None
@@ -137,10 +142,37 @@ class MemoryStore:
         values, build a store with them."""
         return self._config
 
+    # A caller's read-only views of the state, each made at the read.
+    anchors = property(lambda self: MappingProxyType(self._anchors), doc="Each entity anchor, by id.")
+    episodic = property(lambda self: MappingProxyType(self._episodic), doc="Each episodic node, by id.")
+    semantic = property(lambda self: MappingProxyType(self._semantic), doc="Each semantic node, by id.")
+    logic = property(lambda self: MappingProxyType(self._logic), doc="Each logic node, by id.")
+    texts = property(lambda self: MappingProxyType(self._texts), doc="Each episodic text's entry, by text.")
+    observations = property(lambda self: MappingProxyType(self._observations),
+                            doc="Each ingested record's ObservationMeta, by record id.")
+    video_clock = property(lambda self: MappingProxyType(self._video_clock),
+                           doc="Each video's latest ObservationMeta.")
+    pool = property(attrgetter("_pool"), doc="The pooled observations' ids, in apply order.")
+    next_node_id = property(attrgetter("_next_node_id"), doc="The id the next episodic or semantic node has.")
+    next_anchor_id = property(attrgetter("_next_anchor_id"), doc="The id the next anchor takes.")
+    next_logic_id = property(attrgetter("_next_logic_id"), doc="The id the next logic node takes.")
+
+    def _build_kept(self) -> None:
+        """Build what the store keeps for its scans from its layers: the rows that own the anchor
+        centroids and the logic index vectors, and the postings from each anchor id to its semantic
+        nodes and from each action to its episodic nodes. A new store, a load and ``clone()`` build
+        them; each engine write keeps them current after that. Each is in its layer's order, which
+        is ascending id: the engine hands ids out in increasing order, and a load inserts them so."""
+        dim = self._config.dim
+        self._centroid_rows = kept_rows(self._anchors, "centroid_", PERCEPT_KINDS, dim)
+        self._logic_rows = logic_rows(self._logic, dim)
+        self._semantic_postings = postings(self._semantic, _ANCHORS)
+        self._action_postings = postings(self._episodic, _ACTION)
+
     @property
     def percept_count(self) -> int:
         """The percepts ingested, as the anchors that took them count them."""
-        return sum(a.count for a in self.anchors.values())
+        return sum(a.count for a in self._anchors.values())
 
     # -- plugin registration ----------------------------------------------
 
@@ -178,9 +210,9 @@ class MemoryStore:
         """``(d, v_e, action)``: the one entry that every episodic node with this text
         holds as its ``text``, embedded and extracted once; ``vector``, when given, is
         ``embed(text)`` already made."""
-        entry = self.texts.get(text)
+        entry = self._texts.get(text)
         if entry is None:
-            entry = self.texts[text] = (text, self.embed(text) if vector is None else vector,
+            entry = self._texts[text] = (text, self.embed(text) if vector is None else vector,
                                         self.intern(extract_action(text, self.config.action_verbs)))
         return entry
 
@@ -194,7 +226,7 @@ class MemoryStore:
         """The store's one object equal to ``value``, so that equal videos, actions,
         attrs strings and anchor sets are held once. ``value`` is a str, None or a
         frozenset of ids, never a number: 1, 1.0 and True are one key."""
-        return self.interned.setdefault(value, value)
+        return self._interned.setdefault(value, value)
 
     def ingest(self, rec):
         return ingest_observation(self, rec)
@@ -216,15 +248,15 @@ class MemoryStore:
 
     def anchor_by_label(self, label: str) -> int | None:
         """The lowest id of an anchor with this label, or None."""
-        return min((i for i, anchor in self.anchors.items() if anchor.label == label), default=None)
+        return min((i for i, anchor in self._anchors.items() if anchor.label == label), default=None)
 
     def clone(self) -> "MemoryStore":
-        # Its layers have versions of their own, so the copy would build its kept state again: copy
-        # none of it, and build the centroid rows that a store with anchors holds, as a load does.
-        kept = (self.centroid_rows, self.semantic_postings, self.action_postings, self.logic_rows)
-        twin = copy.deepcopy(self, dict.fromkeys(map(id, kept)))
-        if self.centroid_rows is not None:
-            twin.centroid_rows = Rows(twin.anchors, "centroid_", PERCEPT_KINDS, twin.config.dim)
+        """A store of its own, equal to this one: its state deep-copied, and what it keeps for its
+        scans built from that copy, as a load builds it."""
+        twin = copy.copy(self)
+        vars(twin).update(copy.deepcopy({name: value for name, value in vars(self).items()
+                                         if name not in _KEPT}))
+        twin._build_kept()
         return twin
 
     # -- persistence ----------------------------------------------------------
@@ -280,21 +312,21 @@ class MemoryStore:
     # -- diagnostics ----------------------------------------------------------
 
     def stats(self) -> dict:
-        edge_total = sum(len(outs) for node in self.logic.values() for outs in node.dag.adj.values())
+        edge_total = sum(len(outs) for node in self._logic.values() for outs in node.dag.adj.values())
         count_total = float(sum(
-            stat.count for node in self.logic.values() for _, _, stat in node.dag.edges()
+            stat.count for node in self._logic.values() for _, _, stat in node.dag.edges()
         ))
         return {
-            "anchors": len(self.anchors),
-            "episodic": len(self.episodic),
-            "semantic": len(self.semantic),
-            "semantic_weight": sum(n.weight for n in self.semantic.values()),
-            "logic": len(self.logic),
+            "anchors": len(self._anchors),
+            "episodic": len(self._episodic),
+            "semantic": len(self._semantic),
+            "semantic_weight": sum(n.weight for n in self._semantic.values()),
+            "logic": len(self._logic),
             "dag_edges": edge_total,
             "dag_transition_count": count_total,
-            "observations": len(self.observations),
+            "observations": len(self._observations),
             "percepts": self.percept_count,
-            "pool": len(self.pool),
+            "pool": len(self._pool),
         }
 
     def check(self) -> list[str]:
@@ -316,27 +348,27 @@ def _ids_in(ids, held) -> bool:
 def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     """Global invariant sweep; returns all violations (empty means healthy).
 
-    It is the one definition of a store that ``save`` writes, so it reports, and never raises
-    on, any value a caller has put in a field of an anchor, a logic node, a DAG step or edge, a
-    pool entry, an observation, a counter or the clock, or in a node it built for a layer. What
-    construction guarantees is not tested: a store's config is valid and fixed, so each text
-    entry's action is the one its text gives, and an episodic or semantic node is set once (a new
-    node under its id is a layer write, which the kept postings follow). A load builds what the last
-    rules check, and skips them with ``derived=False``. A rule over the episodes or the
-    observations tests a whole column at once, and names the offenders only when that test fails.
+    It is the one definition of a store that ``save`` writes, so it reports, and never raises on,
+    any value a caller has put in a field of an anchor, a logic node, a DAG step or edge, or an
+    episode's attrs, the state a sealed store still lets a caller write. What construction
+    guarantees is not tested: only the engine writes a store's layers, texts, observations,
+    clock, pool and counters, its config is valid and fixed, and its episodic and semantic nodes
+    and its observations are set once, so each episode's id, text, outcome and observation, and
+    each video's clock, are what ingest or a load made them. A load runs every other rule, as a
+    file is where bad data arrives, and skips the last ones, on what it builds, with
+    ``derived=False``. A rule over the episodes or the observations tests a whole column at once,
+    and names the offenders only when that test fails.
     """
     v, dim = [], store.config.dim
 
-    counters = {"node": store.next_node_id, "anchor": store.next_anchor_id, "logic": store.next_logic_id}
+    counters = {"node": store._next_node_id, "anchor": store._next_anchor_id, "logic": store._next_logic_id}
     v += [f"counter {name}: {c!r} is not a positive int"
           for name, c in counters.items() if not (_is_int(c) and c >= 1)]
     ids, held = {}, {}  # each section's ids, sorted, and its nodes in that order
-    for kind, nodes, c in (("anchor", store.anchors, store.next_anchor_id),
-                           ("episodic", store.episodic, store.next_node_id),
-                           ("semantic", store.semantic, store.next_node_id),
-                           ("logic", store.logic, store.next_logic_id)):
-        if type(nodes) is not Layer:  # whose writes no kept state could follow
-            v.append(f"{kind} layer is a {type(nodes).__name__}, not a Layer")
+    for kind, nodes, c in (("anchor", store._anchors, store._next_anchor_id),
+                           ("episodic", store._episodic, store._next_node_id),
+                           ("semantic", store._semantic, store._next_node_id),
+                           ("logic", store._logic, store._next_logic_id)):
         if not set(map(type, nodes)) <= {int}:
             return v + [f"{kind} ids are not all ints"]  # every rule below sorts them
         ids[kind] = order = sorted(nodes)
@@ -350,12 +382,9 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
                 v += [f"{kind} {i}: {field} {x!r} is not a {field_type.__name__}"
                       for i, x in zip(order, column) if type(x) is not field_type]
 
-    # Each vector that kept rows own is its row while they are current (core.current); with no
-    # rows at all, no centroid is a row (the first percept and a load build them).
-    kept = {name: {key: dict(zip(block.ids, block.rows)) for key, block in rows.blocks.items()}
-            for name, rows, layer in (("anchor", store.centroid_rows, store.anchors),
-                                      ("logic", store.logic_rows, store.logic)) if current(rows, layer)}
-    rows = kept.get("anchor", {kind: {} for kind in PERCEPT_KINDS} if store.centroid_rows is None else None)
+    # Each vector that the kept rows own is its row.
+    rows = {name: {key: dict(zip(block.ids, block.rows)) for key, block in kept.items()}
+            for name, kept in (("anchor", store._centroid_rows), ("logic", store._logic_rows))}
     for anchor_id, anchor in zip(ids["anchor"], held["anchor"]):
         if anchor.centroid_face is None and anchor.centroid_voice is None:
             v.append(f"anchor {anchor_id}: no centroid")
@@ -367,20 +396,19 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             if c is not None:
                 if not finite_vector(c, dim):
                     v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
-                if rows is not None and rows[name].pop(anchor_id, None) is not c:
+                if rows["anchor"][name].pop(anchor_id, None) is not c:
                     v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
     v += [f"{kind} centroid rows of anchors without a {kind} centroid: {sorted(left)}"
-          for kind, left in (rows or {}).items() if left]
+          for kind, left in rows["anchor"].items() if left]
 
-    anchor_ids, ep_ids, nodes = store.anchors.keys(), ids["episodic"], held["episodic"]
+    anchor_ids, ep_ids, nodes = store._anchors.keys(), ids["episodic"], held["episodic"]
     anchor_sets = [n.anchors for n in nodes]
     if not (set(map(type, anchor_sets)) <= {frozenset}
             and _ids_in(frozenset().union(*set(anchor_sets)), anchor_ids)):
         v += [f"episodic {i}: anchors {a!r} are not a frozenset of anchor ids" for i, a in
               zip(ep_ids, anchor_sets) if type(a) is not frozenset or not _ids_in(a, anchor_ids)]
     # Each of the store's text entries once; a rule on one names the first node that holds it.
-    entries = [e for d, e in store.texts.items() if type(e) is tuple and len(e) == 3 and e[0] is d]
-    if bad := {id(e) for e in entries if not finite_vector(e[1], dim)}:
+    if bad := {id(e) for e in store._texts.values() if not finite_vector(e[1], dim)}:
         first = dict(zip([id(n.text) for n in reversed(nodes)], reversed(ep_ids)))  # entry -> node
         v += [f"episodic {i}: v_e is not {dim} finite floats"
               for i in sorted(first[e] for e in bad if e in first)]
@@ -395,7 +423,7 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
 
     # The evidence of all procedures at once first: its union is far smaller than the sum.
     links = [node.episodic_links for node in held["logic"]]
-    linked = set(map(type, links)) <= {set} and _ids_in(set().union(*links), store.episodic.keys())
+    linked = set(map(type, links)) <= {set} and _ids_in(set().union(*links), store._episodic.keys())
     for logic_id, node in zip(ids["logic"], held["logic"]):
         if type(node.steps) is not tuple or not set(map(type, node.steps)) <= {str}:
             v.append(f"logic {logic_id}: steps {node.steps!r} are not a tuple of strings")
@@ -404,12 +432,12 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             v.append(f"logic {logic_id}: episodic links are not a set of ints")
         elif not links:
             v.append(f"logic {logic_id}: no episodic evidence")
-        elif not linked and not links <= store.episodic.keys():
+        elif not linked and not links <= store._episodic.keys():
             v.append(f"logic {logic_id}: dangling episodic link")
         for key, x in (("goal", node.i_goal), ("step", node.i_step)):
             if not finite_vector(x, dim):
                 v.append(f"logic {logic_id}: i_{key} is not {dim} finite floats")
-            if "logic" in kept and kept["logic"][key].get(logic_id) is not x:
+            if rows["logic"][key].get(logic_id) is not x:
                 v.append(f"logic {logic_id}: i_{key} is not its row of the {key} rows")
         dag = node.dag
         if type(dag) is not ProceduralDag:
@@ -440,22 +468,22 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
             if abs(total - 1.0) > 1e-9:
                 v.append(f"logic {logic_id}: transition probs at {src} sum to {total}")
 
-    if len(store.pool) >= store.config.pool_trigger:
+    pool, observations = store._pool, store._observations
+    if len(pool) >= store.config.pool_trigger:
         v.append("candidate pool at or beyond trigger without distillation")
     v += [f"pool entry references unknown observation {i!r}"
-          for i in store.pool if not (_is_int(i) and i in store.observations)]
-    pooled = [i for i in store.pool if type(i) is int]  # another is reported above
+          for i in pool if not (_is_int(i) and i in observations)]
+    pooled = [i for i in pool if type(i) is int]  # another is reported above
     v += [f"pool entry {i} is listed {n} times, not once"
           for i, n in Counter(pooled).items() if n > 1]
-    if not set(map(type, store.observations)) <= {int}:
+    if not set(map(type, observations)) <= {int}:
         return v + ["observation ids are not all ints"]  # the rules below sort them
-    obs_ids = sorted(store.observations)
-    metas = list(map(store.observations.__getitem__, obs_ids))
-    episodes, ts = [m.episodes for m in metas], [m.t for m in metas]
-    if not set(map(type, episodes)) <= {list}:
-        return v + [f"observation {i}: episodes {e!r} are not a list"
-                    for i, e in zip(obs_ids, episodes) if type(e) is not list]  # the rules below walk them
-    faults = len(v)
+    obs_ids = sorted(observations)
+    metas = list(map(observations.__getitem__, obs_ids))
+    if not set(map(type, episodes := [m.episodes for m in metas])) <= {tuple}:
+        v += [f"observation {i}: episodes {e!r} are not a tuple"
+              for i, e in zip(obs_ids, episodes) if type(e) is not tuple]
+    ts = [m.t for m in metas]
     if not (set(map(type, ts)) <= {float} and math.isfinite(sum(ts))):  # a finite sum proves them
         v += [f"observation {i}: t {t!r} is not a finite number"
               for i, t in zip(obs_ids, ts) if not _is_finite_number(t)]
@@ -466,17 +494,10 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     if not derived:
         return v
 
-    # What a load builds, so that a store holding it otherwise would load as another: the clock as each
-    # video's latest observation; each node's id from its key; each episode's outcome, and attrs JSON
-    # carries; its text as the store's one entry for it; and its observation as the one listing it.
-    if len(v) == faults:  # the clock compares the t and the videos tested above
-        clock = store.video_clock  # each entry one of its video's observations, by identity, of top t
-        clocked = set(compress(videos, map(is_, map(clock.get, videos), metas)))
-        if not (len(clocked) == len(clock) == len(set(videos))
-                and all(map(le, ts, map(attrgetter("t"), map(clock.__getitem__, videos))))):
-            v.append("video_clock is not each video's latest observation")
-    for kind, nodes_of_kind in held.items():
-        own = [n.id for n in nodes_of_kind]
+    # What a load builds, and a caller can still write: each anchor's and logic node's id, and
+    # each episode's attrs, which JSON must carry.
+    for kind in ("anchor", "logic"):
+        own = [n.id for n in held[kind]]
         if not set(map(type, own)) <= {int} or own != ids[kind]:
             v += [f"{kind} {i}: id {x!r} is not its key"
                   for i, x in zip(ids[kind], own) if type(x) is not int or x != i]
@@ -485,31 +506,6 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
         v += [f"episodic {i}: attrs {x!r} is not a dict" if type(x) is not dict else
               f"episodic {i}: attrs {fault}"
               for i, x in zip(ep_ids, attrs) if type(x) is not dict or (fault := _attrs_fault([x]))]
-    outcomes = [n.outcome for n in nodes]
-    if not (set(map(type, outcomes)) <= {str} and set(outcomes) <= set(OUTCOMES)):
-        v += [f"episodic {i}: bad outcome {o!r}"
-              for i, o in zip(ep_ids, outcomes) if type(o) is not str or o not in OUTCOMES]
-    own = set(map(id, entries))
-    if not own.issuperset(map(id, map(attrgetter("text"), nodes))):
-        v += [f"episodic {i}: text is not the store's entry for its text"
-              for i, n in zip(ep_ids, nodes) if id(n.text) not in own]
-    listed = list(chain.from_iterable(episodes))
-    if set(map(type, listed)) <= {int} and sorted(listed) == ep_ids:  # each episode listed once
-        lens = np.fromiter(map(len, episodes), np.intp, len(episodes))
-        owners = map(metas.__getitem__, np.repeat(np.arange(len(lens)), lens).tolist())  # their listers
-        if all(map(is_, map(attrgetter("obs"), map(store.episodic.__getitem__, listed)), owners)):
-            return v
-    else:
-        listings = Counter(e for e in listed if type(e) is int)
-        v += [f"episodic {i}: listed {listings[i]} times by observations, not once"
-              for i in ep_ids if listings[i] != 1]
-    for obs_id, meta in zip(obs_ids, metas):
-        for ep_id in meta.episodes:
-            node = store.episodic.get(ep_id) if type(ep_id) is int else None
-            if node is None:
-                v.append(f"observation {obs_id}: missing episode {ep_id!r}")
-            elif node.obs is not meta:
-                v.append(f"observation {obs_id}: episode {ep_id} does not hold it as its observation")
     return v
 
 
@@ -632,24 +628,24 @@ def snapshot_dict(store: MemoryStore) -> dict:
         "version": SNAPSHOT_VERSION,
         "embedder": embedder_identity(store.embedder),
         "config": store.config.to_dict(),
-        "counters": {"node": store.next_node_id, "anchor": store.next_anchor_id,
-                     "logic": store.next_logic_id},
+        "counters": {"node": store._next_node_id, "anchor": store._next_anchor_id,
+                     "logic": store._next_logic_id},
         "anchors": [
             {"id": a.id, "label": a.label, "face_count": a.face_count, "voice_count": a.voice_count,
              "face": None if a.centroid_face is None else _vec(a.centroid_face),
              "voice": None if a.centroid_voice is None else _vec(a.centroid_voice)}
-            for _, a in sorted(store.anchors.items())
+            for _, a in sorted(store._anchors.items())
         ],
         "episodic": episodic,
         "semantic": [{"id": n.id, "type": n.type, "attrs": n.attrs, "anchors": sorted(n.anchors),
-                      "weight": n.weight} for _, n in sorted(store.semantic.items())],
+                      "weight": n.weight} for _, n in sorted(store._semantic.items())],
         "logic": [
             {"id": n.id, "c": n.c, "score": n.score, "steps": list(n.steps),
              "episodic_links": _runs(_gaps(sorted(n.episodic_links))),
              "i_goal": _vec(n.i_goal), "i_step": _vec(n.i_step), "dag": _dag_rows(n.dag)}
-            for _, n in sorted(store.logic.items())
+            for _, n in sorted(store._logic.items())
         ],
-        "pool": list(store.pool),
+        "pool": list(store._pool),
         "observations": observations,
     }
 
@@ -658,9 +654,9 @@ def _columns(store: MemoryStore) -> tuple:
     """The observations, in id order, and their episodes, in order, as version 8 columns, with
     the tables of each distinct video, text, anchor set and attrs object of distinct canonical
     JSON, in order of first use; every column but ``_PLAIN_COLUMNS`` as ``_runs``."""
-    obs_ids = sorted(store.observations)
-    metas = list(map(store.observations.__getitem__, obs_ids))
-    nodes = list(map(store.episodic.__getitem__, chain.from_iterable(m.episodes for m in metas)))
+    obs_ids = sorted(store._observations)
+    metas = list(map(store._observations.__getitem__, obs_ids))
+    nodes = list(map(store._episodic.__getitem__, chain.from_iterable(m.episodes for m in metas)))
     videos, texts, anchors, attrs = {}, {}, {}, {}  # attrs: canonical JSON -> (index, attrs)
     by_repr: dict = {}  # equal reprs are equal JSON, and a repr is the cheaper key
     attrs_at = []
@@ -709,6 +705,16 @@ def _refuse_unless_first_uses(indexes, keys: list, what: str) -> None:
         raise CorruptSnapshot(f"{what} table is not each distinct entry once, in order of first use")
 
 
+def _built(cls, n: int, **columns) -> list:
+    """``n`` instances of the slotted dataclass ``cls``, whose fields ``columns`` gives a column each,
+    set a column at a time through each slot's member descriptor: no ``__init__`` call per instance,
+    whose frozen ``__setattr__`` calls cost about four times as much."""
+    built = list(map(object.__new__, repeat(cls, n)))
+    for name, column in columns.items():
+        deque(map(getattr(cls, name).__set__, built, column), maxlen=0)
+    return built
+
+
 def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> None:
     """Build the observations and their episodic nodes from version 8 columns, each table entry
     once (a video, a text's entry with its vector and action, an anchor set, an attrs object), and
@@ -744,21 +750,22 @@ def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> N
     _refuse_unless_first_uses(anchors_at, list(map(tuple, anchor_sets)), "episodic anchors")
     _refuse_unless_first_uses(attrs_at, [json.dumps(a, sort_keys=True, allow_nan=False)  # no NaN
                                          for a in attrs], "episodic attrs")
-    intern = store.interned.setdefault  # store.intern, without a call per entry
+    intern = store._interned.setdefault  # store.intern, without a call per entry
     videos = [intern(video, video) for video in videos]
     anchor_sets = [intern(a := frozenset(ids), a) for ids in anchor_sets]
     entries, attrs = [store.text_entry(d) for d in texts], [store.own_attrs(a) for a in attrs]
-    metas = [ObservationMeta(videos[at], ep_ids[end - n:end], t)
-             for at, t, n, end in zip(video_at, ts, counts, accumulate(counts))]
-    _increasing([m.episodes for m in metas], "the episode ids of an observation")
-    store.observations = dict(zip(obs_ids, metas))
-    nodes = dict(zip(ep_ids, map(  # fields in declaration order
-        EpisodicNode, ep_ids, map(entries.__getitem__, text_at),
-        chain.from_iterable(map(repeat, metas, counts)), map(anchor_sets.__getitem__, anchors_at),
-        map(OUTCOMES.__getitem__, outcomes), map(dict, map(attrs.__getitem__, attrs_at)))))
+    spans = [ep_ids[end - n:end] for n, end in zip(counts, accumulate(counts))]
+    _increasing(spans, "the episode ids of an observation")
+    metas = _built(ObservationMeta, len(obs_ids), video=map(videos.__getitem__, video_at),
+                   episodes=map(tuple, spans), t=ts)
+    store._observations.update(zip(obs_ids, metas))
+    nodes = dict(zip(ep_ids, _built(
+        EpisodicNode, len(ep_ids), id=ep_ids, text=map(entries.__getitem__, text_at),
+        obs=chain.from_iterable(map(repeat, metas, counts)), anchors=map(anchor_sets.__getitem__, anchors_at),
+        outcome=map(OUTCOMES.__getitem__, outcomes), attrs=map(dict, map(attrs.__getitem__, attrs_at)))))
     if len(nodes) != len(ep_ids):
         raise CorruptSnapshot("an episode is listed by two observations")
-    store.episodic = Layer(zip(order := sorted(nodes), map(nodes.__getitem__, order)))  # in id order
+    store._episodic.update(zip(order := sorted(nodes), map(nodes.__getitem__, order)))  # in id order
 
 
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
@@ -793,7 +800,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             for entry in data[section]:
                 _keyed(entry, kind)
         counters = _keyed(data["counters"], "counters")
-        store.next_node_id, store.next_anchor_id, store.next_logic_id = (
+        store._next_node_id, store._next_anchor_id, store._next_logic_id = (
             counters["node"], counters["anchor"], counters["logic"])
         for section in ("anchors", "semantic", "logic"):
             _increasing([[entry["id"] for entry in data[section]]], f"{section} ids")
@@ -801,17 +808,16 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             face, voice = (None if a[kind] is None else
                            _vec_from(a[kind], config.dim, f"anchor {a['id']} {kind}")
                            for kind in ("face", "voice"))
-            store.anchors[a["id"]] = EntityAnchor(a["id"], a["label"], face, voice,
-                                                  a["face_count"], a["voice_count"])
-        store.centroid_rows = Rows(store.anchors, "centroid_", PERCEPT_KINDS, config.dim)
+            store._anchors[a["id"]] = EntityAnchor(a["id"], a["label"], face, voice,
+                                                   a["face_count"], a["voice_count"])
         _add_observations(store, _keyed(data["episodic"], "episodic"),
                           _keyed(data["observations"], "observations"))
         _increasing([s["anchors"] for s in data["semantic"]], "semantic anchors")
         for s in data["semantic"]:
             v_s = store.embed(s["attrs"]) if type(s["attrs"]) is str else None  # check_store reports it
-            store.semantic[s["id"]] = SemanticNode(s["id"], s["type"], s["attrs"], v_s,
-                                                   store.intern(frozenset(s["anchors"])), s["weight"])
-        episodic = store.episodic
+            store._semantic[s["id"]] = SemanticNode(s["id"], s["type"], s["attrs"], v_s,
+                                                    store.intern(frozenset(s["anchors"])), s["weight"])
+        episodic = store._episodic
         for l in data["logic"]:
             what = f"logic {l['id']} episodic links"
             try:  # each link its node's id, as ingest links it
@@ -828,16 +834,18 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 score=l["score"],
                 steps=tuple(l["steps"]),
             )
-            store.logic[node.id] = node
-        store.pool = list(data["pool"])  # check_store reports an entry that is no observation's id
-        violations = check_store(store, derived=False)  # derived above, and the clock below
+            store._logic[node.id] = node
+        store._pool = tuple(data["pool"])  # check_store reports an entry that is no observation's id
+        store._build_kept()
+        violations = check_store(store, derived=False)  # derived above
     except ConfigError as exc:
         raise CorruptSnapshot(f"snapshot config invalid: {exc}") from None
     except (KeyError, TypeError, ValueError, DimensionMismatch, MissingEdge) as exc:
         raise CorruptSnapshot(f"snapshot structure invalid: {exc!r}") from None
     if violations:
         raise CorruptSnapshot(violations[0])
-    for meta in store.observations.values():  # each video's latest, by t: the last of equal ones
-        if (last := store.video_clock.get(meta.video)) is None or last.t <= meta.t:
-            store.video_clock[meta.video] = meta
+    clock = store._video_clock
+    for meta in store._observations.values():  # each video's latest, by t: the last of equal ones
+        if (last := clock.get(meta.video)) is None or last.t <= meta.t:
+            clock[meta.video] = meta
     return store

@@ -20,7 +20,6 @@ from .dag import (
     success_rate,
     transition_prob,
 )
-from .distill import logic_rows
 from .errors import InvalidDag, NoMatch, UnknownAnchor
 
 
@@ -43,15 +42,15 @@ class ProcedureEvidence:
 def _resolve_goal_node(store, goal: str):
     """Logic node with max cosine(embed(goal), i_goal); lowest id on ties."""
     goal_vec = store.embed(goal)
-    if not store.logic:
+    if not store._logic:
         raise NoMatch("logic layer is empty")
-    rows = logic_rows(store).blocks["goal"]
+    rows = store._logic_rows["goal"]
     sims = cosine(goal_vec, rows)
     best = sims.argmax()
     sim = float(sims[best])
     if sim < store.config.theta_retrieve:
         raise NoMatch(f"best goal similarity {sim:.6f} below threshold")
-    return store.logic[rows.ids[best]], sim
+    return store._logic[rows.ids[best]], sim
 
 
 def constrained_paths(dag: ProceduralDag, constraint: Constraint | None,
@@ -86,7 +85,7 @@ def get_procedure_with_evidence(store, goal: str) -> ProcedureEvidence:
     store.retrieval_calls += 1
     node, sim = _resolve_goal_node(store, goal)
     evidence = sorted(
-        map(store.episodic.__getitem__, node.episodic_links), key=lambda e: (e.t, e.id)
+        map(store._episodic.__getitem__, node.episodic_links), key=lambda e: (e.t, e.id)
     )
     return ProcedureEvidence(node.id, node.c, sim, node.dag.copy(), evidence)
 
@@ -102,16 +101,13 @@ def query_step_sequence(store, goal: str, constraint: Constraint | None = None):
 
 
 def _character_nodes(store, person: int):
-    if person not in store.anchors:
+    if person not in store._anchors:
         raise UnknownAnchor(f"no anchor {person}")
     linked = {
-        ep_id for ep_id, node in store.episodic.items() if person in node.anchors
+        ep_id for ep_id, node in store._episodic.items() if person in node.anchors
     }
-    return [
-        store.logic[logic_id]
-        for logic_id in sorted(store.logic)
-        if store.logic[logic_id].episodic_links & linked
-    ]
+    logic = store._logic
+    return [logic[logic_id] for logic_id in sorted(logic) if logic[logic_id].episodic_links & linked]
 
 
 def aggregate_character_behaviors(store, person: int):

@@ -55,6 +55,28 @@ def bench_gen():
         sys.path.remove(bench)
 
 
+DROP = object()  # see plant
+
+
+def plant(store: MemoryStore, **state) -> None:
+    """Put in a live store what no engine call and no file would: each keyword names a private
+    field (``episodic`` for ``store._episodic``, ``next_node_id`` for ``store._next_node_id``); a
+    dict value updates that dict, a key whose value is ``DROP`` leaving it (a new key goes last, so
+    plant ids in ascending order), and any other value replaces the field. The store then builds
+    its kept state again (``_build_kept``), as a load does."""
+    for name, value in state.items():
+        if type(value) is dict:
+            held = getattr(store, "_" + name)
+            for key, item in value.items():
+                if item is DROP:
+                    del held[key]
+                else:
+                    held[key] = item
+        else:
+            setattr(store, "_" + name, value)
+    store._build_kept()
+
+
 def one_hot(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim)
     v[index] = 1.0

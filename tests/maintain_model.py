@@ -104,7 +104,7 @@ class MaintenanceModel:
             got, want = _node_state(store.logic[i]), self.logic[i]
             found += [(f"logic {i} {key}", got[key], want[key])
                       for key in want if got[key] != want[key]]
-        if store.pool != self.pool:
+        if list(store.pool) != self.pool:
             found.append(("pool", list(store.pool), self.pool))
         return found
 

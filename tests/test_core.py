@@ -10,7 +10,6 @@ from memstrata.core import (
     DEFAULT_LAYER_WEIGHTS,
     MAX_DIM,
     HashingEmbedder,
-    Layer,
     RowBlock,
     dump_config,
     fnv1a64,
@@ -263,88 +262,6 @@ def test_row_block_rows_stay_put():
     assert [len(c) for c in block.chunks()] == [COSINE_BLOCK, COSINE_BLOCK, 10]
     first += 1.0  # a view: the row sees the write, however many chunks came after
     assert block.chunks()[0][0].tolist() == [2.0, 3.0, 4.0]
-
-
-# Every name that dict defines, as a write of a layer's membership or a read, each with a
-# call that makes it on a layer of {1: "a", 2: "b"}; and the names that are no method of one.
-LAYER_WRITES = {
-    "__init__": lambda layer: layer.__init__({3: "c"}),
-    "__setitem__": lambda layer: layer.__setitem__(1, "z"),
-    "__delitem__": lambda layer: layer.__delitem__(1),
-    "__ior__": lambda layer: layer.__ior__({3: "c"}),
-    "clear": lambda layer: layer.clear(),
-    "pop": lambda layer: layer.pop(1),
-    "popitem": lambda layer: layer.popitem(),
-    "setdefault": lambda layer: layer.setdefault(3, "c"),
-    "update": lambda layer: layer.update(c=3),
-}
-LAYER_READS = {
-    "__contains__": lambda layer: 1 in layer,
-    "__getitem__": lambda layer: layer[1],
-    "__iter__": lambda layer: list(layer),
-    "__reversed__": lambda layer: list(reversed(layer)),
-    "__len__": lambda layer: len(layer),
-    "__or__": lambda layer: layer | {3: "c"},
-    "__ror__": lambda layer: {3: "c"} | layer,
-    "__repr__": repr,
-    "__sizeof__": lambda layer: layer.__sizeof__(),
-    "__getattribute__": lambda layer: layer.__getattribute__("keys"),
-    "__class_getitem__": lambda layer: type(layer)[int, str],
-    "copy": lambda layer: layer.copy(),
-    "fromkeys": lambda layer: layer.fromkeys([5]),
-    "get": lambda layer: layer.get(1),
-    "items": lambda layer: list(layer.items()),
-    "keys": lambda layer: list(layer.keys()),
-    "values": lambda layer: list(layer.values()),
-    **{name: (lambda name: lambda layer: getattr(layer, name)({1: "a"}))(name)
-       for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__")},
-}
-NOT_LAYER_METHODS = {"__doc__", "__hash__", "__new__"}  # text, None, and what makes another object
-
-
-def test_every_name_of_dict_is_a_read_or_a_write_of_a_layer():
-    # A Python whose dict gains a method fails here, until the method is classified
-    # (and, if it writes, drawn a version in core.Layer).
-    assert set(vars(dict)) == LAYER_WRITES.keys() | LAYER_READS.keys() | NOT_LAYER_METHODS
-    assert not LAYER_WRITES.keys() & LAYER_READS.keys()
-    assert LAYER_WRITES.keys() <= vars(Layer).keys()
-
-
-@pytest.mark.parametrize("name", sorted(LAYER_WRITES))
-def test_every_write_of_a_layer_moves_its_version(name):
-    layer = Layer({1: "a", 2: "b"})
-    before = layer.version
-    LAYER_WRITES[name](layer)
-    assert layer.version != before
-
-
-@pytest.mark.parametrize("name", sorted(LAYER_READS))
-def test_no_read_of_a_layer_moves_its_version(name):
-    layer = Layer({1: "a", 2: "b"})
-    before = layer.version
-    LAYER_READS[name](layer)
-    assert layer.version == before and layer == {1: "a", 2: "b"}
-
-
-@pytest.mark.parametrize("name", ["__init__", "update"])
-def test_a_write_that_raises_midway_moves_the_version(name):
-    layer = Layer({1: "a"})
-    before = layer.version
-    with pytest.raises(ValueError):
-        getattr(layer, name)([(2, "b"), (3,)])  # writes 2, then refuses (3,)
-    assert layer == {1: "a", 2: "b"} and layer.version != before
-
-
-def test_no_two_layers_share_a_version_a_copy_included():
-    import copy
-    import pickle
-
-    built = [Layer({1: "a"}), Layer({1: "a"}), Layer(), Layer()]
-    copies = [f(layer) for layer in built for f in (copy.copy, copy.deepcopy,
-                                                    lambda x: pickle.loads(pickle.dumps(x)))]
-    assert copies == [layer for layer in built for _ in range(3)]
-    assert {type(c) for c in copies} == {Layer}
-    assert len({layer.version for layer in built + copies}) == len(built + copies)
 
 
 def test_cosine_rows_form_dimension_mismatch():

@@ -28,7 +28,7 @@ from memstrata.dag import GOAL, START
 from memstrata.core import tokenize
 from memstrata.distill import _STOPWORDS, _covered_by_existing, closed_patterns, distill
 from memstrata.store import snapshot_dict
-from conftest import fruit_salad_store, ladder_dag, random_corpus, simple_chain_store
+from conftest import fruit_salad_store, ladder_dag, plant, random_corpus, simple_chain_store
 from distill_model import every_distinct_step_pattern, reference_distill
 from test_symbolic import brute_force_paths, random_dag
 
@@ -467,7 +467,7 @@ def test_covered_by_existing_matches_path_enumeration_oracle():
     for _ in range(300):
         dags = [random_dag(rng) for _ in range(rng.randint(1, 2))]
         assert all(check_valid(dag) == [] for dag in dags)
-        store = SimpleNamespace(logic={i: SimpleNamespace(dag=d) for i, d in enumerate(dags)},
+        store = SimpleNamespace(_logic={i: SimpleNamespace(dag=d) for i, d in enumerate(dags)},
                                 config=Config())
         inner = [p[1:-1] for dag in dags for p in brute_force_paths(dag)]
         labels = sorted({label for dag in dags for label in dag.step_labels()})
@@ -485,8 +485,8 @@ def test_covered_by_existing_matches_path_enumeration_oracle():
 def _ladder_store(texts):
     store = MemoryStore(Config(dim=128, action_verbs=("nonexistentverb",), max_paths=4))
     v = store.embed("ladder")
-    store.logic[1] = LogicNode(id=1, c="ladder", i_goal=v, i_step=v.copy(), dag=ladder_dag(3))
-    store.next_logic_id = 2
+    plant(store, logic={1: LogicNode(id=1, c="ladder", i_goal=v, i_step=v.copy(), dag=ladder_dag(3))},
+          next_logic_id=2)
     rid = 0
     for video in ("s1", "s2"):
         for ti, text in enumerate(texts):

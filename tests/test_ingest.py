@@ -4,7 +4,6 @@ import json
 import math
 import random
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from memstrata import (
 from memstrata.core import COSINE_BLOCK
 from memstrata.ingest import MAX_ATTRS_VALUES, EntityAnchor, _attrs_fault, _number_vector
 from memstrata.store import snapshot_dict
-from conftest import bench_gen, fruit_salad_store, one_hot
+from conftest import bench_gen, fruit_salad_store, one_hot, plant
 
 ingest = importlib.import_module("memstrata.ingest")
 
@@ -131,7 +130,7 @@ def _snapshot_bytes(store):
 def test_clone_is_independent_of_the_original():
     records = _percept_records(1, 900, people=400)
     store = _built(records[:600])
-    assert len(store.centroid_rows.blocks["face"].ids) > COSINE_BLOCK  # more than one chunk
+    assert len(store._centroid_rows["face"].ids) > COSINE_BLOCK  # more than one chunk
     before = _snapshot_bytes(store)
     centroids = {i: (a.centroid_face.copy() if a.centroid_face is not None else None,
                      a.centroid_voice.copy() if a.centroid_voice is not None else None)
@@ -169,19 +168,19 @@ def test_resume_from_a_snapshot_equals_an_uninterrupted_build(tmp_path):
 def test_check_reports_a_centroid_that_is_not_its_row():
     store = _built(_percept_records(3, 60))
     assert store.check() == []
-    faced = store.centroid_rows.blocks["face"].ids[1]
+    faced = store._centroid_rows["face"].ids[1]
     anchor = store.anchors[faced]
     anchor.centroid_face = anchor.centroid_face.copy()  # equal values, not the row
     assert store.check() == [f"anchor {faced}: face centroid is not its row of the face rows"]
 
     store = _built(_percept_records(3, 60))
-    rows = store.centroid_rows.blocks["face"].rows
+    rows = store._centroid_rows["face"].rows
     rows[0], rows[1] = rows[1], rows[0]  # each anchor's view sits at the other's row
     assert store.check() == [f"anchor {i}: face centroid is not its row of the face rows"
-                             for i in store.centroid_rows.blocks["face"].ids[:2]]
+                             for i in store._centroid_rows["face"].ids[:2]]
 
     store = _built(_percept_records(3, 60))
-    voiced = store.centroid_rows.blocks["voice"].ids[0]
+    voiced = store._centroid_rows["voice"].ids[0]
     store.anchors[voiced].centroid_voice = None
     store.anchors[voiced].centroid_face = one_hot(0, 16)
     store.anchors[voiced].face_count, store.anchors[voiced].voice_count = 1, 0  # counts that fit
@@ -190,19 +189,19 @@ def test_check_reports_a_centroid_that_is_not_its_row():
         f"voice centroid rows of anchors without a voice centroid: [{voiced}]"]
 
 
-def test_anchors_inserted_by_a_caller_join_the_rows_at_the_next_percept():
+def test_planted_anchors_are_rows_that_the_next_percept_scans():
     store = small_store()
-    store.anchors[1] = EntityAnchor(1, "jack", centroid_face=one_hot(0, 16), face_count=1)
-    store.next_anchor_id = 2
-    assert store.check() == ["anchor 1: face centroid is not its row of the face rows"]
+    plant(store, anchors={1: EntityAnchor(1, "jack", centroid_face=one_hot(0, 16), face_count=1)},
+          next_anchor_id=2)
+    assert store.check() == []
     assert resolve_anchor(store, Percept("face", one_hot(0, 16), "jack")) == 1
     assert store.check() == []
-    # once more, now that the rows exist
-    store.anchors[2] = EntityAnchor(2, "tom", centroid_face=one_hot(1, 16), face_count=1)
-    store.next_anchor_id = 3
+    # once more, now that the rows hold a row
+    plant(store, anchors={2: EntityAnchor(2, "tom", centroid_face=one_hot(1, 16), face_count=1)},
+          next_anchor_id=3)
     assert resolve_anchor(store, Percept("face", one_hot(1, 16), "tom")) == 2
     assert store.check() == []
-    face = store.centroid_rows.blocks["face"]
+    face = store._centroid_rows["face"]
     assert face.ids == [1, 2]
     assert all(store.anchors[i].centroid_face is row for i, row in zip(face.ids, face.rows))
 
@@ -221,7 +220,7 @@ def test_a_clone_and_a_load_of_two_chunks_ingest_on_alike(tmp_path, seed):
     for rec in records[380:]:
         loaded.ingest(rec)
         twin.ingest(rec)
-    assert len(loaded.centroid_rows.blocks["face"].ids) > COSINE_BLOCK
+    assert len(loaded._centroid_rows["face"].ids) > COSINE_BLOCK
     assert loaded.check() == [] and twin.check() == []
     assert _snapshot_bytes(loaded) == _snapshot_bytes(twin) == _snapshot_bytes(_built(records))
 
@@ -327,18 +326,6 @@ def test_nodes_with_equal_text_share_one_vector(tmp_path):
     _vector_per_text(twin)
     assert _vector_per_text(store).keys() == built.keys()
     assert store.check() == [] and loaded.check() == [] and twin.check() == []
-
-
-def test_check_reports_a_vector_that_is_not_its_texts():
-    store = fruit_salad_store(dim=64)
-    assert store.check() == []
-    first, repeat = [i for i, n in sorted(store.episodic.items()) if n.d == "@jack chop the fruit"][:2]
-    d, v_e, action = store.episodic[first].text
-    # equal values, not the store's entry; then a text the store holds no entry for
-    store.episodic[repeat] = replace(store.episodic[repeat], text=(d, v_e.copy(), action))
-    store.episodic[first] = replace(store.episodic[first], text=(d + "s", v_e, action))
-    assert store.check() == [f"episodic {i}: text is not the store's entry for its text"
-                             for i in (first, repeat)]
 
 
 # -- semantic consolidation ---------------------------------------------------

@@ -3,19 +3,18 @@
 The store keeps, without storing them, the anchor centroid rows, postings
 from each anchor to the semantic nodes that hold it, postings from each
 action to its episodic nodes, and the logic index rows that each node's
-``i_goal``/``i_step`` views. Hypothesis draws sequences of ingest, apply,
-distill, auto_fuse, fuse, save/load, clone, hand-inserted episodic, semantic
-and logic nodes, a node replaced under its id on each of the four layers, a
-semantic or a logic node deleted and another inserted (which keeps the
-count), and a caller's write through a logic node's ``i_goal`` or ``i_step``
-view. After every step, the anchor scan, ``consolidate_semantic``'s
+``i_goal``/``i_step`` views. Only the engine writes a store, so Hypothesis
+draws sequences of its writes: ingest, apply, distill, auto_fuse, fuse,
+save/load, clone, and a caller's write through a logic node's ``i_goal`` or
+``i_step`` view. After every step, the anchor scan, ``consolidate_semantic``'s
 candidates, the evidence lists ``distill`` reads, and the answers of
 ``match_logic``, retrieve's logic layer and ``_resolve_goal_node`` must
 equal a brute-force recomputation from the nodes alone, ids and score bits
-included.
+included. Every other write a caller could make raises.
 """
 
 import importlib
+import operator
 import os
 import random
 from dataclasses import fields, replace
@@ -39,19 +38,18 @@ from memstrata import (
     cosine,
     fuse_logic_nodes,
 )
-from memstrata.core import current
 from memstrata.distill import LogicNode
 from memstrata.ingest import (
-    EntityAnchor,
     EpisodicNode,
+    ObservationMeta,
     SemanticNode,
-    action_postings,
     consolidate_semantic,
     resolve_anchor,
     semantic_candidates,
 )
 from memstrata.retrieve import make_query
-from conftest import one_hot
+from memstrata.store import snapshot_dict
+from conftest import one_hot, plant
 
 maintain = importlib.import_module("memstrata.maintain")
 retrieve = importlib.import_module("memstrata.retrieve")
@@ -67,8 +65,7 @@ PROBES = ("chop the fruit", "serve salad", "mix bowl wash", "walk", "")
 CONFIG = dict(dim=DIM, action_verbs=VERBS, pool_trigger=3, tau_pos=0.9, tau_neg=0.6,
               theta_retrieve=0.1, tau_align=0.6)
 
-OPS = ("ingest", "ingest", "apply", "apply", "distill", "auto_fuse", "fuse", "reload", "clone",
-       "episodic", "semantic", "logic", "assign", "replace", "swap", "swap_logic")
+OPS = ("ingest", "ingest", "apply", "apply", "distill", "auto_fuse", "fuse", "reload", "clone", "assign")
 LAYERS = ("anchors", "episodic", "semantic", "logic")
 ops = st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**32 - 1)), max_size=25)
 
@@ -111,72 +108,18 @@ def _step(store, op, rng, records, path):
         return MemoryStore.load(path)
     elif op == "clone":
         return store.clone()
-    elif op == "episodic" and store.observations:
-        meta = store.observations[rng.choice(sorted(store.observations))]
-        node_id = store.next_node_id
-        store.next_node_id += 1
-        store.episodic[node_id] = EpisodicNode(node_id, store.text_entry(rng.choice(LINES)), meta)
-        meta.episodes.append(node_id)
-    elif op == "semantic":
-        _insert_semantic(store, rng)
-    elif op == "logic" and store.episodic:
-        _insert_logic(store, rng)
     elif op == "assign" and store.logic:  # a write through the view, as ema_update's
         node = store.logic[rng.choice(sorted(store.logic))]
         getattr(node, rng.choice(("i_goal", "i_step")))[...] = store.embed(rng.choice(PROBES))
-    elif op == "replace":
-        for layer in LAYERS:
-            _replace(store, rng, layer)
-    elif op == "swap" and store.semantic:
-        del store.semantic[rng.choice(sorted(store.semantic))]
-        _insert_semantic(store, rng)
-    elif op == "swap_logic" and store.logic:
-        del store.logic[rng.choice(sorted(store.logic))]
-        _insert_logic(store, rng)
     return store
-
-
-def _anchor_set(store, rng) -> frozenset:
-    ids = rng.sample(sorted(store.anchors), min(len(store.anchors), rng.randint(0, 2)))
-    return store.intern(frozenset(ids))
-
-
-def _insert_semantic(store, rng):
-    text = rng.choice(FACTS)
-    node_id = store.next_node_id
-    store.next_node_id += 1
-    store.semantic[node_id] = SemanticNode(node_id, "knowledge", text, store.embed(text),
-                                           _anchor_set(store, rng))
 
 
 def _insert_logic(store, rng):
     goal, step = rng.choice(PROBES), rng.choice(LINES)
     logic_id = store.next_logic_id
-    store.next_logic_id += 1
-    store.logic[logic_id] = LogicNode(
+    plant(store, next_logic_id=logic_id + 1, logic={logic_id: LogicNode(
         logic_id, goal, store.embed(goal), store.embed(step), ProceduralDag.single_path(["wash_bowl"]),
-        {rng.choice(sorted(store.episodic))}, 0.5, ("wash_bowl",))
-
-
-def _replace(store, rng, layer):
-    """Put a new node under an existing id of ``layer``: another text, anchor set,
-    centroid or pair of index vectors, the rest as it was."""
-    nodes = getattr(store, layer)
-    if not nodes:
-        return
-    i = rng.choice(sorted(nodes))
-    old = nodes[i]
-    if layer == "anchors":
-        face = None if old.centroid_face is None else one_hot(rng.randrange(DIM), DIM)
-        nodes[i] = EntityAnchor(i, old.label, face, old.centroid_voice, old.face_count, old.voice_count)
-    elif layer == "episodic":
-        nodes[i] = EpisodicNode(i, store.text_entry(rng.choice(LINES)), old.obs, old.anchors,
-                                old.outcome, old.attrs)
-    elif layer == "semantic":
-        nodes[i] = SemanticNode(i, old.type, old.attrs, old.v_s, _anchor_set(store, rng), old.weight)
-    else:
-        nodes[i] = LogicNode(i, old.c, store.embed(rng.choice(PROBES)), store.embed(rng.choice(LINES)),
-                             old.dag, old.episodic_links, old.score, old.steps)
+        {rng.choice(sorted(store.episodic))}, 0.5, ("wash_bowl",))})
 
 
 def _first_best(scores: dict):
@@ -188,14 +131,13 @@ def _first_best(scores: dict):
 
 
 def _check_kept_state(store):
-    if current(store.centroid_rows, store.anchors):  # else resolve_anchor builds them again
-        rows = store.centroid_rows.blocks["face"]
-        faced = {i: a.centroid_face for i, a in store.anchors.items() if a.centroid_face is not None}
-        for j in range(DIM):
-            v = one_hot(j, DIM)
-            sims = cosine(v, rows)
-            got = (rows.ids[sims.argmax()], float(sims.max())) if rows.ids else None
-            assert got == _first_best({i: cosine(v, c) for i, c in faced.items()}), j
+    rows = store._centroid_rows["face"]
+    faced = {i: a.centroid_face for i, a in store.anchors.items() if a.centroid_face is not None}
+    for j in range(DIM):
+        v = one_hot(j, DIM)
+        sims = cosine(v, rows)
+        got = (rows.ids[sims.argmax()], float(sims.max())) if rows.ids else None
+        assert got == _first_best({i: cosine(v, c) for i, c in faced.items()}), j
 
     semantic = store.semantic
     anchor_sets = {frozenset(), *map(frozenset, ([a] for a in store.anchors)),
@@ -207,7 +149,7 @@ def _check_kept_state(store):
     want = {}
     for i in sorted(store.episodic):
         want.setdefault(store.episodic[i].action, []).append(i)
-    got = {action: list(ids) for action, ids in action_postings(store).lists.items() if ids}
+    got = {action: list(ids) for action, ids in store._action_postings.items() if ids}
     assert got == want
 
     cfg, logic = store.config, store.logic
@@ -256,38 +198,37 @@ def test_kept_postings_and_logic_rows_describe_the_nodes(tmp_path_factory, seque
         _check_kept_state(store)
 
 
-def test_a_swap_that_keeps_the_count_is_followed_live_cloned_and_loaded(tmp_path):
-    # Semantic node 2 (anchor 1) goes and node 5 (anchor 2) comes: the layer holds
-    # two nodes before and after, so only its version tells the postings apart.
+def test_a_prune_and_an_insert_that_keep_the_count_are_followed_live_cloned_and_loaded(tmp_path):
+    # One consolidate prunes semantic node 2 (anchor 1) and creates node 5 (anchor 1): the layer
+    # holds two nodes before and after, and the postings follow both writes.
     store = MemoryStore(Config(dim=16))
     for rid, person, fact in ((1, "a", "@a is tall"), (2, "b", "@b is short")):
         store.ingest(ObservationRecord(rid, "v", float(rid), [Description("walk home")],
                                        [Conclusion("knowledge", fact)],
                                        [Percept("face", one_hot(rid, 16), person)]))
     assert {i: set(n.anchors) for i, n in store.semantic.items()} == {2: {1}, 4: {2}}
-    del store.semantic[2]
-    store.semantic[5] = SemanticNode(5, "knowledge", "@b is very tall", store.embed("@b is very tall"),
-                                     store.intern(frozenset({2})))
-    store.next_node_id = 6
+    assert consolidate_semantic(store, "knowledge", "zzz qqq", frozenset({1})) == \
+        [("weakened", 2), ("pruned", 2), ("created", 5)]
     assert store.check() == []
     path = str(tmp_path / "swap.json")
     store.save(path)
     stores = [store, store.clone(), MemoryStore.load(path)]
-    assert [semantic_candidates(s, frozenset({2})) for s in stores] == [[4, 5]] * 3
-    assert [consolidate_semantic(s, "knowledge", "@b is very tall", frozenset({2})) for s in stores] \
+    assert [semantic_candidates(s, frozenset({1})) for s in stores] == [[5]] * 3
+    assert [consolidate_semantic(s, "knowledge", "zzz qqq", frozenset({1})) for s in stores] \
         == [[("reinforced", 5)]] * 3
 
 
 SET_ONCE = ([("config", f.name) for f in fields(Config)] + [("store", "config")]
             + [("layer_weights", "factual"), ("layer_weights", "factual.epi")]
             + [("episodic", f.name) for f in fields(EpisodicNode)]
-            + [("semantic", f.name) for f in fields(SemanticNode)])
+            + [("semantic", f.name) for f in fields(SemanticNode)]
+            + [("observation", f.name) for f in fields(ObservationMeta)])
 
 
 @pytest.mark.parametrize("kind, name", SET_ONCE, ids=[".".join(case) for case in SET_ONCE])
 def test_no_field_of_a_config_an_episode_or_a_semantic_node_can_be_assigned(kind, name):
     # What the kept postings and the text entries' actions read is set once: a store's config is the
-    # one it was built with, and a node changes only by a new node put under its id.
+    # one it was built with, and a node or an observation is the one the engine made.
     store = MemoryStore(Config(dim=16, action_verbs=VERBS))
     store.ingest(ObservationRecord(1, "v", 0.0, [Description("@a chop the fruit", {"tool": "knife"})],
                                    [Conclusion("knowledge", "@a is tall")], [Percept("face", one_hot(1, 16), "a")]))
@@ -300,23 +241,116 @@ def test_no_field_of_a_config_an_episode_or_a_semantic_node_can_be_assigned(kind
                 store.config.layer_weights[qt] = {"epi": 2.0, "sem": 1.0, "logic": 1.0}
     else:
         target = {"config": store.config, "store": store, "episodic": store.episodic[1],
-                  "semantic": store.semantic[2]}[kind]
+                  "semantic": store.semantic[2], "observation": store.observations[1]}[kind]
         with pytest.raises(AttributeError):  # FrozenInstanceError, or a property without a setter
             setattr(target, name, getattr(target, name))
     assert store.config == Config(dim=16, action_verbs=VERBS)
     assert store.check() == []
 
 
+VIEWS = ("anchors", "episodic", "semantic", "logic", "texts", "observations", "video_clock")
+COUNTERS = ("next_node_id", "next_anchor_id", "next_logic_id")
+# Each write a dict takes, made on a view that holds the key k.
+VIEW_WRITES = {
+    "setitem": lambda view, k: operator.setitem(view, k, view[k]),
+    "delitem": lambda view, k: operator.delitem(view, k),
+    "clear": lambda view, k: view.clear(),
+    "pop": lambda view, k: view.pop(k),
+    "popitem": lambda view, k: view.popitem(),
+    "setdefault": lambda view, k: view.setdefault(k, view[k]),
+    "update": lambda view, k: view.update({k: view[k]}),
+}
+
+
+def _on_view(name, write):
+    return lambda store: write(getattr(store, name), next(iter(getattr(store, name))))
+
+
+def _rebind(name, value):
+    return lambda store: setattr(store, name, value(getattr(store, name)))
+
+
+# Each write a caller could make: through a view, rebinding a view, the pool or a counter, and
+# writing the pool, an observation's episodes, the intern table or a kept structure.
+WRITES = {f"{name}.{kind}": _on_view(name, write) for name in VIEWS for kind, write in VIEW_WRITES.items()}
+WRITES.update({f"{name}=": _rebind(name, dict) for name in VIEWS})
+WRITES.update({f"{name}+=1": _rebind(name, lambda c: c + 1) for name in COUNTERS})
+WRITES.update({
+    "pool=": _rebind("pool", lambda pool: [1]),
+    "pool+=": _rebind("pool", lambda pool: pool + type(pool)([1])),
+    "pool.append": lambda store: store.pool.append(1),
+    "observation.episodes.append": lambda store: store.observations[1].episodes.append(99),
+    "interned[]": lambda store: operator.setitem(store.interned, "chop_fruit", "mix_fruit"),
+    "centroid_rows": lambda store: store.centroid_rows.blocks.clear(),
+    "logic_rows": lambda store: store.logic_rows.blocks.clear(),
+    "semantic_postings": lambda store: store.semantic_postings.lists.clear(),
+    "action_postings": lambda store: store.action_postings.lists.clear(),
+})
+
+
+def _full_store():
+    """A store holding something in each view, and every kept structure."""
+    store = MemoryStore(Config(dim=16, action_verbs=VERBS))
+    for rid, video in ((1, "v1"), (2, "v2")):
+        store.ingest(ObservationRecord(rid, video, 0.0, [Description("@a chop the fruit"), Description("mix the fruit")],
+                                       [Conclusion("knowledge", "@a is tall")], [Percept("face", one_hot(1, 16), "a")]))
+    assert store.distill() == [1]
+    store.retrieve("chop the fruit")  # each scan once
+    assert all(getattr(store, name) for name in VIEWS)
+    return store
+
+
+@pytest.mark.parametrize("write", WRITES.values(), ids=WRITES.keys())
+def test_a_callers_write_to_the_store_raises(tmp_path, write):
+    store = _full_store()
+    with pytest.raises((TypeError, AttributeError)):
+        write(store)
+    path = str(tmp_path / "snap.json")
+    store.save(path)
+    assert snapshot_dict(store) == snapshot_dict(_full_store()) == snapshot_dict(MemoryStore.load(path))
+
+
+def _actions(store) -> dict:
+    return {i: n.action for i, n in store.episodic.items()}
+
+
+def test_a_text_entry_of_another_action_cannot_be_planted(tmp_path):
+    # A rewritten text entry, and its episode put back under its id holding it, once left
+    # check() == [] and a store whose reload read another action for that episode.
+    store = MemoryStore(Config(dim=16, action_verbs=VERBS))
+    store.ingest(ObservationRecord(1, "v", 0.0, [Description("chop the fruit"), Description("mix the fruit")], [], []))
+    d, v_e, _ = entry = (*store.texts["chop the fruit"][:2], "mix_fruit")
+    with pytest.raises(TypeError):
+        store.texts[d] = entry
+    with pytest.raises(TypeError):
+        store.episodic[1] = replace(store.episodic[1], text=entry)
+    path = str(tmp_path / "snap.json")
+    store.save(path)
+    assert _actions(store) == _actions(MemoryStore.load(path)) == {1: "chop_fruit", 2: "mix_fruit"}
+
+
+def test_the_intern_table_cannot_be_written(tmp_path):
+    # An intern table entry of another action once gave a live episode that action, check() == [],
+    # and a reload that read the text's own.
+    store = MemoryStore(Config(dim=16, action_verbs=VERBS))
+    with pytest.raises(AttributeError):
+        store.interned["chop_fruit"] = "mix_fruit"
+    store.ingest(ObservationRecord(1, "v", 0.0, [Description("chop the fruit")], [], []))
+    path = str(tmp_path / "snap.json")
+    store.save(path)
+    assert _actions(store) == _actions(MemoryStore.load(path)) == {1: "chop_fruit"}
+
+
 def test_a_semantic_node_replaced_under_its_id_is_followed_and_a_prune_leaves_no_stale_posting():
-    # Node 1 put under its id with anchor 2 for anchor 1: the postings follow it, and the prune
-    # that removes it drops it from the lists of its own anchors, so the next consolidate under
-    # anchor 2 meets no id that the layer no longer holds.
+    # Node 1 planted under its id with anchor 2 for anchor 1: the postings built again follow it,
+    # and the prune that removes it drops it from the lists of its own anchors, so the next
+    # consolidate under anchor 2 meets no id that the layer no longer holds.
     store = MemoryStore(Config(dim=16))
     for i in (1, 2):
         resolve_anchor(store, Percept("face", one_hot(i, 16), f"p{i}"))
     assert consolidate_semantic(store, "trait", "alice is very tall", frozenset({1})) == [("created", 1)]
     assert consolidate_semantic(store, "trait", "bob likes green tea", frozenset({2})) == [("created", 2)]
-    store.semantic[1] = replace(store.semantic[1], anchors=frozenset({2}))
+    plant(store, semantic={1: replace(store.semantic[1], anchors=frozenset({2}))})
     assert store.check() == []
     assert [semantic_candidates(store, frozenset({a})) for a in (1, 2)] == [[], [1, 2]]
     assert consolidate_semantic(store, "trait", "zzz qqq", frozenset({2})) == \
@@ -328,63 +362,31 @@ def test_a_semantic_node_replaced_under_its_id_is_followed_and_a_prune_leaves_no
 
 
 def test_an_episode_replaced_under_its_id_is_followed_by_the_action_postings(tmp_path):
-    # Episode 1 put under its id with another text: distill's evidence lists follow its action,
+    # Episode 1 planted under its id with another text: distill's evidence lists follow its action,
     # and the store saves and loads as it is.
     path = str(tmp_path / "snap.json")
     store = MemoryStore(Config(dim=16, action_verbs=VERBS))
     store.ingest(ObservationRecord(1, "v1", 0.0, [Description("chop the fruit"),
                                                   Description("mix the fruit")], [], []))
-    assert dict(action_postings(store).lists) == {"chop_fruit": [1], "mix_fruit": [2]}
-    store.episodic[1] = replace(store.episodic[1], text=store.text_entry("mix the bowl"))
+    assert dict(store._action_postings) == {"chop_fruit": [1], "mix_fruit": [2]}
+    plant(store, episodic={1: replace(store.episodic[1], text=store.text_entry("mix the bowl"))})
     assert store.check() == []
-    assert {k: v for k, v in action_postings(store).lists.items() if v} == {"mix_bowl": [1], "mix_fruit": [2]}
+    assert {k: v for k, v in store._action_postings.items() if v} == {"mix_bowl": [1], "mix_fruit": [2]}
     store.save(path)
     loaded = MemoryStore.load(path)
     assert [n.action for n in loaded.episodic.values()] == ["mix_bowl", "mix_fruit"]
 
 
-def _built(path):
-    """A store with nodes on every layer, each kept structure built and current."""
+def test_a_vector_assigned_over_its_row_is_reported(tmp_path):
+    path = str(tmp_path / "snap.json")
     store, rng, records = MemoryStore(Config(**CONFIG)), random.Random(3), []
     for _ in range(12):
         _step(store, "ingest", rng, records, path)
-    _step(store, "logic", rng, records, path)
+    _insert_logic(store, rng)
     assert all(getattr(store, name) for name in LAYERS)
     _check_kept_state(store)
-    return store, rng
-
-
-def test_a_vector_assigned_over_its_row_is_reported_while_the_rows_are_current(tmp_path):
-    path = str(tmp_path / "snap.json")
-    store, rng = _built(path)
     node = store.logic[1]
     node.i_goal = node.i_goal.copy()  # equal values, not the row
     assert store.check() == ["logic 1: i_goal is not its row of the goal rows"]
     with pytest.raises(SnapshotIoError, match="i_goal is not its row"):
         store.save(path)
-    _step(store, "swap_logic", rng, [], path)  # the rows are built again at the next use
-    assert store.check() == []
-    _check_kept_state(store)
-    assert store.check() == []
-
-
-@pytest.mark.parametrize("layer", LAYERS)
-def test_a_layer_rebound_to_a_dict_is_reported_and_never_taken_as_fresh(tmp_path, layer):
-    path = str(tmp_path / "snap.json")
-    store, rng = _built(path)
-
-    setattr(store, layer, dict(getattr(store, layer)))
-    kind = "anchor" if layer == "anchors" else layer
-    assert store.check() == [f"{kind} layer is a dict, not a Layer"]
-    with pytest.raises(SnapshotIoError, match=f"{kind} layer is a dict, not a Layer"):
-        store.save(path)
-    _check_kept_state(store)
-    for _ in range(4):  # a dict has no version that a replacement could move
-        _replace(store, rng, layer)
-        _check_kept_state(store)
-        # the anchor scan, through resolve_anchor, which moves the centroid it picks
-        v = one_hot(rng.randrange(DIM), DIM)
-        scores = {i: cosine(v, a.centroid_face) for i, a in store.anchors.items() if a.centroid_face is not None}
-        best = _first_best(scores)
-        want = best[0] if best and best[1] >= store.config.tau_anchor else store.next_anchor_id
-        assert resolve_anchor(store, Percept("face", v, "probe")) == want

@@ -17,7 +17,7 @@ from memstrata import (
     match_logic,
 )
 from memstrata.store import snapshot_dict
-from conftest import fruit_salad_store
+from conftest import fruit_salad_store, plant
 from maintain_model import apply_against_model
 
 MAINT_VERBS = ("chop", "mix", "serve", "wash", "blend")
@@ -61,10 +61,9 @@ def test_match_logic_tie_breaks_low_id():
 
     v = np.zeros(16)
     v[0] = 1.0
-    for logic_id in (1, 2):
-        store.logic[logic_id] = LogicNode(
-            id=logic_id, c="c", i_goal=v.copy(), i_step=v.copy(),
-            dag=ProceduralDag.single_path(["x"]), episodic_links={1}, steps=("x",))
+    plant(store, logic={logic_id: LogicNode(
+        id=logic_id, c="c", i_goal=v.copy(), i_step=v.copy(),
+        dag=ProceduralDag.single_path(["x"]), episodic_links={1}, steps=("x",)) for logic_id in (1, 2)})
     assert match_logic(store, v)[0] == 1
 
 
@@ -214,7 +213,7 @@ def test_a_pooled_record_is_its_observation_id():
     rec = record(101, "w1", 0.0, ["walk around the block"])
     store.ingest(rec)
     assert store.apply(rec).pooled
-    assert store.pool == [rec.id]
+    assert store.pool == (rec.id,)
 
 
 def test_a_record_applied_again_is_pooled_once():
@@ -226,7 +225,7 @@ def test_a_record_applied_again_is_pooled_once():
     reports = [store.apply(rec) for _ in range(3)]
     assert all(r.pooled and not r.distilled for r in reports)
     assert [r.pool_size for r in reports] == [1, 1, 1]
-    assert store.pool == [101] and store.check() == []
+    assert store.pool == (101,) and store.check() == []
 
 
 def test_apply_expands_new_step_and_stays_valid():
@@ -309,7 +308,7 @@ def test_pool_trigger_runs_distillation():
         reports.append(store.apply(rec))
     assert all(r.pooled for r in reports)
     assert reports[-1].distilled  # pool of 3 reached the trigger
-    assert store.pool == []
+    assert store.pool == ()
     new_node = store.logic[reports[-1].distilled[0]]
     assert new_node.steps == ("grab_towel", "wash_window")
 

@@ -37,7 +37,7 @@ from memstrata import (
     read_observation_lines,
 )
 from memstrata import ingest as ingest_module
-from conftest import FRUIT_VERBS, fruit_salad_store, random_corpus
+from conftest import FRUIT_VERBS, fruit_salad_store, plant, random_corpus
 
 DIM = 16
 
@@ -61,7 +61,7 @@ def test_no_engine_dataclass_gives_its_instances_a_dict():
                  if not all("__dict__" not in vars(k).get("__slots__", ("__dict__",))
                             for k in cls.__mro__[:-1])]
     assert with_dict == []
-    node = EpisodicNode(1, ("x", None, None), ObservationMeta("v", [1], 0.0))
+    node = EpisodicNode(1, ("x", None, None), ObservationMeta("v", (1,), 0.0))
     # A frozen slotted dataclass raises TypeError, not AttributeError, on Python 3.11.
     with pytest.raises((AttributeError, TypeError)):
         node.note = "an ad-hoc attribute"
@@ -86,10 +86,35 @@ def test_an_episode_holds_six_slots_and_shares_its_text_entry_and_observation(tm
                    for n in map(built.episodic.get, m.episodes))
 
 
+def test_a_loaded_episode_and_observation_equal_constructed_ones_field_for_field(tmp_path):
+    # A load sets each slot a column at a time, with no __init__: every field is set, each
+    # to what the live store's episode or observation holds, and the object equals one
+    # constructed from its fields.
+    path = str(tmp_path / "snap.json")
+    store = fruit_salad_store(32)
+    store.ingest(ObservationRecord(50, "v9", 4.0, [], [], []))  # an observation of no episode
+    store.save(path)
+    loaded = MemoryStore.load(path)
+    for live, held, cls in ((store.episodic, loaded.episodic, EpisodicNode),
+                            (store.observations, loaded.observations, ObservationMeta)):
+        assert held.keys() == live.keys()
+        for key, obj in held.items():
+            values = [getattr(obj, f.name) for f in dataclasses.fields(cls)]
+            assert type(obj) is cls and obj == cls(*values)
+            assert list(map(type, values)) == [type(getattr(live[key], f.name)) for f in dataclasses.fields(cls)]
+    for node_id, node in loaded.episodic.items():
+        twin = store.episodic[node_id]
+        assert (node.id, node.d, node.action, node.video, node.t, node.anchors, node.outcome, node.attrs) == \
+            (twin.id, twin.d, twin.action, twin.video, twin.t, twin.anchors, twin.outcome, twin.attrs)
+        assert node.v_e.tobytes() == twin.v_e.tobytes()
+    assert {i: (m.video, m.episodes, m.t) for i, m in loaded.observations.items()} == \
+        {i: (m.video, m.episodes, m.t) for i, m in store.observations.items()}
+
+
 def test_anchor_by_label_gives_the_lowest_id_in_any_dict_order():
     store = MemoryStore(Config(dim=DIM))
-    for anchor_id, label in ((5, "jack"), (2, "jack"), (3, "ana")):
-        store.anchors[anchor_id] = EntityAnchor(anchor_id, label)
+    plant(store, anchors={anchor_id: EntityAnchor(anchor_id, label)
+                          for anchor_id, label in ((5, "jack"), (2, "jack"), (3, "ana"))})
     assert [store.anchor_by_label(label) for label in ("jack", "ana", "tom")] == [2, 3, None]
 
 

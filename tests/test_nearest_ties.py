@@ -34,6 +34,7 @@ from memstrata import (
 )
 from memstrata.ingest import EntityAnchor
 from memstrata.retrieve import make_query
+from conftest import plant
 
 ingest = importlib.import_module("memstrata.ingest")
 maintain = importlib.import_module("memstrata.maintain")
@@ -86,7 +87,7 @@ def _logic_stubs(rng, store, n):
             goal, step = twin.i_goal.copy(), twin.i_step.copy()
         else:
             goal, step = store.embed(_text(rng)), store.embed(_text(rng))
-        store.logic[i] = SimpleNamespace(id=i, i_goal=goal, i_step=step)
+        plant(store, logic={i: SimpleNamespace(id=i, i_goal=goal, i_step=step)})
 
 
 def _ingested_store(rng, monkeypatch):
@@ -94,12 +95,12 @@ def _ingested_store(rng, monkeypatch):
     is checked against the brute force as it is made. It starts with
     anchors whose centroids repeat, which ingestion alone rarely makes."""
     store = MemoryStore(Config(**CONFIG))
-    cfg = store.config
+    cfg, anchors = store.config, {}
     for i in range(1, 7):
         kind = rng.choice(("face", "voice"))
-        store.anchors[i] = EntityAnchor(i, rng.choice(("jack", "tom")), **{
+        anchors[i] = EntityAnchor(i, rng.choice(("jack", "tom")), **{
             f"centroid_{kind}": rng.choice(PERCEPTS).copy(), f"{kind}_count": 1})
-    store.next_anchor_id = 7
+    plant(store, anchors=anchors, next_anchor_id=7)
     real_anchor, real_consolidate = ingest.resolve_anchor, ingest.consolidate_semantic
 
     def resolve_anchor(st, percept):

@@ -15,7 +15,7 @@ from memstrata import (
     score_logic,
 )
 from memstrata.errors import InvalidInput
-from conftest import fruit_salad_store, texts_store
+from conftest import fruit_salad_store, plant, texts_store
 
 
 def ready_store():
@@ -129,7 +129,7 @@ def test_retrieve_constraint_boosts_logic_over_tied_episodic():
     store = texts_store(Config(dim=4), {"x": tied.copy()})
     node = LogicNode(id=1, c="g", i_goal=tied.copy(), i_step=tied.copy(),
                      dag=ProceduralDag.single_path(["x"]), episodic_links={1}, steps=("x",))
-    store.logic[1] = node
+    plant(store, logic={1: node}, next_logic_id=2)
 
     q = Query("synthetic", np.array([1.0, 0.0, 0.0, 0.0]), "constraint")
     result = retrieve(store, q, 5)

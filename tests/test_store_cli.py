@@ -28,13 +28,11 @@ from memstrata import (
     Description,
     DimensionMismatch,
     EmbedderMismatch,
-    EpisodicNode,
     HashingEmbedder,
     InvalidInput,
     MalformedRecord,
     MemoryEngineError,
     MemoryStore,
-    ObservationMeta,
     ObservationRecord,
     Percept,
     SnapshotIoError,
@@ -47,7 +45,7 @@ from memstrata.core import dump_config
 from memstrata import store as store_module
 from memstrata.ingest import OUTCOMES
 from memstrata.store import snapshot_dict, store_from_dict
-from conftest import FRUIT_VERBS, MUTATION_VALUES, fruit_salad_store, jsonl_lines, runs
+from conftest import FRUIT_VERBS, MUTATION_VALUES, fruit_salad_store, jsonl_lines, plant, runs
 
 
 def ready_store():
@@ -293,44 +291,6 @@ def test_snapshot_mutation_sweep_raises_only_typed_errors(tmp_path):
     assert escaped == []
 
 
-def _add_bare_episode(store):
-    node_id = store.next_node_id
-    store.next_node_id += 1
-    store.episodic[node_id] = EpisodicNode(node_id, store.text_entry("@jack chop the fruit"),
-                                           store.observations[1])
-    return node_id, 0
-
-
-def _list_an_episode_twice(store):
-    store.observations[1].episodes.append(store.observations[1].episodes[0])
-    return store.observations[1].episodes[0], 2
-
-
-@pytest.mark.parametrize("plant", [_add_bare_episode, _list_an_episode_twice])
-def test_episode_not_listed_by_exactly_one_observation_is_reported_and_not_saved(tmp_path, plant):
-    # The snapshot stores no episode's video or t: a load takes them from the
-    # one observation that lists the episode, so no other store may be saved.
-    path = str(tmp_path / "snap.json")
-    store = ready_store()
-    node_id, times = plant(store)
-    assert store.check() == [f"episodic {node_id}: listed {times} times by observations, not once"]
-    with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0])):
-        store.save(path)
-    assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
-
-
-def test_episode_of_another_video_than_its_observation_is_not_saved(tmp_path):
-    path = str(tmp_path / "snap.json")
-    store = ready_store()
-    meta = store.observations[1]
-    store.episodic[1] = replace(store.episodic[1], obs=ObservationMeta("elsewhere", meta.episodes, meta.t))
-    assert store.episodic[1].video == "elsewhere"
-    assert store.check() == ["observation 1: episode 1 does not hold it as its observation"]
-    with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0])):
-        store.save(path)
-    assert not os.path.exists(path)
-
-
 def test_save_refuses_non_finite_value_with_typed_error(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
@@ -475,13 +435,12 @@ def _refusal(output):
 
 
 def _plant_text_vector(store, text, vector):
-    """Put ``vector`` as the v_e of ``text``'s entry, which its nodes share, each put
+    """Plant ``vector`` as the v_e of ``text``'s entry, which its nodes share, each planted
     under its id with the new entry."""
     d, _, action = store.texts[text]
-    store.texts[text] = entry = (d, vector, action)
-    for node_id, node in list(store.episodic.items()):
-        if node.d == text:
-            store.episodic[node_id] = replace(node, text=entry)
+    entry = (d, vector, action)
+    plant(store, texts={text: entry},
+          episodic={i: replace(node, text=entry) for i, node in store.episodic.items() if node.d == text})
 
 
 # The embedder's output is refused where the store takes it, before any mutation; a
@@ -510,7 +469,7 @@ def test_check_reports_a_bad_embedder_after_ingest_and_retrieve(output):
     assert store.check() == []
     _plant_text_vector(store, "chop the fruit", output)
     node = store.semantic[min(store.semantic)]
-    store.semantic[node.id] = replace(node, v_s=output)
+    plant(store, semantic={node.id: replace(node, v_s=output)})
     violations = store.check()
     assert any("v_e is not 8 finite floats" in x for x in violations)
     assert any("v_s is not 8 finite floats" in x for x in violations)
@@ -683,7 +642,7 @@ def test_v8_fixture_loads_and_saves_byte_identically(tmp_path):
     assert store.check() == []
     stats = store.stats()
     assert (stats["anchors"], stats["episodic"], stats["logic"], stats["pool"]) == (1, 14, 1, 1)
-    assert store.pool == [11]
+    assert store.pool == (11,)
     path = str(tmp_path / "snap.json")
     store.save(path)
     assert open(path, "rb").read() == open(V8_FIXTURE, "rb").read()
@@ -888,22 +847,22 @@ def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violatio
 
 @pytest.mark.parametrize("name", ["next_node_id", "next_anchor_id", "next_logic_id"])
 def test_check_reports_a_counter_that_is_not_a_positive_int(name):
-    store = MemoryStore.load(V8_FIXTURE)
+    data = json.loads(open(V8_FIXTURE).read())
     counter = {"next_node_id": "node", "next_anchor_id": "anchor", "next_logic_id": "logic"}[name]
-    for value in (float(getattr(store, name)), True, "x", None):
-        twin = store.clone()
-        setattr(twin, name, value)
-        assert twin.check() == [f"counter {counter}: {value!r} is not a positive int"]
+    for value in (float(data["counters"][counter]), True, "x", None):
+        planted = copy.deepcopy(data)
+        planted["counters"][counter] = value
+        violation = f"counter {counter}: {value!r} is not a positive int"
+        with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
+            store_from_dict(planted)
 
 
 @pytest.mark.parametrize("name", ["next_node_id", "next_anchor_id", "next_logic_id"])
 def test_store_whose_counter_is_not_a_positive_int_is_reported_and_not_saved(tmp_path, name):
-    # A load refuses such a counter, so a save must not write one; an ingest
-    # first hands a float node counter's value out as an episode id.
+    # A load refuses such a counter, so a save must not write one.
     path = str(tmp_path / "snap.json")
     store = MemoryStore.load(V8_FIXTURE)
-    setattr(store, name, float(getattr(store, name)))
-    store.ingest(ObservationRecord(1000, "later", 0.0, [Description("chop the fruit")], [], []))
+    plant(store, **{name: float(getattr(store, name))})
     violation = store.check()[0]
     assert violation.startswith(f"counter {name.split('_')[1]}: ")
     with pytest.raises(SnapshotIoError, match=re.escape(violation)):

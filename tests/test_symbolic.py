@@ -23,7 +23,7 @@ from memstrata import (
     transition_prob,
 )
 from memstrata.dag import satisfies
-from conftest import fruit_salad_store
+from conftest import fruit_salad_store, plant
 
 
 def ready_store():
@@ -105,7 +105,7 @@ def wrap_in_store(dag, goal_text="wrapped procedure", **config):
         id=1, c=goal_text, i_goal=store.embed(goal_text),
         i_step=store.embed(goal_text), dag=dag, episodic_links={1},
         steps=tuple(sorted(dag.step_labels())))
-    store.logic[1] = node
+    plant(store, logic={1: node}, next_logic_id=2)
     return store
 
 
@@ -143,10 +143,9 @@ def test_get_procedure_tie_breaks_lowest_id():
     v = np.zeros(16)
     v[0] = 1.0
     store.ingest(ObservationRecord(1, "v", 0.0, [Description("seed")], [], []))
-    for logic_id in (1, 2):
-        store.logic[logic_id] = LogicNode(
-            id=logic_id, c="same goal", i_goal=v.copy(), i_step=v.copy(),
-            dag=ProceduralDag.single_path(["x"]), episodic_links={1}, steps=("x",))
+    plant(store, logic={logic_id: LogicNode(
+        id=logic_id, c="same goal", i_goal=v.copy(), i_step=v.copy(),
+        dag=ProceduralDag.single_path(["x"]), episodic_links={1}, steps=("x",)) for logic_id in (1, 2)})
     # both nodes have identical i_goal; embed("same goal") though differs
     store.embedder.embed = lambda text: v  # force identity similarity
     pe = get_procedure_with_evidence(store, "same goal")
