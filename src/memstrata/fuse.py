@@ -314,7 +314,7 @@ def auto_fuse(store) -> list:
     failed: set = set()
     logic = store._logic
     while True:
-        ids = sorted(logic)
+        ids = list(logic)
         candidate = None
         for i, id_a in enumerate(ids):
             rest = [id_b for id_b in ids[i + 1:] if (id_a, id_b) not in failed]

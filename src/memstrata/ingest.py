@@ -339,6 +339,8 @@ def read_observation_lines(lines) -> list[ObservationRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"line {lineno}: bad JSON: {exc}") from None
+        except RecursionError:
+            raise MalformedRecord(f"line {lineno}: JSON nests too deep to read") from None
         if not saw_header:
             if not (isinstance(obj, dict) and _is_int(version := obj.get("version")) and version == 1
                     and len(obj) == 1):
@@ -408,7 +410,7 @@ def semantic_candidates(store, anchors: frozenset) -> list:
     """The ids of the semantic nodes whose anchor set covers ``anchors``, ascending: the
     intersection of the anchors' postings, smallest first; every node for an empty set."""
     if not anchors:
-        return sorted(store._semantic)
+        return list(store._semantic)
     first, *rest = sorted([store._semantic_postings.get(a, ()) for a in anchors], key=len)
     return sorted(set(first).intersection(*rest))
 

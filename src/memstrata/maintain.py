@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import cosine
 from .dag import GOAL, START, ProceduralDag, assert_valid, record_trial
-from .distill import distill, extract_action
+from .distill import distill
 from .errors import DimensionMismatch, NotIngested
 from .ingest import record_fault
 
@@ -104,27 +104,19 @@ def _apply_pairs(dag: ProceduralDag, actions, attr_source, report: UpdateReport)
             report.repaired_edges.append((label, GOAL))
 
 
-def _record_actions(store, rec):
-    actions = []
-    attr_source: dict[str, dict] = {}
-    for desc in rec.descriptions:
-        action = extract_action(desc.text, store.config.action_verbs)
-        if action:
-            actions.append((action, desc.outcome))
-            attr_source.setdefault(action, dict(desc.attrs))
-    return actions, attr_source
-
-
 def apply_observation(store, rec) -> UpdateReport:
     """Algorithm phase 3 for one already-ingested record, refused before any mutation unless
-    ``record_fault`` accepts it."""
+    ``record_fault`` accepts it. The record is judged whole, but only its id is read: what is
+    applied is the episodes that ingest stored under that id, their texts, actions, outcomes
+    and attrs, in order."""
     if fault := record_fault(rec, store.config.dim):
         raise fault
     meta = store._observations.get(rec.id)
     if meta is None:
         raise NotIngested(f"observation {rec.id} was never ingested")
 
-    joined = " ".join(d.text for d in rec.descriptions)
+    episodes = list(map(store._episodic.__getitem__, meta.episodes))
+    joined = " ".join(n.d for n in episodes)
     entry = store._texts.get(joined)  # a one-description record's text was embedded at ingest
     o_vec = store.embed(joined) if entry is None else entry[1]
     report = UpdateReport(record_id=rec.id)
@@ -134,14 +126,15 @@ def apply_observation(store, rec) -> UpdateReport:
         logic_id, sim = best
         report.matched, report.similarity = logic_id, sim
         node = store._logic[logic_id]
-        actions, attr_source = _record_actions(store, rec)
+        steps = [n for n in episodes if n.action]
+        attr_source = {n.action: n.attrs for n in reversed(steps)}  # each action's first attrs
         ema_update(node, o_vec, store.config.beta_ema)
         report.ema_applied = True
 
-        _apply_pairs(node.dag, [a for a, _ in actions], attr_source, report)
-        for action, outcome in actions:
-            if action in node.dag.nodes and action not in (START, GOAL):
-                record_trial(node.dag, action, outcome == "success")
+        _apply_pairs(node.dag, [n.action for n in steps], attr_source, report)
+        for n in steps:
+            if n.action in node.dag.nodes and n.action not in (START, GOAL):
+                record_trial(node.dag, n.action, n.outcome == "success")
                 report.trials += 1
         node.episodic_links.update(meta.episodes)
         assert_valid(node.dag, "apply_observation")

@@ -117,10 +117,10 @@ def retrieve(store, q: Query, k: int, include_logic: bool = True) -> RetrievalRe
     store.retrieval_calls += 1
     theta = store.config.theta_retrieve
     weights = store.config.layer_weights[q.qtype]
-    epi_ids, sem_ids = sorted(store._episodic), sorted(store._semantic)
+    episodic, semantic = store._episodic, store._semantic
     layers = [
-        ("epi", epi_ids, cosine(q.q_vec, [n.v_e for n in map(store._episodic.__getitem__, epi_ids)])),
-        ("sem", sem_ids, cosine(q.q_vec, [n.v_s for n in map(store._semantic.__getitem__, sem_ids)])),
+        ("epi", list(episodic), cosine(q.q_vec, [n.v_e for n in episodic.values()])),
+        ("sem", list(semantic), cosine(q.q_vec, [n.v_s for n in semantic.values()])),
     ]
     if include_logic:
         goal, step = store._logic_rows.values()

@@ -111,6 +111,14 @@ class MemoryStore:
     id counters are read-only properties, so a caller's write raises
     ``TypeError`` or ``AttributeError``. Each engine write keeps what the store
     keeps for its scans current in the same call.
+
+    One order: ``anchors``, ``episodic``, ``semantic`` and ``logic`` each iterate
+    in ascending id, so a reader iterates a layer and never sorts it. The engine
+    appends each new node under an id above every id its counter has handed
+    out, a replacement (a reinforced or weakened semantic node) keeps its key's
+    place, a fuse deletes its two nodes and appends the new one, and a load
+    inserts each layer in increasing id. ``observations`` is in ingest order
+    live, and in id order after a load.
     """
 
     def __init__(self, config: Config | None = None, embedder=None):
@@ -162,7 +170,7 @@ class MemoryStore:
         centroids and the logic index vectors, and the postings from each anchor id to its semantic
         nodes and from each action to its episodic nodes. A new store, a load and ``clone()`` build
         them; each engine write keeps them current after that. Each is in its layer's order, which
-        is ascending id: the engine hands ids out in increasing order, and a load inserts them so."""
+        is ascending id (see the class docstring)."""
         dim = self._config.dim
         self._centroid_rows = kept_rows(self._anchors, "centroid_", PERCEPT_KINDS, dim)
         self._logic_rows = logic_rows(self._logic, dim)
@@ -247,8 +255,8 @@ class MemoryStore:
         return retrieve(self, q, k, include_logic=include_logic)
 
     def anchor_by_label(self, label: str) -> int | None:
-        """The lowest id of an anchor with this label, or None."""
-        return min((i for i, anchor in self._anchors.items() if anchor.label == label), default=None)
+        """The lowest id of an anchor with this label, or None: the first, in the layer's id order."""
+        return next((i for i, anchor in self._anchors.items() if anchor.label == label), None)
 
     def clone(self) -> "MemoryStore":
         """A store of its own, equal to this one: its state deep-copied, and what it keeps for its
@@ -305,6 +313,8 @@ class MemoryStore:
             return store_from_dict(json.loads(text, parse_constant=_refuse_constant), embedder)
         except json.JSONDecodeError as exc:
             raise CorruptSnapshot(f"snapshot is not valid JSON: {exc}") from None
+        except RecursionError:  # from json.loads; store_from_dict refuses its own
+            raise CorruptSnapshot("snapshot nests too deep to read") from None
         finally:
             if collecting:
                 gc.enable()
@@ -345,34 +355,33 @@ def _ids_in(ids, held) -> bool:
     return set(map(type, ids)) <= {int} and ids <= held
 
 
-def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
+def check_store(store: MemoryStore) -> list[str]:
     """Global invariant sweep; returns all violations (empty means healthy).
 
-    It is the one definition of a store that ``save`` writes, so it reports, and never raises on,
-    any value a caller has put in a field of an anchor, a logic node, a DAG step or edge, or an
-    episode's attrs, the state a sealed store still lets a caller write. What construction
-    guarantees is not tested: only the engine writes a store's layers, texts, observations,
-    clock, pool and counters, its config is valid and fixed, and its episodic and semantic nodes
-    and its observations are set once, so each episode's id, text, outcome and observation, and
-    each video's clock, are what ingest or a load made them. A load runs every other rule, as a
-    file is where bad data arrives, and skips the last ones, on what it builds, with
-    ``derived=False``. A rule over the episodes or the observations tests a whole column at once,
-    and names the offenders only when that test fails.
+    It is the one definition of a store that ``save`` writes and a load keeps, so it reports, and
+    never raises on, any value a caller has put in a field of an anchor, a logic node, a DAG step or
+    edge, or an episode's attrs, the state a sealed store still lets a caller write, and every such
+    value a file can hold. What construction guarantees is not tested: only the engine writes a
+    store's layers, texts, observations, clock, pool and counters, and a load builds them from a
+    file it has refused unless it is canonical; its config is valid and fixed; every id is an int
+    and each layer iterates in ascending id (see ``MemoryStore``); and its episodic and semantic
+    nodes and its observations are set once, so each episode's id, text, outcome and observation,
+    and each observation's video, episodes and clock, are what ingest or a load made them. A rule
+    over the episodes or the observations tests a whole column at once, and names the offenders
+    only when that test fails.
     """
     v, dim = [], store.config.dim
 
     counters = {"node": store._next_node_id, "anchor": store._next_anchor_id, "logic": store._next_logic_id}
     v += [f"counter {name}: {c!r} is not a positive int"
           for name, c in counters.items() if not (_is_int(c) and c >= 1)]
-    ids, held = {}, {}  # each section's ids, sorted, and its nodes in that order
+    ids, held = {}, {}  # each section's ids, ascending, and its nodes in that order
     for kind, nodes, c in (("anchor", store._anchors, store._next_anchor_id),
                            ("episodic", store._episodic, store._next_node_id),
                            ("semantic", store._semantic, store._next_node_id),
                            ("logic", store._logic, store._next_logic_id)):
-        if not set(map(type, nodes)) <= {int}:
-            return v + [f"{kind} ids are not all ints"]  # every rule below sorts them
-        ids[kind] = order = sorted(nodes)
-        held[kind] = values = list(map(nodes.__getitem__, order))
+        ids[kind] = order = list(nodes)
+        held[kind] = values = list(nodes.values())
         # Each counter is the id it hands out next, so no id of its kind may be at or beyond it.
         if _is_int(c):  # one of another type is reported above, and bounds nothing
             v += [f"{kind} {i}: id beyond counter" for i in order[bisect_left(order, c):]]
@@ -476,26 +485,14 @@ def check_store(store: MemoryStore, derived: bool = True) -> list[str]:
     pooled = [i for i in pool if type(i) is int]  # another is reported above
     v += [f"pool entry {i} is listed {n} times, not once"
           for i, n in Counter(pooled).items() if n > 1]
-    if not set(map(type, observations)) <= {int}:
-        return v + ["observation ids are not all ints"]  # the rules below sort them
-    obs_ids = sorted(observations)
-    metas = list(map(observations.__getitem__, obs_ids))
-    if not set(map(type, episodes := [m.episodes for m in metas])) <= {tuple}:
-        v += [f"observation {i}: episodes {e!r} are not a tuple"
-              for i, e in zip(obs_ids, episodes) if type(e) is not tuple]
-    ts = [m.t for m in metas]
+    obs_ids = sorted(observations)  # in ingest order live
+    ts = [observations[i].t for i in obs_ids]
     if not (set(map(type, ts)) <= {float} and math.isfinite(sum(ts))):  # a finite sum proves them
         v += [f"observation {i}: t {t!r} is not a finite number"
               for i, t in zip(obs_ids, ts) if not _is_finite_number(t)]
-    videos = list(map(attrgetter("video"), metas))
-    if not set(map(type, videos)) <= {str}:
-        v += [f"observation {i}: video {x!r} is not a str"
-              for i, x in zip(obs_ids, videos) if type(x) is not str]
-    if not derived:
-        return v
 
-    # What a load builds, and a caller can still write: each anchor's and logic node's id, and
-    # each episode's attrs, which JSON must carry.
+    # What a caller can still write: each anchor's and logic node's id, and each episode's attrs,
+    # which JSON must carry.
     for kind in ("anchor", "logic"):
         own = [n.id for n in held[kind]]
         if not set(map(type, own)) <= {int} or own != ids[kind]:
@@ -634,16 +631,16 @@ def snapshot_dict(store: MemoryStore) -> dict:
             {"id": a.id, "label": a.label, "face_count": a.face_count, "voice_count": a.voice_count,
              "face": None if a.centroid_face is None else _vec(a.centroid_face),
              "voice": None if a.centroid_voice is None else _vec(a.centroid_voice)}
-            for _, a in sorted(store._anchors.items())
+            for a in store._anchors.values()
         ],
         "episodic": episodic,
         "semantic": [{"id": n.id, "type": n.type, "attrs": n.attrs, "anchors": sorted(n.anchors),
-                      "weight": n.weight} for _, n in sorted(store._semantic.items())],
+                      "weight": n.weight} for n in store._semantic.values()],
         "logic": [
             {"id": n.id, "c": n.c, "score": n.score, "steps": list(n.steps),
              "episodic_links": _runs(_gaps(sorted(n.episodic_links))),
              "i_goal": _vec(n.i_goal), "i_step": _vec(n.i_step), "dag": _dag_rows(n.dag)}
-            for _, n in sorted(store._logic.items())
+            for n in store._logic.values()
         ],
         "pool": list(store._pool),
         "observations": observations,
@@ -837,9 +834,11 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
             store._logic[node.id] = node
         store._pool = tuple(data["pool"])  # check_store reports an entry that is no observation's id
         store._build_kept()
-        violations = check_store(store, derived=False)  # derived above
+        violations = check_store(store)
     except ConfigError as exc:
         raise CorruptSnapshot(f"snapshot config invalid: {exc}") from None
+    except RecursionError:  # from the json.dumps of an attrs object
+        raise CorruptSnapshot("snapshot nests too deep to read") from None
     except (KeyError, TypeError, ValueError, DimensionMismatch, MissingEdge) as exc:
         raise CorruptSnapshot(f"snapshot structure invalid: {exc!r}") from None
     if violations:

@@ -106,8 +106,7 @@ def _character_nodes(store, person: int):
     linked = {
         ep_id for ep_id, node in store._episodic.items() if person in node.anchors
     }
-    logic = store._logic
-    return [logic[logic_id] for logic_id in sorted(logic) if logic[logic_id].episodic_links & linked]
+    return [node for node in store._logic.values() if node.episodic_links & linked]
 
 
 def aggregate_character_behaviors(store, person: int):

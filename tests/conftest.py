@@ -55,23 +55,23 @@ def bench_gen():
         sys.path.remove(bench)
 
 
-DROP = object()  # see plant
+LAYERS = ("anchors", "episodic", "semantic", "logic")  # each iterates in ascending id
 
 
 def plant(store: MemoryStore, **state) -> None:
     """Put in a live store what no engine call and no file would: each keyword names a private
     field (``episodic`` for ``store._episodic``, ``next_node_id`` for ``store._next_node_id``); a
-    dict value updates that dict, a key whose value is ``DROP`` leaving it (a new key goes last, so
-    plant ids in ascending order), and any other value replaces the field. The store then builds
-    its kept state again (``_build_kept``), as a load does."""
+    dict value updates that dict, and any other value replaces the field. A new key goes last, so
+    a new key of one of the ``LAYERS`` must be above every key already there, as no store holds a
+    layer out of id order; a replacement keeps its key's place. The store then builds its kept
+    state again (``_build_kept``), as a load does."""
     for name, value in state.items():
         if type(value) is dict:
             held = getattr(store, "_" + name)
             for key, item in value.items():
-                if item is DROP:
-                    del held[key]
-                else:
-                    held[key] = item
+                if name in LAYERS and key not in held and held and key <= max(held):
+                    raise ValueError(f"plant: {name} key {key!r} is not above every key held")
+                held[key] = item
         else:
             setattr(store, "_" + name, value)
     store._build_kept()

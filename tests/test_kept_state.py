@@ -131,6 +131,9 @@ def _first_best(scores: dict):
 
 
 def _check_kept_state(store):
+    for name in LAYERS:  # the one order that every reader of a layer relies on
+        ids = list(getattr(store, name))
+        assert ids == sorted(ids), name
     rows = store._centroid_rows["face"]
     faced = {i: a.centroid_face for i, a in store.anchors.items() if a.centroid_face is not None}
     for j in range(DIM):

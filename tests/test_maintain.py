@@ -190,6 +190,28 @@ def test_apply_matching_record_increments_and_shifts_indexes():
     assert set(store.observations[100].episodes) <= node.episodic_links
 
 
+def test_apply_reads_the_episodes_stored_under_the_record_id():
+    # A record applied under an ingested id is judged whole, but only its id is read: the matched
+    # DAG takes the texts, actions, outcomes and attrs of the episodes that ingest stored.
+    stored = ObservationRecord(100, "v9", 0.0, [
+        Description("chop the fruit"), Description("mix the fruit", outcome="failure"),
+        Description("blend the rest", {"tool": "blender"})], [], [])
+    other = ObservationRecord(100, "w1", 5.0, [
+        Description("wash the bowl", {"tool": "sponge"}), Description("blend the rest", {"tool": "fork"})], [], [])
+    stores = [maintained_store(), maintained_store()]
+    for store in stores:
+        store.ingest(stored)
+    beta = stores[1].logic[1].dag.nodes["mix_fruit"].success_beta
+    reports = [stores[0].apply(stored), stores[1].apply(other)]
+    assert reports[0] == reports[1]
+    assert reports[1].matched == 1 and reports[1].incremented == [("chop_fruit", "mix_fruit")]
+    assert reports[1].expanded_edges == [("mix_fruit", "blend_rest")]
+    dag = stores[1].logic[1].dag
+    assert "wash_bowl" not in dag.nodes and dag.nodes["blend_rest"].attrs == {"tool": "blender"}
+    assert dag.nodes["mix_fruit"].success_beta == beta + 1  # the stored failure
+    assert json.dumps(snapshot_dict(stores[0])) == json.dumps(snapshot_dict(stores[1]))
+
+
 def test_apply_gating_pools_low_similarity():
     store = maintained_store()
     node = store.logic[1]

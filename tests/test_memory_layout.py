@@ -111,11 +111,22 @@ def test_a_loaded_episode_and_observation_equal_constructed_ones_field_for_field
         {i: (m.video, m.episodes, m.t) for i, m in store.observations.items()}
 
 
-def test_anchor_by_label_gives_the_lowest_id_in_any_dict_order():
+def test_anchor_by_label_gives_the_lowest_id():
     store = MemoryStore(Config(dim=DIM))
     plant(store, anchors={anchor_id: EntityAnchor(anchor_id, label)
-                          for anchor_id, label in ((5, "jack"), (2, "jack"), (3, "ana"))})
+                          for anchor_id, label in ((2, "jack"), (3, "ana"), (5, "jack"))})
     assert [store.anchor_by_label(label) for label in ("jack", "ana", "tom")] == [2, 3, None]
+
+
+def test_plant_refuses_a_layer_key_that_no_store_holds_in_that_place():
+    # Each layer iterates in ascending id, so a new key goes above every key held; a replacement
+    # keeps its place.
+    store = MemoryStore(Config(dim=DIM))
+    plant(store, anchors={3: EntityAnchor(3, "jack")})
+    with pytest.raises(ValueError, match="anchors key 2 is not above every key held"):
+        plant(store, anchors={2: EntityAnchor(2, "ana")})
+    plant(store, anchors={3: EntityAnchor(3, "ana"), 4: EntityAnchor(4, "tom")})
+    assert [(i, a.label) for i, a in store.anchors.items()] == [(3, "ana"), (4, "tom")]
 
 
 TEXTS = ("@jack chop the fruit", "@ana chop the fruit", "@ana and @jack mix the fruit",

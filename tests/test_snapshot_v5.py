@@ -10,6 +10,7 @@ import json
 import os
 import re
 import resource
+import threading
 import time
 from dataclasses import fields, replace
 
@@ -36,9 +37,9 @@ from memstrata import (
     auto_fuse,
 )
 from memstrata import store as store_module
-from memstrata.ingest import MAX_ATTRS_VALUES, OUTCOMES
+from memstrata.ingest import MAX_ATTRS_VALUES, OUTCOMES, read_observation_lines
 from memstrata.store import snapshot_dict, store_from_dict
-from conftest import DROP, FRUIT_VERBS, MUTATION_VALUES, one_hot, plant, runs, unruns
+from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot, plant, runs, unruns
 
 DIM = 32
 V8_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v8_dim8.json")
@@ -176,6 +177,14 @@ COUNTS = "^observation episode counts do not split the episodic columns$"
 def _not_runs(what):  # an int column holding what is neither an int nor a [value, count] pair
     return f"^{re.escape(what)}: not ints and \\[value, count\\] pairs of a count of at least 3$"
 
+
+def _nested(levels: int) -> list:
+    """``levels`` lists, each holding the next, around a 1."""
+    x = 1
+    for _ in range(levels):
+        x = [x]
+    return x
+
 CASES = {
     "anchors-swapped": (lambda d: _swap(d["anchors"]), "anchors " + SECTION_ORDER),
     "anchors-repeated": (lambda d: _repeat(d["anchors"], 1, face_count=1), "anchors " + SECTION_ORDER),
@@ -251,6 +260,12 @@ CASES = {
                                  "^snapshot observations: not an object with exactly the keys"),
     "episodic-unknown-key": (lambda d: d["episodic"].__setitem__("t", []),
                              "^snapshot episodic: not an object with exactly the keys"),
+    # a load runs every rule check() runs: the knife attrs of episodes 1, 6 and 10
+    "attrs-past-the-bound": (lambda d: _episodes(d, "attrs").__setitem__(0, {"k": [0] * (MAX_ATTRS_VALUES + 1)}),
+                             f"^episodic 1: attrs write more than {MAX_ATTRS_VALUES} values$"),
+    # json recurses once a level, so a dict built in code can nest past the recursion limit
+    "attrs-nested-too-deep": (lambda d: _episodes(d, "attrs").__setitem__(1, {"tool": _nested(100_000)}),
+                              "^snapshot nests too deep to read$"),
 }
 
 
@@ -480,17 +495,17 @@ def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
     assert breaches == []
 
 
-@pytest.mark.parametrize("field", ["t", "video", "anchors", "attrs", "v_e"])
+@pytest.mark.parametrize("field", ["t", "anchors", "attrs", "v_e"])
 def test_check_reports_an_array_in_an_episode_field(field):
     # An array compares elementwise, so a rule that compared one with == or in would raise.
-    # An episode's v_e is its text entry's, and its video and t its observation's.
+    # An episode's v_e is its text entry's, and its t its observation's.
     store = shapes_store()
     node, array = store.episodic[1], np.zeros(2)
     if field == "v_e":
         entry = (node.d, array, node.action)
         plant(store, texts={node.d: entry}, episodic={1: replace(node, text=entry)})
-    elif field in ("video", "t"):
-        plant(store, observations={30: replace(node.obs, **{field: array})})
+    elif field == "t":
+        plant(store, observations={30: replace(node.obs, t=array)})
     else:
         plant(store, episodic={1: replace(node, **{field: array})})
     assert store.check()
@@ -507,10 +522,6 @@ def _pool_entry_of_an_unknown_observation(store):
     plant(store, pool=(99,))
 
 
-def _observation_id_not_an_int(store):  # and the pool entry's observation goes
-    plant(store, observations={"50": store.observations[40], 40: DROP})
-
-
 def _transition_sum_overflows(store):
     # Each count is finite, but their sum is not, so each transition estimate is 0.
     dag = store.logic[1].dag
@@ -522,10 +533,8 @@ def _transition_sum_overflows(store):
 @pytest.mark.parametrize("fault,violations", [
     (_no_evidence, ["logic 1: no episodic evidence"]),
     (_pool_entry_of_an_unknown_observation, ["pool entry references unknown observation 99"]),
-    (_observation_id_not_an_int,
-     ["pool entry references unknown observation 40", "observation ids are not all ints"]),
     (_transition_sum_overflows, ["logic 1: transition probs at START sum to 0.0"]),
-], ids=["no-evidence", "pool-observation", "observation-id", "transition-overflow"])
+], ids=["no-evidence", "pool-observation", "transition-overflow"])
 def test_each_rule_no_other_test_reaches_reports_its_plant(tmp_path, fault, violations):
     path = str(tmp_path / "snap.json")
     store = pooled_shapes_store()
@@ -659,6 +668,27 @@ def test_loaded_and_cloned_clocks_are_each_videos_latest_observation(tmp_path):
     assert len({json.dumps(snapshot_dict(fork), sort_keys=True) for fork in forks.values()}) == 1
 
 
+def test_attrs_nested_985_levels_are_read_ingested_saved_and_loaded(tmp_path):
+    # What fits under the recursion limit is kept: run where the stack starts empty, as in a
+    # script, a thread of its own.
+    path = str(tmp_path / "snap.json")
+    record = {"id": 1, "video": "v", "t": 0.0, "descriptions": [{"text": "chop it", "attrs": {"k": 0}}],
+              "conclusions": [], "percepts": []}
+    lines = ['{"version": 1}', json.dumps(record).replace('"k": 0', '"k": ' + "[" * 985 + "1" + "]" * 985)]
+    same = []
+
+    def run():
+        store = MemoryStore(Config(dim=DIM))
+        store.ingest(read_observation_lines(lines)[0])
+        store.save(path)
+        same.append(MemoryStore.load(path).episodic[1].attrs == store.episodic[1].attrs)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    assert same == [True]
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_load_refuses_a_non_finite_json_constant(tmp_path, constant):
     path = str(tmp_path / "snap.json")
@@ -671,8 +701,8 @@ def test_load_refuses_a_non_finite_json_constant(tmp_path, constant):
 
 
 def test_load_derives_each_action_and_logic_anchor_set_once(tmp_path, monkeypatch):
-    # The load's invariant sweep skips what the load has just derived; a
-    # procedure's anchors are those of its evidence and held nowhere.
+    # The load's invariant sweep tests no action; a procedure's anchors are
+    # those of its evidence and held nowhere.
     path = str(tmp_path / "snap.json")
     shapes_store().save(path)
     calls = []

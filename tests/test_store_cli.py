@@ -1235,6 +1235,30 @@ def test_non_utf8_input_is_a_typed_error(tmp_path, obs_file, capsys, input_file)
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("input_file", ["observations", "snapshot"])
+def test_json_nested_past_the_recursion_limit_is_a_typed_error(tmp_path, obs_file, capsys, input_file):
+    # json reads a level at a time on the stack: a file that nests past the recursion limit is
+    # bad data, refused by the loader's typed error, and the CLI reports it without a traceback.
+    store_dir, deep = tmp_path / "store", "[" * 100_000 + "1" + "]" * 100_000
+    if input_file == "observations":
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"version": 1}\n{"id": 1, "video": "v", "t": 0.0, "descriptions": '
+                        '[{"text": "chop", "attrs": {"k": %s}}], "conclusions": [], "percepts": []}\n' % deep)
+        args, error, load, message = ["ingest", str(path)], MalformedRecord, read_observations, \
+            "line 2: JSON nests too deep to read"
+    else:
+        assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
+        path = store_dir / "snapshot.json"
+        path.write_text(path.read_text().replace('"pool":[', '"pool":[%s,' % deep, 1))
+        args, error, load, message = ["stats"], CorruptSnapshot, MemoryStore.load, \
+            "snapshot nests too deep to read"
+    with pytest.raises(error, match=f"^{message}$"):
+        load(str(path))
+    capsys.readouterr()
+    assert run_cli(["--store", str(store_dir)] + args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 def test_unreadable_observation_file_is_a_typed_error(tmp_path, capsys, where):
     path = str(tmp_path / "missing.jsonl") if where == "missing" else str(tmp_path)
