@@ -13,6 +13,7 @@ import math
 import mmap
 import re
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Protocol
 
@@ -23,11 +24,13 @@ from .errors import ConfigError, DimensionMismatch
 QUERY_TYPES = ("factual", "constraint", "character")
 LAYERS = ("epi", "sem", "logic")
 
-DEFAULT_LAYER_WEIGHTS = {
-    "factual": {"epi": 1.0, "sem": 1.0, "logic": 0.6},
-    "constraint": {"epi": 1.0, "sem": 1.0, "logic": 1.5},
-    "character": {"epi": 1.0, "sem": 1.2, "logic": 1.5},
-}
+# Read-only at both levels, and valid: every Config that is not given weights of its own
+# shares this one mapping, which it neither judges nor copies again.
+DEFAULT_LAYER_WEIGHTS = MappingProxyType({
+    "factual": MappingProxyType({"epi": 1.0, "sem": 1.0, "logic": 0.6}),
+    "constraint": MappingProxyType({"epi": 1.0, "sem": 1.0, "logic": 1.5}),
+    "character": MappingProxyType({"epi": 1.0, "sem": 1.2, "logic": 1.5}),
+})
 
 DEFAULT_ACTION_VERBS = (
     "chop", "cut", "mix", "serve", "blanch", "slice", "peel", "pour",
@@ -43,7 +46,12 @@ MAX_DIM = 65536
 _QUERY_TYPE_SET = frozenset(QUERY_TYPES)
 _LAYER_SET = frozenset(LAYERS)
 _MAPPINGS = (dict, MappingProxyType)  # a Config's own layer_weights are read-only mappings
-_STR = frozenset((str,))
+_INT, _FLOAT, _STR = frozenset((int,)), frozenset((float,)), frozenset((str,))
+_PLUGINS = ("default", "external")
+_INT_KNOBS = ("dim", "pool_trigger", "max_path_len", "max_paths")
+_FLOAT_KNOBS = ("alpha", "beta_ema", "sigma_support", "tau_verify", "delta_gate",
+                "theta_retrieve", "tau_pos", "tau_neg", "tau_align", "tau_anchor")
+_int_knobs, _float_knobs = attrgetter(*_INT_KNOBS), attrgetter(*_FLOAT_KNOBS)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -238,18 +246,6 @@ class RowBlock:
         return self._chunks[:-1] + [self._chunks[-1][:last]] if self._chunks else []
 
 
-def kept_rows(nodes: dict, prefix: str, keys: tuple, dim: int) -> dict:
-    """The rows a store keeps of the fields ``prefix + key`` of a layer's nodes: a ``RowBlock`` per
-    key, in the layer's order, ascending id (``argmax`` gives ties to the lowest); each field,
-    unless None, becomes a view of its row."""
-    blocks = {}
-    for key in keys:  # a store builds these at its creation: no comprehension's frame
-        blocks[key] = RowBlock(dim)
-    for node_id, node in nodes.items():
-        add_rows(blocks, prefix, node_id, node)
-    return blocks
-
-
 def add_rows(blocks: dict, prefix: str, node_id, node) -> None:
     """Give ``node``, of an id above every other's, its rows: each field ``prefix + key``, unless
     None, becomes a view of its row of ``blocks[key]``."""
@@ -333,18 +329,22 @@ class Config:
     goal_namer: str = "default"
 
     def __post_init__(self) -> None:
-        # Types first, so that every range comparison below is between numbers.
-        for name in ("dim", "pool_trigger", "max_path_len", "max_paths"):
-            x = getattr(self, name)
-            if not _is_int(x) or x < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {x!r}")
+        # Each group of knobs is judged at once by a test that may refuse more than the group's
+        # rule (an int subclass, an np.float64, an int for a float knob), never less; only a group
+        # that fails it is walked, field by field, by the rule itself, which names the first fault
+        # or accepts the values. Types first, so that every range comparison is between numbers.
+        ints = _int_knobs(self)
+        if not (_INT.issuperset(map(type, ints)) and min(ints) >= 1):
+            for name, x in zip(_INT_KNOBS, ints):
+                if not _is_int(x) or x < 1:
+                    raise ConfigError(f"{name} must be a positive integer, got {x!r}")
         if self.dim > MAX_DIM:
             raise ConfigError(f"dim must be at most {MAX_DIM}, got {self.dim!r}")
-        for name in ("alpha", "beta_ema", "sigma_support", "tau_verify", "delta_gate",
-                     "theta_retrieve", "tau_pos", "tau_neg", "tau_align", "tau_anchor"):
-            x = getattr(self, name)
-            if not _is_finite_number(x):
-                raise ConfigError(f"{name} must be a finite number, got {x!r}")
+        floats = _float_knobs(self)
+        if not (_FLOAT.issuperset(map(type, floats)) and all(map(math.isfinite, floats))):
+            for name, x in zip(_FLOAT_KNOBS, floats):
+                if not _is_finite_number(x):
+                    raise ConfigError(f"{name} must be a finite number, got {x!r}")
         for name in ("alpha", "beta_ema"):
             x = getattr(self, name)
             if not 0.0 <= x <= 1.0:
@@ -352,26 +352,32 @@ class Config:
         if not 0.0 < self.sigma_support <= 1.0:
             raise ConfigError(f"sigma_support must lie in (0,1], got {self.sigma_support!r}")
         weights = self.layer_weights
-        if not isinstance(weights, _MAPPINGS) or weights.keys() != _QUERY_TYPE_SET:
-            raise ConfigError(f"layer_weights must map exactly {QUERY_TYPES} to weights")
-        for qt, per_layer in weights.items():
-            if not isinstance(per_layer, _MAPPINGS) or per_layer.keys() != _LAYER_SET:
-                raise ConfigError(f"layer_weights[{qt}] must map exactly {LAYERS} to weights")
-            for layer, w in per_layer.items():
-                if not (_is_finite_number(w) and w >= 0.0):
-                    raise ConfigError(f"layer_weights[{qt}][{layer}] must be >= 0, got {w!r}")
-        if self.verifier not in ("default", "external"):
+        if weights is not DEFAULT_LAYER_WEIGHTS:
+            if not isinstance(weights, _MAPPINGS) or weights.keys() != _QUERY_TYPE_SET:
+                raise ConfigError(f"layer_weights must map exactly {QUERY_TYPES} to weights")
+            for qt, per_layer in weights.items():
+                if not isinstance(per_layer, _MAPPINGS) or per_layer.keys() != _LAYER_SET:
+                    raise ConfigError(f"layer_weights[{qt}] must map exactly {LAYERS} to weights")
+                for layer, w in per_layer.items():
+                    if not (_is_finite_number(w) and w >= 0.0):
+                        raise ConfigError(f"layer_weights[{qt}][{layer}] must be >= 0, got {w!r}")
+            # The config's own read-only copy, which no edit of the caller's mappings reaches.
+            object.__setattr__(self, "layer_weights", MappingProxyType(
+                {qt: MappingProxyType(dict(w)) for qt, w in weights.items()}))
+        if self.verifier not in _PLUGINS:
             raise ConfigError(f"verifier must be 'default' or 'external', got {self.verifier!r}")
-        if self.goal_namer not in ("default", "external"):
+        if self.goal_namer not in _PLUGINS:
             raise ConfigError(f"goal_namer must be 'default' or 'external', got {self.goal_namer!r}")
         verbs = self.action_verbs
-        if not (type(verbs) is tuple and verbs and _STR.issuperset(map(type, verbs))
-                and all(verbs)):
+        if verbs is not DEFAULT_ACTION_VERBS and not (
+                type(verbs) is tuple and verbs and _STR.issuperset(map(type, verbs)) and all(verbs)):
             raise ConfigError(f"action_verbs must be a non-empty tuple of non-empty strings, "
                               f"got {verbs!r}")
-        # The config's own read-only copy, which no edit of the caller's mappings reaches.
-        object.__setattr__(self, "layer_weights", MappingProxyType(
-            {qt: MappingProxyType(dict(w)) for qt, w in weights.items()}))
+
+    def __hash__(self) -> int:  # over what __eq__ compares: the weights as numbers, in one order
+        w = self.layer_weights
+        return hash((_unweighted(self), tuple(tuple(w[qt][layer] for layer in LAYERS)
+                                              for qt in QUERY_TYPES)))
 
     def __deepcopy__(self, memo) -> "Config":
         return self  # nothing in a Config can change
@@ -399,8 +405,12 @@ class Config:
         return cls(**kwargs)
 
 
+_unweighted = attrgetter(*(f.name for f in fields(Config) if f.name != "layer_weights"))
+
+
 def parse_layer_weights(text: str) -> dict:
-    """Parse ``factual:epi=1.0,sem=1.0,logic=0.6;constraint:...``."""
+    """Parse ``factual:epi=1.0,sem=1.0,logic=0.6;constraint:...``. A query type, or a layer
+    within one block, given twice is refused, as a config file's repeated key is."""
     weights = {}
     for block in text.split(";"):
         block = block.strip()
@@ -410,12 +420,16 @@ def parse_layer_weights(text: str) -> dict:
         qt = qt.strip()
         if not sep or qt not in QUERY_TYPES:
             raise ConfigError(f"bad layer_weights block {block!r}")
+        if qt in weights:
+            raise ConfigError(f"duplicate layer_weights query type {qt!r}")
         per_layer = {}
         for pair in rest.split(","):
             layer, sep2, val = pair.partition("=")
             layer = layer.strip()
             if not sep2 or layer not in LAYERS:
                 raise ConfigError(f"bad layer_weights entry {pair!r}")
+            if layer in per_layer:
+                raise ConfigError(f"duplicate layer_weights layer {layer!r} for {qt!r}")
             try:
                 per_layer[layer] = float(val)
             except ValueError:
@@ -425,9 +439,11 @@ def parse_layer_weights(text: str) -> dict:
 
 
 def format_layer_weights(weights: dict) -> str:
+    """The file form that ``parse_layer_weights`` reads back to equal weights: each weight as
+    its shortest round-trip decimal, ``repr(float)``."""
     blocks = []
     for qt in QUERY_TYPES:
-        pairs = ",".join(f"{layer}={weights[qt][layer]:g}" for layer in LAYERS)
+        pairs = ",".join(f"{layer}={float(weights[qt][layer])!r}" for layer in LAYERS)
         blocks.append(f"{qt}:{pairs}")
     return ";".join(blocks)
 

@@ -20,7 +20,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import add_rows, kept_rows, norm, tokenize
+from .core import add_rows, norm, tokenize
 from .dag import GOAL, START, ProceduralDag, assert_valid
 from .dag import enumerate_paths  # noqa: F401 -- bench/tracing.py wraps this name
 from .errors import InvalidInput
@@ -61,12 +61,6 @@ class LogicNode:
     episodic_links: set = field(default_factory=set)
     score: float = 0.0
     steps: tuple = ()
-
-
-def logic_rows(logic: dict, dim: int) -> dict:
-    """The rows of each logic node's ``i_goal`` and ``i_step``, ``["goal"]`` and ``["step"]``, which
-    own them: ``ema_update`` writes through the nodes' views."""
-    return kept_rows(logic, "i_", ("goal", "step"), dim)
 
 
 @lru_cache(maxsize=8)

@@ -269,10 +269,11 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     """Replace two logic nodes by their fusion under the store's writer lock.
 
     The fused node keeps the first node's goal text; index vectors are the
-    component-wise mean of the inputs'; evidence links union. The logic rows
-    are built again, as a load builds them, since a row cannot be deleted.
+    component-wise mean of the inputs'; evidence links union. The store's kept
+    state is built again (``_build_kept``), as a load builds it, since a row
+    cannot be deleted.
     """
-    from .distill import LogicNode, logic_rows
+    from .distill import LogicNode
 
     logic = store._logic
     for logic_id in (id_a, id_b):
@@ -300,7 +301,7 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     for old_id in (id_a, id_b):
         del logic[old_id]
     logic[logic_id] = node
-    store._logic_rows = logic_rows(logic, store.config.dim)
+    store._build_kept()
     return FusionReport(logic_id, (id_a, id_b), alignment, before, _total_count(fused_dag))
 
 

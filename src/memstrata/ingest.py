@@ -12,7 +12,6 @@ import json
 import math
 import re
 import struct
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import mul
@@ -394,16 +393,6 @@ def resolve_anchor(store, percept: Percept) -> int:
     store._anchors[anchor_id] = EntityAnchor(anchor_id, percept.hint,
                                              **{f"centroid_{percept.kind}": row, count: 1})
     return anchor_id
-
-
-def postings(nodes: dict, keys) -> defaultdict:
-    """An inverted list of one node layer, which its store keeps: each key that ``keys(node)``
-    gives to the ids of the nodes that hold it, in the layer's order, ascending id."""
-    lists = defaultdict(list)
-    for node_id, node in nodes.items():
-        for key in keys(node):
-            lists[key].append(node_id)
-    return lists
 
 
 def semantic_candidates(store, anchors: frozenset) -> list:

@@ -33,7 +33,7 @@ import json
 import math
 import os
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter, is_, lt, sub
 from types import MappingProxyType
@@ -43,14 +43,15 @@ import numpy as np
 from .core import (
     Config,
     HashingEmbedder,
+    RowBlock,
     _is_finite_number,
     _is_int,
+    add_rows,
     embedder_identity,
     finite_vector,
-    kept_rows,
 )
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
-from .distill import LogicNode, default_goal_name, extract_action, logic_rows, verify_default
+from .distill import LogicNode, default_goal_name, extract_action, verify_default
 from .errors import (
     ConfigError,
     CorruptSnapshot,
@@ -62,14 +63,12 @@ from .errors import (
 )
 from .ingest import (
     OUTCOMES,
-    PERCEPT_KINDS,
     EntityAnchor,
     EpisodicNode,
     ObservationMeta,
     SemanticNode,
     _attrs_fault,
     ingest_observation,
-    postings,
 )
 from .maintain import apply_observation
 from .retrieve import make_query, retrieve
@@ -95,7 +94,6 @@ _KEYS = {kind: frozenset(keys.split()) for kind, keys in (
 # What a store keeps for its scans, never stored: built by _build_kept, and never copied; the
 # postings index each semantic node by its anchors and each episode by its action.
 _KEPT = frozenset(("_centroid_rows", "_logic_rows", "_semantic_postings", "_action_postings"))
-_ANCHORS, _ACTION = attrgetter("anchors"), lambda node: (node.text[2],)
 
 
 class MemoryStore:
@@ -168,14 +166,24 @@ class MemoryStore:
     def _build_kept(self) -> None:
         """Build what the store keeps for its scans from its layers: the rows that own the anchor
         centroids and the logic index vectors, and the postings from each anchor id to its semantic
-        nodes and from each action to its episodic nodes. A new store, a load and ``clone()`` build
-        them; each engine write keeps them current after that. Each is in its layer's order, which
-        is ascending id (see the class docstring)."""
+        nodes and from each action to its episodic nodes. A new store, a load, ``clone()`` and a
+        fuse, which cannot delete a row, build them here, an empty store as any other; each engine
+        write keeps them current after that. Each is in its layer's order, which is ascending id
+        (see the class docstring)."""
         dim = self._config.dim
-        self._centroid_rows = kept_rows(self._anchors, "centroid_", PERCEPT_KINDS, dim)
-        self._logic_rows = logic_rows(self._logic, dim)
-        self._semantic_postings = postings(self._semantic, _ANCHORS)
-        self._action_postings = postings(self._episodic, _ACTION)
+        self._centroid_rows = centroids = {"face": RowBlock(dim), "voice": RowBlock(dim)}
+        self._logic_rows = logic_rows = {"goal": RowBlock(dim), "step": RowBlock(dim)}
+        self._semantic_postings = by_anchor = defaultdict(list)
+        self._action_postings = by_action = defaultdict(list)
+        for anchor_id, anchor in self._anchors.items():
+            add_rows(centroids, "centroid_", anchor_id, anchor)
+        for logic_id, node in self._logic.items():
+            add_rows(logic_rows, "i_", logic_id, node)
+        for node_id, node in self._semantic.items():
+            for anchor_id in node.anchors:
+                by_anchor[anchor_id].append(node_id)
+        for node_id, node in self._episodic.items():
+            by_action[node.text[2]].append(node_id)
 
     @property
     def percept_count(self) -> int:
