@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidDag, MissingEdge, NotAStepNode, PathExplosion
+from .errors import MissingEdge, NotAStepNode, PathExplosion
 
 START = "START"
 GOAL = "GOAL"
@@ -140,22 +140,17 @@ class ProceduralDag:
             stack.extend(self.adj.get(v, ()))
         return False
 
-    def in_degrees(self) -> dict[str, int]:
-        deg = {label: 0 for label in self.nodes}
+    def topological_order(self) -> list[str] | None:
+        """Kahn's algorithm (CACM 1962): some topological order, or None on a cycle."""
+        deg = dict.fromkeys(self.nodes, 0)
         for _, dst, _ in self.edges():
             deg[dst] += 1
-        return deg
-
-    def topological_order(self) -> list[str] | None:
-        """Kahn's algorithm: some topological order (callers need no
-        particular one), or None when the graph has a cycle."""
-        deg = self.in_degrees()
         ready = [label for label, d in deg.items() if d == 0]
         order = []
         while ready:
             v = ready.pop()
             order.append(v)
-            for dst in self.adj[v]:
+            for dst in self.adj.get(v, ()):
                 deg[dst] -= 1
                 if deg[dst] == 0:
                     ready.append(dst)
@@ -241,71 +236,70 @@ def satisfies(attrs: dict, constraint: Constraint) -> bool:
 
 
 def check_valid(dag: ProceduralDag) -> list[str]:
-    """Return all validity violations; an empty list means the DAG is ok."""
-    violations = []
-    if START not in dag.nodes:
-        violations.append("missing-start")
-    if GOAL not in dag.nodes:
-        violations.append("missing-goal")
+    """Every validity violation, rule by rule; [] means the DAG is ok. Never raises on a DAG's
+    containers: the edge and node loops report a part of another type, a node with no out-edge
+    map (walked as empty) and an edge to or from no node; then one Kahn order, the cycle test, is
+    swept forward from START and back from GOAL, if no edge or out-edge map stops the walk."""
+    nodes, adj = dag.nodes, dag.adj
+    if not (isinstance(nodes, dict) and isinstance(adj, dict)):
+        return ["nodes-or-adj-not-a-dict"]
+    violations = [rule for rule, label in (("missing-start", START), ("missing-goal", GOAL))
+                  if label not in nodes]
     if violations:
         return violations
 
-    for src, outs in dag.adj.items():
-        if src not in dag.nodes:
+    walkable, into_start = True, False
+    for src, outs in adj.items():
+        if src not in nodes:
             violations.append(f"unknown-edge-source: {src}")
+        if not isinstance(outs, dict):
+            violations.append(f"out-edge-map-not-a-dict: {src}")
+            walkable = False
+            continue
+        into_start = into_start or START in outs
         for dst, stat in outs.items():
-            if dst not in dag.nodes:
+            if dst not in nodes:
                 violations.append(f"unknown-edge-target: {src}->{dst}")
+                walkable = False
+            if not isinstance(stat, EdgeStat):
+                violations.append(f"not-an-edge-stat: {src}->{dst}")
+                continue
             if stat.count < 0:
                 violations.append(f"negative-count: {src}->{dst}")
             if stat.gamma < 0:
                 violations.append(f"negative-gamma: {src}->{dst}")
 
-    deg = dag.in_degrees()
-    if deg.get(START, 0) != 0:
+    if into_start:
         violations.append("start-has-in-edges")
-    if dag.adj.get(GOAL):
+    if isinstance(adj.get(GOAL), dict) and adj[GOAL]:
         violations.append("goal-has-out-edges")
 
-    for label, node in dag.nodes.items():
-        if node.success_alpha < 1.0 or node.success_beta < 1.0:
+    for label, node in nodes.items():
+        if not isinstance(node, DagNode):
+            violations.append(f"not-a-dag-node: {label}")
+        elif node.success_alpha < 1.0 or node.success_beta < 1.0:
             violations.append(f"beta-params-below-prior: {label}")
-
-    if dag.topological_order() is None:
-        violations.append("cycle")
+        if label not in adj:
+            violations.append(f"no-out-edge-map: {label}")
+    if not walkable:
         return violations
 
-    # Path coverage: every step node on some START -> GOAL path.
-    from_start = _reachable(dag.adj, START)
-    reversed_adj: dict[str, set] = {label: set() for label in dag.nodes}
-    for src, dst, _ in dag.edges():
-        reversed_adj[dst].add(src)
-    to_goal = _reachable(reversed_adj, GOAL)
+    if (order := dag.topological_order()) is None:
+        return violations + ["cycle"]
+    # Every step on a START -> GOAL path; a topological order puts a node after its predecessors.
+    from_start, to_goal = {START}, {GOAL}
+    for v in order:
+        if v in from_start:
+            from_start.update(adj.get(v, ()))
+    for v in reversed(order):
+        if not to_goal.isdisjoint(adj.get(v, ())):
+            to_goal.add(v)
     for label in dag.step_labels():
         if label not in from_start:
             violations.append(f"unreachable-from-start: {label}")
         if label not in to_goal:
             violations.append(f"unreachable-goal: {label}")
     return violations
-
-
-def _reachable(adj, root) -> set:
-    seen = set()
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj.get(v, ()))
-    return seen
-
-
-def assert_valid(dag: ProceduralDag, context: str = "") -> None:
-    violations = check_valid(dag)
-    if violations:
-        where = f" after {context}" if context else ""
-        raise InvalidDag(f"invalid DAG{where}: {violations[0]}")
 
 
 def enumerate_paths(dag: ProceduralDag, max_paths: int = 10000, max_path_len: int = 64):

@@ -202,8 +202,7 @@ def fuse(g1: ProceduralDag, g2: ProceduralDag, embedder, tau_align: float = 0.8)
     union would contain a cycle; the inputs are never mutated.
     """
     for name, g in (("first", g1), ("second", g2)):
-        violations = check_valid(g)
-        if violations:
+        if violations := check_valid(g):
             raise InvalidInput(f"{name} input DAG invalid: {violations[0]}")
 
     return _fuse_aligned(g1, g2, align_nodes(g1, g2, embedder, tau_align))
@@ -246,8 +245,7 @@ def _fuse_aligned(g1: ProceduralDag, g2: ProceduralDag, alignment: Alignment) ->
         else:
             fused.add_edge(ms, md, stat.count, stat.gamma)
 
-    violations = check_valid(fused)
-    if violations:
+    if violations := check_valid(fused):
         raise FusionCycle(f"fused union is not a valid DAG: {violations[0]}")
     return fused
 
@@ -282,7 +280,8 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     if id_a == id_b:
         raise InvalidInput("cannot fuse a logic node with itself")
     a, b = logic[id_a], logic[id_b]
-    alignment = align_nodes(a.dag, b.dag, store.embedder, store.config.tau_align)
+    # Through the store's checked embed, which refuses a vector that is not dim finite floats.
+    alignment = align_nodes(a.dag, b.dag, store, store.config.tau_align)
     before = _total_count(a.dag) + _total_count(b.dag)
     fused_dag = _fuse_aligned(a.dag, b.dag, alignment)  # a store's DAGs are valid
 

@@ -153,15 +153,18 @@ _KEYS = {"record": (frozenset(), frozenset(("id", "video", "t", "descriptions", 
 # place the write reaches it: n nested levels of [x, x] are n containers, but write 2**n values.
 MAX_ATTRS_VALUES = 65536
 
+# The most levels one attrs object may nest, itself the first: far below where json's recursion gives up.
+MAX_ATTRS_DEPTH = 64
+
 
 def _attrs_fault(dicts: list) -> str | None:
     """None when json writes each of ``dicts`` and reads it back as it is: str keys, and str, int, bool,
-    None, finite float, list and dict values, no container that holds itself, and at most
-    ``MAX_ATTRS_VALUES`` values written per dict; else what is wrong, as the end of a sentence about
-    the attrs. The walk goes a level at a time, each container once a level with the number of places
-    the write reaches it; a walk deeper than the distinct containers it has met below ``dicts`` has
-    gone round a cycle, while a shared container only repeats a level. Past the bound, a walk of
-    several dicts, whose counts below the top level are their sums, walks each dict alone."""
+    None, finite float, list and dict values, no container that holds itself, at most ``MAX_ATTRS_VALUES``
+    values written per dict and at most ``MAX_ATTRS_DEPTH`` levels; else what is wrong, as the end of a
+    sentence about the attrs. The walk goes a level at a time, each container once a level with the
+    number of places the write reaches it; a walk deeper than the distinct containers it has met below
+    ``dicts`` has gone round a cycle, while a shared container only repeats a level. Past the bound, a
+    walk of several dicts, whose counts below the top level are their sums, walks each dict alone."""
     roots, lists, seen, depth = dicts, [], set(), 0
     written = max(map(len, dicts)) if dicts else 0  # the top level: the largest of the dicts'
     while True:
@@ -192,6 +195,8 @@ def _attrs_fault(dicts: list) -> str | None:
         depth += 1
         if depth > len(seen):  # a chain of more containers than there are
             return "hold what JSON cannot carry exactly"
+        if depth >= MAX_ATTRS_DEPTH:  # the containers just met are on level depth + 1
+            return f"nest more than {MAX_ATTRS_DEPTH} levels"
         dicts = [x for x in nested.values() if type(x) is dict]
         lists = [x for x in nested.values() if type(x) is list]
         reach = [counts[id(x)] for x in dicts + lists]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import cosine
-from .dag import GOAL, START, ProceduralDag, assert_valid, record_trial
+from .dag import GOAL, START, ProceduralDag, record_trial
 from .distill import distill
 from .errors import DimensionMismatch, NotIngested
 from .ingest import record_fault
@@ -137,7 +137,6 @@ def apply_observation(store, rec) -> UpdateReport:
                 record_trial(node.dag, n.action, n.outcome == "success")
                 report.trials += 1
         node.episodic_links.update(meta.episodes)
-        assert_valid(node.dag, "apply_observation")
         return report
 
     report.pooled = True

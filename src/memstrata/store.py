@@ -50,7 +50,7 @@ from .core import (
     embedder_identity,
     finite_vector,
 )
-from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
+from .dag import GOAL, START, DagNode, EdgeStat, ProceduralDag, check_valid, transition_prob
 from .distill import LogicNode, default_goal_name, extract_action, verify_default
 from .errors import (
     ConfigError,
@@ -460,29 +460,33 @@ def check_store(store: MemoryStore) -> list[str]:
         if type(dag) is not ProceduralDag:
             v.append(f"logic {logic_id}: dag {dag!r} is not a ProceduralDag")
             continue
+        # These walks pass over a part of another type, which check_valid reports.
+        sound = isinstance(dag.nodes, dict) and isinstance(dag.adj, dict)
+        steps, adj = (dag.nodes, dag.adj) if sound else ({}, {})
         scalars = [("score", node.score)]
-        for label, dag_node in dag.nodes.items():
+        for label, dag_node in steps.items():
+            if not isinstance(dag_node, DagNode):
+                continue
             if type(dag_node.attrs) is not dict:
                 v.append(f"logic {logic_id}: {label} attrs {dag_node.attrs!r} is not a dict")
             elif fault := _attrs_fault([dag_node.attrs]):
                 v.append(f"logic {logic_id}: {label} attrs {fault}")
             scalars += [(f"{label} success_alpha", dag_node.success_alpha),
                         (f"{label} success_beta", dag_node.success_beta)]
-        for src, dst, stat in dag.edges():
-            scalars += [(f"{src}->{dst} count", stat.count), (f"{src}->{dst} gamma", stat.gamma)]
+        scalars += [(f"{src}->{dst} {key}", getattr(stat, key)) for src, outs in adj.items()
+                    if isinstance(outs, dict) for dst, stat in outs.items() if isinstance(stat, EdgeStat)
+                    for key in ("count", "gamma")]
         bad = [f"logic {logic_id}: {name} {x!r} is not a finite number"
                for name, x in scalars if not _is_finite_number(x)]
         if bad:
             v.extend(bad)
-            continue  # the DAG checks below compare these numbers
-        for violation in check_valid(dag):
-            v.append(f"logic {logic_id}: {violation}")
+            continue  # check_valid compares these numbers
+        if faults := check_valid(dag):
+            v += [f"logic {logic_id}: {fault}" for fault in faults]
+            continue  # the sums below read what a fault may have broken
         for src in sorted(dag.adj):
-            outs = dag.adj[src]
-            if not outs:
-                continue
-            total = sum(transition_prob(dag, src, dst) for dst in sorted(outs))
-            if abs(total - 1.0) > 1e-9:
+            total = sum(transition_prob(dag, src, dst) for dst in sorted(dag.adj[src]))
+            if dag.adj[src] and abs(total - 1.0) > 1e-9:
                 v.append(f"logic {logic_id}: transition probs at {src} sum to {total}")
 
     pool, observations = store._pool, store._observations

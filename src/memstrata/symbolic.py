@@ -122,8 +122,7 @@ def goal_reach_probability(dag: ProceduralDag, from_node: str) -> float:
     trivially 1; the informative scalar is the expected hitting time under
     the transition estimates: E[GOAL]=0, E[v] = 1 + sum_j P(j|v) E[j].
     """
-    violations = check_valid(dag)
-    if violations:
+    if violations := check_valid(dag):
         raise InvalidDag(f"invalid DAG: {violations[0]}")
     if from_node not in dag.nodes:
         raise InvalidDag(f"unknown node {from_node!r}")

@@ -10,11 +10,15 @@ import numpy as np
 import pytest
 
 from memstrata import (
+    Config,
+    Description,
     FusionCycle,
     GOAL,
     HashingEmbedder,
     InvalidInput,
     InvalidPrior,
+    MemoryStore,
+    ObservationRecord,
     ProceduralDag,
     START,
     align_nodes,
@@ -25,7 +29,8 @@ from memstrata import (
     fuse_logic_nodes,
     pool_beta,
 )
-from conftest import fruit_salad_store
+from memstrata.maintain import UpdateReport, _apply_pairs
+from conftest import FRUIT_VERBS, fruit_salad_store
 
 EMB = HashingEmbedder(512)
 
@@ -363,6 +368,38 @@ def test_fuse_logic_nodes_aligns_once_and_builds_fuse_result(monkeypatch):
             for label, n in fused.nodes.items()} == \
         {label: (n.attrs, n.success_alpha, n.success_beta)
          for label, n in expected.nodes.items()}
+
+
+class NanForStirPot:
+    """The built-in vectors, but NaN for the action label ``stir_pot``."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.builtin = HashingEmbedder(dim)
+
+    def embed(self, text):
+        v = self.builtin.embed(text)
+        return np.full_like(v, np.nan) if text == "stir_pot" else v
+
+
+def test_fuse_logic_nodes_refuses_an_embedder_vector_that_is_not_finite():
+    # An applied pair adds a step label that nothing embeds until a fuse aligns it; the
+    # alignment embeds through the store, which refuses the vector before any change.
+    store = MemoryStore(Config(dim=64, action_verbs=FRUIT_VERBS), NanForStirPot(64))
+    rid = 0
+    for middle, videos in (("mix", ("v1", "v2", "v3")), ("blend", ("w1", "w2", "w3"))):
+        for video in videos:
+            for t, text in enumerate(["chop the fruit", f"{middle} the fruit", "serve the salad"]):
+                rid += 1
+                store.ingest(ObservationRecord(rid, video, float(t), [Description(text)], [], []))
+        store.distill()
+    assert sorted(store.logic) == [1, 2]
+    for node in store.logic.values():
+        _apply_pairs(node.dag, ["chop_fruit", "stir_pot"], {}, UpdateReport(0))
+    assert store.check() == []
+    with pytest.raises(InvalidInput, match="^embedder output for 'stir_pot' is not 64 finite floats$"):
+        fuse_logic_nodes(store, 1, 2)
+    assert sorted(store.logic) == [1, 2] and store.check() == []
 
 
 def test_auto_fuse_uses_goal_similarity_trigger():

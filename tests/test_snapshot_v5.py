@@ -37,7 +37,7 @@ from memstrata import (
     auto_fuse,
 )
 from memstrata import store as store_module
-from memstrata.ingest import MAX_ATTRS_VALUES, OUTCOMES, read_observation_lines
+from memstrata.ingest import MAX_ATTRS_DEPTH, MAX_ATTRS_VALUES, OUTCOMES, read_observation_lines
 from memstrata.store import snapshot_dict, store_from_dict
 from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot, plant, runs, unruns
 
@@ -668,25 +668,68 @@ def test_loaded_and_cloned_clocks_are_each_videos_latest_observation(tmp_path):
     assert len({json.dumps(snapshot_dict(fork), sort_keys=True) for fork in forks.values()}) == 1
 
 
-def test_attrs_nested_985_levels_are_read_ingested_saved_and_loaded(tmp_path):
-    # What fits under the recursion limit is kept: run where the stack starts empty, as in a
-    # script, a thread of its own.
+def _nested(levels: int) -> dict:
+    """An attrs object that nests ``levels`` levels, itself the first."""
+    x = 1
+    for _ in range(levels - 1):
+        x = [x]
+    return {"k": x}
+
+
+def _deeper(frames: int, fn):
+    return fn() if frames == 0 else _deeper(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 150])
+def test_attrs_nested_to_the_bound_pass_every_boundary_and_one_level_more_is_refused(tmp_path, frames):
+    # The bound is a rule of the input, not of the reader's stack: run in a thread of its own,
+    # where the stack starts empty as in a script, and again 150 frames deeper.
     path = str(tmp_path / "snap.json")
-    record = {"id": 1, "video": "v", "t": 0.0, "descriptions": [{"text": "chop it", "attrs": {"k": 0}}],
-              "conclusions": [], "percepts": []}
-    lines = ['{"version": 1}', json.dumps(record).replace('"k": 0', '"k": ' + "[" * 985 + "1" + "]" * 985)]
-    same = []
+    over = f"nest more than {MAX_ATTRS_DEPTH} levels"
+
+    def lines(levels):
+        record = {"id": 1, "video": "v", "t": 0.0, "descriptions": [{"text": "chop it", "attrs": _nested(levels)}],
+                  "conclusions": [], "percepts": []}
+        return ['{"version": 1}', json.dumps(record)]
 
     def run():
         store = MemoryStore(Config(dim=DIM))
-        store.ingest(read_observation_lines(lines)[0])
+        store.ingest(read_observation_lines(lines(MAX_ATTRS_DEPTH))[0])
         store.save(path)
-        same.append(MemoryStore.load(path).episodic[1].attrs == store.episodic[1].attrs)
+        assert MemoryStore.load(path).episodic[1].attrs == _nested(MAX_ATTRS_DEPTH)
+        with pytest.raises(MalformedRecord, match=f"^attrs of 'chop it' {over}$"):
+            read_observation_lines(lines(MAX_ATTRS_DEPTH + 1))
+        with pytest.raises(MalformedRecord, match=f"^attrs of 'chop it' {over}$"):
+            store.ingest(ObservationRecord(2, "v", 1.0, [Description("chop it", _nested(MAX_ATTRS_DEPTH + 1))],
+                                           [], []))
+        text = open(path).read()
+        at_bound = "[" * (MAX_ATTRS_DEPTH - 1) + "1" + "]" * (MAX_ATTRS_DEPTH - 1)
+        assert text.count(at_bound) == 1
+        open(path, "w").write(text.replace(at_bound, "[" + at_bound + "]"))
+        with pytest.raises(CorruptSnapshot, match=f"^episodic 1: attrs {over}$"):
+            MemoryStore.load(path)
+        store = shapes_store()
+        step = store.logic[1].dag.nodes["mix_fruit"]
+        step.attrs["k"] = _nested(MAX_ATTRS_DEPTH)["k"]
+        store.save(path)
+        step.attrs["k"] = _nested(MAX_ATTRS_DEPTH + 1)["k"]
+        assert store.check() == [f"logic 1: mix_fruit attrs {over}"]
+        with pytest.raises(SnapshotIoError, match=f"logic 1: mix_fruit attrs {over}$"):
+            store.save(path)
 
-    thread = threading.Thread(target=run)
+    failed = []
+
+    def in_thread():
+        try:
+            _deeper(frames, run)
+        except BaseException as exc:  # raised again below, in the test's own thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=in_thread)
     thread.start()
     thread.join()
-    assert same == [True]
+    if failed:
+        raise failed[0]
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
