@@ -246,16 +246,10 @@ class RowBlock:
         return self._chunks[:-1] + [self._chunks[-1][:last]] if self._chunks else []
 
 
-def add_rows(blocks: dict, prefix: str, node_id, node) -> None:
-    """Give ``node``, of an id above every other's, its rows: each field ``prefix + key``, unless
-    None, becomes a view of its row of ``blocks[key]``."""
-    for key, block in blocks.items():
-        if (vector := getattr(node, prefix + key)) is not None:
-            setattr(node, prefix + key, block.append(node_id, vector))
-
-
 class Embedder(Protocol):
-    """Text -> vector map; must be deterministic for fixed text.
+    """Text -> vector map; must be deterministic for fixed text, and return a
+    new array on each call: the store marks the array it takes read-only
+    (``MemoryStore.embed``), which would also seal one the embedder holds.
 
     Snapshots record ``embedder_identity``: an optional ``name`` attribute,
     else the class's import path, and ``dim``.
@@ -402,6 +396,11 @@ class Config:
             if type(verbs) not in (list, tuple):  # tuple() would split a str, or take a dict's keys
                 raise ConfigError(f"action_verbs must be a list of non-empty strings, got {verbs!r}")
             kwargs["action_verbs"] = tuple(verbs)
+        weights = kwargs.get("layer_weights")
+        if (type(weights) is dict and weights == DEFAULT_LAYER_WEIGHTS
+                and all(type(w) is dict and _FLOAT.issuperset(map(type, w.values()))
+                        for w in weights.values())):
+            kwargs["layer_weights"] = DEFAULT_LAYER_WEIGHTS  # shared, as Config() shares it
         return cls(**kwargs)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import _is_finite_number
 from .errors import MissingEdge, NotAStepNode, PathExplosion
 
 START = "START"
@@ -143,8 +144,9 @@ class ProceduralDag:
     def topological_order(self) -> list[str] | None:
         """Kahn's algorithm (CACM 1962): some topological order, or None on a cycle."""
         deg = dict.fromkeys(self.nodes, 0)
-        for _, dst, _ in self.edges():
-            deg[dst] += 1
+        for src, dst, _ in self.edges():
+            if src in deg:  # an edge from a label that is no node is no node's in-edge
+                deg[dst] += 1
         ready = [label for label, d in deg.items() if d == 0]
         order = []
         while ready:
@@ -237,9 +239,10 @@ def satisfies(attrs: dict, constraint: Constraint) -> bool:
 
 def check_valid(dag: ProceduralDag) -> list[str]:
     """Every validity violation, rule by rule; [] means the DAG is ok. Never raises on a DAG's
-    containers: the edge and node loops report a part of another type, a node with no out-edge
-    map (walked as empty) and an edge to or from no node; then one Kahn order, the cycle test, is
-    swept forward from START and back from GOAL, if no edge or out-edge map stops the walk."""
+    containers or values: the edge and node loops report a part of another type, a node with no
+    out-edge map (walked as empty), an edge to or from no node, a label that is no str and a number
+    that is no finite one, before it is compared; then one Kahn order, the cycle test, is swept
+    forward from START and back from GOAL, if no edge or out-edge map stops the walk."""
     nodes, adj = dag.nodes, dag.adj
     if not (isinstance(nodes, dict) and isinstance(adj, dict)):
         return ["nodes-or-adj-not-a-dict"]
@@ -264,10 +267,11 @@ def check_valid(dag: ProceduralDag) -> list[str]:
             if not isinstance(stat, EdgeStat):
                 violations.append(f"not-an-edge-stat: {src}->{dst}")
                 continue
-            if stat.count < 0:
-                violations.append(f"negative-count: {src}->{dst}")
-            if stat.gamma < 0:
-                violations.append(f"negative-gamma: {src}->{dst}")
+            for key in ("count", "gamma"):
+                if not _is_finite_number(x := getattr(stat, key)):
+                    violations.append(f"{src}->{dst} {key} {x!r} is not a finite number")
+                elif x < 0:
+                    violations.append(f"negative-{key}: {src}->{dst}")
 
     if into_start:
         violations.append("start-has-in-edges")
@@ -275,8 +279,14 @@ def check_valid(dag: ProceduralDag) -> list[str]:
         violations.append("goal-has-out-edges")
 
     for label, node in nodes.items():
+        if type(label) is not str:
+            violations.append(f"step label {label!r} is not a str")
         if not isinstance(node, DagNode):
             violations.append(f"not-a-dag-node: {label}")
+        elif faults := [f"{label} {key} {x!r} is not a finite number"
+                        for key in ("success_alpha", "success_beta")
+                        if not _is_finite_number(x := getattr(node, key))]:
+            violations += faults
         elif node.success_alpha < 1.0 or node.success_beta < 1.0:
             violations.append(f"beta-params-below-prior: {label}")
         if label not in adj:

@@ -20,7 +20,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import add_rows, norm, tokenize
+from .core import norm, tokenize
 from .dag import GOAL, START, ProceduralDag
 from .dag import enumerate_paths  # noqa: F401 -- bench/tracing.py wraps this name
 from .errors import InvalidInput
@@ -49,9 +49,10 @@ class Pattern:
     supporting_videos: tuple
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class LogicNode:
-    """Distilled procedure: goal text, dual index vectors, DAG, evidence."""
+    """Distilled procedure, set once: goal text, dual index vectors (views of its rows of the
+    store's logic rows, which ``ema_update`` writes), DAG and evidence, both written in place."""
 
     id: int
     c: str
@@ -407,17 +408,16 @@ def distill(store, episode_ids=None) -> list[int]:
         i_step = _normalized_mean([store.embed(s) for s in pattern.steps])
         logic_id = store._next_logic_id
         store._next_logic_id += 1
-        node = LogicNode(
+        goal_rows, step_rows = store._logic_rows.values()
+        store._logic[logic_id] = LogicNode(
             id=logic_id,
             c=c,
-            i_goal=i_goal,
-            i_step=i_step,
+            i_goal=goal_rows.append(logic_id, i_goal),  # the node holds its rows
+            i_step=step_rows.append(logic_id, i_step),
             dag=dag,
             episodic_links={e.id for e in related},
             score=score,
             steps=tuple(pattern.steps),
         )
-        store._logic[logic_id] = node
-        add_rows(store._logic_rows, "i_", logic_id, node)
         created.append(logic_id)
     return created

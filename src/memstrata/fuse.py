@@ -293,9 +293,9 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
         i_goal=(a.i_goal + b.i_goal) / 2.0,
         i_step=(a.i_step + b.i_step) / 2.0,
         dag=fused_dag,
-        episodic_links=set(a.episodic_links) | set(b.episodic_links),
+        episodic_links=a.episodic_links | b.episodic_links,
         score=max(a.score, b.score),
-        steps=tuple(a.steps),
+        steps=a.steps,
     )
     for old_id in (id_a, id_b):
         del logic[old_id]

@@ -67,11 +67,11 @@ class ObservationRecord:
     percepts: list = field(default_factory=list)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class EntityAnchor:
-    """A recurring person; each centroid is the running mean of the
-    percepts of its kind assigned to it, held as a view of the anchor's row
-    in the store's centroid rows."""
+    """A recurring person, set once: a percept it takes puts a new anchor with the new count under
+    its id. Each centroid is the running mean of the percepts of its kind assigned to it, held as a
+    view of the anchor's row in the store's centroid rows, which that percept writes in place."""
 
     id: int
     label: str
@@ -374,8 +374,9 @@ def resolve_anchor(store, percept: Percept) -> int:
     """Assign a percept to the closest same-kind anchor, or create one.
 
     The winning anchor's centroid becomes the running mean of its assigned
-    vectors, written into its row. A new anchor is seeded whenever the best
-    similarity falls below tau_anchor (or no same-kind centroid exists).
+    vectors, written into its row, and a new anchor of the new count takes
+    its key's place. A new anchor is seeded whenever the best similarity
+    falls below tau_anchor (or no same-kind centroid exists).
     """
     block = store._centroid_rows[percept.kind]  # the rows that own that kind's centroids
     count = _COUNT_FIELDS[percept.kind]
@@ -389,7 +390,10 @@ def resolve_anchor(store, percept: Percept) -> int:
             centroid *= k
             centroid += percept.vector
             centroid /= k + 1
-            setattr(anchor, count, k + 1)
+            face = percept.kind == "face"
+            store._anchors[anchor.id] = EntityAnchor(
+                anchor.id, anchor.label, anchor.centroid_face, anchor.centroid_voice,
+                anchor.face_count + face, anchor.voice_count + (not face))
             return anchor.id
 
     anchor_id = store._next_anchor_id

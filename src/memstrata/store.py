@@ -46,11 +46,11 @@ from .core import (
     RowBlock,
     _is_finite_number,
     _is_int,
-    add_rows,
     embedder_identity,
+    finite_entries,
     finite_vector,
 )
-from .dag import GOAL, START, DagNode, EdgeStat, ProceduralDag, check_valid, transition_prob
+from .dag import GOAL, START, DagNode, ProceduralDag, check_valid, transition_prob
 from .distill import LogicNode, default_goal_name, extract_action, verify_default
 from .errors import (
     ConfigError,
@@ -107,8 +107,13 @@ class MemoryStore:
     ``observations`` and ``video_clock`` is a read-only view
     (``types.MappingProxyType``) of a private dict, ``pool`` is a tuple and the
     id counters are read-only properties, so a caller's write raises
-    ``TypeError`` or ``AttributeError``. Each engine write keeps what the store
-    keeps for its scans current in the same call.
+    ``TypeError`` or ``AttributeError``. Each node is a frozen dataclass, which
+    the engine replaces under its key, and each embedded vector (a ``v_e``, a
+    ``v_s``, a query's) is read-only, so a write into one raises ``ValueError``.
+    A caller can still write what a save stores and ``check()`` judges: the rows
+    that centroids and index vectors view, a DAG, ``episodic_links`` and attrs.
+    Each engine write keeps what the store keeps for its scans current in the
+    same call.
 
     One order: ``anchors``, ``episodic``, ``semantic`` and ``logic`` each iterate
     in ascending id, so a reader iterates a layer and never sorts it. The engine
@@ -176,9 +181,9 @@ class MemoryStore:
         self._semantic_postings = by_anchor = defaultdict(list)
         self._action_postings = by_action = defaultdict(list)
         for anchor_id, anchor in self._anchors.items():
-            add_rows(centroids, "centroid_", anchor_id, anchor)
+            _point_at_rows(centroids, "centroid_", anchor_id, anchor)
         for logic_id, node in self._logic.items():
-            add_rows(logic_rows, "i_", logic_id, node)
+            _point_at_rows(logic_rows, "i_", logic_id, node)
         for node_id, node in self._semantic.items():
             for anchor_id in node.anchors:
                 by_anchor[anchor_id].append(node_id)
@@ -213,13 +218,15 @@ class MemoryStore:
         """The embedder's vector for ``text``. Any embedder but the built-in one is an input
         boundary: its vector is refused unless it is ``dim`` finite floats (``core.finite_vector``),
         with ``DimensionMismatch`` for an array of another shape and ``InvalidInput`` otherwise,
-        so that no vector the store keeps breaks that rule."""
+        so that no vector the store keeps breaks that rule. The vector is made read-only, so that
+        no write into it can make it another text's (see ``core.Embedder``)."""
         v = self.embedder.embed(text)
         if not self.embedder_is_builtin and not finite_vector(v, self.config.dim):
             if isinstance(v, np.ndarray) and v.shape != (self.config.dim,):
                 raise DimensionMismatch(f"embedder output for {text!r} has shape {v.shape}, "
                                         f"store dim is {self.config.dim}")
             raise InvalidInput(f"embedder output for {text!r} is not {self.config.dim} finite floats")
+        v.flags.writeable = False
         return v
 
     def text_entry(self, text: str, vector=None) -> tuple:
@@ -267,11 +274,14 @@ class MemoryStore:
         return next((i for i, anchor in self._anchors.items() if anchor.label == label), None)
 
     def clone(self) -> "MemoryStore":
-        """A store of its own, equal to this one: its state deep-copied, and what it keeps for its
-        scans built from that copy, as a load builds it."""
+        """A store of its own, equal to this one: its state deep-copied but for its embedded
+        vectors, which are read-only and so shared, and what it keeps for its scans built from
+        that copy, as a load builds it."""
         twin = copy.copy(self)
+        shared = {id(v): v for v in chain([entry[1] for entry in self._texts.values()],
+                                          [node.v_s for node in self._semantic.values()])}
         vars(twin).update(copy.deepcopy({name: value for name, value in vars(self).items()
-                                         if name not in _KEPT}))
+                                         if name not in _KEPT}, shared))
         twin._build_kept()
         return twin
 
@@ -353,8 +363,8 @@ class MemoryStore:
 
 # -- global invariant sweep -----------------------------------------------
 
-# The one type of each field that a snapshot writes as it is, by section (episodic attrs and text
-# entries are tested in check_store): a load refuses any other, or reads it back as another value.
+# The one type of each field that a snapshot writes as it is, by section (episodic attrs are tested
+# in check_store): a load refuses any other, or reads it back as another value.
 _FIELD_TYPES = {"anchor": {"label": str}, "semantic": {"type": str, "attrs": str}, "logic": {"c": str}}
 
 
@@ -367,16 +377,15 @@ def check_store(store: MemoryStore) -> list[str]:
     """Global invariant sweep; returns all violations (empty means healthy).
 
     It is the one definition of a store that ``save`` writes and a load keeps, so it reports, and
-    never raises on, any value a caller has put in a field of an anchor, a logic node, a DAG step or
-    edge, or an episode's attrs, the state a sealed store still lets a caller write, and every such
-    value a file can hold. What construction guarantees is not tested: only the engine writes a
-    store's layers, texts, observations, clock, pool and counters, and a load builds them from a
-    file it has refused unless it is canonical; its config is valid and fixed; every id is an int
-    and each layer iterates in ascending id (see ``MemoryStore``); and its episodic and semantic
-    nodes and its observations are set once, so each episode's id, text, outcome and observation,
-    and each observation's video, episodes and clock, are what ingest or a load made them. A rule
-    over the episodes or the observations tests a whole column at once, and names the offenders
-    only when that test fails.
+    never raises on, any value a file can hold or a caller can still write (see ``MemoryStore``):
+    into a row, a DAG, an evidence set or an episode's attrs. What construction guarantees is not
+    tested: only the engine writes a store's layers, texts, observations, clock, pool and counters,
+    and a load builds them from a file it has refused unless it is canonical; its config is valid
+    and fixed; every id is an int, each node's own id its key, and each layer iterates in ascending
+    id; every node is set once, each anchor and logic node holding views of its own rows and each
+    logic node a ``ProceduralDag``; and each embedded vector is read-only, ``dim`` finite floats
+    when the store took it. A rule over the episodes or the observations tests a whole column at
+    once, and names the offenders only when that test fails.
     """
     v, dim = [], store.config.dim
 
@@ -399,9 +408,6 @@ def check_store(store: MemoryStore) -> list[str]:
                 v += [f"{kind} {i}: {field} {x!r} is not a {field_type.__name__}"
                       for i, x in zip(order, column) if type(x) is not field_type]
 
-    # Each vector that the kept rows own is its row.
-    rows = {name: {key: dict(zip(block.ids, block.rows)) for key, block in kept.items()}
-            for name, kept in (("anchor", store._centroid_rows), ("logic", store._logic_rows))}
     for anchor_id, anchor in zip(ids["anchor"], held["anchor"]):
         if anchor.centroid_face is None and anchor.centroid_voice is None:
             v.append(f"anchor {anchor_id}: no centroid")
@@ -410,13 +416,8 @@ def check_store(store: MemoryStore) -> list[str]:
             if not (_is_int(k) and (k >= 1 if c is not None else k == 0)):
                 v.append(f"anchor {anchor_id}: {name}_count {k!r} is not "
                          + ("an int of at least 1" if c is not None else f"0 without a {name} centroid"))
-            if c is not None:
-                if not finite_vector(c, dim):
-                    v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
-                if rows["anchor"][name].pop(anchor_id, None) is not c:
-                    v.append(f"anchor {anchor_id}: {name} centroid is not its row of the {name} rows")
-    v += [f"{kind} centroid rows of anchors without a {kind} centroid: {sorted(left)}"
-          for kind, left in rows["anchor"].items() if left]
+            if c is not None and not finite_entries(c):  # a row, which a write into it may break
+                v.append(f"anchor {anchor_id}: {name} centroid is not {dim} finite floats")
 
     anchor_ids, ep_ids, nodes = store._anchors.keys(), ids["episodic"], held["episodic"]
     anchor_sets = [n.anchors for n in nodes]
@@ -424,63 +425,39 @@ def check_store(store: MemoryStore) -> list[str]:
             and _ids_in(frozenset().union(*set(anchor_sets)), anchor_ids)):
         v += [f"episodic {i}: anchors {a!r} are not a frozenset of anchor ids" for i, a in
               zip(ep_ids, anchor_sets) if type(a) is not frozenset or not _ids_in(a, anchor_ids)]
-    # Each of the store's text entries once; a rule on one names the first node that holds it.
-    if bad := {id(e) for e in store._texts.values() if not finite_vector(e[1], dim)}:
-        first = dict(zip([id(n.text) for n in reversed(nodes)], reversed(ep_ids)))  # entry -> node
-        v += [f"episodic {i}: v_e is not {dim} finite floats"
-              for i in sorted(first[e] for e in bad if e in first)]
 
     for node_id, node in zip(ids["semantic"], held["semantic"]):
         if not (_is_int(node.weight) and node.weight >= 1):
             v.append(f"semantic {node_id}: weight {node.weight!r} is not an int of at least 1")
         if type(node.anchors) is not frozenset or not _ids_in(node.anchors, anchor_ids):
             v.append(f"semantic {node_id}: anchors {node.anchors!r} are not a frozenset of anchor ids")
-        if not finite_vector(node.v_s, dim):
-            v.append(f"semantic {node_id}: v_s is not {dim} finite floats")
 
     # The evidence of all procedures at once first: its union is far smaller than the sum.
-    links = [node.episodic_links for node in held["logic"]]
-    linked = set(map(type, links)) <= {set} and _ids_in(set().union(*links), store._episodic.keys())
+    links = set().union(*map(attrgetter("episodic_links"), held["logic"]))
+    linked = _ids_in(links, store._episodic.keys())
     for logic_id, node in zip(ids["logic"], held["logic"]):
-        if type(node.steps) is not tuple or not set(map(type, node.steps)) <= {str}:
+        if not set(map(type, node.steps)) <= {str}:  # a tuple, as the engine or a load made it
             v.append(f"logic {logic_id}: steps {node.steps!r} are not a tuple of strings")
-        links = node.episodic_links
-        if not linked and (type(links) is not set or not set(map(type, links)) <= {int}):
+        links = node.episodic_links  # a set, which a caller can write into
+        if not linked and not set(map(type, links)) <= {int}:
             v.append(f"logic {logic_id}: episodic links are not a set of ints")
         elif not links:
             v.append(f"logic {logic_id}: no episodic evidence")
         elif not linked and not links <= store._episodic.keys():
             v.append(f"logic {logic_id}: dangling episodic link")
         for key, x in (("goal", node.i_goal), ("step", node.i_step)):
-            if not finite_vector(x, dim):
+            if not finite_entries(x):  # a row, which a write into it may break
                 v.append(f"logic {logic_id}: i_{key} is not {dim} finite floats")
-            if rows["logic"][key].get(logic_id) is not x:
-                v.append(f"logic {logic_id}: i_{key} is not its row of the {key} rows")
         dag = node.dag
-        if type(dag) is not ProceduralDag:
-            v.append(f"logic {logic_id}: dag {dag!r} is not a ProceduralDag")
-            continue
-        # These walks pass over a part of another type, which check_valid reports.
-        sound = isinstance(dag.nodes, dict) and isinstance(dag.adj, dict)
-        steps, adj = (dag.nodes, dag.adj) if sound else ({}, {})
-        scalars = [("score", node.score)]
-        for label, dag_node in steps.items():
+        for label, dag_node in (dag.nodes.items() if isinstance(dag.nodes, dict) else ()):
             if not isinstance(dag_node, DagNode):
-                continue
+                continue  # check_valid reports it
             if type(dag_node.attrs) is not dict:
                 v.append(f"logic {logic_id}: {label} attrs {dag_node.attrs!r} is not a dict")
             elif fault := _attrs_fault([dag_node.attrs]):
                 v.append(f"logic {logic_id}: {label} attrs {fault}")
-            scalars += [(f"{label} success_alpha", dag_node.success_alpha),
-                        (f"{label} success_beta", dag_node.success_beta)]
-        scalars += [(f"{src}->{dst} {key}", getattr(stat, key)) for src, outs in adj.items()
-                    if isinstance(outs, dict) for dst, stat in outs.items() if isinstance(stat, EdgeStat)
-                    for key in ("count", "gamma")]
-        bad = [f"logic {logic_id}: {name} {x!r} is not a finite number"
-               for name, x in scalars if not _is_finite_number(x)]
-        if bad:
-            v.extend(bad)
-            continue  # check_valid compares these numbers
+        if not _is_finite_number(node.score):
+            v.append(f"logic {logic_id}: score {node.score!r} is not a finite number")
         if faults := check_valid(dag):
             v += [f"logic {logic_id}: {fault}" for fault in faults]
             continue  # the sums below read what a fault may have broken
@@ -503,13 +480,7 @@ def check_store(store: MemoryStore) -> list[str]:
         v += [f"observation {i}: t {t!r} is not a finite number"
               for i, t in zip(obs_ids, ts) if not _is_finite_number(t)]
 
-    # What a caller can still write: each anchor's and logic node's id, and each episode's attrs,
-    # which JSON must carry.
-    for kind in ("anchor", "logic"):
-        own = [n.id for n in held[kind]]
-        if not set(map(type, own)) <= {int} or own != ids[kind]:
-            v += [f"{kind} {i}: id {x!r} is not its key"
-                  for i, x in zip(ids[kind], own) if type(x) is not int or x != i]
+    # Each episode's attrs, which a caller can write, and JSON must carry.
     attrs = [n.attrs for n in nodes]
     if not set(map(type, attrs)) <= {dict} or _attrs_fault(attrs):
         v += [f"episodic {i}: attrs {x!r} is not a dict" if type(x) is not dict else
@@ -724,6 +695,15 @@ def _built(cls, n: int, **columns) -> list:
     return built
 
 
+def _point_at_rows(blocks: dict, prefix: str, node_id, node) -> None:
+    """Point ``node``, of an id above every other's, at its rows: each field ``prefix + key``, unless
+    None, is set to a view of its row of ``blocks[key]``, through the field's slot descriptor, since
+    the node is frozen."""
+    for key, block in blocks.items():
+        if (vector := getattr(node, prefix + key)) is not None:
+            object.__setattr__(node, prefix + key, block.append(node_id, vector))
+
+
 def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> None:
     """Build the observations and their episodic nodes from version 8 columns, each table entry
     once (a video, a text's entry with its vector and action, an anchor set, an attrs object), and
@@ -834,6 +814,8 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                     _unruns(l["episodic_links"], len(episodic), what), what))))
             except KeyError:
                 raise CorruptSnapshot(f"logic {l['id']}: dangling episodic link") from None
+            if type(l["steps"]) is not list:  # tuple() takes a str's characters, an object's keys
+                raise CorruptSnapshot(f"logic {l['id']}: steps are not a list")
             node = LogicNode(
                 id=l["id"], c=l["c"],
                 i_goal=_vec_from(l["i_goal"], config.dim, f"logic {l['id']} i_goal"),

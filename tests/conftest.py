@@ -84,14 +84,15 @@ def one_hot(index: int, dim: int) -> np.ndarray:
 
 
 class TableEmbedder:
-    """Gives each text the vector its table holds."""
+    """Gives each text a new copy of the vector its table holds, as the embedder contract asks:
+    the store makes the array it takes read-only."""
 
     def __init__(self, dim: int, table: dict):
         self.dim = dim
         self.table = table
 
     def embed(self, text: str) -> np.ndarray:
-        return self.table[text]
+        return self.table[text].copy()
 
 
 def texts_store(config: Config, vectors: dict, video: str = "v") -> MemoryStore:

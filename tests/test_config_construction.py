@@ -169,6 +169,19 @@ def test_construction_work_pin():
     assert not store._semantic_postings and not store._action_postings
 
 
+def test_a_round_trip_of_the_default_weights_shares_them():
+    # A pickle or a snapshot's config is read back by from_dict: the default weights, each a
+    # float, come back as the one shared mapping; an int weight, which re-saves as an int, does not.
+    assert pickle.loads(pickle.dumps(Config())).layer_weights is DEFAULT_LAYER_WEIGHTS
+    assert Config.from_dict(Config(dim=16).to_dict()).layer_weights is DEFAULT_LAYER_WEIGHTS
+    as_int = Config.from_dict({"layer_weights": _weights(factual__epi=1)})
+    assert as_int.layer_weights is not DEFAULT_LAYER_WEIGHTS and as_int == Config()
+    assert as_int.to_dict()["layer_weights"]["factual"]["epi"] == 1
+    assert type(as_int.to_dict()["layer_weights"]["factual"]["epi"]) is int
+    other = Config.from_dict({"layer_weights": _weights(factual__logic=0.7)})
+    assert other.layer_weights is not DEFAULT_LAYER_WEIGHTS and other.layer_weights["factual"]["logic"] == 0.7
+
+
 def test_config_hash_agrees_with_eq():
     reordered = {qt: dict(reversed(list(DEFAULT_LAYER_WEIGHTS[qt].items()))) for qt in reversed(QTS)}
     as_ints = _weights(factual__epi=1, constraint__sem=1, character__epi=1)

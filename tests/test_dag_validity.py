@@ -71,6 +71,58 @@ def test_each_container_fault_is_reported_and_refused_by_every_boundary(tmp_path
         goal_reach_probability(dag, START)
 
 
+# -- check_valid judges each value before it compares it -------------------------------------
+
+def _first_edge(dag, step):
+    return dag.adj[step][_first_out(dag, step)]
+
+
+VALUE_FAULTS = {
+    "label": (lambda dag, step: dag.nodes.__setitem__(5, dag.nodes[step]) or dag.adj.__setitem__(5, {}),
+              "step label 5 is not a str"),
+    "count": (lambda dag, step: setattr(_first_edge(dag, step), "count", "1"),
+              "{step}->{next} count '1' is not a finite number"),
+    "gamma": (lambda dag, step: setattr(_first_edge(dag, step), "gamma", None),
+              "{step}->{next} gamma None is not a finite number"),
+    "alpha": (lambda dag, step: setattr(dag.nodes[step], "success_alpha", "x"),
+              "{step} success_alpha 'x' is not a finite number"),
+    "beta": (lambda dag, step: setattr(dag.nodes[step], "success_beta", float("nan")),
+             "{step} success_beta nan is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("boundary", ["check_valid", "check", "fuse", "goal_reach_probability"])
+@pytest.mark.parametrize("fault", VALUE_FAULTS)
+def test_a_value_check_valid_would_compare_is_reported_not_raised(fault, boundary):
+    # A step label that is no str is sorted, and a count, gamma or Beta parameter that is no
+    # finite number compared: each is reported first, at every boundary a DAG enters by.
+    store = fruit_salad_store()
+    store.distill()
+    logic_id = min(store.logic)
+    dag = store.logic[logic_id].dag
+    valid = dag.copy()
+    step = sorted(dag.step_labels())[0]
+    plant, expected = VALUE_FAULTS[fault]
+    expected = expected.format(step=step, next=_first_out(dag, step))
+    plant(dag, step)
+    if boundary == "check_valid":
+        assert check_valid(dag)[0] == expected
+    elif boundary == "check":
+        assert store.check()[0] == f"logic {logic_id}: {expected}"
+    elif boundary == "fuse":
+        with pytest.raises(InvalidInput, match=re.escape(f"second input DAG invalid: {expected}") + "$"):
+            fuse(valid, dag, store.embedder)
+    else:
+        with pytest.raises(InvalidDag, match=re.escape(f"invalid DAG: {expected}") + "$"):
+            goal_reach_probability(dag, START)
+
+
+def test_an_edge_from_no_node_is_no_cycle():
+    dag = ProceduralDag.single_path(["a", "b"])
+    dag.adj["zzz"] = {"b": EdgeStat()}
+    assert check_valid(dag) == ["unknown-edge-source: zzz"]
+
+
 # -- check_valid against a brute-force closure -----------------------------------------------
 
 STEPS = ("a", "b", "c", "d", "e")
@@ -103,8 +155,8 @@ def label_graphs(draw):
 
 def closure_oracle(dag) -> list[str]:
     """The rules spelled from the transitive closure of the edges, in check_valid's order.
-    An edge from a stranger is an in-edge of its target that no order can come after, so
-    like a cycle it leaves some node out of every topological order."""
+    An edge from a stranger is reported, and is no path: no edge leads to a stranger, so it
+    starts no path from START and breaks no cycle."""
     nodes, adj = dag.nodes, dag.adj
     missing = [rule for rule, label in (("missing-start", START), ("missing-goal", GOAL))
                if label not in nodes]
@@ -136,7 +188,7 @@ def closure_oracle(dag) -> list[str]:
         if longer == paths:
             break
         paths = longer
-    if any((v, v) in paths for v in nodes) or any(src not in nodes for src, _ in edges):
+    if any((v, v) in paths for v in nodes):
         return out + ["cycle"]
     for label in nodes:
         if label not in (START, GOAL):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -165,28 +166,21 @@ def test_resume_from_a_snapshot_equals_an_uninterrupted_build(tmp_path):
     assert digest[0] == digest[1]
 
 
-def test_check_reports_a_centroid_that_is_not_its_row():
+def test_a_centroid_is_its_row_and_a_write_into_it_is_saved(tmp_path):
+    # An anchor is set once, so no centroid can be rebound away from its row: a write into a
+    # centroid is a write into the row that the next percept scans and a save stores.
+    path = str(tmp_path / "snap.json")
     store = _built(_percept_records(3, 60))
-    assert store.check() == []
     faced = store._centroid_rows["face"].ids[1]
     anchor = store.anchors[faced]
-    anchor.centroid_face = anchor.centroid_face.copy()  # equal values, not the row
-    assert store.check() == [f"anchor {faced}: face centroid is not its row of the face rows"]
-
-    store = _built(_percept_records(3, 60))
-    rows = store._centroid_rows["face"].rows
-    rows[0], rows[1] = rows[1], rows[0]  # each anchor's view sits at the other's row
-    assert store.check() == [f"anchor {i}: face centroid is not its row of the face rows"
-                             for i in store._centroid_rows["face"].ids[:2]]
-
-    store = _built(_percept_records(3, 60))
-    voiced = store._centroid_rows["voice"].ids[0]
-    store.anchors[voiced].centroid_voice = None
-    store.anchors[voiced].centroid_face = one_hot(0, 16)
-    store.anchors[voiced].face_count, store.anchors[voiced].voice_count = 1, 0  # counts that fit
-    assert store.check() == [
-        f"anchor {voiced}: face centroid is not its row of the face rows",
-        f"voice centroid rows of anchors without a voice centroid: [{voiced}]"]
+    assert anchor.centroid_face is store._centroid_rows["face"].rows[1]
+    for name in ("centroid_face", "centroid_voice", "face_count", "voice_count"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(anchor, name, getattr(anchor, name))
+    anchor.centroid_face[0] += 1.0
+    assert store.check() == []
+    store.save(path)
+    assert np.array_equal(MemoryStore.load(path).anchors[faced].centroid_face, anchor.centroid_face)
 
 
 def test_planted_anchors_are_rows_that_the_next_percept_scans():
@@ -319,7 +313,7 @@ def test_nodes_with_equal_text_share_one_vector(tmp_path):
     assert _vector_per_text(loaded).keys() == built.keys()
     twin = store.clone()
     for text, vec in _vector_per_text(twin).items():
-        assert vec is not built[text] and np.array_equal(vec, built[text])
+        assert vec is built[text] and not vec.flags.writeable  # read-only, so shared
     ids, _ = twin.ingest(ObservationRecord(
         100, "v4", 0.0, [Description("@jack chop the fruit"), Description("@jack peel the fruit")], [], []))
     assert twin.episodic[ids[0]].v_e is twin.texts["@jack chop the fruit"][1]

@@ -92,7 +92,7 @@ def test_ema_direct_arithmetic():
     node = store.logic[1]
     e1 = np.zeros(512); e1[0] = 1.0
     e2 = np.zeros(512); e2[1] = 1.0
-    node.i_goal = e1.copy()
+    node.i_goal[...] = e1  # into its row: the node is set once
     ema_update(node, e2, 0.9)
     assert node.i_goal[0] == pytest.approx(0.9, abs=1e-12)
     assert node.i_goal[1] == pytest.approx(0.1, abs=1e-12)
