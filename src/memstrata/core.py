@@ -25,7 +25,8 @@ QUERY_TYPES = ("factual", "constraint", "character")
 LAYERS = ("epi", "sem", "logic")
 
 # Read-only at both levels, and valid: every Config that is not given weights of its own
-# shares this one mapping, which it neither judges nor copies again.
+# shares this one mapping, which it neither judges nor copies again, and so does one given
+# weights equal to it, each a float.
 DEFAULT_LAYER_WEIGHTS = MappingProxyType({
     "factual": MappingProxyType({"epi": 1.0, "sem": 1.0, "logic": 0.6}),
     "constraint": MappingProxyType({"epi": 1.0, "sem": 1.0, "logic": 1.5}),
@@ -355,9 +356,15 @@ class Config:
                 for layer, w in per_layer.items():
                     if not (_is_finite_number(w) and w >= 0.0):
                         raise ConfigError(f"layer_weights[{qt}][{layer}] must be >= 0, got {w!r}")
-            # The config's own read-only copy, which no edit of the caller's mappings reaches.
-            object.__setattr__(self, "layer_weights", MappingProxyType(
-                {qt: MappingProxyType(dict(w)) for qt, w in weights.items()}))
+            # The default weights, each a float, as a pickle, a snapshot or a config file gives
+            # them back, become the shared mapping. Any other weights (an int re-saves as an int)
+            # become the config's own read-only copy, which no edit of the caller's mappings reaches.
+            if weights == DEFAULT_LAYER_WEIGHTS and all(
+                    _FLOAT.issuperset(map(type, w.values())) for w in weights.values()):
+                weights = DEFAULT_LAYER_WEIGHTS
+            else:
+                weights = MappingProxyType({qt: MappingProxyType(dict(w)) for qt, w in weights.items()})
+            object.__setattr__(self, "layer_weights", weights)
         if self.verifier not in _PLUGINS:
             raise ConfigError(f"verifier must be 'default' or 'external', got {self.verifier!r}")
         if self.goal_namer not in _PLUGINS:
@@ -396,11 +403,6 @@ class Config:
             if type(verbs) not in (list, tuple):  # tuple() would split a str, or take a dict's keys
                 raise ConfigError(f"action_verbs must be a list of non-empty strings, got {verbs!r}")
             kwargs["action_verbs"] = tuple(verbs)
-        weights = kwargs.get("layer_weights")
-        if (type(weights) is dict and weights == DEFAULT_LAYER_WEIGHTS
-                and all(type(w) is dict and _FLOAT.issuperset(map(type, w.values()))
-                        for w in weights.values())):
-            kwargs["layer_weights"] = DEFAULT_LAYER_WEIGHTS  # shared, as Config() shares it
         return cls(**kwargs)
 
 

@@ -413,17 +413,18 @@ def semantic_candidates(store, anchors: frozenset) -> list:
     return sorted(set(first).intersection(*rest))
 
 
-def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset, *, vector=None) -> list:
+def consolidate_semantic(store, ctype: str, text: str, anchors: frozenset, *, _vector=None) -> list:
     """Reinforce, weaken, or insert one abstracted-knowledge item.
 
     Candidates are the semantic nodes whose anchor set covers the new
     item's anchors. The most similar candidate above tau_pos is reinforced
     (weight+1, no insert); otherwise the least similar candidate below
     tau_neg is weakened (weight-1, pruned at <= 0) before the new node is
-    inserted. Ties break toward the lowest node id. ``vector``, when given,
-    is ``store.embed(text)`` already made.
+    inserted. Ties break toward the lowest node id. ``_vector``, which only
+    ingest passes, is ``store.embed(text)`` already made: no caller can put a
+    vector of its own, unjudged and writable, into the store.
     """
-    v = store.embed(text) if vector is None else vector
+    v = store.embed(text) if _vector is None else _vector
     events = []
     semantic, by_anchor = store._semantic, store._semantic_postings
     ids = semantic_candidates(store, anchors)
@@ -511,14 +512,14 @@ def ingest_observation(store, rec: ObservationRecord):
     meta = ObservationMeta(store.intern(rec.video), tuple(range(first, store._next_node_id)), t)
     actions = store._action_postings
     for node_id, desc, found in zip(meta.episodes, rec.descriptions, mentions):
-        entry = store.text_entry(desc.text, new_texts.get(desc.text))
+        entry = store.text_entry(desc.text, _vector=new_texts.get(desc.text))
         store._episodic[node_id] = EpisodicNode(node_id, entry, meta, anchors(found),
                                                 OUTCOMES[OUTCOMES.index(desc.outcome)], store.own_attrs(desc.attrs))
         actions[entry[2]].append(node_id)
 
     events = []
     for concl, found, v in zip(rec.conclusions, concluded, concluded_vectors):
-        events.extend(consolidate_semantic(store, concl.type, concl.text, anchors(found), vector=v))
+        events.extend(consolidate_semantic(store, concl.type, concl.text, anchors(found), _vector=v))
 
     store._observations[rec.id] = meta
     store._video_clock[meta.video] = meta

@@ -229,13 +229,13 @@ class MemoryStore:
         v.flags.writeable = False
         return v
 
-    def text_entry(self, text: str, vector=None) -> tuple:
+    def text_entry(self, text: str, *, _vector=None) -> tuple:
         """``(d, v_e, action)``: the one entry that every episodic node with this text
-        holds as its ``text``, embedded and extracted once; ``vector``, when given, is
-        ``embed(text)`` already made."""
+        holds as its ``text``, embedded and extracted once; ``_vector``, which only ingest
+        passes, is ``embed(text)`` already made (see ``ingest.consolidate_semantic``)."""
         entry = self._texts.get(text)
         if entry is None:
-            entry = self._texts[text] = (text, self.embed(text) if vector is None else vector,
+            entry = self._texts[text] = (text, self.embed(text) if _vector is None else _vector,
                                         self.intern(extract_action(text, self.config.action_verbs)))
         return entry
 

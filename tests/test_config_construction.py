@@ -157,9 +157,9 @@ def test_construction_work_pin():
     with pytest.raises(TypeError):
         DEFAULT_LAYER_WEIGHTS["factual"]["epi"] = 9.0
     # Any other mapping is the config's own copy, which the caller's later edit cannot reach.
-    given_weights = _weights()
+    given_weights = _weights(factual__logic=0.7)
     cfg = Config(layer_weights=given_weights)
-    assert cfg.layer_weights is not DEFAULT_LAYER_WEIGHTS and cfg.layer_weights == DEFAULT_LAYER_WEIGHTS
+    assert cfg.layer_weights is not DEFAULT_LAYER_WEIGHTS and cfg.layer_weights == given_weights
     given_weights["factual"]["epi"] = 9.0
     assert cfg.layer_weights["factual"]["epi"] == 1.0
     store = MemoryStore(Config())
@@ -171,9 +171,13 @@ def test_construction_work_pin():
 
 def test_a_round_trip_of_the_default_weights_shares_them():
     # A pickle or a snapshot's config is read back by from_dict: the default weights, each a
-    # float, come back as the one shared mapping; an int weight, which re-saves as an int, does not.
+    # float, come back as the one shared mapping, as they do from Config itself in any mapping
+    # and key order; an int weight, which re-saves as an int, does not.
     assert pickle.loads(pickle.dumps(Config())).layer_weights is DEFAULT_LAYER_WEIGHTS
     assert Config.from_dict(Config(dim=16).to_dict()).layer_weights is DEFAULT_LAYER_WEIGHTS
+    reordered = {qt: dict(reversed(list(DEFAULT_LAYER_WEIGHTS[qt].items()))) for qt in reversed(QTS)}
+    for given in (_weights(), MappingProxyType(_weights()), reordered):
+        assert Config(layer_weights=given).layer_weights is DEFAULT_LAYER_WEIGHTS
     as_int = Config.from_dict({"layer_weights": _weights(factual__epi=1)})
     assert as_int.layer_weights is not DEFAULT_LAYER_WEIGHTS and as_int == Config()
     assert as_int.to_dict()["layer_weights"]["factual"]["epi"] == 1

@@ -15,7 +15,7 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 
-from memstrata import EntityAnchor, LogicNode, MemoryStore
+from memstrata import EntityAnchor, LogicNode, MemoryStore, consolidate_semantic
 from memstrata.retrieve import make_query
 from conftest import fruit_salad_store
 
@@ -103,3 +103,21 @@ def test_a_clone_shares_each_read_only_vector_and_owns_its_rows(tmp_path):
     twin.logic[1].i_goal[...] = twin.embed("wash the bowl")
     assert np.array_equal(store.logic[1].i_goal, before)
     assert twin.anchors[1].centroid_face is not store.anchors[1].centroid_face
+
+
+def test_no_caller_can_hand_the_store_a_vector_of_its_own(tmp_path):
+    # Every vector the store keeps comes from embed, judged and read-only; the public
+    # entry points that put a text or a semantic node take no vector of the caller's.
+    store = fruit_salad_store(dim=64)
+    nan = np.full(store.config.dim, np.nan)
+    with pytest.raises(TypeError):
+        consolidate_semantic(store, "fact", "the bowl is blue", frozenset(), vector=nan)
+    with pytest.raises(TypeError):
+        store.text_entry("wash the bowl", nan)
+    events = consolidate_semantic(store, "fact", "the bowl is blue", frozenset())
+    node, entry = store.semantic[events[-1][1]], store.text_entry("wash the bowl")
+    for vector, text in ((node.v_s, "the bowl is blue"), (entry[1], "wash the bowl")):
+        assert not vector.flags.writeable and np.array_equal(vector, store.embed(text))
+    assert store.check() == []
+    live, reloaded = _answers_of_the_store_and_its_reload(store, tmp_path, "the bowl is blue")
+    assert live == reloaded

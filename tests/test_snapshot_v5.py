@@ -10,6 +10,7 @@ import json
 import os
 import re
 import resource
+import sys
 import threading
 import time
 from dataclasses import fields, replace
@@ -337,7 +338,10 @@ def test_anchor_and_percept_counts_are_computed_not_held():
     store = shapes_store()
     anchor = store.anchors[1]
     assert (anchor.count, store.percept_count) == (anchor.face_count + anchor.voice_count, 6)
-    with pytest.raises((AttributeError, TypeError)):  # a frozen slotted dataclass's, on Python 3.11
+    # Python 3.11's frozen slotted dataclass answers an assignment to a name that is no field
+    # by calling super(cls, self) with the class from before slots were added: TypeError.
+    raised, text = (TypeError, "super") if sys.version_info[:2] == (3, 11) else (AttributeError, "count")
+    with pytest.raises(raised, match=text):
         anchor.count = 5
     with pytest.raises(AttributeError):
         store.percept_count = 7
