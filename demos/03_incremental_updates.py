@@ -49,8 +49,9 @@ print(f"  goal index moved by |delta| = {drift:.4f}  (beta={store.config.beta_em
 # ---------------------------------------------------------------
 report = update(["chop the fruit", "wash the bowl", "mix the fruit"], "d")
 print(f"\nexpansion: nodes {report.expanded_nodes}, edges {report.expanded_edges}")
-print(f"  P(wash_bowl | chop_fruit) = {transition_prob(node.dag, 'chop_fruit', 'wash_bowl'):.3f}")
-print(f"  P(mix_fruit | chop_fruit) = {transition_prob(node.dag, 'chop_fruit', 'mix_fruit'):.3f}")
+dag = store.logic[1].dag  # an update puts a new node, with a new sealed DAG, under the id
+print(f"  P(wash_bowl | chop_fruit) = {transition_prob(dag, 'chop_fruit', 'wash_bowl'):.3f}")
+print(f"  P(mix_fruit | chop_fruit) = {transition_prob(dag, 'chop_fruit', 'mix_fruit'):.3f}")
 
 # ---------------------------------------------------------------
 # 3. A pair that would close a cycle is rejected, not inserted

@@ -9,6 +9,7 @@ feature-hasher, not a neural model; real embedders plug in behind the same
 from __future__ import annotations
 
 import functools
+import json
 import math
 import mmap
 import re
@@ -76,6 +77,65 @@ def _is_finite_number(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
+
+
+def _refuse(self, *args, **kwargs):
+    raise TypeError(f"a {type(self).__name__} is read-only")
+
+
+class _SetOnce:
+    """What ``FrozenDict`` and ``FrozenList`` share: ``__new__`` fills one, to any depth, so
+    ``__init__`` writes nothing, and ``copy.deepcopy`` and ``pickle`` rebuild one from its
+    ``copy()``, a plain dict or list."""
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        pass
+
+    def __reduce__(self):
+        return type(self), (self.copy(),)
+
+
+class FrozenDict(_SetOnce, dict):
+    """A dict set once, each dict or list in it a read-only copy (``frozen``). It is a dict, so
+    ``==``, ``str`` and ``json.dumps`` give what the equal dict gives, byte for byte; a write
+    raises ``TypeError``."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __new__(cls, items=(), /):
+        self = dict.__new__(cls)
+        dict.update(self, items)
+        dict.update(self, {key: frozen(v) for key, v in dict.items(self) if type(v) in _FROZEN})
+        return self
+
+
+class FrozenList(_SetOnce, list):
+    """A list set once, as a ``FrozenDict`` is a dict."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = append = extend = insert = pop = remove = \
+        clear = sort = reverse = _refuse
+
+    def __new__(cls, items=(), /):
+        self = list.__new__(cls)
+        list.extend(self, map(frozen, items))
+        return self
+
+
+_FROZEN = {dict: FrozenDict, list: FrozenList}
+
+
+def frozen(value):
+    """``value``, or a read-only copy of it, to any depth, if it is a dict or a list."""
+    kind = _FROZEN.get(type(value))
+    return value if kind is None else kind(value)
+
+
+# The one key of each distinct attrs value, which a store holds once: its canonical JSON.
+attrs_key = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def tokenize(text: str) -> list[str]:
@@ -379,9 +439,6 @@ class Config:
         w = self.layer_weights
         return hash((_unweighted(self), tuple(tuple(w[qt][layer] for layer in LAYERS)
                                               for qt in QUERY_TYPES)))
-
-    def __deepcopy__(self, memo) -> "Config":
-        return self  # nothing in a Config can change
 
     def __reduce__(self):  # a mappingproxy has no pickled form; the to_dict one has
         return Config.from_dict, (self.to_dict(),)

@@ -4,32 +4,49 @@ Edges carry an observed transition count N and a Dirichlet prior gamma
 (default 1; setting every gamma to 0 recovers the raw-frequency estimate).
 Step nodes carry Beta(success_alpha, success_beta) success statistics with
 the fixed (1,1) creation prior.
+
+``ProceduralDag`` is the caller's builder, and a store holds sealed DAGs
+(``SealedDag``), set once down to their step attrs. An update seals a builder
+of the stored DAG, which shares every node and stat it leaves alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
-from .core import _is_finite_number
+from .core import _MAPPINGS, FrozenDict, _is_finite_number
 from .errors import MissingEdge, NotAStepNode, PathExplosion
 
 START = "START"
 GOAL = "GOAL"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class DagNode:
-    """A step's statistics; its label is its key in ``ProceduralDag.nodes``."""
+    """A step's statistics, set once, and its attrs, held read-only; its label is its key in
+    ``ProceduralDag.nodes``."""
 
-    attrs: dict = field(default_factory=dict)
+    attrs: FrozenDict = field(default_factory=FrozenDict)
     success_alpha: float = 1.0
     success_beta: float = 1.0
 
+    def __post_init__(self):
+        if type(self.attrs) is not FrozenDict:
+            object.__setattr__(self, "attrs", FrozenDict(self.attrs))
 
-@dataclass(slots=True)
+
+@dataclass(slots=True, frozen=True)
 class EdgeStat:
     count: float = 0.0
     gamma: float = 1.0
+
+
+class _WritableEdge(EdgeStat):
+    """A builder's own edge stat, writable until ``ProceduralDag.sealed`` freezes it."""
+
+    __slots__ = ()
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
 
 
 @dataclass(slots=True)
@@ -62,7 +79,9 @@ class Constraint:
 
 
 class ProceduralDag:
-    """Directed acyclic step graph between the START and GOAL sentinels."""
+    """A caller's builder of a directed acyclic step graph between the START and GOAL sentinels."""
+
+    __slots__ = ("nodes", "adj")
 
     def __init__(self):
         self.nodes: dict[str, DagNode] = {}
@@ -75,20 +94,18 @@ class ProceduralDag:
     def add_node(self, label, attrs=None, success_alpha=1.0, success_beta=1.0):
         if label in self.nodes:
             return self.nodes[label]
-        node = DagNode(dict(attrs or {}), success_alpha, success_beta)
-        self.nodes[label] = node
+        node = self.nodes[label] = DagNode(attrs or FrozenDict(), success_alpha, success_beta)
         self.adj[label] = {}
         return node
 
     def add_edge(self, src, dst, count=0.0, gamma=1.0):
+        """The edge's new writable stat, of these values, or of ``count`` more than the one there."""
         if src not in self.nodes or dst not in self.nodes:
             raise MissingEdge(f"edge endpoint missing: {src!r} -> {dst!r}")
-        stat = self.adj[src].get(dst)
-        if stat is None:
-            stat = EdgeStat(count, gamma)
-            self.adj[src][dst] = stat
-        else:
-            stat.count += count
+        outs = self.adj[src]
+        stat = outs.get(dst)
+        outs[dst] = stat = (_WritableEdge(count, gamma) if stat is None
+                            else _WritableEdge(stat.count + count, stat.gamma))
         return stat
 
     @classmethod
@@ -104,14 +121,23 @@ class ProceduralDag:
         return dag
 
     def copy(self) -> "ProceduralDag":
+        """A builder of this DAG: maps of its own, sharing each frozen node and stat, which its
+        methods replace and never write, and copying each writable stat."""
         dup = ProceduralDag.__new__(ProceduralDag)
-        dup.nodes = {label: DagNode(dict(n.attrs), n.success_alpha, n.success_beta)
-                     for label, n in self.nodes.items()}
-        dup.adj = {
-            src: {dst: EdgeStat(e.count, e.gamma) for dst, e in outs.items()}
-            for src, outs in self.adj.items()
-        }
+        dup.nodes = dict(self.nodes)
+        dup.adj = {src: {dst: e if type(e) is EdgeStat else _WritableEdge(e.count, e.gamma)
+                         for dst, e in outs.items()} for src, outs in self.adj.items()}
         return dup
+
+    def sealed(self) -> "SealedDag":
+        """This DAG set once, as a store holds it: read-only views of maps of its own, which share
+        each node and frozen stat, and freeze each writable stat."""
+        dag = object.__new__(SealedDag)
+        object.__setattr__(dag, "nodes", MappingProxyType(dict(self.nodes)))
+        object.__setattr__(dag, "adj", MappingProxyType({
+            src: MappingProxyType({dst: e if type(e) is EdgeStat else EdgeStat(e.count, e.gamma)
+                                   for dst, e in outs.items()}) for src, outs in self.adj.items()}))
+        return dag
 
     # -- inspection -------------------------------------------------------
 
@@ -159,6 +185,22 @@ class ProceduralDag:
         return order if len(order) == len(self.nodes) else None
 
 
+class SealedDag(ProceduralDag):
+    """A DAG set once (``ProceduralDag.sealed``): a write into its maps (read-only views,
+    ``types.MappingProxyType``), its frozen nodes and stats or their attrs raises, as does a
+    builder method or setting ``nodes`` or ``adj``; ``copy()`` gives a builder of it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a sealed DAG's {name} is set once")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ProceduralDag.sealed, (self.copy(),)
+
+
 # -- operations -----------------------------------------------------------
 
 
@@ -186,13 +228,11 @@ def success_rate(dag: ProceduralDag, v: str) -> float:
 
 
 def record_trial(dag: ProceduralDag, v: str, success: bool) -> None:
+    """Put, in the builder ``dag``, the step ``v`` with one more success or failure."""
     if v in (START, GOAL) or v not in dag.nodes:
         raise NotAStepNode(f"{v!r} is not a step node")
-    node = dag.nodes[v]
-    if success:
-        node.success_alpha += 1.0
-    else:
-        node.success_beta += 1.0
+    node, won = dag.nodes[v], bool(success)
+    dag.nodes[v] = DagNode(node.attrs, node.success_alpha + won, node.success_beta + (not won))
 
 
 def _as_float(value):
@@ -244,7 +284,7 @@ def check_valid(dag: ProceduralDag) -> list[str]:
     that is no finite one, before it is compared; then one Kahn order, the cycle test, is swept
     forward from START and back from GOAL, if no edge or out-edge map stops the walk."""
     nodes, adj = dag.nodes, dag.adj
-    if not (isinstance(nodes, dict) and isinstance(adj, dict)):
+    if not (isinstance(nodes, _MAPPINGS) and isinstance(adj, _MAPPINGS)):
         return ["nodes-or-adj-not-a-dict"]
     violations = [rule for rule, label in (("missing-start", START), ("missing-goal", GOAL))
                   if label not in nodes]
@@ -255,7 +295,7 @@ def check_valid(dag: ProceduralDag) -> list[str]:
     for src, outs in adj.items():
         if src not in nodes:
             violations.append(f"unknown-edge-source: {src}")
-        if not isinstance(outs, dict):
+        if not isinstance(outs, _MAPPINGS):
             violations.append(f"out-edge-map-not-a-dict: {src}")
             walkable = False
             continue
@@ -275,7 +315,7 @@ def check_valid(dag: ProceduralDag) -> list[str]:
 
     if into_start:
         violations.append("start-has-in-edges")
-    if isinstance(adj.get(GOAL), dict) and adj[GOAL]:
+    if isinstance(adj.get(GOAL), _MAPPINGS) and adj[GOAL]:
         violations.append("goal-has-out-edges")
 
     for label, node in nodes.items():

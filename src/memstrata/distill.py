@@ -13,7 +13,7 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
@@ -21,7 +21,7 @@ from operator import attrgetter
 import numpy as np
 
 from .core import norm, tokenize
-from .dag import GOAL, START, ProceduralDag
+from .dag import GOAL, START, DagNode, ProceduralDag
 from .dag import enumerate_paths  # noqa: F401 -- bench/tracing.py wraps this name
 from .errors import InvalidInput
 
@@ -52,14 +52,15 @@ class Pattern:
 @dataclass(slots=True, frozen=True)
 class LogicNode:
     """Distilled procedure, set once: goal text, dual index vectors (views of its rows of the
-    store's logic rows, which ``ema_update`` writes), DAG and evidence, both written in place."""
+    store's logic rows, which ``ema_update`` writes), a sealed DAG and its evidence, the ids of its
+    episodes; an update puts a new node with a new DAG and evidence under its id."""
 
     id: int
     c: str
     i_goal: np.ndarray
     i_step: np.ndarray
     dag: ProceduralDag
-    episodic_links: set = field(default_factory=set)
+    episodic_links: frozenset = frozenset()
     score: float = 0.0
     steps: tuple = ()
 
@@ -391,17 +392,18 @@ def distill(store, episode_ids=None) -> list[int]:
         related = _related(episodic, by_action, pattern.steps)
         dag = ProceduralDag.single_path(pattern.steps)  # valid: its steps are distinct actions
         for step in pattern.steps:
-            node = dag.nodes[step]
             if step not in chronological:
                 chronological[step] = sorted(map(episodic.__getitem__, by_action[step]),
                                              key=lambda e: (e.t, e.id))
+            attrs, alpha, beta = {}, 1.0, 1.0
             for ep in chronological[step]:
                 for key, value in ep.attrs.items():
-                    node.attrs.setdefault(key, value)
+                    attrs.setdefault(key, value)
                 if ep.outcome == "success":
-                    node.success_alpha += 1.0
+                    alpha += 1.0
                 else:
-                    node.success_beta += 1.0
+                    beta += 1.0
+            dag.nodes[step] = DagNode(attrs, alpha, beta)
 
         c = goal_namer(pattern)
         i_goal = store.embed(c)
@@ -414,8 +416,8 @@ def distill(store, episode_ids=None) -> list[int]:
             c=c,
             i_goal=goal_rows.append(logic_id, i_goal),  # the node holds its rows
             i_step=step_rows.append(logic_id, i_step),
-            dag=dag,
-            episodic_links={e.id for e in related},
+            dag=dag.sealed(),
+            episodic_links=frozenset(map(attrgetter("id"), related)),
             score=score,
             steps=tuple(pattern.steps),
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import cosine
-from .dag import GOAL, START, ProceduralDag, check_valid
+from .dag import GOAL, START, DagNode, ProceduralDag, check_valid
 from .errors import FusionCycle, InvalidInput, InvalidPrior
 
 _EPS = 1e-9
@@ -194,7 +194,7 @@ def pool_beta(a1, a2):
 
 
 def fuse(g1: ProceduralDag, g2: ProceduralDag, embedder, tau_align: float = 0.8) -> ProceduralDag:
-    """Merge two valid DAGs of the same procedure into one multi-path DAG.
+    """Merge two valid DAGs of the same procedure into one multi-path DAG, a builder.
 
     Aligned nodes merge (attrs union with g1 precedence, Beta pooled);
     unmatched nodes carry over; edges union with counts added and gammas
@@ -215,32 +215,28 @@ def _fuse_aligned(g1: ProceduralDag, g2: ProceduralDag, alignment: Alignment) ->
     fused = ProceduralDag()
     for l1, l2, _ in alignment.pairs:
         n1, n2 = g1.nodes[l1], g2.nodes[l2]
-        attrs = dict(n2.attrs)
-        attrs.update(n1.attrs)
         alpha, beta = pool_beta(
             (n1.success_alpha, n1.success_beta), (n2.success_alpha, n2.success_beta)
         )
-        node = fused.add_node(l1)
-        node.attrs = attrs
-        node.success_alpha, node.success_beta = alpha, beta
+        fused.add_node(l1)
+        fused.nodes[l1] = DagNode({**n2.attrs, **n1.attrs}, alpha, beta)
     for label in alignment.unmatched1:
         n = g1.nodes[label]
-        fused.add_node(label, dict(n.attrs), n.success_alpha, n.success_beta)
+        fused.add_node(label, n.attrs, n.success_alpha, n.success_beta)
     for label in alignment.unmatched2:
         n = g2.nodes[label]
         target = label
         while target in fused.nodes:  # label collision with an unaligned twin
             target += "~"
         mapping2[label] = target
-        fused.add_node(target, dict(n.attrs), n.success_alpha, n.success_beta)
+        fused.add_node(target, n.attrs, n.success_alpha, n.success_beta)
 
     for src, dst, stat in g1.edges():
         fused.add_edge(src, dst, stat.count, stat.gamma)
     for src, dst, stat in g2.edges():
         ms, md = mapping2[src], mapping2[dst]
         if fused.has_edge(ms, md):
-            edge = fused.adj[ms][md]
-            edge.count += stat.count
+            edge = fused.add_edge(ms, md, stat.count)
             edge.gamma = edge.gamma + stat.gamma - 1.0
         else:
             fused.add_edge(ms, md, stat.count, stat.gamma)
@@ -292,7 +288,7 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
         c=a.c,
         i_goal=(a.i_goal + b.i_goal) / 2.0,
         i_step=(a.i_step + b.i_step) / 2.0,
-        dag=fused_dag,
+        dag=fused_dag.sealed(),
         episodic_links=a.episodic_links | b.episodic_links,
         score=max(a.score, b.score),
         steps=a.steps,

@@ -18,7 +18,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import _is_finite_number, _is_int, cosine, finite_entries
+from .core import FrozenDict, FrozenList, _is_finite_number, _is_int, cosine, finite_entries
 from .errors import (
     DanglingMention,
     DimensionMismatch,
@@ -101,14 +101,14 @@ class EpisodicNode:
     """One described event, set once: ``text`` is its text's one ``(d, v_e, action)`` entry, ``obs``
     the observation that lists it (``d``, ``v_e``, ``action``, ``video`` and ``t`` read them),
     ``anchors`` the store's one such set, ``outcome`` an ``OUTCOMES`` constant and ``attrs`` the
-    node's own."""
+    store's one read-only object of its value (``MemoryStore.intern_attrs``)."""
 
     id: int
     text: tuple
     obs: ObservationMeta
     anchors: frozenset = frozenset()
     outcome: str = "success"
-    attrs: dict = field(default_factory=dict)
+    attrs: FrozenDict = field(default_factory=FrozenDict)
 
     d = property(lambda self: self.text[0])
     v_e = property(lambda self: self.text[1])
@@ -137,10 +137,11 @@ def parse_mentions(text: str) -> list[str]:
 
 
 _KEY_TYPES = frozenset((str,))
-_JSON_TYPES = frozenset((str, int, float, bool, type(None), list, dict))
-_NESTING_TYPES = frozenset((float, list, dict))  # what a level's walk looks into
+_DICTS, _LISTS = frozenset((dict, FrozenDict)), frozenset((list, FrozenList))  # a store's are read-only
+_CONTAINERS = _DICTS | _LISTS
+_JSON_TYPES = frozenset((str, int, float, bool, type(None))) | _CONTAINERS
+_NESTING_TYPES = _CONTAINERS | {float}  # what a level's walk looks into
 _FLAT_TYPES = _JSON_TYPES - _NESTING_TYPES  # the values that end a walk at its first level
-_CONTAINERS = (list, dict)
 
 # Each part of a JSONL record: the keys it must hold, and the keys _record reads, the only ones it
 # takes. A record's own required keys are read first, with their own refusal.
@@ -197,8 +198,8 @@ def _attrs_fault(dicts: list) -> str | None:
             return "hold what JSON cannot carry exactly"
         if depth >= MAX_ATTRS_DEPTH:  # the containers just met are on level depth + 1
             return f"nest more than {MAX_ATTRS_DEPTH} levels"
-        dicts = [x for x in nested.values() if type(x) is dict]
-        lists = [x for x in nested.values() if type(x) is list]
+        dicts = [x for x in nested.values() if type(x) in _DICTS]
+        lists = [x for x in nested.values() if type(x) in _LISTS]
         reach = [counts[id(x)] for x in dicts + lists]
         written += sum(map(mul, reach, map(len, dicts + lists)))
 
@@ -223,7 +224,7 @@ def record_fault(rec: ObservationRecord, dim: int | None = None) -> MemoryEngine
             return MalformedRecord(f"description text must be a string, got {text!r}")
         if type(desc.outcome) is not str or desc.outcome not in OUTCOMES:
             return MalformedRecord(f"bad outcome {desc.outcome!r}")
-        if type(attrs) is not dict:
+        if type(attrs) not in _DICTS:
             return MalformedRecord(f"attrs of {text!r} must be an object, got {attrs!r}")
         # A flat dict, str keys and str, int, bool or None values within the bound, is one the
         # walk ends at its first level and accepts; any other walks.
@@ -514,7 +515,8 @@ def ingest_observation(store, rec: ObservationRecord):
     for node_id, desc, found in zip(meta.episodes, rec.descriptions, mentions):
         entry = store.text_entry(desc.text, _vector=new_texts.get(desc.text))
         store._episodic[node_id] = EpisodicNode(node_id, entry, meta, anchors(found),
-                                                OUTCOMES[OUTCOMES.index(desc.outcome)], store.own_attrs(desc.attrs))
+                                                OUTCOMES[OUTCOMES.index(desc.outcome)],
+                                                store.intern_attrs(desc.attrs))
         actions[entry[2]].append(node_id)
 
     events = []

@@ -7,7 +7,7 @@ pool-scoped distillation cycle fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def ema_update(node, o_vec: np.ndarray, beta: float) -> None:
 
 
 def _apply_pairs(dag: ProceduralDag, actions, attr_source, report: UpdateReport) -> None:
-    """Fold a record's consecutive action pairs into the DAG.
+    """Fold a record's consecutive action pairs into the builder ``dag``.
 
     Existing edges take a +1 count; unseen pairs expand the graph with
     N=1, gamma=1 provided acyclicity is preserved, otherwise the pair is
@@ -80,7 +80,7 @@ def _apply_pairs(dag: ProceduralDag, actions, attr_source, report: UpdateReport)
             report.rejected.append((a, b))
             continue
         if dag.has_edge(a, b):
-            dag.adj[a][b].count += 1.0
+            dag.add_edge(a, b, count=1.0)
             report.incremented.append((a, b))
             continue
         if a in dag.nodes and b in dag.nodes and dag.has_path(b, a):
@@ -131,12 +131,14 @@ def apply_observation(store, rec) -> UpdateReport:
         ema_update(node, o_vec, store.config.beta_ema)
         report.ema_applied = True
 
-        _apply_pairs(node.dag, [n.action for n in steps], attr_source, report)
+        dag = node.dag.copy()  # a builder that shares every node and stat it does not replace
+        _apply_pairs(dag, [n.action for n in steps], attr_source, report)
         for n in steps:
-            if n.action in node.dag.nodes and n.action not in (START, GOAL):
-                record_trial(node.dag, n.action, n.outcome == "success")
+            if n.action in dag.nodes and n.action not in (START, GOAL):
+                record_trial(dag, n.action, n.outcome == "success")
                 report.trials += 1
-        node.episodic_links.update(meta.episodes)
+        store._logic[logic_id] = replace(node, dag=dag.sealed(),
+                                         episodic_links=node.episodic_links.union(meta.episodes))
         return report
 
     report.pooled = True

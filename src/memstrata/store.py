@@ -42,15 +42,17 @@ import numpy as np
 
 from .core import (
     Config,
+    FrozenDict,
     HashingEmbedder,
     RowBlock,
     _is_finite_number,
     _is_int,
+    attrs_key,
     embedder_identity,
     finite_entries,
     finite_vector,
 )
-from .dag import GOAL, START, DagNode, ProceduralDag, check_valid, transition_prob
+from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
 from .distill import LogicNode, default_goal_name, extract_action, verify_default
 from .errors import (
     ConfigError,
@@ -91,9 +93,6 @@ _KEYS = {kind: frozenset(keys.split()) for kind, keys in (
     ("semantic node", "id type attrs anchors weight"),
     ("logic node", "id c score steps episodic_links i_goal i_step dag"), ("dag", "nodes edges"),
 )} | {"config": frozenset(Config().to_dict())}  # every Config field
-# What a store keeps for its scans, never stored: built by _build_kept, and never copied; the
-# postings index each semantic node by its anchors and each episode by its action.
-_KEPT = frozenset(("_centroid_rows", "_logic_rows", "_semantic_postings", "_action_postings"))
 
 
 class MemoryStore:
@@ -108,12 +107,13 @@ class MemoryStore:
     (``types.MappingProxyType``) of a private dict, ``pool`` is a tuple and the
     id counters are read-only properties, so a caller's write raises
     ``TypeError`` or ``AttributeError``. Each node is a frozen dataclass, which
-    the engine replaces under its key, and each embedded vector (a ``v_e``, a
-    ``v_s``, a query's) is read-only, so a write into one raises ``ValueError``.
-    A caller can still write what a save stores and ``check()`` judges: the rows
-    that centroids and index vectors view, a DAG, ``episodic_links`` and attrs.
-    Each engine write keeps what the store keeps for its scans current in the
-    same call.
+    the engine replaces under its key; each embedded vector (a ``v_e``, a
+    ``v_s``, a query's) is read-only, so a write into one raises ``ValueError``;
+    each DAG is sealed (``dag.SealedDag``), each evidence set a frozenset and
+    each attrs object read-only to any depth (``core.FrozenDict``), so a write
+    into one raises. A caller can still write the rows that centroids and index
+    vectors view, which a save stores and ``check()`` judges. Each engine write
+    keeps what the store keeps for its scans current in the same call.
 
     One order: ``anchors``, ``episodic``, ``semantic`` and ``logic`` each iterate
     in ascending id, so a reader iterates a layer and never sorts it. The engine
@@ -135,6 +135,7 @@ class MemoryStore:
         self._episodic: dict[int, EpisodicNode] = {}
         self._texts: dict[str, tuple] = {}  # each episodic text's (d, v_e, action), see text_entry
         self._interned: dict = {}  # see intern
+        self._attrs: dict = {}  # each distinct attrs object, by its key: see intern_attrs
         self._semantic: dict[int, SemanticNode] = {}
         self._logic: dict[int, LogicNode] = {}
         self._observations: dict[int, ObservationMeta] = {}
@@ -239,11 +240,17 @@ class MemoryStore:
                                         self.intern(extract_action(text, self.config.action_verbs)))
         return entry
 
-    def own_attrs(self, attrs: dict) -> dict:
-        """A node's own copy of ``attrs``, whose str keys and str values are the
-        store's one objects (see intern)."""
-        return {self.intern(k) if type(k) is str else k: self.intern(v) if type(v) is str else v
-                for k, v in attrs.items()}
+    def intern_attrs(self, attrs: dict, key: str | None = None) -> FrozenDict:
+        """The store's one read-only object of the value of ``attrs``, judged attrs, by their JSON
+        (``core.attrs_key``, which a load passes as ``key``): 1 and true are two values. The
+        1-tuple of their repr, which only attrs of that JSON have, is the cheaper first key."""
+        held = self._attrs.get(spelled := (repr(attrs),))
+        if held is None:
+            held = self._attrs.get(key := attrs_key(attrs) if key is None else key)
+            if held is None:
+                held = self._attrs[key] = FrozenDict(attrs)
+            self._attrs[spelled] = held
+        return held
 
     def intern(self, value):
         """The store's one object equal to ``value``, so that equal videos, actions,
@@ -274,14 +281,15 @@ class MemoryStore:
         return next((i for i, anchor in self._anchors.items() if anchor.label == label), None)
 
     def clone(self) -> "MemoryStore":
-        """A store of its own, equal to this one: its state deep-copied but for its embedded
-        vectors, which are read-only and so shared, and what it keeps for its scans built from
-        that copy, as a load builds it."""
+        """A store of its own, equal to this one: a copy of each of its dicts, whose nodes, set
+        once, it shares, and of each anchor and logic node, which it points at rows of its own,
+        built with the rest of what it keeps for its scans as a load builds them (``_build_kept``).
+        Everything else, set once or read-only, it shares."""
         twin = copy.copy(self)
-        shared = {id(v): v for v in chain([entry[1] for entry in self._texts.values()],
-                                          [node.v_s for node in self._semantic.values()])}
-        vars(twin).update(copy.deepcopy({name: value for name, value in vars(self).items()
-                                         if name not in _KEPT}, shared))
+        vars(twin).update({name: value.copy() for name, value in vars(self).items()
+                           if type(value) is dict})
+        for nodes in (twin._anchors, twin._logic):
+            nodes.update(zip(nodes, map(copy.copy, nodes.values())))
         twin._build_kept()
         return twin
 
@@ -296,7 +304,7 @@ class MemoryStore:
         try:
             payload = json.dumps(snapshot_dict(self), sort_keys=True, separators=(",", ":"),
                                  allow_nan=False, check_circular=False)  # that check: 1/4 of it
-        except (TypeError, ValueError, RecursionError) as exc:  # a cycle in attrs recurses
+        except (TypeError, ValueError, RecursionError) as exc:  # attrs the store did not judge itself
             raise SnapshotIoError(f"cannot encode snapshot {path}: {exc}") from exc
         tmp = path + ".tmp"
         try:
@@ -363,8 +371,8 @@ class MemoryStore:
 
 # -- global invariant sweep -----------------------------------------------
 
-# The one type of each field that a snapshot writes as it is, by section (episodic attrs are tested
-# in check_store): a load refuses any other, or reads it back as another value.
+# The one type of each field that a snapshot writes as it is, by section (a load judges episodic
+# attrs itself): a load refuses any other, or reads it back as another value.
 _FIELD_TYPES = {"anchor": {"label": str}, "semantic": {"type": str, "attrs": str}, "logic": {"c": str}}
 
 
@@ -378,14 +386,15 @@ def check_store(store: MemoryStore) -> list[str]:
 
     It is the one definition of a store that ``save`` writes and a load keeps, so it reports, and
     never raises on, any value a file can hold or a caller can still write (see ``MemoryStore``):
-    into a row, a DAG, an evidence set or an episode's attrs. What construction guarantees is not
-    tested: only the engine writes a store's layers, texts, observations, clock, pool and counters,
-    and a load builds them from a file it has refused unless it is canonical; its config is valid
-    and fixed; every id is an int, each node's own id its key, and each layer iterates in ascending
-    id; every node is set once, each anchor and logic node holding views of its own rows and each
-    logic node a ``ProceduralDag``; and each embedded vector is read-only, ``dim`` finite floats
-    when the store took it. A rule over the episodes or the observations tests a whole column at
-    once, and names the offenders only when that test fails.
+    into a row. What construction guarantees is not tested: only the engine writes a store's
+    layers, texts, observations, clock, pool and counters, and a load builds them from a file it
+    has refused unless it is canonical; its config is valid and fixed; every id is an int, each
+    node's own id its key, and each layer iterates in ascending id; every node is set once, each
+    anchor and logic node holding views of its own rows and each logic node a sealed DAG and a
+    frozenset of the ids of its episodes; each attrs object is read-only, and was judged where it
+    entered, by ingest (``ingest.record_fault``) or by the load; and each embedded vector is
+    read-only, ``dim`` finite floats when the store took it. A rule over the episodes or the
+    observations tests a whole column at once, and names the offenders only when that test fails.
     """
     v, dim = [], store.config.dim
 
@@ -432,30 +441,15 @@ def check_store(store: MemoryStore) -> list[str]:
         if type(node.anchors) is not frozenset or not _ids_in(node.anchors, anchor_ids):
             v.append(f"semantic {node_id}: anchors {node.anchors!r} are not a frozenset of anchor ids")
 
-    # The evidence of all procedures at once first: its union is far smaller than the sum.
-    links = set().union(*map(attrgetter("episodic_links"), held["logic"]))
-    linked = _ids_in(links, store._episodic.keys())
     for logic_id, node in zip(ids["logic"], held["logic"]):
         if not set(map(type, node.steps)) <= {str}:  # a tuple, as the engine or a load made it
             v.append(f"logic {logic_id}: steps {node.steps!r} are not a tuple of strings")
-        links = node.episodic_links  # a set, which a caller can write into
-        if not linked and not set(map(type, links)) <= {int}:
-            v.append(f"logic {logic_id}: episodic links are not a set of ints")
-        elif not links:
+        if not node.episodic_links:  # each link an episode's id, as ingest or a load made it
             v.append(f"logic {logic_id}: no episodic evidence")
-        elif not linked and not links <= store._episodic.keys():
-            v.append(f"logic {logic_id}: dangling episodic link")
         for key, x in (("goal", node.i_goal), ("step", node.i_step)):
             if not finite_entries(x):  # a row, which a write into it may break
                 v.append(f"logic {logic_id}: i_{key} is not {dim} finite floats")
         dag = node.dag
-        for label, dag_node in (dag.nodes.items() if isinstance(dag.nodes, dict) else ()):
-            if not isinstance(dag_node, DagNode):
-                continue  # check_valid reports it
-            if type(dag_node.attrs) is not dict:
-                v.append(f"logic {logic_id}: {label} attrs {dag_node.attrs!r} is not a dict")
-            elif fault := _attrs_fault([dag_node.attrs]):
-                v.append(f"logic {logic_id}: {label} attrs {fault}")
         if not _is_finite_number(node.score):
             v.append(f"logic {logic_id}: score {node.score!r} is not a finite number")
         if faults := check_valid(dag):
@@ -479,13 +473,6 @@ def check_store(store: MemoryStore) -> list[str]:
     if not (set(map(type, ts)) <= {float} and math.isfinite(sum(ts))):  # a finite sum proves them
         v += [f"observation {i}: t {t!r} is not a finite number"
               for i, t in zip(obs_ids, ts) if not _is_finite_number(t)]
-
-    # Each episode's attrs, which a caller can write, and JSON must carry.
-    attrs = [n.attrs for n in nodes]
-    if not set(map(type, attrs)) <= {dict} or _attrs_fault(attrs):
-        v += [f"episodic {i}: attrs {x!r} is not a dict" if type(x) is not dict else
-              f"episodic {i}: attrs {fault}"
-              for i, x in zip(ep_ids, attrs) if type(x) is not dict or (fault := _attrs_fault([x]))]
     return v
 
 
@@ -528,7 +515,9 @@ def _dag_rows(dag: ProceduralDag) -> dict:
     }
 
 
-def _dag_from_rows(data: dict) -> ProceduralDag:
+def _dag_from_rows(data: dict, what: str) -> ProceduralDag:
+    """The sealed DAG of a snapshot's rows, refused unless they are canonical and each entry of
+    each step's attrs one an episode's may hold: a distill or a fuse merges those of several."""
     nodes, edges = data["nodes"], data["edges"]
     if not all(type(row) is list and len(row) == 4 for row in nodes + edges):
         raise CorruptSnapshot("dag rows are not 4 fields each")
@@ -538,10 +527,13 @@ def _dag_from_rows(data: dict) -> ProceduralDag:
     dag = ProceduralDag.__new__(ProceduralDag)
     dag.nodes, dag.adj = {}, {}
     for label, attrs, success_alpha, success_beta in nodes:
-        dag.add_node(label, {**attrs}, success_alpha, success_beta)  # ** takes only an object
+        attrs = {**attrs}  # ** takes only an object
+        if fault := _attrs_fault([{key: x} for key, x in attrs.items()]):
+            raise CorruptSnapshot(f"{what}: {label} attrs {fault}")
+        dag.add_node(label, attrs, success_alpha, success_beta)
     for src, dst, count, gamma in edges:
         dag.add_edge(src, dst, count, gamma)
-    return dag
+    return dag.sealed()
 
 
 def _keyed(obj, kind: str) -> dict:
@@ -632,19 +624,15 @@ def snapshot_dict(store: MemoryStore) -> dict:
 
 def _columns(store: MemoryStore) -> tuple:
     """The observations, in id order, and their episodes, in order, as version 8 columns, with
-    the tables of each distinct video, text, anchor set and attrs object of distinct canonical
-    JSON, in order of first use; every column but ``_PLAIN_COLUMNS`` as ``_runs``."""
+    the tables of each distinct video, text, anchor set and attrs object, in order of first use;
+    every column but ``_PLAIN_COLUMNS`` as ``_runs``."""
     obs_ids = sorted(store._observations)
     metas = list(map(store._observations.__getitem__, obs_ids))
     nodes = list(map(store._episodic.__getitem__, chain.from_iterable(m.episodes for m in metas)))
-    videos, texts, anchors, attrs = {}, {}, {}, {}  # attrs: canonical JSON -> (index, attrs)
-    by_repr: dict = {}  # equal reprs are equal JSON, and a repr is the cheaper key
-    attrs_at = []
-    for a in map(attrgetter("attrs"), nodes):
-        at = by_repr.get(key := repr(a))
-        if at is None:
-            at = by_repr[key] = attrs.setdefault(json.dumps(a, sort_keys=True), (len(attrs), a))[0]
-        attrs_at.append(at)
+    videos, texts, anchors = {}, {}, {}
+    held = list(map(attrgetter("attrs"), nodes))
+    attrs = {id(a): a for a in held}  # a store holds each distinct value once: see intern_attrs
+    attrs_at = list(map(dict(zip(attrs, range(len(attrs)))).__getitem__, map(id, held)))
     observations = {"id": _runs(_gaps(obs_ids)), "t": [m.t for m in metas],
                     "video_at": _runs([videos.setdefault(m.video, len(videos)) for m in metas]),
                     "episode_count": _runs([len(m.episodes) for m in metas])}
@@ -654,7 +642,7 @@ def _columns(store: MemoryStore) -> tuple:
                 "anchors_at": _runs([anchors.setdefault(n.anchors, len(anchors)) for n in nodes]),
                 "attrs_at": attrs_at}
     return ({"videos": list(videos), **observations},
-            {"texts": list(texts), "attrs": [a for _, a in attrs.values()],
+            {"texts": list(texts), "attrs": list(attrs.values()),
              "anchors": list(map(sorted, anchors)), **episodic})
 
 
@@ -737,12 +725,17 @@ def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> N
     _refuse_unless_first_uses(video_at, videos, "observation video")
     _refuse_unless_first_uses(text_at, texts, "episodic text")
     _refuse_unless_first_uses(anchors_at, list(map(tuple, anchor_sets)), "episodic anchors")
-    _refuse_unless_first_uses(attrs_at, [json.dumps(a, sort_keys=True, allow_nan=False)  # no NaN
-                                         for a in attrs], "episodic attrs")
+    if _attrs_fault(attrs):  # judged first, so that no json.dumps below walks what it bounds
+        _refuse_unless_first_uses(attrs_at, list(range(len(attrs))), "episodic attrs")
+        fault_of = [_attrs_fault([a]) for a in attrs]
+        node_id, at = min((i, at) for i, at in zip(ep_ids, attrs_at) if fault_of[at])
+        raise CorruptSnapshot(f"episodic {node_id}: attrs {fault_of[at]}")
+    keys = [json.dumps(a, sort_keys=True, allow_nan=False) for a in attrs]  # each its attrs_key
+    _refuse_unless_first_uses(attrs_at, keys, "episodic attrs")
     intern = store._interned.setdefault  # store.intern, without a call per entry
     videos = [intern(video, video) for video in videos]
     anchor_sets = [intern(a := frozenset(ids), a) for ids in anchor_sets]
-    entries, attrs = [store.text_entry(d) for d in texts], [store.own_attrs(a) for a in attrs]
+    entries, attrs = [store.text_entry(d) for d in texts], list(map(store.intern_attrs, attrs, keys))
     spans = [ep_ids[end - n:end] for n, end in zip(counts, accumulate(counts))]
     _increasing(spans, "the episode ids of an observation")
     metas = _built(ObservationMeta, len(obs_ids), video=map(videos.__getitem__, video_at),
@@ -751,7 +744,7 @@ def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> N
     nodes = dict(zip(ep_ids, _built(
         EpisodicNode, len(ep_ids), id=ep_ids, text=map(entries.__getitem__, text_at),
         obs=chain.from_iterable(map(repeat, metas, counts)), anchors=map(anchor_sets.__getitem__, anchors_at),
-        outcome=map(OUTCOMES.__getitem__, outcomes), attrs=map(dict, map(attrs.__getitem__, attrs_at)))))
+        outcome=map(OUTCOMES.__getitem__, outcomes), attrs=map(attrs.__getitem__, attrs_at))))
     if len(nodes) != len(ep_ids):
         raise CorruptSnapshot("an episode is listed by two observations")
     store._episodic.update(zip(order := sorted(nodes), map(nodes.__getitem__, order)))  # in id order
@@ -810,7 +803,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         for l in data["logic"]:
             what = f"logic {l['id']} episodic links"
             try:  # each link its node's id, as ingest links it
-                links = set(map(attrgetter("id"), map(episodic.__getitem__, _ids(
+                links = frozenset(map(attrgetter("id"), map(episodic.__getitem__, _ids(
                     _unruns(l["episodic_links"], len(episodic), what), what))))
             except KeyError:
                 raise CorruptSnapshot(f"logic {l['id']}: dangling episodic link") from None
@@ -820,7 +813,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
                 id=l["id"], c=l["c"],
                 i_goal=_vec_from(l["i_goal"], config.dim, f"logic {l['id']} i_goal"),
                 i_step=_vec_from(l["i_step"], config.dim, f"logic {l['id']} i_step"),
-                dag=_dag_from_rows(_keyed(l["dag"], "dag")),
+                dag=_dag_from_rows(_keyed(l["dag"], "dag"), f"logic {l['id']}"),
                 episodic_links=links,
                 score=l["score"],
                 steps=tuple(l["steps"]),
@@ -831,7 +824,7 @@ def store_from_dict(data: dict, embedder=None) -> MemoryStore:
         violations = check_store(store)
     except ConfigError as exc:
         raise CorruptSnapshot(f"snapshot config invalid: {exc}") from None
-    except RecursionError:  # from the json.dumps of an attrs object
+    except RecursionError:  # from the repr, in a violation, of a value nested too deep
         raise CorruptSnapshot("snapshot nests too deep to read") from None
     except (KeyError, TypeError, ValueError, DimensionMismatch, MissingEdge) as exc:
         raise CorruptSnapshot(f"snapshot structure invalid: {exc!r}") from None

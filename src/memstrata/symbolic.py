@@ -81,13 +81,14 @@ def constrained_paths(dag: ProceduralDag, constraint: Constraint | None,
 
 
 def get_procedure_with_evidence(store, goal: str) -> ProcedureEvidence:
-    """Best-matching procedure plus its timestamp-ordered episodic evidence."""
+    """Best-matching procedure, its sealed DAG as the store holds it, plus its timestamp-ordered
+    episodic evidence."""
     store.retrieval_calls += 1
     node, sim = _resolve_goal_node(store, goal)
     evidence = sorted(
         map(store._episodic.__getitem__, node.episodic_links), key=lambda e: (e.t, e.id)
     )
-    return ProcedureEvidence(node.id, node.c, sim, node.dag.copy(), evidence)
+    return ProcedureEvidence(node.id, node.c, sim, node.dag, evidence)
 
 
 def query_step_sequence(store, goal: str, constraint: Constraint | None = None):

@@ -1,4 +1,5 @@
 import gc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from memstrata import (
     success_rate,
     transition_prob,
 )
-from memstrata.dag import record_trial
+from memstrata.dag import DagNode, record_trial
 from conftest import ladder_dag
 
 
@@ -232,10 +233,36 @@ def test_enumerate_paths_matches_a_recursive_walk():
     assert enumerate_paths(ProceduralDag()) == []
 
 
-def test_copy_is_deep():
+def _rows(dag):
+    return ({label: (dict(n.attrs), n.success_alpha, n.success_beta) for label, n in dag.nodes.items()},
+            {(src, dst): (e.count, e.gamma) for src, dst, e in dag.edges()})
+
+
+def test_a_builder_copy_is_independent():
+    # A copy has maps of its own and a copy of each writable edge stat, and shares the frozen
+    # nodes, which its methods replace: no write into it, through its methods or into its maps
+    # and stats, reaches the DAG it was made from.
     dag = branch_dag()
+    dag.add_node("d", {"tool": ["knife"]})
+    before = _rows(dag)
     dup = dag.copy()
     dup.adj["a"]["b"].count += 100
-    dup.nodes["a"].attrs["x"] = 1
-    assert dag.adj["a"]["b"].count == 3.0
-    assert "x" not in dag.nodes["a"].attrs
+    dup.nodes["a"] = DagNode({"x": 1}, success_beta=9.0)
+    with pytest.raises(FrozenInstanceError):
+        dup.nodes["b"].success_alpha = 2.0
+    dup.add_edge("a", "c", count=5.0)
+    record_trial(dup, "c", True)
+    dup.add_node("e")
+    dup.adj["d"]["e"] = dup.adj["a"]["b"]
+    del dup.adj[START]["a"]
+    assert _rows(dag) == before
+    with pytest.raises(TypeError, match="read-only"):
+        dup.nodes["d"].attrs["tool"].append("fork")  # attrs are read-only everywhere
+    # A copy of a sealed DAG shares each frozen node and stat, which its methods replace.
+    sealed = dag.sealed()
+    built = sealed.copy()
+    built.add_edge("a", "b", count=1.0)
+    record_trial(built, "b", False)
+    assert _rows(sealed) == before
+    assert built.nodes["c"] is sealed.nodes["c"] and built.adj["a"]["c"] is sealed.adj["a"]["c"]
+    assert built.adj["a"]["b"].count == 4.0 and built.nodes["b"].success_beta == 2.0

@@ -6,10 +6,12 @@ union and ``goal_reach_probability``. It never raises on a DAG's containers
 or on an edge to or from a label that is no node; it reports them. The DAGs
 the engine builds itself (a distilled single path, an applied record's pairs)
 are valid by construction, which the property below checks in place of a
-runtime assert.
+runtime assert. A store's DAGs are sealed, so a fault reaches one only by a
+plant (``conftest.plant``) of a caller's builder in its place.
 """
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,7 +31,7 @@ from memstrata import (
 )
 from memstrata.dag import DagNode, EdgeStat
 from memstrata.symbolic import goal_reach_probability
-from conftest import fruit_salad_store
+from conftest import fruit_salad_store, plant
 
 # -- check() never raises on a DAG's containers ---------------------------------------------
 
@@ -49,17 +51,25 @@ CONTAINER_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", CONTAINER_FAULTS)
-def test_each_container_fault_is_reported_and_refused_by_every_boundary(tmp_path, fault):
+def _faulty(fault, faults):
+    """A distilled store with a builder of its first DAG in that DAG's place, the fault written
+    into it; a valid builder of the DAG; the first step's label; and the fault's report."""
     store = fruit_salad_store()
     store.distill()
     logic_id = min(store.logic)
-    dag = store.logic[logic_id].dag
-    valid = dag.copy()
+    node = store.logic[logic_id]
+    dag, valid = node.dag.copy(), node.dag.copy()
     step = sorted(dag.step_labels())[0]
-    plant, expected = CONTAINER_FAULTS[fault]
+    write, expected = faults[fault]
     expected = expected.format(step=step, next=_first_out(dag, step))
-    plant(dag, step)
+    write(dag, step)
+    plant(store, logic={logic_id: replace(node, dag=dag)})
+    return store, logic_id, dag, valid, expected
+
+
+@pytest.mark.parametrize("fault", CONTAINER_FAULTS)
+def test_each_container_fault_is_reported_and_refused_by_every_boundary(tmp_path, fault):
+    store, logic_id, dag, valid, expected = _faulty(fault, CONTAINER_FAULTS)
     assert check_valid(dag)[0] == expected
     assert store.check()[0] == f"logic {logic_id}: {expected}"
     with pytest.raises(SnapshotIoError, match=re.escape(f"logic {logic_id}: {expected}") + "$"):
@@ -73,20 +83,23 @@ def test_each_container_fault_is_reported_and_refused_by_every_boundary(tmp_path
 
 # -- check_valid judges each value before it compares it -------------------------------------
 
-def _first_edge(dag, step):
-    return dag.adj[step][_first_out(dag, step)]
+def _edge(dag, step, **value):
+    """Replace the first out-edge stat of ``step`` by one with ``value``."""
+    dst = _first_out(dag, step)
+    dag.adj[step][dst] = replace(dag.adj[step][dst], **value)
+
+
+def _node(dag, step, **value):
+    dag.nodes[step] = replace(dag.nodes[step], **value)
 
 
 VALUE_FAULTS = {
     "label": (lambda dag, step: dag.nodes.__setitem__(5, dag.nodes[step]) or dag.adj.__setitem__(5, {}),
               "step label 5 is not a str"),
-    "count": (lambda dag, step: setattr(_first_edge(dag, step), "count", "1"),
-              "{step}->{next} count '1' is not a finite number"),
-    "gamma": (lambda dag, step: setattr(_first_edge(dag, step), "gamma", None),
-              "{step}->{next} gamma None is not a finite number"),
-    "alpha": (lambda dag, step: setattr(dag.nodes[step], "success_alpha", "x"),
-              "{step} success_alpha 'x' is not a finite number"),
-    "beta": (lambda dag, step: setattr(dag.nodes[step], "success_beta", float("nan")),
+    "count": (lambda dag, step: _edge(dag, step, count="1"), "{step}->{next} count '1' is not a finite number"),
+    "gamma": (lambda dag, step: _edge(dag, step, gamma=None), "{step}->{next} gamma None is not a finite number"),
+    "alpha": (lambda dag, step: _node(dag, step, success_alpha="x"), "{step} success_alpha 'x' is not a finite number"),
+    "beta": (lambda dag, step: _node(dag, step, success_beta=float("nan")),
              "{step} success_beta nan is not a finite number"),
 }
 
@@ -96,15 +109,7 @@ VALUE_FAULTS = {
 def test_a_value_check_valid_would_compare_is_reported_not_raised(fault, boundary):
     # A step label that is no str is sorted, and a count, gamma or Beta parameter that is no
     # finite number compared: each is reported first, at every boundary a DAG enters by.
-    store = fruit_salad_store()
-    store.distill()
-    logic_id = min(store.logic)
-    dag = store.logic[logic_id].dag
-    valid = dag.copy()
-    step = sorted(dag.step_labels())[0]
-    plant, expected = VALUE_FAULTS[fault]
-    expected = expected.format(step=step, next=_first_out(dag, step))
-    plant(dag, step)
+    store, logic_id, dag, valid, expected = _faulty(fault, VALUE_FAULTS)
     if boundary == "check_valid":
         assert check_valid(dag)[0] == expected
     elif boundary == "check":
@@ -135,7 +140,14 @@ BETAS = (1.0, 3.0) * 4 + (0.5,)  # now and then below the prior
 def label_graphs(draw):
     """A DAG-shaped value of any structure, with well-formed containers: START and GOAL,
     each usually present, some steps, edges between them, and now and then an edge to or
-    from a stranger."""
+    from a stranger; or, now and then, a path from START to GOAL that is clean but for one
+    edge into it from a stranger, which an order that counted it as an in-edge would take
+    for a cycle."""
+    if draw(st.integers(0, 7)) == 0:
+        dag = ProceduralDag.single_path(draw(st.lists(st.sampled_from(STEPS), unique=True)))
+        target = draw(st.sampled_from(sorted(set(dag.nodes) - {START})))
+        dag.adj[draw(st.sampled_from(STRANGERS))] = {target: EdgeStat()}
+        return dag
     labels = [label for label in (START, GOAL) if draw(st.integers(0, 19))]
     labels += draw(st.lists(st.sampled_from(STEPS), unique=True))
     dag = ProceduralDag.__new__(ProceduralDag)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,9 @@ from memstrata import (
     fuse_logic_nodes,
     pool_beta,
 )
+from memstrata.dag import DagNode
 from memstrata.maintain import UpdateReport, _apply_pairs
-from conftest import FRUIT_VERBS, fruit_salad_store
+from conftest import FRUIT_VERBS, fruit_salad_store, plant
 
 EMB = HashingEmbedder(512)
 
@@ -270,10 +272,8 @@ def test_fuse_rejects_invalid_input():
 def test_fuse_attrs_first_argument_precedence_and_beta_pooling():
     g1 = chain(["mix_fruit"])
     g2 = chain(["mix_fruit"])
-    g1.nodes["mix_fruit"].attrs = {"tool": "bowl"}
-    g2.nodes["mix_fruit"].attrs = {"tool": "plate", "room": "kitchen"}
-    g1.nodes["mix_fruit"].success_alpha = 4.0
-    g2.nodes["mix_fruit"].success_beta = 2.0
+    g1.nodes["mix_fruit"] = DagNode({"tool": "bowl"}, success_alpha=4.0)
+    g2.nodes["mix_fruit"] = DagNode({"tool": "plate", "room": "kitchen"}, success_beta=2.0)
     fused = fuse(g1, g2, EMB)
     node = fused.nodes["mix_fruit"]
     assert node.attrs == {"tool": "bowl", "room": "kitchen"}
@@ -394,8 +394,10 @@ def test_fuse_logic_nodes_refuses_an_embedder_vector_that_is_not_finite():
                 store.ingest(ObservationRecord(rid, video, float(t), [Description(text)], [], []))
         store.distill()
     assert sorted(store.logic) == [1, 2]
-    for node in store.logic.values():
-        _apply_pairs(node.dag, ["chop_fruit", "stir_pot"], {}, UpdateReport(0))
+    for node in list(store.logic.values()):
+        dag = node.dag.copy()
+        _apply_pairs(dag, ["chop_fruit", "stir_pot"], {}, UpdateReport(0))
+        plant(store, logic={node.id: replace(node, dag=dag.sealed())})
     assert store.check() == []
     with pytest.raises(InvalidInput, match="^embedder output for 'stir_pot' is not 64 finite floats$"):
         fuse_logic_nodes(store, 1, 2)

@@ -184,10 +184,14 @@ def test_apply_matching_record_increments_and_shifts_indexes():
     assert report.matched == 1
     assert report.similarity > store.config.delta_gate
     assert ("chop_fruit", "mix_fruit") in report.incremented
+    # a new node, with a new DAG and evidence, is put under the id: the one held before is as it was
+    before, node = node, store.logic[1]
     assert node.dag.adj["chop_fruit"]["mix_fruit"].count == n_before + 1
-    assert not np.array_equal(node.i_goal, goal_before)
+    assert before.dag.adj["chop_fruit"]["mix_fruit"].count == n_before
+    assert node.i_goal is before.i_goal and not np.array_equal(node.i_goal, goal_before)
     # links grew by the record's episodes
     assert set(store.observations[100].episodes) <= node.episodic_links
+    assert before.episodic_links.isdisjoint(store.observations[100].episodes)
 
 
 def test_apply_reads_the_episodes_stored_under_the_record_id():
@@ -257,6 +261,7 @@ def test_apply_expands_new_step_and_stays_valid():
                  ["chop the fruit", "wash the bowl", "mix the fruit", "serve the salad"])
     store.ingest(rec)
     report = store.apply(rec)
+    node = store.logic[1]  # the node the apply put under the id
     assert report.matched == 1
     assert ("chop_fruit", "wash_bowl") in report.expanded_edges
     assert ("wash_bowl", "mix_fruit") in report.expanded_edges
@@ -271,6 +276,7 @@ def test_apply_rejects_cycle_pair():
     rec = record(103, "v9", 0.0, ["mix the fruit", "chop the fruit"])
     store.ingest(rec)
     report = store.apply(rec)
+    node = store.logic[1]  # the node the apply put under the id
     assert report.matched == 1
     assert report.rejected == [("mix_fruit", "chop_fruit")]
     assert not node.dag.has_edge("mix_fruit", "chop_fruit")
@@ -285,6 +291,7 @@ def test_apply_repairs_trailing_new_node():
     rec = record(104, "v9", 0.0, ["chop the fruit", "mix the fruit", "blend the rest"])
     store.ingest(rec)
     report = store.apply(rec)
+    node = store.logic[1]  # the node the apply put under the id
     assert report.matched == 1
     assert ("mix_fruit", "blend_rest") in report.expanded_edges
     assert ("blend_rest", "GOAL") in report.repaired_edges
@@ -301,6 +308,7 @@ def test_apply_outcome_trials_update_success_stats():
                  outcomes=["success", "failure"])
     store.ingest(rec)
     report = store.apply(rec)
+    node = store.logic[1]  # the node the apply put under the id
     assert report.matched == 1
     assert node.dag.nodes["mix_fruit"].success_alpha == alpha_before
     assert node.dag.nodes["mix_fruit"].success_beta == beta_before + 1

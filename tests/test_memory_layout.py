@@ -37,6 +37,7 @@ from memstrata import (
     read_observation_lines,
 )
 from memstrata import ingest as ingest_module
+from memstrata.core import FrozenDict
 from conftest import FRUIT_VERBS, fruit_salad_store, plant, random_corpus
 
 DIM = 16
@@ -172,7 +173,10 @@ def _held_once(store) -> None:
     sets = [n.anchors for n in nodes + list(store.semantic.values())]
     assert all(type(s) is frozenset for s in sets)
     assert len(set(map(id, sets))) == len(set(sets))
-    assert len({id(n.attrs) for n in nodes}) == len(nodes)  # each node's own dict
+    # equal attrs are one object, read-only, whose value is that of its canonical JSON
+    attrs = [n.attrs for n in nodes]
+    assert all(type(a) is FrozenDict for a in attrs)
+    assert len(set(map(id, attrs))) == len({json.dumps(a, sort_keys=True) for a in attrs})
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60,

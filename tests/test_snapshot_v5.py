@@ -38,6 +38,7 @@ from memstrata import (
     auto_fuse,
 )
 from memstrata import store as store_module
+from memstrata.dag import EdgeStat
 from memstrata.ingest import MAX_ATTRS_DEPTH, MAX_ATTRS_VALUES, OUTCOMES, read_observation_lines
 from memstrata.store import snapshot_dict, store_from_dict
 from conftest import FRUIT_VERBS, MUTATION_VALUES, one_hot, plant, runs, unruns
@@ -264,9 +265,10 @@ CASES = {
     # a load runs every rule check() runs: the knife attrs of episodes 1, 6 and 10
     "attrs-past-the-bound": (lambda d: _episodes(d, "attrs").__setitem__(0, {"k": [0] * (MAX_ATTRS_VALUES + 1)}),
                              f"^episodic 1: attrs write more than {MAX_ATTRS_VALUES} values$"),
-    # json recurses once a level, so a dict built in code can nest past the recursion limit
+    # json recurses once a level, so a dict built in code can nest past the recursion limit; a
+    # load judges the attrs table first, a level at a time, so it refuses it by its depth
     "attrs-nested-too-deep": (lambda d: _episodes(d, "attrs").__setitem__(1, {"tool": _nested(100_000)}),
-                              "^snapshot nests too deep to read$"),
+                              f"^episodic 2: attrs nest more than {MAX_ATTRS_DEPTH} levels$"),
 }
 
 
@@ -388,22 +390,25 @@ def test_store_that_v5_cannot_write_is_reported_and_not_saved(tmp_path, fault, v
     assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
 
 
-def _first_edge(store):
-    return next(iter(store.logic[1].dag.edges()))[2]
-
-
 def _semantic_weight_zero(store):
     node = store.semantic[min(store.semantic)]
     plant(store, semantic={node.id: replace(node, weight=0)})
 
 
+def _negative_count(store):  # a builder in place of a sealed DAG, as no engine call and no file puts
+    node = store.logic[1]
+    dag = node.dag.copy()
+    src, dst, _ = next(iter(dag.edges()))
+    dag.adj[src][dst] = EdgeStat(-1.0, 1.0)
+    plant(store, logic={1: replace(node, dag=dag)})
+
+
 @pytest.mark.parametrize("fault", [
     _semantic_weight_zero,
     lambda store: plant(store, next_node_id=0),
-    lambda store: store.episodic[1].attrs.__setitem__("n", np.nan),
     lambda store: store.logic[1].i_goal.__setitem__(0, np.nan),
-    lambda store: setattr(_first_edge(store), "count", -1.0),
-], ids=["semantic", "counter", "derived", "vector", "dag"])
+    _negative_count,
+], ids=["semantic", "counter", "vector", "dag"])
 def test_refused_save_leaves_the_snapshot_it_would_replace_as_it_was(tmp_path, fault):
     path = str(tmp_path / "snap.json")
     store = shapes_store()
@@ -416,21 +421,6 @@ def test_refused_save_leaves_the_snapshot_it_would_replace_as_it_was(tmp_path, f
         store.save(path)
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["snap.json"]  # no temp file left
-
-
-def _reachable_fields(store) -> list:
-    """``(name, owner, key)`` of each field a caller can set, which the live-store sweep sets:
-    one DAG step's attrs and Beta parameters, a str and an int key of the episode's and of that
-    step's attrs, and one edge's statistics; and ``(name, links, None)`` for one logic node's
-    evidence set, which the sweep adds each value to. The rest of a store is sealed, or set once;
-    the snapshot mutation sweep puts each value in each of its fields that a file holds."""
-    dag = store.logic[1].dag
-    step = dag.nodes[sorted(dag.step_labels())[0]]
-    return ([("logic episodic_links", store.logic[1].episodic_links, None)]
-            + [(f"dag step {key}", step, key) for key in ("attrs", "success_alpha", "success_beta")]
-            + [(f"{name} attrs[{key!r}]", attrs, key) for name, attrs in
-               (("episodic 1", store.episodic[1].attrs), ("dag step", step.attrs)) for key in ("tool", 1)]
-            + [(f"dag edge {key}", _first_edge(store), key) for key in ("count", "gamma")])
 
 
 def _breach(store, path: str):
@@ -462,26 +452,13 @@ def _breach(store, path: str):
 
 
 def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
-    # Each field _reachable_fields names, set in turn to each mutation value, then entry 0
-    # of each kind of stored vector that a snapshot keeps set to NaN and to inf; and each
-    # config field, which is set once, by a store built with each value a Config takes.
+    # Entry 0 of each kind of stored vector that a snapshot keeps, the one state a caller can
+    # still write, set to NaN and to inf; and each config field, which is set once, by a store
+    # built with each value a Config takes. The rest of a store is sealed (tests/test_seal.py),
+    # and the snapshot mutation sweep puts each value in each of its fields that a file holds.
     path = str(tmp_path / "snap.json")
     base = pooled_shapes_store()
     breaches = []
-    for at in range(len(_reachable_fields(base))):
-        for value in MUTATION_VALUES:
-            store = base.clone()
-            name, owner, key = _reachable_fields(store)[at]
-            if isinstance(owner, set):
-                if isinstance(value, (list, dict)):
-                    continue  # a set holds no list or dict
-                owner.add(value)
-            elif isinstance(owner, dict):
-                owner[key] = copy.deepcopy(value)
-            else:
-                setattr(owner, key, copy.deepcopy(value))
-            if why := _breach(store, path):
-                breaches.append((name, value, why))
     for name, vector in (("face centroid", lambda store: store.anchors[1].centroid_face),
                          ("i_goal", lambda store: store.logic[1].i_goal),
                          ("i_step", lambda store: store.logic[1].i_step)):
@@ -501,7 +478,7 @@ def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
     assert breaches == []
 
 
-@pytest.mark.parametrize("field", ["t", "anchors", "attrs"])
+@pytest.mark.parametrize("field", ["t", "anchors"])
 def test_check_reports_an_array_in_an_episode_field(field):
     # An array compares elementwise, so a rule that compared one with == or in would raise.
     # An episode's t is its observation's.
@@ -517,82 +494,108 @@ def test_check_reports_an_array_in_an_episode_field(field):
 # -- rules that no other test reaches: each plant breaks one rule, and only it -------
 
 
-def _no_evidence(store):
-    store.logic[1].episodic_links.clear()
-
-
-def _pool_entry_of_an_unknown_observation(store):
-    plant(store, pool=(99,))
-
-
-def _transition_sum_overflows(store):
-    # Each count is finite, but their sum is not, so each transition estimate is 0.
-    dag = store.logic[1].dag
-    dag.add_edge(START, GOAL)
-    for stat in dag.adj[START].values():
-        stat.count = 1e308
-
-
-@pytest.mark.parametrize("fault,violations", [
-    (_no_evidence, ["logic 1: no episodic evidence"]),
-    (_pool_entry_of_an_unknown_observation, ["pool entry references unknown observation 99"]),
-    (_transition_sum_overflows, ["logic 1: transition probs at START sum to 0.0"]),
-], ids=["no-evidence", "pool-observation", "transition-overflow"])
-def test_each_rule_no_other_test_reaches_reports_its_plant(tmp_path, fault, violations):
+def test_a_pool_entry_of_an_unknown_observation_is_reported_and_not_saved(tmp_path):
     path = str(tmp_path / "snap.json")
     store = pooled_shapes_store()
     assert store.check() == []
-    fault(store)
+    plant(store, pool=(99,))
+    violations = ["pool entry references unknown observation 99"]
     assert store.check() == violations
     with pytest.raises(SnapshotIoError, match=re.escape(violations[0]) + "$"):
         store.save(path)
 
 
+def _no_evidence(data):
+    data["logic"][0]["episodic_links"] = []
+
+
+def _transition_sum_overflows(data):
+    # Each count is finite, but their sum is not, so each transition estimate is 0.
+    edges = data["logic"][0]["dag"]["edges"]
+    edges.append([START, GOAL, 0.0, 1.0])
+    edges.sort(key=lambda row: row[:2])
+    for row in edges:
+        if row[0] == START:
+            row[2] = 1e308
+
+
+@pytest.mark.parametrize("write,fault,violation", [
+    (lambda store: store.logic[1].episodic_links.clear(), _no_evidence, "logic 1: no episodic evidence"),
+    (lambda store: store.logic[1].dag.add_edge(START, GOAL, 1e308), _transition_sum_overflows,
+     "logic 1: transition probs at START sum to 0.0"),
+], ids=["no-evidence", "transition-overflow"])
+def test_each_rule_no_other_test_reaches_is_kept_by_the_seal_and_by_the_load(write, fault, violation):
+    # A store's evidence and DAGs are sealed, so no write breaks these rules on one; a file can,
+    # and a load refuses it with the violation check() reports.
+    store = pooled_shapes_store()
+    before = json.dumps(snapshot_dict(store))
+    with pytest.raises((TypeError, AttributeError)):
+        write(store)
+    assert store.check() == [] and json.dumps(snapshot_dict(store)) == before
+    data = json.loads(before)
+    fault(data)
+    with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
+        store_from_dict(data)
+
+
 # -- attrs that JSON cannot carry exactly ---------------------------------------------
+
+
+def _episode_attrs(data):  # the bowl attrs of episodes 2, 7 and 11
+    return data["episodic"]["attrs"][1]
+
+
+def _step_attrs(data):
+    return next(row[1] for row in data["logic"][0]["dag"]["nodes"] if row[0] == "mix_fruit")
+
+
+ATTRS_HELD = ((_episode_attrs, "episodic 2: attrs"), (_step_attrs, "logic 1: mix_fruit attrs"))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), (1, 2), {1: "a"}, [[float("-inf")]],
                                    {"k": {2}}, np.float64(0.5)],
                          ids=["nan", "inf", "tuple", "int-key", "nested-inf", "set", "numpy-float"])
-def test_check_reports_attrs_that_json_cannot_carry_exactly(tmp_path, value):
+def test_attrs_that_json_cannot_carry_exactly_are_neither_written_nor_loaded(value):
     # json would refuse a non-finite float or a set, or read a tuple back as a list, an int
-    # key as a str and a numpy float as a float.
-    path = str(tmp_path / "snap.json")
+    # key as a str and a numpy float as a float. A store's attrs are read-only, and a load
+    # refuses a snapshot dict that holds one, with what check() reported on such a store.
     store = shapes_store()
-    store.episodic[2].attrs["n"] = value
-    step = store.logic[1].dag.nodes["mix_fruit"]
-    step.attrs["n"] = value
-    assert store.check() == ["logic 1: mix_fruit attrs hold what JSON cannot carry exactly",
-                             "episodic 2: attrs hold what JSON cannot carry exactly"]
-    with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0]) + "$"):
-        store.save(path)
-    del store.episodic[2].attrs["n"], step.attrs["n"]
-    store.episodic[2].attrs[1] = "a"
-    assert store.check() == ["episodic 2: attrs hold what JSON cannot carry exactly"]
+    for attrs in (store.episodic[2].attrs, store.logic[1].dag.nodes["mix_fruit"].attrs):
+        with pytest.raises(TypeError, match="read-only"):
+            attrs["n"] = value
+    assert store.check() == []
+    base = json.loads(json.dumps(snapshot_dict(store)))
+    for where, what in ATTRS_HELD:
+        for key in ("n", 1):
+            data = copy.deepcopy(base)
+            where(data)[key] = value if key == "n" else "a"
+            with pytest.raises(CorruptSnapshot, match=f"^{what} hold what JSON cannot carry exactly$"):
+                store_from_dict(data)
 
 
-def test_check_accepts_attrs_that_json_carries_and_ends_its_walk_on_a_cycle(tmp_path):
-    # A container held twice is written twice and read back equal; one that holds
-    # itself cannot be written, so check() reports it and save and ingest refuse it.
+def test_attrs_that_json_carries_pass_every_boundary_and_a_cycle_is_refused(tmp_path):
+    # A container held twice is written twice and read back equal; one that holds itself
+    # cannot be written, so ingest and a load refuse it.
     path = str(tmp_path / "snap.json")
     store = shapes_store()
     shared = [1, 2.5, None, True, "x", {"deep": [{"er": -0.0}]}]
-    store.episodic[1].attrs.update(n=2**70, shared=shared, again=shared)
+    store.ingest(ObservationRecord(50, "v5", 0.0, [Description("chop the fruit", {
+        "n": 2**70, "shared": shared, "again": shared})], [], []))
     assert store.check() == []
     store.save(path)
+    assert snapshot_dict(MemoryStore.load(path)) == snapshot_dict(store)
     shared[-1]["deep"].append(shared)  # a cycle three containers long
-    step = store.logic[1].dag.nodes["mix_fruit"]
-    step.attrs["self"] = step.attrs
-    assert store.check() == ["logic 1: mix_fruit attrs hold what JSON cannot carry exactly",
-                             "episodic 1: attrs hold what JSON cannot carry exactly"]
-    with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0]) + "$"):
-        store.save(path)
-    del step.attrs["self"], store.episodic[1].attrs["shared"], store.episodic[1].attrs["again"]
     before = json.dumps(snapshot_dict(store))
     with pytest.raises(MalformedRecord, match="hold what JSON cannot carry exactly"):
-        store.ingest(ObservationRecord(50, "v5", 0.0, [Description("chop the fruit", {"s": shared})],
+        store.ingest(ObservationRecord(51, "v5", 1.0, [Description("chop the fruit", {"s": shared})],
                                        [], []))
-    assert json.dumps(snapshot_dict(store)) == before and 50 not in store.observations
+    assert json.dumps(snapshot_dict(store)) == before and 51 not in store.observations
+    for where, what in ATTRS_HELD:
+        data = json.loads(before)
+        attrs = where(data)
+        attrs.update(s=shared, self=attrs)
+        with pytest.raises(CorruptSnapshot, match=f"^{what} hold what JSON cannot carry exactly$"):
+            store_from_dict(data)
 
 
 def _doubled(levels: int):
@@ -604,51 +607,60 @@ def _doubled(levels: int):
     return x
 
 
-def _put_attrs(store, node_id, attrs):
-    """Episode ``node_id`` with ``attrs``, planted under its id: an episode is set once."""
-    plant(store, episodic={node_id: replace(store.episodic[node_id], attrs=attrs)})
-
-
 def test_attrs_are_bounded_by_the_values_a_write_emits(tmp_path):
     # A value inside a shared container is written once per place it is reached, so
     # sharing can make a few containers write 2**levels values. {"k": x} writes one value
-    # at the top, then x's.
+    # at the top, then x's. Ingest refuses an attrs object past the bound, and a load one
+    # in the episodes' table or one entry of a step's attrs past it.
     path = str(tmp_path / "snap.json")
     over = f"attrs write more than {MAX_ATTRS_VALUES} values"
     store = shapes_store()
     shared = [0] * 30000
     at_bound = ({"k": [0] * (MAX_ATTRS_VALUES - 1)}, {"k": _doubled(15)},  # 2**16 - 1 values
                 {"a": shared, "b": shared})  # one container twice at one level: 60,002
-    for attrs in at_bound:
-        _put_attrs(store, 2, attrs)
-        assert store.check() == [], attrs.keys()
-    store.save(path)
-    for attrs in ({"k": [0] * MAX_ATTRS_VALUES}, {"k": _doubled(16)}, {"a": shared, "b": shared, "c": shared}):
-        _put_attrs(store, 2, attrs)
-        assert store.check() == [f"episodic 2: {over}"]
-        with pytest.raises(SnapshotIoError, match=re.escape(store.check()[0]) + "$"):
-            store.save(path)
-    # A bomb of 40 levels is refused at once; so is one in a DAG step's attrs.
-    _put_attrs(store, 2, {"k": _doubled(40)})
-    step = store.logic[1].dag.nodes["mix_fruit"]
-    step.attrs["k"] = _doubled(40)
-    assert store.check() == [f"logic 1: mix_fruit {over}", f"episodic 2: {over}"]
+    for rid, attrs in enumerate(at_bound, start=50):
+        store.ingest(ObservationRecord(rid, "v5", float(rid), [Description("mix the fruit", attrs)], [], []))
     # The bound is per attrs object: three episodes that together write 90,003 values pass.
-    _put_attrs(store, 2, {})
-    del step.attrs["k"]
-    for node_id in (1, 2, 3):
-        _put_attrs(store, node_id, {"k": shared})
+    store.ingest(ObservationRecord(60, "v6", 0.0, [Description("chop the fruit", {"k": shared})] * 3, [], []))
     assert store.check() == []
+    store.save(path)
+    assert snapshot_dict(MemoryStore.load(path)) == snapshot_dict(store)
 
     before = json.dumps(snapshot_dict(store))
     for attrs in ({"k": [0] * MAX_ATTRS_VALUES}, {"k": _doubled(40)}):
         with pytest.raises(MalformedRecord, match=re.escape(f"attrs of 'chop the fruit' write more than "
                                                             f"{MAX_ATTRS_VALUES} values") + "$"):
-            store.ingest(ObservationRecord(50, "v5", 0.0, [Description("chop the fruit", attrs)], [], []))
-    assert json.dumps(snapshot_dict(store)) == before and 50 not in store.observations
-    store.ingest(ObservationRecord(50, "v5", 0.0, [Description("chop the fruit", {"k": _doubled(15)})],
-                                   [], []))
+            store.ingest(ObservationRecord(70, "v7", 0.0, [Description("chop the fruit", attrs)], [], []))
+    assert json.dumps(snapshot_dict(store)) == before and 70 not in store.observations
+    base = json.loads(json.dumps(snapshot_dict(shapes_store())))
+    # A bomb of 40 levels is refused at once, in the table or in a step's attrs.
+    for attrs in ({"k": [0] * MAX_ATTRS_VALUES}, {"k": _doubled(16)}, {"a": shared, "b": shared, "c": shared},
+                  {"k": _doubled(40)}):
+        for where, what in ATTRS_HELD:
+            data = copy.deepcopy(base)
+            entries = where(data)
+            entries.clear()
+            entries.update(attrs)
+            if where is _step_attrs and len(attrs) > 1:
+                assert store_from_dict(data).check() == []  # each entry alone is within the bound
+                continue
+            with pytest.raises(CorruptSnapshot, match=f"^{what[:-6]} {over}$"):
+                store_from_dict(data)
+
+
+def test_a_steps_attrs_merge_its_episodes_attrs_past_the_bound_and_save_and_load(tmp_path):
+    # Distill merges the attrs of a step's episodes, each within the bound, into one that is
+    # not: a load judges each entry of a step's attrs, as an episode's, so it takes the file.
+    path = str(tmp_path / "snap.json")
+    store = MemoryStore(Config(dim=DIM, action_verbs=FRUIT_VERBS))
+    for rid, key in ((1, "a"), (2, "b")):
+        store.ingest(ObservationRecord(rid, f"v{rid}", 0.0, [
+            Description("grab the towel"), Description("wash the bowl", {key: [0] * 40000})], [], []))
+    assert store.distill() == [1]
+    assert store.logic[1].dag.nodes["wash_bowl"].attrs.keys() == {"a", "b"}
     assert store.check() == []
+    store.save(path)
+    assert snapshot_dict(MemoryStore.load(path)) == snapshot_dict(store)
 
 
 def test_loaded_and_cloned_clocks_are_each_videos_latest_observation(tmp_path):
@@ -711,14 +723,12 @@ def test_attrs_nested_to_the_bound_pass_every_boundary_and_one_level_more_is_ref
         open(path, "w").write(text.replace(at_bound, "[" + at_bound + "]"))
         with pytest.raises(CorruptSnapshot, match=f"^episodic 1: attrs {over}$"):
             MemoryStore.load(path)
-        store = shapes_store()
-        step = store.logic[1].dag.nodes["mix_fruit"]
-        step.attrs["k"] = _nested(MAX_ATTRS_DEPTH)["k"]
-        store.save(path)
-        step.attrs["k"] = _nested(MAX_ATTRS_DEPTH + 1)["k"]
-        assert store.check() == [f"logic 1: mix_fruit attrs {over}"]
-        with pytest.raises(SnapshotIoError, match=f"logic 1: mix_fruit attrs {over}$"):
-            store.save(path)
+        data = json.loads(json.dumps(snapshot_dict(shapes_store())))
+        _step_attrs(data)["k"] = _nested(MAX_ATTRS_DEPTH)["k"]
+        store_from_dict(copy.deepcopy(data)).save(path)
+        _step_attrs(data)["k"] = _nested(MAX_ATTRS_DEPTH + 1)["k"]
+        with pytest.raises(CorruptSnapshot, match=f"^logic 1: mix_fruit attrs {over}$"):
+            store_from_dict(data)
 
     failed = []
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -125,8 +126,12 @@ def test_get_procedure_identity_goal():
     assert pe.similarity == pytest.approx(1.0, abs=1e-12)
     times = [(e.t, e.id) for e in pe.evidence]
     assert times == sorted(times)
-    # snapshot is deep: mutating it must not touch the store
-    pe.dag.adj[START]["chop_fruit"].count += 99
+    # the store's own DAG, sealed: no write reaches it, and a builder of it is the caller's own
+    assert pe.dag is store.logic[1].dag
+    with pytest.raises(FrozenInstanceError):
+        pe.dag.adj[START]["chop_fruit"].count += 99
+    mine = pe.dag.copy()
+    mine.add_edge(START, "chop_fruit", count=99.0)
     assert store.logic[1].dag.adj[START]["chop_fruit"].count == 0.0
 
 

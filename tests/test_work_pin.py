@@ -2,14 +2,16 @@
 
 Counts move only with (workload, seed, code), never with the host or its load,
 so a count can gate a change that a clock could not tell from noise. This
-test builds the seeded 300-record lifecycle of ``tests/test_decision_pin.py``
-(ingest 80%, distill, ingest and apply the rest, ``auto_fuse``), saves and
-loads it, then runs a fixed query phase on the loaded store (retrieves and
-step-sequence queries of the generator's own texts), and pins, per
-phase, how many DAGs ``check_valid`` judged, how many rows each calling module
-passed to ``cosine``, and how many ``RankedItem``s retrieval built. The
-engine's own DAG writes keep a DAG valid by construction, so the check runs
-only where a DAG enters: a fuse's union, ``fuse()``'s inputs,
+test reads the seeded 300-record lifecycle of ``tests/test_decision_pin.py``
+and builds it (ingest 80%, distill, ingest and apply the rest, ``auto_fuse``),
+saves and loads it, then runs a fixed query phase on the loaded store
+(retrieves and step-sequence queries of the generator's own texts), and pins,
+per phase, how many DAGs ``check_valid`` judged, how many rows each calling
+module passed to ``cosine``, how many ``RankedItem``s retrieval built, how many
+transition estimates and START -> GOAL paths the symbolic layer computed, how
+many times a record was judged (``record_fault``) and how many sealed DAGs were
+built. The engine's own DAG writes keep a DAG valid by construction, so the
+check runs only where a DAG enters: a fuse's union, ``fuse()``'s inputs,
 ``goal_reach_probability`` and the save's and the load's sweep.
 
 A change that does less work lowers a pin and says so; a rise fails here.
@@ -21,7 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from memstrata import Config, MemoryStore
+from memstrata import Config, MemoryStore, ProceduralDag
 from memstrata.core import RowBlock
 from memstrata.fuse import auto_fuse
 from memstrata.ingest import read_observation_lines
@@ -34,16 +36,20 @@ CALLERS = [importlib.import_module(f"memstrata.{name}") for name in ("dag", "sto
 SCANNERS = {name: importlib.import_module(f"memstrata.{name}")
             for name in ("ingest", "maintain", "fuse", "retrieve", "symbolic")}
 RETRIEVE = SCANNERS["retrieve"]
+# Each function counted per call, and the modules that call it by their own name.
+JUDGES = {"transition_prob": ("store", "symbolic"), "record_fault": ("ingest", "maintain")}
 QUERIES = 40  # the first of the generator's queries, each retrieved once on the loaded store
 GOALS = 10  # the first of its symbolic goals, each asked for its step sequence once
-PHASES = ("ingest", "distill", "apply", "fuse", "save", "load", "query")
+PHASES = ("read", "ingest", "distill", "apply", "fuse", "save", "load", "query")
 
 # phase -> check_valid calls: one per logic node at the save and at the load. Applies and distills
 # keep a DAG valid by construction, and this build's auto_fuse finds no pair to fuse.
-CHECK_VALID_CALLS = {"ingest": 0, "distill": 0, "apply": 0, "fuse": 0, "save": 4, "load": 4, "query": 0}
+CHECK_VALID_CALLS = {"read": 0, "ingest": 0, "distill": 0, "apply": 0, "fuse": 0, "save": 4, "load": 4,
+                     "query": 0}
 
 # phase -> module -> rows passed to cosine: a RowBlock's rows, a list's vectors, or one vector.
 COSINE_ROWS = {
+    "read": {},
     "ingest": {"ingest": 3975},
     "distill": {},
     "apply": {"ingest": 1524, "maintain": 360},
@@ -54,7 +60,25 @@ COSINE_ROWS = {
 }
 
 # phase -> RankedItems built: one per node that scores above theta in a retrieve.
-RANKED_ITEMS = {"ingest": 0, "distill": 0, "apply": 0, "fuse": 0, "save": 0, "load": 0, "query": 3146}
+RANKED_ITEMS = {"read": 0, "ingest": 0, "distill": 0, "apply": 0, "fuse": 0, "save": 0, "load": 0,
+                "query": 3146}
+
+# phase -> unit -> count. transition_prob: one estimate per edge of each path a path query (a
+# step-sequence query, a constraint retrieve) keeps, and one per edge at the save's and the load's
+# sums; paths: each START -> GOAL path a path query enumerates. record_fault: once per record at
+# the read and at its ingest, and once more when it is applied. sealed: one sealed DAG per
+# distilled node (3 by the distill, 1 by the apply phase's pool distill), matched apply (15) and
+# loaded DAG; this build's auto_fuse fuses none.
+UNITS = {
+    "read": {"record_fault": 300},
+    "ingest": {"record_fault": 240},
+    "distill": {"sealed": 3},
+    "apply": {"record_fault": 120, "sealed": 16},
+    "fuse": {},
+    "save": {"transition_prob": 19},
+    "load": {"transition_prob": 19, "sealed": 4},
+    "query": {"transition_prob": 129, "paths": 19},
+}
 
 
 def _rows(b) -> int:
@@ -66,17 +90,16 @@ def _rows(b) -> int:
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
-    """Per phase of the seeded lifecycle: check_valid calls, cosine rows by module, RankedItems."""
+    """Per phase of the seeded lifecycle: check_valid calls, cosine rows by module, RankedItems and
+    the UNITS."""
     gen = bench_gen()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gen, "RECORDS", 300)
         patch.setattr(gen, "SESSIONS", 20)
         inputs = gen.lifecycle_inputs(7)
-        records = read_observation_lines(inputs["lines"]())
         queries = [q["text"] for q in inputs["queries"][:QUERIES]]
         goals = [entry["goal"] for entry in inputs["symbolic"][:GOALS]]
-        cut = len(records) * 4 // 5
-        checked, rows, ranked = [], Counter(), []
+        checked, rows, ranked, units = [], Counter(), [], Counter()
 
         check_valid = CALLERS[0].check_valid
 
@@ -101,17 +124,38 @@ def work(tmp_path_factory):
             return ranked_item(*args)
         patch.setattr(RETRIEVE, "RankedItem", item)
 
+        def judge(name, fn):
+            def counted(*args):
+                units[name] += 1
+                return fn(*args)
+            return counted
+        for name, callers in JUDGES.items():
+            for caller in callers:
+                module = importlib.import_module(f"memstrata.{caller}")
+                patch.setattr(module, name, judge(name, getattr(module, name)))
+        symbolic = importlib.import_module("memstrata.symbolic")
+        enumerate_paths = symbolic.enumerate_paths
+
+        def enumerated(*args):
+            paths = enumerate_paths(*args)
+            units["paths"] += len(paths)
+            return paths
+        patch.setattr(symbolic, "enumerate_paths", enumerated)
+        patch.setattr(ProceduralDag, "sealed", judge("sealed", ProceduralDag.sealed))
+
         counts = {}
         stores = [MemoryStore(Config())]
         path = str(tmp_path_factory.mktemp("pin") / "pin.json")
 
         def phase(name, run):
-            for count in (checked, rows, ranked):
+            for count in (checked, rows, ranked, units):
                 count.clear()
             run()
-            counts[name] = (len(checked), dict(rows), len(ranked))
+            counts[name] = (len(checked), dict(rows), len(ranked), dict(units))
 
-        store = stores[0]
+        store, records = stores[0], []
+        phase("read", lambda: records.extend(read_observation_lines(inputs["lines"]())))
+        cut = len(records) * 4 // 5
         phase("ingest", lambda: [store.ingest(rec) for rec in records[:cut]])
         phase("distill", store.distill)
         phase("apply", lambda: [(store.ingest(rec), store.apply(rec)) for rec in records[cut:]])
@@ -133,3 +177,7 @@ def test_a_seeded_lifecycle_scans_each_row_it_pins(work):
 
 def test_a_seeded_lifecycle_ranks_each_item_it_pins(work):
     assert {name: work[name][2] for name in PHASES} == RANKED_ITEMS
+
+
+def test_a_seeded_lifecycle_judges_estimates_enumerates_and_seals_what_it_pins(work):
+    assert {name: work[name][3] for name in PHASES} == UNITS
