@@ -83,27 +83,15 @@ def _refuse(self, *args, **kwargs):
     raise TypeError(f"a {type(self).__name__} is read-only")
 
 
-class _SetOnce:
-    """What ``FrozenDict`` and ``FrozenList`` share: ``__new__`` fills one, to any depth, so
-    ``__init__`` writes nothing, and ``copy.deepcopy`` and ``pickle`` rebuild one from its
-    ``copy()``, a plain dict or list."""
-
-    __slots__ = ()
-
-    def __init__(self, *args):
-        pass
-
-    def __reduce__(self):
-        return type(self), (self.copy(),)
-
-
-class FrozenDict(_SetOnce, dict):
+class FrozenDict(dict):
     """A dict set once, each dict or list in it a read-only copy (``frozen``). It is a dict, so
     ``==``, ``str`` and ``json.dumps`` give what the equal dict gives, byte for byte; a write
-    raises ``TypeError``."""
+    raises ``TypeError``. ``__new__`` fills it, so ``__init__`` writes nothing; ``copy()`` is a
+    plain dict, from which ``copy.deepcopy`` and ``pickle`` rebuild one."""
 
     __slots__ = ()
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+    __init__, __reduce__ = (lambda self, *args: None), (lambda self: (type(self), (self.copy(),)))
 
     def __new__(cls, items=(), /):
         self = dict.__new__(cls)
@@ -112,12 +100,13 @@ class FrozenDict(_SetOnce, dict):
         return self
 
 
-class FrozenList(_SetOnce, list):
+class FrozenList(list):
     """A list set once, as a ``FrozenDict`` is a dict."""
 
     __slots__ = ()
     __setitem__ = __delitem__ = __iadd__ = __imul__ = append = extend = insert = pop = remove = \
         clear = sort = reverse = _refuse
+    __init__, __reduce__ = FrozenDict.__init__, FrozenDict.__reduce__
 
     def __new__(cls, items=(), /):
         self = list.__new__(cls)
@@ -134,7 +123,8 @@ def frozen(value):
     return value if kind is None else kind(value)
 
 
-# The one key of each distinct attrs value, which a store holds once: its canonical JSON.
+# The one key of each distinct attrs value, which a store holds once: its canonical JSON, so
+# that 1 and true are two values, and key order is none.
 attrs_key = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 

@@ -38,15 +38,22 @@ class DagNode:
 
 @dataclass(slots=True, frozen=True)
 class EdgeStat:
+    """An edge's count and gamma, set once; equal to any edge stat, writable or not, of equal ones."""
+
     count: float = 0.0
     gamma: float = 1.0
 
+    def __eq__(self, other):
+        if not isinstance(other, EdgeStat):
+            return NotImplemented
+        return (self.count, self.gamma) == (other.count, other.gamma)
+
 
 class _WritableEdge(EdgeStat):
-    """A builder's own edge stat, writable until ``ProceduralDag.sealed`` freezes it."""
+    """A builder's own edge stat, writable, so unhashable, until ``ProceduralDag.sealed`` freezes it."""
 
     __slots__ = ()
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
 
 @dataclass(slots=True)

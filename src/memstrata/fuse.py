@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import cosine
-from .dag import GOAL, START, DagNode, ProceduralDag, check_valid
+from .dag import GOAL, START, ProceduralDag, check_valid
 from .errors import FusionCycle, InvalidInput, InvalidPrior
 
 _EPS = 1e-9
@@ -218,8 +218,7 @@ def _fuse_aligned(g1: ProceduralDag, g2: ProceduralDag, alignment: Alignment) ->
         alpha, beta = pool_beta(
             (n1.success_alpha, n1.success_beta), (n2.success_alpha, n2.success_beta)
         )
-        fused.add_node(l1)
-        fused.nodes[l1] = DagNode({**n2.attrs, **n1.attrs}, alpha, beta)
+        fused.add_node(l1, {**n2.attrs, **n1.attrs}, alpha, beta)
     for label in alignment.unmatched1:
         n = g1.nodes[label]
         fused.add_node(label, n.attrs, n.success_alpha, n.success_beta)

@@ -101,7 +101,7 @@ class EpisodicNode:
     """One described event, set once: ``text`` is its text's one ``(d, v_e, action)`` entry, ``obs``
     the observation that lists it (``d``, ``v_e``, ``action``, ``video`` and ``t`` read them),
     ``anchors`` the store's one such set, ``outcome`` an ``OUTCOMES`` constant and ``attrs`` the
-    store's one read-only object of its value (``MemoryStore.intern_attrs``)."""
+    store's one read-only object of its value (``MemoryStore._intern_attrs``)."""
 
     id: int
     text: tuple
@@ -516,7 +516,7 @@ def ingest_observation(store, rec: ObservationRecord):
         entry = store.text_entry(desc.text, _vector=new_texts.get(desc.text))
         store._episodic[node_id] = EpisodicNode(node_id, entry, meta, anchors(found),
                                                 OUTCOMES[OUTCOMES.index(desc.outcome)],
-                                                store.intern_attrs(desc.attrs))
+                                                store._intern_attrs(desc.attrs))
         actions[entry[2]].append(node_id)
 
     events = []

@@ -135,7 +135,7 @@ class MemoryStore:
         self._episodic: dict[int, EpisodicNode] = {}
         self._texts: dict[str, tuple] = {}  # each episodic text's (d, v_e, action), see text_entry
         self._interned: dict = {}  # see intern
-        self._attrs: dict = {}  # each distinct attrs object, by its key: see intern_attrs
+        self._attrs: dict = {}  # each distinct attrs object, by its JSON: see _intern_attrs
         self._semantic: dict[int, SemanticNode] = {}
         self._logic: dict[int, LogicNode] = {}
         self._observations: dict[int, ObservationMeta] = {}
@@ -240,16 +240,12 @@ class MemoryStore:
                                         self.intern(extract_action(text, self.config.action_verbs)))
         return entry
 
-    def intern_attrs(self, attrs: dict, key: str | None = None) -> FrozenDict:
-        """The store's one read-only object of the value of ``attrs``, judged attrs, by their JSON
-        (``core.attrs_key``, which a load passes as ``key``): 1 and true are two values. The
-        1-tuple of their repr, which only attrs of that JSON have, is the cheaper first key."""
-        held = self._attrs.get(spelled := (repr(attrs),))
+    def _intern_attrs(self, attrs: dict) -> FrozenDict:
+        """The store's one read-only object of the value of ``attrs``, by its JSON
+        (``core.attrs_key``). Only ingest and a load pass attrs, each judged first."""
+        held = self._attrs.get(key := attrs_key(attrs))
         if held is None:
-            held = self._attrs.get(key := attrs_key(attrs) if key is None else key)
-            if held is None:
-                held = self._attrs[key] = FrozenDict(attrs)
-            self._attrs[spelled] = held
+            held = self._attrs[key] = FrozenDict(attrs)
         return held
 
     def intern(self, value):
@@ -631,7 +627,7 @@ def _columns(store: MemoryStore) -> tuple:
     nodes = list(map(store._episodic.__getitem__, chain.from_iterable(m.episodes for m in metas)))
     videos, texts, anchors = {}, {}, {}
     held = list(map(attrgetter("attrs"), nodes))
-    attrs = {id(a): a for a in held}  # a store holds each distinct value once: see intern_attrs
+    attrs = {id(a): a for a in held}  # a store holds each distinct value once: see _intern_attrs
     attrs_at = list(map(dict(zip(attrs, range(len(attrs)))).__getitem__, map(id, held)))
     observations = {"id": _runs(_gaps(obs_ids)), "t": [m.t for m in metas],
                     "video_at": _runs([videos.setdefault(m.video, len(videos)) for m in metas]),
@@ -725,17 +721,17 @@ def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> N
     _refuse_unless_first_uses(video_at, videos, "observation video")
     _refuse_unless_first_uses(text_at, texts, "episodic text")
     _refuse_unless_first_uses(anchors_at, list(map(tuple, anchor_sets)), "episodic anchors")
-    if _attrs_fault(attrs):  # judged first, so that no json.dumps below walks what it bounds
+    if _attrs_fault(attrs):  # judged first, so that no attrs_key below walks what it bounds
         _refuse_unless_first_uses(attrs_at, list(range(len(attrs))), "episodic attrs")
         fault_of = [_attrs_fault([a]) for a in attrs]
         node_id, at = min((i, at) for i, at in zip(ep_ids, attrs_at) if fault_of[at])
         raise CorruptSnapshot(f"episodic {node_id}: attrs {fault_of[at]}")
-    keys = [json.dumps(a, sort_keys=True, allow_nan=False) for a in attrs]  # each its attrs_key
-    _refuse_unless_first_uses(attrs_at, keys, "episodic attrs")
+    attrs = list(map(store._intern_attrs, attrs))  # one object per distinct JSON
+    _refuse_unless_first_uses(attrs_at, list(map(id, attrs)), "episodic attrs")
     intern = store._interned.setdefault  # store.intern, without a call per entry
     videos = [intern(video, video) for video in videos]
     anchor_sets = [intern(a := frozenset(ids), a) for ids in anchor_sets]
-    entries, attrs = [store.text_entry(d) for d in texts], list(map(store.intern_attrs, attrs, keys))
+    entries = [store.text_entry(d) for d in texts]
     spans = [ep_ids[end - n:end] for n, end in zip(counts, accumulate(counts))]
     _increasing(spans, "the episode ids of an observation")
     metas = _built(ObservationMeta, len(obs_ids), video=map(videos.__getitem__, video_at),

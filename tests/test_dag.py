@@ -19,7 +19,7 @@ from memstrata import (
     success_rate,
     transition_prob,
 )
-from memstrata.dag import DagNode, record_trial
+from memstrata.dag import DagNode, EdgeStat, record_trial
 from conftest import ladder_dag
 
 
@@ -266,3 +266,19 @@ def test_a_builder_copy_is_independent():
     assert _rows(sealed) == before
     assert built.nodes["c"] is sealed.nodes["c"] and built.adj["a"]["c"] is sealed.adj["a"]["c"]
     assert built.adj["a"]["b"].count == 4.0 and built.nodes["b"].success_beta == 2.0
+
+
+def test_edge_stats_compare_by_value_whether_a_builders_or_sealed():
+    # A builder's stat is writable and a sealed DAG's frozen; both compare by their values, as a
+    # plain EdgeStat does, and only the frozen one hashes.
+    dag = branch_dag()
+    sealed = dag.sealed()
+    assert EdgeStat(0.0, 1.0) == ProceduralDag.single_path(["a"]).adj[START]["a"]
+    assert dag.adj["a"]["b"] == sealed.adj["a"]["b"] == EdgeStat(3.0, 0.0) != EdgeStat(3.0, 1.0)
+    assert dag.adj == sealed.adj and sealed.copy().adj == dag.adj
+    built = sealed.copy()
+    built.add_edge("a", "c", count=1.0)  # a writable stat beside the shared frozen ones
+    assert built.adj != sealed.adj and built.adj["a"]["c"] == EdgeStat(2.0, 0.0)
+    assert hash(sealed.adj["a"]["b"]) == hash(EdgeStat(3.0, 0.0))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(built.adj["a"]["c"])

@@ -34,7 +34,7 @@ from memstrata import (
     consolidate_semantic,
     record_fault,
 )
-from memstrata.core import FrozenDict
+from memstrata.core import FrozenDict, FrozenList
 from memstrata.dag import DagNode, EdgeStat, SealedDag, record_trial
 from memstrata.retrieve import make_query
 from memstrata.store import snapshot_dict
@@ -249,6 +249,25 @@ def test_a_records_attrs_are_the_stores_own_to_any_depth(tmp_path):
     store.save(path)
     loaded = MemoryStore.load(path)
     assert snapshot_dict(loaded) == snapshot_dict(store) and loaded.check() == []
+
+
+def test_no_caller_can_put_attrs_of_its_own_into_the_stores_table(tmp_path):
+    # Attrs enter the store only through ingest and a load, each judged first, and each is held
+    # under the JSON of its own value: a value a caller put there, say a tuple under the JSON of
+    # a list, or one value under another's key, would be what a later record's equal attrs read,
+    # and what a save writes.
+    store = MemoryStore(Config(dim=64, action_verbs=FRUIT_VERBS))
+    assert [name for name in dir(store) if "attrs" in name and not name.startswith("_")] == []
+    with pytest.raises(AttributeError):
+        store.intern_attrs({"a": (1, 2)})
+    store.ingest(ObservationRecord(1, "v", 0.0, [Description("chop the fruit", {"a": [1, 2]}),
+                                                 Description("mix the fruit", {"tool": "spoon"})], [], []))
+    assert [store.episodic[1].attrs, store.episodic[2].attrs] == [{"a": [1, 2]}, {"tool": "spoon"}]
+    assert type(store.episodic[1].attrs["a"]) is FrozenList
+    path = str(tmp_path / "snap.json")
+    store.save(path)
+    loaded = MemoryStore.load(path)
+    assert snapshot_dict(loaded) == snapshot_dict(store) and loaded.episodic[2].attrs == {"tool": "spoon"}
 
 
 def _two_procedures(**config) -> MemoryStore:
