@@ -36,7 +36,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="memstrata")
     parser.add_argument("--store", default="memstore", help="store directory")
-    parser.add_argument("--config", default=None, help="config file for a new store")
+    parser.add_argument("--config", default=None,
+                        help='JSON config file for a new store: {"version": 1} and any fields of '
+                             "a snapshot's config object")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="ingest a JSONL observation file (phase 1)")

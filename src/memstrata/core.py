@@ -1,4 +1,5 @@
-"""Shared primitives: configuration, the text embedding abstraction, cosine.
+"""Shared primitives: configuration and its file, the strict JSON reader of config files and
+snapshots, the text embedding abstraction, cosine.
 
 Everything downstream compares vectors by cosine similarity, so the default
 embedder keeps its outputs L2-normalized. It is a deterministic token
@@ -199,9 +200,6 @@ def finite_vector(x, dim: int) -> bool:
             and finite_entries(x))
 
 
-# A finite row's x·x may overflow: cosine 0, and 0 for a zero ``a`` (0·inf). As a
-# decorator, errstate builds its state once, not on every call.
-@np.errstate(over="ignore", invalid="ignore")
 def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray) -> None:
     """Write the cosine of ``a`` (of norm ``na``) with each row of ``rows``
     into ``out``; a zero row, or a zero ``a``, leaves its entry alone."""
@@ -210,6 +208,9 @@ def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray) ->
     np.divide(np.vecdot(rows, a), den, out=out, where=den > 0)
 
 
+# One errstate a call, over the query's norm and each block's scan: a finite vector's x·x may
+# overflow, and it then scores 0 (0 too for a zero ``a``, 0·inf). A decorator builds it once.
+@np.errstate(over="ignore", invalid="ignore")
 def cosine(a: np.ndarray, b):
     """Cosine similarity; defined as 0 when either vector has zero norm.
 
@@ -456,112 +457,60 @@ class Config:
 _unweighted = attrgetter(*(f.name for f in fields(Config) if f.name != "layer_weights"))
 
 
-def parse_layer_weights(text: str) -> dict:
-    """Parse ``factual:epi=1.0,sem=1.0,logic=0.6;constraint:...``. A query type, or a layer
-    within one block, given twice is refused, as a config file's repeated key is."""
-    weights = {}
-    for block in text.split(";"):
-        block = block.strip()
-        if not block:
-            continue
-        qt, sep, rest = block.partition(":")
-        qt = qt.strip()
-        if not sep or qt not in QUERY_TYPES:
-            raise ConfigError(f"bad layer_weights block {block!r}")
-        if qt in weights:
-            raise ConfigError(f"duplicate layer_weights query type {qt!r}")
-        per_layer = {}
-        for pair in rest.split(","):
-            layer, sep2, val = pair.partition("=")
-            layer = layer.strip()
-            if not sep2 or layer not in LAYERS:
-                raise ConfigError(f"bad layer_weights entry {pair!r}")
-            if layer in per_layer:
-                raise ConfigError(f"duplicate layer_weights layer {layer!r} for {qt!r}")
-            try:
-                per_layer[layer] = float(val)
-            except ValueError:
-                raise ConfigError(f"bad layer_weights value {val!r}") from None
-        weights[qt] = per_layer
-    return weights
+class _Refused(Exception):
+    """Text that ``json.loads`` would read and ``read_json`` refuses, raised from inside the read."""
 
 
-def format_layer_weights(weights: dict) -> str:
-    """The file form that ``parse_layer_weights`` reads back to equal weights: each weight as
-    its shortest round-trip decimal, ``repr(float)``."""
-    blocks = []
-    for qt in QUERY_TYPES:
-        pairs = ",".join(f"{layer}={float(weights[qt][layer])!r}" for layer in LAYERS)
-        blocks.append(f"{qt}:{pairs}")
-    return ";".join(blocks)
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # json would keep the last value of a key written twice
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise _Refused(f"repeats the key {key!r} in one object")
+    return obj
 
 
-# Config-file value parsers, keyed by the annotation of the Config field.
-_VALUE_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "dict": parse_layer_weights,
-    "tuple": lambda value: tuple(v.strip() for v in value.split(",") if v.strip()),
-}
+def _finite_only(name: str):  # NaN, Infinity or -Infinity: json reads them, and no writer here writes them
+    raise _Refused(f"holds {name}, which is not a finite number")
+
+
+def read_json(path: str, what: str, error: type, unreadable: type | None = None):
+    """The JSON value of the file at ``path``, a ``what`` (``"config"``, ``"snapshot"``), read
+    strictly. A file that cannot be read raises ``unreadable`` (by default ``error``); text that is
+    not UTF-8, not JSON, holds a ``NaN`` or ``Infinity`` constant or an int too long for ``int()``,
+    nests past the recursion limit or repeats a key in one object raises ``error``, each message
+    naming what it refuses."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise (unreadable or error)(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8: {exc}") from None
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_finite_only)
+    except ValueError as exc:  # a JSONDecodeError, or an int of more digits than int() converts
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{what} nests too deep to read") from None
+    except _Refused as exc:
+        raise error(f"{what} {exc}") from None
 
 
 def load_config(path: str) -> Config:
-    """Load a flat ``key = value`` config file.
-
-    The first non-comment line must be ``version = 1``. Unknown keys are an
-    error; missing keys fall back to defaults.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
-
-    field_types = {f.name: f.type for f in fields(Config)}
-    data: dict = {}
-    saw_version = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        if not saw_version:
-            if key != "version":
-                raise ConfigError(f"{path}:{lineno}: first key must be 'version'")
-            if value != "1":
-                raise ConfigError(f"{path}:{lineno}: unsupported config version {value!r}")
-            saw_version = True
-            continue
-        if key in data:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        parse = _VALUE_PARSERS.get(field_types.get(key))
-        if parse is None:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            data[key] = parse(value)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-    if not saw_version:
-        raise ConfigError(f"{path}: missing leading 'version = 1' line")
+    """The config of a JSON config file: the int ``"version": 1`` and the fields of a snapshot's
+    ``config`` object, each missing one at its default. An unknown field, and whatever
+    ``read_json`` or ``Config`` refuses, raises ``ConfigError``."""
+    data = read_json(path, "config", ConfigError)
+    if type(data) is not dict:
+        raise ConfigError(f"config {path} is not a JSON object")
+    version = data.pop("version", None)
+    if not _is_int(version) or version != 1:
+        raise ConfigError(f"config {path}: version must be the int 1, got {version!r}")
     return Config.from_dict(data)
 
 
 def dump_config(cfg: Config) -> str:
-    """Render a config back to the flat key-value file format."""
-    d = cfg.to_dict()
-    lines = ["version = 1"]
-    for key in sorted(d):
-        if key == "layer_weights":
-            lines.append(f"layer_weights = {format_layer_weights(d[key])}")
-        elif key == "action_verbs":
-            lines.append("action_verbs = " + ",".join(d[key]))
-        else:
-            lines.append(f"{key} = {d[key]}")
-    return "\n".join(lines) + "\n"
+    """The config file that ``load_config`` reads back to ``cfg``: its snapshot ``config`` object
+    and the version, keys sorted, each weight the shortest decimal that reads back to it."""
+    return json.dumps({"version": 1, **cfg.to_dict()}, sort_keys=True, indent=2, allow_nan=False) + "\n"

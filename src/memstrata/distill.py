@@ -319,6 +319,8 @@ def default_goal_name(pattern: Pattern) -> str:
     return "procedure: " + " → ".join(pattern.steps)
 
 
+# As in cosine, a finite mean's x·x may overflow: its norm is then inf, and the mean scales to 0.
+@np.errstate(over="ignore")
 def _normalized_mean(vectors) -> np.ndarray:
     mean = np.mean(vectors, axis=0)
     n = norm(mean)

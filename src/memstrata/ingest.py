@@ -342,7 +342,7 @@ def read_observation_lines(lines) -> list[ObservationRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int of more digits than int() converts
             raise MalformedRecord(f"line {lineno}: bad JSON: {exc}") from None
         except RecursionError:
             raise MalformedRecord(f"line {lineno}: JSON nests too deep to read") from None

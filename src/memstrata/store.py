@@ -51,6 +51,7 @@ from .core import (
     embedder_identity,
     finite_entries,
     finite_vector,
+    read_json,
 )
 from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
 from .distill import LogicNode, default_goal_name, extract_action, verify_default
@@ -322,21 +323,11 @@ class MemoryStore:
     def load(cls, path: str, embedder=None) -> "MemoryStore":
         """Read a snapshot; ``embedder`` must be the one the store was built
         with (default: a ``HashingEmbedder`` of the snapshot's dim)."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SnapshotIoError(f"cannot read snapshot {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise CorruptSnapshot(f"snapshot {path} is not UTF-8: {exc}") from None
         collecting = gc.isenabled()
         gc.disable()  # a load's containers all stay live, so a collection would free none
         try:
-            return store_from_dict(json.loads(text, parse_constant=_refuse_constant), embedder)
-        except json.JSONDecodeError as exc:
-            raise CorruptSnapshot(f"snapshot is not valid JSON: {exc}") from None
-        except RecursionError:  # from json.loads; store_from_dict refuses its own
-            raise CorruptSnapshot("snapshot nests too deep to read") from None
+            return store_from_dict(read_json(path, "snapshot", CorruptSnapshot, SnapshotIoError),
+                                   embedder)
         finally:
             if collecting:
                 gc.enable()
@@ -640,10 +631,6 @@ def _columns(store: MemoryStore) -> tuple:
     return ({"videos": list(videos), **observations},
             {"texts": list(texts), "attrs": list(attrs.values()),
              "anchors": list(map(sorted, anchors)), **episodic})
-
-
-def _refuse_constant(name: str):  # NaN or Infinity: json reads them, and a save never writes them
-    raise CorruptSnapshot(f"snapshot holds {name}, which is not a finite number")
 
 
 def _increasing(lists: list, what: str) -> None:

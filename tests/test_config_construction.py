@@ -1,9 +1,13 @@
 """Config construction: the one-pass validator against a rule-order model, the shared default
-weights, hashing, and the config file's exact round trip."""
+weights, hashing, and the JSON config file: its exact round trip, its equality with a snapshot's
+config section, and each file it refuses."""
 
+import json
 import math
 import pickle
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memstrata import Config, ConfigError, MemoryStore
+from memstrata.cli import run_cli
 from memstrata.core import DEFAULT_ACTION_VERBS, DEFAULT_LAYER_WEIGHTS, dump_config, load_config
 
 QTS = ("factual", "constraint", "character")
@@ -226,14 +231,84 @@ def test_dump_then_load_is_the_identity(conf_path, weights, name, value):
     assert loaded.to_dict() == cfg.to_dict()
 
 
-@pytest.mark.parametrize("text, named", [
-    ("factual:epi=1,sem=1,logic=0.6;constraint:epi=1,sem=1,logic=1.5;"
-     "character:epi=1,sem=1.2,logic=1.5;factual:epi=2,sem=1,logic=0.6", "'factual'"),
-    ("factual:epi=1,sem=1,logic=0.6,epi=9;constraint:epi=1,sem=1,logic=1.5;"
-     "character:epi=1,sem=1.2,logic=1.5", "'epi'"),
+_WEIGHTS_TEXT = ('{"factual": {"epi": 1, "sem": 1, "logic": 0.6}, '
+                 '"constraint": {"epi": 1, "sem": 1, "logic": 1.5}, '
+                 '"character": {"epi": 1, "sem": 1.2, "logic": 1.5}}')
+
+
+@pytest.mark.parametrize("weights, named", [
+    (_WEIGHTS_TEXT[:-1] + ', "factual": {"epi": 2, "sem": 1, "logic": 0.6}}', "factual"),
+    (_WEIGHTS_TEXT.replace('"logic": 0.6}', '"logic": 0.6, "epi": 9}'), "epi"),
 ])
-def test_load_config_refuses_a_repeated_weight_entry(conf_path, text, named):
+def test_load_config_refuses_a_repeated_weight_entry(conf_path, weights, named):
     with open(conf_path, "w", encoding="utf-8") as fh:
-        fh.write(f"version = 1\nlayer_weights = {text}\n")
-    with pytest.raises(ConfigError, match=f"duplicate layer_weights .*{named}"):
+        fh.write('{"version": 1, "layer_weights": %s}\n' % weights)
+    with pytest.raises(ConfigError, match=f"^config repeats the key '{named}' in one object$"):
         load_config(conf_path)
+
+
+def test_a_config_file_is_the_config_section_of_the_snapshot_of_its_store(tmp_path):
+    cfg = Config(dim=32, alpha=0.25, layer_weights=_weights(factual__logic=2.5), pool_trigger=7,
+                 action_verbs=("chop", "stir"), verifier="external")
+    conf, snapshot = tmp_path / "engine.json", str(tmp_path / "snapshot.json")
+    conf.write_text(dump_config(cfg))
+    MemoryStore(load_config(str(conf))).save(snapshot)
+    written = json.loads(conf.read_text())
+    assert written.pop("version") == 1
+    with open(snapshot, encoding="utf-8") as fh:
+        assert json.load(fh)["config"] == written
+
+
+# Each file, and the text load_config refuses it for: all before any store exists.
+BAD_CONFIG_FILES = {
+    "key = value": (b"version = 1\ndim = 32\n", "config is not valid JSON: "),
+    "no version": (b'{"dim": 32}', "version must be the int 1, got None$"),
+    "version 2": (b'{"version": 2, "dim": 32}', "version must be the int 1, got 2$"),
+    "version true": (b'{"version": true, "dim": 32}', "version must be the int 1, got True$"),
+    "version 1.0": (b'{"version": 1.0, "dim": 32}', "version must be the int 1, got 1.0$"),
+    "unknown key": (b'{"version": 1, "dim": 32, "mystery_knob": 1}', "unknown config keys: "),
+    "repeated key": (b'{"version": 1, "dim": 32, "dim": 64}', "^config repeats the key 'dim' in one object$"),
+    "not an object": (b'[{"version": 1}]', "is not a JSON object$"),
+    "NaN": (b'{"version": 1, "alpha": NaN}', "^config holds NaN, which is not a finite number$"),
+    "-Infinity": (b'{"version": 1, "alpha": -Infinity}', "^config holds -Infinity, which is not"),
+    "long int": (b'{"version": 1, "dim": %s}' % (b"9" * 5000), "^config is not valid JSON: Exceeds the limit"),
+    "deep": (b'{"version": 1, "action_verbs": %s}' % (b"[" * 100_000 + b"]" * 100_000),
+             "^config nests too deep to read$"),
+    "not UTF-8": (b'{"version": 1, "action_verbs": ["caf\xe9"]}', "is not UTF-8: "),
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_CONFIG_FILES, "missing", "directory"])
+def test_a_bad_config_file_is_a_config_error_before_any_store_exists(tmp_path, capsys, case):
+    path = tmp_path / "engine.json"
+    if case in BAD_CONFIG_FILES:
+        content, message = BAD_CONFIG_FILES[case]
+        path.write_bytes(content)
+    else:
+        path = tmp_path if case == "directory" else path
+        message = f"^cannot read config {re.escape(str(path))}: "
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+    store_dir = tmp_path / "store"
+    obs = tmp_path / "obs.jsonl"
+    obs.write_text('{"version": 1}\n{"id": 1, "video": "v", "t": 0.0, "descriptions": ["chop"]}\n')
+    assert run_cli(["--store", str(store_dir), "--config", str(path), "ingest", str(obs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (store_dir / "snapshot.json").exists()
+
+
+def _readme_config_example() -> str:
+    """The JSON block under README's "**Config**" heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```json\n", readme.index("**Config**")) + len("```json\n")
+    return readme[start:readme.index("\n```", start)]
+
+
+def test_the_readme_config_example_loads(conf_path):
+    example = _readme_config_example()
+    with open(conf_path, "w", encoding="utf-8") as fh:
+        fh.write(example)
+    named = json.loads(example)
+    assert named.pop("version") == 1 and named
+    assert load_config(conf_path).to_dict() == {**Config().to_dict(), **named}

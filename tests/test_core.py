@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import fields, replace
 
@@ -14,7 +15,6 @@ from memstrata.core import (
     dump_config,
     fnv1a64,
     load_config,
-    parse_layer_weights,
     tokenize,
 )
 
@@ -354,15 +354,6 @@ def test_config_rejects_unknown_keys():
         Config.from_dict({"dim": 8, "mystery_knob": 1})
 
 
-def test_layer_weights_parsing_round_trip():
-    text = "factual:epi=1.0,sem=1.0,logic=0.6;constraint:epi=1.0,sem=1.0,logic=1.5;character:epi=1.0,sem=1.2,logic=1.5"
-    weights = parse_layer_weights(text)
-    assert weights["factual"]["logic"] == 0.6
-    assert weights["character"]["sem"] == 1.2
-    with pytest.raises(ConfigError):
-        parse_layer_weights("factual:nope=1.0")
-
-
 def test_config_file_round_trip(tmp_path):
     import pickle
 
@@ -393,52 +384,51 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_config_file_requires_version_header(tmp_path):
-    path = tmp_path / "engine.conf"
-    path.write_text("dim = 8\n")
-    with pytest.raises(ConfigError):
+    path = tmp_path / "engine.json"
+    path.write_text('{"dim": 8}\n')
+    with pytest.raises(ConfigError, match="version must be the int 1, got None"):
         load_config(str(path))
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "engine.conf"
-    path.write_text("version = 1\nwat = 3\n")
-    with pytest.raises(ConfigError):
+    path = tmp_path / "engine.json"
+    path.write_text('{"version": 1, "wat": 3}\n')
+    with pytest.raises(ConfigError, match="unknown config keys: \\['wat'\\]"):
         load_config(str(path))
 
 
 def test_config_file_rejects_out_of_range(tmp_path):
-    path = tmp_path / "engine.conf"
-    path.write_text("version = 1\nalpha = 2.0\n")
-    with pytest.raises(ConfigError):
+    path = tmp_path / "engine.json"
+    path.write_text('{"version": 1, "alpha": 2.0}\n')
+    with pytest.raises(ConfigError, match="alpha"):
         load_config(str(path))
 
 
-BAD_CONFIG_VALUES = ("", "nan", "inf", "-1", "1e400", "true", "0x10", "x" * 10_000, "9" * 10_000)
+BAD_CONFIG_VALUES = ('""', "NaN", "Infinity", "-1", "1e400", "true", "null", "[]", "{}", '"0x10"',
+                     '"%s"' % ("x" * 10_000), "9" * 10_000)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(Config)])
 def test_load_config_sweep_returns_valid_config_or_config_error(tmp_path, name):
-    # Each bad value goes in as the field's whole value and, for the
-    # structured fields, as one weight or one verb; each file is written
-    # plain, after a good line for the same key, and with CRLF endings.
-    path = tmp_path / "engine.conf"
-    default = dict(line.split(" = ", 1) for line in dump_config(Config()).splitlines())
+    # Each bad JSON value goes in as the field's whole value and, for the structured fields, as
+    # one weight or one verb; each file is written on one line and indented with CRLF endings.
+    path = tmp_path / "engine.json"
+    default = json.dumps(Config().to_dict()[name])
     for bad in BAD_CONFIG_VALUES:
         values = [bad]
         if name == "layer_weights":
-            values.append(default[name].replace("=1", "=" + bad, 1))
+            values.append(default.replace("1.0", bad, 1))
         if name == "action_verbs":
-            values.append(default[name].replace(",", "," + bad + ",", 1))
+            values.append(default.replace(", ", ", " + bad + ", ", 1))
         for value in values:
-            for lines in (["version = 1", f"{name} = {value}"],
-                          ["version = 1", f"{name} = {default[name]}", f"{name} = {value}"]):
-                for ending in ("\n", "\r\n"):
-                    path.write_bytes(ending.join(lines).encode() + ending.encode())
-                    try:
-                        cfg = load_config(str(path))
-                    except ConfigError:
-                        continue
-                    assert Config.from_dict(cfg.to_dict()) == cfg  # valid, as it round-trips
+            for text in ('{"version": 1, "%s": %s}\n' % (name, value),
+                         '{\r\n  "version": 1,\r\n  "%s": %s\r\n}\r\n' % (name, value)):
+                path.write_bytes(text.encode())
+                try:
+                    cfg = load_config(str(path))
+                except ConfigError:
+                    continue
+                assert Config.from_dict(cfg.to_dict()) == cfg  # valid, as it round-trips
 
 
 def test_embed_statistical_neighborhood():

@@ -756,6 +756,23 @@ def test_load_refuses_a_non_finite_json_constant(tmp_path, constant):
         MemoryStore.load(path)
 
 
+@pytest.mark.parametrize("written, instead, message", [
+    ('"pool":[]', '"pool":[],"pool":[]', "snapshot repeats the key 'pool' in one object"),  # top level
+    ('"label":"ana"', '"label":"jack","label":"ana"', "snapshot repeats the key 'label' in one object"),
+    ('"pool":[]', '"pool":[%s]' % ("9" * 5000), "snapshot is not valid JSON: Exceeds the limit .*"),
+])
+def test_load_refuses_text_that_json_would_read_another_way(tmp_path, written, instead, message):
+    # json would keep the last value of a repeated key; an int longer than int() converts raises
+    # a bare ValueError.
+    path = str(tmp_path / "snap.json")
+    shapes_store().save(path)
+    text = open(path).read()
+    assert text.count(written) == 1
+    open(path, "w").write(text.replace(written, instead))
+    with pytest.raises(CorruptSnapshot, match=f"^{message}$"):
+        MemoryStore.load(path)
+
+
 def test_load_derives_each_action_and_logic_anchor_set_once(tmp_path, monkeypatch):
     # The load's invariant sweep tests no action; a procedure's anchors are
     # those of its evidence and held nowhere.

@@ -538,6 +538,42 @@ def test_load_of_a_finite_vector_whose_square_overflows_warns_nothing(tmp_path):
         assert MemoryStore.load(path, embedder=embedder).check() == []
 
 
+def test_a_percept_whose_square_overflows_ingests_whole_and_warns_nothing(tmp_path):
+    # Record 2's second face, finite, has an x·x that overflows: it scores 0 against the first
+    # anchor and founds its own, after the first face has matched the first anchor.
+    face = np.zeros(8)
+    face[0] = 1.0
+    store = MemoryStore(Config(dim=8))
+    store.ingest(ObservationRecord(1, "v1", 0.0, [Description("@jack chop the fruit")], [],
+                                   [Percept("face", face, "jack")]))
+    paths = [str(tmp_path / "snap.json"), str(tmp_path / "again.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store.ingest(ObservationRecord(2, "v1", 1.0, [Description("@jill mix the fruit")], [],
+                                       [Percept("face", face, "jack"),
+                                        Percept("face", np.full(8, 1e200), "jill")]))
+        assert sorted(store.observations) == [1, 2]
+        assert [(a.label, a.face_count) for a in store.anchors.values()] == [("jack", 2), ("jill", 1)]
+        assert store.check() == []
+        store.save(paths[0])
+        MemoryStore.load(paths[0]).save(paths[1])
+    with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+        assert first.read() == second.read()
+
+
+def test_retrieve_and_distill_over_vectors_whose_square_overflows_warn_nothing():
+    store = MemoryStore(Config(dim=8), embedder=FixedOutputEmbedder(8, np.full(8, 1e300)))
+    for i in range(6):
+        store.ingest(ObservationRecord(i + 1, f"v{i % 3}", float(i),
+                                       [Description("chop the fruit"), Description("mix the fruit")],
+                                       [], []))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert store.retrieve("chop the fruit").ranked == []  # every score is below theta
+        assert store.distill() == [1, 2]
+        assert store.check() == []
+
+
 def test_v8_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
@@ -1114,8 +1150,8 @@ def test_cli_fuse_two_nodes(tmp_path, capsys):
                             "descriptions": [text]})
     obs = tmp_path / "variants.jsonl"
     obs.write_text(jsonl_lines(records))
-    conf = tmp_path / "engine.conf"
-    conf.write_text("version = 1\naction_verbs = chop,mix,blend,serve\n")
+    conf = tmp_path / "engine.json"
+    conf.write_text('{"version": 1, "action_verbs": ["chop", "mix", "blend", "serve"]}\n')
     run_cli(["--store", store_dir, "--config", str(conf), "ingest", str(obs)])
     run_cli(["--store", store_dir, "distill"])
     capsys.readouterr()
@@ -1186,8 +1222,8 @@ def test_non_utf8_input_is_a_typed_error(tmp_path, obs_file, capsys, input_file)
     # typed error and the CLI reports it without a traceback.
     store_dir = tmp_path / "store"
     if input_file == "config":
-        path = tmp_path / "engine.conf"
-        path.write_bytes(b"version = 1\n# caf\xe9\n")
+        path = tmp_path / "engine.json"
+        path.write_bytes(b'{"version": 1, "action_verbs": ["caf\xe9"]}\n')
         args, error, load = ["--config", str(path), "stats"], ConfigError, load_config
     elif input_file == "observations":
         path = tmp_path / "latin1.jsonl"
@@ -1229,6 +1265,15 @@ def test_json_nested_past_the_recursion_limit_is_a_typed_error(tmp_path, obs_fil
     capsys.readouterr()
     assert run_cli(["--store", str(store_dir)] + args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_int_too_long_to_read_in_a_record_line_is_a_typed_error(tmp_path, capsys):
+    path = tmp_path / "long.jsonl"
+    path.write_text('{"version": 1}\n{"id": %s, "video": "v", "t": 0.0}\n' % ("9" * 5000))
+    with pytest.raises(MalformedRecord, match="^line 2: bad JSON: Exceeds the limit"):
+        read_observations(str(path))
+    assert run_cli(["--store", str(tmp_path / "store"), "ingest", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: bad JSON: ")
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
@@ -1323,7 +1368,7 @@ def test_cli_lock_names_its_writer_and_blocks_a_second(tmp_path):
 
 
 def test_cli_config_applies_to_new_store(tmp_path, capsys):
-    conf = tmp_path / "engine.conf"
+    conf = tmp_path / "engine.json"
     conf.write_text(dump_config(Config(dim=32)))
     store_dir = str(tmp_path / "store")
     obs = tmp_path / "obs.jsonl"

@@ -9,10 +9,12 @@ saves and loads it, then runs a fixed query phase on the loaded store
 per phase, how many DAGs ``check_valid`` judged, how many rows each calling
 module passed to ``cosine``, how many ``RankedItem``s retrieval built, how many
 transition estimates and START -> GOAL paths the symbolic layer computed, how
-many times a record was judged (``record_fault``) and how many sealed DAGs were
-built. The engine's own DAG writes keep a DAG valid by construction, so the
-check runs only where a DAG enters: a fuse's union, ``fuse()``'s inputs,
-``goal_reach_probability`` and the save's and the load's sweep.
+many times a record was judged (``record_fault``), how many closed patterns
+distill mined and checked for cover (``_covered_by_existing``) and how many
+sealed DAGs were built. The engine's own DAG writes keep a DAG valid by
+construction, so the check runs only where a DAG enters: a fuse's union,
+``fuse()``'s inputs, ``goal_reach_probability`` and the save's and the load's
+sweep.
 
 A change that does less work lowers a pin and says so; a rise fails here.
 """
@@ -68,12 +70,14 @@ RANKED_ITEMS = {"read": 0, "ingest": 0, "distill": 0, "apply": 0, "fuse": 0, "sa
 # sums; paths: each START -> GOAL path a path query enumerates. record_fault: once per record at
 # the read and at its ingest, and once more when it is applied. sealed: one sealed DAG per
 # distilled node (3 by the distill, 1 by the apply phase's pool distill), matched apply (15) and
-# loaded DAG; this build's auto_fuse fuses none.
+# loaded DAG; this build's auto_fuse fuses none. patterns: each closed pattern a distill mines;
+# cover: each candidate that clears tau_verify and is checked against the existing procedures
+# (here every pattern, and none is covered).
 UNITS = {
     "read": {"record_fault": 300},
     "ingest": {"record_fault": 240},
-    "distill": {"sealed": 3},
-    "apply": {"record_fault": 120, "sealed": 16},
+    "distill": {"patterns": 3, "cover": 3, "sealed": 3},
+    "apply": {"record_fault": 120, "patterns": 1, "cover": 1, "sealed": 16},
     "fuse": {},
     "save": {"transition_prob": 19},
     "load": {"transition_prob": 19, "sealed": 4},
@@ -133,14 +137,17 @@ def work(tmp_path_factory):
             for caller in callers:
                 module = importlib.import_module(f"memstrata.{caller}")
                 patch.setattr(module, name, judge(name, getattr(module, name)))
-        symbolic = importlib.import_module("memstrata.symbolic")
-        enumerate_paths = symbolic.enumerate_paths
 
-        def enumerated(*args):
-            paths = enumerate_paths(*args)
-            units["paths"] += len(paths)
-            return paths
-        patch.setattr(symbolic, "enumerate_paths", enumerated)
+        def tally(name, fn):
+            def tallied(*args):
+                out = fn(*args)
+                units[name] += len(out)
+                return out
+            return tallied
+        symbolic, distill = (importlib.import_module(f"memstrata.{name}") for name in ("symbolic", "distill"))
+        patch.setattr(symbolic, "enumerate_paths", tally("paths", symbolic.enumerate_paths))
+        patch.setattr(distill, "closed_patterns", tally("patterns", distill.closed_patterns))
+        patch.setattr(distill, "_covered_by_existing", judge("cover", distill._covered_by_existing))
         patch.setattr(ProceduralDag, "sealed", judge("sealed", ProceduralDag.sealed))
 
         counts = {}
