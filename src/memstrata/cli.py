@@ -1,8 +1,9 @@
 """Command-line surface binding the ingest -> distill -> update -> query lifecycle.
 
 One store is one directory holding a single snapshot file. Writer commands
-take an advisory lock file; readers do not. Exit codes: 0 success, 1 usage
-error, 2 data error. Every output block starts with a format version line.
+hold an advisory ``flock`` on the store's ``.lock`` file; readers take none.
+Exit codes: 0 success, 1 usage error, 2 data error. Every output block starts
+with a format version line.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import fcntl
 import os
-import socket
 import sys
 
 from .core import Config, load_config
@@ -121,78 +121,33 @@ def _open_store(args) -> MemoryStore:
     return MemoryStore(config)
 
 
-def _save_store(store: MemoryStore, args) -> None:
-    os.makedirs(args.store, exist_ok=True)
-    store.save(_snapshot_path(args.store))
-
-
 class _WriterLock:
-    """An ``O_EXCL`` lock file that names its writer as ``pid host``.
+    """An exclusive ``flock`` on ``<store>/.lock``, held while a writer runs.
 
-    A lock left by a writer that is provably gone -- on this host, and
-    ``os.kill(pid, 0)`` finds no such process -- is broken; an empty,
-    foreign or live lock raises ``StoreLocked``. A writer breaks a lock only
-    while it holds an ``flock`` on it, so that of two writers that find the
-    same dead lock only one breaks it.
+    The lock belongs to the open file, so the kernel drops it when its holder
+    ends, however it ends. The file persists and means nothing while no process
+    holds it; it is never unlinked, since a path unlinked while locked lets a
+    second writer lock a new inode beside the first.
     """
 
     def __init__(self, store_dir: str):
         self.path = os.path.join(store_dir, LOCK_NAME)
 
-    def _create(self) -> int:
-        try:
-            return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreLocked(f"store is locked by another writer: {self.path}") from None
-
     def __enter__(self):
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        self.fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o666)
         try:
-            self.fd = self._create()
-        except StoreLocked:
-            if not self._break_dead_lock():
-                raise
-            self.fd = self._create()
-        os.write(self.fd, f"{os.getpid()} {socket.gethostname()}".encode())
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:  # held elsewhere, or a filesystem without flock
+            os.close(self.fd)
+            if isinstance(exc, BlockingIOError):
+                raise StoreLocked(f"store is locked by another writer: {self.path}") from None
+            raise
         return self
-
-    def _break_dead_lock(self) -> bool:
-        """Remove the lock if its writer is provably gone; True if removed."""
-        try:
-            fd = os.open(self.path, os.O_RDONLY)
-        except OSError:
-            return False  # unreadable, or released meanwhile
-        try:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                same_file = os.path.samestat(os.fstat(fd), os.stat(self.path))
-            except (BlockingIOError, FileNotFoundError):
-                return False  # another writer is breaking it, or it is gone
-            if not (same_file and _owner_is_gone(os.read(fd, 1024))):
-                return False
-            os.unlink(self.path)
-            return True
-        finally:
-            os.close(fd)
 
     def __exit__(self, *exc):
         os.close(self.fd)
-        os.unlink(self.path)
         return False
-
-
-def _owner_is_gone(owner: bytes) -> bool:
-    """True when ``owner`` names a process of this host that no longer exists."""
-    pid, _, host = owner.decode("utf-8", "replace").partition(" ")
-    if not (pid.isascii() and pid.isdigit() and host == socket.gethostname()):
-        return False
-    try:
-        os.kill(int(pid), 0)
-    except ProcessLookupError:
-        return True
-    except (PermissionError, OverflowError):  # another user's process; not a pid
-        pass
-    return False
 
 
 def _fmt(x: float) -> str:
@@ -232,67 +187,61 @@ def _resolve_person(store, text: str) -> int:
     return anchor_id
 
 
+def _ingest(store, args) -> list[str]:
+    records = read_observations(args.file)
+    lines, total_eps = [], 0
+    for rec in records:
+        episodes, events = store.ingest(rec)
+        total_eps += len(episodes)
+        ev = ",".join(f"{kind}:{nid}" for kind, nid in events) or "-"
+        lines.append(f"record {rec.id}: episodes={len(episodes)} semantic={ev}")
+    return [f"ingested: {len(records)} records, {total_eps} episodic nodes", *lines]
+
+
+def _distill(store, args) -> list[str]:
+    created = store.distill()
+    return [f"distilled: {len(created)} logic nodes"] + [
+        f"logic {i}: score={_fmt(store.logic[i].score)} steps=" + ",".join(store.logic[i].steps)
+        for i in created
+    ]
+
+
+def _update(store, args) -> list[str]:
+    return [_emit_report(store.apply(rec)) for rec in read_observations(args.file)]
+
+
+def _fuse(store, args) -> list[str]:
+    reports = auto_fuse(store) if args.auto else [fuse_logic_nodes(store, *args.node)]
+    out = [f"fused: {len(reports)} merges"]
+    for rep in reports:
+        out.append(f"merge: {rep.removed[0]}+{rep.removed[1]} -> {rep.new_id}")
+        for l1, l2, sim in rep.alignment.pairs:
+            out.append(f"  align: {l1} <-> {l2} sim={_fmt(sim)}")
+        for label in rep.alignment.unmatched1:
+            out.append(f"  only-first: {label}")
+        for label in rep.alignment.unmatched2:
+            out.append(f"  only-second: {label}")
+        out.append(f"  counts: before={_fmt(rep.count_before)} after={_fmt(rep.count_after)}")
+    return out
+
+
+# Each writer command runs on the store it is given and returns its output lines;
+# run_cli takes the lock, opens the store and saves it around each.
+_WRITERS = {"ingest": _ingest, "distill": _distill, "update": _update, "fuse": _fuse}
+
+
 def run_cli(argv) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "fuse" and (args.auto == bool(args.node) or len(args.node) not in (0, 2)):
+        return _usage("fuse needs either --auto or exactly two --node ids")
     out: list[str] = ["format: 1"]
     try:
-        if args.command == "ingest":
+        if args.command in _WRITERS:
             with _WriterLock(args.store):
                 store = _open_store(args)
-                records = read_observations(args.file)
-                total_eps = 0
-                lines = []
-                for rec in records:
-                    episodes, events = store.ingest(rec)
-                    total_eps += len(episodes)
-                    ev = ",".join(f"{kind}:{nid}" for kind, nid in events) or "-"
-                    lines.append(f"record {rec.id}: episodes={len(episodes)} semantic={ev}")
-                _save_store(store, args)
-            out.append(f"ingested: {len(records)} records, {total_eps} episodic nodes")
+                lines = _WRITERS[args.command](store, args)
+                store.save(_snapshot_path(args.store))
             out.extend(lines)
-
-        elif args.command == "distill":
-            with _WriterLock(args.store):
-                store = _open_store(args)
-                created = store.distill()
-                _save_store(store, args)
-            out.append(f"distilled: {len(created)} logic nodes")
-            for logic_id in created:
-                node = store.logic[logic_id]
-                out.append(
-                    f"logic {logic_id}: score={_fmt(node.score)} steps=" + ",".join(node.steps)
-                )
-
-        elif args.command == "update":
-            with _WriterLock(args.store):
-                store = _open_store(args)
-                records = read_observations(args.file)
-                for rec in records:
-                    out.append(_emit_report(store.apply(rec)))
-                _save_store(store, args)
-
-        elif args.command == "fuse":
-            if args.auto == bool(args.node):
-                return _usage("fuse needs either --auto or exactly two --node ids")
-            if args.node and len(args.node) != 2:
-                return _usage("fuse needs exactly two --node ids")
-            with _WriterLock(args.store):
-                store = _open_store(args)
-                reports = (
-                    auto_fuse(store) if args.auto
-                    else [fuse_logic_nodes(store, args.node[0], args.node[1])]
-                )
-                _save_store(store, args)
-            out.append(f"fused: {len(reports)} merges")
-            for rep in reports:
-                out.append(f"merge: {rep.removed[0]}+{rep.removed[1]} -> {rep.new_id}")
-                for l1, l2, sim in rep.alignment.pairs:
-                    out.append(f"  align: {l1} <-> {l2} sim={_fmt(sim)}")
-                for label in rep.alignment.unmatched1:
-                    out.append(f"  only-first: {label}")
-                for label in rep.alignment.unmatched2:
-                    out.append(f"  only-second: {label}")
-                out.append(f"  counts: before={_fmt(rep.count_before)} after={_fmt(rep.count_after)}")
 
         elif args.command == "query":
             store = _open_store(args)

@@ -202,17 +202,21 @@ def finite_vector(x, dim: int) -> bool:
 
 def _row_cosines(a: np.ndarray, na: float, rows: np.ndarray, out: np.ndarray) -> None:
     """Write the cosine of ``a`` (of norm ``na``) with each row of ``rows``
-    into ``out``; a zero row, or a zero ``a``, leaves its entry alone."""
+    into ``out``; a zero row or ``a``, or a pair whose norms' product
+    overflows, leaves its entry alone."""
     den = np.sqrt(np.vecdot(rows, rows))
     den *= na  # in place: the product's bits are na * sqrt's
-    np.divide(np.vecdot(rows, a), den, out=out, where=den > 0)
+    # den / den is 1 exactly where 0 < den < inf, and NaN at 0, inf (the pair's norms overflow)
+    # and NaN (0 * inf): one mask in the cost of the former den > 0.
+    np.divide(np.vecdot(rows, a), den, out=out, where=np.isfinite(den / den))
 
 
 # One errstate a call, over the query's norm and each block's scan: a finite vector's x·x may
 # overflow, and it then scores 0 (0 too for a zero ``a``, 0·inf). A decorator builds it once.
 @np.errstate(over="ignore", invalid="ignore")
 def cosine(a: np.ndarray, b):
-    """Cosine similarity; defined as 0 when either vector has zero norm.
+    """Cosine similarity; defined as 0 when either vector has zero norm, and
+    when the product of the two norms overflows, so never NaN for finite input.
 
     A list ``b``, or a ``RowBlock`` ``b``, gives an array of one cosine per
     vector; a block's rows are scanned in place. One vector ``b`` gives a

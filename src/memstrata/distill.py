@@ -320,9 +320,14 @@ def default_goal_name(pattern: Pattern) -> str:
 
 
 # As in cosine, a finite mean's x·x may overflow: its norm is then inf, and the mean scales to 0.
+# Should the sum itself overflow, the mean is taken of the vectors scaled into [-1, 1], whose sum
+# cannot, and scaled back: each entry of that mean lies in [-1, 1], so the product stays finite.
 @np.errstate(over="ignore")
 def _normalized_mean(vectors) -> np.ndarray:
     mean = np.mean(vectors, axis=0)
+    if not np.isfinite(mean).all():
+        scale = np.abs(vectors).max()
+        mean = np.mean(np.divide(vectors, scale), axis=0) * scale
     n = norm(mean)
     return mean / n if n > 0.0 else mean
 

@@ -259,7 +259,7 @@ def _total_count(dag: ProceduralDag) -> float:
 
 
 def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
-    """Replace two logic nodes by their fusion under the store's writer lock.
+    """Replace two logic nodes by their fusion.
 
     The fused node keeps the first node's goal text; index vectors are the
     component-wise mean of the inputs'; evidence links union. The store's kept
@@ -285,8 +285,8 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     node = LogicNode(
         id=logic_id,
         c=a.c,
-        i_goal=(a.i_goal + b.i_goal) / 2.0,
-        i_step=(a.i_step + b.i_step) / 2.0,
+        i_goal=a.i_goal / 2.0 + b.i_goal / 2.0,  # halved first: a finite sum may overflow
+        i_step=a.i_step / 2.0 + b.i_step / 2.0,
         dag=fused_dag.sealed(),
         episodic_links=a.episodic_links | b.episodic_links,
         score=max(a.score, b.score),

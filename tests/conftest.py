@@ -23,6 +23,8 @@ from memstrata import (
 )
 
 FRUIT_VERBS = ("chop", "mix", "serve", "wash", "blend", "grab", "pour", "slice")
+FRUIT_STEPS = ("chop the fruit", "mix the fruit", "serve the fruit")
+DISH_STEPS = ("wash the dish", "dry the dish", "stack the dish")
 
 # What each mutation sweep puts, in turn, in every field it reaches: a string, null,
 # an empty list and object, a negative int, an int beyond float precision, a
@@ -93,6 +95,33 @@ class TableEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         return self.table[text].copy()
+
+
+class ProbeEmbedder:
+    """Gives ``vector_of(text)`` where that is not None, and otherwise a one-hot vector
+    on entry ``sum(map(ord, text)) % (dim - 1)``, so no text but a probed one reaches
+    the last entry."""
+
+    def __init__(self, dim: int, vector_of):
+        self.dim = dim
+        self.vector_of = vector_of
+
+    def embed(self, text: str) -> np.ndarray:
+        vector = self.vector_of(text)
+        return one_hot(sum(map(ord, text)) % (self.dim - 1), self.dim) if vector is None else vector
+
+
+def procedures_store(config: Config, embedder, procedures) -> MemoryStore:
+    """A store that holds each procedure, a tuple of step texts, in three videos of its own."""
+    store = MemoryStore(config, embedder)
+    rid = 0
+    for p, steps in enumerate(procedures):
+        for video in range(3):
+            for t, text in enumerate(steps):
+                rid += 1
+                store.ingest(ObservationRecord(rid, f"p{p}v{video}", float(t),
+                                               [Description(text)], [], []))
+    return store
 
 
 def texts_store(config: Config, vectors: dict, video: str = "v") -> MemoryStore:

@@ -118,6 +118,22 @@ def test_cosine_dimension_mismatch():
         cosine(np.zeros(3), np.zeros(4))
 
 
+def test_cosine_of_a_pair_whose_norms_overflow_is_0_in_every_form():
+    # x·x of np.full(8, 1e200) overflows: against itself, or its negation, the dot
+    # product and the product of the norms are both inf, a pair that scores 0.
+    big = np.full(8, 1e200)
+    rows = [big, -big, np.ones(8)]
+    block = RowBlock(8)
+    for i, row in enumerate(rows):
+        block.append(i, row)
+    zeros = np.zeros(3).tobytes()
+    for a in (big, -big):
+        assert cosine(a, big) == 0.0
+        assert np.array([cosine(a, row) for row in rows]).tobytes() == zeros
+        assert cosine(a, rows).tobytes() == zeros
+        assert cosine(a, block).tobytes() == zeros
+
+
 def test_cosine_symmetry_and_range():
     rng = np.random.default_rng(7)
     for _ in range(200):

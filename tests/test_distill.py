@@ -25,10 +25,12 @@ from memstrata import (
     verify_default,
 )
 from memstrata.dag import GOAL, START
-from memstrata.core import tokenize
-from memstrata.distill import _STOPWORDS, _covered_by_existing, closed_patterns, distill
+from memstrata.core import norm, tokenize
+from memstrata.distill import (_STOPWORDS, _covered_by_existing, _normalized_mean, closed_patterns,
+                               distill)
 from memstrata.store import snapshot_dict
-from conftest import fruit_salad_store, ladder_dag, plant, random_corpus, simple_chain_store
+from conftest import (DISH_STEPS, FRUIT_STEPS, ProbeEmbedder, fruit_salad_store, ladder_dag, plant,
+                      procedures_store, random_corpus, simple_chain_store)
 from distill_model import every_distinct_step_pattern, reference_distill
 from test_symbolic import brute_force_paths, random_dag
 
@@ -562,3 +564,25 @@ def test_verifier_sees_every_episodic_node_of_its_steps_in_id_order():
                 assert stats.success_beta == 1 + sum(e.outcome != "success" for e in mine)
         assert store.check() == []
     assert calls > 100
+
+
+def test_distill_over_step_vectors_whose_sum_overflows_makes_a_savable_store(tmp_path):
+    # The three step vectors of each procedure are np.full(8, 1.5e308): their sum overflows,
+    # their mean does not.
+    embedder = ProbeEmbedder(8, lambda text: np.full(8, 1.5e308))
+    store = procedures_store(Config(dim=8), embedder, [FRUIT_STEPS, DISH_STEPS])
+    assert store.distill() == [1, 2]
+    assert store.check() == []
+    store.save(str(tmp_path / "snap.json"))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150, 1e200])
+def test_normalized_mean_whose_mean_is_finite_is_the_plain_quotient_bit_for_bit(scale):
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 7):
+        vectors = [rng.normal(size=8) * scale for _ in range(n)]
+        mean = np.mean(vectors, axis=0)
+        with np.errstate(over="ignore"):
+            n_mean = norm(mean)
+        want = mean / n_mean if n_mean > 0.0 else mean
+        assert _normalized_mean(vectors).tobytes() == want.tobytes()

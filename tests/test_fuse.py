@@ -32,7 +32,8 @@ from memstrata import (
 )
 from memstrata.dag import DagNode
 from memstrata.maintain import UpdateReport, _apply_pairs
-from conftest import FRUIT_VERBS, fruit_salad_store, plant
+from conftest import (DISH_STEPS, FRUIT_STEPS, FRUIT_VERBS, ProbeEmbedder, fruit_salad_store,
+                      one_hot, plant, procedures_store)
 
 EMB = HashingEmbedder(512)
 
@@ -402,6 +403,21 @@ def test_fuse_logic_nodes_refuses_an_embedder_vector_that_is_not_finite():
     with pytest.raises(InvalidInput, match="^embedder output for 'stir_pot' is not 64 finite floats$"):
         fuse_logic_nodes(store, 1, 2)
     assert sorted(store.logic) == [1, 2] and store.check() == []
+
+
+def test_a_fuse_of_goal_vectors_whose_sum_overflows_makes_a_savable_store(tmp_path):
+    # 1.7e308 + 1.0e308 overflows; the halves' sum, the mean, is finite.
+    def vector_of(text):
+        if text.startswith("procedure"):
+            return one_hot(7, 8) * (1.7e308 if "chop" in text else 1.0e308)
+        return None
+
+    store = procedures_store(Config(dim=8), ProbeEmbedder(8, vector_of), [FRUIT_STEPS, DISH_STEPS])
+    assert store.distill() == [1, 2] and store.check() == []
+    report = fuse_logic_nodes(store, 1, 2)
+    assert store.check() == []
+    assert store.logic[report.new_id].i_goal[7] == 1.7e308 / 2 + 1.0e308 / 2
+    store.save(str(tmp_path / "snap.json"))
 
 
 def test_auto_fuse_uses_goal_similarity_trigger():

@@ -4,6 +4,7 @@ import fcntl
 import json
 import os
 import re
+import signal
 import socket
 import stat
 import struct
@@ -12,6 +13,7 @@ import sys
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1310,11 +1312,11 @@ def test_cli_person_of_digits_that_are_not_ascii_is_a_label(tmp_path, obs_file, 
 def test_cli_lock_blocks_writers(tmp_path, obs_file, capsys):
     store_dir = tmp_path / "store"
     store_dir.mkdir()
-    (store_dir / ".lock").touch()
-    assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 2
-    err = capsys.readouterr().err
-    assert "locked" in err
-    (store_dir / ".lock").unlink()
+    with open(store_dir / ".lock", "w") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 2
+        err = capsys.readouterr().err
+        assert "locked" in err
     assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
 
 
@@ -1324,23 +1326,26 @@ def _dead_pid():
     return child.pid
 
 
-@pytest.mark.parametrize("owner, broken", [
-    (lambda: f"{_dead_pid()} {socket.gethostname()}", True),
-    (lambda: f"{os.getpid()} {socket.gethostname()}", False),  # live
-    (lambda: f"{_dead_pid()} not-{socket.gethostname()}", False),  # foreign host
-    (lambda: "", False),
-    (lambda: f"0 {socket.gethostname()}", False),
-    (lambda: f"{10 ** 30} {socket.gethostname()}", False),
-    (lambda: f"-{_dead_pid()} {socket.gethostname()}", False),
+@pytest.mark.parametrize("owner", [
+    lambda: f"{_dead_pid()} {socket.gethostname()}",
+    lambda: f"{os.getpid()} {socket.gethostname()}",
+    lambda: f"{_dead_pid()} not-{socket.gethostname()}",
+    lambda: "",
+    lambda: f"0 {socket.gethostname()}",
+    lambda: f"{10 ** 30} {socket.gethostname()}",
+    lambda: f"-{_dead_pid()} {socket.gethostname()}",
 ], ids=["dead", "live", "foreign-host", "empty", "pid-0", "pid-overflow", "pid-negative"])
-def test_cli_lock_broken_only_when_writer_is_gone(tmp_path, obs_file, capsys, owner, broken):
+def test_cli_leftover_lock_of_any_content_blocks_no_writer(tmp_path, obs_file, capsys, owner):
+    # Only a held flock locks: the file's contents, here what the pid/host lock file
+    # protocol wrote or a writer killed mid-write left, mean nothing.
     store_dir = tmp_path / "store"
     store_dir.mkdir()
     lock = store_dir / ".lock"
-    lock.write_text(owner())
-    assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == (0 if broken else 2)
-    assert lock.exists() is not broken
-    assert ("locked" in capsys.readouterr().err) is not broken
+    content = owner()
+    lock.write_text(content)
+    assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
+    assert "locked" not in capsys.readouterr().err
+    assert lock.read_text() == content  # never written, never unlinked
 
 
 def test_cli_lock_not_broken_twice(tmp_path, obs_file, capsys):
@@ -1357,14 +1362,90 @@ def test_cli_lock_not_broken_twice(tmp_path, obs_file, capsys):
     assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
 
 
-def test_cli_lock_names_its_writer_and_blocks_a_second(tmp_path):
+def test_cli_lock_blocks_a_second_writer_lock(tmp_path):
     store_dir = tmp_path / "store"
     with _WriterLock(str(store_dir)):
-        assert (store_dir / ".lock").read_text() == f"{os.getpid()} {socket.gethostname()}"
         with pytest.raises(StoreLocked):
             with _WriterLock(str(store_dir)):
                 pass
-    assert not (store_dir / ".lock").exists()
+    assert (store_dir / ".lock").exists()
+    with _WriterLock(str(store_dir)):
+        pass
+
+
+def _writer_commands(obs_file):
+    return [["ingest", obs_file], ["distill"], ["update", obs_file], ["fuse", "--auto"]]
+
+
+def _refuse_a_read(*args, **kwargs):
+    raise AssertionError("a writer read the snapshot under a held lock")
+
+
+def test_cli_held_lock_refuses_every_writer_before_it_reads_the_snapshot(
+        tmp_path, obs_file, capsys, monkeypatch):
+    # The holder is another open file of this process: flock locks open files, not processes.
+    store_dir = str(tmp_path / "store")
+    assert run_cli(["--store", store_dir, "ingest", obs_file]) == 0
+    snapshot = os.path.join(store_dir, "snapshot.json")
+    with open(snapshot, "rb") as f:
+        before = f.read()
+    capsys.readouterr()
+    with open(os.path.join(store_dir, ".lock")) as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        for command in _writer_commands(obs_file):
+            with monkeypatch.context() as patch:
+                patch.setattr(MemoryStore, "load", _refuse_a_read)
+                assert run_cli(["--store", store_dir, *command]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: store is locked by another writer: ")
+        for reader in (["stats"], ["check"], ["query", "--text", "chop the fruit"]):
+            assert run_cli(["--store", store_dir, *reader]) == 0
+    with open(snapshot, "rb") as f:
+        assert f.read() == before
+
+
+def _lock_holder(store_dir):
+    """A child process that holds the writer lock on ``store_dir`` until its stdin closes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from memstrata.cli import _WriterLock\n"
+            "with _WriterLock(sys.argv[1]):\n"
+            "    print('held', flush=True)\n"
+            "    sys.stdin.read()\n")
+    child = subprocess.Popen([sys.executable, "-c", code, str(store_dir)], env=env,
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert child.stdout.readline() == "held\n"
+    return child
+
+
+def test_cli_lock_held_by_another_process_refuses_every_writer(tmp_path, obs_file, capsys):
+    store_dir = str(tmp_path / "store")
+    assert run_cli(["--store", store_dir, "ingest", obs_file]) == 0
+    snapshot = os.path.join(store_dir, "snapshot.json")
+    with open(snapshot, "rb") as f:
+        before = f.read()
+    capsys.readouterr()
+    with _lock_holder(store_dir) as holder:  # its exit closes the holder's stdin and waits
+        for command in _writer_commands(obs_file):
+            assert run_cli(["--store", store_dir, *command]) == 2
+            assert "locked" in capsys.readouterr().err
+        assert run_cli(["--store", store_dir, "stats"]) == 0
+    assert holder.returncode == 0
+    with open(snapshot, "rb") as f:
+        assert f.read() == before
+    assert run_cli(["--store", store_dir, "distill"]) == 0
+
+
+def test_cli_lock_of_a_killed_writer_blocks_no_later_writer(tmp_path, obs_file, capsys):
+    store_dir = tmp_path / "store"
+    with _lock_holder(store_dir) as holder:
+        assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 2
+        holder.kill()
+    assert holder.returncode == -signal.SIGKILL
+    assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
+    assert (store_dir / ".lock").exists()
 
 
 def test_cli_config_applies_to_new_store(tmp_path, capsys):

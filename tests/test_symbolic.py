@@ -24,7 +24,7 @@ from memstrata import (
     transition_prob,
 )
 from memstrata.dag import satisfies
-from conftest import fruit_salad_store, plant
+from conftest import FRUIT_STEPS, ProbeEmbedder, fruit_salad_store, plant, procedures_store
 
 
 def ready_store():
@@ -404,3 +404,16 @@ def test_symbolic_outputs_repeat_identically():
         pe = get_procedure_with_evidence(store, goal)
         assert pe.logic_id == first_pe.logic_id
         assert [e.id for e in pe.evidence] == [e.id for e in first_pe.evidence]
+
+
+def test_a_goal_whose_pair_of_norms_overflows_with_the_procedures_matches_nothing():
+    # Goal and procedure embed as np.full(8, 1e200), whose x·x overflows: their cosine is 0,
+    # below theta, where a NaN from inf/inf would pass `sim < theta` and match.
+    def vector_of(text):
+        return np.full(8, 1e200) if text.startswith(("procedure", "zzz")) else None
+
+    store = procedures_store(Config(dim=8, pool_trigger=50), ProbeEmbedder(8, vector_of),
+                             [FRUIT_STEPS])
+    assert store.distill() == [1]
+    with pytest.raises(NoMatch):
+        query_step_sequence(store, "zzz unrelated")
