@@ -1,7 +1,10 @@
 """Command-line surface binding the ingest -> distill -> update -> query lifecycle.
 
-One store is one directory holding a single snapshot file. Writer commands
-hold an advisory ``flock`` on the store's ``.lock`` file; readers take none.
+One store is one directory holding a single snapshot file. Every command is a
+function from the opened store to its output lines. Only the writers hold an
+advisory ``flock`` on the store's ``.lock`` file and save; readers take no lock.
+``check`` is the load's own invariant sweep, so a store it would report on exits
+2 naming the first violation, as does a pool distill without registered plugins.
 Exit codes: 0 success, 1 usage error, 2 data error. Every output block starts
 with a format version line.
 """
@@ -9,18 +12,20 @@ with a format version line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import os
 import sys
 
 from .core import Config, load_config
 from .dag import Constraint, Predicate
-from .errors import MemoryEngineError, StoreLocked
+from .errors import MemoryEngineError, StoreLocked, UnknownAnchor
 from .fuse import auto_fuse, fuse_logic_nodes
 from .ingest import read_observations
 from .retrieve import answer_procedure
 from .store import MemoryStore
-from .symbolic import constrained_paths, get_procedure_with_evidence, goal_reach_probability
+from .symbolic import (aggregate_character_behaviors, constrained_paths, get_procedure_with_evidence,
+                       goal_reach_probability)
 
 SNAPSHOT_NAME = "snapshot.json"
 LOCK_NAME = ".lock"
@@ -107,12 +112,8 @@ def _usage(message: str) -> int:
     return 1
 
 
-def _snapshot_path(store_dir: str) -> str:
-    return os.path.join(store_dir, SNAPSHOT_NAME)
-
-
 def _open_store(args) -> MemoryStore:
-    path = _snapshot_path(args.store)
+    path = os.path.join(args.store, SNAPSHOT_NAME)
     if os.path.exists(path):
         if args.config:
             print("warning: --config ignored, store already exists", file=sys.stderr)
@@ -181,8 +182,6 @@ def _resolve_person(store, text: str) -> int:
         return int(text)
     anchor_id = store.anchor_by_label(text)
     if anchor_id is None:
-        from .errors import UnknownAnchor
-
         raise UnknownAnchor(f"no anchor named {text!r}")
     return anchor_id
 
@@ -225,123 +224,116 @@ def _fuse(store, args) -> list[str]:
     return out
 
 
-# Each writer command runs on the store it is given and returns its output lines;
-# run_cli takes the lock, opens the store and saves it around each.
+def _query(store, args) -> list[str]:
+    constraint = _parse_where(args.where)
+    qtype = None if args.type == "auto" else args.type
+    person = _resolve_person(store, args.person) if args.person else None
+    result = store.retrieve(
+        args.text, qtype=qtype, constraint=constraint, person=person,
+        k=args.k, include_logic=not args.no_logic,
+    )
+    out = [f"query: {args.text}", f"ranked: {len(result.ranked)}"]
+    for i, item in enumerate(result.ranked, start=1):
+        out.append(
+            f"{i}. {item.layer}:{item.node_id}"
+            f" init={_fmt(item.score_init)} final={_fmt(item.score_final)}"
+        )
+    ctx = result.answer_context
+    for ep_id in ctx.evidence:
+        node = store.episodic[ep_id]
+        out.append(f'evidence: epi:{ep_id} t={_fmt(node.t)} "{node.d}"')
+    if ctx.top_logic is not None:
+        out.append(f'procedure: logic:{ctx.top_logic} "{ctx.procedure_goal}"')
+    if ctx.paths is not None:
+        out.append(f"paths_total: {ctx.paths_total}")
+        out.append(f"paths_surviving: {len(ctx.paths)}")
+        _print_paths(ctx.paths, out)
+    if ctx.character_nodes is not None:
+        out.append("character_nodes: " + (",".join(map(str, ctx.character_nodes)) or "-"))
+    return out
+
+
+def _proc(store, args) -> list[str]:
+    constraint = _parse_where(args.where)
+    if args.no_logic:
+        answer = answer_procedure(store, args.goal, use_logic=False, constraint=constraint)
+        return ["mode: episodic-baseline",
+                "steps: " + ("->".join(answer.steps) or "-"),
+                f"calls: {answer.calls}"]
+    before = store.retrieval_calls
+    pe = get_procedure_with_evidence(store, args.goal)
+    paths, total = constrained_paths(
+        pe.dag, constraint, store.config.max_paths, store.config.max_path_len
+    )
+    out = [
+        f'procedure: logic:{pe.logic_id} "{pe.goal}" sim={_fmt(pe.similarity)}',
+        "evidence: " + (",".join(str(e.id) for e in pe.evidence) or "-"),
+        f"paths_total: {total}",
+        f"paths_surviving: {len(paths)}",
+    ]
+    _print_paths(paths, out)
+    out.append(f"calls: {store.retrieval_calls - before}")
+    return out
+
+
+def _character(store, args) -> list[str]:
+    person = _resolve_person(store, args.person)
+    nodes = aggregate_character_behaviors(store, person)
+    out = [f'person: anchor:{person} "{store.anchors[person].label}"',
+           f"behaviors: {len(nodes)}"]
+    for node in nodes:
+        out.append(
+            f'logic {node.id}: score={_fmt(node.score)} c="{node.c}"'
+            f" evidence={len(node.episodic_links)}"
+        )
+    return out
+
+
+def _expect(store, args) -> list[str]:
+    pe = get_procedure_with_evidence(store, args.goal)
+    steps = goal_reach_probability(pe.dag, args.from_step)
+    return [f'procedure: logic:{pe.logic_id} "{pe.goal}"',
+            f"expect: from={args.from_step} steps={_fmt(steps)}"]
+
+
+def _stats(store, args) -> list[str]:
+    out = []
+    for key, value in store.stats().items():
+        if isinstance(value, float):
+            out.append(f"{key}: {_fmt(value)}")
+        else:
+            out.append(f"{key}: {value}")
+    return out
+
+
+def _check(store, args) -> list[str]:
+    # A load refuses a snapshot that check() would report on, naming its first violation,
+    # and a missing store opens empty: any store opened here has passed the sweep.
+    return ["check: ok"]
+
+
+# Each command runs on the opened store and returns its output lines. run_cli
+# takes the lock before it opens the store, and saves it after, for a writer only.
 _WRITERS = {"ingest": _ingest, "distill": _distill, "update": _update, "fuse": _fuse}
+_COMMANDS = {**_WRITERS, "query": _query, "proc": _proc, "character": _character,
+             "expect": _expect, "stats": _stats, "check": _check}
 
 
 def run_cli(argv) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "fuse" and (args.auto == bool(args.node) or len(args.node) not in (0, 2)):
         return _usage("fuse needs either --auto or exactly two --node ids")
-    out: list[str] = ["format: 1"]
+    writer = args.command in _WRITERS
     try:
-        if args.command in _WRITERS:
-            with _WriterLock(args.store):
-                store = _open_store(args)
-                lines = _WRITERS[args.command](store, args)
-                store.save(_snapshot_path(args.store))
-            out.extend(lines)
-
-        elif args.command == "query":
+        with _WriterLock(args.store) if writer else contextlib.nullcontext():
             store = _open_store(args)
-            constraint = _parse_where(args.where)
-            qtype = None if args.type == "auto" else args.type
-            person = _resolve_person(store, args.person) if args.person else None
-            result = store.retrieve(
-                args.text, qtype=qtype, constraint=constraint, person=person,
-                k=args.k, include_logic=not args.no_logic,
-            )
-            out.append(f"query: {args.text}")
-            out.append(f"ranked: {len(result.ranked)}")
-            for i, item in enumerate(result.ranked, start=1):
-                out.append(
-                    f"{i}. {item.layer}:{item.node_id}"
-                    f" init={_fmt(item.score_init)} final={_fmt(item.score_final)}"
-                )
-            ctx = result.answer_context
-            for ep_id in ctx.evidence:
-                node = store.episodic[ep_id]
-                out.append(f'evidence: epi:{ep_id} t={_fmt(node.t)} "{node.d}"')
-            if ctx.top_logic is not None:
-                out.append(f'procedure: logic:{ctx.top_logic} "{ctx.procedure_goal}"')
-            if ctx.paths is not None:
-                out.append(f"paths_total: {ctx.paths_total}")
-                out.append(f"paths_surviving: {len(ctx.paths)}")
-                _print_paths(ctx.paths, out)
-            if ctx.character_nodes is not None:
-                out.append("character_nodes: " + (",".join(map(str, ctx.character_nodes)) or "-"))
-
-        elif args.command == "proc":
-            store = _open_store(args)
-            constraint = _parse_where(args.where)
-            if args.no_logic:
-                answer = answer_procedure(store, args.goal, use_logic=False,
-                                          constraint=constraint)
-                out.append("mode: episodic-baseline")
-                out.append("steps: " + ("->".join(answer.steps) or "-"))
-                out.append(f"calls: {answer.calls}")
-            else:
-                before = store.retrieval_calls
-                pe = get_procedure_with_evidence(store, args.goal)
-                paths, total = constrained_paths(
-                    pe.dag, constraint, store.config.max_paths, store.config.max_path_len
-                )
-                out.append(f'procedure: logic:{pe.logic_id} "{pe.goal}" sim={_fmt(pe.similarity)}')
-                out.append("evidence: " + (",".join(str(e.id) for e in pe.evidence) or "-"))
-                out.append(f"paths_total: {total}")
-                out.append(f"paths_surviving: {len(paths)}")
-                _print_paths(paths, out)
-                out.append(f"calls: {store.retrieval_calls - before}")
-
-        elif args.command == "character":
-            store = _open_store(args)
-            person = _resolve_person(store, args.person)
-            from .symbolic import aggregate_character_behaviors
-
-            nodes = aggregate_character_behaviors(store, person)
-            label = store.anchors[person].label
-            out.append(f'person: anchor:{person} "{label}"')
-            out.append(f"behaviors: {len(nodes)}")
-            for node in nodes:
-                out.append(
-                    f'logic {node.id}: score={_fmt(node.score)} c="{node.c}"'
-                    f" evidence={len(node.episodic_links)}"
-                )
-
-        elif args.command == "expect":
-            store = _open_store(args)
-            pe = get_procedure_with_evidence(store, args.goal)
-            steps = goal_reach_probability(pe.dag, args.from_step)
-            out.append(f'procedure: logic:{pe.logic_id} "{pe.goal}"')
-            out.append(f"expect: from={args.from_step} steps={_fmt(steps)}")
-
-        elif args.command == "stats":
-            store = _open_store(args)
-            for key, value in store.stats().items():
-                if isinstance(value, float):
-                    out.append(f"{key}: {_fmt(value)}")
-                else:
-                    out.append(f"{key}: {value}")
-
-        elif args.command == "check":
-            store = _open_store(args)
-            violations = store.check()
-            if violations:
-                out.append(f"check: {len(violations)} violations")
-                out.extend(violations)
-                print("\n".join(out))
-                return 2
-            out.append("check: ok")
-
-    except MemoryEngineError as exc:
+            lines = _COMMANDS[args.command](store, args)
+            if writer:
+                store.save(os.path.join(args.store, SNAPSHOT_NAME))
+    except (MemoryEngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    print("\n".join(out))
+    print("\n".join(["format: 1", *lines]))
     return 0
 
 

@@ -20,10 +20,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import norm, tokenize
+from .core import _is_int, norm, tokenize
 from .dag import GOAL, START, DagNode, ProceduralDag
 from .dag import enumerate_paths  # noqa: F401 -- bench/tracing.py wraps this name
-from .errors import InvalidInput
+from .errors import ConfigError, InvalidInput
 
 # Tokens skipped when looking for the object of a verb. Not linguistics,
 # just enough to turn "chops the fruit" into chop_fruit deterministically.
@@ -101,11 +101,13 @@ def extract_action(text: str, verbs) -> str | None:
 
 def extract_action_sequences(store, episode_ids=None) -> list[ActionSequence]:
     """Group episodic nodes by source, order by time, map to action labels."""
-    nodes = (
-        store._episodic.values()
-        if episode_ids is None
-        else list(map(store._episodic.__getitem__, sorted(episode_ids)))
-    )
+    if episode_ids is None:
+        nodes = store._episodic.values()
+    else:
+        for ep_id in episode_ids:
+            if not (_is_int(ep_id) and ep_id in store._episodic):
+                raise InvalidInput(f"no episodic node {ep_id!r}")
+        nodes = list(map(store._episodic.__getitem__, sorted(episode_ids)))
     by_video: dict[str, list] = {}
     for node in nodes:
         by_video.setdefault(node.video, []).append(node)
@@ -363,6 +365,8 @@ def distill(store, episode_ids=None) -> list[int]:
     within equal support so complete procedures land before their
     fragments, which are then skipped as covered.
     """
+    if store.verifier_fn is None or store.goal_namer_fn is None:
+        raise ConfigError("external verifier/goal_namer selected but not registered")
     sequences = extract_action_sequences(store, episode_ids)
     candidates = closed_patterns(sequences, store.config.sigma_support)
     if not candidates:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import cosine
+from .core import _is_int, cosine
 from .dag import GOAL, START, ProceduralDag, check_valid
 from .errors import FusionCycle, InvalidInput, InvalidPrior
 
@@ -270,8 +270,8 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
 
     logic = store._logic
     for logic_id in (id_a, id_b):
-        if logic_id not in logic:
-            raise InvalidInput(f"no logic node {logic_id}")
+        if not (_is_int(logic_id) and logic_id in logic):
+            raise InvalidInput(f"no logic node {logic_id!r}")
     if id_a == id_b:
         raise InvalidInput("cannot fuse a logic node with itself")
     a, b = logic[id_a], logic[id_b]

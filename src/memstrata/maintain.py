@@ -144,13 +144,14 @@ def apply_observation(store, rec) -> UpdateReport:
     report.pooled = True
     if best is not None:
         report.similarity = best[1]
-    if rec.id not in store._pool:  # a record applied again is pooled once
-        store._pool += (rec.id,)
-    report.pool_size = len(store._pool)
-    if len(store._pool) >= store.config.pool_trigger:
-        episode_ids = set().union(*(store._observations[i].episodes for i in store._pool))
+    # The pool is assigned last, so a distill that raises leaves it as it was.
+    pool = store._pool if rec.id in store._pool else store._pool + (rec.id,)  # pooled once
+    report.pool_size = len(pool)
+    if len(pool) >= store.config.pool_trigger:
+        episode_ids = set().union(*(store._observations[i].episodes for i in pool))
         report.distilled = distill(store, episode_ids=episode_ids)
-        store._pool = ()
+        pool = ()
         report.pool_size = 0
+    store._pool = pool
     return report
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import _is_int, cosine
 from .dag import Constraint
-from .errors import InvalidInput
+from .errors import InvalidInput, UnknownAnchor
 from .symbolic import _character_nodes, constrained_paths
 
 CONSTRAINT_CUES = (
@@ -71,6 +71,8 @@ def make_query(store, text: str, qtype: str | None = None,
         raise InvalidInput(f"unknown query type {qtype!r}")
     if constraint is not None and qtype != "constraint":
         raise InvalidInput("constraint predicates require a constraint-type query")
+    if person is not None and not _is_int(person):  # True and 1.0 are keys of anchor 1
+        raise UnknownAnchor(f"no anchor {person!r}")
     return Query(text, store.embed(text), qtype, constraint, person)
 
 

@@ -261,8 +261,6 @@ class MemoryStore:
     def distill(self, episode_ids=None):
         from .distill import distill as _distill
 
-        if self.verifier_fn is None or self.goal_namer_fn is None:
-            raise ConfigError("external verifier/goal_namer selected but not registered")
         return _distill(self, episode_ids)
 
     def apply(self, rec):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import cosine
+from .core import _is_int, cosine
 from .dag import (
     GOAL,
     Constraint,
@@ -102,8 +102,8 @@ def query_step_sequence(store, goal: str, constraint: Constraint | None = None):
 
 
 def _character_nodes(store, person: int):
-    if person not in store._anchors:
-        raise UnknownAnchor(f"no anchor {person}")
+    if not (_is_int(person) and person in store._anchors):  # True and 1.0 are keys of anchor 1
+        raise UnknownAnchor(f"no anchor {person!r}")
     linked = {
         ep_id for ep_id, node in store._episodic.items() if person in node.anchors
     }

@@ -449,6 +449,18 @@ def test_distill_refuses_bad_verifier_score_unchanged(bad):
     assert json.dumps(snapshot_dict(store), sort_keys=True) == before
 
 
+@pytest.mark.parametrize("episode_ids, message", [
+    ([True, 2.0, 3], "no episodic node True"),  # True and 2.0 equal episodes 1 and 2
+    ([999], "no episodic node 999"),
+], ids=["not-int", "unknown"])
+def test_distill_refuses_an_episode_id_that_is_no_episode_int(episode_ids, message):
+    store = fruit_salad_store()
+    before = json.dumps(snapshot_dict(store), sort_keys=True)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        store.distill(episode_ids=episode_ids)
+    assert store.logic == {} and json.dumps(snapshot_dict(store), sort_keys=True) == before
+
+
 def test_distill_verifier_numpy_score_stored_as_float(tmp_path):
     # json cannot write an np.float32; the node keeps a plain float
     store = fruit_salad_store()

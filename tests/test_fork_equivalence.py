@@ -11,6 +11,7 @@ and the same symbolic answers.
 """
 
 import os
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,6 @@ def test_live_loaded_and_cloned_stores_stay_alike(tmp_path_factory, sequence):
         for name, store in forks.items():
             assert store.check() == [], name
             store.save(path)
-            state[name] = (open(path, "rb").read(), _answers(store))
+            state[name] = (Path(path).read_bytes(), _answers(store))
         assert state["loaded"] == state["live"], op
         assert state["cloned"] == state["live"], op

@@ -405,6 +405,14 @@ def test_fuse_logic_nodes_refuses_an_embedder_vector_that_is_not_finite():
     assert sorted(store.logic) == [1, 2] and store.check() == []
 
 
+@pytest.mark.parametrize("ids", [(True, 2), (1, 2.0), (True, 2.0)], ids=["bool", "float", "both"])
+def test_fuse_logic_nodes_refuses_an_id_that_is_not_an_int(ids):
+    store = two_procedure_store()
+    with pytest.raises(InvalidInput, match="^no logic node "):
+        fuse_logic_nodes(store, *ids)
+    assert sorted(store.logic) == [1, 2] and store.next_logic_id == 3 and store.check() == []
+
+
 def test_a_fuse_of_goal_vectors_whose_sum_overflows_makes_a_savable_store(tmp_path):
     # 1.7e308 + 1.0e308 overflows; the halves' sum, the mean, is finite.
     def vector_of(text):

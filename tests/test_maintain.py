@@ -5,9 +5,11 @@ import pytest
 
 from memstrata import (
     Config,
+    ConfigError,
     Description,
     DimensionMismatch,
     HashingEmbedder,
+    InvalidInput,
     MemoryStore,
     NotIngested,
     ObservationRecord,
@@ -341,6 +343,27 @@ def test_pool_trigger_runs_distillation():
     assert store.pool == ()
     new_node = store.logic[reports[-1].distilled[0]]
     assert new_node.steps == ("grab_towel", "wash_window")
+
+
+def _nan_verifier(store):
+    store.set_verifier(lambda pattern, evidence: float("nan"))
+
+
+@pytest.mark.parametrize("config, setup, error", [
+    ({}, _nan_verifier, InvalidInput),
+    ({"verifier": "external"}, lambda store: None, ConfigError),  # never registered
+], ids=["nan-verifier", "unregistered"])
+def test_a_refused_pool_distill_leaves_the_pool_as_it_was(tmp_path, config, setup, error):
+    store = MemoryStore(Config(dim=64, pool_trigger=2, **config))
+    setup(store)
+    first, second = (record(i, f"v{i}", 0.0, ["chop the fruit", "mix the fruit"]) for i in (1, 2))
+    store.ingest(first)
+    store.ingest(second)
+    assert store.apply(first).pool_size == 1
+    with pytest.raises(error):
+        store.apply(second)  # fills the pool, whose distill raises before it creates a node
+    assert store.pool == (1,) and store.check() == []
+    store.save(str(tmp_path / "snapshot.json"))
 
 
 def test_reference_model_matches_apply_empty():

@@ -14,7 +14,7 @@ from memstrata import (
     retrieve,
     score_logic,
 )
-from memstrata.errors import InvalidInput
+from memstrata.errors import InvalidInput, UnknownAnchor
 from conftest import fruit_salad_store, plant, texts_store
 
 
@@ -174,6 +174,16 @@ def test_retrieve_character_attaches_nodes():
     result = store.retrieve("What kind of person is Jack? he usually cooks",
                             person=jack, k=5)
     assert result.answer_context.character_nodes == [1]
+
+
+@pytest.mark.parametrize("person", [True, 1.0], ids=["bool", "float"])
+def test_retrieve_refuses_a_person_that_is_not_an_int(person):
+    store = ready_store()
+    assert store.anchor_by_label("jack") == 1  # True and 1.0 equal 1
+    calls = store.retrieval_calls
+    with pytest.raises(UnknownAnchor):
+        store.retrieve("What kind of person is Jack? he usually cooks", person=person, k=5)
+    assert store.retrieval_calls == calls
 
 
 def test_make_query_rejects_constraint_on_factual():

@@ -7,6 +7,7 @@ saved, loaded, checked and saved again.
 """
 
 import os
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -86,11 +87,11 @@ def test_every_saved_store_loads_clean_and_resaves_identically(tmp_path_factory,
         _run(store, op, records, clock)
         assert store.check() == []
         store.save(path)
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         loaded = MemoryStore.load(path)
         assert loaded.check() == []
         loaded.save(path)
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
 
 # 1e150 squares to 1e300; at 1e200 and above a vector's x·x overflows, and at 1.5e308
@@ -138,7 +139,7 @@ def test_every_store_of_any_finite_scale_saves_loads_and_resaves_identically(
         _run(store, op, records, clock, percept_scale)
         assert store.check() == []
         store.save(path)
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         MemoryStore.load(path, embedder=ScaledEmbedder(DIM, scale)).save(path)
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 

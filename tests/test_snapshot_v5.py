@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def test_shapes_store_saves_observations_in_id_order_with_their_nodes(tmp_path):
     path = str(tmp_path / "snap.json")
     store = shapes_store()
     store.save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     # Observations 10, 11, 20, 21, 30, 31 of v3, v2, v1, each with its own t; the three
     # with descriptions list episodes 10-12, 6-8 and 1-3 (ingested from 30 down).
     assert data["observations"] == {
@@ -288,7 +289,7 @@ def test_snapshot_pool_entry_that_is_not_an_observation_id_rejected(entry):
     # The pool is the ids of its observations: 11.0 would pass for 11, and true for 1,
     # as an observation's key, and re-save as another file. A load refuses each with
     # the violation check() reports on a store that holds it.
-    data = json.loads(open(V8_FIXTURE).read())
+    data = json.loads(Path(V8_FIXTURE).read_text())
     assert data["pool"] == [11]
     assert snapshot_dict(store_from_dict(copy.deepcopy(data))) == data
     violation = f"pool entry references unknown observation {entry!r}"
@@ -299,7 +300,7 @@ def test_snapshot_pool_entry_that_is_not_an_observation_id_rejected(entry):
 
 def test_snapshot_pool_that_lists_an_observation_twice_rejected():
     # apply pools a record once, so a repeated id is no store's pool.
-    data = json.loads(open(V8_FIXTURE).read())
+    data = json.loads(Path(V8_FIXTURE).read_text())
     violation = "pool entry 11 is listed 2 times, not once"
     data["pool"].append(11)
     with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
@@ -312,7 +313,7 @@ def test_snapshot_pool_that_lists_an_observation_twice_rejected():
 def test_section_of_another_type_rejected_in_every_version(section, other):
     # A load iterates each section, so an empty one of another type would
     # load as empty and re-save as another file.
-    for data in (snapshot_dict(shapes_store()), json.loads(open(V8_FIXTURE).read())):
+    for data in (snapshot_dict(shapes_store()), json.loads(Path(V8_FIXTURE).read_text())):
         data[section] = other
         with pytest.raises(CorruptSnapshot, match=f"snapshot section '{section}' is not a"):
             store_from_dict(data)
@@ -413,13 +414,13 @@ def test_refused_save_leaves_the_snapshot_it_would_replace_as_it_was(tmp_path, f
     path = str(tmp_path / "snap.json")
     store = shapes_store()
     store.save(path)
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     fault(store)
     violations = store.check()
     assert violations
     with pytest.raises(SnapshotIoError, match=re.escape(violations[0]) + "$"):
         store.save(path)
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert os.listdir(tmp_path) == ["snap.json"]  # no temp file left
 
 
@@ -446,9 +447,9 @@ def _breach(store, path: str):
         return f"load refused the file: {exc}"
     if loaded.check():
         return f"loaded as {loaded.check()[0]}"
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     loaded.save(path)
-    return None if open(path, "rb").read() == first else "re-saved as another file"
+    return None if Path(path).read_bytes() == first else "re-saved as another file"
 
 
 def test_live_store_mutation_sweep_saves_only_what_loads(tmp_path):
@@ -717,10 +718,10 @@ def test_attrs_nested_to_the_bound_pass_every_boundary_and_one_level_more_is_ref
         with pytest.raises(MalformedRecord, match=f"^attrs of 'chop it' {over}$"):
             store.ingest(ObservationRecord(2, "v", 1.0, [Description("chop it", _nested(MAX_ATTRS_DEPTH + 1))],
                                            [], []))
-        text = open(path).read()
+        text = Path(path).read_text()
         at_bound = "[" * (MAX_ATTRS_DEPTH - 1) + "1" + "]" * (MAX_ATTRS_DEPTH - 1)
         assert text.count(at_bound) == 1
-        open(path, "w").write(text.replace(at_bound, "[" + at_bound + "]"))
+        Path(path).write_text(text.replace(at_bound, "[" + at_bound + "]"))
         with pytest.raises(CorruptSnapshot, match=f"^episodic 1: attrs {over}$"):
             MemoryStore.load(path)
         data = json.loads(json.dumps(snapshot_dict(shapes_store())))
@@ -749,9 +750,9 @@ def test_attrs_nested_to_the_bound_pass_every_boundary_and_one_level_more_is_ref
 def test_load_refuses_a_non_finite_json_constant(tmp_path, constant):
     path = str(tmp_path / "snap.json")
     shapes_store().save(path)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert '{"tool":"bowl"}' in text
-    open(path, "w").write(text.replace('{"tool":"bowl"}', '{"tool":%s}' % constant, 1))
+    Path(path).write_text(text.replace('{"tool":"bowl"}', '{"tool":%s}' % constant, 1))
     with pytest.raises(CorruptSnapshot, match=f"snapshot holds {constant}, which is not a finite number"):
         MemoryStore.load(path)
 
@@ -766,9 +767,9 @@ def test_load_refuses_text_that_json_would_read_another_way(tmp_path, written, i
     # a bare ValueError.
     path = str(tmp_path / "snap.json")
     shapes_store().save(path)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text.count(written) == 1
-    open(path, "w").write(text.replace(written, instead))
+    Path(path).write_text(text.replace(written, instead))
     with pytest.raises(CorruptSnapshot, match=f"^{message}$"):
         MemoryStore.load(path)
 
@@ -796,7 +797,7 @@ def test_load_pauses_the_cycle_collector_and_restores_it(tmp_path, monkeypatch):
                         lambda data, embedder=None: seen.append(gc.isenabled()) or build(data, embedder))
     MemoryStore.load(path)
     assert seen == [False] and gc.isenabled()
-    open(path, "w").write("{")
+    Path(path).write_text("{")
     with pytest.raises(CorruptSnapshot):
         MemoryStore.load(path)
     assert gc.isenabled()
@@ -873,12 +874,12 @@ def test_stores_of_empty_mixed_and_out_of_order_records_round_trip(tmp_path_fact
         _run(store, op, records, clock)
         assert store.check() == []
         store.save(path)
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         loaded = MemoryStore.load(path)
         assert loaded.check() == []
         assert _episodic_state(loaded) == _episodic_state(store)
         loaded.save(path)
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
 
 # -- run columns -------------------------------------------------------------
@@ -919,7 +920,7 @@ def test_run_columns_round_trip_through_save_and_load(tmp_path_factory, blocks, 
     store.distill()
     path = os.path.join(tmp_path_factory.mktemp("runs"), "snap.json")
     store.save(path)
-    text = open(path).read()
+    text = Path(path).read_text()
     saved = json.loads(text)
     # each run column is the oracle's spelling of the ints the store gives it
     metas = [meta for _, meta in sorted(store.observations.items())]
@@ -938,7 +939,7 @@ def test_run_columns_round_trip_through_save_and_load(tmp_path_factory, blocks, 
     assert loaded.check() == []
     assert _episodic_state(loaded) == _episodic_state(store)
     loaded.save(path)
-    assert open(path).read() == text
+    assert Path(path).read_text() == text
 
 
 def _holder(data, section):
@@ -982,7 +983,7 @@ NON_CANONICAL = {
 def test_non_canonical_runs_rejected(case, same_ints):
     source, section, column, plant, spelling = case
     data = (json.loads(json.dumps(snapshot_dict(shapes_store()))) if source == "shapes"
-            else json.loads(open(V8_FIXTURE).read()))
+            else json.loads(Path(V8_FIXTURE).read_text()))
     assert snapshot_dict(store_from_dict(copy.deepcopy(data))) == data
     if same_ints:  # so only its spelling is at fault
         assert unruns(spelling) == unruns(_holder(data, section)[column])
@@ -999,10 +1000,10 @@ def test_non_canonical_runs_rejected(case, same_ints):
 def test_a_run_is_refused_before_it_can_allocate(tmp_path, section, column, spelling):
     # A small file cannot ask a load for 10**12 ints: a run column's counts are summed against
     # the rows the file holds before a pair is expanded, and counts against its episodes.
-    data = json.loads(open(V8_FIXTURE).read())
+    data = json.loads(Path(V8_FIXTURE).read_text())
     _holder(data, section)[column] = spelling
     path = str(tmp_path / "snap.json")
-    open(path, "w").write(json.dumps(data))
+    Path(path).write_text(json.dumps(data))
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
     start = time.perf_counter()
     with pytest.raises(CorruptSnapshot):

@@ -123,7 +123,7 @@ def test_two_saves_byte_identical(tmp_path):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     store.save(p1)
     store.save(p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_save_load_save_byte_identical(tmp_path):
@@ -131,7 +131,7 @@ def test_save_load_save_byte_identical(tmp_path):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     store.save(p1)
     MemoryStore.load(p1).save(p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_save_load_save_byte_identical_with_integer_timestamps(tmp_path):
@@ -140,15 +140,15 @@ def test_save_load_save_byte_identical_with_integer_timestamps(tmp_path):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     store.save(p1)
     MemoryStore.load(p1).save(p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_truncated_snapshot_rejected(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.save(path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) // 2])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CorruptSnapshot):
         MemoryStore.load(path)
 
@@ -157,9 +157,9 @@ def test_dangling_reference_rejected(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     data["logic"][0]["episodic_links"] = [424242]
-    open(path, "w").write(json.dumps(data))
+    Path(path).write_text(json.dumps(data))
     with pytest.raises(CorruptSnapshot):
         MemoryStore.load(path)
 
@@ -169,11 +169,11 @@ def test_dangling_reference_rejected(tmp_path):
 def test_non_finite_snapshot_vector_rejected(tmp_path, section, field):
     path = str(tmp_path / "snap.json")
     ready_store().save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     vec = decode_vector(data[section][0][field], data["config"]["dim"])
     vec[0] = float("nan")
     data[section][0][field] = encode_vector(vec)
-    open(path, "w").write(json.dumps(data))
+    Path(path).write_text(json.dumps(data))
     with pytest.raises(CorruptSnapshot, match="finite floats"):
         MemoryStore.load(path)
 
@@ -184,10 +184,10 @@ def test_snapshot_centroid_of_another_shape_rejected(tmp_path, field, value):
     # A centroid is copied into its row: nothing may broadcast into one.
     path = str(tmp_path / "snap.json")
     ready_store().save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     face = data["anchors"][0]["face"]
     data["anchors"][0][field] = {"nested": [face], "short": face[:-1]}.get(value, value)
-    open(path, "w").write(json.dumps(data))
+    Path(path).write_text(json.dumps(data))
     with pytest.raises(CorruptSnapshot):
         MemoryStore.load(path)
 
@@ -211,10 +211,10 @@ def _first_edge(data):
 def test_non_finite_snapshot_scalar_rejected(tmp_path, where, value):
     path = str(tmp_path / "snap.json")
     ready_store().save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     entry, key = where(data)
     entry[key] = value
-    open(path, "w").write(json.dumps(data))
+    Path(path).write_text(json.dumps(data))
     with pytest.raises(CorruptSnapshot, match="is not a finite number"):
         MemoryStore.load(path)
 
@@ -232,10 +232,10 @@ def test_mistyped_snapshot_number_rejected(tmp_path, where):
     # as a corrupt snapshot, not escape as a TypeError.
     path = str(tmp_path / "snap.json")
     ready_store().save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     entry, key = where(data)
     entry[key] = "x"
-    open(path, "w").write(json.dumps(data))
+    Path(path).write_text(json.dumps(data))
     with pytest.raises(CorruptSnapshot):
         MemoryStore.load(path)
 
@@ -276,7 +276,7 @@ def test_snapshot_mutation_sweep_raises_only_typed_errors(tmp_path):
     store = fruit_salad_store(dim=32)
     store.distill()
     store.save(path)
-    base = json.loads(open(path).read())
+    base = json.loads(Path(path).read_text())
     escaped = []
     for where in chain(_leaf_paths(base), _attrs_keys(base)):
         for value in MUTATION_VALUES:
@@ -516,7 +516,7 @@ def test_a_refused_ingest_leaves_the_store_as_it_was(tmp_path, text, output):
     assert store.check() == []
     after = str(tmp_path / "after.json")
     store.save(after)
-    assert open(after, "rb").read() == open(before, "rb").read()
+    assert Path(after).read_bytes() == Path(before).read_bytes()
     assert store.anchors[1].face_count == 1 and 2 not in store.observations
 
 
@@ -580,7 +580,7 @@ def test_v8_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.save(path)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert "\n" not in text[:-1] and text.endswith("\n")
     data = json.loads(text)
     assert data["version"] == 8
@@ -655,7 +655,7 @@ def test_v8_fixture_loads_and_saves_byte_identically(tmp_path):
     assert store.pool == (11,)
     path = str(tmp_path / "snap.json")
     store.save(path)
-    assert open(path, "rb").read() == open(V8_FIXTURE, "rb").read()
+    assert Path(path).read_bytes() == Path(V8_FIXTURE).read_bytes()
 
 
 # snapshot_v{1,...,7}_dim8.json were written by the version 1-7 writers from
@@ -664,7 +664,7 @@ def test_v8_fixture_loads_and_saves_byte_identically(tmp_path):
 @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_snapshot_of_an_older_version_refused_by_its_number(version):
     path = os.path.join(os.path.dirname(__file__), "data", f"snapshot_v{version}_dim8.json")
-    assert json.loads(open(path).read())["version"] == version
+    assert json.loads(Path(path).read_text())["version"] == version
     with pytest.raises(CorruptSnapshot, match=f"^unsupported snapshot version {version}$"):
         MemoryStore.load(path)
 
@@ -684,7 +684,7 @@ def test_load_links_each_procedure_to_its_episodes_own_ids(tmp_path):
     links = [i for node in loaded.logic.values() for i in node.episodic_links]
     assert max(links) > 256
     assert all(i is loaded.episodic[i].id for i in links)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     data["logic"][0]["episodic_links"][-1] = 10**6  # the last link, to no episode
     with pytest.raises(CorruptSnapshot, match="^logic 1: dangling episodic link$"):
         store_from_dict(data)
@@ -783,7 +783,7 @@ OBSERVATION_COLUMNS = "^observation columns are not of one length$"
         "observation-row-3"])
 def test_non_canonical_v5_tables_rejected(plant, match):
     # One store state, one file: no other tables for the same nodes load.
-    data = json.loads(open(V8_FIXTURE).read())
+    data = json.loads(Path(V8_FIXTURE).read_text())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=match):
@@ -826,7 +826,7 @@ KEY_PLANTS = {
 def test_object_with_keys_the_writer_does_not_write_rejected(plant, kind):
     # A load reads only the keys the writer writes: any other would be dropped,
     # and a missing config key defaulted, so the file would re-save as another.
-    data = json.loads(open(V8_FIXTURE).read())
+    data = json.loads(Path(V8_FIXTURE).read_text())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^snapshot {kind}: not an object with exactly the keys"):
@@ -848,7 +848,7 @@ COUNTER_PLANTS = {
 def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violation):
     # The next distill, fuse or ingest takes its id from the counter: one at or
     # below a held id overwrites that node, and a float one makes float ids.
-    data = json.loads(open(V8_FIXTURE).read())
+    data = json.loads(Path(V8_FIXTURE).read_text())
     assert data["counters"] == {"anchor": 2, "logic": 2, "node": 16}
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
@@ -857,7 +857,7 @@ def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violatio
 
 @pytest.mark.parametrize("name", ["next_node_id", "next_anchor_id", "next_logic_id"])
 def test_check_reports_a_counter_that_is_not_a_positive_int(name):
-    data = json.loads(open(V8_FIXTURE).read())
+    data = json.loads(Path(V8_FIXTURE).read_text())
     counter = {"next_node_id": "node", "next_anchor_id": "anchor", "next_logic_id": "logic"}[name]
     for value in (float(data["counters"][counter]), True, "x", None):
         planted = copy.deepcopy(data)
@@ -890,7 +890,7 @@ def test_attrs_are_one_entry_per_canonical_json(tmp_path):
         store.ingest(ObservationRecord(rid, "v", float(rid), [Description("chop the fruit", a)],
                                        [], []))
     store.save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     assert data["episodic"]["texts"] == ["chop the fruit"]
     assert data["episodic"]["attrs_at"] == [0, 1, 2, 0, 3, 3]
     loaded = MemoryStore.load(path)
@@ -905,7 +905,7 @@ def test_a_snapshot_whose_action_verbs_are_not_a_list_is_refused(tmp_path, verbs
     # would re-save as another file.
     path = str(tmp_path / "snap.json")
     fruit_salad_store(dim=32).save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     data["config"]["action_verbs"] = verbs
     with pytest.raises(ConfigError, match="action_verbs must be a list of non-empty strings"):
         Config.from_dict(data["config"])
@@ -946,7 +946,7 @@ def test_an_invalid_config_is_refused_by_construction_and_by_load(tmp_path, trig
     with pytest.raises(FrozenInstanceError):
         store.config.pool_trigger = trigger
     store.save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     data["config"]["pool_trigger"] = trigger
     with pytest.raises(CorruptSnapshot, match=re.escape(f"snapshot config invalid: {message}")):
         store_from_dict(data)
@@ -992,7 +992,7 @@ def test_vector_encoding_is_bit_exact_and_refuses_every_other_string(dim, seed, 
 
 def test_bad_version_rejected(tmp_path):
     path = str(tmp_path / "snap.json")
-    open(path, "w").write('{"version": 99}')
+    Path(path).write_text('{"version": 99}')
     with pytest.raises(CorruptSnapshot):
         MemoryStore.load(path)
 
@@ -1000,7 +1000,7 @@ def test_bad_version_rejected(tmp_path):
 @pytest.mark.parametrize("version", [True, 2.0, "3", 5.0, 6.0, 7.0, 8.0])
 def test_version_of_another_type_rejected(version):
     # 8.0 == 8 in Python: a version must be the int, not just equal it.
-    data = json.loads(open(V8_FIXTURE).read())
+    data = json.loads(Path(V8_FIXTURE).read_text())
     data["version"] = version
     with pytest.raises(CorruptSnapshot, match="unsupported snapshot version"):
         store_from_dict(data)
@@ -1010,9 +1010,9 @@ def test_out_of_range_config_rejected(tmp_path):
     path = str(tmp_path / "snap.json")
     store = MemoryStore(Config(dim=8))
     store.save(path)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     data["config"]["alpha"] = 7.0
-    open(path, "w").write(json.dumps(data))
+    Path(path).write_text(json.dumps(data))
     with pytest.raises(CorruptSnapshot):
         MemoryStore.load(path)
 
@@ -1309,21 +1309,28 @@ def test_cli_person_of_digits_that_are_not_ascii_is_a_label(tmp_path, obs_file, 
     assert capsys.readouterr().err == "error: no anchor named '\u00b2'\n"
 
 
-def test_cli_lock_blocks_writers(tmp_path, obs_file, capsys):
-    store_dir = tmp_path / "store"
-    store_dir.mkdir()
-    with open(store_dir / ".lock", "w") as held:
-        fcntl.flock(held, fcntl.LOCK_EX)
-        assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 2
-        err = capsys.readouterr().err
-        assert "locked" in err
-    assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
-
-
 def _dead_pid():
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait(timeout=60)  # reaped: no process has this pid now
     return child.pid
+
+
+@pytest.mark.parametrize("owner", [lambda: "", lambda: f"{_dead_pid()} {socket.gethostname()}"],
+                         ids=["empty", "dead"])
+def test_cli_lock_blocks_writers(tmp_path, obs_file, capsys, owner):
+    # Only the held flock blocks, whatever the file holds; the file is never unlinked.
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    lock = store_dir / ".lock"
+    lock.write_text(owner())
+    with open(lock) as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 2
+        err = capsys.readouterr().err
+        assert "locked" in err
+        assert lock.exists()
+    assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
+    assert lock.exists()
 
 
 @pytest.mark.parametrize("owner", [
@@ -1346,20 +1353,6 @@ def test_cli_leftover_lock_of_any_content_blocks_no_writer(tmp_path, obs_file, c
     assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
     assert "locked" not in capsys.readouterr().err
     assert lock.read_text() == content  # never written, never unlinked
-
-
-def test_cli_lock_not_broken_twice(tmp_path, obs_file, capsys):
-    # A writer that finds the dead lock while another holds it under flock
-    # (mid-break) must not break it as well.
-    store_dir = tmp_path / "store"
-    store_dir.mkdir()
-    lock = store_dir / ".lock"
-    lock.write_text(f"{_dead_pid()} {socket.gethostname()}")
-    with open(lock) as held:
-        fcntl.flock(held, fcntl.LOCK_EX)
-        assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 2
-        assert lock.exists()
-    assert run_cli(["--store", str(store_dir), "ingest", obs_file]) == 0
 
 
 def test_cli_lock_blocks_a_second_writer_lock(tmp_path):
@@ -1448,6 +1441,39 @@ def test_cli_lock_of_a_killed_writer_blocks_no_later_writer(tmp_path, obs_file, 
     assert (store_dir / ".lock").exists()
 
 
+def test_cli_check_exits_2_naming_the_first_violation_of_a_load(tmp_path, obs_file, capsys):
+    # check is the load's own sweep: a snapshot with two violations is refused whole,
+    # naming the first, and left as it was.
+    store_dir = str(tmp_path / "store")
+    assert run_cli(["--store", store_dir, "ingest", obs_file]) == 0
+    snapshot = Path(store_dir, "snapshot.json")
+    snapshot.write_text(snapshot.read_text().replace('"pool":[]', '"pool":[999,1,1]', 1))
+    before = snapshot.read_bytes()
+    capsys.readouterr()
+    assert run_cli(["--store", store_dir, "check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: pool entry references unknown observation 999\n"
+    assert snapshot.read_bytes() == before
+
+
+def test_cli_pool_distill_without_registered_plugins_exits_2(tmp_path, capsys):
+    conf = tmp_path / "engine.json"
+    conf.write_text(json.dumps({"version": 1, "pool_trigger": 2, "verifier": "external"}))
+    obs = tmp_path / "obs.jsonl"
+    obs.write_text(jsonl_lines([{"id": i, "video": f"v{i}", "t": 0.0,
+                                 "descriptions": ["chop the fruit", "mix the fruit"]} for i in (1, 2)]))
+    store_dir = str(tmp_path / "store")
+    assert run_cli(["--store", store_dir, "--config", str(conf), "ingest", str(obs)]) == 0
+    snapshot = Path(store_dir, "snapshot.json")
+    before = snapshot.read_bytes()
+    capsys.readouterr()
+    assert run_cli(["--store", store_dir, "update", str(obs)]) == 2  # the second record fills the pool
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: external verifier/goal_namer selected but not registered\n"
+    assert snapshot.read_bytes() == before
+
+
 def test_cli_config_applies_to_new_store(tmp_path, capsys):
     conf = tmp_path / "engine.json"
     conf.write_text(dump_config(Config(dim=32)))
@@ -1457,7 +1483,7 @@ def test_cli_config_applies_to_new_store(tmp_path, capsys):
         {"id": 1, "video": "v", "t": 0.0, "descriptions": ["open the door"]}]))
     assert run_cli(["--store", store_dir, "--config", str(conf), "ingest", str(obs)]) == 0
     capsys.readouterr()
-    snap = json.loads(open(os.path.join(store_dir, "snapshot.json")).read())
+    snap = json.loads(Path(os.path.join(store_dir, "snapshot.json")).read_text())
     assert snap["config"]["dim"] == 32
 
 

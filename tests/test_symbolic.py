@@ -261,6 +261,14 @@ def test_aggregate_unknown_anchor():
         aggregate_character_behaviors(store, 999)
 
 
+@pytest.mark.parametrize("person", [True, 1.0], ids=["bool", "float"])
+def test_aggregate_refuses_an_anchor_id_that_is_not_an_int(person):
+    store = ready_store()
+    assert 1 in store.anchors  # and so are True and 1.0, which equal 1
+    with pytest.raises(UnknownAnchor):
+        aggregate_character_behaviors(store, person)
+
+
 def test_aggregate_no_links_empty():
     store = ready_store()
     from memstrata import Percept
