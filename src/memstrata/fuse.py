@@ -262,9 +262,9 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     """Replace two logic nodes by their fusion.
 
     The fused node keeps the first node's goal text; index vectors are the
-    component-wise mean of the inputs'; evidence links union. The store's kept
-    state is built again (``_build_kept``), as a load builds it, since a row
-    cannot be deleted.
+    component-wise mean of the inputs'; evidence links union. The store's logic
+    rows are built again (``_build_logic_rows``), since a row cannot be deleted;
+    a fuse changes no other layer, so nothing else the store keeps.
     """
     from .distill import LogicNode
 
@@ -295,7 +295,7 @@ def fuse_logic_nodes(store, id_a: int, id_b: int) -> FusionReport:
     for old_id in (id_a, id_b):
         del logic[old_id]
     logic[logic_id] = node
-    store._build_kept()
+    store._build_logic_rows()
     return FusionReport(logic_id, (id_a, id_b), alignment, before, _total_count(fused_dag))
 
 

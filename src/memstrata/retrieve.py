@@ -71,7 +71,8 @@ def make_query(store, text: str, qtype: str | None = None,
         raise InvalidInput(f"unknown query type {qtype!r}")
     if constraint is not None and qtype != "constraint":
         raise InvalidInput("constraint predicates require a constraint-type query")
-    if person is not None and not _is_int(person):  # True and 1.0 are keys of anchor 1
+    # an int first: True and 1.0 are keys of anchor 1
+    if person is not None and not (_is_int(person) and person in store._anchors):
         raise UnknownAnchor(f"no anchor {person!r}")
     return Query(text, store.embed(text), qtype, constraint, person)
 

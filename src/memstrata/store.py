@@ -8,11 +8,13 @@ its entries with non-zero bits and then those entries as little-endian float64,
 so a load reproduces it bit for bit. Observations and episodes are columns, one
 array per field, ids as differences; each distinct video, text, anchor set and
 attrs object is stored once, in a table the columns index. Id lists are
-strictly increasing, evidence links are gap-coded and DAGs are rows. The id,
-video, count, anchor-set and outcome columns and each procedure's links write a
-maximal run of 3 or more equal ints as one ``[value, count]``; ``t``,
-``text_at`` and ``attrs_at`` stay plain, and fix the row counts a load expands
-runs to. A load refuses all but the canonical form. Nothing a load can derive
+strictly increasing, evidence links are gap-coded and DAGs are rows, each edge
+row naming its ends by their node rows. The id, video, count, anchor-set and
+outcome columns and each procedure's links write a maximal run of 3 or more
+equal ints as one ``[value, count]``; ``text_at`` and ``attrs_at`` are packed,
+one base64 string each of a width byte and then each index little-endian at
+that width, and with ``t`` they fix the row counts a load expands runs to. A
+load refuses all but the canonical form. Nothing a load can derive
 is stored: a load recomputes each text's vector (with the snapshot's embedder)
 and action once, and each video's clock as its latest observation. Nor does a
 store hold a copy of what it holds, or what it can compute: an episode reads
@@ -53,7 +55,8 @@ from .core import (
     finite_vector,
     read_json,
 )
-from .dag import GOAL, START, ProceduralDag, check_valid, transition_prob
+from .dag import GOAL, START, ProceduralDag, check_valid
+from .dag import transition_prob  # noqa: F401 -- bench/tracing.py wraps this name
 from .distill import LogicNode, default_goal_name, extract_action, verify_default
 from .errors import (
     ConfigError,
@@ -76,15 +79,16 @@ from .ingest import (
 from .maintain import apply_observation
 from .retrieve import make_query, retrieve
 
-SNAPSHOT_VERSION = 8
-# The sections of one type in a version 8 snapshot, the one version a load reads:
+SNAPSHOT_VERSION = 9
+# The sections of one type in a version 9 snapshot, the one version a load reads:
 # a load iterates them, so an empty section of another type would load, and
 # re-save as another file.
 _SECTION_TYPES = {"anchors": list, "semantic": list, "logic": list, "pool": list}
 _OBSERVATION_COLUMNS = ("id", "video_at", "t", "episode_count")
 _EPISODE_COLUMNS = ("id", "text_at", "anchors_at", "outcome", "attrs_at")
-_PLAIN_COLUMNS = ("t", "text_at", "attrs_at")  # each column not named here is written as _runs
-# The keys of each object of a version 8 snapshot, as snapshot_dict writes them: a load
+# The columns not written as _runs: t as floats, text_at and attrs_at as _packed.
+_PLAIN_COLUMNS = ("t", "text_at", "attrs_at")
+# The keys of each object of a version 9 snapshot, as snapshot_dict writes them: a load
 # reads no other key, so one more, or one fewer, would load and re-save as another file.
 _KEYS = {kind: frozenset(keys.split()) for kind, keys in (
     ("top level", "version embedder config counters episodic observations " + " ".join(_SECTION_TYPES)),
@@ -173,24 +177,30 @@ class MemoryStore:
     def _build_kept(self) -> None:
         """Build what the store keeps for its scans from its layers: the rows that own the anchor
         centroids and the logic index vectors, and the postings from each anchor id to its semantic
-        nodes and from each action to its episodic nodes. A new store, a load, ``clone()`` and a
-        fuse, which cannot delete a row, build them here, an empty store as any other; each engine
-        write keeps them current after that. Each is in its layer's order, which is ascending id
-        (see the class docstring)."""
+        nodes and from each action to its episodic nodes. A new store, a load and ``clone()`` build
+        them here, an empty store as any other; each engine write keeps them current after that.
+        Each is in its layer's order, which is ascending id (see the class docstring)."""
         dim = self._config.dim
         self._centroid_rows = centroids = {"face": RowBlock(dim), "voice": RowBlock(dim)}
-        self._logic_rows = logic_rows = {"goal": RowBlock(dim), "step": RowBlock(dim)}
         self._semantic_postings = by_anchor = defaultdict(list)
         self._action_postings = by_action = defaultdict(list)
+        self._build_logic_rows()
         for anchor_id, anchor in self._anchors.items():
             _point_at_rows(centroids, "centroid_", anchor_id, anchor)
-        for logic_id, node in self._logic.items():
-            _point_at_rows(logic_rows, "i_", logic_id, node)
         for node_id, node in self._semantic.items():
             for anchor_id in node.anchors:
                 by_anchor[anchor_id].append(node_id)
         for node_id, node in self._episodic.items():
             by_action[node.text[2]].append(node_id)
+
+    def _build_logic_rows(self) -> None:
+        """Build the rows that own the logic index vectors from the logic layer, in its order: as
+        part of ``_build_kept``, and alone after a fuse, which changes only that layer but cannot
+        delete a row."""
+        dim = self._config.dim
+        self._logic_rows = rows = {"goal": RowBlock(dim), "step": RowBlock(dim)}
+        for logic_id, node in self._logic.items():
+            _point_at_rows(rows, "i_", logic_id, node)
 
     @property
     def percept_count(self) -> int:
@@ -440,9 +450,11 @@ def check_store(store: MemoryStore) -> list[str]:
         if faults := check_valid(dag):
             v += [f"logic {logic_id}: {fault}" for fault in faults]
             continue  # the sums below read what a fault may have broken
-        for src in sorted(dag.adj):
-            total = sum(transition_prob(dag, src, dst) for dst in sorted(dag.adj[src]))
-            if dag.adj[src] and abs(total - 1.0) > 1e-9:
+        for src in sorted(dag.adj):  # each estimate (gamma + N) / their sum, summed in label order
+            weights = [stat.gamma + stat.count for _, stat in sorted(dag.adj[src].items())]
+            denom = sum(weights)  # 0: the symmetric-prior limit, 1/n each, which sum to 1
+            total = sum(w / denom for w in weights) if denom else 1.0
+            if abs(total - 1.0) > 1e-9:
                 v.append(f"logic {logic_id}: transition probs at {src} sum to {total}")
 
     pool, observations = store._pool, store._observations
@@ -488,15 +500,51 @@ def _vec_from(text, dim: int, what: str) -> np.ndarray:
     return vec
 
 
+_WIDTHS = (1, 2, 4, 8)  # the byte widths a packed column may have
+
+
+def _packed(ints: list) -> str:
+    """Indexes, ints of 0 to 2**64 - 1, as base64 of a width byte, the fewest of ``_WIDTHS`` bytes
+    that holds the largest (1 for none), then each index little-endian at that width."""
+    width = next(w for w in _WIDTHS if max(ints, default=0) < 1 << 8 * w)
+    return base64.b64encode(bytes([width]) + np.array(ints, f"<u{width}").tobytes()).decode("ascii")
+
+
+def _unpacked(text, what: str) -> list:
+    """The indexes that ``_packed`` spelled as ``text``, refused unless it is what ``_packed``
+    writes: a str of base64, a width byte of ``_WIDTHS`` and no wider than the largest index
+    needs, then a whole number of ints of that width."""
+    if type(text) is not str:
+        raise CorruptSnapshot(f"{what}: not a str of packed ints")
+    try:  # strict: no character outside the alphabet, and nothing after the padding
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error is a ValueError, as is a str that is not ASCII
+        raise CorruptSnapshot(f"{what}: not base64") from None
+    # What strict decoding leaves free is the unused low bits of the last character before the
+    # padding: the last group, encoded again, tests them.
+    if base64.b64encode(raw[-(len(raw) % 3 or 3):]).decode("ascii") != text[-4:]:
+        raise CorruptSnapshot(f"{what}: not canonical base64")
+    if not raw or raw[0] not in _WIDTHS:
+        raise CorruptSnapshot(f"{what}: no width byte of 1, 2, 4 or 8")
+    width = raw[0]
+    if (len(raw) - 1) % width:
+        raise CorruptSnapshot(f"{what}: {len(raw) - 1} bytes are not a whole number of {width}-byte ints")
+    ints = np.frombuffer(raw, f"<u{width}", offset=1)
+    if width > 1 and ints.max(initial=0) < 1 << 4 * width:  # one half as wide holds them all
+        raise CorruptSnapshot(f"{what}: width {width} is wider than its largest index needs")
+    return ints.tolist()
+
+
 def _dag_rows(dag: ProceduralDag) -> dict:
-    """``[label, attrs, success_alpha, success_beta]`` rows, START, the sorted
-    steps, GOAL; ``[src, dst, count, gamma]`` rows sorted by ``(src, dst)``."""
+    """``[label, attrs, success_alpha, success_beta]`` node rows, START, the sorted steps, GOAL;
+    ``[i, j, count, gamma]`` edge rows, ``i`` and ``j`` the node rows of the edge's ends, sorted
+    by ``(i, j)``."""
     labels = [START] + sorted(dag.step_labels()) + [GOAL]
+    row = dict(zip(labels, range(len(labels))))
     return {
         "nodes": [[label, dag.nodes[label].attrs, dag.nodes[label].success_alpha,
                    dag.nodes[label].success_beta] for label in labels],
-        "edges": [[src, dst, stat.count, stat.gamma]
-                  for src, dst, stat in sorted(dag.edges(), key=lambda e: (e[0], e[1]))],
+        "edges": sorted([row[src], row[dst], stat.count, stat.gamma] for src, dst, stat in dag.edges()),
     }
 
 
@@ -505,10 +553,15 @@ def _dag_from_rows(data: dict, what: str) -> ProceduralDag:
     each step's attrs one an episode's may hold: a distill or a fuse merges those of several."""
     nodes, edges = data["nodes"], data["edges"]
     if not all(type(row) is list and len(row) == 4 for row in nodes + edges):
-        raise CorruptSnapshot("dag rows are not 4 fields each")
+        raise CorruptSnapshot(f"{what}: dag rows are not 4 fields each")
     labels, keys = [row[0] for row in nodes], [(row[0], row[1]) for row in edges]
-    if labels != [START, *sorted(set(labels[1:-1]) - {START, GOAL}), GOAL] or keys != sorted(set(keys)):
-        raise CorruptSnapshot("dag rows are not START, the sorted steps, GOAL, then sorted edges")
+    ends = list(chain.from_iterable(keys))
+    if (labels != [START, *sorted(set(labels[1:-1]) - {START, GOAL}), GOAL]
+            or not set(map(type, ends)) <= {int}  # not true or 1.0, which index as 1
+            or not 0 <= min(ends, default=0) <= max(ends, default=0) < len(labels)
+            or keys != sorted(set(keys))):
+        raise CorruptSnapshot(f"{what}: dag rows are not START, the sorted steps, GOAL, then edges"
+                              " by node row, sorted")
     dag = ProceduralDag.__new__(ProceduralDag)
     dag.nodes, dag.adj = {}, {}
     for label, attrs, success_alpha, success_beta in nodes:
@@ -516,8 +569,8 @@ def _dag_from_rows(data: dict, what: str) -> ProceduralDag:
         if fault := _attrs_fault([{key: x} for key, x in attrs.items()]):
             raise CorruptSnapshot(f"{what}: {label} attrs {fault}")
         dag.add_node(label, attrs, success_alpha, success_beta)
-    for src, dst, count, gamma in edges:
-        dag.add_edge(src, dst, count, gamma)
+    for i, j, count, gamma in edges:
+        dag.add_edge(labels[i], labels[j], count, gamma)
     return dag.sealed()
 
 
@@ -608,9 +661,10 @@ def snapshot_dict(store: MemoryStore) -> dict:
 
 
 def _columns(store: MemoryStore) -> tuple:
-    """The observations, in id order, and their episodes, in order, as version 8 columns, with
+    """The observations, in id order, and their episodes, in order, as version 9 columns, with
     the tables of each distinct video, text, anchor set and attrs object, in order of first use;
-    every column but ``_PLAIN_COLUMNS`` as ``_runs``."""
+    ``text_at`` and ``attrs_at`` as ``_packed``, and every column but ``_PLAIN_COLUMNS`` as
+    ``_runs``."""
     obs_ids = sorted(store._observations)
     metas = list(map(store._observations.__getitem__, obs_ids))
     nodes = list(map(store._episodic.__getitem__, chain.from_iterable(m.episodes for m in metas)))
@@ -623,9 +677,9 @@ def _columns(store: MemoryStore) -> tuple:
                     "episode_count": _runs([len(m.episodes) for m in metas])}
     episodic = {"id": _runs(_gaps([n.id for n in nodes])),
                 "outcome": _runs([OUTCOMES.index(n.outcome) for n in nodes]),
-                "text_at": [texts.setdefault(n.text[0], len(texts)) for n in nodes],  # by its d
+                "text_at": _packed([texts.setdefault(n.text[0], len(texts)) for n in nodes]),  # by its d
                 "anchors_at": _runs([anchors.setdefault(n.anchors, len(anchors)) for n in nodes]),
-                "attrs_at": attrs_at}
+                "attrs_at": _packed(attrs_at)}
     return ({"videos": list(videos), **observations},
             {"texts": list(texts), "attrs": list(attrs.values()),
              "anchors": list(map(sorted, anchors)), **episodic})
@@ -674,20 +728,22 @@ def _point_at_rows(blocks: dict, prefix: str, node_id, node) -> None:
 
 
 def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> None:
-    """Build the observations and their episodic nodes from version 8 columns, each table entry
+    """Build the observations and their episodic nodes from version 9 columns, each table entry
     once (a video, a text's entry with its vector and action, an anchor set, an attrs object), and
-    each node pointing at its entries and its observation. Each run column is expanded (``_unruns``)
-    to at most its section's plain columns' length, ``t`` for the observations and ``text_at`` for
-    the episodes. Anything but the canonical columns and tables of some store is refused."""
+    each node pointing at its entries and its observation. The packed columns are decoded
+    (``_unpacked``) first, and each run column is expanded (``_unruns``) to at most its section's
+    plain columns' length, ``t`` for the observations and ``text_at`` for the episodes. Anything but
+    the canonical columns and tables of some store is refused."""
     texts, attrs, anchor_sets = tables["texts"], tables["attrs"], tables["anchors"]
     videos = observations["videos"]
-    plain = [observations["t"], tables["text_at"], tables["attrs_at"]]
-    if not set(map(type, [texts, attrs, anchor_sets, videos, *plain])) <= {list}:
+    plain = {"t": observations["t"], **{name: _unpacked(tables[name], f"episodic column {name!r}")
+                                        for name in ("text_at", "attrs_at")}}
+    if not set(map(type, [texts, attrs, anchor_sets, videos, plain["t"]])) <= {list}:
         raise CorruptSnapshot("observation and episodic columns and tables are not all lists")
     sections = []
-    for what, section, names, rows in (("observation", observations, _OBSERVATION_COLUMNS, plain[0]),
-                                       ("episodic", tables, _EPISODE_COLUMNS, plain[1])):
-        sections.append(columns := [section[name] if name in _PLAIN_COLUMNS else
+    for what, section, names, rows in (("observation", observations, _OBSERVATION_COLUMNS, plain["t"]),
+                                       ("episodic", tables, _EPISODE_COLUMNS, plain["text_at"])):
+        sections.append(columns := [plain[name] if name in _PLAIN_COLUMNS else
                                     _unruns(section[name], len(rows), f"{what} column {name!r}")
                                     for name in names])
         if len(set(map(len, columns))) != 1:
@@ -732,7 +788,7 @@ def _add_observations(store: MemoryStore, tables: dict, observations: dict) -> N
 
 
 def store_from_dict(data: dict, embedder=None) -> MemoryStore:
-    """Rebuild a store from a version 8 snapshot dict; every other version is
+    """Rebuild a store from a version 9 snapshot dict; every other version is
     refused, as no reader of it is kept.
 
     Episodic and semantic vectors are recomputed with ``embedder`` (default:

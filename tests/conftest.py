@@ -1,8 +1,10 @@
 """Shared fixture builders for the test suite."""
 
+import base64
 import importlib
 import json
 import random
+import struct
 import sys
 from itertools import groupby
 from pathlib import Path
@@ -33,7 +35,7 @@ MUTATION_VALUES = ("x", None, [], {}, -1, 2**70, 1.5, True, float("nan"))
 
 
 def runs(ints) -> list:
-    """The version 8 snapshot spelling of an int column, by ``itertools.groupby``: each maximal
+    """The snapshot spelling (since version 8) of a run column, by ``itertools.groupby``: each maximal
     run of 3 or more equal ints as ``[value, count]``, every other int as it is."""
     spelled = []
     for value, group in groupby(ints):
@@ -45,6 +47,42 @@ def runs(ints) -> list:
 def unruns(column) -> list:
     """The ints that ``runs`` spelled as ``column``."""
     return [v for x in column for v in ([x[0]] * x[1] if type(x) is list else [x])]
+
+
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # the struct format of each width a packed column has
+
+
+def packed(ints) -> str:
+    """The version 9 snapshot spelling of an index column (``text_at``, ``attrs_at``), by
+    ``struct``: base64 of a width byte, the fewest of 1, 2, 4 and 8 bytes that holds the largest
+    index, then each index little-endian at that width."""
+    width = next(w for w in _FORMATS if max(ints, default=0) < 256 ** w)
+    return base64.b64encode(struct.pack(f"<B{len(ints)}{_FORMATS[width]}", width, *ints)).decode()
+
+
+def unpacked(text) -> list:
+    """The indexes that ``packed`` spelled as ``text``."""
+    raw = base64.b64decode(text)
+    return list(struct.unpack(f"<{(len(raw) - 1) // raw[0]}{_FORMATS[raw[0]]}", raw[1:]))
+
+
+def respelled(column, change):
+    """Change, in place, the ints that an index column (``packed``) or a run column (``runs``)
+    spells, and spell them again; a change that leaves an index no packed column can hold (a
+    negative, a bool, a float, a str) leaves the column a JSON list of them, the version 8
+    spelling."""
+    ints = unpacked(column) if type(column) is str else unruns(column)
+    change(ints)
+    if type(column) is not str:
+        return runs(ints)
+    return packed(ints) if all(type(i) is int and i >= 0 for i in ints) else ints
+
+
+def edge_rows(nodes, edges) -> list:
+    """Edge rows by label, ``[src, dst, count, gamma]``, as the version 9 snapshot spells them:
+    ``[i, j, count, gamma]``, ``i`` and ``j`` the node rows of the ends, sorted by ``(i, j)``."""
+    row = {node[0]: i for i, node in enumerate(nodes)}
+    return sorted([row[src], row[dst], count, gamma] for src, dst, count, gamma in edges)
 
 
 def bench_gen():

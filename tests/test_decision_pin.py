@@ -28,9 +28,10 @@ from memstrata.ingest import read_observation_lines
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# Snapshot version 8 (runs of equal ints as [value, count]) moved these bytes on purpose: the
-# file spells, column for column, the version 7 file of the same build, whose digest was 5f71f828.
-SNAPSHOT_SHA256 = "cc232e8183a0435f59d2364f0e3defb89a951f3c310bc9eda90dc3671a729475"
+# Snapshot version 9 (text_at and attrs_at packed, DAG edges by node row) moved these bytes on
+# purpose: the file is the version 8 file of the same build (digest cc232e81, itself the version 7
+# file, 5f71f828, in runs) with those two columns and the edge rows spelled anew, and nothing else.
+SNAPSHOT_SHA256 = "506ecf70e98d91ba408ab3862273153d8a40e1b973815d73a16cb8a6b9695e6c"
 
 # query index in the generated list -> the ranked (layer, node id, score_final.hex()), k = 5
 RETRIEVES = {

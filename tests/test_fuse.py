@@ -349,6 +349,30 @@ def test_fuse_logic_nodes_replaces_pair():
     assert store.check() == []
 
 
+def test_a_fuse_rebuilds_the_logic_rows_and_nothing_else_the_store_keeps():
+    # A fuse changes only the logic layer: each anchor keeps its centroid views, and the store its
+    # centroid rows and both postings, the same objects; its logic rows are what a full rebuild
+    # makes, and each logic node views its own.
+    store = two_procedure_store()
+    views = {i: (a.centroid_face, a.centroid_voice) for i, a in store.anchors.items()}
+    assert any(face is not None for face, _ in views.values())
+    kept = [store._centroid_rows, store._semantic_postings, store._action_postings]
+    fuse_logic_nodes(store, 1, 2)
+    assert all(store.anchors[i].centroid_face is face and store.anchors[i].centroid_voice is voice
+               for i, (face, voice) in views.items())
+    assert all(now is before for now, before in
+               zip([store._centroid_rows, store._semantic_postings, store._action_postings], kept))
+    rows = store._logic_rows
+    for key, block in rows.items():
+        assert all(getattr(store.logic[i], f"i_{key}") is row for i, row in zip(block.ids, block.rows))
+    fused = {key: (block.ids, np.array(block.rows)) for key, block in rows.items()}
+    store._build_kept()
+    assert store._logic_rows is not rows
+    for key, block in store._logic_rows.items():
+        assert block.ids == fused[key][0] == [3]
+        assert np.array_equal(np.array(block.rows), fused[key][1])
+
+
 def test_fuse_logic_nodes_aligns_once_and_builds_fuse_result(monkeypatch):
     fuse_module = importlib.import_module("memstrata.fuse")  # not the function
     store = two_procedure_store()

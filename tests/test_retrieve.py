@@ -176,13 +176,20 @@ def test_retrieve_character_attaches_nodes():
     assert result.answer_context.character_nodes == [1]
 
 
-@pytest.mark.parametrize("person", [True, 1.0], ids=["bool", "float"])
-def test_retrieve_refuses_a_person_that_is_not_an_int(person):
+@pytest.mark.parametrize("text,include_logic", [
+    ("What kind of person is Jack? he usually cooks", True),
+    ("What kind of person is Jack? he usually cooks", False),
+    ("When did Jack chop the fruit?", True),
+], ids=["character", "character-without-logic", "factual"])
+@pytest.mark.parametrize("person", [True, 1.0, 999], ids=["bool", "float", "unknown-int"])
+def test_retrieve_refuses_a_person_that_is_not_an_int(person, text, include_logic):
+    # On every path, before the call is counted: a person that is not an anchor's id never reaches
+    # the character step, which a factual query or one without the logic layer skips.
     store = ready_store()
-    assert store.anchor_by_label("jack") == 1  # True and 1.0 equal 1
+    assert store.anchor_by_label("jack") == 1 and 999 not in store.anchors  # True and 1.0 equal 1
     calls = store.retrieval_calls
-    with pytest.raises(UnknownAnchor):
-        store.retrieve("What kind of person is Jack? he usually cooks", person=person, k=5)
+    with pytest.raises(UnknownAnchor, match=f"^no anchor {person!r}$"):
+        store.retrieve(text, person=person, k=5, include_logic=include_logic)
     assert store.retrieval_calls == calls
 
 

@@ -47,7 +47,18 @@ from memstrata.core import dump_config
 from memstrata import store as store_module
 from memstrata.ingest import OUTCOMES
 from memstrata.store import snapshot_dict, store_from_dict
-from conftest import FRUIT_VERBS, MUTATION_VALUES, fruit_salad_store, jsonl_lines, plant, runs
+from conftest import (
+    FRUIT_VERBS,
+    MUTATION_VALUES,
+    edge_rows,
+    fruit_salad_store,
+    jsonl_lines,
+    packed,
+    plant,
+    respelled,
+    runs,
+    unpacked,
+)
 
 
 def ready_store():
@@ -576,22 +587,22 @@ def test_retrieve_and_distill_over_vectors_whose_square_overflows_warn_nothing()
         assert store.check() == []
 
 
-def test_v8_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
+def test_v9_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     path = str(tmp_path / "snap.json")
     store = ready_store()
     store.save(path)
     text = Path(path).read_text()
     assert "\n" not in text[:-1] and text.endswith("\n")
     data = json.loads(text)
-    assert data["version"] == 8
+    assert data["version"] == 9
     assert data["embedder"] == {"name": "hashing-fnv1a64", "dim": 512}
     assert data["observations"]["id"] and data["semantic"]
     assert all("v" not in entry for entry in data["semantic"])
     assert "video_clock" not in data  # each video's latest observation gives it
     # each distinct video, text, anchor set and attrs once, in first-use order as the file
     # lists the nodes, and one column per observation field and per episode field, ids as
-    # differences, each int column but text_at and attrs_at in runs: no vector, action, video
-    # or own t
+    # differences, text_at and attrs_at packed and each other int column in runs: no vector,
+    # action, video or own t
     metas = [meta for _, meta in sorted(store.observations.items())]
     nodes = [store.episodic[i] for meta in metas for i in meta.episodes]
     videos = list(dict.fromkeys(meta.video for meta in metas))
@@ -608,12 +619,13 @@ def test_v8_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     assert data["episodic"] == {
         "texts": texts, "attrs": attrs, "anchors": list(map(list, anchors)),
         "id": runs([b - a for a, b in zip([0] + ep_ids, ep_ids)]),
-        "text_at": [texts.index(n.d) for n in nodes],
+        "text_at": packed([texts.index(n.d) for n in nodes]),
         "anchors_at": runs([anchors.index(tuple(sorted(n.anchors))) for n in nodes]),
         "outcome": runs([OUTCOMES.index(n.outcome) for n in nodes]),
-        "attrs_at": [attrs.index(n.attrs) for n in nodes]}
+        "attrs_at": packed([attrs.index(n.attrs) for n in nodes])}
     assert any(type(x) is list for x in data["episodic"]["outcome"])  # a run, here
-    # no anchor count, percept count or logic anchors; links as gaps, in runs; DAGs as rows
+    # no anchor count, percept count or logic anchors; links as gaps, in runs; DAGs as rows, each
+    # edge by its ends' node rows
     assert "percept_count" not in data and "count" not in data["anchors"][0]
     node, logic = store.logic[1], data["logic"][0]
     links = sorted(node.episodic_links)
@@ -623,8 +635,8 @@ def test_v8_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
     assert logic["dag"]["nodes"] == [
         [label, node.dag.nodes[label].attrs, node.dag.nodes[label].success_alpha,
          node.dag.nodes[label].success_beta] for label in labels]
-    assert logic["dag"]["edges"] == [[src, dst, stat.count, stat.gamma]
-                                     for src, dst, stat in sorted(node.dag.edges())]
+    assert logic["dag"]["edges"] == edge_rows(logic["dag"]["nodes"], [[src, dst, stat.count, stat.gamma]
+                                                                      for src, dst, stat in node.dag.edges()])
     # every stored vector is the v3 encoding of the store's own floats
     anchor = store.anchors[1]
     assert logic["i_goal"] == encode_vector(node.i_goal.tolist())
@@ -642,26 +654,29 @@ def test_v8_snapshot_names_embedder_and_stores_nothing_derivable(tmp_path):
 # source v4 (record 10: chop, mix, "walk the dog") ingested and applied
 # (matched, EMA), and source v5 (record 11: "wash the car", "dry the car")
 # ingested and applied (pooled).
-# It was loaded by the version 7 reader and saved by the version 8 writer, and
-# pins the version 8 bytes across changes to the code that writes them.
-V8_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v8_dim8.json")
+# It was loaded by the version 7 reader and saved by the version 8 writer.
+# snapshot_v9_dim8.json holds the same store, built again from this recipe and
+# saved by the version 9 writer: it is snapshot_v8_dim8.json with the version,
+# text_at, attrs_at and edge rows spelled anew, and nothing else. It pins the
+# version 9 bytes across changes to the code that writes them.
+V9_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "snapshot_v9_dim8.json")
 
 
-def test_v8_fixture_loads_and_saves_byte_identically(tmp_path):
-    store = MemoryStore.load(V8_FIXTURE)
+def test_v9_fixture_loads_and_saves_byte_identically(tmp_path):
+    store = MemoryStore.load(V9_FIXTURE)
     assert store.check() == []
     stats = store.stats()
     assert (stats["anchors"], stats["episodic"], stats["logic"], stats["pool"]) == (1, 14, 1, 1)
     assert store.pool == (11,)
     path = str(tmp_path / "snap.json")
     store.save(path)
-    assert Path(path).read_bytes() == Path(V8_FIXTURE).read_bytes()
+    assert Path(path).read_bytes() == Path(V9_FIXTURE).read_bytes()
 
 
-# snapshot_v{1,...,7}_dim8.json were written by the version 1-7 writers from
+# snapshot_v{1,...,8}_dim8.json were written by the version 1-8 writers from
 # this recipe or a shorter form of it. No reader of those versions is kept:
 # each is refused by its number, as an unknown one is.
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_snapshot_of_an_older_version_refused_by_its_number(version):
     path = os.path.join(os.path.dirname(__file__), "data", f"snapshot_v{version}_dim8.json")
     assert json.loads(Path(path).read_text())["version"] == version
@@ -690,31 +705,36 @@ def test_load_links_each_procedure_to_its_episodes_own_ids(tmp_path):
         store_from_dict(data)
 
 
-_TABLE_OF = {"text_at": "texts", "attrs_at": "attrs"}  # the episodic table an index column indexes
+_TABLE_OF = {"text_at": "texts", "attrs_at": "attrs"}  # the episodic table a packed index column indexes
 
 
 def _retable(data, column, key):
     """Rebuild the episodic table that index column ``column`` indexes in first-use
     order, with ``key(position, value)`` deciding which episodes share an entry."""
     tables = data["episodic"]
-    name, indexes = _TABLE_OF[column], tables[column]
-    values = [tables[name][at] for at in indexes]
-    first: dict = {}
-    tables[name] = []
-    for position, value in enumerate(values):
-        indexes[position] = first.setdefault(key(position, value), len(tables[name]))
-        if indexes[position] == len(tables[name]):
-            tables[name].append(value)
+    name = _TABLE_OF[column]
+
+    def change(indexes):
+        values = [tables[name][at] for at in indexes]
+        first: dict = {}
+        tables[name] = []
+        for position, value in enumerate(values):
+            indexes[position] = first.setdefault(key(position, value), len(tables[name]))
+            if indexes[position] == len(tables[name]):
+                tables[name].append(value)
+    tables[column] = respelled(tables[column], change)
 
 
 def _repeat_position(data, column):
     seen = set()
-    return next(i for i, at in enumerate(data["episodic"][column]) if at in seen or seen.add(at))
+    return next(i for i, at in enumerate(unpacked(data["episodic"][column])) if at in seen or seen.add(at))
 
 
 def _index(column, value):
     def plant(data):
-        data["episodic"][column][_repeat_position(data, column)] = value(data)
+        at = _repeat_position(data, column)
+        data["episodic"][column] = respelled(data["episodic"][column],
+                                             lambda indexes: indexes.__setitem__(at, value(data)))
     return plant
 
 
@@ -725,7 +745,7 @@ def _duplicate_entry(column, reorder=False):
         _retable(data, column, lambda position, value: (
             position == at, json.dumps(value, sort_keys=True)))
         if reorder:  # the same keys in another order: {"step": .., "n": 1}, {"n": 1, "step": ..}
-            attrs, k = data["episodic"]["attrs"], data["episodic"]["attrs_at"][at]
+            attrs, k = data["episodic"]["attrs"], unpacked(data["episodic"]["attrs_at"])[at]
             attrs[attrs.index(attrs[k])]["n"] = 1
             attrs[k] = {"n": 1, **attrs[k]}
     return plant
@@ -743,27 +763,35 @@ def _swap_first_uses(column):
         tables = data["episodic"]
         name = _TABLE_OF[column]
         tables[name][:2] = tables[name][1::-1]
-        tables[column] = [{0: 1, 1: 0}.get(at, at) for at in tables[column]]
+        tables[column] = respelled(tables[column], lambda indexes: indexes.__setitem__(
+            slice(None), [{0: 1, 1: 0}.get(at, at) for at in indexes]))
     return plant
 
 
 def _column_length(section, column, change):
     def plant(data):
-        change(data[section][column])
+        if column in _TABLE_OF:  # a packed column, as the indexes it spells
+            data[section][column] = respelled(data[section][column], change)
+        else:
+            change(data[section][column])
     return plant
 
 
 TEXTS, ATTRS = "episodic text table", "episodic attrs table"
+# an index that no packed column can hold leaves the column a JSON list, the version 8 spelling
+NOT_PACKED = "^episodic column '{}': not a str of packed ints$"
 EPISODE_COLUMNS = "^episodic columns are not of one length$"
 OBSERVATION_COLUMNS = "^observation columns are not of one length$"
 
 
 @pytest.mark.parametrize("plant,match", [
-    (_index("text_at", lambda d: -1), TEXTS), (_index("text_at", lambda d: True), TEXTS),
-    (_index("text_at", lambda d: 1.0), TEXTS),
+    (_index("text_at", lambda d: -1), NOT_PACKED.format("text_at")),
+    (_index("text_at", lambda d: True), NOT_PACKED.format("text_at")),
+    (_index("text_at", lambda d: 1.0), NOT_PACKED.format("text_at")),
     (_index("text_at", lambda d: len(d["episodic"]["texts"])), TEXTS),
-    (_index("text_at", lambda d: "0"), TEXTS), (_index("attrs_at", lambda d: -1), ATTRS),
-    (_index("attrs_at", lambda d: True), ATTRS),
+    (_index("text_at", lambda d: "0"), NOT_PACKED.format("text_at")),
+    (_index("attrs_at", lambda d: -1), NOT_PACKED.format("attrs_at")),
+    (_index("attrs_at", lambda d: True), NOT_PACKED.format("attrs_at")),
     (_index("attrs_at", lambda d: len(d["episodic"]["attrs"])), ATTRS),
     (_duplicate_entry("text_at"), TEXTS), (_duplicate_entry("attrs_at"), ATTRS),
     (_duplicate_entry("attrs_at", reorder=True), ATTRS),
@@ -783,7 +811,7 @@ OBSERVATION_COLUMNS = "^observation columns are not of one length$"
         "observation-row-3"])
 def test_non_canonical_v5_tables_rejected(plant, match):
     # One store state, one file: no other tables for the same nodes load.
-    data = json.loads(Path(V8_FIXTURE).read_text())
+    data = json.loads(Path(V9_FIXTURE).read_text())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=match):
@@ -826,7 +854,7 @@ KEY_PLANTS = {
 def test_object_with_keys_the_writer_does_not_write_rejected(plant, kind):
     # A load reads only the keys the writer writes: any other would be dropped,
     # and a missing config key defaulted, so the file would re-save as another.
-    data = json.loads(Path(V8_FIXTURE).read_text())
+    data = json.loads(Path(V9_FIXTURE).read_text())
     assert store_from_dict(copy.deepcopy(data)).check() == []
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^snapshot {kind}: not an object with exactly the keys"):
@@ -848,7 +876,7 @@ COUNTER_PLANTS = {
 def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violation):
     # The next distill, fuse or ingest takes its id from the counter: one at or
     # below a held id overwrites that node, and a float one makes float ids.
-    data = json.loads(Path(V8_FIXTURE).read_text())
+    data = json.loads(Path(V9_FIXTURE).read_text())
     assert data["counters"] == {"anchor": 2, "logic": 2, "node": 16}
     plant(data)
     with pytest.raises(CorruptSnapshot, match=f"^{re.escape(violation)}$"):
@@ -857,7 +885,7 @@ def test_snapshot_counter_that_would_hand_out_a_held_id_rejected(plant, violatio
 
 @pytest.mark.parametrize("name", ["next_node_id", "next_anchor_id", "next_logic_id"])
 def test_check_reports_a_counter_that_is_not_a_positive_int(name):
-    data = json.loads(Path(V8_FIXTURE).read_text())
+    data = json.loads(Path(V9_FIXTURE).read_text())
     counter = {"next_node_id": "node", "next_anchor_id": "anchor", "next_logic_id": "logic"}[name]
     for value in (float(data["counters"][counter]), True, "x", None):
         planted = copy.deepcopy(data)
@@ -871,7 +899,7 @@ def test_check_reports_a_counter_that_is_not_a_positive_int(name):
 def test_store_whose_counter_is_not_a_positive_int_is_reported_and_not_saved(tmp_path, name):
     # A load refuses such a counter, so a save must not write one.
     path = str(tmp_path / "snap.json")
-    store = MemoryStore.load(V8_FIXTURE)
+    store = MemoryStore.load(V9_FIXTURE)
     plant(store, **{name: float(getattr(store, name))})
     violation = store.check()[0]
     assert violation.startswith(f"counter {name.split('_')[1]}: ")
@@ -892,7 +920,7 @@ def test_attrs_are_one_entry_per_canonical_json(tmp_path):
     store.save(path)
     data = json.loads(Path(path).read_text())
     assert data["episodic"]["texts"] == ["chop the fruit"]
-    assert data["episodic"]["attrs_at"] == [0, 1, 2, 0, 3, 3]
+    assert data["episodic"]["attrs_at"] == packed([0, 1, 2, 0, 3, 3])
     loaded = MemoryStore.load(path)
     assert [repr(loaded.episodic[i].attrs) for i in sorted(loaded.episodic)][:4] == \
            ["{'n': 1}", "{'n': 1.0}", "{'n': True}", "{'n': 1}"]
@@ -997,10 +1025,10 @@ def test_bad_version_rejected(tmp_path):
         MemoryStore.load(path)
 
 
-@pytest.mark.parametrize("version", [True, 2.0, "3", 5.0, 6.0, 7.0, 8.0])
+@pytest.mark.parametrize("version", [True, 2.0, "3", 5.0, 6.0, 7.0, 8.0, 9.0])
 def test_version_of_another_type_rejected(version):
-    # 8.0 == 8 in Python: a version must be the int, not just equal it.
-    data = json.loads(Path(V8_FIXTURE).read_text())
+    # 9.0 == 9 in Python: a version must be the int, not just equal it.
+    data = json.loads(Path(V9_FIXTURE).read_text())
     data["version"] = version
     with pytest.raises(CorruptSnapshot, match="unsupported snapshot version"):
         store_from_dict(data)

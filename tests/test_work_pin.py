@@ -66,8 +66,8 @@ RANKED_ITEMS = {"read": 0, "ingest": 0, "distill": 0, "apply": 0, "fuse": 0, "sa
                 "query": 3146}
 
 # phase -> unit -> count. transition_prob: one estimate per edge of each path a path query (a
-# step-sequence query, a constraint retrieve) keeps, and one per edge at the save's and the load's
-# sums; paths: each START -> GOAL path a path query enumerates. record_fault: once per record at
+# step-sequence query, a constraint retrieve) keeps, and none at the save or the load, whose sweep
+# sums each node's estimates itself; paths: each START -> GOAL path a path query enumerates. record_fault: once per record at
 # the read and at its ingest, and once more when it is applied. sealed: one sealed DAG per
 # distilled node (3 by the distill, 1 by the apply phase's pool distill), matched apply (15) and
 # loaded DAG; this build's auto_fuse fuses none. patterns: each closed pattern a distill mines;
@@ -79,8 +79,8 @@ UNITS = {
     "distill": {"patterns": 3, "cover": 3, "sealed": 3},
     "apply": {"record_fault": 120, "patterns": 1, "cover": 1, "sealed": 16},
     "fuse": {},
-    "save": {"transition_prob": 19},
-    "load": {"transition_prob": 19, "sealed": 4},
+    "save": {},
+    "load": {"sealed": 4},
     "query": {"transition_prob": 129, "paths": 19},
 }
 
